@@ -18,12 +18,13 @@ even when the coordinates themselves carry radicals.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
-from .errors import ConstructionFailure, NotInAlgebra, NotInvariant
+from .errors import ConstructionFailure, NotInAlgebra
 from .linalg import Mat
 from .scalars import Scalar, ZERO, ONE
 
@@ -87,7 +88,7 @@ def invariant_form(x: Mat, y: Mat) -> Fraction:
     return terms.get(1, (_F0, _F0))[0]
 
 
-def _flatten_real(x: Mat) -> List[Fraction]:
+def flatten_real(x: Mat) -> List[Fraction]:
     """Flatten a Q(i)-entry matrix to interleaved (re, im) rationals."""
     out: List[Fraction] = []
     for row in x:
@@ -128,8 +129,29 @@ class Subspace:
     def contains(self, vec: Sequence) -> bool:
         return not any(self.reduce(vec))
 
-    def contains_all(self, vecs: Sequence[Sequence]) -> bool:
-        return all(self.contains(v) for v in vecs)
+    def add(self, vec: Sequence) -> bool:
+        """Grow the span by vec; False (and no change) if vec is already in it.
+
+        The new row goes in at its pivot position and its pivot column is
+        cleared from the other rows, so rows and pivots stay equal to those
+        of Subspace(all vectors added so far).
+        """
+        v = self.reduce(vec)
+        p = next((j for j, e in enumerate(v) if e), None)
+        if p is None:
+            return False
+        inv = 1 / v[p]
+        row = [e * inv for e in v]
+        for r in self.rows:
+            f = r[p]
+            if f:
+                for j in range(p, len(r)):
+                    if row[j]:
+                        r[j] = r[j] - f * row[j]
+        k = bisect(self.pivots, p)
+        self.rows.insert(k, row)
+        self.pivots.insert(k, p)
+        return True
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace(list(self.rows) + list(other.rows))
@@ -141,42 +163,7 @@ class Subspace:
         zero = self.rows[0][0] * 0
         one = ONE if isinstance(zero, Scalar) else _F1
         combos = la.kernel_right([list(col) for col in zip(*reduced)], zero, one)
-        vecs = []
-        width = len(self.rows[0])
-        for c in combos:
-            v = [zero] * width
-            for ci, row in zip(c, self.rows):
-                if ci:
-                    for j, e in enumerate(row):
-                        if e:
-                            v[j] = v[j] + ci * e
-            vecs.append(v)
-        return Subspace(vecs)
-
-
-def express_in(vectors: Sequence[Sequence], target: Sequence,
-               zero, one) -> Optional[list]:
-    """Coefficients over `vectors` expressing `target`, or None.
-
-    The vectors must be linearly independent.
-    """
-    red, piv, trans = la.rref_with_transform([list(v) for v in vectors], zero, one)
-    if len(red) != len(vectors):
-        raise ConstructionFailure("express_in: dependent vector list")
-    v = list(target)
-    coefs = [zero] * len(vectors)
-    for idx, (row, p) in enumerate(zip(red, piv)):
-        c = v[p]
-        if c:
-            for j in range(p, len(v)):
-                if row[j]:
-                    v[j] = v[j] - c * row[j]
-            for t in range(len(vectors)):
-                if trans[idx][t]:
-                    coefs[t] = coefs[t] + c * trans[idx][t]
-    if any(v):
-        return None
-    return coefs
+        return Subspace([la.combine(c, self.rows, zero) for c in combos])
 
 
 @dataclass
@@ -204,7 +191,7 @@ class RealFormStructure:
         if not (0 < self.rank_a <= self.dim_m):
             raise ConstructionFailure("%s: rank %d incompatible with dim m %d"
                                       % (self.name, self.rank_a, self.dim_m))
-        self._scalar_coordizer = None
+        self._scalar_solve = None
         self._ad_frac_cache: Dict[int, List[List[Fraction]]] = {}
         self._build_real_coordizer()
         self._check_adapted()
@@ -243,21 +230,10 @@ class RealFormStructure:
                     "%s: basis vector %d is not a theta eigenvector" % (self.name, i))
 
     def _build_real_coordizer(self):
-        rows = [_flatten_real(m) for m in self.basis]
-        red, piv, trans = la.rref_with_transform(rows, _F0, _F1)
-        if len(red) != self.dim:
+        solve = la.coords_solver([flatten_real(m) for m in self.basis], _F0, _F1)
+        if solve is None:
             raise ConstructionFailure("%s: basis is dependent over R" % self.name)
-        self._rc_rows, self._rc_piv, self._rc_trans = red, piv, trans
-
-    def _ensure_scalar_coordizer(self):
-        if self._scalar_coordizer is None:
-            rows = [list(la.flatten(m)) for m in self.basis]
-            red, piv, trans = la.rref_with_transform(rows, ZERO, ONE)
-            if len(red) != self.dim:
-                raise ConstructionFailure(
-                    "%s: basis is dependent over C" % self.name)
-            self._scalar_coordizer = (red, piv, trans)
-        return self._scalar_coordizer
+        self._real_solve = solve
 
     def _build_struct(self):
         d = self.dim
@@ -325,36 +301,21 @@ class RealFormStructure:
 
     def real_coords_of(self, x: Mat) -> Tuple[Fraction, ...]:
         """Coordinates of x in the basis; x must lie in the real span."""
-        v = _flatten_real(x)
-        cs = [_F0] * self.dim
-        for idx, (row, p) in enumerate(zip(self._rc_rows, self._rc_piv)):
-            c = v[p]
-            if c:
-                for j in range(p, len(v)):
-                    if row[j]:
-                        v[j] -= c * row[j]
-                for k in range(self.dim):
-                    if self._rc_trans[idx][k]:
-                        cs[k] += c * self._rc_trans[idx][k]
-        if any(v):
+        cs = self._real_solve(flatten_real(x))
+        if cs is None:
             raise NotInAlgebra("%s: matrix not in the real span" % self.name)
         return tuple(cs)
 
     def coords_of(self, x: Mat) -> Tuple[Scalar, ...]:
         """Coordinates of x in the complex span g^C of the basis."""
-        red, piv, trans = self._ensure_scalar_coordizer()
-        v = list(la.flatten(x))
-        cs = [ZERO] * self.dim
-        for idx, (row, p) in enumerate(zip(red, piv)):
-            c = v[p]
-            if c:
-                for j in range(p, len(v)):
-                    if row[j]:
-                        v[j] = v[j] - c * row[j]
-                for k in range(self.dim):
-                    if trans[idx][k]:
-                        cs[k] = cs[k] + c * trans[idx][k]
-        if any(v):
+        if self._scalar_solve is None:
+            self._scalar_solve = la.coords_solver(
+                [la.flatten(m) for m in self.basis], ZERO, ONE)
+            if self._scalar_solve is None:
+                raise ConstructionFailure(
+                    "%s: basis is dependent over C" % self.name)
+        cs = self._scalar_solve(la.flatten(x))
+        if cs is None:
             raise NotInAlgebra("%s: matrix not in g^C" % self.name)
         return tuple(cs)
 
@@ -443,10 +404,6 @@ class RealFormStructure:
     def theta_coords(self, u: Sequence) -> tuple:
         return tuple(x if s > 0 else -x for x, s in zip(u, self.theta_signs))
 
-    def conj_coords(self, u: Sequence) -> tuple:
-        """Complex conjugation of g^C with respect to the real form g."""
-        return tuple(x.conj() if isinstance(x, Scalar) else x for x in u)
-
     def form_coords(self, u: Sequence, v: Sequence):
         acc = None
         for i, ui in enumerate(u):
@@ -500,16 +457,7 @@ class RealFormStructure:
             cols.append(col)
         rows = [list(r) for r in zip(*cols)] if cols else []
         combos = la.kernel_right(rows, ZERO, ONE) if rows else []
-        out = []
-        for c in combos:
-            v = [ZERO] * self.dim
-            for ci, b in zip(c, vecs):
-                if ci:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            v[j] = v[j] + ci * bj
-            out.append(v)
-        return out
+        return [la.combine(c, vecs, ZERO) for c in combos]
 
     def generate_subalgebra(self, gens: Sequence[Sequence[Fraction]]) -> Subspace:
         """Smallest bracket-closed rational subspace containing the generators."""
@@ -521,8 +469,7 @@ class RealFormStructure:
             for u in frontier:
                 for v in current:
                     w = self.bracket_coords(u, v)
-                    if any(w) and not space.contains(w):
-                        space = Subspace(list(space.rows) + [list(w)])
+                    if space.add(w):
                         new_vecs.append(w)
             frontier = new_vecs
         return space
@@ -532,14 +479,6 @@ class RealFormStructure:
     def h_unit_coords(self) -> List[List[Scalar]]:
         return [[ONE if j == i else ZERO for j in range(self.dim)]
                 for i in self.h_indices]
-
-    def m_unit_coords(self) -> List[List[Scalar]]:
-        return [[ONE if j == i else ZERO for j in range(self.dim)]
-                for i in self.m_indices]
-
-    def a_unit_coords(self) -> List[List[Scalar]]:
-        return [[ONE if j == i else ZERO for j in range(self.dim)]
-                for i in self.a_indices]
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -553,38 +492,3 @@ class RealFormStructure:
             "rank": self.rank_a,
         }
 
-
-def ad_operator(structure: RealFormStructure, x_coords: Sequence,
-                space: Sequence[Sequence]) -> List[list]:
-    """Matrix of ad(x) restricted to span(space), in the `space` basis.
-
-    Raises NotInvariant naming the offending vector if a bracket leaves the
-    span.  The space vectors must be linearly independent.
-    """
-    vecs = [list(v) for v in space]
-    scalar = (any(isinstance(e, Scalar) for v in vecs for e in v)
-              or any(isinstance(e, Scalar) for e in x_coords))
-    zero, one = (ZERO, ONE) if scalar else (_F0, _F1)
-    red, piv, trans = la.rref_with_transform(vecs, zero, one)
-    if len(red) != len(vecs):
-        raise ConstructionFailure("ad_operator: space basis is dependent")
-    ad = structure.ad_matrix(x_coords)
-    k_dim = len(vecs)
-    cols = []
-    for k, b in enumerate(vecs):
-        v = structure.apply_ad(ad, b)
-        coefs = [zero] * k_dim
-        for idx, (row, p) in enumerate(zip(red, piv)):
-            c = v[p]
-            if c:
-                for j in range(p, structure.dim):
-                    if row[j]:
-                        v[j] = v[j] - c * row[j]
-                for t in range(k_dim):
-                    if trans[idx][t]:
-                        coefs[t] = coefs[t] + c * trans[idx][t]
-        if any(v):
-            raise NotInvariant(
-                "ad image of space vector %d leaves the span" % k)
-        cols.append(coefs)
-    return [[cols[k][r] for k in range(k_dim)] for r in range(k_dim)]

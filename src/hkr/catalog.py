@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
-from .algebra import RealFormStructure, theta_matrix
+from .algebra import RealFormStructure, Subspace, flatten_real, theta_matrix
 from .errors import InvalidParams, NotInTable, SizeBound, ConstructionFailure
 from .scalars import Scalar, ZERO
 
@@ -166,13 +166,17 @@ def reference_rank(fid: FormId) -> int:
 
 
 def size_bound() -> int:
+    """The matrix-size bound: HKR_MAX_DIM if set (an integer >= 1), else 12."""
     raw = os.environ.get("HKR_MAX_DIM")
     if raw is None:
         return DEFAULT_MAX_SIZE
     try:
-        return int(raw)
+        bound = int(raw)
+        if bound >= 1:
+            return bound
     except ValueError:
-        return DEFAULT_MAX_SIZE
+        pass
+    raise InvalidParams("HKR_MAX_DIM must be an integer >= 1, got %r" % raw)
 
 
 # --- reference data (restricted types, split subalgebras, flags) -------------
@@ -548,51 +552,6 @@ def _conditions_for(fid: FormId) -> Tuple[_Conditions, List[la.Mat], int]:
     return cond, a_mats, 2 * (nn * nn - 1)
 
 
-class _GrowingSpan:
-    """Incremental rational row echelon, for picking independent subsets."""
-
-    def __init__(self):
-        self.rows: List[List[Fraction]] = []
-        self.pivots: List[int] = []
-
-    def add(self, vec: Sequence[Fraction]) -> bool:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                for j in range(p, len(v)):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        piv = next((j for j, e in enumerate(v) if e), None)
-        if piv is None:
-            return False
-        inv = v[piv]
-        self.rows.append([e / inv for e in v])
-        self.pivots.append(piv)
-        return True
-
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                for j in range(p, len(v)):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        return not any(v)
-
-
-def _flatten_real_list(m: la.Mat) -> List[Fraction]:
-    out = []
-    for row in m:
-        for e in row:
-            t = e.terms()
-            a, b = t.get(1, (_F0, _F0))
-            out.append(a)
-            out.append(b)
-    return out
-
-
 def build(fid: FormId) -> RealFormStructure:
     """Construct the real form as a validated RealFormStructure."""
     n = matrix_size(fid)
@@ -606,33 +565,33 @@ def build(fid: FormId) -> RealFormStructure:
         raise ConstructionFailure("%s: condition kernel has dim %d, expected %d"
                                   % (form_display(fid), len(mats), expect_dim))
     half = Fraction(1, 2)
-    h_span, m_span = _GrowingSpan(), _GrowingSpan()
+    h_span, m_span = Subspace([]), Subspace([])
     h_mats: List[la.Mat] = []
     m_cands: List[la.Mat] = []
     for x in mats:
         t = theta_matrix(x)
         xh = la.mscale(half, la.madd(x, t))
         xm = la.mscale(half, la.msub(x, t))
-        if not la.is_zero_mat(xh) and h_span.add(_flatten_real_list(xh)):
+        if not la.is_zero_mat(xh) and h_span.add(flatten_real(xh)):
             h_mats.append(xh)
         if not la.is_zero_mat(xm):
             m_cands.append(xm)
-    a_span = _GrowingSpan()
-    order_span = _GrowingSpan()
+    a_span = Subspace([])
+    order_span = Subspace([])
     for i, am in enumerate(a_mats):
-        flat = _flatten_real_list(am)
+        flat = flatten_real(am)
         if not a_span.add(flat) or not order_span.add(flat):
             raise ConstructionFailure("%s: a-basis element %d is dependent"
                                       % (form_display(fid), i))
     m_rest: List[la.Mat] = []
     for xm in m_cands:
-        flat = _flatten_real_list(xm)
+        flat = flatten_real(xm)
         if not m_span.add(flat):
             continue
         if order_span.add(flat):
             m_rest.append(xm)
     for i, am in enumerate(a_mats):
-        if not m_span.contains(_flatten_real_list(am)):
+        if not m_span.contains(flatten_real(am)):
             raise ConstructionFailure("%s: a-basis element %d is not in m"
                                       % (form_display(fid), i))
     dim_h = len(h_mats)
@@ -649,9 +608,3 @@ def build(fid: FormId) -> RealFormStructure:
         rank_a=len(a_mats),
     )
 
-
-def so_star_lemma_check(n: int):
-    """Zero-trace block check for so*(2n) principal triples, n in {3, 5}."""
-    from .triples import so_star_lemma_report
-
-    return so_star_lemma_report(n)

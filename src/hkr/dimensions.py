@@ -112,7 +112,7 @@ def analyze(structure: RealFormStructure) -> FormAnalysis:
     sub = tp.maximal_split_subalgebra(S, tds)
     dec = tp.module_decomposition(S, triple, data)
     qs = tp.is_quasi_split(S, triple, data)
-    full = rt.full_root_classification(S)
+    full = rt.full_root_classification(S, data)
     num_reduced = len(rt.reduced_system(data))
     return FormAnalysis(S, data, tds, triple, sub, dec, qs,
                         full.n_roots, num_reduced)

@@ -25,10 +25,6 @@ class NotInAlgebra(HkrError):
     """A matrix does not lie in the expected (sub)algebra."""
 
 
-class NotInvariant(HkrError):
-    """A subspace was not invariant under the requested operator."""
-
-
 class NonRationalSpectrum(HkrError):
     """An operator expected to have rational (or i-rational) spectrum does not."""
 

@@ -4,6 +4,17 @@ Everything here is field-generic: entries only need +, -, *, /, unary -, and
 truthiness (zero test).  Matrices are tuples of tuples; vectors are tuples.
 Row reduction keeps full reduced echelon form so membership and coordinates
 come out of the same machinery.
+
+The shared idioms the other modules build on, each written once here:
+
+- ``rref`` / ``rref_with_transform``: reduced echelon form (``algebra.Subspace``
+  grows the same form one vector at a time);
+- ``coords_solver``: coefficients of a vector over an independent list, or
+  None outside its span;
+- ``combine``: the linear combination sum_i c_i v_i;
+- ``eigen_split``: eigenspaces of an operator restricted to a span, for a
+  list of candidate eigenvalues;
+- ``kernel_right`` / ``solve_right``: null space and one solution of M x = b.
 """
 
 from __future__ import annotations
@@ -95,10 +106,6 @@ def flatten(a: Mat) -> Tuple[Scalar, ...]:
     return tuple(x for row in a for x in row)
 
 
-def unflatten(v: Sequence[Scalar], n: int, m: int) -> Mat:
-    return tuple(tuple(v[i * m + j] for j in range(m)) for i in range(n))
-
-
 def mat_pow(a: Mat, k: int) -> Mat:
     out = eye(len(a))
     for _ in range(k):
@@ -128,8 +135,8 @@ def rref(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
             col += 1
             continue
         row = work.pop(pick)
-        inv = row[col]
-        row = [e / inv for e in row]
+        inv = 1 / row[col]
+        row = [e * inv for e in row]
         for r in work:
             if r[col]:
                 f = r[col]
@@ -167,6 +174,65 @@ def rref_with_transform(rows: Sequence[Sequence], zero, one):
             trans.append(row[ncols:])
             piv.append(p)
     return out, piv, trans
+
+
+def coords_solver(vectors: Sequence[Sequence], zero, one):
+    """Coordinate map over linearly independent `vectors`, or None if dependent.
+
+    The map sends v to the list c with sum_i c[i] * vectors[i] = v, or to None
+    when v lies outside their span.
+    """
+    red, piv, trans = rref_with_transform([list(v) for v in vectors], zero, one)
+    if len(red) != len(vectors):
+        return None
+    k = len(vectors)
+
+    def solve(vec: Sequence) -> Optional[list]:
+        v = list(vec)
+        coefs = [zero] * k
+        for row, p, tr in zip(red, piv, trans):
+            c = v[p]
+            if c:
+                for j in range(p, len(v)):
+                    if row[j]:
+                        v[j] = v[j] - c * row[j]
+                for t in range(k):
+                    if tr[t]:
+                        coefs[t] = coefs[t] + c * tr[t]
+        return None if any(v) else coefs
+
+    return solve
+
+
+def combine(coeffs: Sequence, vecs: Sequence[Sequence], zero) -> list:
+    """The linear combination sum_i coeffs[i] * vecs[i], as a list."""
+    out = [zero] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
+        if c:
+            for j, e in enumerate(v):
+                if e:
+                    out[j] = out[j] + c * e
+    return out
+
+
+def eigen_split(op: Sequence[Sequence], vecs: Sequence[Sequence],
+                eigenvalues: Sequence, zero, one) -> List[Tuple[object, List[list]]]:
+    """Eigenspaces of an operator on span(vecs), one piece per eigenvalue.
+
+    `op` is the operator's matrix in the `vecs` basis (see
+    ``roots.restrict_operator``).  Returns (eigenvalue, vectors) for each
+    candidate with a nonzero eigenspace, the vectors combined from `vecs`.
+    Whether the pieces exhaust the span is the caller's check.
+    """
+    k = len(vecs)
+    out = []
+    for ev in eigenvalues:
+        shifted = [[op[r][c] - (ev if r == c else zero) for c in range(k)]
+                   for r in range(k)]
+        combos = kernel_right(shifted, zero, one)
+        if combos:
+            out.append((ev, [combine(c, vecs, zero) for c in combos]))
+    return out
 
 
 def rank(rows: Sequence[Sequence]) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
-from .algebra import RealFormStructure
+from .algebra import RealFormStructure, Subspace
 from .errors import (ConstructionFailure, NonRationalSpectrum,
                      UnrecognizedDiagram)
 from .scalars import Scalar, ZERO, ONE, I
@@ -29,75 +29,36 @@ RootLabel = Tuple[Fraction, ...]
 
 def restrict_operator(admat: Sequence[Sequence], vecs: List[list], zero, one):
     """Matrix of the operator on span(vecs), in the vecs basis."""
-    red, piv, trans = la.rref_with_transform(vecs, zero, one)
-    if len(red) != len(vecs):
+    solve = la.coords_solver(vecs, zero, one)
+    if solve is None:
         raise ConstructionFailure("restriction basis is dependent")
-    dim = len(vecs[0])
-    k = len(vecs)
+    columns = list(zip(*admat))
     cols = []
     for b in vecs:
-        img = [zero] * dim
-        for j, bj in enumerate(b):
-            if bj:
-                for r in range(dim):
-                    if admat[r][j]:
-                        img[r] = img[r] + bj * admat[r][j]
-        coefs = [zero] * k
-        v = img
-        for idx, (row, p) in enumerate(zip(red, piv)):
-            cv = v[p]
-            if cv:
-                for j in range(p, dim):
-                    if row[j]:
-                        v[j] = v[j] - cv * row[j]
-                for t in range(k):
-                    if trans[idx][t]:
-                        coefs[t] = coefs[t] + cv * trans[idx][t]
-        if any(v):
+        coefs = solve(la.combine(b, columns, zero))
+        if coefs is None:
             raise ConstructionFailure("operator does not preserve the span")
         cols.append(coefs)
-    return [[cols[j][r] for j in range(k)] for r in range(k)]
-
-
-def _combine(vecs: List[list], combo: Sequence, zero) -> list:
-    width = len(vecs[0])
-    out = [zero] * width
-    for c, v in zip(combo, vecs):
-        if c:
-            for j, e in enumerate(v):
-                if e:
-                    out[j] = out[j] + c * e
-    return out
+    return [[col[r] for col in cols] for r in range(len(vecs))]
 
 
 def _split_rational(spaces, admat):
     """Split each labeled subspace by the rational eigenvalues of admat."""
     out = []
     for label, vecs in spaces:
+        m = restrict_operator(admat, vecs, _F0, _F1)
         if len(vecs) == 1:
             # 1-dimensional: the vector is an eigenvector; read the eigenvalue.
-            m = restrict_operator(admat, vecs, _F0, _F1)
             out.append((label + (m[0][0],), vecs))
             continue
-        m = restrict_operator(admat, vecs, _F0, _F1)
-        p = la.charpoly_frac(m)
-        roots = la.rational_roots(p)
+        roots = la.rational_roots(la.charpoly_frac(m))
         if roots is None:
             raise NonRationalSpectrum(
                 "ad spectrum is not rational on a root subspace")
-        k = len(vecs)
-        total = 0
-        for ev in sorted(set(roots)):
-            shifted = [[m[r][c] - (ev if r == c else 0) for c in range(k)]
-                       for r in range(k)]
-            combos = la.kernel_right(shifted, _F0, _F1)
-            if not combos:
-                continue
-            newvecs = [_combine(vecs, c, _F0) for c in combos]
-            out.append((label + (ev,), newvecs))
-            total += len(combos)
-        if total != k:
+        pieces = la.eigen_split(m, vecs, sorted(set(roots)), _F0, _F1)
+        if sum(len(p) for _, p in pieces) != len(vecs):
             raise NonRationalSpectrum("ad is not diagonalizable over Q")
+        out.extend((label + (ev,), p) for ev, p in pieces)
     return out
 
 
@@ -601,37 +562,28 @@ class FullRootClassification:
         return len(self.t_basis) + self.structure.rank_a
 
 
-def _maximal_torus_in_ch(structure: RealFormStructure) -> List[Tuple[Fraction, ...]]:
-    """A maximal abelian subalgebra t of c_h(a), grown by centralizer passes."""
-    a_units = [structure.unit_coords(i) for i in structure.a_indices]
-    ch = structure.centralizer_frac(a_units, within=structure.h_indices)
+def maximal_torus(structure: RealFormStructure,
+                  commuting: Sequence[Sequence[Fraction]] = ()
+                  ) -> List[Tuple[Fraction, ...]]:
+    """A maximal abelian subalgebra t of the centralizer of `commuting` in h.
+
+    Grown by centralizer passes: each pass adds the first element of
+    c_h(t + commuting) outside span(t), which commutes with t, so t stays
+    abelian; it stops when every such element already lies in t.
+    """
+    fixed = list(commuting)
     t: List[Tuple[Fraction, ...]] = []
+    span = Subspace([])
     while True:
-        if t:
-            z = structure.centralizer_frac(list(t) + a_units,
-                                           within=structure.h_indices)
+        elements = t + fixed
+        if elements:
+            z = structure.centralizer_frac(elements, within=structure.h_indices)
         else:
-            z = ch
-        # keep only elements of z that also commute with all of current z? No:
-        # any element of the centralizer of t commutes with t, so the first
-        # new independent one extends t as an abelian subalgebra.
-        span = la.rref([list(v) for v in t])[0] if t else []
-        grew = False
-        for cand in z:
-            v = list(cand)
-            for row, p in zip(span, [next(j for j, e in enumerate(r) if e)
-                                     for r in span]):
-                if v[p]:
-                    f = v[p]
-                    for j in range(p, len(v)):
-                        if row[j]:
-                            v[j] -= f * row[j]
-            if any(v):
-                t.append(cand)
-                grew = True
-                break
-        if not grew:
+            z = [structure.unit_coords(i) for i in structure.h_indices]
+        cand = next((v for v in z if span.add(v)), None)
+        if cand is None:
             return t
+        t.append(cand)
 
 
 def _imaginary_eigenvalues(admat) -> List[Fraction]:
@@ -664,70 +616,49 @@ def _imaginary_eigenvalues(admat) -> List[Fraction]:
     return sorted(mus)
 
 
-def full_root_classification(structure: RealFormStructure) -> FullRootClassification:
-    """Tags the roots of g^C on the maximally split Cartan d = t + a."""
-    t_basis = _maximal_torus_in_ch(structure)
-    d = structure.dim
-    a_units = [structure.unit_coords(i) for i in structure.a_indices]
+def torus_split(structure: RealFormStructure,
+                t_basis: Sequence[Sequence[Fraction]], spaces):
+    """Split labeled subspaces of g^C by ad(t) at i mu for each t in t_basis.
 
-    spaces = [((), [[ONE if j == i else ZERO for j in range(d)]
-                    for i in range(d)])]
-    # split by a first (rational eigenvalues, Scalar arithmetic)
-    for ai in structure.a_indices:
-        admat = structure.ad_frac(ai)
-        new_spaces = []
-        for label, vecs in spaces:
-            m = restrict_operator(admat, vecs, ZERO, ONE)
-            evs = sorted(set(
-                la.rational_roots(la.charpoly_frac(
-                    [[_as_frac(e) for e in row] for row in m])) or
-                _raise_nonrational()))
-            k = len(vecs)
-            total = 0
-            for ev in evs:
-                evs_s = Scalar.of(ev)
-                shifted = [[m[r][c] - (evs_s if r == c else ZERO)
-                            for c in range(k)] for r in range(k)]
-                combos = la.kernel_right(shifted, ZERO, ONE)
-                if not combos:
-                    continue
-                new_spaces.append((label + ((ev, _F0),),
-                                   [_combine(vecs, c, ZERO) for c in combos]))
-                total += len(combos)
-            if total != k:
-                raise NonRationalSpectrum("a-operator not diagonalizable")
-        spaces = new_spaces
-    # then by t (imaginary eigenvalues i mu)
+    Each label gains the mu of its piece; the pieces of every subspace must
+    exhaust it, since ad of a compact torus is semisimple.
+    """
     for tv in t_basis:
         admat = structure.ad_matrix(tv)
-        mus = _imaginary_eigenvalues(admat)
+        evs = {I * Scalar.of(mu): mu for mu in _imaginary_eigenvalues(admat)}
         new_spaces = []
         for label, vecs in spaces:
             m = restrict_operator(admat, vecs, ZERO, ONE)
-            k = len(vecs)
-            total = 0
-            for mu in mus:
-                ev = I * Scalar.of(mu)
-                shifted = [[m[r][c] - (ev if r == c else ZERO)
-                            for c in range(k)] for r in range(k)]
-                combos = la.kernel_right(shifted, ZERO, ONE)
-                if not combos:
-                    continue
-                new_spaces.append((label + ((_F0, mu),),
-                                   [_combine(vecs, c, ZERO) for c in combos]))
-                total += len(combos)
-            if total != k:
-                raise NonRationalSpectrum("t-operator not diagonalizable over Q(i)")
+            pieces = la.eigen_split(m, vecs, list(evs), ZERO, ONE)
+            if sum(len(p) for _, p in pieces) != len(vecs):
+                raise NonRationalSpectrum(
+                    "t-operator not diagonalizable over Q(i)")
+            new_spaces.extend((label + (evs[ev],), p) for ev, p in pieces)
         spaces = new_spaces
+    return spaces
 
+
+def full_root_classification(structure: RealFormStructure,
+                             root_data: Optional[RestrictedRootData] = None
+                             ) -> FullRootClassification:
+    """Tags the roots of g^C on the maximally split Cartan d = t + a.
+
+    The ad(a)-split is the restricted root decomposition; each of its
+    pieces is then split by ad(t).
+    """
+    data = root_data if root_data is not None else restricted_roots(structure)
     r = structure.rank_a
+    a_units = [structure.unit_coords(i) for i in structure.a_indices]
+    t_basis = maximal_torus(structure, a_units)
+    spaces = list(data.root_spaces.items())
+    spaces.append(((_F0,) * r, data.centralizer))
+    spaces = torus_split(structure, t_basis, spaces)
+
     n_im = n_re = n_cx = 0
     zero_dim = 0
     for label, vecs in spaces:
-        a_part = label[:r]
-        t_part = label[r:]
-        a_zero = all(v[0] == 0 for v in a_part)
-        t_zero = all(v[1] == 0 for v in t_part)
+        a_zero = not any(label[:r])
+        t_zero = not any(label[r:])
         if a_zero and t_zero:
             zero_dim += len(vecs)
             continue
@@ -746,11 +677,3 @@ def full_root_classification(structure: RealFormStructure) -> FullRootClassifica
             "%s: d is not a Cartan subalgebra (centralizer dim %d)"
             % (structure.name, zero_dim))
     return FullRootClassification(structure, t_basis, n_im, n_re, n_cx)
-
-
-def _as_frac(e: Scalar) -> Fraction:
-    return e.as_fraction()
-
-
-def _raise_nonrational():
-    raise NonRationalSpectrum("a-spectrum is not rational")

@@ -409,7 +409,7 @@ def _parse_factor(s: str, pos: int) -> Tuple[Scalar, int]:
         body = s[pos + 5:end]
         try:
             rad = Fraction(body)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ScalarParseError("bad radicand %r" % body) from exc
         return Scalar.sqrt(rad), end + 1
     if s[pos] == "i" and (pos + 1 == len(s) or not s[pos + 1].isalnum()):
@@ -421,7 +421,7 @@ def _parse_factor(s: str, pos: int) -> Tuple[Scalar, int]:
         raise ScalarParseError("cannot parse factor at %d in %r" % (pos, s))
     try:
         q = Fraction(s[pos:j])
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ScalarParseError("bad rational %r" % s[pos:j]) from exc
     return Scalar.of(q), j
 
@@ -430,7 +430,3 @@ ZERO = Scalar({}, _canonical=True)
 ONE = Scalar({1: (_R1, _R0)}, _canonical=True)
 I = Scalar({1: (_R0, _R1)}, _canonical=True)
 
-
-def srat(p, q=1) -> Scalar:
-    """Convenience: the rational scalar p/q."""
-    return Scalar.of(Fraction(p, q))

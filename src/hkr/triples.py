@@ -177,13 +177,7 @@ def build_tds(structure: RealFormStructure,
         d_list.append(d)
 
     # e_c = i sum d_j y_j and f_c = theta e_c
-    e_c = [ZERO] * S.dim
-    for dj, yj in zip(d_list, y_list):
-        coef = I * dj
-        for k, v in enumerate(yj):
-            if v:
-                e_c[k] = e_c[k] + coef * v
-    e_c = tuple(e_c)
+    e_c = tuple(la.combine([I * dj for dj in d_list], y_list, ZERO))
     f_c = S.theta_coords(e_c)
 
     w_s = _to_scalar(w)
@@ -410,18 +404,8 @@ def _theta_split_vectors(S, vectors):
     rows_h = [[v[j] for v in vectors] for j in range(0, h_cut)]
     combos_m = la.kernel_right(rows_h, ZERO, ONE) if rows_h else \
         [[ONE if t == s else ZERO for t in range(k)] for s in range(k)]
-    def build(combos):
-        out = []
-        for cmb in combos:
-            v = [ZERO] * S.dim
-            for ci, vec in zip(cmb, vectors):
-                if ci:
-                    for j, e in enumerate(vec):
-                        if e:
-                            v[j] = v[j] + ci * e
-            out.append(tuple(v))
-        return out
-    hv, mv = build(combos_h), build(combos_m)
+    hv = [tuple(la.combine(c, vectors, ZERO)) for c in combos_h]
+    mv = [tuple(la.combine(c, vectors, ZERO)) for c in combos_m]
     if len(hv) + len(mv) != k:
         raise GradingFailure("eigenspace is not theta-homogeneous")
     return hv, mv
@@ -437,7 +421,6 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
         raise GradingFailure("%s: ad(e) has trivial kernel" % S.name)
     ad_x = S.ad_matrix(triple.x)
     restr = rt.restrict_operator(ad_x, kernel, ZERO, ONE)
-    k = len(kernel)
     p = la.charpoly([tuple(row) for row in restr])
     try:
         pf = [c.as_fraction() for c in p]
@@ -447,38 +430,26 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
     if evs is None:
         raise GradingFailure("%s: ad(x) spectrum does not split on ker ad(e)"
                              % S.name)
-    blocks: List[ModuleBlock] = []
-    total = 0
-    for ev in sorted(set(evs)):
+    evs = sorted(set(evs))
+    for ev in evs:
         if ev.denominator not in (1, 2):
             raise GradingFailure("%s: ad(x) eigenvalue %s is not a "
                                  "half-integer" % (S.name, ev))
         if ev.denominator == 2 or ev < 0:
             raise GradingFailure("%s: highest weight %s is not a nonnegative "
                                  "integer" % (S.name, ev))
-        ev_s = Scalar.of(ev)
-        shifted = [[restr[r][c] - (ev_s if r == c else ZERO) for c in range(k)]
-                   for r in range(k)]
-        combos = la.kernel_right(shifted, ZERO, ONE)
-        if not combos:
-            continue
-        vecs = []
-        for cmb in combos:
-            v = [ZERO] * S.dim
-            for ci, bvec in zip(cmb, kernel):
-                if ci:
-                    for j, e in enumerate(bvec):
-                        if e:
-                            v[j] = v[j] + ci * e
-            vecs.append(tuple(v))
+    blocks: List[ModuleBlock] = []
+    total = 0
+    for ev, vecs in la.eigen_split(restr, kernel, [Scalar.of(ev) for ev in evs],
+                                   ZERO, ONE):
         total += len(vecs)
         hv, mv = _theta_split_vectors(S, vecs)
-        m_val = int(ev) + 1
+        m_val = int(ev.as_fraction()) + 1
         for v in hv:
             blocks.append(ModuleBlock(m_val, v, "h"))
         for v in mv:
             blocks.append(ModuleBlock(m_val, v, "m"))
-    if total != k:
+    if total != len(kernel):
         raise GradingFailure("%s: ad(x) is not diagonalizable on ker ad(e)"
                              % S.name)
 
@@ -685,34 +656,6 @@ def section_fiber_match(structure: RealFormStructure, basis: SectionBasis,
 
 # --- exact conjugators for invariance sampling -----------------------------------
 
-def _h_torus(structure: RealFormStructure) -> List[Tuple[Fraction, ...]]:
-    """A maximal abelian subalgebra of h, grown by centralizer passes."""
-    S = structure
-    t: List[Tuple[Fraction, ...]] = []
-    while True:
-        if t:
-            z = S.centralizer_frac(list(t), within=S.h_indices)
-        else:
-            z = [S.unit_coords(i) for i in S.h_indices]
-        span = la.rref([list(v) for v in t])[0] if t else []
-        pivots = [next(j for j, e in enumerate(r) if e) for r in span]
-        grew = False
-        for cand in z:
-            v = list(cand)
-            for row, p in zip(span, pivots):
-                if v[p]:
-                    fac = v[p]
-                    for j in range(p, len(v)):
-                        if row[j]:
-                            v[j] -= fac * row[j]
-            if any(v):
-                t.append(cand)
-                grew = True
-                break
-        if not grew:
-            return t
-
-
 def invariance_conjugators(structure: RealFormStructure, count: int
                            ) -> List[Tuple[la.Mat, la.Mat]]:
     """Pairs (g, g^{-1}) of exact elements of H^C in the defining rep.
@@ -723,34 +666,7 @@ def invariance_conjugators(structure: RealFormStructure, count: int
     """
     S = structure
     out: List[Tuple[la.Mat, la.Mat]] = []
-    t_basis = _h_torus(S)
-    spaces = [((), [[ONE if j == i else ZERO for j in range(S.dim)]
-                    for i in S.h_indices])]
-    for tv in t_basis:
-        admat = S.ad_matrix(list(tv))
-        mus = rt._imaginary_eigenvalues(admat)
-        new_spaces = []
-        for label, vecs in spaces:
-            m = rt.restrict_operator(admat, vecs, ZERO, ONE)
-            kk = len(vecs)
-            for mu in mus:
-                ev = I * Scalar.of(mu)
-                shifted = [[m[r][c] - (ev if r == c else ZERO)
-                            for c in range(kk)] for r in range(kk)]
-                combos = la.kernel_right(shifted, ZERO, ONE)
-                if not combos:
-                    continue
-                built = []
-                for cmb in combos:
-                    v = [ZERO] * S.dim
-                    for ci, bvec in zip(cmb, vecs):
-                        if ci:
-                            for j, e in enumerate(bvec):
-                                if e:
-                                    v[j] = v[j] + ci * e
-                    built.append(v)
-                new_spaces.append((label + (mu,), built))
-        spaces = new_spaces
+    spaces = rt.torus_split(S, rt.maximal_torus(S), [((), S.h_unit_coords())])
     nilpotent_vecs = [v for label, vecs in spaces if any(label) for v in vecs]
     for v in nilpotent_vecs:
         mat = S.matrix_of(v)

@@ -43,18 +43,20 @@ class CheckResult:
 
 def _run(form: str, check: str, fn: Callable[[], Optional[str]]
          ) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         detail = fn()
         return CheckResult(form, check, True, detail or "",
-                           time.time() - t0)
-    except HkrError as exc:
-        return CheckResult(form, check, False,
-                           "%s: %s" % (type(exc).__name__, exc),
-                           time.time() - t0)
+                           time.perf_counter() - t0)
     except AssertionError as exc:
         return CheckResult(form, check, False, str(exc) or "assertion failed",
-                           time.time() - t0)
+                           time.perf_counter() - t0)
+    except Exception as exc:
+        # a typed HkrError or an unexpected fault: either way the check
+        # fails and the rest of the run goes on
+        return CheckResult(form, check, False,
+                           "%s: %s" % (type(exc).__name__, exc),
+                           time.perf_counter() - t0)
 
 
 def _rng(seed: int, form: str, check: str) -> random.Random:

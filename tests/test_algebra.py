@@ -150,3 +150,21 @@ def test_subspace_operations():
     other = Subspace([e2, [Fraction(0), Fraction(0), Fraction(1)]])
     assert sp.intersect(other).dim == 1
     assert sp.sum(other).dim == 3
+
+
+small_vectors = st.lists(
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2),
+             min_size=4, max_size=4),
+    min_size=0, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_vectors)
+def test_subspace_add_matches_batch(vectors):
+    grown = Subspace([])
+    for k, v in enumerate(vectors):
+        new = not Subspace(vectors[:k]).contains(v)
+        assert grown.add(v) == new
+    batch = Subspace(vectors)
+    assert grown.rows == batch.rows
+    assert grown.pivots == batch.pivots

@@ -75,6 +75,10 @@ def test_size_bound_env(monkeypatch):
     assert catalog.size_bound() == 6
     with pytest.raises(SizeBound):
         catalog.build(catalog.form_id("su_pq", p=3, q=4))
+    for bad in ("abc", "-5", "0"):
+        monkeypatch.setenv("HKR_MAX_DIM", bad)
+        with pytest.raises(InvalidParams, match="HKR_MAX_DIM.*%s" % bad):
+            catalog.size_bound()
 
 
 def test_build_every_standard_form():

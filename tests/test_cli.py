@@ -1,9 +1,14 @@
 """Command-line interface: verbs, JSON schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hkr
 from hkr.cli import main
 from hkr.scalars import parse_scalar
 
@@ -156,3 +161,18 @@ def test_size_bound_respected(monkeypatch, capsys):
     assert main(["describe", "su:p=2,q=3"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_zero_denominator_gamma_is_a_usage_error():
+    # run as a separate process so a leaked exception shows as a traceback
+    src = str(Path(hkr.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkr.cli", "section", "sl_r:n=2",
+         "--gamma", "1/0"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error" in proc.stderr

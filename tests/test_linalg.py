@@ -117,3 +117,35 @@ def test_symmetric_pivot_signs():
             [Fraction(0), Fraction(0), Fraction(0)]]
     pos, neg, null = la.symmetric_pivot_signs(gram)
     assert (pos, neg, null) == (1, 1, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(small_fracs, min_size=3, max_size=3),
+                min_size=1, max_size=3),
+       st.lists(small_fracs, min_size=3, max_size=3))
+def test_coords_solver_round_trip(vectors, coeffs):
+    # the vectors span a subspace of the first three axes of Q^4
+    vecs = [v + [Fraction(0)] for v in vectors]
+    solve = la.coords_solver(vecs, Fraction(0), Fraction(1))
+    if la.rank(vecs) < len(vecs):
+        assert solve is None
+        return
+    c = coeffs[:len(vecs)]
+    assert solve(la.combine(c, vecs, Fraction(0))) == c
+    assert solve([Fraction(0)] * 3 + [Fraction(1)]) is None
+
+
+def test_coords_solver_scalar_field():
+    vecs = [[ONE, I, ZERO], [ZERO, ONE, Scalar.sqrt(2)]]
+    solve = la.coords_solver(vecs, ZERO, ONE)
+    c = [Scalar.sqrt(3), I - ONE]
+    assert solve(la.combine(c, vecs, ZERO)) == c
+    assert solve([ZERO, ZERO, ONE]) is None
+
+
+def test_eigen_split_keeps_nonzero_eigenspaces():
+    f = Fraction
+    vecs = [[f(1), f(1), f(0)], [f(0), f(1), f(1)]]
+    op = [[f(2), f(0)], [f(0), f(3)]]
+    pieces = la.eigen_split(op, vecs, [f(2), f(3), f(5)], f(0), f(1))
+    assert pieces == [(f(2), [vecs[0]]), (f(3), [vecs[1]])]

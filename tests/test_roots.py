@@ -6,6 +6,7 @@ import pytest
 
 from hkr import roots as rt
 from hkr.catalog import (build, form_id, standard_forms, form_display,
+                         form_cli_text, parse_form,
                          reference_restricted_type, reference_reduced_type,
                          reference_rank)
 
@@ -158,3 +159,41 @@ def test_restrict_operator_diagonal_blocks():
     assert block == [[data.value_on(lam, tuple(
         Fraction(1) if k == 0 else Fraction(0)
         for k in range(S.rank_a)))]]
+
+
+# (n_imaginary, n_real, n_complex, dim_cartan) on the maximally split Cartan
+FULL_ROOT_COUNTS = {
+    "sl_c:n=2": (0, 0, 4, 2),
+    "sl_r:n=2": (0, 2, 0, 1),
+    "sl_r:n=3": (0, 6, 0, 2),
+    "sl_r:n=4": (0, 12, 0, 3),
+    "so:p=2,q=3": (0, 8, 0, 2),
+    "so:p=2,q=4": (0, 4, 8, 3),
+    "so:p=3,q=3": (0, 12, 0, 3),
+    "so_star:n=3": (2, 2, 8, 3),
+    "so_star:n=4": (4, 4, 16, 4),
+    "sp:p=1,q=2": (4, 2, 12, 3),
+    "sp_r:n=1": (0, 2, 0, 1),
+    "sp_r:n=2": (0, 8, 0, 2),
+    "sp_r:n=3": (0, 18, 0, 3),
+    "su:p=1,q=2": (0, 2, 4, 2),
+    "su:p=1,q=3": (2, 2, 8, 3),
+    "su:p=2,q=2": (0, 4, 8, 3),
+    "su:p=2,q=3": (0, 4, 16, 4),
+    "su:p=3,q=3": (0, 6, 24, 5),
+    "su_star:n=2": (4, 0, 8, 3),
+}
+
+
+def test_full_root_counts_cover_the_catalog():
+    assert set(FULL_ROOT_COUNTS) == {form_cli_text(f) for f in standard_forms()}
+
+
+@pytest.mark.parametrize("form", sorted(FULL_ROOT_COUNTS))
+def test_full_root_classification_catalog(form):
+    S = build(parse_form(form))
+    fc = rt.full_root_classification(S)
+    got = (fc.n_imaginary, fc.n_real, fc.n_complex, fc.dim_cartan)
+    assert got == FULL_ROOT_COUNTS[form]
+    # the roots of g^C number dim g - rank g^C
+    assert fc.n_roots == S.dim - fc.dim_cartan

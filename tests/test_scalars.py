@@ -111,3 +111,9 @@ def test_parse_rejects_garbage():
     for bad in ("", "sqrt(", "1+", "x", "2**3"):
         with pytest.raises(ScalarParseError):
             parse_scalar(bad)
+
+
+def test_parse_rejects_zero_denominators():
+    for bad in ("1/0", "sqrt(1/0)", "2*(3/0)", "1 + 1/0*i"):
+        with pytest.raises(ScalarParseError):
+            parse_scalar(bad)
