@@ -193,6 +193,7 @@ class RealFormStructure:
                                       % (self.name, self.rank_a, self.dim_m))
         self._scalar_solve = None
         self._ad_frac_cache: Dict[int, List[List[Fraction]]] = {}
+        self._center_dims: Optional[Tuple[int, int, int]] = None
         self._build_real_coordizer()
         self._check_adapted()
         self._build_struct()
@@ -443,6 +444,22 @@ class RealFormStructure:
                 v[bi] = ci
             out.append(tuple(v))
         return out
+
+    def center_dims(self) -> Tuple[int, int, int]:
+        """(dim z(g), dim z(g) meet h, dim z(g) meet m), computed once."""
+        if self._center_dims is None:
+            z = self.centralizer_frac([self.unit_coords(i)
+                                       for i in range(self.dim)])
+            h_cut = self.dim_h
+            rows_m = [[v[k] for v in z] for k in range(h_cut, self.dim)]
+            rows_h = [[v[k] for v in z] for k in range(h_cut)]
+            in_h = len(la.kernel_right(rows_m, _F0, _F1)) if rows_m else len(z)
+            in_m = len(la.kernel_right(rows_h, _F0, _F1)) if rows_h else len(z)
+            if in_h + in_m != len(z):
+                raise ConstructionFailure("%s: center is not theta-split"
+                                          % self.name)
+            self._center_dims = (len(z), in_h, in_m)
+        return self._center_dims
 
     def centralizer_in_span(self, elements: Sequence[Sequence],
                             space: Sequence[Sequence]) -> List[list]:

@@ -1,8 +1,13 @@
 """Restricted root systems, Weyl groups, and Cartan-type classification.
 
 The restricted roots of (g, a) are the nonzero joint rational eigenvalue
-functionals of ad on the chosen a-basis; the joint eigenspaces are computed
-by successive exact splitting, so multiplicities are exact.  Classification
+functionals of ad on the chosen a-basis.  The joint eigenspaces come from
+successive exact splitting by each a-unit H, at candidate eigenvalues read
+from the n x n matrix of H: the differences of its eigenvalues on C^n
+(``ad_spectrum_candidates``), so no dim x dim charpoly is formed.  Each split
+must exhaust the piece it splits, which proves that the candidates held the
+whole spectrum, so multiplicities are exact.  The same route splits g^C by a
+compact torus (``torus_split``) and ker ad(e) by ad(x).  Classification
 goes through the Cartan matrix of a deterministic simple system; type labels
 are canonical strings like ``B2`` or ``A1xA1``, compared through the
 low-rank coincidences (B1 = C1 = A1, B2 = C2, D2 = A1 x A1, D3 = A3).
@@ -42,8 +47,36 @@ def restrict_operator(admat: Sequence[Sequence], vecs: List[list], zero, one):
     return [[col[r] for col in cols] for r in range(len(vecs))]
 
 
-def _split_rational(spaces, admat):
-    """Split each labeled subspace by the rational eigenvalues of admat."""
+def ad_spectrum_candidates(structure: RealFormStructure, coords: Sequence,
+                           compact: bool = False) -> List[Fraction]:
+    """The differences mu_j - mu_k of the eigenvalues of X on C^n, sorted.
+
+    X is the element with coordinates `coords`.  ad(X) on gl(n, C) has
+    these eigenvalues, so they are the candidates an eigenspace split of g^C
+    by ad(X) needs; where g is complex, g^C also holds a conjugate copy of g,
+    on which the elements split here have the conjugate or negated
+    differences, again in the set.  A compact torus element has spectrum
+    i mu: with `compact` the differences are read from -iX, and ad(X) has
+    them times i.  Raises NonRationalSpectrum unless the n x n charpoly
+    splits over Q.
+    """
+    m = structure.matrix_of(coords)
+    if compact:
+        m = la.mscale(-I, m)
+    try:
+        mus = la.rational_roots([c.as_fraction() for c in la.charpoly(m)])
+    except ValueError:  # a coefficient outside Q
+        mus = None
+    if mus is None:
+        raise NonRationalSpectrum("%s: spectrum on C^%d does not split over Q"
+                                  % (structure.name, structure.n))
+    mus = set(mus)
+    return sorted({a - b for a in mus for b in mus})
+
+
+def _split_rational(spaces, admat, candidates):
+    """Split each labeled subspace by the eigenvalues of admat among the
+    candidates; the pieces must exhaust every subspace."""
     out = []
     for label, vecs in spaces:
         m = restrict_operator(admat, vecs, _F0, _F1)
@@ -51,11 +84,7 @@ def _split_rational(spaces, admat):
             # 1-dimensional: the vector is an eigenvector; read the eigenvalue.
             out.append((label + (m[0][0],), vecs))
             continue
-        roots = la.rational_roots(la.charpoly_frac(m))
-        if roots is None:
-            raise NonRationalSpectrum(
-                "ad spectrum is not rational on a root subspace")
-        pieces = la.eigen_split(m, vecs, sorted(set(roots)), _F0, _F1)
+        pieces = la.eigen_split(m, vecs, candidates, _F0, _F1)
         if sum(len(p) for _, p in pieces) != len(vecs):
             raise NonRationalSpectrum("ad is not diagonalizable over Q")
         out.extend((label + (ev,), p) for ev, p in pieces)
@@ -94,7 +123,8 @@ def restricted_roots(structure: RealFormStructure,
     total = len(start)
     spaces = [((), start)]
     for ai in structure.a_indices:
-        spaces = _split_rational(spaces, structure.ad_frac(ai))
+        cands = ad_spectrum_candidates(structure, structure.unit_coords(ai))
+        spaces = _split_rational(spaces, structure.ad_frac(ai), cands)
     root_spaces: Dict[RootLabel, List[list]] = {}
     central: List[list] = []
     for label, vecs in spaces:
@@ -586,36 +616,6 @@ def maximal_torus(structure: RealFormStructure,
         t.append(cand)
 
 
-def _imaginary_eigenvalues(admat) -> List[Fraction]:
-    """Eigenvalue list mu for spectrum {i mu} of a real matrix, or raises."""
-    p = la.charpoly_frac(admat)
-    z = 0
-    while z < len(p) and not p[z]:
-        z += 1
-    body = p[z:]
-    for k in range(1, len(body), 2):
-        if body[k]:
-            raise NonRationalSpectrum("spectrum is not purely imaginary")
-    q = [body[k] for k in range(0, len(body), 2)]
-    if len(q) == 1:
-        return [_F0] if z else []
-    u_roots = la.rational_roots(q)
-    if u_roots is None:
-        raise NonRationalSpectrum("imaginary spectrum is not rational")
-    mus = {_F0} if z else set()
-    for u in u_roots:
-        if u > 0:
-            raise NonRationalSpectrum("real eigenvalue pair in compact direction")
-        w = -u
-        num, den = w.numerator, w.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn != num or rd * rd != den:
-            raise NonRationalSpectrum("irrational imaginary eigenvalue")
-        mus.add(Fraction(rn, rd))
-        mus.add(Fraction(-rn, rd))
-    return sorted(mus)
-
-
 def torus_split(structure: RealFormStructure,
                 t_basis: Sequence[Sequence[Fraction]], spaces):
     """Split labeled subspaces of g^C by ad(t) at i mu for each t in t_basis.
@@ -625,7 +625,8 @@ def torus_split(structure: RealFormStructure,
     """
     for tv in t_basis:
         admat = structure.ad_matrix(tv)
-        evs = {I * Scalar.of(mu): mu for mu in _imaginary_eigenvalues(admat)}
+        evs = {I * Scalar.of(mu): mu
+               for mu in ad_spectrum_candidates(structure, tv, compact=True)}
         new_spaces = []
         for label, vecs in spaces:
             m = restrict_operator(admat, vecs, ZERO, ONE)

@@ -314,7 +314,7 @@ def maximal_split_subalgebra(structure: RealFormStructure,
                                   "dim %d" % (S.name, len(sub_data.centralizer)))
 
     # z(ghat) = z(g) meet m
-    z_g, z_h, z_m = center_dims(S)
+    z_g, z_h, z_m = S.center_dims()
     z_sub = _subalgebra_center_dim(S, space)
     if z_sub != z_m:
         raise MismatchWithTable("%s: z(split sub) = %d but z(g) meet m = %d"
@@ -336,23 +336,6 @@ def maximal_split_subalgebra(structure: RealFormStructure,
         raise MismatchWithTable("%s: split subalgebra type %s, table row "
                                 "needs %s" % (S.name, sub_type, expected_type))
     return SplitSubalgebra(S, space, sub_type, entry.split_sub, expected_dim)
-
-
-def center_dims(structure: RealFormStructure) -> Tuple[int, int, int]:
-    """(dim z(g), dim z(g) meet h, dim z(g) meet m)."""
-    S = structure
-    units = [S.unit_coords(i) for i in range(S.dim)]
-    z = S.centralizer_frac(units)
-    if not z:
-        return 0, 0, 0
-    h_cut = S.dim_h
-    rows_m = [[v[k] for v in z] for k in range(h_cut, S.dim)]
-    in_h = len(la.kernel_right(rows_m, _F0, _F1)) if rows_m else len(z)
-    rows_h = [[v[k] for v in z] for k in range(0, h_cut)]
-    in_m = len(la.kernel_right(rows_h, _F0, _F1)) if rows_h else len(z)
-    if in_h + in_m != len(z):
-        raise ConstructionFailure("%s: center is not theta-split" % S.name)
-    return len(z), in_h, in_m
 
 
 def _subalgebra_center_dim(S: RealFormStructure, space: Subspace) -> int:
@@ -421,30 +404,20 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
         raise GradingFailure("%s: ad(e) has trivial kernel" % S.name)
     ad_x = S.ad_matrix(triple.x)
     restr = rt.restrict_operator(ad_x, kernel, ZERO, ONE)
-    p = la.charpoly([tuple(row) for row in restr])
-    try:
-        pf = [c.as_fraction() for c in p]
-    except ValueError:
-        raise GradingFailure("%s: ad(x) is not rational on ker ad(e)" % S.name)
-    evs = la.rational_roots(pf)
-    if evs is None:
-        raise GradingFailure("%s: ad(x) spectrum does not split on ker ad(e)"
-                             % S.name)
-    evs = sorted(set(evs))
-    for ev in evs:
+    candidates = [Scalar.of(c) for c in rt.ad_spectrum_candidates(S, triple.x)]
+    blocks: List[ModuleBlock] = []
+    total = 0
+    for ev, vecs in la.eigen_split(restr, kernel, candidates, ZERO, ONE):
+        ev = ev.as_fraction()
         if ev.denominator not in (1, 2):
             raise GradingFailure("%s: ad(x) eigenvalue %s is not a "
                                  "half-integer" % (S.name, ev))
         if ev.denominator == 2 or ev < 0:
             raise GradingFailure("%s: highest weight %s is not a nonnegative "
                                  "integer" % (S.name, ev))
-    blocks: List[ModuleBlock] = []
-    total = 0
-    for ev, vecs in la.eigen_split(restr, kernel, [Scalar.of(ev) for ev in evs],
-                                   ZERO, ONE):
         total += len(vecs)
         hv, mv = _theta_split_vectors(S, vecs)
-        m_val = int(ev.as_fraction()) + 1
+        m_val = int(ev) + 1
         for v in hv:
             blocks.append(ModuleBlock(m_val, v, "h"))
         for v in mv:
@@ -453,7 +426,7 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
         raise GradingFailure("%s: ad(x) is not diagonalizable on ker ad(e)"
                              % S.name)
 
-    dim_z, dim_z_h, dim_z_m = center_dims(S)
+    dim_z, dim_z_h, dim_z_m = S.center_dims()
     if sum(2 * bl.m - 1 for bl in blocks) != S.dim:
         raise GradingFailure("%s: sum of module dimensions != dim g^C" % S.name)
 
@@ -508,7 +481,7 @@ def is_quasi_split(structure: RealFormStructure,
              for i in range(S.dim)]
     cent = S.centralizer_in_span(
         [list(triple.e), list(triple.f), list(triple.x)], units)
-    dim_z, _, _ = center_dims(S)
+    dim_z, _, _ = S.center_dims()
     route2 = len(cent) == dim_z
     if route1 != route2:
         raise RouteDisagreement("%s: c_g(a) abelian = %s but dim c(s^C) = %d "

@@ -9,6 +9,7 @@ independent of check ordering.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -165,10 +166,10 @@ def _check_modules(an: dm.FormAnalysis) -> Optional[str]:
     return "m-degrees %s" % sorted(bl.m for bl in dec.located("m"))
 
 
-def _check_regularity(an: dm.FormAnalysis, seed: int, samples: int
+def _check_regularity(an: dm.FormAnalysis, section, seed: int, samples: int
                       ) -> Optional[str]:
     S = an.structure
-    basis = tp.section_basis(S, an.triple, an.decomposition)
+    basis = section()
     rng = _rng(seed, S.name, "regularity")
     for k in range(samples):
         gamma = _random_gamma(rng, basis.rank)
@@ -177,10 +178,10 @@ def _check_regularity(an: dm.FormAnalysis, seed: int, samples: int
     return "%d samples" % samples
 
 
-def _check_invariance(an: dm.FormAnalysis, seed: int, samples: int
+def _check_invariance(an: dm.FormAnalysis, section, seed: int, samples: int
                       ) -> Optional[str]:
     S = an.structure
-    basis = tp.section_basis(S, an.triple, an.decomposition)
+    basis = section()
     conjs = tp.invariance_conjugators(S, samples)
     rng = _rng(seed, S.name, "invariance")
     for k, (g, ginv) in enumerate(conjs):
@@ -196,12 +197,12 @@ def _check_invariance(an: dm.FormAnalysis, seed: int, samples: int
     return "%d conjugators" % len(conjs)
 
 
-def _check_injectivity(an: dm.FormAnalysis, seed: int, pairs: int
+def _check_injectivity(an: dm.FormAnalysis, section, seed: int, pairs: int
                        ) -> Optional[str]:
     S = an.structure
     if not fiber_match_supported(S):
         return "skipped: charpoly does not separate fibers here"
-    basis = tp.section_basis(S, an.triple, an.decomposition)
+    basis = section()
     rng = _rng(seed, S.name, "injectivity")
     for k in range(pairs):
         g1 = _random_gamma(rng, basis.rank)
@@ -231,12 +232,12 @@ def _regular_a_element(an: dm.FormAnalysis, rng: random.Random
             return tuple(coords)
 
 
-def _check_fiber_match(an: dm.FormAnalysis, seed: int, samples: int
+def _check_fiber_match(an: dm.FormAnalysis, section, seed: int, samples: int
                        ) -> Optional[str]:
     S = an.structure
     if not fiber_match_supported(S):
         return "skipped: charpoly does not separate fibers here"
-    basis = tp.section_basis(S, an.triple, an.decomposition)
+    basis = section()
     rng = _rng(seed, S.name, "fiber_match")
     for k in range(samples):
         d = _regular_a_element(an, rng)
@@ -296,6 +297,10 @@ def verify_form(fid, seed: int = 0, samples: int = 100,
     except HkrError as exc:
         return [CheckResult(name, "construction", False,
                             "%s: %s" % (type(exc).__name__, exc))]
+    # the section basis is built on first use and shared by the sampling
+    # checks; a build that raises is retried, so each of them fails alike
+    section = functools.cache(
+        lambda: tp.section_basis(S, an.triple, an.decomposition))
     out = [
         _run(name, "roots", lambda: _check_roots(an)),
         _run(name, "tds", lambda: _check_tds(an)),
@@ -303,13 +308,13 @@ def verify_form(fid, seed: int = 0, samples: int = 100,
         _run(name, "split_subalgebra", lambda: _check_split_sub(an)),
         _run(name, "modules", lambda: _check_modules(an)),
         _run(name, "regularity",
-             lambda: _check_regularity(an, seed, samples)),
+             lambda: _check_regularity(an, section, seed, samples)),
         _run(name, "invariance",
-             lambda: _check_invariance(an, seed, conjugators)),
+             lambda: _check_invariance(an, section, seed, conjugators)),
         _run(name, "injectivity",
-             lambda: _check_injectivity(an, seed, samples)),
+             lambda: _check_injectivity(an, section, seed, samples)),
         _run(name, "fiber_match",
-             lambda: _check_fiber_match(an, seed, fiber_samples)),
+             lambda: _check_fiber_match(an, section, seed, fiber_samples)),
         _run(name, "dimensions", lambda: _check_dims(an)),
         _run(name, "openness", lambda: _check_openness(an)),
     ]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hkr import dimensions as dm
+from hkr.algebra import RealFormStructure
 from hkr.catalog import build, form_id
 from hkr.errors import AmbiguousCohomology
 
@@ -17,6 +18,23 @@ def analysis(family, **kw):
     if key not in _CACHE:
         _CACHE[key] = dm.analyze(build(form_id(family, **kw)))
     return _CACHE[key]
+
+
+def test_center_computed_once_per_structure(monkeypatch):
+    S = build(form_id("su_pq", p=1, q=2))
+    calls = []
+    original = RealFormStructure.centralizer_frac
+
+    def counting(self, elements, within=None):
+        if within is None and len(elements) == self.dim:
+            calls.append(self.name)
+        return original(self, elements, within)
+
+    monkeypatch.setattr(RealFormStructure, "centralizer_frac", counting)
+    dm.analyze(S)
+    assert len(calls) == 1
+    dm.analyze(S)
+    assert len(calls) == 1
 
 
 # --- line bundle cohomology -------------------------------------------------------

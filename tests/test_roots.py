@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from hkr import dimensions as dm
+from hkr import linalg as la
 from hkr import roots as rt
 from hkr.catalog import (build, form_id, standard_forms, form_display,
-                         form_cli_text, parse_form,
+                         form_cli_text, parse_form, lookup_table1,
+                         algebra_label_dim,
                          reference_restricted_type, reference_reduced_type,
                          reference_rank)
+from hkr.errors import NonRationalSpectrum
 
 
 def data_for(family, **kw):
@@ -197,3 +201,72 @@ def test_full_root_classification_catalog(form):
     assert got == FULL_ROOT_COUNTS[form]
     # the roots of g^C number dim g - rank g^C
     assert fc.n_roots == S.dim - fc.dim_cartan
+
+
+def _square(m):
+    k = len(m)
+    return [[sum((m[i][j] * m[j][c] for j in range(k)), Fraction(0))
+             for c in range(k)] for i in range(k)]
+
+
+def test_candidates_contain_the_ad_spectrum():
+    # independent oracle: the dim x dim charpoly of each ad matrix must split
+    # over Q with all its roots among the n x n candidates
+    checked = 0
+    for fid in standard_forms():
+        S = build(fid)
+        if S.dim > 15:
+            continue
+        for ai in S.a_indices:
+            cands = set(rt.ad_spectrum_candidates(S, S.unit_coords(ai)))
+            roots = la.rational_roots(la.charpoly_frac(S.ad_frac(ai)))
+            assert roots is not None and len(roots) == S.dim, S.name
+            assert set(roots) <= cands, S.name
+            checked += 1
+        a_units = [S.unit_coords(i) for i in S.a_indices]
+        for t in rt.maximal_torus(S) + rt.maximal_torus(S, a_units):
+            cands = rt.ad_spectrum_candidates(S, t, compact=True)
+            # ad(t) has spectrum i mu, so ad(t)^2 has the rational -mu^2;
+            # the candidate set is symmetric, so mu^2 = c^2 puts mu in it
+            roots = la.rational_roots(la.charpoly_frac(
+                _square(S.ad_matrix(t))))
+            assert roots is not None and len(roots) == S.dim, S.name
+            assert {-r for r in roots} <= {c * c for c in cands}, S.name
+            checked += 1
+    assert checked >= 40
+
+
+def test_candidates_reject_an_irrational_spectrum():
+    S = build(form_id("sl_R", n=2))
+    # eigenvalues +-sqrt(2)
+    x = S.real_coords_of(la.mat([[1, 1], [1, -1]]))
+    with pytest.raises(NonRationalSpectrum):
+        rt.ad_spectrum_candidates(S, x)
+    # read as a compact element: -i x has eigenvalues +-i sqrt(2)
+    with pytest.raises(NonRationalSpectrum):
+        rt.ad_spectrum_candidates(S, x, compact=True)
+
+
+# the stretch forms beyond the catalog; counts recorded before the n x n
+# candidate route replaced the dim x dim charpolys
+STRETCH_ROOT_COUNTS = {
+    "sp_r:n=4": (0, 32, 0, 4),
+    "so_star:n=5": (4, 4, 32, 5),
+}
+
+
+@pytest.mark.parametrize("form", sorted(STRETCH_ROOT_COUNTS))
+def test_stretch_form_matches_table(form):
+    fid = parse_form(form)
+    S = build(fid)
+    an = dm.analyze(S)
+    row = lookup_table1(fid)
+    lam_label, _ = rt.classify_type(an.root_data)
+    assert rt.type_equivalent(lam_label, reference_restricted_type(fid))
+    assert an.split_sub.table_label == row.split_sub
+    assert an.split_sub.dim == algebra_label_dim(row.split_sub)
+    assert an.quasi_split == row.quasi_split
+    fc = rt.full_root_classification(S, an.root_data)
+    got = (fc.n_imaginary, fc.n_real, fc.n_complex, fc.dim_cartan)
+    assert got == STRETCH_ROOT_COUNTS[form]
+    assert fc.n_roots == an.num_roots == S.dim - fc.dim_cartan

@@ -133,7 +133,7 @@ def test_split_sub_of_split_form_is_everything():
 def test_center_dims_vanish_on_catalog():
     for family, kw in RELATION_FORMS:
         S, tds, triple, dec = chain(family, **kw)
-        assert tp.center_dims(S) == (0, 0, 0), S.name
+        assert S.center_dims() == (0, 0, 0), S.name
 
 
 # --- module decomposition ---------------------------------------------------------

@@ -1,7 +1,9 @@
 """The verification runner: a fault in one check never hides the others."""
 
 from hkr import catalog
+from hkr import triples as tp
 from hkr import verify as vf
+from hkr.errors import ConstructionFailure
 
 
 def test_unexpected_exception_fails_only_its_check(monkeypatch):
@@ -18,3 +20,38 @@ def test_unexpected_exception_fails_only_its_check(monkeypatch):
     assert len(others) == 10
     assert all(r.ok for r in others), [r.line() for r in others if not r.ok]
     assert all(r.seconds >= 0 for r in results)
+
+
+_SAMPLING_CHECKS = ("regularity", "invariance", "injectivity", "fiber_match")
+
+
+def test_section_basis_built_once_per_form(monkeypatch):
+    calls = []
+    original = tp.section_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tp, "section_basis", counting)
+    results = vf.verify_form(catalog.form_id("su_pq", p=1, q=2), seed=0,
+                             samples=2, fiber_samples=1, conjugators=1)
+    assert all(r.ok for r in results), [r.line() for r in results]
+    assert {r.check for r in results} >= set(_SAMPLING_CHECKS)
+    assert len(calls) == 1
+
+
+def test_section_basis_fault_fails_each_sampling_check(monkeypatch):
+    def planted(*args, **kwargs):
+        raise ConstructionFailure("planted section fault")
+
+    monkeypatch.setattr(tp, "section_basis", planted)
+    results = vf.verify_form(catalog.form_id("su_pq", p=1, q=2), seed=0,
+                             samples=2, fiber_samples=1, conjugators=1)
+    by_check = {r.check: r for r in results}
+    for check in _SAMPLING_CHECKS:
+        assert not by_check[check].ok, check
+        assert by_check[check].detail == \
+            "ConstructionFailure: planted section fault", check
+    others = [r for r in results if r.check not in _SAMPLING_CHECKS]
+    assert all(r.ok for r in others), [r.line() for r in others if not r.ok]
