@@ -103,6 +103,25 @@ def flatten_real(x: Mat) -> List[Fraction]:
     return out
 
 
+def _field(vectors: Sequence[Sequence]):
+    """(zero, one) of Scalar if any entry is a Scalar, else of Fraction."""
+    if any(isinstance(x, Scalar) for v in vectors for x in v):
+        return ZERO, ONE
+    return _F0, _F1
+
+
+def _span_kernel(space: Sequence[Sequence], images: Sequence[Sequence],
+                 zero, one) -> List[tuple]:
+    """Basis of the vectors sum c_i space[i] with sum c_i images[i] = 0."""
+    rows = [list(r) for r in zip(*images)]
+    if rows:
+        combos = la.kernel_right(rows, zero, one)
+    else:
+        combos = [[one if j == i else zero for j in range(len(space))]
+                  for i in range(len(space))]
+    return [tuple(la.combine(c, space, zero)) for c in combos]
+
+
 class Subspace:
     """Row-span subspace over an exact field, kept in reduced echelon form."""
 
@@ -157,13 +176,9 @@ class Subspace:
         return Subspace(list(self.rows) + list(other.rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        if not self.rows or not other.rows:
-            return Subspace([])
-        reduced = [other.reduce(r) for r in self.rows]
-        zero = self.rows[0][0] * 0
-        one = ONE if isinstance(zero, Scalar) else _F1
-        combos = la.kernel_right([list(col) for col in zip(*reduced)], zero, one)
-        return Subspace([la.combine(c, self.rows, zero) for c in combos])
+        zero, one = _field(self.rows)
+        return Subspace(_span_kernel(
+            self.rows, [other.reduce(r) for r in self.rows], zero, one))
 
 
 @dataclass
@@ -390,18 +405,6 @@ class RealFormStructure:
                         orow[c] = orow[c] + ui * row[c]
         return out
 
-    def apply_ad(self, ad: List[list], v: Sequence) -> list:
-        d = self.dim
-        scalar = (any(isinstance(x, Scalar) for x in v)
-                  or any(isinstance(x, Scalar) for row in ad for x in row))
-        out = [ZERO if scalar else _F0] * d
-        for j, vj in enumerate(v):
-            if vj:
-                for r in range(d):
-                    if ad[r][j]:
-                        out[r] = out[r] + vj * ad[r][j]
-        return out
-
     def theta_coords(self, u: Sequence) -> tuple:
         return tuple(x if s > 0 else -x for x, s in zip(u, self.theta_signs))
 
@@ -419,62 +422,62 @@ class RealFormStructure:
 
     # --- centralizers and generated subalgebras ------------------------------
 
+    def centralizer_in_span(self, elements: Sequence[Sequence],
+                            space: Sequence[Sequence]) -> List[tuple]:
+        """Basis of {v in span(space) : [e, v] = 0 for every element e}.
+
+        `space` must be independent.  The field is Scalar if any entry of the
+        elements or of the space is a Scalar, else Fraction.  With no
+        elements the whole span comes back.
+        """
+        zero, one = _field(list(elements) + list(space))
+        ad_cols = [list(zip(*self.ad_matrix(e))) for e in elements]
+        images = [[x for cols in ad_cols for x in la.combine(v, cols, zero)]
+                  for v in space]
+        return _span_kernel(space, images, zero, one)
+
+    def theta_split(self, vectors: Sequence[Sequence]
+                    ) -> Tuple[List[tuple], List[tuple]]:
+        """Bases of span(vectors) meet h^C and span(vectors) meet m^C.
+
+        `vectors` must be independent; the two sizes add up to len(vectors)
+        exactly when the span is theta-stable, which callers check.
+        """
+        zero, one = _field(vectors)
+        h_part = _span_kernel(vectors, [[v[j] for j in self.m_indices]
+                                        for v in vectors], zero, one)
+        m_part = _span_kernel(vectors, [[v[j] for j in self.h_indices]
+                                        for v in vectors], zero, one)
+        return h_part, m_part
+
     def centralizer_frac(self, elements: Sequence[Sequence[Fraction]],
                          within: Optional[Sequence[int]] = None
                          ) -> List[Tuple[Fraction, ...]]:
         """Basis of the rational centralizer of the given elements.
 
-        `within` restricts to the span of those basis indices (a coordinate
-        block such as m or h); full-length coordinate vectors come back.
+        The unit-span call of `centralizer_in_span`: `within` restricts to
+        the span of those basis indices (a coordinate block such as m or h,
+        all of g by default); full-length coordinate vectors come back.
         """
-        idxs = list(within) if within is not None else list(range(self.dim))
-        ads = [self.ad_matrix(e) for e in elements]
-        cols = []
-        for bi in idxs:
-            col = []
-            for ad in ads:
-                col.extend(ad[r][bi] for r in range(self.dim))
-            cols.append(col)
-        rows = [list(r) for r in zip(*cols)] if cols else []
-        combos = la.kernel_right(rows, _F0, _F1) if rows else []
-        out = []
-        for c in combos:
-            v = [_F0] * self.dim
-            for ci, bi in zip(c, idxs):
-                v[bi] = ci
-            out.append(tuple(v))
-        return out
+        idxs = within if within is not None else range(self.dim)
+        return self.centralizer_in_span(
+            elements, [self.unit_coords(i) for i in idxs])
 
     def center_dims(self) -> Tuple[int, int, int]:
-        """(dim z(g), dim z(g) meet h, dim z(g) meet m), computed once."""
+        """(dim z(g), dim z(g) meet h, dim z(g) meet m), computed once.
+
+        z(g) commutes with a, so it is the centralizer of g inside c_g(a).
+        """
         if self._center_dims is None:
-            z = self.centralizer_frac([self.unit_coords(i)
-                                       for i in range(self.dim)])
-            h_cut = self.dim_h
-            rows_m = [[v[k] for v in z] for k in range(h_cut, self.dim)]
-            rows_h = [[v[k] for v in z] for k in range(h_cut)]
-            in_h = len(la.kernel_right(rows_m, _F0, _F1)) if rows_m else len(z)
-            in_m = len(la.kernel_right(rows_h, _F0, _F1)) if rows_h else len(z)
-            if in_h + in_m != len(z):
+            units = [self.unit_coords(i) for i in range(self.dim)]
+            cga = self.centralizer_frac([units[i] for i in self.a_indices])
+            z = self.centralizer_in_span(units, cga)
+            in_h, in_m = self.theta_split(z)
+            if len(in_h) + len(in_m) != len(z):
                 raise ConstructionFailure("%s: center is not theta-split"
                                           % self.name)
-            self._center_dims = (len(z), in_h, in_m)
+            self._center_dims = (len(z), len(in_h), len(in_m))
         return self._center_dims
-
-    def centralizer_in_span(self, elements: Sequence[Sequence],
-                            space: Sequence[Sequence]) -> List[list]:
-        """Basis of {v in span(space) : [e, v] = 0 for all e}, over Scalar."""
-        ads = [self.ad_matrix(e) for e in elements]
-        vecs = [list(v) for v in space]
-        cols = []
-        for b in vecs:
-            col = []
-            for ad in ads:
-                col.extend(self.apply_ad(ad, b))
-            cols.append(col)
-        rows = [list(r) for r in zip(*cols)] if cols else []
-        combos = la.kernel_right(rows, ZERO, ONE) if rows else []
-        return [la.combine(c, vecs, ZERO) for c in combos]
 
     def generate_subalgebra(self, gens: Sequence[Sequence[Fraction]]) -> Subspace:
         """Smallest bracket-closed rational subspace containing the generators."""

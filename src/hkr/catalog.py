@@ -388,11 +388,6 @@ class _Conditions:
         return mats
 
 
-def _e(n: int, r: int, c: int, val=1) -> la.Mat:
-    return tuple(tuple(Scalar.of(val) if (i, j) == (r, c) else ZERO
-                       for j in range(n)) for i in range(n))
-
-
 def _msum(n: int, entries: Sequence[Tuple[int, int, int]]) -> la.Mat:
     m = [[ZERO] * n for _ in range(n)]
     for r, c, v in entries:
@@ -576,11 +571,9 @@ def build(fid: FormId) -> RealFormStructure:
             h_mats.append(xh)
         if not la.is_zero_mat(xm):
             m_cands.append(xm)
-    a_span = Subspace([])
     order_span = Subspace([])
     for i, am in enumerate(a_mats):
-        flat = flatten_real(am)
-        if not a_span.add(flat) or not order_span.add(flat):
+        if not order_span.add(flatten_real(am)):
             raise ConstructionFailure("%s: a-basis element %d is dependent"
                                       % (form_display(fid), i))
     m_rest: List[la.Mat] = []

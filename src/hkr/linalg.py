@@ -440,19 +440,6 @@ def symmetric_pivot_signs(gram: Sequence[Sequence[Fraction]]) -> Tuple[int, int,
 
 # --- dense polynomial helpers (rational power series) ---------------------------
 
-def poly_mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> List[Fraction]:
-    out = [Fraction(0)] * order
-    for i, x in enumerate(a):
-        if i >= order or not x:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= order:
-                break
-            if y:
-                out[i + j] += x * y
-    return out
-
-
 def poly_inv_trunc(a: Sequence[Fraction], order: int) -> List[Fraction]:
     """Power series inverse of a with a[0] != 0, to the given order."""
     if not a or a[0] == 0:

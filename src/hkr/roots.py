@@ -605,11 +605,7 @@ def maximal_torus(structure: RealFormStructure,
     t: List[Tuple[Fraction, ...]] = []
     span = Subspace([])
     while True:
-        elements = t + fixed
-        if elements:
-            z = structure.centralizer_frac(elements, within=structure.h_indices)
-        else:
-            z = [structure.unit_coords(i) for i in structure.h_indices]
+        z = structure.centralizer_frac(t + fixed, within=structure.h_indices)
         cand = next((v for v in z if span.add(v)), None)
         if cand is None:
             return t

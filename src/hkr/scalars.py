@@ -106,18 +106,12 @@ class Scalar:
     def is_rational(self) -> bool:
         return not self._t or (len(self._t) == 1 and 1 in self._t and not self._t[1][1])
 
-    def is_real(self) -> bool:
-        return all(not c[1] for c in self._t.values())
-
     def as_fraction(self) -> Fraction:
         if not self._t:
             return _R0
         if self.is_rational():
             return self._t[1][0]
         raise ValueError("not rational: %s" % (self,))
-
-    def rational_part(self) -> Fraction:
-        return self._t.get(1, (_R0, _R0))[0]
 
     def radicands(self) -> Tuple[int, ...]:
         return tuple(sorted(self._t))
@@ -257,14 +251,6 @@ class Scalar:
 
     def __bool__(self) -> bool:
         return bool(self._t)
-
-    def __complex__(self) -> complex:
-        import math
-
-        out = 0j
-        for r, (a, b) in self._t.items():
-            out += complex(a + b * 1j) * math.sqrt(r)
-        return out
 
     # --- text form --------------------------------------------------------
 

@@ -200,10 +200,22 @@ class NormalTriple:
     e: Tuple[Scalar, ...]
     f: Tuple[Scalar, ...]
     x: Tuple[Scalar, ...]
+    _centralizer: Optional[List[tuple]] = field(default=None, repr=False)
 
     @property
     def structure(self) -> RealFormStructure:
         return self.tds.structure
+
+    @property
+    def centralizer(self) -> List[tuple]:
+        """Basis of c_{g^C}(s^C), the centralizer of span(e, f, x), computed
+        once per triple."""
+        if self._centralizer is None:
+            S = self.structure
+            self._centralizer = S.centralizer_in_span(
+                [self.e, self.f, self.x],
+                [S.unit_coords(i) for i in range(S.dim)])
+        return self._centralizer
 
 
 def _triple_relations_hold(S, e, f, x) -> bool:
@@ -315,7 +327,8 @@ def maximal_split_subalgebra(structure: RealFormStructure,
 
     # z(ghat) = z(g) meet m
     z_g, z_h, z_m = S.center_dims()
-    z_sub = _subalgebra_center_dim(S, space)
+    rows = [list(r) for r in space.rows]
+    z_sub = len(S.centralizer_in_span(rows, rows))
     if z_sub != z_m:
         raise MismatchWithTable("%s: z(split sub) = %d but z(g) meet m = %d"
                                 % (S.name, z_sub, z_m))
@@ -336,18 +349,6 @@ def maximal_split_subalgebra(structure: RealFormStructure,
         raise MismatchWithTable("%s: split subalgebra type %s, table row "
                                 "needs %s" % (S.name, sub_type, expected_type))
     return SplitSubalgebra(S, space, sub_type, entry.split_sub, expected_dim)
-
-
-def _subalgebra_center_dim(S: RealFormStructure, space: Subspace) -> int:
-    basis = [list(r) for r in space.rows]
-    cols = []
-    for v in basis:
-        col = []
-        for u in basis:
-            col.extend(S.bracket_coords(u, v))
-        cols.append(col)
-    rows = [list(r) for r in zip(*cols)]
-    return len(la.kernel_right(rows, _F0, _F1)) if rows else 0
 
 
 # --- sl2-module decomposition ---------------------------------------------------
@@ -377,29 +378,12 @@ class ModuleDecomposition:
         return [bl for bl in self.blocks if bl.location == where]
 
 
-def _theta_split_vectors(S, vectors):
-    """Split span(vectors) into its h^C and m^C parts; must be compatible."""
-    h_cut = S.dim_h
-    k = len(vectors)
-    rows_m = [[v[j] for v in vectors] for j in range(h_cut, S.dim)]
-    combos_h = la.kernel_right(rows_m, ZERO, ONE) if rows_m else \
-        [[ONE if t == s else ZERO for t in range(k)] for s in range(k)]
-    rows_h = [[v[j] for v in vectors] for j in range(0, h_cut)]
-    combos_m = la.kernel_right(rows_h, ZERO, ONE) if rows_h else \
-        [[ONE if t == s else ZERO for t in range(k)] for s in range(k)]
-    hv = [tuple(la.combine(c, vectors, ZERO)) for c in combos_h]
-    mv = [tuple(la.combine(c, vectors, ZERO)) for c in combos_m]
-    if len(hv) + len(mv) != k:
-        raise GradingFailure("eigenspace is not theta-homogeneous")
-    return hv, mv
-
-
 def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
                          root_data: Optional[rt.RestrictedRootData] = None
                          ) -> ModuleDecomposition:
     S = structure
-    ad_e = S.ad_matrix(triple.e)
-    kernel = la.kernel_right(ad_e, ZERO, ONE)
+    kernel = S.centralizer_in_span([triple.e],
+                                   [S.unit_coords(i) for i in range(S.dim)])
     if not kernel:
         raise GradingFailure("%s: ad(e) has trivial kernel" % S.name)
     ad_x = S.ad_matrix(triple.x)
@@ -416,7 +400,9 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
             raise GradingFailure("%s: highest weight %s is not a nonnegative "
                                  "integer" % (S.name, ev))
         total += len(vecs)
-        hv, mv = _theta_split_vectors(S, vecs)
+        hv, mv = S.theta_split(vecs)
+        if len(hv) + len(mv) != len(vecs):
+            raise GradingFailure("eigenspace is not theta-homogeneous")
         m_val = int(ev) + 1
         for v in hv:
             blocks.append(ModuleBlock(m_val, v, "h"))
@@ -431,11 +417,9 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
         raise GradingFailure("%s: sum of module dimensions != dim g^C" % S.name)
 
     a = S.rank_a
-    a_units = [S.unit_coords(i) for i in S.a_indices]
-    b = len(S.centralizer_frac(a_units, within=S.h_indices))
-    c_direct = len(S.centralizer_in_span(
-        [list(triple.e), list(triple.f), list(triple.x)],
-        S.h_unit_coords()))
+    data = root_data if root_data is not None else triple.tds.root_data
+    b = len(S.theta_split(data.centralizer)[0])
+    c_direct = len(S.theta_split(triple.centralizer)[0])
     c_blocks = sum(1 for bl in blocks if bl.m == 1 and bl.location == "h")
     if c_direct != c_blocks:
         raise GradingFailure("%s: c = dim c_{h^C}(s^C) = %d but %d trivial "
@@ -445,7 +429,6 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
     if len(m_located) != a + dim_z_m:
         raise GradingFailure("%s: %d m-located blocks, expected a + dim z_m "
                              "= %d" % (S.name, len(m_located), a + dim_z_m))
-    data = root_data if root_data is not None else triple.tds.root_data
     lam_type, _ = rt.classify_type(data)
     want = sorted(rt.invariant_degrees(lam_type) + [1] * dim_z_m)
     if sorted(m_located) != want:
@@ -477,16 +460,13 @@ def is_quasi_split(structure: RealFormStructure,
     # route 2: the centralizer of the principal normal TDS is the center
     if triple is None:
         triple = normal_triple(build_tds(S, data))
-    units = [[ONE if j == i else ZERO for j in range(S.dim)]
-             for i in range(S.dim)]
-    cent = S.centralizer_in_span(
-        [list(triple.e), list(triple.f), list(triple.x)], units)
+    dim_c = len(triple.centralizer)
     dim_z, _, _ = S.center_dims()
-    route2 = len(cent) == dim_z
+    route2 = dim_c == dim_z
     if route1 != route2:
         raise RouteDisagreement("%s: c_g(a) abelian = %s but dim c(s^C) = %d "
                                 "vs dim z = %d" % (S.name, route1,
-                                                   len(cent), dim_z))
+                                                   dim_c, dim_z))
     return route1
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hkr import linalg as la
 from hkr.algebra import bracket, invariant_form, theta_matrix, Subspace
 from hkr.catalog import build, form_id
-from hkr.scalars import Scalar, ZERO
+from hkr.scalars import I, Scalar
 
 
 S = build(form_id("su_pq", p=1, q=2))
@@ -104,10 +104,8 @@ def test_form_signs_split_by_theta():
 def test_ad_matrix_matches_bracket(u):
     ad = S.ad_matrix(u)
     for i in range(S.dim):
-        v = S.unit_coords(i)
-        col = S.bracket_coords(u, v)
-        got = S.apply_ad(ad, v)
-        assert tuple(got) == col
+        col = S.bracket_coords(u, S.unit_coords(i))
+        assert tuple(row[i] for row in ad) == col
 
 
 def test_invariant_form_on_matrices():
@@ -168,3 +166,62 @@ def test_subspace_add_matches_batch(vectors):
     batch = Subspace(vectors)
     assert grown.rows == batch.rows
     assert grown.pivots == batch.pivots
+
+
+def _over_field(scalar, rows):
+    """rows as drawn, or over Scalar as r + i * (r rotated by one place)."""
+    if scalar:
+        return [[Scalar.of(x) + I * Scalar.of(y) for x, y in zip(r, r[1:] + r[:1])]
+                for r in rows]
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.lists(coord_vectors, min_size=0, max_size=2),
+       st.lists(coord_vectors, min_size=0, max_size=5))
+def test_centralizer_in_span_oracle(scalar, elements, space):
+    # independent of ad_matrix: membership by reduction, commuting by
+    # bracket_coords, and the count from the rank of the stacked brackets
+    elements = _over_field(scalar, elements)
+    space = Subspace(_over_field(scalar, space)).rows
+    cent = S.centralizer_in_span(elements, space)
+    span = Subspace(space)
+    for v in cent:
+        assert span.contains(v)
+        for e in elements:
+            assert not any(S.bracket_coords(e, v))
+    assert Subspace(cent).dim == len(cent)
+    stacked = [[x for e in elements for x in S.bracket_coords(e, v)]
+               for v in space]
+    assert len(cent) == len(space) - la.rank(stacked)
+
+
+def test_theta_split_parts():
+    cga = S.centralizer_frac([S.unit_coords(i) for i in S.a_indices])
+    h_part, m_part = S.theta_split(cga)
+    for v in h_part:
+        assert S.theta_coords(v) == tuple(v)
+    for v in m_part:
+        assert S.theta_coords(v) == tuple(-x for x in v)
+    assert (len(h_part), len(m_part)) == (1, 1)
+    mixed = [tuple(a + b for a, b in zip(S.unit_coords(0), S.unit_coords(4)))]
+    h_part, m_part = S.theta_split(mixed)
+    assert len(h_part) + len(m_part) != len(mixed)
+
+
+def test_center_kernel_stays_inside_cga(monkeypatch):
+    fresh = build(form_id("su_pq", p=1, q=2))
+    cga = fresh.centralizer_frac([fresh.unit_coords(i) for i in fresh.a_indices])
+    shapes = []
+    original = la.kernel_right
+
+    def recording(rows, zero, one):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return original(rows, zero, one)
+
+    monkeypatch.setattr(la, "kernel_right", recording)
+    assert fresh.center_dims() == (0, 0, 0)
+    # the kernel over all of g (more rows than the c_g(a) kernel) has at most
+    # dim c_g(a) columns, never one per basis vector
+    wide = [cols for rows, cols in shapes if rows > fresh.rank_a * fresh.dim]
+    assert wide and max(wide) <= len(cga)

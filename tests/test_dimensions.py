@@ -23,18 +23,33 @@ def analysis(family, **kw):
 def test_center_computed_once_per_structure(monkeypatch):
     S = build(form_id("su_pq", p=1, q=2))
     calls = []
-    original = RealFormStructure.centralizer_frac
+    original = RealFormStructure.centralizer_in_span
 
-    def counting(self, elements, within=None):
-        if within is None and len(elements) == self.dim:
+    def counting(self, elements, space):
+        if len(elements) == self.dim:
             calls.append(self.name)
-        return original(self, elements, within)
+        return original(self, elements, space)
 
-    monkeypatch.setattr(RealFormStructure, "centralizer_frac", counting)
+    monkeypatch.setattr(RealFormStructure, "centralizer_in_span", counting)
     dm.analyze(S)
     assert len(calls) == 1
     dm.analyze(S)
     assert len(calls) == 1
+
+
+def test_triple_centralizer_computed_once_per_analyze(monkeypatch):
+    S = build(form_id("su_pq", p=1, q=2))
+    seen = []
+    original = RealFormStructure.centralizer_in_span
+
+    def recording(self, elements, space):
+        seen.append(tuple(tuple(e) for e in elements))
+        return original(self, elements, space)
+
+    monkeypatch.setattr(RealFormStructure, "centralizer_in_span", recording)
+    an = dm.analyze(S)
+    t = an.triple
+    assert seen.count((t.e, t.f, t.x)) == 1
 
 
 # --- line bundle cohomology -------------------------------------------------------

@@ -104,7 +104,6 @@ def test_independent_radicals_do_not_collapse():
 def test_frozen_values():
     assert format_scalar(ONE / (Scalar.of(2) * Scalar.sqrt(2))) == "1/4*sqrt(2)"
     assert format_scalar(I * Scalar.sqrt(3) / 3) == "1/3*i*sqrt(3)"
-    assert complex(Scalar.gaussian(1, 2)) == 1 + 2j
 
 
 def test_parse_rejects_garbage():
