@@ -18,7 +18,6 @@ even when the coordinates themselves carry radicals.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -113,72 +112,9 @@ def _field(vectors: Sequence[Sequence]):
 def _span_kernel(space: Sequence[Sequence], images: Sequence[Sequence],
                  zero, one) -> List[tuple]:
     """Basis of the vectors sum c_i space[i] with sum c_i images[i] = 0."""
-    rows = [list(r) for r in zip(*images)]
-    if rows:
-        combos = la.kernel_right(rows, zero, one)
-    else:
-        combos = [[one if j == i else zero for j in range(len(space))]
-                  for i in range(len(space))]
+    combos = la.kernel_right([list(r) for r in zip(*images)], len(space),
+                             zero, one)
     return [tuple(la.combine(c, space, zero)) for c in combos]
-
-
-class Subspace:
-    """Row-span subspace over an exact field, kept in reduced echelon form."""
-
-    __slots__ = ("rows", "pivots")
-
-    def __init__(self, vectors: Sequence[Sequence]):
-        self.rows, self.pivots = la.rref(vectors)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: Sequence) -> list:
-        """Residual of vec after reduction against the subspace."""
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(p, len(v)):
-                    if row[j]:
-                        v[j] = v[j] - c * row[j]
-        return v
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
-
-    def add(self, vec: Sequence) -> bool:
-        """Grow the span by vec; False (and no change) if vec is already in it.
-
-        The new row goes in at its pivot position and its pivot column is
-        cleared from the other rows, so rows and pivots stay equal to those
-        of Subspace(all vectors added so far).
-        """
-        v = self.reduce(vec)
-        p = next((j for j, e in enumerate(v) if e), None)
-        if p is None:
-            return False
-        inv = 1 / v[p]
-        row = [e * inv for e in v]
-        for r in self.rows:
-            f = r[p]
-            if f:
-                for j in range(p, len(r)):
-                    if row[j]:
-                        r[j] = r[j] - f * row[j]
-        k = bisect(self.pivots, p)
-        self.rows.insert(k, row)
-        self.pivots.insert(k, p)
-        return True
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(list(self.rows) + list(other.rows))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        zero, one = _field(self.rows)
-        return Subspace(_span_kernel(
-            self.rows, [other.reduce(r) for r in self.rows], zero, one))
 
 
 @dataclass
@@ -479,9 +415,10 @@ class RealFormStructure:
             self._center_dims = (len(z), len(in_h), len(in_m))
         return self._center_dims
 
-    def generate_subalgebra(self, gens: Sequence[Sequence[Fraction]]) -> Subspace:
+    def generate_subalgebra(self, gens: Sequence[Sequence[Fraction]]
+                            ) -> la.Subspace:
         """Smallest bracket-closed rational subspace containing the generators."""
-        space = Subspace([list(g) for g in gens])
+        space = la.Subspace([list(g) for g in gens])
         frontier = [tuple(r) for r in space.rows]
         while frontier:
             new_vecs = []

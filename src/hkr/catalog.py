@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
-from .algebra import RealFormStructure, Subspace, flatten_real, theta_matrix
+from .algebra import RealFormStructure, flatten_real, theta_matrix
 from .errors import InvalidParams, NotInTable, SizeBound, ConstructionFailure
 from .scalars import Scalar, ZERO
 
@@ -374,7 +374,7 @@ class _Conditions:
             for k, val in row.items():
                 v[k] += val
             dense.append(v)
-        kern = la.kernel_right(dense, _F0, _F1)
+        kern = la.kernel_right(dense, ncols, _F0, _F1)
         mats = []
         for vec in kern:
             m = [[ZERO] * self.n for _ in range(self.n)]
@@ -560,7 +560,7 @@ def build(fid: FormId) -> RealFormStructure:
         raise ConstructionFailure("%s: condition kernel has dim %d, expected %d"
                                   % (form_display(fid), len(mats), expect_dim))
     half = Fraction(1, 2)
-    h_span, m_span = Subspace([]), Subspace([])
+    h_span, m_span = la.Subspace(), la.Subspace()
     h_mats: List[la.Mat] = []
     m_cands: List[la.Mat] = []
     for x in mats:
@@ -571,7 +571,7 @@ def build(fid: FormId) -> RealFormStructure:
             h_mats.append(xh)
         if not la.is_zero_mat(xm):
             m_cands.append(xm)
-    order_span = Subspace([])
+    order_span = la.Subspace()
     for i, am in enumerate(a_mats):
         if not order_span.add(flatten_real(am)):
             raise ConstructionFailure("%s: a-basis element %d is dependent"

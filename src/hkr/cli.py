@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("section", help="evaluate the section at gamma")
     sp.add_argument("form")
     sp.add_argument("--gamma", help="comma list of scalars, e.g. 1,1/2")
-    sp.add_argument("--genus", type=int, default=2)
     add_json(sp)
     sp.set_defaults(fn=cmd_section)
 

@@ -7,18 +7,21 @@ come out of the same machinery.
 
 The shared idioms the other modules build on, each written once here:
 
-- ``rref`` / ``rref_with_transform``: reduced echelon form (``algebra.Subspace``
-  grows the same form one vector at a time);
+- ``Subspace``: a span kept in reduced echelon form, grown one vector at a
+  time by ``add``, the one row reduction; ``rref`` and ``rank`` read it;
 - ``coords_solver``: coefficients of a vector over an independent list, or
-  None outside its span;
+  None outside its span (a ``Subspace`` of the vectors beside unit vectors);
 - ``combine``: the linear combination sum_i c_i v_i;
 - ``eigen_split``: eigenspaces of an operator restricted to a span, for a
   list of candidate eigenvalues;
-- ``kernel_right`` / ``solve_right``: null space and one solution of M x = b.
+- ``kernel_right`` / ``solve_right``: null space and one solution of M x = b;
+- ``charpoly``: Faddeev-LeVerrier over either field (``charpoly_frac`` is
+  its Fraction entry point).
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -113,93 +116,93 @@ def mat_pow(a: Mat, k: int) -> Mat:
     return out
 
 
-# --- generic row reduction ----------------------------------------------------
+# --- row reduction -------------------------------------------------------------
+
+class Subspace:
+    """Row-span subspace over an exact field, kept in reduced echelon form.
+
+    ``add`` is the library's one row reduction: ``rref``, ``rank``,
+    ``kernel_right``, ``solve_right`` and ``coords_solver`` all read from it.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, vectors: Sequence[Sequence] = ()):
+        self.rows: List[list] = []
+        self.pivots: List[int] = []
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: Sequence) -> list:
+        """Residual of vec after reduction against the subspace."""
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                for j in range(p, len(v)):
+                    if row[j]:
+                        v[j] = v[j] - c * row[j]
+        return v
+
+    def contains(self, vec: Sequence) -> bool:
+        return not any(self.reduce(vec))
+
+    def add(self, vec: Sequence) -> bool:
+        """Grow the span by vec; False (and no change) if vec is already in it.
+
+        The new row goes in at its pivot position and its pivot column is
+        cleared from the other rows, so the rows stay in reduced echelon
+        form, which is unique: they equal the RREF of all vectors added.
+        """
+        v = self.reduce(vec)
+        p = next((j for j, e in enumerate(v) if e), None)
+        if p is None:
+            return False
+        inv = 1 / v[p]
+        row = [e * inv if e else e for e in v]
+        for r in self.rows:
+            f = r[p]
+            if f:
+                for j in range(p, len(r)):
+                    if row[j]:
+                        r[j] = r[j] - f * row[j]
+        k = bisect(self.pivots, p)
+        self.rows.insert(k, row)
+        self.pivots.insert(k, p)
+        return True
+
 
 def rref(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
     """Reduced row echelon form of the row list; returns (rows, pivot columns).
 
     Zero rows are dropped.  Works over any exact field (Fraction or Scalar).
     """
-    work = [list(r) for r in rows]
-    pivots: List[int] = []
-    out: List[list] = []
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while work and col < ncols:
-        pick = None
-        for idx, r in enumerate(work):
-            if r[col]:
-                pick = idx
-                break
-        if pick is None:
-            col += 1
-            continue
-        row = work.pop(pick)
-        inv = 1 / row[col]
-        row = [e * inv for e in row]
-        for r in work:
-            if r[col]:
-                f = r[col]
-                for j in range(col, ncols):
-                    if row[j]:
-                        r[j] = r[j] - f * row[j]
-        for r in out:
-            if r[col]:
-                f = r[col]
-                for j in range(col, ncols):
-                    if row[j]:
-                        r[j] = r[j] - f * row[j]
-        out.append(row)
-        pivots.append(col)
-        col += 1
-        work = [r for r in work if any(r)]
-    return out, pivots
-
-
-def rref_with_transform(rows: Sequence[Sequence], zero, one):
-    """RREF plus the transform T with out[i] = sum_j T[i][j] * rows[j].
-
-    Returns (out_rows, pivots, T).  `zero`/`one` are the field constants.
-    """
-    n = len(rows)
-    work = [list(r) + [one if j == i else zero for j in range(n)]
-            for i, r in enumerate(rows)]
-    ncols = len(rows[0]) if rows else 0
-    reduced, pivots = rref(work) if work else ([], [])
-    # pivots beyond ncols would mean a zero data-row; drop those rows
-    out, trans, piv = [], [], []
-    for row, p in zip(reduced, pivots):
-        if p < ncols:
-            out.append(row[:ncols])
-            trans.append(row[ncols:])
-            piv.append(p)
-    return out, piv, trans
+    space = Subspace(rows)
+    return space.rows, space.pivots
 
 
 def coords_solver(vectors: Sequence[Sequence], zero, one):
     """Coordinate map over linearly independent `vectors`, or None if dependent.
 
     The map sends v to the list c with sum_i c[i] * vectors[i] = v, or to None
-    when v lies outside their span.
+    when v lies outside their span.  It reduces [v | 0] against the echelon
+    form of the rows [vectors[i] | unit i]: what is left of the unit part is
+    -c.
     """
-    red, piv, trans = rref_with_transform([list(v) for v in vectors], zero, one)
-    if len(red) != len(vectors):
-        return None
     k = len(vectors)
+    space = Subspace([list(v) + [one if j == i else zero for j in range(k)]
+                      for i, v in enumerate(vectors)])
+    if vectors and space.pivots[-1] >= len(vectors[0]):
+        return None  # a pivot in the unit part: some combination vanishes
 
     def solve(vec: Sequence) -> Optional[list]:
-        v = list(vec)
-        coefs = [zero] * k
-        for row, p, tr in zip(red, piv, trans):
-            c = v[p]
-            if c:
-                for j in range(p, len(v)):
-                    if row[j]:
-                        v[j] = v[j] - c * row[j]
-                for t in range(k):
-                    if tr[t]:
-                        coefs[t] = coefs[t] + c * tr[t]
-        return None if any(v) else coefs
+        n = len(vec)
+        v = space.reduce(list(vec) + [zero] * k)
+        return None if any(v[:n]) else [-c if c else zero for c in v[n:]]
 
     return solve
 
@@ -229,7 +232,7 @@ def eigen_split(op: Sequence[Sequence], vecs: Sequence[Sequence],
     for ev in eigenvalues:
         shifted = [[op[r][c] - (ev if r == c else zero) for c in range(k)]
                    for r in range(k)]
-        combos = kernel_right(shifted, zero, one)
+        combos = kernel_right(shifted, k, zero, one)
         if combos:
             out.append((ev, [combine(c, vecs, zero) for c in combos]))
     return out
@@ -239,11 +242,11 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[0])
 
 
-def kernel_right(m_rows: Sequence[Sequence], zero, one) -> List[list]:
-    """Basis of {x : M x = 0} for M given as rows (map on column vectors)."""
-    if not m_rows:
-        return []
-    ncols = len(m_rows[0])
+def kernel_right(m_rows: Sequence[Sequence], ncols: int, zero, one) -> List[list]:
+    """Basis of {x : M x = 0} for M given as rows (map on column vectors).
+
+    `ncols` is the size of x, so a system with no rows has the whole space.
+    """
     red, pivots = rref(m_rows)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
@@ -274,40 +277,39 @@ def solve_right(m_rows: Sequence[Sequence], b: Sequence) -> Optional[list]:
 
 # --- characteristic polynomial -------------------------------------------------
 
-def charpoly(a: Mat) -> Tuple[Scalar, ...]:
+def charpoly(a: Sequence[Sequence], zero=ZERO, one=ONE) -> tuple:
     """Coefficients (c_0, ..., c_n) of det(tI - A) = sum c_k t^k, exact.
 
-    Faddeev-LeVerrier; division only by integers, so it stays in the field.
+    Faddeev-LeVerrier over the field of `zero`/`one` (Scalar by default):
+    M_k = A (M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k) / k.  It divides
+    only by integers, so it stays in the field.
     """
     n = len(a)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    m_cur = zeros(n)
-    c_prev = ONE
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    coeffs = [zero] * (n + 1)
+    coeffs[n] = one
+    m_cur = [[zero] * n for _ in range(n)]
+    c_prev = one
     for k in range(1, n + 1):
-        m_cur = mmul(a, madd(m_cur, mscale(c_prev, eye(n))))
-        c_prev = -(trace(m_cur) / k)
+        for i in range(n):
+            m_cur[i][i] = m_cur[i][i] + c_prev
+        prod = []
+        for terms in nonzero:
+            out = [zero] * n
+            for col, x in terms:
+                for j, y in enumerate(m_cur[col]):
+                    if y:
+                        out[j] = out[j] + x * y
+            prod.append(out)
+        m_cur = prod
+        c_prev = -(sum((m_cur[i][i] for i in range(n)), zero) / k)
         coeffs[n - k] = c_prev
     return tuple(coeffs)
 
 
 def charpoly_frac(a: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    """Faddeev-LeVerrier over plain Fractions (fast path for rational matrices)."""
-    n = len(a)
-    zero = Fraction(0)
-    coeffs = [zero] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m_cur = [[zero] * n for _ in range(n)]
-    c_prev = Fraction(1)
-    for k in range(1, n + 1):
-        for i in range(n):
-            m_cur[i][i] += c_prev
-        nxt = [[sum(a[i][l] * m_cur[l][j] for l in range(n) if a[i][l]) or zero
-                for j in range(n)] for i in range(n)]
-        m_cur = nxt
-        c_prev = -sum(m_cur[i][i] for i in range(n)) / k
-        coeffs[n - k] = c_prev
-    return coeffs
+    """``charpoly`` of a rational matrix, over plain Fractions, as a list."""
+    return list(charpoly(a, Fraction(0), Fraction(1)))
 
 
 # --- rational spectra -----------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
-from .algebra import RealFormStructure, Subspace
+from .algebra import RealFormStructure
 from .errors import (ConstructionFailure, NonRationalSpectrum,
                      UnrecognizedDiagram)
 from .scalars import Scalar, ZERO, ONE, I
@@ -603,7 +603,7 @@ def maximal_torus(structure: RealFormStructure,
     """
     fixed = list(commuting)
     t: List[Tuple[Fraction, ...]] = []
-    span = Subspace([])
+    span = la.Subspace()
     while True:
         z = structure.centralizer_frac(t + fixed, within=structure.h_indices)
         cand = next((v for v in z if span.add(v)), None)

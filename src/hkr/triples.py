@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
 from . import roots as rt
-from .algebra import RealFormStructure, Subspace
+from .algebra import RealFormStructure
 from .errors import (ConstructionFailure, GradingFailure, MismatchWithTable,
                      NoSolution, NonUnique, RelationFailure, RouteDisagreement)
 from .scalars import Scalar, ZERO, ONE, I
@@ -200,6 +200,7 @@ class NormalTriple:
     e: Tuple[Scalar, ...]
     f: Tuple[Scalar, ...]
     x: Tuple[Scalar, ...]
+    _e_kernel: Optional[List[tuple]] = field(default=None, repr=False)
     _centralizer: Optional[List[tuple]] = field(default=None, repr=False)
 
     @property
@@ -207,14 +208,22 @@ class NormalTriple:
         return self.tds.structure
 
     @property
+    def e_kernel(self) -> List[tuple]:
+        """Basis of ker ad(e) in g^C, computed once per triple."""
+        if self._e_kernel is None:
+            S = self.structure
+            self._e_kernel = S.centralizer_in_span(
+                [self.e], [S.unit_coords(i) for i in range(S.dim)])
+        return self._e_kernel
+
+    @property
     def centralizer(self) -> List[tuple]:
         """Basis of c_{g^C}(s^C), the centralizer of span(e, f, x), computed
-        once per triple."""
+        once per triple: the part of ker ad(e) that f centralizes, since
+        [x, v] = [e, [f, v]] - [f, [e, v]]."""
         if self._centralizer is None:
-            S = self.structure
-            self._centralizer = S.centralizer_in_span(
-                [self.e, self.f, self.x],
-                [S.unit_coords(i) for i in range(S.dim)])
+            self._centralizer = self.structure.centralizer_in_span(
+                [self.f], self.e_kernel)
         return self._centralizer
 
 
@@ -286,7 +295,7 @@ def normal_triple(tds: TdsConstruction) -> NormalTriple:
 @dataclass
 class SplitSubalgebra:
     structure: RealFormStructure
-    space: Subspace
+    space: la.Subspace
     reduced_type: str
     table_label: str
     table_dim: int
@@ -382,8 +391,7 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
                          root_data: Optional[rt.RestrictedRootData] = None
                          ) -> ModuleDecomposition:
     S = structure
-    kernel = S.centralizer_in_span([triple.e],
-                                   [S.unit_coords(i) for i in range(S.dim)])
+    kernel = triple.e_kernel
     if not kernel:
         raise GradingFailure("%s: ad(e) has trivial kernel" % S.name)
     ad_x = S.ad_matrix(triple.x)
@@ -527,21 +535,20 @@ def section_point(basis: SectionBasis, gamma: Sequence) -> Tuple[Scalar, ...]:
     if len(gamma) != len(basis.e_list):
         raise ValueError("expected %d coefficients, got %d"
                          % (len(basis.e_list), len(gamma)))
-    out = list(basis.f)
-    for g, vec in zip(gamma, basis.e_list):
-        gs = g if isinstance(g, Scalar) else Scalar.of(g)
-        if gs:
-            for j, v in enumerate(vec):
-                if v:
-                    out[j] = out[j] + gs * v
-    return tuple(out)
+    return tuple(_partial_point(basis, gamma))
+
+
+def _partial_point(basis: SectionBasis, gamma: Sequence) -> list:
+    """f + sum_i gamma_i e_i over the first len(gamma) section vectors."""
+    return la.combine((ONE,) + _to_scalar(gamma),
+                      [basis.f] + basis.e_list[:len(gamma)], ZERO)
 
 
 def centralizer_dim_in_m(structure: RealFormStructure, ad: List[list]) -> int:
     S = structure
     lo = S.dim_h
     rows = [[ad[r][j] for j in range(lo, S.dim)] for r in range(S.dim)]
-    return len(la.kernel_right(rows, ZERO, ONE))
+    return len(la.kernel_right(rows, S.dim - lo, ZERO, ONE))
 
 
 def is_regular(structure: RealFormStructure, x_coords: Sequence) -> bool:
@@ -581,26 +588,19 @@ def section_fiber_match(structure: RealFormStructure, basis: SectionBasis,
                         % (S.name, basis.degrees))
     target = la.charpoly(S.matrix_of(_to_scalar(d_coords)))
     gamma: List[Scalar] = []
-    x = list(basis.f)
     for i, m_val in enumerate(basis.degrees):
         idx = n - m_val
         if idx < 0:
             raise NoSolution("%s: invariant degree %d exceeds matrix size"
                              % (S.name, m_val))
-        cp0 = la.charpoly(S.matrix_of(x))
-        bumped = [a + b for a, b in zip(x, basis.e_list[i])]
-        cp1 = la.charpoly(S.matrix_of(bumped))
+        cp0 = la.charpoly(S.matrix_of(_partial_point(basis, gamma)))
+        cp1 = la.charpoly(S.matrix_of(_partial_point(basis, gamma + [ONE])))
         slope = cp1[idx] - cp0[idx]
         if not slope:
             raise NoSolution("%s: degree-%d coefficient is independent of "
                              "gamma_%d" % (S.name, m_val, i + 1))
-        gi = (target[idx] - cp0[idx]) / slope
-        gamma.append(gi)
-        if gi:
-            for j, v in enumerate(basis.e_list[i]):
-                if v:
-                    x[j] = x[j] + gi * v
-    final = la.charpoly(S.matrix_of(x))
+        gamma.append((target[idx] - cp0[idx]) / slope)
+    final = la.charpoly(S.matrix_of(_partial_point(basis, gamma)))
     if tuple(final) != tuple(target):
         raise NoSolution("%s: characteristic polynomial mismatch after the "
                          "triangular solve" % S.name)

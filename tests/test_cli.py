@@ -151,6 +151,14 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_section_has_no_genus_option(capsys):
+    # the section point does not depend on a curve, so --genus is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["section", "sl_r:n=2", "--genus", "2"])
+    assert exc.value.code == 2
+    assert "--genus" in capsys.readouterr().err
+
+
 def test_parser_rejects_unknown_verb():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

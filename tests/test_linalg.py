@@ -48,10 +48,16 @@ def test_rational_roots_multiplicity():
 
 
 @settings(max_examples=60, deadline=None)
-@given(frac_matrix(3))
-def test_charpoly_cayley_hamilton(rows):
-    cp = la.charpoly_frac(rows)
-    a = la.mat(rows)
+@given(frac_matrix(3), frac_matrix(3), st.booleans())
+def test_charpoly_cayley_hamilton(rows, parts, scalar):
+    if scalar:  # entries x + y (sqrt(2) + i)
+        unit = Scalar.sqrt(2) + I
+        a = la.mat([[Scalar.of(x) + unit * Scalar.of(y) for x, y in zip(r, q)]
+                    for r, q in zip(rows, parts)])
+        cp = la.charpoly(a)
+    else:
+        cp = la.charpoly_frac(rows)
+        a = la.mat(rows)
     acc = la.zeros(3)
     power = la.eye(3)
     for coeff in cp:
@@ -87,11 +93,17 @@ def test_solve_right_detects_inconsistency():
 @settings(max_examples=60, deadline=None)
 @given(frac_matrix(4))
 def test_kernel_dimension_theorem(rows):
-    ker = la.kernel_right(rows, Fraction(0), Fraction(1))
+    ker = la.kernel_right(rows, 4, Fraction(0), Fraction(1))
     assert len(ker) == 4 - la.rank(rows)
     for v in ker:
         image = [sum(rows[i][j] * v[j] for j in range(4)) for i in range(4)]
         assert all(x == 0 for x in image)
+
+
+def test_kernel_of_an_empty_system_is_the_whole_space():
+    f0, f1 = Fraction(0), Fraction(1)
+    assert la.kernel_right([], 3, f0, f1) == [[f1, f0, f0], [f0, f1, f0],
+                                               [f0, f0, f1]]
 
 
 def test_mat_pow():
@@ -109,6 +121,68 @@ def test_rref_pivots_are_unit_columns():
         col = [red[i][p] for i in range(len(red))]
         assert col[k] == 1
         assert all(col[i] == 0 for i in range(len(red)) if i != k)
+
+
+def _column_sweep_rref(rows):
+    """Reference RREF by a sweep over the columns, each pivot cleared from
+    every other row; an independent route to ``la.rref``'s result."""
+    work = [list(r) for r in rows]
+    pivots, out = [], []
+    ncols = len(work[0]) if work else 0
+    col = 0
+    while work and col < ncols:
+        pick = next((idx for idx, r in enumerate(work) if r[col]), None)
+        if pick is None:
+            col += 1
+            continue
+        row = work.pop(pick)
+        inv = 1 / row[col]
+        row = [e * inv for e in row]
+        for r in work + out:
+            f = r[col]
+            if f:
+                for j in range(col, ncols):
+                    r[j] = r[j] - f * row[j]
+        out.append(row)
+        pivots.append(col)
+        col += 1
+        work = [r for r in work if any(r)]
+    return out, pivots
+
+
+echelon_entries = st.sampled_from(
+    [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2),
+                         Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Rows over Q, Q(sqrt 2) or Q(i), with dependent and zero rows mixed in."""
+    field = draw(st.sampled_from(["fraction", "sqrt2", "i"]))
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(echelon_entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
+    conv = Fraction
+    if field != "fraction":
+        unit = Scalar.sqrt(2) if field == "sqrt2" else I
+        parts = draw(st.lists(row, min_size=len(rows), max_size=len(rows)))
+        rows = [[Scalar.of(x) + unit * Scalar.of(y) for x, y in zip(r, q)]
+                for r, q in zip(rows, parts)]
+        conv = Scalar.of
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        c = conv(draw(echelon_entries))
+        rows.append([x + c * y for x, y in zip(rows[i], rows[j])])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [conv(0)] * ncols)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs())
+def test_rref_matches_column_sweep(rows):
+    assert la.rref(rows) == _column_sweep_rref(rows)
 
 
 def test_symmetric_pivot_signs():
