@@ -3,14 +3,15 @@
 Verbs: list, describe, hkr, section, dims, table1, lemma73, verify.
 All output is either human-readable text or, with --json, a stable schema
 tagged with "schema": 1 whose scalar entries use the same grammar that
-parse_scalar accepts.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+parse_scalar accepts.  Exit codes: 0 success, 1 verification failure
+(or stdout closed early, as by ``| head``), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -266,7 +267,8 @@ def cmd_verify(args) -> int:
             "schema": SCHEMA,
             "seed": args.seed,
             "results": [{"form": r.form, "check": r.check, "ok": r.ok,
-                         "detail": r.detail} for r in results],
+                         "detail": r.detail, "seconds": r.seconds}
+                        for r in results],
             "failures": len(fails),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -277,6 +279,16 @@ def cmd_verify(args) -> int:
         if fails:
             print("first failure: %s" % fails[0].line())
     return 1 if fails else 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("form", nargs="?")
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--samples", type=_positive_int, default=100)
     add_json(sp)
     sp.set_defaults(fn=cmd_verify)
 
@@ -343,7 +355,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so the flush at
+        # interpreter exit cannot raise again (the Python docs' SIGPIPE recipe)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (InvalidParams, SizeBound, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -471,27 +471,29 @@ def weyl_group(simples: List[RootLabel], pair) -> List[Tuple[Tuple[int, ...], ..
 
     Row r, column j: coefficient of simple root r in the image of simple
     root j.  Generated by breadth-first closure over the simple reflections.
+    s_i differs from the identity only in row i, so s_i w is w with row i
+    replaced by sum_k (s_i)_{ik} w_k over the nonzero entries of that row.
     """
     r = len(simples)
     cart = cartan_matrix(simples, pair)
+    # row i of s_i: s_i(a_j) = a_j - n(j, i) a_i with
+    # n(j, i) = 2(a_j, a_i)/(a_i, a_i)
     gens = []
     for i in range(r):
-        m = [[1 if x == y else 0 for y in range(r)] for x in range(r)]
-        for j in range(r):
-            # s_i(a_j) = a_j - n(j, i) a_i with n(j, i) = 2(a_j, a_i)/(a_i, a_i)
-            m[i][j] -= int(cart[j][i])
-        gens.append(tuple(tuple(row) for row in m))
+        row = [(1 if j == i else 0) - int(cart[j][i]) for j in range(r)]
+        gens.append((i, [(k, c) for k, c in enumerate(row) if c]))
     ident = tuple(tuple(1 if x == y else 0 for y in range(r)) for x in range(r))
     seen = {ident}
     frontier = [ident]
     while frontier:
         new = []
         for w in frontier:
-            for g in gens:
-                prod = tuple(
-                    tuple(sum(g[x][k] * w[k][y] for k in range(r))
-                          for y in range(r))
-                    for x in range(r))
+            for i, terms in gens:
+                row = [0] * r
+                for k, c in terms:
+                    for y, e in enumerate(w[k]):
+                        row[y] += c * e
+                prod = w[:i] + (tuple(row),) + w[i + 1:]
                 if prod not in seen:
                     seen.add(prod)
                     new.append(prod)
@@ -499,23 +501,57 @@ def weyl_group(simples: List[RootLabel], pair) -> List[Tuple[Tuple[int, ...], ..
     return sorted(seen)
 
 
+def _power_traces(w: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
+    """(tr w, tr w^2, ..., tr w^r) of an r x r integer matrix.
+
+    tr w^(a+b) = sum_ij (w^a)_ij (w^b)_ji, so the powers up to w^ceil(r/2)
+    give every trace.
+    """
+    r = len(w)
+    cols = list(zip(*w))
+    powers = [w]  # powers[a - 1] = w^a
+    while 2 * len(powers) < r:
+        powers.append([[sum(x * y for x, y in zip(row, col)) for col in cols]
+                       for row in powers[-1]])
+    out = [sum(w[i][i] for i in range(r))]
+    for k in range(2, r + 1):
+        pa, pb = powers[(k + 1) // 2 - 1], powers[k // 2 - 1]
+        out.append(sum(x * y for row, col in zip(pa, zip(*pb))
+                       for x, y in zip(row, col)))
+    return tuple(out)
+
+
+def molien_series(wmats: Sequence[Tuple[Tuple[int, ...], ...]],
+                  order: int) -> List[Fraction]:
+    """(1/|W|) sum_w 1/det(I - tw), truncated to `order` terms.
+
+    1/det(I - tw) depends on w only through det(tI - w).  Over Q, Newton's
+    identities make the power sums tr w^k, k = 1..r, determine det(tI - w).
+    So the elements are grouped by those integer traces, and one charpoly
+    and one series inverse per group, times the group's size, give the
+    same rational series term by term as the sum over every element.
+    """
+    groups: Dict[Tuple[int, ...], list] = {}
+    for w in wmats:
+        groups.setdefault(_power_traces(w), []).append(w)
+    total = [_F0] * order
+    for members in groups.values():
+        p = la.charpoly_frac([[Fraction(e) for e in row] for row in members[0]])
+        # det(I - tW) = t^r charpoly(1/t) with charpoly = det(tI - W)
+        inv = la.poly_inv_trunc(list(reversed(p)), order)
+        for k in range(order):
+            total[k] += len(members) * inv[k]
+    n = len(wmats)
+    return [c / n for c in total]
+
+
 def molien_degrees(wmats: Sequence[Tuple[Tuple[int, ...], ...]], rank: int,
                    order: Optional[int] = None) -> List[int]:
     """Degrees of basic invariants from the Molien series of the group."""
     if order is None:
         order = 4 * rank + 6
-    total = [_F0] * order
-    for w in wmats:
-        p = la.charpoly_frac([[Fraction(e) for e in row] for row in w])
-        # det(I - tW) = t^r charpoly(1/t) with charpoly = det(tI - W)
-        det_poly = list(reversed(p))
-        inv = la.poly_inv_trunc(det_poly, order)
-        for k in range(order):
-            total[k] += inv[k]
-    n = Fraction(len(wmats))
-    series = [c / n for c in total]
     degrees = []
-    p = series
+    p = molien_series(wmats, order)
     for _ in range(rank):
         d = next((k for k in range(1, order) if p[k]), None)
         if d is None:

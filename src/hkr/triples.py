@@ -487,6 +487,7 @@ class SectionBasis:
     e_list: List[Tuple[Scalar, ...]]
     degrees: List[int]
     central: List[Tuple[Scalar, ...]]
+    # the m^C columns of ad(f) and of each ad(e_i), for section_point_regular
     _ad_f: List[list] = field(repr=False, default=None)
     _ad_e: List[List[list]] = field(repr=False, default=None)
 
@@ -526,8 +527,8 @@ def section_basis(structure: RealFormStructure, triple: NormalTriple,
             raise ConstructionFailure("%s: section vector has wrong ad(x) "
                                       "weight" % S.name)
     basis = SectionBasis(S, triple.f, e_list, degrees, central)
-    basis._ad_f = S.ad_matrix(triple.f)
-    basis._ad_e = [S.ad_matrix(v) for v in e_list]
+    basis._ad_f = _m_columns(S, S.ad_matrix(triple.f))
+    basis._ad_e = [_m_columns(S, S.ad_matrix(v)) for v in e_list]
     return basis
 
 
@@ -544,11 +545,14 @@ def _partial_point(basis: SectionBasis, gamma: Sequence) -> list:
                       [basis.f] + basis.e_list[:len(gamma)], ZERO)
 
 
-def centralizer_dim_in_m(structure: RealFormStructure, ad: List[list]) -> int:
-    S = structure
-    lo = S.dim_h
-    rows = [[ad[r][j] for j in range(lo, S.dim)] for r in range(S.dim)]
-    return len(la.kernel_right(rows, S.dim - lo, ZERO, ONE))
+def _m_columns(structure: RealFormStructure, ad: List[list]) -> List[list]:
+    """The columns of an ad matrix that act on m^C (the basis is h, then m)."""
+    return [row[structure.dim_h:] for row in ad]
+
+
+def centralizer_dim_in_m(structure: RealFormStructure, ad_m: List[list]) -> int:
+    """dim c_{m^C}(x), from the m^C columns of ad(x) (see ``_m_columns``)."""
+    return len(la.kernel_right(ad_m, structure.dim_m, ZERO, ONE))
 
 
 def is_regular(structure: RealFormStructure, x_coords: Sequence) -> bool:
@@ -556,25 +560,17 @@ def is_regular(structure: RealFormStructure, x_coords: Sequence) -> bool:
     xs = _to_scalar(x_coords)
     if structure.theta_coords(xs) != _scale(Scalar.of(-1), xs):
         raise ValueError("element is not in m^C")
-    ad = structure.ad_matrix(list(xs))
-    return centralizer_dim_in_m(structure, ad) == structure.rank_a
+    ad_m = _m_columns(structure, structure.ad_matrix(list(xs)))
+    return centralizer_dim_in_m(structure, ad_m) == structure.rank_a
 
 
 def section_point_regular(basis: SectionBasis, gamma: Sequence) -> bool:
     """is_regular(section_point(gamma)) via the precomputed ad matrices."""
     S = basis.structure
-    d = S.dim
-    ad = [row[:] for row in basis._ad_f]
-    for g, adv in zip(gamma, basis._ad_e):
-        gs = g if isinstance(g, Scalar) else Scalar.of(g)
-        if gs:
-            for r in range(d):
-                arow = adv[r]
-                orow = ad[r]
-                for cidx in range(d):
-                    if arow[cidx]:
-                        orow[cidx] = orow[cidx] + gs * arow[cidx]
-    return centralizer_dim_in_m(S, ad) == S.rank_a
+    coeffs = (ONE,) + _to_scalar(gamma)
+    ad_m = [la.combine(coeffs, [f_row] + [adv[r] for adv in basis._ad_e], ZERO)
+            for r, f_row in enumerate(basis._ad_f)]
+    return centralizer_dim_in_m(S, ad_m) == S.rank_a
 
 
 def section_fiber_match(structure: RealFormStructure, basis: SectionBasis,

@@ -135,6 +135,22 @@ def test_verify_single_form(capsys):
     assert "tds_relations" in checks or len(checks) >= 8
 
 
+def test_verify_json_reports_seconds(capsys):
+    code, payload = run_json(capsys, "verify", "sl_r:n=2", "--samples", "2")
+    assert code == 0
+    for r in payload["results"]:
+        assert isinstance(r["seconds"], (int, float)), r
+        assert r["seconds"] >= 0, r
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_is_a_usage_error(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "sl_r:n=2", "--samples", samples])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_verify_text_output(capsys):
     code = main(["verify", "sl_r:n=2", "--samples", "3"])
     out = capsys.readouterr().out
@@ -171,16 +187,37 @@ def test_size_bound_respected(monkeypatch, capsys):
     assert "error" in err
 
 
-def test_zero_denominator_gamma_is_a_usage_error():
-    # run as a separate process so a leaked exception shows as a traceback
+def _cli_env():
     src = str(Path(hkr.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_zero_denominator_gamma_is_a_usage_error():
+    # run as a separate process so a leaked exception shows as a traceback
     proc = subprocess.run(
         [sys.executable, "-m", "hkr.cli", "section", "sl_r:n=2",
          "--gamma", "1/0"],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=_cli_env(), timeout=300)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["table1"],
+                                  ["verify", "sl_r:n=2", "--samples", "2",
+                                   "--json"]])
+def test_closed_pipe_has_no_traceback(argv):
+    # the reader is gone before the first write, as after `| head -1`
+    proc = subprocess.Popen([sys.executable, "-m", "hkr.cli"] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=_cli_env())
+    proc.stdout.close()
+    try:
+        err = proc.communicate(timeout=300)[1]
+    finally:
+        proc.kill()
+    assert "Traceback" not in err
+    assert proc.returncode == 1

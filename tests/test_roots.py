@@ -13,6 +13,7 @@ from hkr.catalog import (build, form_id, standard_forms, form_display,
                          reference_restricted_type, reference_reduced_type,
                          reference_rank)
 from hkr.errors import NonRationalSpectrum
+from hkr.verify import _ORACLE_LABELS
 
 
 def data_for(family, **kw):
@@ -125,6 +126,75 @@ def test_molien_degrees_match_invariant_degrees(label):
     assert len(w) == rt.weyl_order_reference(label)
     rank = len(simples)
     assert rt.molien_degrees(w, rank) == rt.invariant_degrees(label)
+
+
+def _full_product_weyl_group(simples, pair):
+    """Reference closure: every product s_i w as a full r x r matrix product."""
+    r = len(simples)
+    cart = rt.cartan_matrix(simples, pair)
+    gens = []
+    for i in range(r):
+        m = [[1 if x == y else 0 for y in range(r)] for x in range(r)]
+        for j in range(r):
+            m[i][j] -= int(cart[j][i])
+        gens.append(tuple(tuple(row) for row in m))
+    ident = tuple(tuple(1 if x == y else 0 for y in range(r)) for x in range(r))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for w in frontier:
+            for g in gens:
+                prod = tuple(
+                    tuple(sum(g[x][k] * w[k][y] for k in range(r))
+                          for y in range(r))
+                    for x in range(r))
+                if prod not in seen:
+                    seen.add(prod)
+                    new.append(prod)
+        frontier = new
+    return sorted(seen)
+
+
+def _per_element_molien_series(wmats, order):
+    """Reference sum: one charpoly and one series inverse per element."""
+    total = [Fraction(0)] * order
+    for w in wmats:
+        p = la.charpoly_frac([[Fraction(e) for e in row] for row in w])
+        inv = la.poly_inv_trunc(list(reversed(p)), order)
+        for k in range(order):
+            total[k] += inv[k]
+    n = Fraction(len(wmats))
+    return [c / n for c in total]
+
+
+@pytest.mark.parametrize("label", _ORACLE_LABELS)
+def test_weyl_group_matches_full_product_closure(label):
+    simples, pair = rt.abstract_simple_system(label)
+    assert rt.weyl_group(simples, pair) == \
+        _full_product_weyl_group(simples, pair)
+
+
+@pytest.mark.parametrize("label", _ORACLE_LABELS)
+def test_molien_series_matches_per_element_sum(label):
+    simples, pair = rt.abstract_simple_system(label)
+    w = rt.weyl_group(simples, pair)
+    order = 4 * len(simples) + 6
+    assert rt.molien_series(w, order) == _per_element_molien_series(w, order)
+
+
+def test_molien_series_takes_one_charpoly_per_polynomial(monkeypatch):
+    simples, pair = rt.abstract_simple_system("F4")
+    w = rt.weyl_group(simples, pair)
+    distinct = {tuple(la.charpoly_frac([[Fraction(e) for e in row]
+                                        for row in x])) for x in w}
+    calls = []
+    real = la.charpoly_frac
+    monkeypatch.setattr(la, "charpoly_frac",
+                        lambda a: calls.append(a) or real(a))
+    rt.molien_series(w, 22)
+    assert len(w) == 1152
+    assert len(calls) == len(distinct) == 17
 
 
 def test_cartan_matrix_b2():
