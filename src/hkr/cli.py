@@ -3,8 +3,14 @@
 Verbs: list, describe, hkr, section, dims, table1, lemma73, verify.
 All output is either human-readable text or, with --json, a stable schema
 tagged with "schema": 1 whose scalar entries use the same grammar that
-parse_scalar accepts.  Exit codes: 0 success, 1 verification failure
-(or stdout closed early, as by ``| head``), 2 usage error.
+parse_scalar accepts.  Exit codes:
+
+- 0: success;
+- 1: a verification failure, a typed ``HkrError`` from the construction
+  (``error: <Type>: <msg>``), an internal fault of any other type
+  (``error: internal: <Type>: <msg>``, no traceback), or stdout closed
+  early, as by ``| head``;
+- 2: a usage error: bad arguments, ``InvalidParams`` or ``SizeBound``.
 """
 
 from __future__ import annotations
@@ -364,11 +370,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (InvalidParams, SizeBound, ValueError) as exc:
+    except (InvalidParams, SizeBound) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except HkrError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print("error: internal: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
         return 1
 
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from . import roots as rt
 from . import triples as tp
 from .algebra import RealFormStructure
-from .errors import AmbiguousCohomology, RouteDisagreement
+from .errors import AmbiguousCohomology, InvalidParams, RouteDisagreement
 
 _F0 = Fraction(0)
 
@@ -31,11 +31,11 @@ class CurveContext:
 
     def __post_init__(self):
         if self.genus < 2:
-            raise ValueError("genus must be at least 2")
+            raise InvalidParams("genus must be at least 2")
         if self.L_is_canonical and self.d_L != 2 * self.genus - 2:
-            raise ValueError("canonical L must have degree 2g - 2")
+            raise InvalidParams("canonical L must have degree 2g - 2")
         if self.L_is_trivial and self.d_L != 0:
-            raise ValueError("trivial L must have degree 0")
+            raise InvalidParams("trivial L must have degree 0")
 
     @staticmethod
     def canonical(genus: int) -> "CurveContext":
@@ -258,7 +258,7 @@ def split_openness_test(analysis: FormAnalysis, ctx: CurveContext
 
 def component_count(n_cosets: int, genus: int) -> int:
     if n_cosets < 1:
-        raise ValueError("the coset count must be a positive integer")
+        raise InvalidParams("the coset count must be a positive integer")
     return n_cosets * 2 ** (2 * genus)
 
 

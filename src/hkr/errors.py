@@ -5,8 +5,9 @@ class HkrError(Exception):
     """Base class for all package-specific failures."""
 
 
-class InvalidParams(HkrError):
-    """Form parameters outside the supported ranges."""
+class InvalidParams(HkrError, ValueError):
+    """User input outside the supported ranges: form parameters, curve data,
+    sample counts.  A ValueError too, so callers may catch either."""
 
 
 class SizeBound(HkrError):

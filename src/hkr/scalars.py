@@ -1,20 +1,34 @@
 """Exact scalars: Gaussian rationals extended by real square roots of integers.
 
-A value is a finite sum ``sum_r (a_r + b_r*i) * sqrt(r)`` over square-free
-positive integers r with rational a_r, b_r; the term r = 1 is the rational
-part.  Values are immutable and always kept canonical: radicands square-free,
-no zero terms.  This field is closed under the four operations and under
-complex conjugation, which is all the rest of the package needs.
+A value is a finite sum ``sum_r (a_r + b_r*i) * sqrt(r) / d`` over square-free
+positive integers r, with integer numerators a_r, b_r and one positive integer
+denominator d; the term r = 1 is the rational part.  This is the integral
+representation of a number-field element over a common denominator (Cohen,
+*A Course in Computational Algebraic Number Theory*, section 4.2).  Values
+are immutable and always kept canonical: radicands square-free, no zero
+pairs, and gcd(d, all a_r, all b_r) = 1, so equal values have equal fields.
+Sums and products therefore need only integer arithmetic and one gcd pass,
+and a rational operand only scales the numerators.
+
+The inverse goes through the conjugates.  Q(i, sqrt(p_1), ..., sqrt(p_k)), for
+the primes p_j dividing the radicands of x, has the automorphisms i -> -i and
+sqrt(p_j) -> -sqrt(p_j).  Taking each sigma in turn, c = sigma(z), P *= c,
+z *= c makes z fixed by sigma and keeps it fixed by the earlier ones (the
+group is abelian), so at the end z = N(x) is rational and x^-1 = P / N(x).
+
+This field is closed under the four operations and under complex
+conjugation, which is all the rest of the package needs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from functools import lru_cache
+from math import gcd
+from typing import Dict, Tuple
 
-Rat = Fraction
 _R0 = Fraction(0)
-_R1 = Fraction(1)
+_Z2 = (0, 0)
 
 Coef = Tuple[Fraction, Fraction]  # re, im
 
@@ -38,33 +52,56 @@ def _squarefree_split(n: int) -> Tuple[int, int]:
     return s * n, k
 
 
-def _merge_radicands(r: int, s: int) -> Tuple[int, int]:
-    """sqrt(r)*sqrt(s) = k*sqrt(t) for square-free r, s; returns (t, k)."""
-    import math
+@lru_cache(maxsize=256)
+def _primes_of(r: int) -> Tuple[int, ...]:
+    """The prime factors of a square-free radicand, ascending."""
+    out = []
+    p = 2
+    while p * p <= r:
+        if r % p == 0:
+            out.append(p)
+            r //= p
+        p += 1
+    if r > 1:
+        out.append(r)
+    return tuple(out)
 
-    g = math.gcd(r, s)
-    return (r // g) * (s // g), g
+
+def _reduced(t: Dict[int, Tuple[int, int]], d: int, g: int) -> "Scalar":
+    """The Scalar t / d in lowest terms, where any factor common to d and
+    all of t's numerators divides g; t has no zero pairs."""
+    if g != 1:
+        for a, b in t.values():
+            g = gcd(g, a, b)
+            if g == 1:
+                break
+        else:
+            t = {r: (a // g, b // g) for r, (a, b) in t.items()}
+            d //= g
+    return _make(t, d)
 
 
 class Scalar:
     """An element of Q(i, sqrt(r_1), sqrt(r_2), ...), canonical and immutable."""
 
-    __slots__ = ("_t", "_hash")
+    __slots__ = ("_t", "_d", "_hash")
 
-    def __init__(self, terms: Dict[int, Coef], _canonical: bool = False):
-        if not _canonical:
-            clean: Dict[int, Coef] = {}
-            for r, (a, b) in terms.items():
-                s, k = _squarefree_split(r)
-                if k != 1:
-                    a, b = a * k, b * k
-                if s in clean:
-                    pa, pb = clean[s]
-                    a, b = pa + a, pb + b
-                clean[s] = (a, b)
-            terms = {r: c for r, c in clean.items() if c[0] or c[1]}
-        object.__setattr__(self, "_t", terms)
-        object.__setattr__(self, "_hash", None)
+    def __init__(self, terms: Dict[int, Coef]):
+        """The sum of (a + b*i) * sqrt(r) over rational pairs, any radicands."""
+        clean: Dict[int, Coef] = {}
+        for r, (a, b) in terms.items():
+            s, k = _squarefree_split(r)
+            pa, pb = clean.get(s, (_R0, _R0))
+            clean[s] = (pa + a * k, pb + b * k)
+        d = 1
+        for a, b in clean.values():
+            for q in (a.denominator, b.denominator):
+                d = d * q // gcd(d, q)
+        t = {r: (int(a * d), int(b * d)) for r, (a, b) in clean.items() if a or b}
+        x = _reduced(t, d, d) if t else ZERO
+        _T(self, x._t)
+        _D(self, x._d)
+        _H(self, None)
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
@@ -75,15 +112,15 @@ class Scalar:
     def of(x) -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        if isinstance(x, (int, Fraction)):
-            f = Fraction(x)
-            return Scalar({1: (f, _R0)} if f else {}, _canonical=True)
+        if isinstance(x, int):
+            return _make({1: (x, 0)}, 1) if x else ZERO
+        if isinstance(x, Fraction):
+            return _make({1: (x.numerator, 0)}, x.denominator) if x else ZERO
         raise TypeError("cannot coerce %r to Scalar" % (x,))
 
     @staticmethod
     def gaussian(re, im) -> "Scalar":
-        re, im = Fraction(re), Fraction(im)
-        return Scalar({1: (re, im)} if (re or im) else {}, _canonical=True)
+        return Scalar({1: (Fraction(re), Fraction(im))})
 
     @staticmethod
     def sqrt(q) -> "Scalar":
@@ -95,8 +132,8 @@ class Scalar:
             return ZERO
         # sqrt(p/q) = sqrt(p*q)/q, then pull out the square part.
         s, k = _squarefree_split(q.numerator * q.denominator)
-        coeff = Fraction(k, q.denominator)
-        return Scalar({s: (coeff, _R0)}, _canonical=True)
+        c = Fraction(k, q.denominator)
+        return _make({s: (c.numerator, 0)}, c.denominator)
 
     # --- predicates and views -----------------------------------------
 
@@ -104,46 +141,53 @@ class Scalar:
         return not self._t
 
     def is_rational(self) -> bool:
-        return not self._t or (len(self._t) == 1 and 1 in self._t and not self._t[1][1])
+        t = self._t
+        return not t or (len(t) == 1 and 1 in t and not t[1][1])
 
     def as_fraction(self) -> Fraction:
         if not self._t:
             return _R0
         if self.is_rational():
-            return self._t[1][0]
+            return Fraction(self._t[1][0], self._d)
         raise ValueError("not rational: %s" % (self,))
 
     def radicands(self) -> Tuple[int, ...]:
         return tuple(sorted(self._t))
 
     def terms(self) -> Dict[int, Coef]:
-        return dict(self._t)
+        d = self._d
+        return {r: (Fraction(a, d), Fraction(b, d)) for r, (a, b) in self._t.items()}
 
     # --- arithmetic -----------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
-        other = Scalar.of(other)
-        if not self._t:
+        if other.__class__ is not Scalar:
+            other = Scalar.of(other)
+        ta, tb = self._t, other._t
+        if not ta:
             return other
-        if not other._t:
+        if not tb:
             return self
-        t = dict(self._t)
-        for r, (a, b) in other._t.items():
-            if r in t:
-                pa, pb = t[r]
-                na, nb = pa + a, pb + b
-                if na or nb:
-                    t[r] = (na, nb)
-                else:
-                    del t[r]
-            else:
+        da, db = self._d, other._d
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        t = dict(ta) if ma == 1 else {r: (a * ma, b * ma) for r, (a, b) in ta.items()}
+        for r, (c, e) in tb.items():
+            a, b = t.get(r, _Z2)
+            a, b = a + c * mb, b + e * mb
+            if a or b:
                 t[r] = (a, b)
-        return Scalar(t, _canonical=True)
+            else:
+                del t[r]
+        if not t:
+            return ZERO
+        # a common factor of the sum and its denominator divides gcd(da, db)
+        return _reduced(t, da * ma, g)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({r: (-a, -b) for r, (a, b) in self._t.items()}, _canonical=True)
+        return _make({r: (-a, -b) for r, (a, b) in self._t.items()}, self._d)
 
     def __sub__(self, other) -> "Scalar":
         return self + (-Scalar.of(other))
@@ -152,69 +196,87 @@ class Scalar:
         return Scalar.of(other) + (-self)
 
     def __mul__(self, other) -> "Scalar":
-        other = Scalar.of(other)
+        if other.__class__ is not Scalar:
+            if isinstance(other, int):
+                return self._scaled(other, 1)
+            if isinstance(other, Fraction):
+                return self._scaled(other.numerator, other.denominator)
+            other = Scalar.of(other)
         ta, tb = self._t, other._t
         if not ta or not tb:
             return ZERO
-        acc: Dict[int, Coef] = {}
-        for r, (a, b) in ta.items():
-            for s, (c, d) in tb.items():
-                if r == s:
-                    t, k = 1, r
-                elif r == 1:
-                    t, k = s, 1
-                elif s == 1:
-                    t, k = r, 1
-                else:
-                    t, k = _merge_radicands(r, s)
-                re = a * c - b * d
-                im = a * d + b * c
-                if k != 1:
-                    re, im = re * k, im * k
-                if t in acc:
-                    pa, pb = acc[t]
-                    acc[t] = (pa + re, pb + im)
-                else:
-                    acc[t] = (re, im)
-        return Scalar({r: c for r, c in acc.items() if c[0] or c[1]}, _canonical=True)
+        if len(tb) == 1 and 1 in tb and not tb[1][1]:
+            return self._scaled(tb[1][0], other._d)
+        if len(ta) == 1 and 1 in ta and not ta[1][1]:
+            return other._scaled(ta[1][0], self._d)
+        if len(tb) > len(ta):
+            ta, tb = tb, ta
+        acc: Dict[int, Tuple[int, int]] = {}
+        for s, (c, e) in tb.items():
+            for r, (a, b) in ta.items():
+                # sqrt(r) * sqrt(s) = k * sqrt(t)
+                k = gcd(r, s)
+                t = (r // k) * (s // k)
+                re, im = (a * c - b * e) * k, (a * e + b * c) * k
+                pa, pb = acc.get(t, _Z2)
+                acc[t] = (pa + re, pb + im)
+        if len(tb) > 1:  # one term of tb maps the radicands one to one
+            acc = {r: c for r, c in acc.items() if c[0] or c[1]}
+            if not acc:
+                return ZERO
+        d = self._d * other._d
+        return _reduced(acc, d, d)
 
     __rmul__ = __mul__
 
+    def _scaled(self, p: int, q: int) -> "Scalar":
+        """self * p/q for p/q in lowest terms with q > 0."""
+        t = self._t
+        if not p or not t:
+            return ZERO
+        if q == 1 and p == 1:
+            return self
+        d = self._d
+        g = gcd(p, d)
+        if g != 1:
+            p //= g
+            d //= g
+        h = 1
+        if q != 1:
+            # the numerators' common factor with q cancels against q
+            h = q
+            for a, b in t.values():
+                h = gcd(h, a, b)
+                if h == 1:
+                    break
+        if h == 1:
+            return _make({r: (a * p, b * p) for r, (a, b) in t.items()}, d * q)
+        return _make({r: (a // h * p, b // h * p) for r, (a, b) in t.items()},
+                     d * (q // h))
+
     def conj(self) -> "Scalar":
-        return Scalar({r: (a, -b) for r, (a, b) in self._t.items()}, _canonical=True)
+        return _make({r: (a, -b) for r, (a, b) in self._t.items()}, self._d)
 
     def inv(self) -> "Scalar":
-        """Multiplicative inverse, by a linear solve over the radical basis."""
-        if not self._t:
+        """Multiplicative inverse, as the product of conjugates over the norm."""
+        t = self._t
+        if not t:
             raise ZeroDivisionError("inverse of zero Scalar")
-        if self.is_rational():
-            a = self._t[1][0]
-            return Scalar({1: (1 / a, _R0)}, _canonical=True)
-        if len(self._t) == 1 and 1 in self._t:
-            a, b = self._t[1]
-            n = a * a + b * b
-            return Scalar({1: (a / n, -b / n)}, _canonical=True)
-        basis = _radical_closure(self.radicands())
-        index = {r: j for j, r in enumerate(basis)}
-        m = len(basis)
-        # Column j of M holds the coefficients (over the radical basis) of
-        # self * sqrt(basis[j]); solve M x = e_{index[1]}.
-        cols = []
-        for r in basis:
-            prod = self * Scalar({r: (_R1, _R0)}, _canonical=True)
-            col = [(_R0, _R0)] * m
-            for s, c in prod._t.items():
-                col[index[s]] = c
-            cols.append(col)
-        rhs = [(_R0, _R0)] * m
-        rhs[index[1]] = (_R1, _R0)
-        x = _solve_gaussian(cols, rhs, m)
-        out: Dict[int, Coef] = {}
-        for j, r in enumerate(basis):
-            if x[j][0] or x[j][1]:
-                out[r] = x[j]
-        result = Scalar(out, _canonical=True)
-        return result
+        p = ONE
+        z = self
+        if any(b for _, b in t.values()):
+            c = z.conj()
+            p, z = c, z * c
+        for q in sorted({q for r in t for q in _primes_of(r)}):
+            if any(r % q == 0 for r in z._t):
+                c = _make({r: (-a, -b) if r % q == 0 else (a, b)
+                           for r, (a, b) in z._t.items()}, z._d)
+                p, z = p * c, z * c
+        # z = N(self) is rational now: self^-1 = p * z._d / z's numerator
+        if not z.is_rational():
+            raise ArithmeticError("norm of %s is not rational" % (self,))
+        n = z._t[1][0]
+        return p._scaled(z._d, n) if n > 0 else p._scaled(-z._d, -n)
 
     def __truediv__(self, other) -> "Scalar":
         return self * Scalar.of(other).inv()
@@ -236,17 +298,25 @@ class Scalar:
     # --- identity -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Scalar):
+            return self._d == other._d and self._t == other._t
         if isinstance(other, (int, Fraction)):
-            other = Scalar.of(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self._t == other._t
+            t = self._t
+            if not other:
+                return not t
+            return (self._d == other.denominator and len(t) == 1
+                    and t.get(1) == (other.numerator, 0))
+        return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._t.items()))
-            object.__setattr__(self, "_hash", h)
+            if self.is_rational():
+                # equal to an int or a Fraction, so hash like it
+                h = hash(self.as_fraction())
+            else:
+                h = hash((self._d, frozenset(self._t.items())))
+            _H(self, h)
         return h
 
     def __bool__(self) -> bool:
@@ -261,50 +331,19 @@ class Scalar:
         return "Scalar(%s)" % format_scalar(self)
 
 
-def _solve_gaussian(cols, rhs, m):
-    """Solve sum_j x_j * cols[j] = rhs over Q(i); columns are coefficient lists."""
-    aug = [[cols[j][i] for j in range(m)] + [rhs[i]] for i in range(m)]
-    for p in range(m):
-        pivot = next((r for r in range(p, m) if aug[r][p] != (_R0, _R0)), None)
-        if pivot is None:
-            raise ArithmeticError("singular system in Scalar.inv")
-        aug[p], aug[pivot] = aug[pivot], aug[p]
-        pa, pb = aug[p][p]
-        nrm = pa * pa + pb * pb
-        inv = (pa / nrm, -pb / nrm)
-        aug[p] = [_cmul(e, inv) for e in aug[p]]
-        for r in range(m):
-            if r != p and aug[r][p] != (_R0, _R0):
-                f = aug[r][p]
-                aug[r] = [(e[0] - f[0] * q[0] + f[1] * q[1], e[1] - f[0] * q[1] - f[1] * q[0])
-                          for e, q in zip(aug[r], aug[p])]
-    return [aug[i][m] for i in range(m)]
+_T = Scalar._t.__set__
+_D = Scalar._d.__set__
+_H = Scalar._hash.__set__
+_new = object.__new__
 
 
-def _cmul(x: Coef, y: Coef) -> Coef:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _radical_closure(rads: Iterable[int]) -> Tuple[int, ...]:
-    """Multiplicative closure of square-free radicands (always contains 1)."""
-    group = {1}
-    frontier = [r for r in rads if r != 1]
-    for r in frontier:
-        if r in group:
-            continue
-        new = {_merge_radicands(r, g)[0] for g in group}
-        group |= new
-        # products of new elements among themselves
-        stable = False
-        while not stable:
-            stable = True
-            for x in list(group):
-                for y in list(group):
-                    t, _ = _merge_radicands(x, y)
-                    if t not in group:
-                        group.add(t)
-                        stable = False
-    return tuple(sorted(group))
+def _make(t: Dict[int, Tuple[int, int]], d: int) -> Scalar:
+    """A Scalar from canonical integer pairs over the denominator d."""
+    x = _new(Scalar)
+    _T(x, t)
+    _D(x, d)
+    _H(x, None)
+    return x
 
 
 # --- parsing and printing ---------------------------------------------------
@@ -318,8 +357,9 @@ def format_scalar(x: Scalar) -> str:
     if x.is_zero():
         return "0"
     pieces = []  # (negative?, unsigned text)
+    terms = x.terms()
     for r in x.radicands():
-        a, b = x.terms()[r]
+        a, b = terms[r]
         tail = "" if r == 1 else "sqrt(%d)" % r
         if a:
             mag = abs(a)
@@ -394,10 +434,9 @@ def _parse_factor(s: str, pos: int) -> Tuple[Scalar, int]:
             raise ScalarParseError("unterminated sqrt()")
         body = s[pos + 5:end]
         try:
-            rad = Fraction(body)
+            return Scalar.sqrt(Fraction(body)), end + 1
         except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarParseError("bad radicand %r" % body) from exc
-        return Scalar.sqrt(rad), end + 1
+            raise ScalarParseError("bad radicand %r: %s" % (body, exc)) from exc
     if s[pos] == "i" and (pos + 1 == len(s) or not s[pos + 1].isalnum()):
         return I, pos + 1
     j = pos
@@ -412,7 +451,6 @@ def _parse_factor(s: str, pos: int) -> Tuple[Scalar, int]:
     return Scalar.of(q), j
 
 
-ZERO = Scalar({}, _canonical=True)
-ONE = Scalar({1: (_R1, _R0)}, _canonical=True)
-I = Scalar({1: (_R0, _R1)}, _canonical=True)
-
+ZERO = _make({}, 1)
+ONE = _make({1: (1, 0)}, 1)
+I = _make({1: (0, 1)}, 1)

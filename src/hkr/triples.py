@@ -17,8 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg as la
 from . import roots as rt
 from .algebra import RealFormStructure
-from .errors import (ConstructionFailure, GradingFailure, MismatchWithTable,
-                     NoSolution, NonUnique, RelationFailure, RouteDisagreement)
+from .errors import (ConstructionFailure, GradingFailure, InvalidParams,
+                     MismatchWithTable, NoSolution, NonUnique, RelationFailure,
+                     RouteDisagreement)
 from .scalars import Scalar, ZERO, ONE, I
 
 _F0 = Fraction(0)
@@ -534,8 +535,8 @@ def section_basis(structure: RealFormStructure, triple: NormalTriple,
 
 def section_point(basis: SectionBasis, gamma: Sequence) -> Tuple[Scalar, ...]:
     if len(gamma) != len(basis.e_list):
-        raise ValueError("expected %d coefficients, got %d"
-                         % (len(basis.e_list), len(gamma)))
+        raise InvalidParams("expected %d coefficients, got %d"
+                            % (len(basis.e_list), len(gamma)))
     return tuple(_partial_point(basis, gamma))
 
 
@@ -791,7 +792,7 @@ def so_star_lemma_report(n: int) -> LemmaReport:
     from . import catalog
 
     if n not in (3, 5):
-        raise ValueError("the explicit matrices exist for n in {3, 5}")
+        raise InvalidParams("the explicit matrices exist for n in {3, 5}")
     S = catalog.build(catalog.form_id("so_star", n=n))
     notes: List[str] = []
     a_mats = S.a_basis()

@@ -21,7 +21,7 @@ from . import dimensions as dm
 from . import linalg as la
 from . import roots as rt
 from . import triples as tp
-from .errors import HkrError
+from .errors import HkrError, InvalidParams
 from .scalars import Scalar, ZERO, ONE
 
 NEG_ONE = Scalar.of(-1)
@@ -287,9 +287,19 @@ def _check_lemma(an: dm.FormAnalysis) -> Optional[str]:
     return "scalar %s" % rep.y_scalar if rep.y_scalar is not None else None
 
 
+def _require_counts(samples: int, fiber_samples: int, conjugators: int
+                    ) -> None:
+    """A sampling check that draws nothing proves nothing: each count is >= 1."""
+    for what, count in (("samples", samples), ("fiber_samples", fiber_samples),
+                        ("conjugators", conjugators)):
+        if count < 1:
+            raise InvalidParams("%s must be at least 1, got %d" % (what, count))
+
+
 def verify_form(fid, seed: int = 0, samples: int = 100,
                 fiber_samples: int = 25, conjugators: int = 20
                 ) -> List[CheckResult]:
+    _require_counts(samples, fiber_samples, conjugators)
     name = catalog.form_display(fid)
     try:
         S = catalog.build(fid)

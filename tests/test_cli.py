@@ -9,7 +9,12 @@ from pathlib import Path
 import pytest
 
 import hkr
+from hkr import catalog
+from hkr import dimensions as dm
+from hkr import linalg as la
+from hkr import triples as tp
 from hkr.cli import main
+from hkr.errors import InvalidParams
 from hkr.scalars import parse_scalar
 
 
@@ -165,6 +170,39 @@ def test_exit_code_usage_errors(capsys):
     assert main(["section", "sl_r:n=2", "--gamma", "1,2,3"]) == 2
     assert main(["verify"]) == 2
     capsys.readouterr()
+
+
+def test_radicand_below_zero_is_a_usage_error(capsys):
+    assert main(["section", "sl_r:n=2", "--gamma", "sqrt(-2)"]) == 2
+    assert "error: bad --gamma entry" in capsys.readouterr().err
+
+
+def test_internal_fault_exits_one_without_traceback(monkeypatch, capsys):
+    # a ValueError from inside the library is a fault, not a usage error
+    def faulty(fid):
+        la.rational_roots([0])
+
+    monkeypatch.setattr(catalog, "build", faulty)
+    assert main(["describe", "sl_r:n=2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: internal: ValueError: zero polynomial\n"
+
+
+def test_user_input_guards_raise_invalid_params():
+    # typed for the CLI's exit code 2, and still ValueErrors for callers
+    S = catalog.build(catalog.form_id("sl_R", n=2))
+    triple = tp.normal_triple(tp.build_tds(S))
+    basis = tp.section_basis(S, triple, tp.module_decomposition(S, triple))
+    guards = [lambda: dm.CurveContext(1, 0),
+              lambda: dm.CurveContext(2, 3, L_is_canonical=True),
+              lambda: dm.CurveContext(2, 1, L_is_trivial=True),
+              lambda: dm.component_count(0, 2),
+              lambda: tp.section_point(basis, [1, 2]),
+              lambda: tp.so_star_lemma_report(4)]
+    for guard in guards:
+        with pytest.raises(InvalidParams):
+            guard()
+    assert issubclass(InvalidParams, ValueError)
 
 
 def test_section_has_no_genus_option(capsys):

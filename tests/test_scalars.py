@@ -1,5 +1,6 @@
 """Field axioms and frozen values for the scalar tower Q(i, sqrt(r))."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -116,3 +117,203 @@ def test_parse_rejects_zero_denominators():
     for bad in ("1/0", "sqrt(1/0)", "2*(3/0)", "1 + 1/0*i"):
         with pytest.raises(ScalarParseError):
             parse_scalar(bad)
+
+
+# --- hash contract -------------------------------------------------------------
+
+def test_rational_scalars_hash_like_their_value():
+    assert len({Scalar.of(1), 1}) == 1
+    assert len({Scalar.of(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({ZERO, 0, Fraction(0)}) == 1
+    assert {Scalar.of(-3): "x"}[-3] == "x"
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalars(), scalars())
+def test_equal_scalars_hash_equal(a, b):
+    for x, y in ((a, (a + b) - b), (a, (a * b) / b if b else a), (a, b)):
+        if x == y:
+            assert hash(x) == hash(y)
+    if a.is_rational():
+        assert hash(a) == hash(a.as_fraction())
+
+
+# --- differential oracle ---------------------------------------------------------
+#
+# _RefScalar is the earlier representation, kept as an independent reference:
+# one Fraction pair per radicand, and the inverse by a Gaussian-rational linear
+# solve over the radical basis.  The Scalar under test stores integer
+# numerators over one denominator and inverts through conjugates.
+
+def _ref_merge(r, s):
+    g = math.gcd(r, s)
+    return (r // g) * (s // g), g
+
+
+class _RefScalar:
+    def __init__(self, terms):
+        self.t = {r: (Fraction(a), Fraction(b))
+                  for r, (a, b) in terms.items() if a or b}
+
+    @staticmethod
+    def term(re, im, r):
+        return _RefScalar({r: (re, im)})
+
+    def __add__(self, other):
+        t = dict(self.t)
+        for r, (a, b) in other.t.items():
+            pa, pb = t.get(r, (0, 0))
+            t[r] = (pa + a, pb + b)
+        return _RefScalar(t)
+
+    def __neg__(self):
+        return _RefScalar({r: (-a, -b) for r, (a, b) in self.t.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        acc = {}
+        for r, (a, b) in self.t.items():
+            for s, (c, d) in other.t.items():
+                t, k = _ref_merge(r, s)
+                pa, pb = acc.get(t, (0, 0))
+                acc[t] = (pa + (a * c - b * d) * k, pb + (a * d + b * c) * k)
+        return _RefScalar(acc)
+
+    def conj(self):
+        return _RefScalar({r: (a, -b) for r, (a, b) in self.t.items()})
+
+    def inv(self):
+        basis = _ref_radical_closure(self.t)
+        index = {r: j for j, r in enumerate(basis)}
+        m = len(basis)
+        cols = []
+        for r in basis:
+            prod = self * _RefScalar.term(1, 0, r)
+            col = [(Fraction(0), Fraction(0))] * m
+            for s, c in prod.t.items():
+                col[index[s]] = c
+            cols.append(col)
+        rhs = [(Fraction(0), Fraction(0))] * m
+        rhs[index[1]] = (Fraction(1), Fraction(0))
+        x = _ref_solve_gaussian(cols, rhs, m)
+        return _RefScalar({r: x[j] for j, r in enumerate(basis)})
+
+    def __eq__(self, other):
+        return self.t == other.t
+
+
+def _ref_cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_solve_gaussian(cols, rhs, m):
+    zero = (Fraction(0), Fraction(0))
+    aug = [[cols[j][i] for j in range(m)] + [rhs[i]] for i in range(m)]
+    for p in range(m):
+        pivot = next(r for r in range(p, m) if aug[r][p] != zero)
+        aug[p], aug[pivot] = aug[pivot], aug[p]
+        pa, pb = aug[p][p]
+        nrm = pa * pa + pb * pb
+        aug[p] = [_ref_cmul(e, (pa / nrm, -pb / nrm)) for e in aug[p]]
+        for r in range(m):
+            if r != p and aug[r][p] != zero:
+                f = aug[r][p]
+                aug[r] = [(e[0] - f[0] * q[0] + f[1] * q[1],
+                           e[1] - f[0] * q[1] - f[1] * q[0])
+                          for e, q in zip(aug[r], aug[p])]
+    return [aug[i][m] for i in range(m)]
+
+
+def _ref_radical_closure(rads):
+    group = {1}
+    for r in rads:
+        group |= {_ref_merge(r, g)[0] for g in group}
+    return tuple(sorted(group))
+
+
+def _ref_format(x):
+    if not x.t:
+        return "0"
+    pieces = []
+    for r in sorted(x.t):
+        a, b = x.t[r]
+        tail = "" if r == 1 else "sqrt(%d)" % r
+        if a:
+            mag = abs(a)
+            if tail and mag == 1:
+                body = tail
+            elif tail:
+                body = "%s*%s" % (mag, tail)
+            else:
+                body = str(mag)
+            pieces.append((a < 0, body))
+        if b:
+            mag = abs(b)
+            head = "i" if mag == 1 else "%s*i" % mag
+            pieces.append((b < 0, head + ("*" + tail if tail else "")))
+    out = ("-" if pieces[0][0] else "") + pieces[0][1]
+    for neg, body in pieces[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
+
+
+oracle_radicands = st.sampled_from([1, 2, 3, 5, 6, 10, 15, 30])
+
+
+@st.composite
+def scalar_pairs(draw):
+    """The same element as a Scalar and as a _RefScalar, up to 4 terms."""
+    n_terms = draw(st.integers(min_value=0, max_value=4))
+    new, ref = ZERO, _RefScalar({})
+    for _ in range(n_terms):
+        re, im = draw(fractions), draw(fractions)
+        rad = draw(oracle_radicands)
+        new = new + Scalar.gaussian(re, im) * Scalar.sqrt(rad)
+        ref = ref + _RefScalar.term(re, im, rad)
+    return new, ref
+
+
+def _assert_canonical(x):
+    d, t = x._d, x._t
+    assert isinstance(d, int) and d > 0
+    assert all(isinstance(v, int) for pair in t.values() for v in pair)
+    assert all(a or b for a, b in t.values()), "zero pair"
+    assert math.gcd(d, *(v for pair in t.values() for v in pair)) == 1
+    assert all(r % (k * k) for r in t for k in range(2, r + 1)), "square factor"
+
+
+def _assert_same(x, ref):
+    _assert_canonical(x)
+    assert x.terms() == ref.t
+    assert format_scalar(x) == _ref_format(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_pairs(), scalar_pairs())
+def test_differential_against_reference(pa, pb):
+    (a, ra), (b, rb) = pa, pb
+    _assert_same(a, ra)
+    _assert_same(a + b, ra + rb)
+    _assert_same(a - b, ra - rb)
+    _assert_same(a * b, ra * rb)
+    _assert_same(a.conj(), ra.conj())
+    _assert_same(-a, -ra)
+    assert (a == b) == (ra == rb)
+    assert (a - b == ZERO) == (ra == rb)
+    if b:
+        _assert_same(b.inv(), rb.inv())
+        _assert_same(a / b, ra * rb.inv())
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_pairs(), fractions)
+def test_differential_rational_operands(pa, q):
+    a, ra = pa
+    rq = _RefScalar.term(q, 0, 1)
+    _assert_same(a * q, ra * rq)
+    _assert_same(q * a, ra * rq)
+    _assert_same(a + q, ra + rq)
+    if q:
+        _assert_same(a / q, ra * rq.inv())

@@ -1,9 +1,11 @@
 """The verification runner: a fault in one check never hides the others."""
 
+import pytest
+
 from hkr import catalog
 from hkr import triples as tp
 from hkr import verify as vf
-from hkr.errors import ConstructionFailure
+from hkr.errors import ConstructionFailure, InvalidParams
 
 
 def test_unexpected_exception_fails_only_its_check(monkeypatch):
@@ -55,3 +57,20 @@ def test_section_basis_fault_fails_each_sampling_check(monkeypatch):
             "ConstructionFailure: planted section fault", check
     others = [r for r in results if r.check not in _SAMPLING_CHECKS]
     assert all(r.ok for r in others), [r.line() for r in others if not r.ok]
+
+
+@pytest.mark.parametrize("counts", [(-3, 0, 0), (0, 1, 1), (2, 0, 1),
+                                    (2, 1, 0)])
+def test_sample_counts_below_one_are_rejected(monkeypatch, counts):
+    # a sampling check that draws nothing must not report a pass
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built a form for an invalid count")
+
+    monkeypatch.setattr(catalog, "build", unreachable)
+    samples, fiber_samples, conjugators = counts
+    with pytest.raises(InvalidParams):
+        vf.verify_form(catalog.form_id("sl_R", n=2), seed=0, samples=samples,
+                       fiber_samples=fiber_samples, conjugators=conjugators)
+    with pytest.raises(InvalidParams):
+        vf.verify_all(seed=0, samples=samples, fiber_samples=fiber_samples,
+                      conjugators=conjugators)
