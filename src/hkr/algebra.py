@@ -67,6 +67,21 @@ def _sparse_bracket(x: Dict[Tuple[int, int], Scalar],
     return {k: v for k, v in acc.items() if v}
 
 
+def _real_entries(x: Dict[Tuple[int, int], Scalar], n: int
+                  ) -> Optional[Dict[int, Fraction]]:
+    """The nonzero real coordinates of a sparse n x n matrix, indexed as
+    ``flatten_real`` lays them out; None if an entry lies outside Q(i)."""
+    out: Dict[int, Fraction] = {}
+    for (r, c), e in x.items():
+        parts = e.gaussian_parts()
+        if parts is None:
+            return None
+        for part, y in enumerate(parts):
+            if y:
+                out[2 * (r * n + c) + part] = y
+    return out
+
+
 def _sparse_trace_product(x: Dict[Tuple[int, int], Scalar],
                           y: Dict[Tuple[int, int], Scalar]) -> Scalar:
     acc = ZERO
@@ -80,11 +95,10 @@ def _sparse_trace_product(x: Dict[Tuple[int, int], Scalar],
 def invariant_form(x: Mat, y: Mat) -> Fraction:
     """B(X, Y) = Re tr(XY); rational for matrices over Q(i)."""
     t = la.trace(la.mmul(x, y))
-    terms = t.terms()
-    for r in terms:
-        if r != 1:
-            raise ConstructionFailure("trace form left Q(i): %s" % t)
-    return terms.get(1, (_F0, _F0))[0]
+    parts = t.gaussian_parts()
+    if parts is None:
+        raise ConstructionFailure("trace form left Q(i): %s" % t)
+    return parts[0]
 
 
 def flatten_real(x: Mat) -> List[Fraction]:
@@ -92,13 +106,10 @@ def flatten_real(x: Mat) -> List[Fraction]:
     out: List[Fraction] = []
     for row in x:
         for e in row:
-            terms = e.terms()
-            for r in terms:
-                if r != 1:
-                    raise NotInAlgebra("matrix entry outside Q(i): %s" % e)
-            a, b = terms.get(1, (_F0, _F0))
-            out.append(a)
-            out.append(b)
+            parts = e.gaussian_parts()
+            if parts is None:
+                raise NotInAlgebra("matrix entry outside Q(i): %s" % e)
+            out.extend(parts)
     return out
 
 
@@ -109,11 +120,18 @@ def _field(vectors: Sequence[Sequence]):
     return _F0, _F1
 
 
-def _span_kernel(space: Sequence[Sequence], images: Sequence[Sequence],
-                 zero, one) -> List[tuple]:
-    """Basis of the vectors sum c_i space[i] with sum c_i images[i] = 0."""
-    combos = la.kernel_right([list(r) for r in zip(*images)], len(space),
-                             zero, one)
+def _span_kernel(space: Sequence[Sequence], images: Sequence[dict],
+                 length: int, zero, one) -> List[tuple]:
+    """Basis of the vectors sum c_i space[i] with sum c_i images[i] = 0.
+
+    Each image is a {index: nonzero} dict over `length` coordinates; the
+    system has one sparse row per coordinate.
+    """
+    rows: List[dict] = [{} for _ in range(length)]
+    for c, image in enumerate(images):
+        for r, x in image.items():
+            rows[r][c] = x
+    combos = la.kernel_right(rows, len(space), zero, one)
     return [tuple(la.combine(c, space, zero)) for c in combos]
 
 
@@ -133,7 +151,9 @@ class RealFormStructure:
     dim_m: int = field(init=False)
     gram: Tuple[Tuple[Fraction, ...], ...] = field(init=False, repr=False)
     theta_signs: Tuple[int, ...] = field(init=False, repr=False)
-    struct: List[List[Tuple[Fraction, ...]]] = field(init=False, repr=False)
+    # struct[i] lists (j, k, c) for every nonzero coefficient c of basis[k]
+    # in [basis[i], basis[j]], ordered by j then k
+    struct: List[List[Tuple[int, int, Fraction]]] = field(init=False, repr=False)
 
     def __post_init__(self):
         d = len(self.basis)
@@ -188,25 +208,26 @@ class RealFormStructure:
         self._real_solve = solve
 
     def _build_struct(self):
+        """Each bracket of two basis matrices, taken from their sparse
+        entries straight to real coordinates and solved for its nonzero
+        coefficients."""
         d = self.dim
         sparse = [_sparse_entries(m) for m in self.basis]
         self._sparse_basis = sparse
-        zero_row = tuple([_F0] * d)
-        self.struct = [[zero_row] * d for _ in range(d)]
+        table: List[List[Tuple[int, int, Fraction]]] = [[] for _ in range(d)]
         for i in range(d):
             for j in range(i + 1, d):
-                br = _sparse_bracket(sparse[i], sparse[j])
-                dense = [[ZERO] * self.n for _ in range(self.n)]
-                for (r, c), v in br.items():
-                    dense[r][c] = v
-                try:
-                    cij = self.real_coords_of(tuple(tuple(row) for row in dense))
-                except NotInAlgebra as exc:
+                flat = _real_entries(_sparse_bracket(sparse[i], sparse[j]),
+                                     self.n)
+                cij = None if flat is None else self._real_solve(flat)
+                if cij is None:
                     raise ConstructionFailure(
                         "%s: bracket of basis %d, %d leaves the algebra" %
-                        (self.name, i, j)) from exc
-                self.struct[i][j] = cij
-                self.struct[j][i] = tuple(-x for x in cij)
+                        (self.name, i, j))
+                for k in sorted(cij):
+                    table[i].append((j, k, cij[k]))
+                    table[j].append((i, k, -cij[k]))
+        self.struct = table
 
     def _gram_and_signs(self):
         d = self.dim
@@ -214,11 +235,10 @@ class RealFormStructure:
         for i in range(d):
             for j in range(i, d):
                 t = _sparse_trace_product(self._sparse_basis[i], self._sparse_basis[j])
-                terms = t.terms()
-                for r in terms:
-                    if r != 1:
-                        raise ConstructionFailure("%s: trace form left Q(i)" % self.name)
-                v = terms.get(1, (_F0, _F0))[0]
+                parts = t.gaussian_parts()
+                if parts is None:
+                    raise ConstructionFailure("%s: trace form left Q(i)" % self.name)
+                v = parts[0]
                 g[i][j] = v
                 g[j][i] = v
         self.gram = tuple(tuple(row) for row in g)
@@ -239,9 +259,8 @@ class RealFormStructure:
 
     def _check_a(self):
         for i in self.a_indices:
-            for j in self.a_indices:
-                if any(self.struct[i][j]):
-                    raise ConstructionFailure("%s: a is not abelian" % self.name)
+            if any(j in self.a_indices for j, _, _ in self.struct[i]):
+                raise ConstructionFailure("%s: a is not abelian" % self.name)
         cm = self.centralizer_frac([self.unit_coords(i) for i in self.a_indices],
                                    within=self.m_indices)
         if len(cm) != self.rank_a:
@@ -279,38 +298,35 @@ class RealFormStructure:
 
     def matrix_of(self, coords: Sequence) -> Mat:
         out = [[ZERO] * self.n for _ in range(self.n)]
-        for c, m in zip(coords, self.basis):
+        for c, entries in zip(coords, self._sparse_basis):
             if c:
                 cs = c if isinstance(c, Scalar) else Scalar.of(c)
-                for i in range(self.n):
-                    row = m[i]
-                    orow = out[i]
-                    for j in range(self.n):
-                        if row[j]:
-                            orow[j] = orow[j] + cs * row[j]
+                for (i, j), e in entries.items():
+                    out[i][j] = out[i][j] + cs * e
         return tuple(tuple(row) for row in out)
 
     # --- operations in coordinates ------------------------------------------
 
+    def _bracket(self, u: Dict[int, object], v: Dict[int, object]
+                 ) -> Dict[int, object]:
+        """[u, v] on {index: nonzero} coordinates, as such a dict."""
+        out: Dict[int, object] = {}
+        for i, ui in u.items():
+            for j, k, c in self.struct[i]:
+                vj = v.get(j)
+                if vj is not None:
+                    t = ui * vj * c
+                    x = out.get(k)
+                    out[k] = t if x is None else x + t
+        return {k: x for k, x in out.items() if x}
+
     def bracket_coords(self, u: Sequence, v: Sequence) -> tuple:
-        d = self.dim
+        """Coordinates of [u, v]; Scalar entries if u or v has any."""
         scalar = (any(isinstance(x, Scalar) for x in u)
                   or any(isinstance(x, Scalar) for x in v))
-        out = [ZERO if scalar else _F0] * d
-        for i in range(d):
-            ui = u[i]
-            if not ui:
-                continue
-            row = self.struct[i]
-            for j in range(d):
-                vj = v[j]
-                if not vj:
-                    continue
-                c = row[j]
-                f = ui * vj
-                for k in range(d):
-                    if c[k]:
-                        out[k] = out[k] + f * c[k]
+        out = [ZERO if scalar else _F0] * self.dim
+        for k, x in self._bracket(la.sparse(u), la.sparse(v)).items():
+            out[k] = Scalar.of(x) if scalar else x
         return tuple(out)
 
     def ad_frac(self, i: int) -> List[List[Fraction]]:
@@ -319,7 +335,9 @@ class RealFormStructure:
         cached = self._ad_frac_cache.get(i)
         if cached is None:
             d = self.dim
-            cached = [[self.struct[i][j][k] for j in range(d)] for k in range(d)]
+            cached = [[_F0] * d for _ in range(d)]
+            for j, k, c in self.struct[i]:
+                cached[k][j] = c
             self._ad_frac_cache[i] = cached
         return cached
 
@@ -330,15 +348,10 @@ class RealFormStructure:
         zero = ZERO if scalar else _F0
         out = [[zero] * d for _ in range(d)]
         for i, ui in enumerate(u):
-            if not ui:
-                continue
-            adi = self.ad_frac(i)
-            for r in range(d):
-                row = adi[r]
-                orow = out[r]
-                for c in range(d):
-                    if row[c]:
-                        orow[c] = orow[c] + ui * row[c]
+            if ui:
+                for j, k, c in self.struct[i]:
+                    row = out[k]
+                    row[j] = row[j] + ui * c
         return out
 
     def theta_coords(self, u: Sequence) -> tuple:
@@ -367,10 +380,17 @@ class RealFormStructure:
         elements the whole span comes back.
         """
         zero, one = _field(list(elements) + list(space))
-        ad_cols = [list(zip(*self.ad_matrix(e))) for e in elements]
-        images = [[x for cols in ad_cols for x in la.combine(v, cols, zero)]
-                  for v in space]
-        return _span_kernel(space, images, zero, one)
+        d = self.dim
+        sparse_elements = [la.sparse(e) for e in elements]
+        images = []
+        for v in space:
+            sv = la.sparse(v)
+            image = {}
+            for q, e in enumerate(sparse_elements):
+                for k, x in self._bracket(e, sv).items():
+                    image[q * d + k] = x
+            images.append(image)
+        return _span_kernel(space, images, len(elements) * d, zero, one)
 
     def theta_split(self, vectors: Sequence[Sequence]
                     ) -> Tuple[List[tuple], List[tuple]]:
@@ -380,10 +400,10 @@ class RealFormStructure:
         exactly when the span is theta-stable, which callers check.
         """
         zero, one = _field(vectors)
-        h_part = _span_kernel(vectors, [[v[j] for j in self.m_indices]
-                                        for v in vectors], zero, one)
-        m_part = _span_kernel(vectors, [[v[j] for j in self.h_indices]
-                                        for v in vectors], zero, one)
+        m_coords = [la.sparse([v[j] for j in self.m_indices]) for v in vectors]
+        h_coords = [la.sparse([v[j] for j in self.h_indices]) for v in vectors]
+        h_part = _span_kernel(vectors, m_coords, self.dim_m, zero, one)
+        m_part = _span_kernel(vectors, h_coords, self.dim_h, zero, one)
         return h_part, m_part
 
     def centralizer_frac(self, elements: Sequence[Sequence[Fraction]],
@@ -419,13 +439,13 @@ class RealFormStructure:
                             ) -> la.Subspace:
         """Smallest bracket-closed rational subspace containing the generators."""
         space = la.Subspace([list(g) for g in gens])
-        frontier = [tuple(r) for r in space.rows]
+        frontier = [la.sparse(r) for r in space.rows]
         while frontier:
             new_vecs = []
-            current = [tuple(r) for r in space.rows]
+            current = [la.sparse(r) for r in space.rows]
             for u in frontier:
                 for v in current:
-                    w = self.bracket_coords(u, v)
+                    w = self._bracket(u, v)
                     if space.add(w):
                         new_vecs.append(w)
             frontier = new_vecs

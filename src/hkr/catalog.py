@@ -367,14 +367,7 @@ class _Conditions:
                 self.add([(self.im(r, c), _F1)])
 
     def solve(self) -> List[la.Mat]:
-        ncols = 2 * self.n * self.n
-        dense = []
-        for row in self.rows:
-            v = [_F0] * ncols
-            for k, val in row.items():
-                v[k] += val
-            dense.append(v)
-        kern = la.kernel_right(dense, ncols, _F0, _F1)
+        kern = la.kernel_right(self.rows, 2 * self.n * self.n, _F0, _F1)
         mats = []
         for vec in kern:
             m = [[ZERO] * self.n for _ in range(self.n)]

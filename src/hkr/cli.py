@@ -259,11 +259,14 @@ def cmd_lemma73(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    counts = dict(samples=args.samples,
+                  fiber_samples=min(vf.FIBER_SAMPLES, args.samples),
+                  conjugators=min(vf.CONJUGATORS, args.samples))
     if args.all:
-        results = vf.verify_all(seed=args.seed, samples=args.samples)
+        results = vf.verify_all(seed=args.seed, **counts)
     elif args.form:
         fid = catalog.parse_form(args.form)
-        results = vf.verify_form(fid, seed=args.seed, samples=args.samples)
+        results = vf.verify_form(fid, seed=args.seed, **counts)
         results += vf.verify_global(seed=args.seed)
     else:
         raise InvalidParams("verify needs a form or --all")
@@ -350,7 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("form", nargs="?")
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=_positive_int, default=100)
+    sp.add_argument("--samples", type=_positive_int, default=100, metavar="N",
+                    help="N regularity samples and injectivity pairs per "
+                         "form, and at most N of the %d fiber targets and "
+                         "%d conjugators (default 100)"
+                         % (vf.FIBER_SAMPLES, vf.CONJUGATORS))
     add_json(sp)
     sp.set_defaults(fn=cmd_verify)
 

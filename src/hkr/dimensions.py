@@ -32,6 +32,10 @@ class CurveContext:
     def __post_init__(self):
         if self.genus < 2:
             raise InvalidParams("genus must be at least 2")
+        if self.d_L < 0:
+            # the closed form of the base dimension assumes deg L >= 0
+            raise InvalidParams("degree of L must be at least 0, got %d"
+                                % self.d_L)
         if self.L_is_canonical and self.d_L != 2 * self.genus - 2:
             raise InvalidParams("canonical L must have degree 2g - 2")
         if self.L_is_trivial and self.d_L != 0:

@@ -1,14 +1,17 @@
-"""Exact dense linear algebra over Fraction or Scalar entries.
+"""Exact linear algebra over Fraction or Scalar entries, on sparse rows.
 
 Everything here is field-generic: entries only need +, -, *, /, unary -, and
-truthiness (zero test).  Matrices are tuples of tuples; vectors are tuples.
-Row reduction keeps full reduced echelon form so membership and coordinates
-come out of the same machinery.
+truthiness (zero test).  Matrices are tuples of tuples; vectors are tuples
+or lists.  Row reduction keeps full reduced echelon form so membership and
+coordinates come out of the same machinery, and it keeps each echelon row as
+a {column: nonzero} dict, so its work grows with the nonzero entries, not
+with the width of the rows; vectors may be passed in that sparse form too.
 
 The shared idioms the other modules build on, each written once here:
 
-- ``Subspace``: a span kept in reduced echelon form, grown one vector at a
-  time by ``add``, the one row reduction; ``rref`` and ``rank`` read it;
+- ``Subspace``: a span kept in reduced echelon form on sparse rows, grown
+  one vector at a time by ``add``, the one row reduction; ``rref`` and
+  ``rank`` read it;
 - ``coords_solver``: coefficients of a vector over an independent list, or
   None outside its span (a ``Subspace`` of the vectors beside unit vectors);
 - ``combine``: the linear combination sum_i c_i v_i;
@@ -118,61 +121,114 @@ def mat_pow(a: Mat, k: int) -> Mat:
 
 # --- row reduction -------------------------------------------------------------
 
+def sparse(vec) -> dict:
+    """The {index: entry} dict of a vector's nonzero entries.
+
+    A vector is a dense sequence or already such a dict (its zero entries,
+    if any, are dropped).
+    """
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {j: e for j, e in items if e}
+
+
+def _sub_multiple(target: dict, c, row: dict) -> None:
+    """target -= c * row on {index: nonzero} dicts, dropping what cancels."""
+    for j, e in row.items():
+        x = target.get(j)
+        if x is None:
+            target[j] = -(c * e)
+        else:
+            x = x - c * e
+            if x:
+                target[j] = x
+            else:
+                del target[j]
+
+
 class Subspace:
     """Row-span subspace over an exact field, kept in reduced echelon form.
 
-    ``add`` is the library's one row reduction: ``rref``, ``rank``,
-    ``kernel_right``, ``solve_right`` and ``coords_solver`` all read from it.
+    Each echelon row is stored sparse, as {column: nonzero entry}, so a
+    reduction touches only nonzero entries.  Vectors come in dense or as
+    such dicts (see ``sparse``).  ``add`` is the library's one row
+    reduction: ``rref``, ``rank``, ``kernel_right``, ``solve_right`` and
+    ``coords_solver`` all read from it.
     """
 
-    __slots__ = ("rows", "pivots")
+    __slots__ = ("pivots", "_at", "_ncols", "_zero")
 
-    def __init__(self, vectors: Sequence[Sequence] = ()):
-        self.rows: List[list] = []
+    def __init__(self, vectors: Sequence = ()):
         self.pivots: List[int] = []
+        self._at: dict = {}  # pivot column -> its sparse echelon row
+        self._ncols = 0
+        self._zero = None
         for v in vectors:
             self.add(v)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce(self, vec: Sequence) -> list:
-        """Residual of vec after reduction against the subspace."""
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(p, len(v)):
-                    if row[j]:
-                        v[j] = v[j] - c * row[j]
+    @property
+    def rows(self) -> List[list]:
+        """The echelon rows in pivot order, as fresh dense lists filled with
+        the field's zero, as wide as the widest vector added (a dict counts
+        up to its last nonzero column)."""
+        out = []
+        for p in self.pivots:
+            dense = [self._zero] * self._ncols
+            for j, e in self._at[p].items():
+                dense[j] = e
+            out.append(dense)
+        return out
+
+    def _residual(self, v: dict) -> dict:
+        """Reduce the sparse v in place.  The rows vanish on each other's
+        pivots, so the pivots to clear are those v holds at the start."""
+        at = self._at
+        for p in [j for j in v if j in at]:
+            _sub_multiple(v, v[p], at[p])
         return v
 
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
+    def reduce(self, vec):
+        """Residual of vec after reduction against the subspace: a dense list
+        for a dense vec, a {column: nonzero} dict for a dict."""
+        v = self._residual(sparse(vec))
+        if isinstance(vec, dict):
+            return v
+        if not self._at:
+            return list(vec)
+        out = [self._zero] * len(vec)
+        for j, e in v.items():
+            out[j] = e
+        return out
 
-    def add(self, vec: Sequence) -> bool:
+    def contains(self, vec) -> bool:
+        return not self._residual(sparse(vec))
+
+    def add(self, vec) -> bool:
         """Grow the span by vec; False (and no change) if vec is already in it.
 
         The new row goes in at its pivot position and its pivot column is
         cleared from the other rows, so the rows stay in reduced echelon
         form, which is unique: they equal the RREF of all vectors added.
         """
-        v = self.reduce(vec)
-        p = next((j for j, e in enumerate(v) if e), None)
-        if p is None:
+        v = self._residual(sparse(vec))
+        if not v:
             return False
+        p = min(v)
         inv = 1 / v[p]
-        row = [e * inv if e else e for e in v]
-        for r in self.rows:
-            f = r[p]
-            if f:
-                for j in range(p, len(r)):
-                    if row[j]:
-                        r[j] = r[j] - f * row[j]
-        k = bisect(self.pivots, p)
-        self.rows.insert(k, row)
-        self.pivots.insert(k, p)
+        row = {j: e * inv for j, e in v.items()}
+        for r in self._at.values():
+            f = r.get(p)
+            if f is not None:
+                _sub_multiple(r, f, row)
+        self._at[p] = row
+        self.pivots.insert(bisect(self.pivots, p), p)
+        width = max(v) + 1 if isinstance(vec, dict) else len(vec)
+        self._ncols = max(self._ncols, width)
+        if self._zero is None:
+            self._zero = row[p] - row[p]
         return True
 
 
@@ -189,20 +245,30 @@ def coords_solver(vectors: Sequence[Sequence], zero, one):
     """Coordinate map over linearly independent `vectors`, or None if dependent.
 
     The map sends v to the list c with sum_i c[i] * vectors[i] = v, or to None
-    when v lies outside their span.  It reduces [v | 0] against the echelon
-    form of the rows [vectors[i] | unit i]: what is left of the unit part is
-    -c.
+    when v lies outside their span; a v given as a {index: nonzero} dict gets
+    its c as such a dict.  It reduces v against the echelon form of the rows
+    [vectors[i] | unit i]: what is left of the unit part is -c.
     """
     k = len(vectors)
-    space = Subspace([list(v) + [one if j == i else zero for j in range(k)]
-                      for i, v in enumerate(vectors)])
-    if vectors and space.pivots[-1] >= len(vectors[0]):
+    n = len(vectors[0]) if vectors else 0
+    space = Subspace()
+    for i, v in enumerate(vectors):
+        row = sparse(v)
+        row[n + i] = one
+        space.add(row)
+    if vectors and space.pivots[-1] >= n:
         return None  # a pivot in the unit part: some combination vanishes
 
-    def solve(vec: Sequence) -> Optional[list]:
-        n = len(vec)
-        v = space.reduce(list(vec) + [zero] * k)
-        return None if any(v[:n]) else [-c if c else zero for c in v[n:]]
+    def solve(vec):
+        v = space._residual(sparse(vec))
+        if any(j < n for j in v):
+            return None
+        if isinstance(vec, dict):
+            return {j - n: -c for j, c in v.items()}
+        out = [zero] * k
+        for j, c in v.items():
+            out[j - n] = -c
+        return out
 
     return solve
 
@@ -228,10 +294,18 @@ def eigen_split(op: Sequence[Sequence], vecs: Sequence[Sequence],
     Whether the pieces exhaust the span is the caller's check.
     """
     k = len(vecs)
+    op_rows = [sparse(row) for row in op]
     out = []
     for ev in eigenvalues:
-        shifted = [[op[r][c] - (ev if r == c else zero) for c in range(k)]
-                   for r in range(k)]
+        shifted = []
+        for r, row in enumerate(op_rows):
+            row = dict(row)
+            x = row.get(r, zero) - ev
+            if x:
+                row[r] = x
+            else:
+                row.pop(r, None)
+            shifted.append(row)
         combos = kernel_right(shifted, k, zero, one)
         if combos:
             out.append((ev, [combine(c, vecs, zero) for c in combos]))
@@ -239,23 +313,31 @@ def eigen_split(op: Sequence[Sequence], vecs: Sequence[Sequence],
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    return Subspace(rows).dim
 
 
-def kernel_right(m_rows: Sequence[Sequence], ncols: int, zero, one) -> List[list]:
+def kernel_right(m_rows: Sequence, ncols: int, zero, one) -> List[list]:
     """Basis of {x : M x = 0} for M given as rows (map on column vectors).
 
-    `ncols` is the size of x, so a system with no rows has the whole space.
+    The rows are dense or {column: nonzero} dicts.  `ncols` is the size of
+    x, so a system with no rows has the whole space.  The basis vector of a
+    free column f is 1 at f and minus column f of the echelon rows at their
+    pivots.
     """
-    red, pivots = rref(m_rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
+    space = Subspace(m_rows)
+    at_free: dict = {}  # free column -> [(pivot, entry of that row)]
+    for p in space.pivots:
+        for j, e in space._at[p].items():
+            if j != p:
+                at_free.setdefault(j, []).append((p, e))
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in space._at:
+            continue
         v = [zero] * ncols
         v[f] = one
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
+        for p, e in at_free.get(f, ()):
+            v[p] = -e
         basis.append(v)
     return basis
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 _R0 = Fraction(0)
 _Z2 = (0, 0)
@@ -150,6 +150,16 @@ class Scalar:
         if self.is_rational():
             return Fraction(self._t[1][0], self._d)
         raise ValueError("not rational: %s" % (self,))
+
+    def gaussian_parts(self) -> Optional[Tuple[Fraction, Fraction]]:
+        """(re, im) when the value lies in Q(i), else None."""
+        t = self._t
+        if not t:
+            return _R0, _R0
+        if len(t) != 1 or 1 not in t:
+            return None
+        a, b = t[1]
+        return Fraction(a, self._d), Fraction(b, self._d)
 
     def radicands(self) -> Tuple[int, ...]:
         return tuple(sorted(self._t))

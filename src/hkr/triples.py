@@ -335,10 +335,10 @@ def maximal_split_subalgebra(structure: RealFormStructure,
         raise ConstructionFailure("%s: split subalgebra centralizer of a has "
                                   "dim %d" % (S.name, len(sub_data.centralizer)))
 
-    # z(ghat) = z(g) meet m
+    # z(ghat) = z(g) meet m; by the Jacobi identity whatever commutes with
+    # the generators commutes with the subalgebra they generate
     z_g, z_h, z_m = S.center_dims()
-    rows = [list(r) for r in space.rows]
-    z_sub = len(S.centralizer_in_span(rows, rows))
+    z_sub = len(S.centralizer_in_span(gens, space.rows))
     if z_sub != z_m:
         raise MismatchWithTable("%s: z(split sub) = %d but z(g) meet m = %d"
                                 % (S.name, z_sub, z_m))

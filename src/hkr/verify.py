@@ -287,6 +287,12 @@ def _check_lemma(an: dm.FormAnalysis) -> Optional[str]:
     return "scalar %s" % rep.y_scalar if rep.y_scalar is not None else None
 
 
+# default counts of the two costliest sampling checks: exact fiber matches
+# and conjugators, each far dearer than a regularity sample
+FIBER_SAMPLES = 25
+CONJUGATORS = 20
+
+
 def _require_counts(samples: int, fiber_samples: int, conjugators: int
                     ) -> None:
     """A sampling check that draws nothing proves nothing: each count is >= 1."""
@@ -297,8 +303,8 @@ def _require_counts(samples: int, fiber_samples: int, conjugators: int
 
 
 def verify_form(fid, seed: int = 0, samples: int = 100,
-                fiber_samples: int = 25, conjugators: int = 20
-                ) -> List[CheckResult]:
+                fiber_samples: int = FIBER_SAMPLES,
+                conjugators: int = CONJUGATORS) -> List[CheckResult]:
     _require_counts(samples, fiber_samples, conjugators)
     name = catalog.form_display(fid)
     try:
@@ -397,8 +403,9 @@ def verify_global(seed: int = 0) -> List[CheckResult]:
     ]
 
 
-def verify_all(seed: int = 0, samples: int = 100, fiber_samples: int = 25,
-               conjugators: int = 20) -> List[CheckResult]:
+def verify_all(seed: int = 0, samples: int = 100,
+               fiber_samples: int = FIBER_SAMPLES,
+               conjugators: int = CONJUGATORS) -> List[CheckResult]:
     results: List[CheckResult] = []
     fids = sorted(catalog.standard_forms(), key=catalog.form_display)
     for fid in fids:

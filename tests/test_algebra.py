@@ -6,11 +6,14 @@ restricted rank 1.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkr import linalg as la
-from hkr.algebra import bracket, invariant_form, theta_matrix
-from hkr.catalog import build, form_id
+from hkr.algebra import (RealFormStructure, bracket, invariant_form,
+                         theta_matrix)
+from hkr.catalog import build, form_id, standard_forms
+from hkr.errors import ConstructionFailure, NotInAlgebra
 from hkr.linalg import Subspace
 from hkr.scalars import I, Scalar
 
@@ -223,3 +226,76 @@ def test_center_kernel_stays_inside_cga(monkeypatch):
     # dim c_g(a) columns, never one per basis vector
     wide = [cols for rows, cols in shapes if rows > fresh.rank_a * fresh.dim]
     assert wide and max(wide) <= len(cga)
+
+
+# --- the sparse structure constants against matrix commutators -----------------
+
+def _oracle_forms():
+    return list(standard_forms()) + [form_id("sp2n_R", n=4)]
+
+
+def test_structure_constants_rebuild_every_commutator():
+    # sum_k c^k_ij basis_k against the commutator of the basis matrices
+    # themselves, pair by pair, on the 19 catalog forms and sp(8,R); the
+    # table holds both orders of each pair, so both are read
+    for fid in _oracle_forms():
+        T = build(fid)
+        for i in range(T.dim):
+            for j in range(i + 1, T.dim):
+                coeffs = T.bracket_coords(T.unit_coords(i), T.unit_coords(j))
+                assert T.bracket_coords(T.unit_coords(j), T.unit_coords(i)) \
+                    == tuple(-c for c in coeffs), (T.name, i, j)
+                total = la.zeros(T.n)
+                for c, m in zip(coeffs, T.basis):
+                    if c:
+                        total = la.madd(total, la.mscale(c, m))
+                assert la.mat_eq(total, la.commutator(T.basis[i], T.basis[j])), \
+                    (T.name, i, j)
+
+
+_ROOT2 = Scalar.sqrt(2)
+
+
+@st.composite
+def bracket_pairs(draw):
+    """Two coordinate vectors of su(1,2): rational, or over Q(i, sqrt 2)."""
+    u, v = draw(coord_vectors), draw(coord_vectors)
+    if draw(st.booleans()):
+        u2, v2 = draw(coord_vectors), draw(coord_vectors)
+        u = [Scalar.of(x) + (I + _ROOT2) * Scalar.of(y) for x, y in zip(u, u2)]
+        v = [Scalar.of(x) + I * _ROOT2 * Scalar.of(y) for x, y in zip(v, v2)]
+    return u, v
+
+
+@settings(max_examples=40, deadline=None)
+@given(bracket_pairs())
+def test_bracket_coords_match_the_matrix_commutator(pair):
+    u, v = pair
+    want = S.coords_of(la.commutator(S.matrix_of(u), S.matrix_of(v)))
+    assert tuple(Scalar.of(x) for x in S.bracket_coords(u, v)) == want
+    ad = S.ad_matrix(u)
+    applied = tuple(Scalar.of(sum((row[j] * v[j] for j in range(S.dim)),
+                                  Fraction(0))) for row in ad)
+    assert applied == want
+
+
+# --- guards on the basis and on coordinates -------------------------------------
+
+def test_basis_not_closed_under_bracket_is_rejected():
+    # diag(1, -1) and the symmetric swap span a theta-adapted m of sl(2, R),
+    # but their bracket lies in the missing compact part
+    a = la.mat([[1, 0], [0, -1]])
+    s = la.mat([[0, 1], [1, 0]])
+    with pytest.raises(ConstructionFailure,
+                       match="bracket of basis 0, 1 leaves the algebra"):
+        RealFormStructure(name="m only", family="test", params={}, n=2,
+                          basis=(a, s), dim_h=0, rank_a=1)
+
+
+def test_real_coords_reject_matrices_outside_the_real_span():
+    n = S.n
+    with pytest.raises(NotInAlgebra, match="not in the real span"):
+        S.real_coords_of(la.eye(n))  # not traceless
+    with pytest.raises(NotInAlgebra, match="outside Q"):
+        S.real_coords_of(la.mscale(_ROOT2, S.basis[0]))
+    assert S.real_coords_of(S.basis[3]) == S.unit_coords(3)

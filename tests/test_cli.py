@@ -148,6 +148,17 @@ def test_verify_json_reports_seconds(capsys):
         assert r["seconds"] >= 0, r
 
 
+def test_samples_caps_fiber_targets_and_conjugators(capsys):
+    code, payload = run_json(capsys, "verify", "sl_r:n=3", "--samples", "2")
+    assert code == 0
+    details = {r["check"]: r["detail"] for r in payload["results"]
+               if r["form"] == "sl(3,R)"}
+    targets, word = details["fiber_match"].split()
+    assert word == "targets" and 1 <= int(targets) <= 2
+    conjugators, word = details["invariance"].split()
+    assert word == "conjugators" and 1 <= int(conjugators) <= 2
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_samples_below_one_is_a_usage_error(capsys, samples):
     with pytest.raises(SystemExit) as exc:
@@ -259,3 +270,12 @@ def test_closed_pipe_has_no_traceback(argv):
         proc.kill()
     assert "Traceback" not in err
     assert proc.returncode == 1
+
+
+def test_negative_degree_of_L_is_a_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkr.cli", "dims", "sl_r:n=2", "--L", "deg:-3"],
+        capture_output=True, text=True, env=_cli_env(), timeout=300)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: degree of L must be at least 0, got -3\n"

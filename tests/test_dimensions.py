@@ -7,7 +7,7 @@ import pytest
 from hkr import dimensions as dm
 from hkr.algebra import RealFormStructure
 from hkr.catalog import build, form_id
-from hkr.errors import AmbiguousCohomology
+from hkr.errors import AmbiguousCohomology, InvalidParams
 
 
 _CACHE = {}
@@ -66,6 +66,13 @@ def test_curve_context_validation():
         dm.CurveContext(2, 1, L_is_trivial=True)
     assert dm.CurveContext.canonical(2).d_L == 2
     assert dm.CurveContext.trivial(3).d_L == 0
+
+
+def test_negative_degree_of_L_is_rejected():
+    # the closed form of the base dimension does not hold for deg L < 0
+    with pytest.raises(InvalidParams, match="got -3"):
+        dm.CurveContext.of_degree(2, -3)
+    assert dm.CurveContext.of_degree(2, 0).d_L == 0
 
 
 def test_h0_h1_canonical_table():

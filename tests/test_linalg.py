@@ -1,5 +1,6 @@
 """Exact linear algebra: characteristic polynomials, kernels, solves."""
 
+from bisect import bisect
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -183,6 +184,82 @@ def echelon_inputs(draw):
 @given(echelon_inputs())
 def test_rref_matches_column_sweep(rows):
     assert la.rref(rows) == _column_sweep_rref(rows)
+
+
+class _DenseSubspace:
+    """The dense-row echelon span that ``la.Subspace`` replaced, kept as an
+    oracle: every row is a full list and every reduction scans it."""
+
+    def __init__(self, vectors=()):
+        self.rows = []
+        self.pivots = []
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, vec):
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                for j in range(p, len(v)):
+                    if row[j]:
+                        v[j] = v[j] - c * row[j]
+        return v
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        p = next((j for j, e in enumerate(v) if e), None)
+        if p is None:
+            return False
+        inv = 1 / v[p]
+        row = [e * inv if e else e for e in v]
+        for r in self.rows:
+            f = r[p]
+            if f:
+                for j in range(p, len(r)):
+                    if row[j]:
+                        r[j] = r[j] - f * row[j]
+        k = bisect(self.pivots, p)
+        self.rows.insert(k, row)
+        self.pivots.insert(k, p)
+        return True
+
+    def kernel(self, ncols, zero, one):
+        basis = []
+        for f in range(ncols):
+            if f in self.pivots:
+                continue
+            v = [zero] * ncols
+            v[f] = one
+            for row, p in zip(self.rows, self.pivots):
+                v[p] = -row[f]
+            basis.append(v)
+        return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs())
+def test_sparse_subspace_matches_dense_rows(rows):
+    sparse, dense = la.Subspace(), _DenseSubspace()
+    for k, v in enumerate(rows):
+        # before v joins: the residual, dense and as a dict, and membership
+        assert sparse.reduce(v) == dense.reduce(v)
+        assert sparse.reduce(la.sparse(v)) == la.sparse(dense.reduce(v))
+        assert sparse.contains(v) == dense.contains(v)
+        assert sparse.add(v) == dense.add(v), k
+        assert sparse.rows == dense.rows
+        assert sparse.pivots == dense.pivots
+    if rows:
+        ncols = len(rows[0])
+        zero, one = (Fraction(0), Fraction(1)) if isinstance(rows[0][0], Fraction) \
+            else (ZERO, ONE)
+        want = dense.kernel(ncols, zero, one)
+        assert la.kernel_right(rows, ncols, zero, one) == want
+        assert la.kernel_right([la.sparse(r) for r in rows], ncols, zero,
+                               one) == want
 
 
 def test_symmetric_pivot_signs():
