@@ -149,10 +149,10 @@ class Subspace:
     """Row-span subspace over an exact field, kept in reduced echelon form.
 
     Each echelon row is stored sparse, as {column: nonzero entry}, so a
-    reduction touches only nonzero entries.  Vectors come in dense or as
-    such dicts (see ``sparse``).  ``add`` is the library's one row
-    reduction: ``rref``, ``rank``, ``kernel_right``, ``solve_right`` and
-    ``coords_solver`` all read from it.
+    reduction touches only nonzero entries.  ``add`` and ``contains`` take
+    vectors dense or as such dicts (see ``sparse``).  ``add`` is the
+    library's one row reduction: ``rref``, ``rank``, ``kernel_right``,
+    ``solve_right`` and ``coords_solver`` all read from it.
     """
 
     __slots__ = ("pivots", "_at", "_ncols", "_zero")
@@ -190,12 +190,9 @@ class Subspace:
             _sub_multiple(v, v[p], at[p])
         return v
 
-    def reduce(self, vec):
-        """Residual of vec after reduction against the subspace: a dense list
-        for a dense vec, a {column: nonzero} dict for a dict."""
+    def reduce(self, vec: Sequence) -> list:
+        """Residual of the dense vec after reduction against the subspace."""
         v = self._residual(sparse(vec))
-        if isinstance(vec, dict):
-            return v
         if not self._at:
             return list(vec)
         out = [self._zero] * len(vec)

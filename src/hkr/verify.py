@@ -287,8 +287,8 @@ def _check_lemma(an: dm.FormAnalysis) -> Optional[str]:
     return "scalar %s" % rep.y_scalar if rep.y_scalar is not None else None
 
 
-# default counts of the two costliest sampling checks: exact fiber matches
-# and conjugators, each far dearer than a regularity sample
+# default counts of the fiber_match targets and the invariance conjugators;
+# the CLI's --samples caps both
 FIBER_SAMPLES = 25
 CONJUGATORS = 20
 

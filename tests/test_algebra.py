@@ -230,15 +230,11 @@ def test_center_kernel_stays_inside_cga(monkeypatch):
 
 # --- the sparse structure constants against matrix commutators -----------------
 
-def _oracle_forms():
-    return list(standard_forms()) + [form_id("sp2n_R", n=4)]
-
-
 def test_structure_constants_rebuild_every_commutator():
     # sum_k c^k_ij basis_k against the commutator of the basis matrices
     # themselves, pair by pair, on the 19 catalog forms and sp(8,R); the
     # table holds both orders of each pair, so both are read
-    for fid in _oracle_forms():
+    for fid in standard_forms() + [form_id("sp2n_R", n=4)]:
         T = build(fid)
         for i in range(T.dim):
             for j in range(i + 1, T.dim):
@@ -293,9 +289,8 @@ def test_basis_not_closed_under_bracket_is_rejected():
 
 
 def test_real_coords_reject_matrices_outside_the_real_span():
-    n = S.n
     with pytest.raises(NotInAlgebra, match="not in the real span"):
-        S.real_coords_of(la.eye(n))  # not traceless
+        S.real_coords_of(la.eye(S.n))  # not traceless
     with pytest.raises(NotInAlgebra, match="outside Q"):
         S.real_coords_of(la.mscale(_ROOT2, S.basis[0]))
     assert S.real_coords_of(S.basis[3]) == S.unit_coords(3)
