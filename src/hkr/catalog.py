@@ -1,13 +1,25 @@
 """Classical real form constructors and static reference tables.
 
-Each family is realized as a space of matrices cut out by sparse real-linear
-conditions on the entries; the builder solves for the real span, splits it
-into theta eigenspaces, and places a hand-picked maximal abelian a first in
-the -1 part.  Form conventions: su(p,q) and so(p,q) use the diagonal
-Hermitian form diag(I_p, -I_q); sp(2n,R) uses the antidiagonal symplectic
-form; su*(2n) and sl(n,C) as a real algebra use J = [[0,-I],[I,0]]; so*(2n)
-uses the pair diag(I_n, -I_n), [[0,I_n],[I_n,0]].  These choices make the
-canonical a act with rational eigenvalues on the whole algebra.
+Each family is the real span of the complex square matrices X fixed by its
+defining data: the forms X preserves, the structures it intertwines and the
+traces it kills.  One routine turns these equations in X and conj(X) into
+sparse real-linear conditions on the entries and solves them; the builder
+splits the span into theta eigenspaces and places a hand-picked maximal
+abelian a first in the -1 part.  With K = diag(I_p, -I_q),
+J = [[0,-I],[I,0]], S = [[0,I],[I,0]] and W antidiagonal with
+W[i][2n-1-i] = 1 for i < n and -1 for i >= n:
+
+    sl(n,R)    X = conj(X), tr X = 0
+    su(p,q)    X* K + K X = 0, tr X = 0
+    sp(2n,R)   X = conj(X), X^T W + W X = 0
+    so(p,q)    X = conj(X), X^T K + K X = 0
+    su*(2n)    X J = J conj(X), tr X = 0
+    sp(p,q)    X^T J + J X = 0, X* K' + K' X = 0, K' = diag(K, K)
+    so*(2n)    X^T S + S X = 0, X* K + K X = 0, p = q = n
+    sl(n,C)    X = conj(X), X J = J X, tr X = tr J X = 0 (2n x 2n real)
+
+These choices make the canonical a act with rational eigenvalues on the
+whole algebra.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg as la
 from .algebra import RealFormStructure, flatten_real, theta_matrix
@@ -229,6 +241,8 @@ def reference_split_sub(fid: FormId) -> str:
 
 
 def reference_is_split(fid: FormId) -> bool:
+    if fid.family == "so_pq":  # the table writes so(r+1,r) as so(r,r+1)
+        return abs(fid.p - fid.q) <= 1
     return reference_split_sub(fid) == form_display(fid)
 
 
@@ -331,55 +345,7 @@ def standard_forms() -> List[FormId]:
     return out
 
 
-# --- condition assembly --------------------------------------------------------
-
-def _idx(n: int, r: int, c: int, part: int) -> int:
-    return 2 * (r * n + c) + part
-
-
-class _Conditions:
-    """Sparse real-linear conditions on the 2n^2 real matrix coordinates."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: List[Dict[int, Fraction]] = []
-
-    def add(self, pairs):
-        """Add one condition; pairs of (coordinate, coefficient) are summed,
-        so coincident coordinates (r = c cases) accumulate instead of clobber."""
-        acc: Dict[int, Fraction] = {}
-        items = pairs.items() if isinstance(pairs, dict) else pairs
-        for k, v in items:
-            acc[k] = acc.get(k, _F0) + v
-        acc = {k: v for k, v in acc.items() if v}
-        if acc:
-            self.rows.append(acc)
-
-    def re(self, r: int, c: int) -> int:
-        return _idx(self.n, r, c, 0)
-
-    def im(self, r: int, c: int) -> int:
-        return _idx(self.n, r, c, 1)
-
-    def all_real(self):
-        for r in range(self.n):
-            for c in range(self.n):
-                self.add([(self.im(r, c), _F1)])
-
-    def solve(self) -> List[la.Mat]:
-        kern = la.kernel_right(self.rows, 2 * self.n * self.n, _F0, _F1)
-        mats = []
-        for vec in kern:
-            m = [[ZERO] * self.n for _ in range(self.n)]
-            for r in range(self.n):
-                for c in range(self.n):
-                    a = vec[_idx(self.n, r, c, 0)]
-                    b = vec[_idx(self.n, r, c, 1)]
-                    if a or b:
-                        m[r][c] = Scalar.gaussian(a, b)
-            mats.append(tuple(tuple(row) for row in m))
-        return mats
-
+# --- defining data: the forms, structures and traces of each family ----------
 
 def _msum(n: int, entries: Sequence[Tuple[int, int, int]]) -> la.Mat:
     m = [[ZERO] * n for _ in range(n)]
@@ -388,156 +354,109 @@ def _msum(n: int, entries: Sequence[Tuple[int, int, int]]) -> la.Mat:
     return tuple(tuple(row) for row in m)
 
 
-def _conditions_for(fid: FormId) -> Tuple[_Conditions, List[la.Mat], int]:
-    """Returns (conditions, a_basis_matrices, expected_dim)."""
-    f = fid.family
+def _diag(signs: Sequence[int]) -> Dict[Tuple[int, int], int]:
+    return {(i, i): s for i, s in enumerate(signs)}
+
+
+def _preserves(form, star: bool):
+    """X^T W + W X = 0, or X* W + W X = 0 for a Hermitian W."""
+    return [(None, True, star, form), (form, False, False, None)]
+
+
+def _intertwines(form, conj: bool):
+    """X W = W conj(X), or X W = W X."""
+    return [(None, False, False, form),
+            ({k: -v for k, v in form.items()}, False, conj, None)]
+
+
+def _declare(fid: FormId, n: int):
+    """(equations, trace forms, a-basis matrices, expected dim) of the family."""
+    f, h = fid.family, n // 2
+    pq = [1] * fid.p + [-1] * fid.q if f in _PQ_FAMILIES else []
+    j_form = {**{(i, h + i): -1 for i in range(h)},
+              **{(h + i, i): 1 for i in range(h)}}  # [[0,-I],[I,0]]
+    real = _intertwines(_diag([1] * n), True)  # X = conj(X)
+    traceless = [_diag([1] * n)]  # tr X = 0
     if f == "sl_R":
-        n = fid.n
-        cond = _Conditions(n)
-        cond.all_real()
-        cond.add([(cond.re(r, r), _F1) for r in range(n)])
         a_mats = [_msum(n, [(i, i, 1), (i + 1, i + 1, -1)]) for i in range(n - 1)]
-        return cond, a_mats, n * n - 1
-
+        return [real], traceless, a_mats, n * n - 1
     if f == "su_pq":
-        p, q = fid.p, fid.q
-        n = p + q
-        sign = [1] * p + [-1] * q
-        cond = _Conditions(n)
-        for r in range(n):
-            for c in range(r, n):
-                # X* J + J X = 0 entrywise
-                cond.add([(cond.re(c, r), Fraction(sign[c])),
-                          (cond.re(r, c), Fraction(sign[r]))])
-                cond.add([(cond.im(c, r), Fraction(-sign[c])),
-                          (cond.im(r, c), Fraction(sign[r]))])
-        cond.add([(cond.im(r, r), _F1) for r in range(n)])
         a_mats = [_msum(n, [(i, n - 1 - i, 1), (n - 1 - i, i, 1)])
-                  for i in range(min(p, q))]
-        return cond, a_mats, n * n - 1
-
+                  for i in range(min(fid.p, fid.q))]
+        return [_preserves(_diag(pq), True)], traceless, a_mats, n * n - 1
     if f == "sp2n_R":
-        nn = fid.n
-        n = 2 * nn
-        omega = [1 if i < nn else -1 for i in range(n)]  # Omega[i][n-1-i]
-        cond = _Conditions(n)
-        cond.all_real()
-        for r in range(n):
-            for c in range(n):
-                sc, sr = n - 1 - c, n - 1 - r
-                cond.add([(cond.re(sc, r), Fraction(omega[sc])),
-                          (cond.re(sr, c), Fraction(omega[r]))])
+        omega = {(i, n - 1 - i): 1 if i < h else -1 for i in range(n)}
         a_mats = [_msum(n, [(i, i, 1), (n - 1 - i, n - 1 - i, -1)])
-                  for i in range(nn)]
-        return cond, a_mats, nn * (2 * nn + 1)
-
+                  for i in range(h)]
+        return [real, _preserves(omega, False)], [], a_mats, h * (n + 1)
     if f == "so_pq":
-        p, q = fid.p, fid.q
-        n = p + q
-        sign = [1] * p + [-1] * q
-        cond = _Conditions(n)
-        cond.all_real()
-        for r in range(n):
-            for c in range(r, n):
-                cond.add([(cond.re(c, r), Fraction(sign[c])),
-                          (cond.re(r, c), Fraction(sign[r]))])
+        p = fid.p
         a_mats = [_msum(n, [(i, p + i, 1), (p + i, i, 1)])
-                  for i in range(min(p, q))]
-        return cond, a_mats, n * (n - 1) // 2
-
-    if f == "su_star":
-        nn = fid.n
-        n = 2 * nn
-        cond = _Conditions(n)
-        for r in range(nn):
-            for c in range(nn):
-                # D = conj(A)
-                cond.add([(cond.re(nn + r, nn + c), _F1), (cond.re(r, c), -_F1)])
-                cond.add([(cond.im(nn + r, nn + c), _F1), (cond.im(r, c), _F1)])
-                # C = -conj(B)
-                cond.add([(cond.re(nn + r, c), _F1), (cond.re(r, nn + c), _F1)])
-                cond.add([(cond.im(nn + r, c), _F1), (cond.im(r, nn + c), -_F1)])
-        cond.add([(cond.re(r, r), _F1) for r in range(n)])
-        cond.add([(cond.im(r, r), _F1) for r in range(n)])
-        a_mats = [_msum(n, [(i, i, 1), (nn + i, nn + i, 1),
-                            (i + 1, i + 1, -1), (nn + i + 1, nn + i + 1, -1)])
-                  for i in range(nn - 1)]
-        return cond, a_mats, 4 * nn * nn - 1
-
+                  for i in range(min(p, fid.q))]
+        return [real, _preserves(_diag(pq), False)], [], a_mats, n * (n - 1) // 2
     if f == "sp_pq":
-        p, q = fid.p, fid.q
-        nn = p + q
-        n = 2 * nn
-        ksign = [1 if (r % nn) < p else -1 for r in range(n)]
-        cond = _Conditions(n)
-        # complex symplectic: Xt Omega + Omega X = 0, Omega = [[0,-I],[I,0]]
-        omega = [-1 if r < nn else 1 for r in range(n)]
-
-        def sig(r):
-            return (r + nn) % n
-
-        for r in range(n):
-            for c in range(n):
-                for part in (0, 1):
-                    cond.add([(_idx(n, sig(c), r, part), Fraction(omega[sig(c)])),
-                              (_idx(n, sig(r), c, part), Fraction(omega[r]))])
-        # unitary for K
-        for r in range(n):
-            for c in range(r, n):
-                cond.add([(cond.re(c, r), Fraction(ksign[c])),
-                          (cond.re(r, c), Fraction(ksign[r]))])
-                cond.add([(cond.im(c, r), Fraction(-ksign[c])),
-                          (cond.im(r, c), Fraction(ksign[r]))])
         a_mats = []
-        for i in range(min(p, q)):
-            j = nn - 1 - i
+        for i in range(min(fid.p, fid.q)):
+            j = h - 1 - i
             a_mats.append(_msum(n, [(i, j, 1), (j, i, 1),
-                                    (nn + i, nn + j, -1), (nn + j, nn + i, -1)]))
-        return cond, a_mats, nn * (2 * nn + 1)
-
+                                    (h + i, h + j, -1), (h + j, h + i, -1)]))
+        eqs = [_preserves(j_form, False), _preserves(_diag(pq + pq), True)]
+        return eqs, [], a_mats, h * (n + 1)
     if f == "so_star":
-        nn = fid.n
-        n = 2 * nn
-        cond = _Conditions(n)
-        ssign = [1 if r < nn else -1 for r in range(n)]
-
-        def sig(r):
-            return (r + nn) % n
-
-        # orthogonal for J: Xt J + J X = 0
-        for r in range(n):
-            for c in range(n):
-                for part in (0, 1):
-                    cond.add([(_idx(n, sig(c), r, part), _F1),
-                              (_idx(n, sig(r), c, part), _F1)])
-        # real form: -Ad(I_{n,n}) X* = X
-        for r in range(n):
-            for c in range(n):
-                s = Fraction(ssign[r] * ssign[c])
-                cond.add([(cond.re(r, c), _F1), (cond.re(c, r), s)])
-                cond.add([(cond.im(r, c), _F1), (cond.im(c, r), -s)])
+        s_form = {(i, (i + h) % n): 1 for i in range(n)}  # [[0,I],[I,0]]
         a_mats = []
-        for i in range(nn // 2):
-            j = nn - 1 - i
-            a_mats.append(_msum(n, [(i, nn + j, 1), (j, nn + i, -1),
-                                    (nn + i, j, -1), (nn + j, i, 1)]))
-        return cond, a_mats, nn * (2 * nn - 1)
-
+        for i in range(h // 2):
+            j = h - 1 - i
+            a_mats.append(_msum(n, [(i, h + j, 1), (j, h + i, -1),
+                                    (h + i, j, -1), (h + j, i, 1)]))
+        eqs = [_preserves(s_form, False),
+               _preserves(_diag([1] * h + [-1] * h), True)]
+        return eqs, [], a_mats, h * (n - 1)
+    a_mats = [_msum(n, [(i, i, 1), (h + i, h + i, 1), (i + 1, i + 1, -1),
+                        (h + i + 1, h + i + 1, -1)]) for i in range(h - 1)]
+    if f == "su_star":
+        return [_intertwines(j_form, True)], traceless, a_mats, n * n - 1
     # sl_C_as_real
-    nn = fid.n
-    n = 2 * nn
-    cond = _Conditions(n)
-    cond.all_real()
-    for r in range(nn):
-        for c in range(nn):
-            cond.add([(cond.re(nn + r, nn + c), _F1), (cond.re(r, c), -_F1)])
-            cond.add([(cond.re(r, nn + c), _F1), (cond.re(nn + r, c), _F1)])
-    cond.add([(cond.re(r, r), _F1) for r in range(nn)])
-    cond.add([(cond.re(nn + r, r), _F1) for r in range(nn)])
-    a_mats = [_msum(n, [(i, i, 1), (nn + i, nn + i, 1),
-                        (i + 1, i + 1, -1), (nn + i + 1, nn + i + 1, -1)])
-              for i in range(nn - 1)]
-    return cond, a_mats, 2 * (nn * nn - 1)
+    eqs = [real, _intertwines(j_form, False)]
+    return eqs, traceless + [j_form], a_mats, 2 * (h * h - 1)
+
+
+def _solve(n: int, equations, traces) -> List[la.Mat]:
+    """The real span of the complex n x n matrices X solving the equations.
+
+    An equation says that the sum of its terms P op(X) Q vanishes, a term
+    being (P, transpose, conj, Q) with op(X) transposed and conjugated as
+    flagged and None for an identity P or Q; a trace form P says
+    tr(P X) = 0.  Each entry of an equation, and each trace, is a
+    functional sum(a X_kl + b conj(X_kl)) with rational a, b, since the
+    forms are rational; its real and imaginary parts read a + b on
+    Re X_kl and a - b on Im X_kl, real coordinate 2(kn + l) and 2(kn + l) + 1.
+    """
+    eye = _diag([1] * n)
+    funcs: List[Dict[Tuple[int, int], List[int]]] = []
+    for terms in equations:
+        entries: Dict[Tuple[int, int], Dict[Tuple[int, int], List[int]]] = {}
+        for left, transpose, conj, right in terms:
+            for (i, k), u in (left or eye).items():
+                for (l, j), w in (right or eye).items():
+                    var = (l, k) if transpose else (k, l)
+                    ab = entries.setdefault((i, j), {}).setdefault(var, [0, 0])
+                    ab[conj] += u * w
+        funcs.extend(entries.values())
+    funcs.extend({(k, i): [u, 0] for (i, k), u in form.items()} for form in traces)
+    rows = []
+    for func in funcs:
+        for part, sign in ((0, 1), (1, -1)):
+            row = {2 * (k * n + l) + part: Fraction(a + sign * b)
+                   for (k, l), (a, b) in func.items() if a + sign * b}
+            if row:
+                rows.append(row)
+    mats = []
+    for vec in la.kernel_right(rows, 2 * n * n, _F0, _F1):
+        ents = [Scalar.gaussian(a, b) if a or b else ZERO
+                for a, b in zip(vec[::2], vec[1::2])]
+        mats.append(tuple(tuple(ents[r * n:(r + 1) * n]) for r in range(n)))
+    return mats
 
 
 def build(fid: FormId) -> RealFormStructure:
@@ -547,8 +466,8 @@ def build(fid: FormId) -> RealFormStructure:
     if n > bound:
         raise SizeBound("matrix size %d exceeds bound %d (set HKR_MAX_DIM to raise)"
                         % (n, bound))
-    cond, a_mats, expect_dim = _conditions_for(fid)
-    mats = cond.solve()
+    equations, traces, a_mats, expect_dim = _declare(fid, n)
+    mats = _solve(n, equations, traces)
     if len(mats) != expect_dim:
         raise ConstructionFailure("%s: condition kernel has dim %d, expected %d"
                                   % (form_display(fid), len(mats), expect_dim))

@@ -190,16 +190,6 @@ class Subspace:
             _sub_multiple(v, v[p], at[p])
         return v
 
-    def reduce(self, vec: Sequence) -> list:
-        """Residual of the dense vec after reduction against the subspace."""
-        v = self._residual(sparse(vec))
-        if not self._at:
-            return list(vec)
-        out = [self._zero] * len(vec)
-        for j, e in v.items():
-            out[j] = e
-        return out
-
     def contains(self, vec) -> bool:
         return not self._residual(sparse(vec))
 

@@ -610,9 +610,9 @@ def invariance_conjugators(structure: RealFormStructure, count: int
                            ) -> List[Tuple[la.Mat, la.Mat]]:
     """Pairs (g, g^{-1}) of exact elements of H^C in the defining rep.
 
-    Built from exponentials of rep-nilpotent root vectors of h^C; when h is
-    abelian (so no nilpotents exist), from rational rotation matrices on a
-    generator with square -1.
+    Built from exponentials of rep-nilpotent root vectors of h^C; when
+    those are too few (none when h is abelian), from rational points of the
+    rotation group of a basis element of h, else from products.
     """
     S = structure
     out: List[Tuple[la.Mat, la.Mat]] = []
@@ -627,26 +627,28 @@ def invariance_conjugators(structure: RealFormStructure, count: int
         out.append((g, ginv))
         if len(out) >= count:
             return out
-    # abelian h: rational points of the rotation group of an M with M^2 = -sI
+    # then rational points exp(phi M) = I + dM + ((1 - c)/s) M^2 of the
+    # rotation group of an M in h with M^3 = -sM, s > 0 rational, where
+    # c = cos(phi sqrt(s)) and d = sin(phi sqrt(s))/sqrt(s); the angle with
+    # tan(phi sqrt(s)/2) = t sqrt(s) gives d = 2t/(1 + t^2 s) and
+    # (1 - c)/s = 2t^2/(1 + t^2 s)
     for i in S.h_indices:
         mat = S.matrix_of(S.unit_coords(i))
         sq = la.mmul(mat, mat)
-        s_val = None
-        if sq[0][0].is_rational() and sq[0][0].as_fraction() < 0 and \
-                la.mat_eq(sq, la.mscale(sq[0][0], la.eye(S.n))):
-            s_val = -sq[0][0].as_fraction()
-        if s_val is not None:
-            t = 1
-            while len(out) < count:
-                den = Fraction(1, 1) + t * t * s_val
-                c = Scalar.of((1 - t * t * s_val) / den)
-                d = Scalar.of(Fraction(2 * t) / den)
-                g = la.madd(la.mscale(c, la.eye(S.n)), la.mscale(d, mat))
-                ginv = la.madd(la.mscale(c, la.eye(S.n)),
-                               la.mscale(ZERO - d, mat))
-                out.append((g, ginv))
-                t += 1
-            return out
+        cube = la.mmul(sq, mat)
+        r, k = next((r, k) for r in range(S.n) for k in range(S.n) if mat[r][k])
+        ratio = (ZERO - cube[r][k]) / mat[r][k]
+        if not (ratio.is_rational() and ratio.as_fraction() > 0
+                and la.mat_eq(cube, la.mscale(ZERO - ratio, mat))):
+            continue
+        s_val = ratio.as_fraction()
+        for t in range(1, count - len(out) + 1):
+            den = 1 + t * t * s_val
+            d = Scalar.of(2 * t / den)
+            even = la.madd(la.eye(S.n), la.mscale(Scalar.of(2 * t * t / den), sq))
+            out.append((la.madd(even, la.mscale(d, mat)),
+                        la.madd(even, la.mscale(ZERO - d, mat))))
+        return out
     if not out:
         raise ConstructionFailure("%s: no exact conjugators available" % S.name)
     # cycle products for variety when fewer nilpotents than requested

@@ -2,8 +2,26 @@
 
 import pytest
 
-from hkr import catalog
-from hkr.errors import InvalidParams, NotInTable, SizeBound
+from hkr import catalog, errors
+from hkr import linalg as la
+from hkr import verify as vf
+from hkr.algebra import flatten_real
+from hkr.errors import HkrError, InvalidParams, NotInTable, SizeBound
+
+
+def _forms_up_to(size):
+    """Every FormId of every family with matrix size <= size."""
+    found = {}
+    for family in catalog.FAMILIES:
+        for a in range(1, size + 1):
+            for b in range(1, size + 1):
+                try:  # an n-family ignores p and q
+                    fid = catalog.form_id(family, n=a, p=a, q=b)
+                except InvalidParams:
+                    continue
+                if catalog.matrix_size(fid) <= size:
+                    found[fid] = None
+    return list(found)
 
 
 def test_form_id_round_trips_through_cli_text():
@@ -118,8 +136,9 @@ def test_build_dimension_table():
 
 def test_reference_split_flags():
     split = {"sl(2,R)", "sl(3,R)", "sl(4,R)", "sp(2,R)", "sp(4,R)",
-             "sp(6,R)", "so(2,3)", "so(3,3)"}
-    for fid in catalog.standard_forms():
+             "sp(6,R)", "so(2,3)", "so(3,3)", "so(2,1)", "so(3,2)"}
+    extra = [catalog.form_id("so_pq", p=p, q=q) for p, q in ((2, 1), (3, 2))]
+    for fid in catalog.standard_forms() + extra:
         name = catalog.form_display(fid)
         assert catalog.reference_is_split(fid) == (name in split), name
         if catalog.reference_is_split(fid):
@@ -151,3 +170,102 @@ def test_reference_reduced_types():
             assert reduced == "B" + full[2:]
         else:
             assert reduced == full
+
+
+# --- the built basis against the family's defining identities ----------------
+
+def _block(a, b, c, d):
+    """The 2 x 2 block matrix [[a, b], [c, d]]."""
+    return tuple(ra + rb for ra, rb in zip(a, b)) + \
+        tuple(rc + rd for rc, rd in zip(c, d))
+
+
+def _diag(signs):
+    return la.mat([[s if r == c else 0 for c in range(len(signs))]
+                   for r, s in enumerate(signs)])
+
+
+def _family_identities(fid):
+    """The identities that cut the family out of gl(n, C), each a map from X
+    to a matrix that must vanish, written here from this module's own copies
+    of the forms, and the family's dimension."""
+    n = catalog.matrix_size(fid)
+    h = n // 2
+    one, zero = la.eye(h), la.zeros(h)
+    j = _block(zero, la.mneg(one), one, zero)  # [[0,-I],[I,0]]
+    rev = la.mat([[1 if r + c == h - 1 else 0 for c in range(h)]
+                  for r in range(h)])
+
+    def conj(x):
+        return la.transpose(la.conj_transpose(x))
+
+    def real(x):
+        return la.msub(x, conj(x))
+
+    def traceless(x):
+        return ((la.trace(x),),)
+
+    def bilinear(w):
+        return lambda x: la.madd(la.mmul(la.transpose(x), w), la.mmul(w, x))
+
+    def hermitian(w):
+        return lambda x: la.madd(la.mmul(la.conj_transpose(x), w), la.mmul(w, x))
+
+    f = fid.family
+    if f in ("su_pq", "so_pq", "sp_pq"):
+        k = _diag([1] * fid.p + [-1] * fid.q)
+    if f == "sl_R":
+        return [real, traceless], n * n - 1
+    if f == "su_pq":
+        return [hermitian(k), traceless], n * n - 1
+    if f == "sp2n_R":
+        omega = _block(zero, rev, la.mneg(rev), zero)
+        return [real, bilinear(omega)], h * (2 * h + 1)
+    if f == "so_pq":
+        return [real, bilinear(k)], n * (n - 1) // 2
+    if f == "su_star":
+        return [lambda x: la.msub(la.mmul(x, j), la.mmul(j, conj(x))),
+                traceless], 4 * h * h - 1
+    if f == "sp_pq":
+        return [bilinear(j), hermitian(_block(k, la.zeros(h), la.zeros(h), k))], \
+            h * (2 * h + 1)
+    if f == "so_star":
+        s = _block(zero, one, one, zero)
+        return [bilinear(s), hermitian(_block(one, zero, zero, la.mneg(one)))], \
+            h * (2 * h - 1)
+    assert f == "sl_C_as_real"
+    return [real, lambda x: la.commutator(x, j), traceless,
+            lambda x: traceless(la.mmul(j, x))], 2 * (h * h - 1)
+
+
+@pytest.mark.parametrize("fid", _forms_up_to(8), ids=catalog.form_cli_text)
+def test_basis_satisfies_family_identities(fid):
+    # the basis lies in the algebra and spans a space of its dimension, so
+    # it spans the algebra
+    identities, dim = _family_identities(fid)
+    S = catalog.build(fid)
+    assert len(S.basis) == dim
+    assert la.rank([flatten_real(x) for x in S.basis]) == dim
+    for k, x in enumerate(S.basis):
+        for i, identity in enumerate(identities):
+            assert la.is_zero_mat(identity(x)), (k, i)
+
+
+# --- every small form through the verify suite ---------------------------------
+
+_TYPED = {c.__name__ for c in vars(errors).values()
+          if isinstance(c, type) and issubclass(c, HkrError)}
+
+# so(2,2) = sl(2,R) + sl(2,R) has the invariant degree 2 twice, so the
+# degrees do not grade its section (as for so(4,4), out of scope)
+_KNOWN_LIMITS = {"so(2,2)": {"regularity", "invariance"}}
+
+
+@pytest.mark.parametrize("fid", _forms_up_to(5), ids=catalog.form_cli_text)
+def test_verify_sweep_small_forms(fid):
+    limits = _KNOWN_LIMITS.get(catalog.form_display(fid), ())
+    for r in vf.verify_form(fid, samples=2, fiber_samples=1, conjugators=1):
+        if r.check in limits:
+            assert r.ok or r.detail.split(":")[0] in _TYPED, (r.check, r.detail)
+        else:
+            assert r.ok, (r.check, r.detail)

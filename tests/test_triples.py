@@ -254,7 +254,8 @@ def test_fiber_match_so33_unsupported():
 # --- invariance under exact conjugation ---------------------------------------------
 
 @pytest.mark.parametrize("family,kw", [
-    ("sl_R", dict(n=2)), ("su_pq", dict(p=1, q=2)), ("su_star", dict(n=2))],
+    ("sl_R", dict(n=2)), ("su_pq", dict(p=1, q=2)), ("su_star", dict(n=2)),
+    ("so_pq", dict(p=1, q=2))],
     ids=lambda v: str(v))
 def test_conjugation_preserves_charpoly_and_regularity(family, kw):
     S, tds, triple, dec = chain(family, **kw)
