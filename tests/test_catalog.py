@@ -227,7 +227,7 @@ def _family_identities(fid):
         return [lambda x: la.msub(la.mmul(x, j), la.mmul(j, conj(x))),
                 traceless], 4 * h * h - 1
     if f == "sp_pq":
-        return [bilinear(j), hermitian(_block(k, la.zeros(h), la.zeros(h), k))], \
+        return [bilinear(j), hermitian(_block(k, zero, zero, k))], \
             h * (2 * h + 1)
     if f == "so_star":
         s = _block(zero, one, one, zero)
