@@ -8,12 +8,14 @@ form is B(X, Y) = Re tr(XY); B must come out negative definite on h and
 positive definite on m, and both facts are checked at construction, not
 assumed.
 
-Elements live in two coordinate systems: as n x n matrices over Scalar, and
-as coordinate vectors in the basis.  Real elements of g have Fraction
-coordinates; elements of the complexification g^C (the C-span of the same
-basis) have Scalar coordinates.  Bracket, form, and involution computations
-in coordinates use rational structure data, so they stay exact and cheap
-even when the coordinates themselves carry radicals.
+Elements live as n x n matrices over Scalar and as coordinate vectors in
+the basis, which one coordinate solver over the flattened basis matrices
+links.  The basis of a real form is independent over C, so elements of the
+complexification g^C (the C-span of the basis) have Scalar coordinates,
+and the rational elements of g are those whose coordinates all come out
+rational; they are kept as Fractions.  Bracket, form, and involution
+computations in coordinates use rational structure data, so they stay
+exact and cheap even when the coordinates themselves carry radicals.
 """
 
 from __future__ import annotations
@@ -67,21 +69,6 @@ def _sparse_bracket(x: Dict[Tuple[int, int], Scalar],
     return {k: v for k, v in acc.items() if v}
 
 
-def _real_entries(x: Dict[Tuple[int, int], Scalar], n: int
-                  ) -> Optional[Dict[int, Fraction]]:
-    """The nonzero real coordinates of a sparse n x n matrix, indexed as
-    ``flatten_real`` lays them out; None if an entry lies outside Q(i)."""
-    out: Dict[int, Fraction] = {}
-    for (r, c), e in x.items():
-        parts = e.gaussian_parts()
-        if parts is None:
-            return None
-        for part, y in enumerate(parts):
-            if y:
-                out[2 * (r * n + c) + part] = y
-    return out
-
-
 def _sparse_trace_product(x: Dict[Tuple[int, int], Scalar],
                           y: Dict[Tuple[int, int], Scalar]) -> Scalar:
     acc = ZERO
@@ -99,18 +86,6 @@ def invariant_form(x: Mat, y: Mat) -> Fraction:
     if parts is None:
         raise ConstructionFailure("trace form left Q(i): %s" % t)
     return parts[0]
-
-
-def flatten_real(x: Mat) -> List[Fraction]:
-    """Flatten a Q(i)-entry matrix to interleaved (re, im) rationals."""
-    out: List[Fraction] = []
-    for row in x:
-        for e in row:
-            parts = e.gaussian_parts()
-            if parts is None:
-                raise NotInAlgebra("matrix entry outside Q(i): %s" % e)
-            out.extend(parts)
-    return out
 
 
 def _field(vectors: Sequence[Sequence]):
@@ -162,10 +137,12 @@ class RealFormStructure:
         if not (0 < self.rank_a <= self.dim_m):
             raise ConstructionFailure("%s: rank %d incompatible with dim m %d"
                                       % (self.name, self.rank_a, self.dim_m))
-        self._scalar_solve = None
         self._ad_frac_cache: Dict[int, List[List[Fraction]]] = {}
         self._center_dims: Optional[Tuple[int, int, int]] = None
-        self._build_real_coordizer()
+        self._solve = la.coords_solver([la.flatten(m) for m in self.basis],
+                                       ZERO, ONE)
+        if self._solve is None:
+            raise ConstructionFailure("%s: basis is dependent over C" % self.name)
         self._check_adapted()
         self._build_struct()
         self._gram_and_signs()
@@ -201,32 +178,26 @@ class RealFormStructure:
                 raise ConstructionFailure(
                     "%s: basis vector %d is not a theta eigenvector" % (self.name, i))
 
-    def _build_real_coordizer(self):
-        solve = la.coords_solver([flatten_real(m) for m in self.basis], _F0, _F1)
-        if solve is None:
-            raise ConstructionFailure("%s: basis is dependent over R" % self.name)
-        self._real_solve = solve
-
     def _build_struct(self):
         """Each bracket of two basis matrices, taken from their sparse
-        entries straight to real coordinates and solved for its nonzero
-        coefficients."""
-        d = self.dim
+        entries (entry (r, c) at r n + c, as ``la.flatten`` lays it out) and
+        solved for its nonzero coefficients, which must all be rational."""
+        d, n = self.dim, self.n
         sparse = [_sparse_entries(m) for m in self.basis]
         self._sparse_basis = sparse
         table: List[List[Tuple[int, int, Fraction]]] = [[] for _ in range(d)]
         for i in range(d):
             for j in range(i + 1, d):
-                flat = _real_entries(_sparse_bracket(sparse[i], sparse[j]),
-                                     self.n)
-                cij = None if flat is None else self._real_solve(flat)
-                if cij is None:
+                br = _sparse_bracket(sparse[i], sparse[j])
+                cij = self._solve({r * n + c: e for (r, c), e in br.items()})
+                if cij is None or not all(c.is_rational() for c in cij.values()):
                     raise ConstructionFailure(
                         "%s: bracket of basis %d, %d leaves the algebra" %
                         (self.name, i, j))
                 for k in sorted(cij):
-                    table[i].append((j, k, cij[k]))
-                    table[j].append((i, k, -cij[k]))
+                    c = cij[k].as_fraction()
+                    table[i].append((j, k, c))
+                    table[j].append((i, k, -c))
         self.struct = table
 
     def _gram_and_signs(self):
@@ -271,21 +242,20 @@ class RealFormStructure:
     # --- coordinates ------------------------------------------------------
 
     def real_coords_of(self, x: Mat) -> Tuple[Fraction, ...]:
-        """Coordinates of x in the basis; x must lie in the real span."""
-        cs = self._real_solve(flatten_real(x))
+        """Rational coordinates of x in the basis; x must lie in the
+        rational span, so every coordinate of it in g^C is rational."""
+        cs = self._solve(la.flatten(x))
         if cs is None:
             raise NotInAlgebra("%s: matrix not in the real span" % self.name)
-        return tuple(cs)
+        bad = next((c for c in cs if not c.is_rational()), None)
+        if bad is not None:
+            raise NotInAlgebra("%s: matrix not in the real span: coordinate "
+                               "%s is outside Q" % (self.name, bad))
+        return tuple(c.as_fraction() for c in cs)
 
     def coords_of(self, x: Mat) -> Tuple[Scalar, ...]:
         """Coordinates of x in the complex span g^C of the basis."""
-        if self._scalar_solve is None:
-            self._scalar_solve = la.coords_solver(
-                [la.flatten(m) for m in self.basis], ZERO, ONE)
-            if self._scalar_solve is None:
-                raise ConstructionFailure(
-                    "%s: basis is dependent over C" % self.name)
-        cs = self._scalar_solve(la.flatten(x))
+        cs = self._solve(la.flatten(x))
         if cs is None:
             raise NotInAlgebra("%s: matrix not in g^C" % self.name)
         return tuple(cs)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg as la
-from .algebra import RealFormStructure, flatten_real, theta_matrix
+from .algebra import RealFormStructure, theta_matrix
 from .errors import InvalidParams, NotInTable, SizeBound, ConstructionFailure
 from .scalars import Scalar, ZERO
 
@@ -479,24 +479,24 @@ def build(fid: FormId) -> RealFormStructure:
         t = theta_matrix(x)
         xh = la.mscale(half, la.madd(x, t))
         xm = la.mscale(half, la.msub(x, t))
-        if not la.is_zero_mat(xh) and h_span.add(flatten_real(xh)):
+        if not la.is_zero_mat(xh) and h_span.add(la.flatten(xh)):
             h_mats.append(xh)
         if not la.is_zero_mat(xm):
             m_cands.append(xm)
     order_span = la.Subspace()
     for i, am in enumerate(a_mats):
-        if not order_span.add(flatten_real(am)):
+        if not order_span.add(la.flatten(am)):
             raise ConstructionFailure("%s: a-basis element %d is dependent"
                                       % (form_display(fid), i))
     m_rest: List[la.Mat] = []
     for xm in m_cands:
-        flat = flatten_real(xm)
+        flat = la.flatten(xm)
         if not m_span.add(flat):
             continue
         if order_span.add(flat):
             m_rest.append(xm)
     for i, am in enumerate(a_mats):
-        if not m_span.contains(flatten_real(am)):
+        if not m_span.contains(la.flatten(am)):
             raise ConstructionFailure("%s: a-basis element %d is not in m"
                                       % (form_display(fid), i))
     dim_h = len(h_mats)

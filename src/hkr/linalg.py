@@ -15,8 +15,8 @@ The shared idioms the other modules build on, each written once here:
 - ``coords_solver``: coefficients of a vector over an independent list, or
   None outside its span (a ``Subspace`` of the vectors beside unit vectors);
 - ``combine``: the linear combination sum_i c_i v_i;
-- ``eigen_split``: eigenspaces of an operator restricted to a span, for a
-  list of candidate eigenvalues;
+- ``eigen_split``: eigenspaces of an operator on a span it preserves, for a
+  list of candidate eigenvalues, or None unless they fill the span;
 - ``kernel_right`` / ``solve_right``: null space and one solution of M x = b;
 - ``charpoly``: Faddeev-LeVerrier over either field (``charpoly_frac`` is
   its Fraction entry point).
@@ -28,6 +28,7 @@ from bisect import bisect
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from .errors import ConstructionFailure
 from .scalars import Scalar, ZERO, ONE
 
 Mat = Tuple[Tuple[Scalar, ...], ...]
@@ -133,12 +134,13 @@ def sparse(vec) -> dict:
 
 def _sub_multiple(target: dict, c, row: dict) -> None:
     """target -= c * row on {index: nonzero} dicts, dropping what cancels."""
+    c = -c  # once, so each entry costs one multiply and one add
     for j, e in row.items():
         x = target.get(j)
         if x is None:
-            target[j] = -(c * e)
+            target[j] = c * e
         else:
-            x = x - c * e
+            x = x + c * e
             if x:
                 target[j] = x
             else:
@@ -272,31 +274,42 @@ def combine(coeffs: Sequence, vecs: Sequence[Sequence], zero) -> list:
 
 
 def eigen_split(op: Sequence[Sequence], vecs: Sequence[Sequence],
-                eigenvalues: Sequence, zero, one) -> List[Tuple[object, List[list]]]:
-    """Eigenspaces of an operator on span(vecs), one piece per eigenvalue.
+                candidates: Sequence, zero, one
+                ) -> Optional[List[Tuple[object, List[list]]]]:
+    """Eigenspaces of an operator on the op-stable span of independent vecs.
 
-    `op` is the operator's matrix in the `vecs` basis (see
-    ``roots.restrict_operator``).  Returns (eigenvalue, vectors) for each
-    candidate with a nonzero eigenspace, the vectors combined from `vecs`.
-    Whether the pieces exhaust the span is the caller's check.
+    `op` is the operator's matrix on the ambient coordinates; it is
+    restricted to span(vecs) here.  Returns (eigenvalue, vectors) for each
+    candidate with a nonzero eigenspace, in candidate order, the vectors
+    combined from `vecs`, and solves no further once the pieces fill
+    span(vecs).  Returns None if they never do: op is then not
+    diagonalizable on the span with its eigenvalues among the candidates.
     """
     k = len(vecs)
-    op_rows = [sparse(row) for row in op]
+    solve = coords_solver(vecs, zero, one)
+    if solve is None:
+        raise ConstructionFailure("restriction basis is dependent")
+    columns = list(zip(*op))
+    images = []  # column b: the coordinates of op(vecs[b])
+    for v in vecs:
+        coefs = solve(combine(v, columns, zero))
+        if coefs is None:
+            raise ConstructionFailure("operator does not preserve the span")
+        images.append(coefs)
+    restricted = [sparse(row) for row in zip(*images)]
     out = []
-    for ev in eigenvalues:
-        shifted = []
-        for r, row in enumerate(op_rows):
-            row = dict(row)
-            x = row.get(r, zero) - ev
-            if x:
-                row[r] = x
-            else:
-                row.pop(r, None)
-            shifted.append(row)
+    left = k
+    for ev in candidates:
+        if not left:
+            break
+        # a diagonal entry that cancels is dropped by the row reduction
+        shifted = [{**row, r: row.get(r, zero) - ev}
+                   for r, row in enumerate(restricted)]
         combos = kernel_right(shifted, k, zero, one)
         if combos:
             out.append((ev, [combine(c, vecs, zero) for c in combos]))
-    return out
+            left -= len(combos)
+    return None if left else out
 
 
 def rank(rows: Sequence[Sequence]) -> int:

@@ -5,9 +5,11 @@ functionals of ad on the chosen a-basis.  The joint eigenspaces come from
 successive exact splitting by each a-unit H, at candidate eigenvalues read
 from the n x n matrix of H: the differences of its eigenvalues on C^n
 (``ad_spectrum_candidates``), so no dim x dim charpoly is formed.  Each split
-must exhaust the piece it splits, which proves that the candidates held the
-whole spectrum, so multiplicities are exact.  The same route splits g^C by a
-compact torus (``torus_split``) and ker ad(e) by ad(x).  Classification
+(``linalg.eigen_split``) must fill the piece it splits, which proves that
+the candidates held the whole spectrum, so multiplicities are exact.  The
+same route splits g^C by a compact torus (``torus_split``), whose labels
+are the eigenvalues i mu of ad(t), Scalars that callers only test for
+zero, and ker ad(e) by ad(x).  Classification
 goes through the Cartan matrix of a deterministic simple system; type labels
 are canonical strings like ``B2`` or ``A1xA1``, compared through the
 low-rank coincidences (B1 = C1 = A1, B2 = C2, D2 = A1 x A1, D3 = A3).
@@ -30,21 +32,6 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 RootLabel = Tuple[Fraction, ...]
-
-
-def restrict_operator(admat: Sequence[Sequence], vecs: List[list], zero, one):
-    """Matrix of the operator on span(vecs), in the vecs basis."""
-    solve = la.coords_solver(vecs, zero, one)
-    if solve is None:
-        raise ConstructionFailure("restriction basis is dependent")
-    columns = list(zip(*admat))
-    cols = []
-    for b in vecs:
-        coefs = solve(la.combine(b, columns, zero))
-        if coefs is None:
-            raise ConstructionFailure("operator does not preserve the span")
-        cols.append(coefs)
-    return [[col[r] for col in cols] for r in range(len(vecs))]
 
 
 def ad_spectrum_candidates(structure: RealFormStructure, coords: Sequence,
@@ -74,19 +61,21 @@ def ad_spectrum_candidates(structure: RealFormStructure, coords: Sequence,
     return sorted({a - b for a in mus for b in mus})
 
 
-def _split_rational(spaces, admat, candidates):
-    """Split each labeled subspace by the eigenvalues of admat among the
-    candidates; the pieces must exhaust every subspace."""
+def _split_spaces(structure: RealFormStructure, spaces, op, candidates,
+                  zero, one):
+    """Split each labeled subspace by the operator at the candidates.
+
+    Each label gains the eigenvalue of its piece.  Raises
+    NonRationalSpectrum unless the pieces fill every subspace, so the
+    candidates held the operator's whole spectrum there.
+    """
     out = []
     for label, vecs in spaces:
-        m = restrict_operator(admat, vecs, _F0, _F1)
-        if len(vecs) == 1:
-            # 1-dimensional: the vector is an eigenvector; read the eigenvalue.
-            out.append((label + (m[0][0],), vecs))
-            continue
-        pieces = la.eigen_split(m, vecs, candidates, _F0, _F1)
-        if sum(len(p) for _, p in pieces) != len(vecs):
-            raise NonRationalSpectrum("ad is not diagonalizable over Q")
+        pieces = la.eigen_split(op, vecs, candidates, zero, one)
+        if pieces is None:
+            raise NonRationalSpectrum(
+                "%s: ad is not diagonalizable over its candidate eigenvalues"
+                % structure.name)
         out.extend((label + (ev,), p) for ev, p in pieces)
     return out
 
@@ -120,11 +109,11 @@ def restricted_roots(structure: RealFormStructure,
         start = [[_F1 if j == i else _F0 for j in range(d)] for i in range(d)]
     else:
         start = [list(v) for v in within]
-    total = len(start)
     spaces = [((), start)]
     for ai in structure.a_indices:
         cands = ad_spectrum_candidates(structure, structure.unit_coords(ai))
-        spaces = _split_rational(spaces, structure.ad_frac(ai), cands)
+        spaces = _split_spaces(structure, spaces, structure.ad_frac(ai), cands,
+                               _F0, _F1)
     root_spaces: Dict[RootLabel, List[list]] = {}
     central: List[list] = []
     for label, vecs in spaces:
@@ -134,10 +123,6 @@ def restricted_roots(structure: RealFormStructure,
             central = vecs
     if within is None and not root_spaces:
         raise ConstructionFailure("%s: no restricted roots" % structure.name)
-    # sum rule: the decomposition exhausts the split space
-    if sum(len(v) for v in root_spaces.values()) + len(central) != total:
-        raise ConstructionFailure("%s: root space dimensions do not add up"
-                                  % structure.name)
     return RestrictedRootData(structure, root_spaces, central)
 
 
@@ -650,24 +635,17 @@ def maximal_torus(structure: RealFormStructure,
 
 def torus_split(structure: RealFormStructure,
                 t_basis: Sequence[Sequence[Fraction]], spaces):
-    """Split labeled subspaces of g^C by ad(t) at i mu for each t in t_basis.
+    """Split labeled subspaces of g^C by ad(t) for each t in t_basis.
 
-    Each label gains the mu of its piece; the pieces of every subspace must
-    exhaust it, since ad of a compact torus is semisimple.
+    ad of a compact torus element has eigenvalues i mu with mu among the
+    candidates read from -it, so each label gains the eigenvalue i mu of
+    its piece, a Scalar that is zero exactly when mu is.
     """
     for tv in t_basis:
-        admat = structure.ad_matrix(tv)
-        evs = {I * Scalar.of(mu): mu
-               for mu in ad_spectrum_candidates(structure, tv, compact=True)}
-        new_spaces = []
-        for label, vecs in spaces:
-            m = restrict_operator(admat, vecs, ZERO, ONE)
-            pieces = la.eigen_split(m, vecs, list(evs), ZERO, ONE)
-            if sum(len(p) for _, p in pieces) != len(vecs):
-                raise NonRationalSpectrum(
-                    "t-operator not diagonalizable over Q(i)")
-            new_spaces.extend((label + (evs[ev],), p) for ev, p in pieces)
-        spaces = new_spaces
+        cands = [I * Scalar.of(mu)
+                 for mu in ad_spectrum_candidates(structure, tv, compact=True)]
+        spaces = _split_spaces(structure, spaces, structure.ad_matrix(tv),
+                               cands, ZERO, ONE)
     return spaces
 
 

@@ -395,12 +395,14 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
     kernel = triple.e_kernel
     if not kernel:
         raise GradingFailure("%s: ad(e) has trivial kernel" % S.name)
-    ad_x = S.ad_matrix(triple.x)
-    restr = rt.restrict_operator(ad_x, kernel, ZERO, ONE)
     candidates = [Scalar.of(c) for c in rt.ad_spectrum_candidates(S, triple.x)]
+    pieces = la.eigen_split(S.ad_matrix(triple.x), kernel, candidates,
+                            ZERO, ONE)
+    if pieces is None:
+        raise GradingFailure("%s: ad(x) is not diagonalizable on ker ad(e)"
+                             % S.name)
     blocks: List[ModuleBlock] = []
-    total = 0
-    for ev, vecs in la.eigen_split(restr, kernel, candidates, ZERO, ONE):
+    for ev, vecs in pieces:
         ev = ev.as_fraction()
         if ev.denominator not in (1, 2):
             raise GradingFailure("%s: ad(x) eigenvalue %s is not a "
@@ -408,7 +410,6 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
         if ev.denominator == 2 or ev < 0:
             raise GradingFailure("%s: highest weight %s is not a nonnegative "
                                  "integer" % (S.name, ev))
-        total += len(vecs)
         hv, mv = S.theta_split(vecs)
         if len(hv) + len(mv) != len(vecs):
             raise GradingFailure("eigenspace is not theta-homogeneous")
@@ -417,9 +418,6 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
             blocks.append(ModuleBlock(m_val, v, "h"))
         for v in mv:
             blocks.append(ModuleBlock(m_val, v, "m"))
-    if total != len(kernel):
-        raise GradingFailure("%s: ad(x) is not diagonalizable on ker ad(e)"
-                             % S.name)
 
     dim_z, dim_z_h, dim_z_m = S.center_dims()
     if sum(2 * bl.m - 1 for bl in blocks) != S.dim:
@@ -612,7 +610,8 @@ def invariance_conjugators(structure: RealFormStructure, count: int
 
     Built from exponentials of rep-nilpotent root vectors of h^C; when
     those are too few (none when h is abelian), from rational points of the
-    rotation group of a basis element of h, else from products.
+    rotation group of a basis element M of h with M^3 = -sM.  Raises
+    ConstructionFailure if no basis element of h has that form.
     """
     S = structure
     out: List[Tuple[la.Mat, la.Mat]] = []
@@ -649,17 +648,7 @@ def invariance_conjugators(structure: RealFormStructure, count: int
             out.append((la.madd(even, la.mscale(d, mat)),
                         la.madd(even, la.mscale(ZERO - d, mat))))
         return out
-    if not out:
-        raise ConstructionFailure("%s: no exact conjugators available" % S.name)
-    # cycle products for variety when fewer nilpotents than requested
-    base = list(out)
-    idx = 0
-    while len(out) < count:
-        g1, g1i = base[idx % len(base)]
-        g2, g2i = base[(idx + 1) % len(base)]
-        out.append((la.mmul(g1, g2), la.mmul(g2i, g1i)))
-        idx += 1
-    return out
+    raise ConstructionFailure("%s: no exact conjugators available" % S.name)
 
 
 def _exp_nilpotent(mat: la.Mat, n: int) -> la.Mat:

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, JSON schema, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -279,3 +280,42 @@ def test_negative_degree_of_L_is_a_usage_error():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "error: degree of L must be at least 0, got -3\n"
+
+
+# sha256 of the stdout of `describe F`, `hkr F` and `section F --json`, in
+# that order, for each catalog form; a refactor must leave them unchanged
+_PINNED_OUTPUT = {
+    "sl_r:n=2": "3a273031d18b88450d3c80e79dbf5a9cf14df5762861ae374b8ca1ff5489e14a",
+    "sl_r:n=3": "bda1c4f710f7689d495cdd5cb0e83a44fb4f4f758a2832f9029300f190defa4a",
+    "sl_r:n=4": "6f963d6151e2e2b7b78dcf01d8016bfa33e7240cd3ff0e6df8e3bd1d5477b51a",
+    "su:p=1,q=2": "cd7e2b9d1794cea3a249a6c2334887076c05c0632715fa8ff7996692f4132f4e",
+    "su:p=1,q=3": "52010da199a0e8531a6f558b118266ff37c77467c484516b5cf4388b6af1901c",
+    "su:p=2,q=3": "7186039ab7f27041be6afed5c60a8225dfed7124b786c923da94f71d37f82b1b",
+    "su:p=2,q=2": "e32fd3626b812b118d8328635b4d7e9175764ad93a68a690819889e71c4af44c",
+    "su:p=3,q=3": "16673b10ea4d1b6bf95d998ec2476569b9fea210f65a0308b222debbae44091c",
+    "sp_r:n=1": "dcf8781747cfb16aae7b8642930bb1efb3f3701154549320b2cefd0f8aaa7dcb",
+    "sp_r:n=2": "56ac3840ba9113239a4f2443a7ed2c1f64f9aa290e65c113afec895313039bed",
+    "sp_r:n=3": "536bd5f63df9cc314e7619c4395bd83c58690a465335ecde7bb039ca8e950390",
+    "so:p=2,q=3": "11c6abf7b2106db3419c75d7dcb86a363979e17fbb761e737c65b3e374ed39d4",
+    "so:p=2,q=4": "926cd0328cfa4066274f69a7ac5bbe4b38aad01f26f587e34929cf6d4db4671a",
+    "so:p=3,q=3": "f8baeef6004487b1a0076eed3b04492e769d5e3bfaea468f8f3b6a6eca9ca4ed",
+    "su_star:n=2": "a5789f6389d8d3942e50acfca6ab19b7b8b77e117b7ad504a078a71530e934d9",
+    "sp:p=1,q=2": "4d20cbba80a7294dbda2c2e51d6b1f05b1bdd19646fd30dbafed99041f8796c1",
+    "so_star:n=3": "12f7b3b329d9233ce78962fa0e0d34459a1488e66fbbecf5c72907e5165dfa32",
+    "so_star:n=4": "a8d5d1e93fd77a99282ab86141a9b0ff1b9c351d159b9b95a72fae14c79ff598",
+    "sl_c:n=2": "e8ddd0bc80761ccf764c4f6e18723c8daa1f5f2d14bc724d0cc73bec21ff24c8",
+}
+
+
+def test_pinned_outputs_cover_the_catalog():
+    assert list(_PINNED_OUTPUT) == [catalog.form_cli_text(f)
+                                    for f in catalog.standard_forms()]
+
+
+@pytest.mark.parametrize("form", list(_PINNED_OUTPUT))
+def test_outputs_match_their_pinned_digest(capsys, form):
+    digest = hashlib.sha256()
+    for argv in (["describe", form], ["hkr", form], ["section", form, "--json"]):
+        assert main(argv) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == _PINNED_OUTPUT[form]

@@ -3,9 +3,11 @@
 from bisect import bisect
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkr import linalg as la
+from hkr.errors import ConstructionFailure
 from hkr.scalars import Scalar, ZERO, ONE, I
 
 
@@ -296,6 +298,45 @@ def test_coords_solver_scalar_field():
 def test_eigen_split_keeps_nonzero_eigenspaces():
     f = Fraction
     vecs = [[f(1), f(1), f(0)], [f(0), f(1), f(1)]]
-    op = [[f(2), f(0)], [f(0), f(3)]]
+    # the ambient operator with eigenvectors vecs[0], vecs[1] and (0, 0, 1)
+    # at 2, 3 and 5
+    op = [[f(2), f(0), f(0)], [f(-1), f(3), f(0)], [f(2), f(-2), f(5)]]
     pieces = la.eigen_split(op, vecs, [f(2), f(3), f(5)], f(0), f(1))
     assert pieces == [(f(2), [vecs[0]]), (f(3), [vecs[1]])]
+
+
+def test_eigen_split_of_a_jordan_block_is_none():
+    f = Fraction
+    op = [[f(2), f(1)], [f(0), f(2)]]
+    units = [[f(1), f(0)], [f(0), f(1)]]
+    assert la.eigen_split(op, units, [f(1), f(2), f(3)], f(0), f(1)) is None
+    # a missing candidate leaves the span unfilled too
+    diag = [[f(1), f(0)], [f(0), f(2)]]
+    assert la.eigen_split(diag, units, [f(1), f(3)], f(0), f(1)) is None
+
+
+def test_eigen_split_solves_nothing_once_the_span_is_filled(monkeypatch):
+    f = Fraction
+    solved = []
+    kernel = la.kernel_right
+
+    def counted(rows, ncols, zero, one):
+        solved.append(ncols)
+        return kernel(rows, ncols, zero, one)
+
+    monkeypatch.setattr(la, "kernel_right", counted)
+    op = [[f(1), f(0), f(0)], [f(0), f(2), f(0)], [f(0), f(0), f(4)]]
+    vecs = [[f(1), f(0), f(0)], [f(0), f(1), f(0)]]
+    pieces = la.eigen_split(op, vecs, [f(5), f(2), f(1), f(4), f(7)],
+                            f(0), f(1))
+    assert pieces == [(f(2), [vecs[1]]), (f(1), [vecs[0]])]
+    assert solved == [2, 2, 2]  # 5, 2 and 1; never 4 or 7
+    assert la.eigen_split(op, [], [f(1)], f(0), f(1)) == []
+    assert solved == [2, 2, 2]
+
+
+def test_eigen_split_rejects_a_span_the_operator_leaves():
+    f = Fraction
+    op = [[f(0), f(0)], [f(1), f(0)]]
+    with pytest.raises(ConstructionFailure, match="does not preserve"):
+        la.eigen_split(op, [[f(1), f(0)]], [f(0)], f(0), f(1))

@@ -221,18 +221,44 @@ def test_full_root_classification_counts():
     assert fc.n_imaginary == fc.n_complex == 0
 
 
-def test_restrict_operator_diagonal_blocks():
+def test_ad_a_acts_on_its_root_space_by_the_root_value():
     S = build(form_id("sl_R", n=2))
     data = rt.restricted_roots(S)
     lam = max(data.roots())
     vecs = data.root_spaces[lam]
-    # ad(a) acts on its own root space by the root value
     ai = next(iter(S.a_indices))
-    admat = S.ad_frac(ai)
-    block = rt.restrict_operator(admat, vecs, Fraction(0), Fraction(1))
-    assert block == [[data.value_on(lam, tuple(
-        Fraction(1) if k == 0 else Fraction(0)
-        for k in range(S.rank_a)))]]
+    value = data.value_on(lam, tuple(
+        Fraction(1) if k == 0 else Fraction(0) for k in range(S.rank_a)))
+    # the root value alone fills the root space
+    pieces = la.eigen_split(S.ad_frac(ai), vecs, [value],
+                            Fraction(0), Fraction(1))
+    assert pieces == [(value, vecs)]
+
+
+def _drop_largest_candidate(monkeypatch):
+    """Make ad_spectrum_candidates leave out its largest value."""
+    candidates = rt.ad_spectrum_candidates
+
+    def fewer(structure, coords, compact=False):
+        return candidates(structure, coords, compact)[:-1]
+
+    monkeypatch.setattr(rt, "ad_spectrum_candidates", fewer)
+
+
+def test_restricted_roots_reject_a_missing_candidate(monkeypatch):
+    S = build(form_id("sl_R", n=3))
+    _drop_largest_candidate(monkeypatch)
+    with pytest.raises(NonRationalSpectrum, match="not diagonalizable"):
+        rt.restricted_roots(S)
+
+
+def test_torus_split_rejects_a_missing_candidate(monkeypatch):
+    S = build(form_id("su_pq", p=1, q=2))
+    data = rt.restricted_roots(S)
+    assert rt.full_root_classification(S, data).t_basis
+    _drop_largest_candidate(monkeypatch)
+    with pytest.raises(NonRationalSpectrum, match="not diagonalizable"):
+        rt.full_root_classification(S, data)
 
 
 # (n_imaginary, n_real, n_complex, dim_cartan) on the maximally split Cartan

@@ -13,7 +13,8 @@ from hkr import roots as rt
 from hkr import triples as tp
 from hkr import linalg as la
 from hkr.catalog import build, form_id
-from hkr.errors import NoSolution
+from hkr.algebra import RealFormStructure
+from hkr.errors import ConstructionFailure, GradingFailure, NoSolution
 from hkr.scalars import Scalar, ZERO, ONE, I
 
 
@@ -268,6 +269,27 @@ def test_conjugation_preserves_charpoly_and_regularity(family, kw):
         moved = tp.conjugate_coords(S, g, ginv, pt)
         assert la.charpoly(S.matrix_of(moved)) == cp
         assert tp.is_regular(S, moved)
+
+
+def test_conjugators_need_a_rotation_element_of_h():
+    # an abelian real form: h = span(diag(i, i, -2i)) has no root vectors,
+    # and its one element has eigenvalues i, i, -2i, so M^3 != -sM
+    h = la.mat([[I, 0, 0], [0, I, 0], [0, 0, -2 * I]])
+    a = la.mat([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+    S = RealFormStructure(name="u1 + a", family="test", params={}, n=3,
+                          basis=(h, a), dim_h=1, rank_a=1)
+    with pytest.raises(ConstructionFailure,
+                       match="no exact conjugators available"):
+        tp.invariance_conjugators(S, 2)
+
+
+def test_module_decomposition_rejects_a_missing_candidate(monkeypatch):
+    S, tds, triple, _ = chain("su_pq", p=1, q=2)
+    candidates = rt.ad_spectrum_candidates
+    monkeypatch.setattr(rt, "ad_spectrum_candidates",
+                        lambda *args, **kw: candidates(*args, **kw)[:-1])
+    with pytest.raises(GradingFailure, match="not diagonalizable on ker ad"):
+        tp.module_decomposition(S, triple, tds.root_data)
 
 
 # --- explicit low-rank so* matrices ---------------------------------------------
