@@ -3,10 +3,11 @@
 A RealFormStructure holds a real matrix Lie algebra g in gl(n, C) through a
 theta-adapted basis: the compact part h first, then the chosen maximal
 abelian subspace a, then the rest of the -1 eigenspace m.  The Cartan
-involution is always theta(X) = -conjugate_transpose(X) and the invariant
-form is B(X, Y) = Re tr(XY); B must come out negative definite on h and
-positive definite on m, and both facts are checked at construction, not
-assumed.
+involution is always theta(X) = -conjugate_transpose(X), applied to the
+sparse {(r, c): entry} form of a matrix (``theta_entries``), and the
+invariant form is B(X, Y) = Re tr(XY); B must come out negative definite on
+h and positive definite on m, and both facts are checked at construction,
+not assumed.
 
 Elements live as n x n matrices over Scalar and as coordinate vectors in
 the basis, which one coordinate solver over the flattened basis matrices
@@ -33,18 +34,14 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def bracket(x: Mat, y: Mat) -> Mat:
-    """Matrix commutator [x, y] = xy - yx."""
-    return la.commutator(x, y)
-
-
-def theta_matrix(x: Mat) -> Mat:
-    """The Cartan involution theta(X) = -X^* on matrices."""
-    return la.mneg(la.conj_transpose(x))
-
-
 def _sparse_entries(x: Mat) -> Dict[Tuple[int, int], Scalar]:
     return {(i, j): e for i, row in enumerate(x) for j, e in enumerate(row) if e}
+
+
+def theta_entries(x: Dict[Tuple[int, int], Scalar]
+                  ) -> Dict[Tuple[int, int], Scalar]:
+    """The Cartan involution theta(X) = -X^* on sparse entries."""
+    return {(c, r): -e.conj() for (r, c), e in x.items()}
 
 
 def _sparse_bracket(x: Dict[Tuple[int, int], Scalar],
@@ -77,15 +74,6 @@ def _sparse_trace_product(x: Dict[Tuple[int, int], Scalar],
         if w is not None:
             acc = acc + v * w
     return acc
-
-
-def invariant_form(x: Mat, y: Mat) -> Fraction:
-    """B(X, Y) = Re tr(XY); rational for matrices over Q(i)."""
-    t = la.trace(la.mmul(x, y))
-    parts = t.gaussian_parts()
-    if parts is None:
-        raise ConstructionFailure("trace form left Q(i): %s" % t)
-    return parts[0]
 
 
 def _field(vectors: Sequence[Sequence]):
@@ -143,6 +131,7 @@ class RealFormStructure:
                                        ZERO, ONE)
         if self._solve is None:
             raise ConstructionFailure("%s: basis is dependent over C" % self.name)
+        self._sparse_basis = [_sparse_entries(m) for m in self.basis]
         self._check_adapted()
         self._build_struct()
         self._gram_and_signs()
@@ -171,10 +160,9 @@ class RealFormStructure:
     # --- construction-time validation -------------------------------------
 
     def _check_adapted(self):
-        for i, m in enumerate(self.basis):
-            t = theta_matrix(m)
-            want = m if i < self.dim_h else la.mneg(m)
-            if not la.mat_eq(t, want):
+        for i, x in enumerate(self._sparse_basis):
+            want = x if i < self.dim_h else {k: -e for k, e in x.items()}
+            if theta_entries(x) != want:
                 raise ConstructionFailure(
                     "%s: basis vector %d is not a theta eigenvector" % (self.name, i))
 
@@ -183,8 +171,7 @@ class RealFormStructure:
         entries (entry (r, c) at r n + c, as ``la.flatten`` lays it out) and
         solved for its nonzero coefficients, which must all be rational."""
         d, n = self.dim, self.n
-        sparse = [_sparse_entries(m) for m in self.basis]
-        self._sparse_basis = sparse
+        sparse = self._sparse_basis
         table: List[List[Tuple[int, int, Fraction]]] = [[] for _ in range(d)]
         for i in range(d):
             for j in range(i + 1, d):
@@ -240,18 +227,6 @@ class RealFormStructure:
                 % (self.name, len(cm)))
 
     # --- coordinates ------------------------------------------------------
-
-    def real_coords_of(self, x: Mat) -> Tuple[Fraction, ...]:
-        """Rational coordinates of x in the basis; x must lie in the
-        rational span, so every coordinate of it in g^C is rational."""
-        cs = self._solve(la.flatten(x))
-        if cs is None:
-            raise NotInAlgebra("%s: matrix not in the real span" % self.name)
-        bad = next((c for c in cs if not c.is_rational()), None)
-        if bad is not None:
-            raise NotInAlgebra("%s: matrix not in the real span: coordinate "
-                               "%s is outside Q" % (self.name, bad))
-        return tuple(c.as_fraction() for c in cs)
 
     def coords_of(self, x: Mat) -> Tuple[Scalar, ...]:
         """Coordinates of x in the complex span g^C of the basis."""
@@ -426,16 +401,3 @@ class RealFormStructure:
     def h_unit_coords(self) -> List[List[Scalar]]:
         return [[ONE if j == i else ZERO for j in range(self.dim)]
                 for i in self.h_indices]
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "family": self.family,
-            "params": dict(self.params),
-            "matrix_size": self.n,
-            "dim": self.dim,
-            "dim_h": self.dim_h,
-            "dim_m": self.dim_m,
-            "rank": self.rank_a,
-        }
-

@@ -30,12 +30,13 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg as la
-from .algebra import RealFormStructure, theta_matrix
+from .algebra import RealFormStructure, theta_entries
 from .errors import InvalidParams, NotInTable, SizeBound, ConstructionFailure
 from .scalars import Scalar, ZERO
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_HALF = Fraction(1, 2)
 
 FAMILIES = ("sl_R", "su_pq", "sp2n_R", "so_pq", "su_star", "sp_pq",
             "so_star", "sl_C_as_real")
@@ -103,11 +104,10 @@ class FormId:
 
 def form_id(family: str, **kw: int) -> FormId:
     order = ("n",) if family in _N_FAMILIES else ("p", "q")
-    try:
-        params = tuple((k, int(kw[k])) for k in order)
-    except KeyError as exc:
-        raise InvalidParams("family %s needs params %s" % (family, order)) from exc
-    return FormId(family, params)
+    if set(kw) != set(order):
+        raise InvalidParams("family %s needs params %s, got %s"
+                            % (family, order, tuple(sorted(kw))))
+    return FormId(family, tuple((k, int(kw[k])) for k in order))
 
 
 def parse_form(text: str) -> FormId:
@@ -123,9 +123,11 @@ def parse_form(text: str) -> FormId:
     for piece in rest.split(","):
         if "=" not in piece:
             raise InvalidParams("bad parameter %r in %r" % (piece, text))
-        k, v = piece.split("=", 1)
+        k, v = (t.strip() for t in piece.split("=", 1))
+        if k in kw:
+            raise InvalidParams("repeated parameter %r in %r" % (k, text))
         try:
-            kw[k.strip()] = int(v)
+            kw[k] = int(v)
         except ValueError as exc:
             raise InvalidParams("bad integer %r in %r" % (v, text)) from exc
     return form_id(family, **kw)
@@ -164,17 +166,6 @@ def matrix_size(fid: FormId) -> int:
     if f in ("sp2n_R", "su_star", "so_star", "sl_C_as_real"):
         return 2 * fid.n
     return 2 * (fid.p + fid.q)  # sp_pq
-
-
-def reference_rank(fid: FormId) -> int:
-    f = fid.family
-    if f in ("su_pq", "so_pq", "sp_pq"):
-        return min(fid.p, fid.q)
-    if f in ("sl_R", "su_star", "sl_C_as_real"):
-        return fid.n - 1
-    if f == "sp2n_R":
-        return fid.n
-    return fid.n // 2  # so_star
 
 
 def size_bound() -> int:
@@ -347,7 +338,7 @@ def standard_forms() -> List[FormId]:
 
 # --- defining data: the forms, structures and traces of each family ----------
 
-def _msum(n: int, entries: Sequence[Tuple[int, int, int]]) -> la.Mat:
+def _msum(n: int, entries: Sequence[Tuple[int, int, object]]) -> la.Mat:
     m = [[ZERO] * n for _ in range(n)]
     for r, c, v in entries:
         m[r][c] = m[r][c] + Scalar.of(v)
@@ -421,8 +412,9 @@ def _declare(fid: FormId, n: int):
     return eqs, traceless + [j_form], a_mats, 2 * (h * h - 1)
 
 
-def _solve(n: int, equations, traces) -> List[la.Mat]:
-    """The real span of the complex n x n matrices X solving the equations.
+def _solve(n: int, equations, traces) -> List[Dict[Tuple[int, int], Scalar]]:
+    """The real span of the complex n x n matrices X solving the equations,
+    each basis matrix as its sparse {(r, c): entry} dict.
 
     An equation says that the sum of its terms P op(X) Q vanishes, a term
     being (P, transpose, conj, Q) with op(X) transposed and conjugated as
@@ -451,12 +443,25 @@ def _solve(n: int, equations, traces) -> List[la.Mat]:
                    for (k, l), (a, b) in func.items() if a + sign * b}
             if row:
                 rows.append(row)
-    mats = []
-    for vec in la.kernel_right(rows, 2 * n * n, _F0, _F1):
-        ents = [Scalar.gaussian(a, b) if a or b else ZERO
-                for a, b in zip(vec[::2], vec[1::2])]
-        mats.append(tuple(tuple(ents[r * n:(r + 1) * n]) for r in range(n)))
-    return mats
+    return [{divmod(k, n): Scalar.gaussian(a, b)
+             for k, (a, b) in enumerate(zip(vec[::2], vec[1::2])) if a or b}
+            for vec in la.kernel_right(rows, 2 * n * n, _F0, _F1)]
+
+
+def _theta_halves(x: Dict[Tuple[int, int], Scalar], n: int
+                  ) -> Tuple[Dict[int, Scalar], Dict[int, Scalar]]:
+    """The parts (x + theta x)/2 in h and (x - theta x)/2 in m of sparse
+    entries x, each as a {r n + c: nonzero} dict (``la.flatten``'s layout)."""
+    h: Dict[int, Scalar] = {}
+    m: Dict[int, Scalar] = {}
+    for (r, c), e in x.items():
+        h[r * n + c] = m[r * n + c] = e * _HALF
+    for (r, c), e in theta_entries(x).items():
+        k, e = r * n + c, e * _HALF
+        h[k] = h[k] + e if k in h else e
+        m[k] = m[k] - e if k in m else -e
+    return ({k: e for k, e in h.items() if e},
+            {k: e for k, e in m.items() if e})
 
 
 def build(fid: FormId) -> RealFormStructure:
@@ -471,30 +476,20 @@ def build(fid: FormId) -> RealFormStructure:
     if len(mats) != expect_dim:
         raise ConstructionFailure("%s: condition kernel has dim %d, expected %d"
                                   % (form_display(fid), len(mats), expect_dim))
-    half = Fraction(1, 2)
-    h_span, m_span = la.Subspace(), la.Subspace()
-    h_mats: List[la.Mat] = []
-    m_cands: List[la.Mat] = []
-    for x in mats:
-        t = theta_matrix(x)
-        xh = la.mscale(half, la.madd(x, t))
-        xm = la.mscale(half, la.msub(x, t))
-        if not la.is_zero_mat(xh) and h_span.add(la.flatten(xh)):
-            h_mats.append(xh)
-        if not la.is_zero_mat(xm):
-            m_cands.append(xm)
-    order_span = la.Subspace()
+    order_span = la.Subspace()  # a first, then the rest of m
     for i, am in enumerate(a_mats):
         if not order_span.add(la.flatten(am)):
             raise ConstructionFailure("%s: a-basis element %d is dependent"
                                       % (form_display(fid), i))
+    h_span, m_span = la.Subspace(), la.Subspace()
+    h_mats: List[la.Mat] = []
     m_rest: List[la.Mat] = []
-    for xm in m_cands:
-        flat = la.flatten(xm)
-        if not m_span.add(flat):
-            continue
-        if order_span.add(flat):
-            m_rest.append(xm)
+    for x in mats:
+        xh, xm = _theta_halves(x, n)
+        if xh and h_span.add(xh):
+            h_mats.append(_msum(n, [divmod(k, n) + (e,) for k, e in xh.items()]))
+        if xm and m_span.add(xm) and order_span.add(xm):
+            m_rest.append(_msum(n, [divmod(k, n) + (e,) for k, e in xm.items()]))
     for i, am in enumerate(a_mats):
         if not m_span.contains(la.flatten(am)):
             raise ConstructionFailure("%s: a-basis element %d is not in m"
@@ -512,4 +507,3 @@ def build(fid: FormId) -> RealFormStructure:
         dim_h=dim_h,
         rank_a=len(a_mats),
     )
-

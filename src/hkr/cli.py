@@ -137,7 +137,7 @@ def cmd_hkr(args) -> int:
         table1_match = True
     except HkrError:
         table1_match = False
-    dec = tp.module_decomposition(S, triple, data)
+    dec = tp.module_decomposition(S, triple)
     basis = tp.section_basis(S, triple, dec)
     payload = {
         "form": S.name,

@@ -114,8 +114,8 @@ def analyze(structure: RealFormStructure) -> FormAnalysis:
     tds = tp.build_tds(S, data)
     triple = tp.normal_triple(tds)
     sub = tp.maximal_split_subalgebra(S, tds)
-    dec = tp.module_decomposition(S, triple, data)
-    qs = tp.is_quasi_split(S, triple, data)
+    dec = tp.module_decomposition(S, triple)
+    qs = tp.is_quasi_split(S, triple)
     full = rt.full_root_classification(S, data)
     num_reduced = len(rt.reduced_system(data))
     return FormAnalysis(S, data, tds, triple, sub, dec, qs,
@@ -147,7 +147,6 @@ class GradedBundleSpec:
     structure: RealFormStructure
     h_powers: List[List[int]]
     m_powers: List[List[int]]
-    locations: List[str]
     degrees: List[int]
 
 
@@ -161,7 +160,6 @@ def graded_bundle_spec(analysis: FormAnalysis) -> GradedBundleSpec:
     S = analysis.structure
     h_powers: List[List[int]] = []
     m_powers: List[List[int]] = []
-    locations: List[str] = []
     degrees: List[int] = []
     for bl in analysis.decomposition.blocks:
         own = list(range(bl.m - 1, -bl.m, -2))
@@ -172,7 +170,6 @@ def graded_bundle_spec(analysis: FormAnalysis) -> GradedBundleSpec:
         else:
             h_powers.append(own)
             m_powers.append(other)
-        locations.append(bl.location)
         degrees.append(bl.m)
     total_h = sum(len(lst) for lst in h_powers)
     total_m = sum(len(lst) for lst in m_powers)
@@ -181,7 +178,7 @@ def graded_bundle_spec(analysis: FormAnalysis) -> GradedBundleSpec:
                                 "Cartan decomposition is (%d, %d)"
                                 % (S.name, total_h, total_m,
                                    S.dim_h, S.dim_m))
-    return GradedBundleSpec(S, h_powers, m_powers, locations, degrees)
+    return GradedBundleSpec(S, h_powers, m_powers, degrees)
 
 
 def euler_characteristic_difference(spec: GradedBundleSpec,

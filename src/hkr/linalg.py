@@ -41,11 +41,6 @@ def mat(rows: Sequence[Sequence]) -> Mat:
                  for row in rows)
 
 
-def zeros(n: int, m: Optional[int] = None) -> Mat:
-    m = n if m is None else m
-    return tuple((ZERO,) * m for _ in range(n))
-
-
 def eye(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
@@ -80,25 +75,6 @@ def mmul(a: Mat, b: Mat) -> Mat:
             out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
-
-
-def commutator(a: Mat, b: Mat) -> Mat:
-    return msub(mmul(a, b), mmul(b, a))
-
-
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
-def conj_transpose(a: Mat) -> Mat:
-    return tuple(tuple(x.conj() for x in col) for col in zip(*a))
-
-
-def trace(a: Mat) -> Scalar:
-    t = ZERO
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
 
 
 def is_zero_mat(a: Mat) -> bool:

@@ -90,16 +90,6 @@ class RestrictedRootData:
     def rank(self) -> int:
         return self.structure.rank_a
 
-    def roots(self) -> List[RootLabel]:
-        return sorted(self.root_spaces)
-
-    def multiplicity(self, lam: RootLabel) -> int:
-        return len(self.root_spaces[lam])
-
-    def value_on(self, lam: RootLabel, a_coords: Sequence[Fraction]) -> Fraction:
-        """lam evaluated on an element of a given by a-basis coefficients."""
-        return sum((t * v for t, v in zip(a_coords, lam)), _F0)
-
 
 def restricted_roots(structure: RealFormStructure,
                      within: Optional[List[list]] = None) -> RestrictedRootData:
@@ -607,10 +597,6 @@ class FullRootClassification:
     @property
     def n_roots(self) -> int:
         return self.n_imaginary + self.n_real + self.n_complex
-
-    @property
-    def dim_cartan(self) -> int:
-        return len(self.t_basis) + self.structure.rank_a
 
 
 def maximal_torus(structure: RealFormStructure,

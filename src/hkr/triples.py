@@ -67,8 +67,6 @@ class TdsConstruction:
     simples: List[rt.RootLabel]
     y: List[Tuple[Fraction, ...]]
     z: List[Tuple[Fraction, ...]]
-    w_i_list: List[Tuple[Fraction, ...]]
-    h_dual: List[Tuple[Fraction, ...]]
     b: List[Fraction]
     c: List[Fraction]
     d: List[Scalar]
@@ -130,7 +128,6 @@ def build_tds(structure: RealFormStructure,
 
     y_list: List[Tuple[Fraction, ...]] = []
     z_list: List[Tuple[Fraction, ...]] = []
-    w_i_list: List[Tuple[Fraction, ...]] = []
     b_list: List[Fraction] = []
     d_list: List[Scalar] = []
     for i, lam in enumerate(simples):
@@ -173,7 +170,6 @@ def build_tds(structure: RealFormStructure,
                                       % (S.name, i + 1, i + 1, i + 1))
         y_list.append(tuple(y))
         z_list.append(z)
-        w_i_list.append(w_i)
         b_list.append(b)
         d_list.append(d)
 
@@ -189,8 +185,8 @@ def build_tds(structure: RealFormStructure,
     if tuple(S.bracket_coords(e_c, f_c)) != w_s:
         raise ConstructionFailure("%s: [e_c, f_c] != w" % S.name)
 
-    return TdsConstruction(S, data, simples, y_list, z_list, w_i_list,
-                           h_dual, b_list, list(c_list), d_list, w, e_c, f_c)
+    return TdsConstruction(S, data, simples, y_list, z_list, b_list,
+                           list(c_list), d_list, w, e_c, f_c)
 
 
 # --- the normal triple ----------------------------------------------------------
@@ -299,7 +295,6 @@ class SplitSubalgebra:
     space: la.Subspace
     reduced_type: str
     table_label: str
-    table_dim: int
 
     @property
     def dim(self) -> int:
@@ -358,7 +353,7 @@ def maximal_split_subalgebra(structure: RealFormStructure,
     if not rt.type_equivalent(sub_type, expected_type):
         raise MismatchWithTable("%s: split subalgebra type %s, table row "
                                 "needs %s" % (S.name, sub_type, expected_type))
-    return SplitSubalgebra(S, space, sub_type, entry.split_sub, expected_dim)
+    return SplitSubalgebra(S, space, sub_type, entry.split_sub)
 
 
 # --- sl2-module decomposition ---------------------------------------------------
@@ -381,15 +376,11 @@ class ModuleDecomposition:
     dim_z_h: int
     dim_z_m: int
 
-    def m_values(self) -> List[int]:
-        return sorted(bl.m for bl in self.blocks)
-
     def located(self, where: str) -> List[ModuleBlock]:
         return [bl for bl in self.blocks if bl.location == where]
 
 
-def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
-                         root_data: Optional[rt.RestrictedRootData] = None
+def module_decomposition(structure: RealFormStructure, triple: NormalTriple
                          ) -> ModuleDecomposition:
     S = structure
     kernel = triple.e_kernel
@@ -424,7 +415,7 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
         raise GradingFailure("%s: sum of module dimensions != dim g^C" % S.name)
 
     a = S.rank_a
-    data = root_data if root_data is not None else triple.tds.root_data
+    data = triple.tds.root_data
     b = len(S.theta_split(data.centralizer)[0])
     c_direct = len(S.theta_split(triple.centralizer)[0])
     c_blocks = sum(1 for bl in blocks if bl.m == 1 and bl.location == "h")
@@ -449,13 +440,10 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple,
 
 # --- quasi-split test (two routes) ----------------------------------------------
 
-def is_quasi_split(structure: RealFormStructure,
-                   triple: Optional[NormalTriple] = None,
-                   root_data: Optional[rt.RestrictedRootData] = None) -> bool:
+def is_quasi_split(structure: RealFormStructure, triple: NormalTriple) -> bool:
     S = structure
-    data = root_data if root_data is not None else rt.restricted_roots(S)
     # route 1: c_g(a) abelian
-    cga = data.centralizer
+    cga = triple.tds.root_data.centralizer
     route1 = True
     for i in range(len(cga)):
         for j in range(i + 1, len(cga)):
@@ -465,8 +453,6 @@ def is_quasi_split(structure: RealFormStructure,
         if not route1:
             break
     # route 2: the centralizer of the principal normal TDS is the center
-    if triple is None:
-        triple = normal_triple(build_tds(S, data))
     dim_c = len(triple.centralizer)
     dim_z, _, _ = S.center_dims()
     route2 = dim_c == dim_z
@@ -496,17 +482,14 @@ class SectionBasis:
 
 
 def section_basis(structure: RealFormStructure, triple: NormalTriple,
-                  decomposition: Optional[ModuleDecomposition] = None
-                  ) -> SectionBasis:
+                  decomposition: ModuleDecomposition) -> SectionBasis:
     S = structure
-    dec = decomposition if decomposition is not None else \
-        module_decomposition(S, triple)
-    graded = [bl for bl in dec.located("m") if bl.m >= 2]
-    central = [bl.vector for bl in dec.located("m") if bl.m == 1]
+    graded = [bl for bl in decomposition.located("m") if bl.m >= 2]
+    central = [bl.vector for bl in decomposition.located("m") if bl.m == 1]
     graded.sort(key=lambda bl: bl.m)
-    if len(graded) != dec.a:
+    if len(graded) != decomposition.a:
         raise ConstructionFailure("%s: %d graded section vectors for rank %d"
-                                  % (S.name, len(graded), dec.a))
+                                  % (S.name, len(graded), decomposition.a))
     e_list: List[Tuple[Scalar, ...]] = []
     degrees: List[int] = []
     lowest = [bl for bl in graded if bl.m == 2]

@@ -99,8 +99,8 @@ def test_criterion_02_tds_relations():
         assert all(bi < 0 for bi in tds.b), S.name
         assert all(ci > 0 for ci in tds.c), S.name
         w_a = [tds.w[j] for j in S.a_indices]
-        for lam in tds.simples:
-            assert an.root_data.value_on(lam, w_a) == 2, S.name
+        for lam in tds.simples:  # lam evaluated on w in a
+            assert sum(t * v for t, v in zip(w_a, lam)) == 2, S.name
         e, f, x = triple.e, triple.f, triple.x
         assert tuple(S.bracket_coords(x, e)) == e, S.name
         assert tuple(S.bracket_coords(x, f)) == tuple(-v for v in f), S.name

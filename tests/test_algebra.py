@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkr import linalg as la
-from hkr.algebra import (RealFormStructure, bracket, invariant_form,
-                         theta_matrix)
+from hkr.algebra import RealFormStructure, theta_entries
 from hkr.catalog import build, form_id, standard_forms
 from hkr.errors import ConstructionFailure, NotInAlgebra
 from hkr.linalg import Subspace
@@ -19,6 +18,14 @@ from hkr.scalars import I, Scalar
 
 
 S = build(form_id("su_pq", p=1, q=2))
+
+
+def _commutator(x, y):
+    return la.msub(la.mmul(x, y), la.mmul(y, x))
+
+
+def _zeros(n):
+    return la.mat([[0] * n] * n)
 
 coord_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 coord_vectors = st.lists(coord_fracs, min_size=S.dim, max_size=S.dim)
@@ -113,17 +120,26 @@ def test_ad_matrix_matches_bracket(u):
 
 
 def test_invariant_form_on_matrices():
-    x = S.matrix_of(S.unit_coords(4))
-    y = S.matrix_of(S.unit_coords(4))
-    val = invariant_form(x, y)
-    assert isinstance(val, Fraction)
-    assert val == S.form_coords(S.unit_coords(4), S.unit_coords(4))
+    # B(X, Y) = Re tr(XY), taken from the matrices here, against the Gram
+    # matrix the structure keeps
+    for i, j in ((4, 4), (0, 0), (4, 5), (0, 4)):
+        xy = la.mmul(S.basis[i], S.basis[j])
+        trace = sum((xy[r][r] for r in range(S.n)), Scalar.of(0))
+        real, _ = trace.gaussian_parts()
+        assert isinstance(real, Fraction)
+        assert real == S.form_coords(S.unit_coords(i), S.unit_coords(j))
 
 
-def test_theta_matrix_involution():
-    x = S.matrix_of(S.unit_coords(5))
-    assert la.mat_eq(theta_matrix(theta_matrix(x)), x)
-    assert la.mat_eq(bracket(x, x), la.zeros(len(x)))
+def test_theta_entries_is_an_involution_fixing_h_and_negating_m():
+    for i, x in enumerate(S.basis):
+        entries = {(r, c): e for r, row in enumerate(x)
+                   for c, e in enumerate(row) if e}
+        theta = theta_entries(entries)
+        assert theta_entries(theta) == entries
+        # -X^* read from the matrix itself
+        assert theta == {(c, r): -x[r][c].conj() for r, c in entries}
+        sign = 1 if i < S.dim_h else -1
+        assert theta == {k: sign * e for k, e in entries.items()}, i
 
 
 def test_centralizer_of_a_inside_g():
@@ -241,11 +257,11 @@ def test_structure_constants_rebuild_every_commutator():
                 coeffs = T.bracket_coords(T.unit_coords(i), T.unit_coords(j))
                 assert T.bracket_coords(T.unit_coords(j), T.unit_coords(i)) \
                     == tuple(-c for c in coeffs), (T.name, i, j)
-                total = la.zeros(T.n)
+                total = _zeros(T.n)
                 for c, m in zip(coeffs, T.basis):
                     if c:
                         total = la.madd(total, la.mscale(c, m))
-                assert la.mat_eq(total, la.commutator(T.basis[i], T.basis[j])), \
+                assert la.mat_eq(total, _commutator(T.basis[i], T.basis[j])), \
                     (T.name, i, j)
 
 
@@ -267,7 +283,7 @@ def bracket_pairs(draw):
 @given(bracket_pairs())
 def test_bracket_coords_match_the_matrix_commutator(pair):
     u, v = pair
-    want = S.coords_of(la.commutator(S.matrix_of(u), S.matrix_of(v)))
+    want = S.coords_of(_commutator(S.matrix_of(u), S.matrix_of(v)))
     assert tuple(Scalar.of(x) for x in S.bracket_coords(u, v)) == want
     ad = S.ad_matrix(u)
     applied = tuple(Scalar.of(sum((row[j] * v[j] for j in range(S.dim)),
@@ -289,8 +305,21 @@ def test_basis_not_closed_under_bracket_is_rejected():
 
 
 def test_real_coords_reject_matrices_outside_the_real_span():
-    with pytest.raises(NotInAlgebra, match="not in the real span"):
-        S.real_coords_of(la.eye(S.n))  # not traceless
-    with pytest.raises(NotInAlgebra, match="outside Q"):
-        S.real_coords_of(la.mscale(_ROOT2, S.basis[0]))
-    assert S.real_coords_of(S.basis[3]) == S.unit_coords(3)
+    with pytest.raises(NotInAlgebra, match="not in g"):
+        S.coords_of(la.eye(S.n))  # not traceless
+    # sqrt(2) basis[0] lies in g^C, but its coordinate is not rational
+    coords = S.coords_of(la.mscale(_ROOT2, S.basis[0]))
+    assert coords[0] == _ROOT2 and not coords[0].is_rational()
+    assert not any(coords[1:])
+    assert S.coords_of(S.basis[3]) == tuple(Scalar.of(c)
+                                            for c in S.unit_coords(3))
+
+
+def test_basis_of_non_theta_eigenvectors_is_rejected():
+    # E_01 is sent to -E_10 by theta, so it is in neither h nor m
+    a = la.mat([[1, 0], [0, -1]])
+    e01 = la.mat([[0, 1], [0, 0]])
+    with pytest.raises(ConstructionFailure,
+                       match="basis vector 1 is not a theta eigenvector"):
+        RealFormStructure(name="not adapted", family="test", params={}, n=2,
+                          basis=(a, e01), dim_h=0, rank_a=1)

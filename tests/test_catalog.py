@@ -5,7 +5,9 @@ import pytest
 from hkr import catalog, errors
 from hkr import linalg as la
 from hkr import verify as vf
-from hkr.errors import HkrError, InvalidParams, NotInTable, SizeBound
+from hkr.errors import (ConstructionFailure, HkrError, InvalidParams,
+                        NotInTable, SizeBound)
+from hkr.scalars import ZERO
 
 
 def _forms_up_to(size):
@@ -14,13 +16,26 @@ def _forms_up_to(size):
     for family in catalog.FAMILIES:
         for a in range(1, size + 1):
             for b in range(1, size + 1):
-                try:  # an n-family ignores p and q
-                    fid = catalog.form_id(family, n=a, p=a, q=b)
-                except InvalidParams:
-                    continue
-                if catalog.matrix_size(fid) <= size:
-                    found[fid] = None
+                for kw in ({"n": a}, {"p": a, "q": b}):
+                    try:  # each family takes one of the two shapes
+                        fid = catalog.form_id(family, **kw)
+                    except InvalidParams:
+                        continue
+                    if catalog.matrix_size(fid) <= size:
+                        found[fid] = None
     return list(found)
+
+
+def _real_rank(fid):
+    """The real rank of each family, by its classical formula."""
+    f = fid.family
+    if f in ("su_pq", "so_pq", "sp_pq"):
+        return min(fid.p, fid.q)
+    if f in ("sl_R", "su_star", "sl_C_as_real"):
+        return fid.n - 1
+    if f == "sp2n_R":
+        return fid.n
+    return fid.n // 2  # so_star
 
 
 def test_form_id_round_trips_through_cli_text():
@@ -43,6 +58,17 @@ def test_parse_form_rejects_bad_input():
     for bad in ("nope:n=2", "su:p=1", "sl_r:n=1", "su:p=0,q=2", "sl_r"):
         with pytest.raises(InvalidParams):
             catalog.parse_form(bad)
+
+
+def test_unknown_or_repeated_params_are_rejected():
+    with pytest.raises(InvalidParams, match="needs params"):
+        catalog.form_id("sl_R", n=3, p=1)
+    with pytest.raises(InvalidParams, match="needs params"):
+        catalog.parse_form("sl_r:n=3,foo=7")
+    with pytest.raises(InvalidParams, match="repeated parameter 'n'"):
+        catalog.parse_form("sl_r:n=3,n=4")
+    with pytest.raises(InvalidParams, match="repeated parameter 'q'"):
+        catalog.parse_form("su:p=1,q=2,q=2")
 
 
 def test_standard_forms_count():
@@ -102,7 +128,7 @@ def test_build_every_standard_form():
     for fid in catalog.standard_forms():
         S = catalog.build(fid)
         assert S.dim == S.dim_h + S.dim_m
-        assert S.rank_a == catalog.reference_rank(fid)
+        assert S.rank_a == _real_rank(fid)
         assert S.name == catalog.form_display(fid)
 
 
@@ -184,31 +210,51 @@ def _diag(signs):
                    for r, s in enumerate(signs)])
 
 
+def _zeros(n):
+    return la.mat([[0] * n] * n)
+
+
+def _transpose(x):
+    return tuple(zip(*x))
+
+
+def _conj_transpose(x):
+    return tuple(tuple(e.conj() for e in col) for col in zip(*x))
+
+
+def _trace(x):
+    return sum((x[i][i] for i in range(len(x))), ZERO)
+
+
+def _commutator(x, y):
+    return la.msub(la.mmul(x, y), la.mmul(y, x))
+
+
 def _family_identities(fid):
     """The identities that cut the family out of gl(n, C), each a map from X
     to a matrix that must vanish, written here from this module's own copies
     of the forms, and the family's dimension."""
     n = catalog.matrix_size(fid)
     h = n // 2
-    one, zero = la.eye(h), la.zeros(h)
+    one, zero = la.eye(h), _zeros(h)
     j = _block(zero, la.mneg(one), one, zero)  # [[0,-I],[I,0]]
     rev = la.mat([[1 if r + c == h - 1 else 0 for c in range(h)]
                   for r in range(h)])
 
     def conj(x):
-        return la.transpose(la.conj_transpose(x))
+        return _transpose(_conj_transpose(x))
 
     def real(x):
         return la.msub(x, conj(x))
 
     def traceless(x):
-        return ((la.trace(x),),)
+        return ((_trace(x),),)
 
     def bilinear(w):
-        return lambda x: la.madd(la.mmul(la.transpose(x), w), la.mmul(w, x))
+        return lambda x: la.madd(la.mmul(_transpose(x), w), la.mmul(w, x))
 
     def hermitian(w):
-        return lambda x: la.madd(la.mmul(la.conj_transpose(x), w), la.mmul(w, x))
+        return lambda x: la.madd(la.mmul(_conj_transpose(x), w), la.mmul(w, x))
 
     f = fid.family
     if f in ("su_pq", "so_pq", "sp_pq"):
@@ -233,7 +279,7 @@ def _family_identities(fid):
         return [bilinear(s), hermitian(_block(one, zero, zero, la.mneg(one)))], \
             h * (2 * h - 1)
     assert f == "sl_C_as_real"
-    return [real, lambda x: la.commutator(x, j), traceless,
+    return [real, lambda x: _commutator(x, j), traceless,
             lambda x: traceless(la.mmul(j, x))], 2 * (h * h - 1)
 
 
@@ -250,6 +296,44 @@ def test_basis_satisfies_family_identities(fid):
     for k, x in enumerate(S.basis):
         for i, identity in enumerate(identities):
             assert la.is_zero_mat(identity(x)), (k, i)
+
+
+# --- the guards of build, provoked through the declared data ---------------------
+
+def _patch_declare(monkeypatch, change):
+    """Make build read change(equations, traces, a_mats, dim) of the
+    family's declared data."""
+    declare = catalog._declare
+    monkeypatch.setattr(catalog, "_declare",
+                        lambda fid, n: change(*declare(fid, n)))
+
+
+def test_build_rejects_a_repeated_a_element(monkeypatch):
+    _patch_declare(monkeypatch, lambda eqs, traces, a_mats, dim:
+                   (eqs, traces, [a_mats[0]] * 2, dim))
+    with pytest.raises(ConstructionFailure,
+                       match=r"sl\(3,R\): a-basis element 1 is dependent"):
+        catalog.build(catalog.form_id("sl_R", n=3))
+
+
+def test_build_rejects_an_a_element_in_h(monkeypatch):
+    # the rotation generator of sl(2,R) is fixed by theta: it lies in h
+    rotation = la.mat([[0, 1], [-1, 0]])
+    _patch_declare(monkeypatch, lambda eqs, traces, a_mats, dim:
+                   (eqs, traces, [rotation], dim))
+    with pytest.raises(ConstructionFailure,
+                       match=r"sl\(2,R\): a-basis element 0 is not in m"):
+        catalog.build(catalog.form_id("sl_R", n=2))
+
+
+def test_build_rejects_a_span_theta_does_not_preserve(monkeypatch):
+    # tr(E_10 X) = X_01 = 0 leaves the lower-triangular part of sl(2,R),
+    # of dim 2; theta sends E_10 to -E_01, so the parts span 1 + 2
+    _patch_declare(monkeypatch, lambda eqs, traces, a_mats, dim:
+                   (eqs, traces + [{(1, 0): 1}], a_mats, 2))
+    with pytest.raises(ConstructionFailure,
+                       match=r"sl\(2,R\): theta split lost dimensions"):
+        catalog.build(catalog.form_id("sl_R", n=2))
 
 
 # --- every small form through the verify suite ---------------------------------

@@ -184,6 +184,16 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("form,message", [
+    ("sl_r:n=3,foo=7", "error: family sl_R needs params ('n',), got ('foo', 'n')"),
+    ("sl_r:n=3,n=4", "error: repeated parameter 'n' in 'sl_r:n=3,n=4'")])
+def test_unknown_or_repeated_form_param_is_a_usage_error(capsys, form, message):
+    assert main(["describe", form]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_radicand_below_zero_is_a_usage_error(capsys):
     assert main(["section", "sl_r:n=2", "--gamma", "sqrt(-2)"]) == 2
     assert "error: bad --gamma entry" in capsys.readouterr().err
@@ -282,29 +292,32 @@ def test_negative_degree_of_L_is_a_usage_error():
     assert proc.stderr == "error: degree of L must be at least 0, got -3\n"
 
 
-# sha256 of the stdout of `describe F`, `hkr F` and `section F --json`, in
-# that order, for each catalog form; a refactor must leave them unchanged
+# sha256 of the stdout of `describe F`, `hkr F`, `section F --json` and
+# `dims F --json`, in that order, for each catalog form, and of
+# `lemma73 --json`; a refactor must leave them unchanged
 _PINNED_OUTPUT = {
-    "sl_r:n=2": "3a273031d18b88450d3c80e79dbf5a9cf14df5762861ae374b8ca1ff5489e14a",
-    "sl_r:n=3": "bda1c4f710f7689d495cdd5cb0e83a44fb4f4f758a2832f9029300f190defa4a",
-    "sl_r:n=4": "6f963d6151e2e2b7b78dcf01d8016bfa33e7240cd3ff0e6df8e3bd1d5477b51a",
-    "su:p=1,q=2": "cd7e2b9d1794cea3a249a6c2334887076c05c0632715fa8ff7996692f4132f4e",
-    "su:p=1,q=3": "52010da199a0e8531a6f558b118266ff37c77467c484516b5cf4388b6af1901c",
-    "su:p=2,q=3": "7186039ab7f27041be6afed5c60a8225dfed7124b786c923da94f71d37f82b1b",
-    "su:p=2,q=2": "e32fd3626b812b118d8328635b4d7e9175764ad93a68a690819889e71c4af44c",
-    "su:p=3,q=3": "16673b10ea4d1b6bf95d998ec2476569b9fea210f65a0308b222debbae44091c",
-    "sp_r:n=1": "dcf8781747cfb16aae7b8642930bb1efb3f3701154549320b2cefd0f8aaa7dcb",
-    "sp_r:n=2": "56ac3840ba9113239a4f2443a7ed2c1f64f9aa290e65c113afec895313039bed",
-    "sp_r:n=3": "536bd5f63df9cc314e7619c4395bd83c58690a465335ecde7bb039ca8e950390",
-    "so:p=2,q=3": "11c6abf7b2106db3419c75d7dcb86a363979e17fbb761e737c65b3e374ed39d4",
-    "so:p=2,q=4": "926cd0328cfa4066274f69a7ac5bbe4b38aad01f26f587e34929cf6d4db4671a",
-    "so:p=3,q=3": "f8baeef6004487b1a0076eed3b04492e769d5e3bfaea468f8f3b6a6eca9ca4ed",
-    "su_star:n=2": "a5789f6389d8d3942e50acfca6ab19b7b8b77e117b7ad504a078a71530e934d9",
-    "sp:p=1,q=2": "4d20cbba80a7294dbda2c2e51d6b1f05b1bdd19646fd30dbafed99041f8796c1",
-    "so_star:n=3": "12f7b3b329d9233ce78962fa0e0d34459a1488e66fbbecf5c72907e5165dfa32",
-    "so_star:n=4": "a8d5d1e93fd77a99282ab86141a9b0ff1b9c351d159b9b95a72fae14c79ff598",
-    "sl_c:n=2": "e8ddd0bc80761ccf764c4f6e18723c8daa1f5f2d14bc724d0cc73bec21ff24c8",
+    "sl_r:n=2": "50a171c7c359427e126497ca1163f6dadd33c1b4104c1e6d12ab1529d9472f91",
+    "sl_r:n=3": "f923f948217c4c18ece87d93dafb7134defc8dd89d4ce93cc006625704a737e2",
+    "sl_r:n=4": "3464d0b2c46ade0d06d7f027dc2b151d4d83f47fa5a39bd7b5fc780b847c22de",
+    "su:p=1,q=2": "1335f81b48d011357b512d1d1537c6b1b25586ca2334c54adddf8465bbef5077",
+    "su:p=1,q=3": "7677510f9946de0f11922c5073248ce4b5023ed78535da79c1fedc2e764f274c",
+    "su:p=2,q=3": "2ed624d737e5056b36e1d12f234ff38663e00a8a8817a70e206ddf5ccdbdb579",
+    "su:p=2,q=2": "11306ead4f7591a5552a28748a7e1ce2d70b2db8ddb913f96e2656c297873ca2",
+    "su:p=3,q=3": "62a13f201a3fb8ac27c0242920fd1c9810462530324e1ac700d9cee5eba15517",
+    "sp_r:n=1": "c700e3481259bbba64ecf479458cd97b8993e267dec6c11767eda52c68561faa",
+    "sp_r:n=2": "4ae8ac1c0b2955ef6bb0ad47bf6469a09a26f1aa29e8c04dc3887088c1851961",
+    "sp_r:n=3": "1fe724b63b1977068a86e353ec7d136960f78b2fceacc10975754caeb29b3134",
+    "so:p=2,q=3": "014203b17cc7a126d5ffe4642cb550e69a16b4e3063525129ca58a396e56bfa6",
+    "so:p=2,q=4": "0e6383c1afd8f78d07e171aac9904e1467688a03ff02355ffb13d59babd33439",
+    "so:p=3,q=3": "b5e03c0d7f3d70211ce355301fd856584db871ba8771f8712a20998daddfca4d",
+    "su_star:n=2": "6ac4226ad5bf79b9ac50121f435c9e881300fbe5c12a53eb7c77e03ba2e841e2",
+    "sp:p=1,q=2": "01fdd661c6ac86c29087f8088f49f69105a3992c453545c28d9a4d3e45eff8e7",
+    "so_star:n=3": "6682bf39139f5fd46ffb11300f3e560aad9b5a8088fb1baef708d3ee25801b6f",
+    "so_star:n=4": "67a2c96f95ced381f30154a8b77fd5d9ea018a3665610003f665b2cf83e91b1b",
+    "sl_c:n=2": "ce47f762f04e3e035f5cf58cbd8c0852daa15e3f798ccf9eaa01e97a2709d77d",
 }
+_PINNED_LEMMA73 = \
+    "d267d6f406a056e46f99870450b81433bac38e81758d371e43ce0fcb1f784ce4"
 
 
 def test_pinned_outputs_cover_the_catalog():
@@ -312,10 +325,16 @@ def test_pinned_outputs_cover_the_catalog():
                                     for f in catalog.standard_forms()]
 
 
-@pytest.mark.parametrize("form", list(_PINNED_OUTPUT))
+@pytest.mark.parametrize("form", list(_PINNED_OUTPUT) + ["lemma73"])
 def test_outputs_match_their_pinned_digest(capsys, form):
+    if form == "lemma73":
+        commands, want = [["lemma73", "--json"]], _PINNED_LEMMA73
+    else:
+        commands = [["describe", form], ["hkr", form],
+                    ["section", form, "--json"], ["dims", form, "--json"]]
+        want = _PINNED_OUTPUT[form]
     digest = hashlib.sha256()
-    for argv in (["describe", form], ["hkr", form], ["section", form, "--json"]):
+    for argv in commands:
         assert main(argv) == 0
         digest.update(capsys.readouterr().out.encode())
-    assert digest.hexdigest() == _PINNED_OUTPUT[form]
+    assert digest.hexdigest() == want

@@ -61,7 +61,7 @@ def test_charpoly_cayley_hamilton(rows, parts, scalar):
     else:
         cp = la.charpoly_frac(rows)
         a = la.mat(rows)
-    acc = la.zeros(3)
+    acc = la.mat([[0] * 3] * 3)
     power = la.eye(3)
     for coeff in cp:
         acc = la.madd(acc, la.mscale(coeff, power))

@@ -10,9 +10,8 @@ from hkr import roots as rt
 from hkr.catalog import (build, form_id, standard_forms, form_display,
                          form_cli_text, parse_form, lookup_table1,
                          algebra_label_dim,
-                         reference_restricted_type, reference_reduced_type,
-                         reference_rank)
-from hkr.errors import NonRationalSpectrum
+                         reference_restricted_type, reference_reduced_type)
+from hkr.errors import NonRationalSpectrum, UnrecognizedDiagram
 from hkr.verify import _ORACLE_LABELS
 
 
@@ -23,21 +22,21 @@ def data_for(family, **kw):
 def test_su12_is_bc1_with_multiplicities():
     data = data_for("su_pq", p=1, q=2)
     assert data.rank == 1
-    roots = data.roots()
+    roots = data.root_spaces
     assert len(roots) == 4  # +-lam, +-2lam
     lam = min(r for r in roots if rt.is_positive(r))
     two_lam = tuple(2 * v for v in lam)
-    assert two_lam in data.root_spaces
-    assert data.multiplicity(lam) == 2
-    assert data.multiplicity(two_lam) == 1
+    assert two_lam in roots
+    assert len(roots[lam]) == 2
+    assert len(roots[two_lam]) == 1
     assert rt.is_nonreduced(data)
     assert rt.classify_type(data) == ("BC1", "A1")
 
 
 def test_so33_roots_all_multiplicity_one():
     data = data_for("so_pq", p=3, q=3)
-    assert len(data.roots()) == 12
-    assert all(data.multiplicity(r) == 1 for r in data.roots())
+    assert len(data.root_spaces) == 12
+    assert all(len(vecs) == 1 for vecs in data.root_spaces.values())
     assert not rt.is_nonreduced(data)
     lam, red = rt.classify_type(data)
     assert rt.type_equivalent(lam, "D3")
@@ -50,7 +49,7 @@ def test_root_spaces_exhaust_dimension():
                        (("so_star"), dict(n=4))):
         S = build(form_id(family, **kw))
         data = rt.restricted_roots(S)
-        total = sum(data.multiplicity(r) for r in data.roots())
+        total = sum(len(vecs) for vecs in data.root_spaces.values())
         assert total + len(data.centralizer) == S.dim
 
 
@@ -62,7 +61,8 @@ def test_classification_matches_reference_for_all_forms():
             form_display(fid)
         assert rt.type_equivalent(red, reference_reduced_type(fid)), \
             form_display(fid)
-        assert data.rank == reference_rank(fid)
+        # the rank is the one the table's type carries
+        assert data.rank == int(reference_restricted_type(fid).lstrip("ABCD"))
 
 
 def test_simple_system_size_equals_rank():
@@ -204,12 +204,26 @@ def test_cartan_matrix_b2():
     assert {cart[0][1], cart[1][0]} == {Fraction(-1), Fraction(-2)}
 
 
+def test_unrecognized_diagrams_are_typed():
+    with pytest.raises(UnrecognizedDiagram, match="no degree table for 'X2'"):
+        rt.invariant_degrees("X2")
+
+    def dot(x, y):
+        return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+    # 2 (a_1, a_2) / (a_1, a_1) = 6/9 for a_1 = (3, 0), a_2 = (1, 1)
+    simples = [(Fraction(3), Fraction(0)), (Fraction(1), Fraction(1))]
+    with pytest.raises(UnrecognizedDiagram,
+                       match="non-integral Cartan matrix entry 2/3"):
+        rt.classify_simples(simples, dot)
+
+
 def test_full_root_classification_counts():
     # sl(2,C): complexification is two sl2 factors swapped by conjugation,
     # so all four roots are complex
     S = build(form_id("sl_C_as_real", n=2))
     fc = rt.full_root_classification(S)
-    assert fc.dim_cartan == 2
+    assert len(fc.t_basis) + S.rank_a == 2  # dim of the Cartan d = t + a
     assert fc.n_roots == 4
     assert fc.n_complex == 4
     assert fc.n_real == fc.n_imaginary == 0
@@ -224,11 +238,10 @@ def test_full_root_classification_counts():
 def test_ad_a_acts_on_its_root_space_by_the_root_value():
     S = build(form_id("sl_R", n=2))
     data = rt.restricted_roots(S)
-    lam = max(data.roots())
+    lam = max(data.root_spaces)
     vecs = data.root_spaces[lam]
     ai = next(iter(S.a_indices))
-    value = data.value_on(lam, tuple(
-        Fraction(1) if k == 0 else Fraction(0) for k in range(S.rank_a)))
+    value = lam[0]  # lam evaluated on the first a-unit
     # the root value alone fills the root space
     pieces = la.eigen_split(S.ad_frac(ai), vecs, [value],
                             Fraction(0), Fraction(1))
@@ -293,10 +306,11 @@ def test_full_root_counts_cover_the_catalog():
 def test_full_root_classification_catalog(form):
     S = build(parse_form(form))
     fc = rt.full_root_classification(S)
-    got = (fc.n_imaginary, fc.n_real, fc.n_complex, fc.dim_cartan)
+    dim_cartan = len(fc.t_basis) + S.rank_a
+    got = (fc.n_imaginary, fc.n_real, fc.n_complex, dim_cartan)
     assert got == FULL_ROOT_COUNTS[form]
     # the roots of g^C number dim g - rank g^C
-    assert fc.n_roots == S.dim - fc.dim_cartan
+    assert fc.n_roots == S.dim - dim_cartan
 
 
 def _square(m):
@@ -335,7 +349,7 @@ def test_candidates_contain_the_ad_spectrum():
 def test_candidates_reject_an_irrational_spectrum():
     S = build(form_id("sl_R", n=2))
     # eigenvalues +-sqrt(2)
-    x = S.real_coords_of(la.mat([[1, 1], [1, -1]]))
+    x = tuple(c.as_fraction() for c in S.coords_of(la.mat([[1, 1], [1, -1]])))
     with pytest.raises(NonRationalSpectrum):
         rt.ad_spectrum_candidates(S, x)
     # read as a compact element: -i x has eigenvalues +-i sqrt(2)
@@ -363,6 +377,7 @@ def test_stretch_form_matches_table(form):
     assert an.split_sub.dim == algebra_label_dim(row.split_sub)
     assert an.quasi_split == row.quasi_split
     fc = rt.full_root_classification(S, an.root_data)
-    got = (fc.n_imaginary, fc.n_real, fc.n_complex, fc.dim_cartan)
+    dim_cartan = len(fc.t_basis) + S.rank_a
+    got = (fc.n_imaginary, fc.n_real, fc.n_complex, dim_cartan)
     assert got == STRETCH_ROOT_COUNTS[form]
-    assert fc.n_roots == an.num_roots == S.dim - fc.dim_cartan
+    assert fc.n_roots == an.num_roots == S.dim - dim_cartan

@@ -5,16 +5,20 @@ of the forms are exercised through the construction's own exact relation
 checks plus targeted structural assertions.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from hkr import catalog
 from hkr import roots as rt
 from hkr import triples as tp
 from hkr import linalg as la
 from hkr.catalog import build, form_id
 from hkr.algebra import RealFormStructure
-from hkr.errors import ConstructionFailure, GradingFailure, NoSolution
+from hkr.errors import (ConstructionFailure, GradingFailure, MismatchWithTable,
+                        NoSolution, NonUnique, RelationFailure,
+                        RouteDisagreement)
 from hkr.scalars import Scalar, ZERO, ONE, I
 
 
@@ -149,7 +153,7 @@ def test_module_dimension_identity():
 def test_module_blocks_sl2c():
     # two degree-2 modules: one living in h^C, one in m^C
     S, tds, triple, dec = chain("sl_C_as_real", n=2)
-    assert dec.m_values() == [2, 2]
+    assert sorted(bl.m for bl in dec.blocks) == [2, 2]
     assert [bl.m for bl in dec.located("h")] == [2]
     assert [bl.m for bl in dec.located("m")] == [2]
     assert (dec.a, dec.b, dec.c) == (1, 1, 0)
@@ -195,6 +199,35 @@ def test_quasi_split_flags():
         kw = dict(params)
         S, tds, triple, dec = chain(family, **kw)
         assert tp.is_quasi_split(S, triple) is want, S.name
+
+
+def test_quasi_split_routes_must_agree(monkeypatch):
+    # sl(2,R) is split, so c_g(a) = a is abelian; a center of dim 1 that the
+    # TDS centralizer (dim 0) does not match sets the two routes apart
+    S = build(form_id("sl_R", n=2))
+    triple = tp.normal_triple(tp.build_tds(S))
+    monkeypatch.setattr(S, "center_dims", lambda: (1, 0, 1))
+    with pytest.raises(RouteDisagreement,
+                       match=r"c_g\(a\) abelian = True but dim c\(s\^C\) = 0 "
+                             r"vs dim z = 1"):
+        tp.is_quasi_split(S, triple)
+
+
+def test_normal_triple_rejects_a_corrupted_tds():
+    # with e_c doubled, neither sign assignment closes [x, e] = e
+    S, tds, _, _ = chain("sl_R", n=3)
+    bad = dataclasses.replace(tds, e_c=tuple(2 * v for v in tds.e_c))
+    with pytest.raises(RelationFailure,
+                       match="no sign assignments satisfy the triple relations"):
+        tp.normal_triple(bad)
+
+
+def test_split_subalgebra_checked_against_the_table(monkeypatch):
+    S, tds, _, _ = chain("sl_R", n=3)
+    monkeypatch.setattr(catalog, "reference_reduced_type", lambda fid: "G2")
+    with pytest.raises(MismatchWithTable,
+                       match=r"split subalgebra type A2, table row needs G2"):
+        tp.maximal_split_subalgebra(S, tds)
 
 
 # --- section ----------------------------------------------------------------------
@@ -252,6 +285,18 @@ def test_fiber_match_so33_unsupported():
         tp.section_fiber_match(S, basis, pt)
 
 
+def test_fiber_match_so44_repeated_degree_is_not_unique():
+    # so(4,4) has the invariant degree 4 twice (a charpoly coefficient and
+    # the Pfaffian), so the degrees do not order a triangular solve
+    S, tds, triple, dec = chain("so_pq", p=4, q=4)
+    basis = tp.section_basis(S, triple, dec)
+    assert basis.degrees == [2, 4, 4, 6]
+    pt = tp.section_point(basis, [1] * basis.rank)
+    with pytest.raises(NonUnique, match=r"so\(4,4\): repeated invariant "
+                                        r"degrees \[2, 4, 4, 6\]"):
+        tp.section_fiber_match(S, basis, pt)
+
+
 # --- invariance under exact conjugation ---------------------------------------------
 
 @pytest.mark.parametrize("family,kw", [
@@ -289,7 +334,7 @@ def test_module_decomposition_rejects_a_missing_candidate(monkeypatch):
     monkeypatch.setattr(rt, "ad_spectrum_candidates",
                         lambda *args, **kw: candidates(*args, **kw)[:-1])
     with pytest.raises(GradingFailure, match="not diagonalizable on ker ad"):
-        tp.module_decomposition(S, triple, tds.root_data)
+        tp.module_decomposition(S, triple)
 
 
 # --- explicit low-rank so* matrices ---------------------------------------------
