@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import catalog

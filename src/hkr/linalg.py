@@ -18,8 +18,9 @@ The shared idioms the other modules build on, each written once here:
 - ``eigen_split``: eigenspaces of an operator on a span it preserves, for a
   list of candidate eigenvalues, or None unless they fill the span;
 - ``kernel_right`` / ``solve_right``: null space and one solution of M x = b;
-- ``charpoly``: Faddeev-LeVerrier over either field (``charpoly_frac`` is
-  its Fraction entry point).
+- ``charpoly``: an exact reduction to upper Hessenberg form and the
+  Hessenberg recurrence, O(n^3) over either field (``charpoly_frac`` is its
+  Fraction entry point).
 """
 
 from __future__ import annotations
@@ -335,34 +336,79 @@ def solve_right(m_rows: Sequence[Sequence], b: Sequence) -> Optional[list]:
 
 # --- characteristic polynomial -------------------------------------------------
 
+def _hessenberg(a: Sequence[Sequence], one) -> List[list]:
+    """An upper Hessenberg matrix similar to A, as fresh row lists.
+
+    Column k is cleared below the subdiagonal by a similarity E A E^-1: a
+    row swap with the matching column swap brings a nonzero pivot to
+    (k+1, k); then E subtracts u_i times row k+1 from each row i below it,
+    and E^-1 adds u_i times column i to column k+1.  One field inverse per
+    column.
+    """
+    h = [list(row) for row in a]
+    n = len(h)
+    for k in range(n - 2):
+        m = k + 1
+        p = next((i for i in range(m, n) if h[i][k]), None)
+        if p is None:
+            continue  # the column is already cleared
+        if p != m:
+            h[p], h[m] = h[m], h[p]
+            for row in h:
+                row[p], row[m] = row[m], row[p]
+        inv = one / h[m][k]
+        # row m vanishes left of column k; E leaves it as it is
+        pivot = [(j, x) for j, x in enumerate(h[m][k:], k) if x]
+        factors = []
+        for i in range(m + 1, n):
+            row = h[i]
+            if row[k]:
+                u = row[k] * inv
+                factors.append((i, u))
+                u = -u  # once, so each entry costs one multiply and one add
+                for j, x in pivot:
+                    row[j] = row[j] + u * x
+        for row in h:
+            acc = row[m]
+            for i, u in factors:
+                if row[i]:
+                    acc = acc + u * row[i]
+            row[m] = acc
+    return h
+
+
 def charpoly(a: Sequence[Sequence], zero=ZERO, one=ONE) -> tuple:
     """Coefficients (c_0, ..., c_n) of det(tI - A) = sum c_k t^k, exact.
 
-    Faddeev-LeVerrier over the field of `zero`/`one` (Scalar by default):
-    M_k = A (M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k) / k.  It divides
-    only by integers, so it stays in the field.
+    Over the field of `zero`/`one` (Scalar by default): A is brought to
+    upper Hessenberg form H by exact similarity, then the characteristic
+    polynomials p_m of the leading m x m blocks of H follow the recurrence
+    p_m = (t - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1})
+    p_{i-1} (Cohen, *A Course in Computational Algebraic Number Theory*,
+    Algorithm 2.2.9), O(n^3) field operations in all.
     """
-    n = len(a)
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-    coeffs = [zero] * (n + 1)
-    coeffs[n] = one
-    m_cur = [[zero] * n for _ in range(n)]
-    c_prev = one
-    for k in range(1, n + 1):
-        for i in range(n):
-            m_cur[i][i] = m_cur[i][i] + c_prev
-        prod = []
-        for terms in nonzero:
-            out = [zero] * n
-            for col, x in terms:
-                for j, y in enumerate(m_cur[col]):
-                    if y:
-                        out[j] = out[j] + x * y
-            prod.append(out)
-        m_cur = prod
-        c_prev = -(sum((m_cur[i][i] for i in range(n)), zero) / k)
-        coeffs[n - k] = c_prev
-    return tuple(coeffs)
+    h = _hessenberg(a, one)
+    n = len(h)
+    polys = [[one]]  # polys[k]: ascending coefficients of p_k
+    for k in range(n):  # p_{k+1} from p_0, ..., p_k
+        prev = polys[k]
+        diag = -h[k][k]
+        cur = [zero] + prev  # t p_k
+        if diag:
+            for j, c in enumerate(prev):
+                cur[j] = cur[j] + diag * c
+        sub = one  # h_{i+1,i} ... h_{k,k-1}, 0-based
+        for i in range(k - 1, -1, -1):
+            sub = sub * h[i + 1][i]
+            if not sub:
+                break  # the block is triangular from here on
+            f = h[i][k]
+            if f:
+                f = -(f * sub)
+                for j, c in enumerate(polys[i]):
+                    cur[j] = cur[j] + f * c
+        polys.append(cur)
+    return tuple(polys[n])
 
 
 def charpoly_frac(a: Sequence[Sequence[Fraction]]) -> List[Fraction]:
@@ -496,21 +542,3 @@ def symmetric_pivot_signs(gram: Sequence[Sequence[Fraction]]) -> Tuple[int, int,
             a[k][pivot] = Fraction(0)
         active = [k for k in active if k != pivot]
     return pos, neg, 0
-
-
-# --- dense polynomial helpers (rational power series) ---------------------------
-
-def poly_inv_trunc(a: Sequence[Fraction], order: int) -> List[Fraction]:
-    """Power series inverse of a with a[0] != 0, to the given order."""
-    if not a or a[0] == 0:
-        raise ZeroDivisionError("series has no inverse")
-    inv0 = 1 / a[0]
-    out = [Fraction(0)] * order
-    out[0] = inv0
-    for k in range(1, order):
-        acc = Fraction(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if a[j]:
-                acc += a[j] * out[k - j]
-        out[k] = -inv0 * acc
-    return out

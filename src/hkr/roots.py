@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
@@ -480,19 +481,23 @@ def _power_traces(w: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
     """(tr w, tr w^2, ..., tr w^r) of an r x r integer matrix.
 
     tr w^(a+b) = sum_ij (w^a)_ij (w^b)_ji, so the powers up to w^ceil(r/2)
-    give every trace.
+    give every trace.  Each power is a flat row-major list of ints, and
+    every entry and trace is one dot product of two flat slices.
     """
     r = len(w)
-    cols = list(zip(*w))
-    powers = [w]  # powers[a - 1] = w^a
+    flat = [e for row in w for e in row]
+    cols = [flat[j::r] for j in range(r)]
+    powers = [flat]  # powers[a - 1] = w^a
     while 2 * len(powers) < r:
-        powers.append([[sum(x * y for x, y in zip(row, col)) for col in cols]
-                       for row in powers[-1]])
-    out = [sum(w[i][i] for i in range(r))]
+        p = powers[-1]
+        powers.append([sum(map(mul, p[i:i + r], col))
+                       for i in range(0, r * r, r) for col in cols])
+    # the column-major lists of the powers: their transposes, flat
+    transposed = [[x for j in range(r) for x in p[j::r]] for p in powers]
+    out = [sum(flat[::r + 1])]
     for k in range(2, r + 1):
-        pa, pb = powers[(k + 1) // 2 - 1], powers[k // 2 - 1]
-        out.append(sum(x * y for row, col in zip(pa, zip(*pb))
-                       for x, y in zip(row, col)))
+        out.append(sum(map(mul, powers[(k + 1) // 2 - 1],
+                           transposed[k // 2 - 1])))
     return tuple(out)
 
 
@@ -503,21 +508,26 @@ def molien_series(wmats: Sequence[Tuple[Tuple[int, ...], ...]],
     1/det(I - tw) depends on w only through det(tI - w).  Over Q, Newton's
     identities make the power sums tr w^k, k = 1..r, determine det(tI - w).
     So the elements are grouped by those integer traces, and one charpoly
-    and one series inverse per group, times the group's size, give the
-    same rational series term by term as the sum over every element.
+    per group, times the group's size, gives the same rational series term
+    by term as the sum over every element.  det(I - tw) has integer
+    coefficients and constant term 1, so its inverse series is integral:
+    the sum stays in ints, divided by |W| once at the end.
     """
     groups: Dict[Tuple[int, ...], list] = {}
     for w in wmats:
         groups.setdefault(_power_traces(w), []).append(w)
-    total = [_F0] * order
+    total = [0] * order
     for members in groups.values():
         p = la.charpoly_frac([[Fraction(e) for e in row] for row in members[0]])
-        # det(I - tW) = t^r charpoly(1/t) with charpoly = det(tI - W)
-        inv = la.poly_inv_trunc(list(reversed(p)), order)
+        # det(I - tw) = t^r charpoly(1/t) with charpoly = det(tI - w)
+        terms = [(j, int(c)) for j, c in enumerate(reversed(p)) if j and c]
+        inv = [1]
+        for k in range(1, order):
+            inv.append(-sum(c * inv[k - j] for j, c in terms if j <= k))
+        size = len(members)
         for k in range(order):
-            total[k] += len(members) * inv[k]
-    n = len(wmats)
-    return [c / n for c in total]
+            total[k] += size * inv[k]
+    return [Fraction(c, len(wmats)) for c in total]
 
 
 def molien_degrees(wmats: Sequence[Tuple[Tuple[int, ...], ...]], rank: int,
@@ -636,19 +646,18 @@ def torus_split(structure: RealFormStructure,
 
 
 def full_root_classification(structure: RealFormStructure,
-                             root_data: Optional[RestrictedRootData] = None
+                             root_data: RestrictedRootData
                              ) -> FullRootClassification:
     """Tags the roots of g^C on the maximally split Cartan d = t + a.
 
-    The ad(a)-split is the restricted root decomposition; each of its
-    pieces is then split by ad(t).
+    The ad(a)-split is `root_data`, the restricted root decomposition of
+    `structure`; each of its pieces is then split by ad(t).
     """
-    data = root_data if root_data is not None else restricted_roots(structure)
     r = structure.rank_a
     a_units = [structure.unit_coords(i) for i in structure.a_indices]
     t_basis = maximal_torus(structure, a_units)
-    spaces = list(data.root_spaces.items())
-    spaces.append(((_F0,) * r, data.centralizer))
+    spaces = list(root_data.root_spaces.items())
+    spaces.append(((_F0,) * r, root_data.centralizer))
     spaces = torus_split(structure, t_basis, spaces)
 
     n_im = n_re = n_cx = 0

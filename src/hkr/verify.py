@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import catalog
 from . import dimensions as dm
@@ -22,7 +22,7 @@ from . import linalg as la
 from . import roots as rt
 from . import triples as tp
 from .errors import HkrError, InvalidParams
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar
 
 NEG_ONE = Scalar.of(-1)
 TWO = Scalar.of(2)

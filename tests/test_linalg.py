@@ -69,6 +69,91 @@ def test_charpoly_cayley_hamilton(rows, parts, scalar):
     assert la.is_zero_mat(acc)
 
 
+def faddeev_leverrier(a, zero, one):
+    """Reference det(tI - A), ascending, by Faddeev-LeVerrier: M_1 = A,
+    c_{n-k} = -tr(M_k) / k, M_{k+1} = A (M_k + c_{n-k} I).  It shares no
+    step with ``la.charpoly``'s Hessenberg route."""
+    n = len(a)
+    coeffs = [zero] * n + [one]
+    m = [list(row) for row in a]
+    for k in range(1, n + 1):
+        c = -(sum((m[i][i] for i in range(n)), zero) / k)
+        coeffs[n - k] = c
+        shifted = [[x + c if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(m)]
+        m = [[sum((a[i][l] * shifted[l][j] for l in range(n)), zero)
+              for j in range(n)] for i in range(n)]
+    return tuple(coeffs)
+
+
+sparse_fracs = st.one_of(st.just(Fraction(0)), small_fracs)
+
+
+def square_matrices(k):
+    """k mostly sparse rational n x n matrices of one order n in 0..8."""
+    return st.integers(0, 8).flatmap(lambda n: st.lists(
+        st.lists(st.lists(sparse_fracs, min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        min_size=k, max_size=k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices(1))
+def test_charpoly_matches_faddeev_leverrier_over_q(mats):
+    rows = mats[0]
+    ref = faddeev_leverrier(rows, Fraction(0), Fraction(1))
+    assert la.charpoly_frac(rows) == list(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(3))
+def test_charpoly_matches_faddeev_leverrier_with_i_and_sqrt2(mats):
+    # entries x + y sqrt(2) + z i
+    root2 = Scalar.sqrt(2)
+    a = la.mat([[Scalar.of(x) + root2 * Scalar.of(y) + I * Scalar.of(z)
+                 for x, y, z in zip(*rows)] for rows in zip(*mats)])
+    assert la.charpoly(a) == faddeev_leverrier(a, ZERO, ONE)
+
+
+def test_charpoly_of_a_1x1_matrix():
+    assert la.charpoly_frac([[Fraction(5)]]) == [Fraction(-5), Fraction(1)]
+    assert la.charpoly(la.mat([[I]])) == (-I, ONE)
+    assert la.charpoly(()) == (ONE,)
+
+
+def test_charpoly_with_a_zero_subdiagonal():
+    # [[A, B], [0, C]] is block triangular: its Hessenberg form keeps a zero
+    # at (2, 1), and det(tI - M) = (t^2 - 5t - 2)(t^2 + 1)
+    m = [[1, 2, 7, -1],
+         [3, 4, 0, 5],
+         [0, 0, 0, 1],
+         [0, 0, -1, 0]]
+    rows = [[Fraction(x) for x in row] for row in m]
+    want = [Fraction(x) for x in (-2, -5, -1, -5, 1)]
+    assert la.charpoly_frac(rows) == want
+    assert la.charpoly(la.mat(m)) == tuple(Scalar.of(x) for x in want)
+
+
+def test_charpoly_when_the_pivot_needs_a_swap():
+    # column 0 is zero at the subdiagonal and nonzero below it:
+    # det(tI - A) = t^3 - 13 t^2 - 9 t + 15
+    rows = [[Fraction(x) for x in row]
+            for row in ([1, 2, 3], [0, 4, 5], [6, 7, 8])]
+    assert la.charpoly_frac(rows) == [Fraction(x) for x in (15, -9, -13, 1)]
+
+
+def test_charpoly_of_the_nilpotent_f_of_sl3r():
+    from hkr import triples as tp
+    from hkr.catalog import build, form_id
+
+    S = build(form_id("sl_R", n=3))
+    f = S.matrix_of(tp.normal_triple(tp.build_tds(S)).f)
+    # entries in Q(i, sqrt 2); column 0 needs a swap to reach Hessenberg form
+    assert not f[1][0] and f[2][0]
+    assert la.charpoly(f) == (ZERO, ZERO, ZERO, ONE)  # t^3
+    assert faddeev_leverrier(f, ZERO, ONE) == (ZERO, ZERO, ZERO, ONE)
+
+
 @settings(max_examples=60, deadline=None)
 @given(frac_matrix(3))
 def test_charpoly_frac_agrees_with_scalar_path(rows):

@@ -13,6 +13,7 @@ from hkr.catalog import (build, form_id, standard_forms, form_display,
                          reference_restricted_type, reference_reduced_type)
 from hkr.errors import NonRationalSpectrum, UnrecognizedDiagram
 from hkr.verify import _ORACLE_LABELS
+from test_linalg import faddeev_leverrier
 
 
 def data_for(family, **kw):
@@ -156,12 +157,28 @@ def _full_product_weyl_group(simples, pair):
     return sorted(seen)
 
 
+def _poly_inv_trunc(a, order):
+    """Power series inverse of a with a[0] != 0, to the given order."""
+    inv0 = 1 / a[0]
+    out = [Fraction(0)] * order
+    out[0] = inv0
+    for k in range(1, order):
+        acc = Fraction(0)
+        for j in range(1, min(k, len(a) - 1) + 1):
+            if a[j]:
+                acc += a[j] * out[k - j]
+        out[k] = -inv0 * acc
+    return out
+
+
 def _per_element_molien_series(wmats, order):
-    """Reference sum: one charpoly and one series inverse per element."""
+    """Reference sum over Fractions: one Faddeev-LeVerrier charpoly and one
+    series inverse per element."""
     total = [Fraction(0)] * order
     for w in wmats:
-        p = la.charpoly_frac([[Fraction(e) for e in row] for row in w])
-        inv = la.poly_inv_trunc(list(reversed(p)), order)
+        p = faddeev_leverrier([[Fraction(e) for e in row] for row in w],
+                              Fraction(0), Fraction(1))
+        inv = _poly_inv_trunc(list(reversed(p)), order)
         for k in range(order):
             total[k] += inv[k]
     n = Fraction(len(wmats))
@@ -222,14 +239,14 @@ def test_full_root_classification_counts():
     # sl(2,C): complexification is two sl2 factors swapped by conjugation,
     # so all four roots are complex
     S = build(form_id("sl_C_as_real", n=2))
-    fc = rt.full_root_classification(S)
+    fc = rt.full_root_classification(S, rt.restricted_roots(S))
     assert len(fc.t_basis) + S.rank_a == 2  # dim of the Cartan d = t + a
     assert fc.n_roots == 4
     assert fc.n_complex == 4
     assert fc.n_real == fc.n_imaginary == 0
     # split form: every root is real, t = 0
     S = build(form_id("sl_R", n=3))
-    fc = rt.full_root_classification(S)
+    fc = rt.full_root_classification(S, rt.restricted_roots(S))
     assert fc.t_basis == []
     assert fc.n_real == fc.n_roots == 6
     assert fc.n_imaginary == fc.n_complex == 0
@@ -305,7 +322,7 @@ def test_full_root_counts_cover_the_catalog():
 @pytest.mark.parametrize("form", sorted(FULL_ROOT_COUNTS))
 def test_full_root_classification_catalog(form):
     S = build(parse_form(form))
-    fc = rt.full_root_classification(S)
+    fc = rt.full_root_classification(S, rt.restricted_roots(S))
     dim_cartan = len(fc.t_basis) + S.rank_a
     got = (fc.n_imaginary, fc.n_real, fc.n_complex, dim_cartan)
     assert got == FULL_ROOT_COUNTS[form]
