@@ -380,21 +380,47 @@ class RealFormStructure:
             self._center_dims = (len(z), len(in_h), len(in_m))
         return self._center_dims
 
-    def generate_subalgebra(self, gens: Sequence[Sequence[Fraction]]
-                            ) -> la.Subspace:
-        """Smallest bracket-closed rational subspace containing the generators."""
-        space = la.Subspace([list(g) for g in gens])
-        frontier = [la.sparse(r) for r in space.rows]
+    def generate_subalgebra(
+            self, gens: Sequence[Tuple[tuple, Sequence[Fraction]]]
+    ) -> Dict[tuple, la.Subspace]:
+        """Smallest bracket-closed rational subspace containing the generators,
+        graded by weight.
+
+        Each generator comes as (weight, vector), the weight a tuple of
+        Fractions.  The closure is spanned by the iterated brackets
+        [g_1, [g_2, ..., g_k]] of generators: their span is stable under
+        each ad(g_i), so by the Jacobi identity under ad of its own
+        elements.  The bracket of vectors of weights alpha and beta has
+        weight alpha + beta, so the closure is the direct sum of one
+        reduced-echelon ``Subspace`` per weight, returned as a
+        {weight: Subspace} dict.  One weight for every generator, such as
+        (), gives the ungraded closure.
+        """
+        spaces: Dict[tuple, la.Subspace] = {}
+        frontier = []
+        for wt, g in gens:
+            space = spaces.setdefault(wt, la.Subspace())
+            if space.add(g):
+                frontier.append((wt, la.sparse(g)))
+        sources = list(frontier)
         while frontier:
             new_vecs = []
-            current = [la.sparse(r) for r in space.rows]
-            for u in frontier:
-                for v in current:
-                    w = self._bracket(u, v)
-                    if space.add(w):
-                        new_vecs.append(w)
+            for wg, g in sources:
+                for wu, u in frontier:
+                    w = self._bracket(g, u)
+                    if not w:
+                        continue
+                    wt = tuple(a + b for a, b in zip(wg, wu))
+                    space = spaces.get(wt)
+                    if space is None:
+                        # a dense first row makes every row full length
+                        space = spaces[wt] = la.Subspace(
+                            [[w.get(k, _F0) for k in range(self.dim)]])
+                        new_vecs.append((wt, w))
+                    elif space.add(w):
+                        new_vecs.append((wt, w))
             frontier = new_vecs
-        return space
+        return spaces
 
     # --- block views -----------------------------------------------------
 

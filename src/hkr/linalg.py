@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConstructionFailure
@@ -90,11 +91,17 @@ def flatten(a: Mat) -> Tuple[Scalar, ...]:
     return tuple(x for row in a for x in row)
 
 
-def mat_pow(a: Mat, k: int) -> Mat:
-    out = eye(len(a))
-    for _ in range(k):
-        out = mmul(out, a)
-    return out
+def is_nilpotent(a: Mat) -> bool:
+    """Whether the n x n matrix A has A^n = 0.
+
+    With 2^k >= n, A^(2^k) = 0 exactly when A^n = 0 (a nilpotent A has
+    A^n = 0), so k squarings decide it; a zero power stops them early.
+    """
+    power, exponent = a, 1
+    while exponent < len(a) and not is_zero_mat(power):
+        power = mmul(power, power)
+        exponent *= 2
+    return is_zero_mat(power)
 
 
 # --- row reduction -------------------------------------------------------------
@@ -431,13 +438,38 @@ def _divisors(n: int) -> List[int]:
     return out
 
 
+def _integer_root(ints: List[int]) -> Optional[Tuple[int, int]]:
+    """(p, q), q > 0, with p/q a root of sum ints[k] t^k, or None.
+
+    The candidates are +-p/q with p dividing ints[0] and q dividing
+    ints[-1] (ints[0] nonzero), and p/q is a root exactly when
+    sum_k ints[k] p^k q^(n-k) = 0, evaluated by a homogeneous Horner
+    scheme in ints.
+    """
+    n = len(ints) - 1
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
+            if gcd(p, q) != 1:
+                continue
+            for cand in (p, -p):
+                acc, qpow = ints[n], 1
+                for k in range(n - 1, -1, -1):
+                    qpow *= q
+                    acc = acc * cand + ints[k] * qpow
+                if not acc:
+                    return cand, q
+    return None
+
+
 def rational_roots(poly: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """All roots with multiplicity if the polynomial splits over Q, else None.
 
-    `poly` lists coefficients c_0..c_n of sum c_k t^k.
+    `poly` lists coefficients c_0..c_n of sum c_k t^k.  The zero roots come
+    first; the rest are found on the primitive integer multiple of the
+    polynomial, which is deflated by (q t - p) for each root p/q in lowest
+    terms: by Gauss's lemma the quotient is again a primitive integer
+    polynomial.
     """
-    from math import gcd
-
     coeffs = [Fraction(c) for c in poly]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
@@ -447,44 +479,31 @@ def rational_roots(poly: Sequence[Fraction]) -> Optional[List[Fraction]]:
     while len(coeffs) > 1 and not coeffs[0]:
         roots.append(Fraction(0))
         coeffs.pop(0)
-    while len(coeffs) > 1:
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        found = None
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                if gcd(p, q) != 1:
-                    continue
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    acc = Fraction(0)
-                    for c in reversed(ints):
-                        acc = acc * cand + c
-                    if not acc:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    ints = [v // g for v in ints]
+    while len(ints) > 1:
+        found = _integer_root(ints)
         if found is None:
             return None
-        roots.append(found)
-        # synthetic division of the Fraction coefficients by (t - found)
-        quot = [Fraction(0)] * (len(coeffs) - 1)
-        carry = coeffs[-1]
-        for k in range(len(coeffs) - 2, -1, -1):
-            quot[k] = carry
-            carry = coeffs[k] + carry * found
+        p, q = found
+        roots.append(Fraction(p, q))
+        # synthetic division by (q t - p), from the leading coefficient down
+        quot = [0] * (len(ints) - 1)
+        carry = ints[-1]
+        for k in range(len(ints) - 2, -1, -1):
+            quot[k], rem = divmod(carry, q)
+            if rem:
+                raise ArithmeticError("root division failed")
+            carry = ints[k] + quot[k] * p
         if carry:
             raise ArithmeticError("root division failed")
-        coeffs = quot
+        ints = quot
     return roots
 
 

@@ -7,9 +7,12 @@ from the n x n matrix of H: the differences of its eigenvalues on C^n
 (``ad_spectrum_candidates``), so no dim x dim charpoly is formed.  Each split
 (``linalg.eigen_split``) must fill the piece it splits, which proves that
 the candidates held the whole spectrum, so multiplicities are exact.  The
-same route splits g^C by a compact torus (``torus_split``), whose labels
-are the eigenvalues i mu of ad(t), Scalars that callers only test for
-zero, and ker ad(e) by ad(x).  Classification
+same route splits g^C by a compact torus (``torus_split``, for the root
+vectors of h^C), whose labels are the eigenvalues i mu of ad(t), Scalars
+that callers only test for zero, and ker ad(e) by ad(x).  The roots on a
+maximally split Cartan d = t + a are not split out: the ad(a)-grading is
+computed once, and each piece is counted by its centralizer of t
+(``full_root_classification``).  Classification
 goes through the Cartan matrix of a deterministic simple system; type labels
 are canonical strings like ``B2`` or ``A1xA1``, compared through the
 low-rank coincidences (B1 = C1 = A1, B2 = C2, D2 = A1 x A1, D3 = A3).
@@ -92,14 +95,10 @@ class RestrictedRootData:
         return self.structure.rank_a
 
 
-def restricted_roots(structure: RealFormStructure,
-                     within: Optional[List[list]] = None) -> RestrictedRootData:
-    """Joint ad(a)-eigenvalue decomposition of g, or of span(within)."""
-    if within is None:
-        d = structure.dim
-        start = [[_F1 if j == i else _F0 for j in range(d)] for i in range(d)]
-    else:
-        start = [list(v) for v in within]
+def restricted_roots(structure: RealFormStructure) -> RestrictedRootData:
+    """Joint ad(a)-eigenvalue decomposition of g."""
+    d = structure.dim
+    start = [[_F1 if j == i else _F0 for j in range(d)] for i in range(d)]
     spaces = [((), start)]
     for ai in structure.a_indices:
         cands = ad_spectrum_candidates(structure, structure.unit_coords(ai))
@@ -112,7 +111,7 @@ def restricted_roots(structure: RealFormStructure,
             root_spaces[label] = vecs
         else:
             central = vecs
-    if within is None and not root_spaces:
+    if not root_spaces:
         raise ConstructionFailure("%s: no restricted roots" % structure.name)
     return RestrictedRootData(structure, root_spaces, central)
 
@@ -648,38 +647,32 @@ def torus_split(structure: RealFormStructure,
 def full_root_classification(structure: RealFormStructure,
                              root_data: RestrictedRootData
                              ) -> FullRootClassification:
-    """Tags the roots of g^C on the maximally split Cartan d = t + a.
+    """Counts the roots of g^C on the maximally split Cartan d = t + a.
 
-    The ad(a)-split is `root_data`, the restricted root decomposition of
-    `structure`; each of its pieces is then split by ad(t).
+    `root_data` is the restricted root decomposition of `structure`, and t
+    is a maximal torus of c_h(a).  Everything that commutes with d lies in
+    c_g(a), so d is a Cartan subalgebra exactly when c_{c_g(a)}(t) has
+    dim |t| + r; then each root space of d^C is a line, and the roots are
+    counted by dimension.  A root is real (zero on t), complex (nonzero on
+    both t and a) or imaginary (zero on a), so n_re = sum over the restricted
+    roots lambda of dim c_{g_lambda}(t), n_cx = sum of dim g_lambda - n_re,
+    and n_im = dim c_g(a) - |t| - r: one rational centralizer per piece,
+    with no eigenvalue of ad(t) formed.
     """
     r = structure.rank_a
     a_units = [structure.unit_coords(i) for i in structure.a_indices]
     t_basis = maximal_torus(structure, a_units)
-    spaces = list(root_data.root_spaces.items())
-    spaces.append(((_F0,) * r, root_data.centralizer))
-    spaces = torus_split(structure, t_basis, spaces)
-
-    n_im = n_re = n_cx = 0
-    zero_dim = 0
-    for label, vecs in spaces:
-        a_zero = not any(label[:r])
-        t_zero = not any(label[r:])
-        if a_zero and t_zero:
-            zero_dim += len(vecs)
-            continue
-        if len(vecs) != 1:
-            raise ConstructionFailure(
-                "%s: root space of dimension %d on the split Cartan"
-                % (structure.name, len(vecs)))
-        if a_zero:
-            n_im += 1
-        elif t_zero:
-            n_re += 1
-        else:
-            n_cx += 1
-    if zero_dim != len(t_basis) + r:
+    cartan = len(t_basis) + r
+    zero_dim = len(structure.centralizer_in_span(t_basis,
+                                                 root_data.centralizer))
+    if zero_dim != cartan:
         raise ConstructionFailure(
             "%s: d is not a Cartan subalgebra (centralizer dim %d)"
             % (structure.name, zero_dim))
-    return FullRootClassification(structure, t_basis, n_im, n_re, n_cx)
+    n_re = n_all = 0
+    for vecs in root_data.root_spaces.values():
+        n_re += len(structure.centralizer_in_span(t_basis, vecs))
+        n_all += len(vecs)
+    n_im = len(root_data.centralizer) - cartan
+    return FullRootClassification(structure, t_basis, n_im, n_re,
+                                  n_all - n_re)

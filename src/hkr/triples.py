@@ -3,7 +3,8 @@
 Construction chain: root vectors y_i on the simple restricted roots, the
 grading element w with lambda_i(w) = 2, the complex generators e_c, f_c,
 the normal triple (e, f, x) with [x,e] = e, the maximal split subalgebra
-generated by the per-node sl2's, the sl2-module decomposition of g^C, and
+generated by the per-node sl2's (a closure graded by restricted weight, whose
+pieces are its root spaces), the sl2-module decomposition of g^C, and
 the section gamma -> f + sum gamma_i e_i with exact regularity and fiber
 matching.  Every relation is asserted exactly at construction time.
 """
@@ -233,9 +234,7 @@ def _triple_relations_hold(S, e, f, x) -> bool:
 
 
 def _assert_nilpotent(S, coords, what):
-    m = S.matrix_of(coords)
-    p = la.mat_pow(m, S.n)
-    if not la.is_zero_mat(p):
+    if not la.is_nilpotent(S.matrix_of(coords)):
         raise RelationFailure("%s: %s is not nilpotent in the defining rep"
                               % (S.name, what))
 
@@ -303,21 +302,48 @@ class SplitSubalgebra:
 
 def maximal_split_subalgebra(structure: RealFormStructure,
                              tds: TdsConstruction) -> SplitSubalgebra:
+    """The subalgebra generated by a and the y_i, z_i, checked exactly.
+
+    a sits at weight 0, y_i at lambda_i and z_i at -lambda_i; each weight is
+    asserted by one bracket per a-unit, so the graded closure
+    (``generate_subalgebra``) is the ad(a)-grading of the subalgebra: its
+    nonzero pieces are the root spaces and its zero piece the centralizer
+    of a, with no second eigenspace split.
+    """
     from . import catalog
 
     S = structure
-    gens = [list(S.unit_coords(i)) for i in S.a_indices]
-    gens += [list(v) for v in tds.y]
-    gens += [list(v) for v in tds.z]
-    space = S.generate_subalgebra(gens)
+    r = S.rank_a
+    a_units = [S.unit_coords(i) for i in S.a_indices]
+    zero = (_F0,) * r
+    named = [("a_%d" % (j + 1), zero, u) for j, u in enumerate(a_units)]
+    for i, lam in enumerate(tds.simples):
+        named.append(("y_%d" % (i + 1), lam, tds.y[i]))
+        named.append(("z_%d" % (i + 1), tuple(-v for v in lam), tds.z[i]))
+    # each generator has its weight: [a_j, v] = weight_j v
+    for name, wt, v in named:
+        for u, wj in zip(a_units, wt):
+            if tuple(S.bracket_coords(u, v)) != _scale(wj, v):
+                raise ConstructionFailure(
+                    "%s: split subalgebra generator %s is not of weight (%s)"
+                    % (S.name, name, ", ".join(str(x) for x in wt)))
+    gens = [(wt, v) for _, wt, v in named]
+    pieces = S.generate_subalgebra(gens)
+    space = la.Subspace([row for piece in pieces.values()
+                         for row in piece.rows])
 
     for row in space.rows:
         if not space.contains(S.theta_coords(row)):
             raise ConstructionFailure("%s: split subalgebra is not theta-stable"
                                       % S.name)
 
-    # its restricted root system is the reduced system, all multiplicities 1
-    sub_data = rt.restricted_roots(S, within=[list(r) for r in space.rows])
+    # its restricted root system is the reduced system, all multiplicities
+    # 1: the nonzero weight pieces are its root spaces, the zero weight
+    # piece is its centralizer of a
+    centralizer = pieces[zero].rows
+    sub_data = rt.RestrictedRootData(
+        S, {wt: piece.rows for wt, piece in pieces.items() if wt != zero},
+        centralizer)
     reduced = set(rt.reduced_system(tds.root_data))
     got = set(sub_data.root_spaces)
     if got != reduced:
@@ -326,14 +352,15 @@ def maximal_split_subalgebra(structure: RealFormStructure,
     if any(len(v) != 1 for v in sub_data.root_spaces.values()):
         raise ConstructionFailure("%s: split subalgebra has a root of "
                                   "multiplicity > 1" % S.name)
-    if len(sub_data.centralizer) != S.rank_a:
+    if len(centralizer) != r:
         raise ConstructionFailure("%s: split subalgebra centralizer of a has "
-                                  "dim %d" % (S.name, len(sub_data.centralizer)))
+                                  "dim %d" % (S.name, len(centralizer)))
 
     # z(ghat) = z(g) meet m; by the Jacobi identity whatever commutes with
-    # the generators commutes with the subalgebra they generate
+    # the generators commutes with the subalgebra they generate, and it
+    # commutes with a in ghat, so it lies in the zero weight piece
     z_g, z_h, z_m = S.center_dims()
-    z_sub = len(S.centralizer_in_span(gens, space.rows))
+    z_sub = len(S.centralizer_in_span([v for _, v in gens], centralizer))
     if z_sub != z_m:
         raise MismatchWithTable("%s: z(split sub) = %d but z(g) meet m = %d"
                                 % (S.name, z_sub, z_m))
@@ -602,7 +629,7 @@ def invariance_conjugators(structure: RealFormStructure, count: int
     nilpotent_vecs = [v for label, vecs in spaces if any(label) for v in vecs]
     for v in nilpotent_vecs:
         mat = S.matrix_of(v)
-        if not la.is_zero_mat(la.mat_pow(mat, S.n)):
+        if not la.is_nilpotent(mat):
             continue
         g = _exp_nilpotent(mat, S.n)
         ginv = _exp_nilpotent(la.mneg(mat), S.n)

@@ -17,6 +17,7 @@ from hkr import roots as rt
 from hkr import triples as tp
 from hkr import verify as vf
 from hkr.scalars import Scalar
+from test_linalg import n_fold_power
 
 
 _ANALYSES = {}
@@ -107,7 +108,7 @@ def test_criterion_02_tds_relations():
         assert tuple(S.bracket_coords(e, f)) == x, S.name
         for v in (e, f):
             assert tuple(S.theta_coords(v)) == tuple(-u for u in v), S.name
-            assert la.is_zero_mat(la.mat_pow(S.matrix_of(v), S.n)), S.name
+            assert la.is_zero_mat(n_fold_power(S.matrix_of(v), S.n)), S.name
         assert tuple(S.theta_coords(x)) == x, S.name
 
 

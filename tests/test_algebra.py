@@ -150,12 +150,14 @@ def test_centralizer_of_a_inside_g():
 
 
 def test_generate_subalgebra_closes():
-    gens = [list(S.unit_coords(i)) for i in S.a_indices]
+    gens = [((), list(S.unit_coords(i))) for i in S.a_indices]
     sub = S.generate_subalgebra(gens)
-    assert sub.dim == 1  # a is abelian, already closed
+    assert list(sub) == [()]
+    assert sub[()].dim == 1  # a is abelian, already closed
     full = S.generate_subalgebra(
-        [list(S.unit_coords(i)) for i in (0, 4)])
-    assert full.dim >= 2
+        [((), list(S.unit_coords(i))) for i in (0, 4)])
+    assert list(full) == [()]
+    assert full[()].dim >= 2
 
 
 def test_subspace_operations():

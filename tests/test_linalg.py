@@ -50,6 +50,93 @@ def test_rational_roots_multiplicity():
     assert sorted(roots) == [Fraction(1), Fraction(1)]
 
 
+def fraction_rational_roots(poly):
+    """The rational roots by Horner's rule on Fraction candidates and
+    synthetic division of the Fraction coefficients by (t - root): the
+    reference for ``la.rational_roots``, in its order of roots."""
+    from math import gcd
+
+    def divisors(n):
+        n, out, d = abs(n), [], 1
+        while d * d <= n:
+            if n % d == 0:
+                out += [d] if d == n // d else [d, n // d]
+            d += 1
+        return out
+
+    coeffs = [Fraction(c) for c in poly]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    roots = []
+    while len(coeffs) > 1 and not coeffs[0]:
+        roots.append(Fraction(0))
+        coeffs.pop(0)
+    while len(coeffs) > 1:
+        den = 1
+        for c in coeffs:
+            den = den * c.denominator // gcd(den, c.denominator)
+        ints = [int(c * den) for c in coeffs]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        ints = [v // g for v in ints]
+        found = next((cand for p in divisors(ints[0])
+                      for q in divisors(ints[-1]) if gcd(p, q) == 1
+                      for cand in (Fraction(p, q), Fraction(-p, q))
+                      if not sum(c * cand ** k for k, c in enumerate(ints))),
+                     None)
+        if found is None:
+            return None
+        roots.append(found)
+        quot = [Fraction(0)] * (len(coeffs) - 1)
+        carry = coeffs[-1]
+        for k in range(len(coeffs) - 2, -1, -1):
+            quot[k] = carry
+            carry = coeffs[k] + carry * found
+        assert not carry
+        coeffs = quot
+    return roots
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)),
+                max_size=5),
+       st.integers(0, 3), st.booleans(), st.fractions(min_value=-50,
+                                                      max_value=50,
+                                                      max_denominator=7),
+       st.integers(0, 10 ** 4))
+def test_rational_roots_match_the_fraction_reference(factors, zeros,
+                                                      irrational, lead, big):
+    # a product of (q t - p), t^zeros, maybe t^2 - 2 and a large root,
+    # times a nonzero rational leading constant
+    if not lead:
+        lead = Fraction(3, 2)
+    poly = [lead]
+    for p, q in factors:
+        poly = _poly_mul(poly, [Fraction(-p), Fraction(q)])
+    if big:
+        poly = _poly_mul(poly, [Fraction(-big), Fraction(1)])
+    if irrational:
+        poly = _poly_mul(poly, [Fraction(-2), Fraction(0), Fraction(1)])
+    poly = [Fraction(0)] * zeros + poly
+    got = la.rational_roots(poly)
+    assert got == fraction_rational_roots(poly)
+    if irrational:
+        assert got is None
+    else:
+        want = [Fraction(0)] * zeros + [Fraction(p, q) for p, q in factors]
+        want += [Fraction(big)] if big else []
+        assert sorted(got) == sorted(want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(frac_matrix(3), frac_matrix(3), st.booleans())
 def test_charpoly_cayley_hamilton(rows, parts, scalar):
@@ -194,10 +281,56 @@ def test_kernel_of_an_empty_system_is_the_whole_space():
                                                [f0, f0, f1]]
 
 
-def test_mat_pow():
+def n_fold_power(a, k):
+    """A^k as k products, the reference for ``la.is_nilpotent``."""
+    out = la.eye(len(a))
+    for _ in range(k):
+        out = la.mmul(out, a)
+    return out
+
+
+def test_n_fold_power():
     j = la.mat([[0, 1], [-1, 0]])
-    assert la.mat_eq(la.mat_pow(j, 4), la.eye(2))
-    assert la.mat_eq(la.mat_pow(j, 2), la.mneg(la.eye(2)))
+    assert la.mat_eq(n_fold_power(j, 4), la.eye(2))
+    assert la.mat_eq(n_fold_power(j, 2), la.mneg(la.eye(2)))
+
+
+def test_is_nilpotent_small_cases():
+    assert la.is_nilpotent(())  # the 0 x 0 matrix
+    assert la.is_nilpotent(la.mat([[0]]))
+    assert not la.is_nilpotent(la.mat([[1]]))
+    # a single Jordan block of size n needs exactly the n-th power
+    for n in range(1, 10):
+        jordan = la.mat([[1 if c == r + 1 else 0 for c in range(n)]
+                         for r in range(n)])
+        assert la.is_nilpotent(jordan)
+        assert not la.is_zero_mat(n_fold_power(jordan, n - 1))
+        assert not la.is_nilpotent(la.madd(jordan, la.mat(
+            [[1 if (r, c) == (n - 1, 0) else 0 for c in range(n)]
+             for r in range(n)])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=7).flatmap(
+           lambda n: st.tuples(st.just(n), st.lists(
+               st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+               min_size=n, max_size=n))),
+       st.booleans())
+def test_is_nilpotent_matches_the_n_fold_power(case, strict):
+    # strictly upper triangular matrices are nilpotent; conjugating by a
+    # unipotent keeps that, and a general integer matrix rarely is
+    n, rows = case
+    if strict:
+        rows = [[x if c > r else 0 for c, x in enumerate(row)]
+                for r, row in enumerate(rows)]
+        u = la.mat([[1 if c == r else (1 if c == r + 1 else 0)
+                     for c in range(n)] for r in range(n)])
+        uinv = la.mat([[(-1) ** (c - r) if c >= r else 0 for c in range(n)]
+                       for r in range(n)])
+        a = la.mmul(la.mmul(u, la.mat(rows)), uinv)
+    else:
+        a = la.mat(rows)
+    assert la.is_nilpotent(a) == la.is_zero_mat(n_fold_power(a, n))
 
 
 def test_rref_pivots_are_unit_columns():

@@ -285,10 +285,14 @@ def test_restricted_roots_reject_a_missing_candidate(monkeypatch):
 def test_torus_split_rejects_a_missing_candidate(monkeypatch):
     S = build(form_id("su_pq", p=1, q=2))
     data = rt.restricted_roots(S)
-    assert rt.full_root_classification(S, data).t_basis
+    a_units = [S.unit_coords(i) for i in S.a_indices]
+    t_basis = rt.maximal_torus(S, a_units)
+    assert t_basis
+    spaces = list(data.root_spaces.items())
+    assert rt.torus_split(S, t_basis, spaces)
     _drop_largest_candidate(monkeypatch)
     with pytest.raises(NonRationalSpectrum, match="not diagonalizable"):
-        rt.full_root_classification(S, data)
+        rt.torus_split(S, t_basis, spaces)
 
 
 # (n_imaginary, n_real, n_complex, dim_cartan) on the maximally split Cartan
@@ -328,6 +332,41 @@ def test_full_root_classification_catalog(form):
     assert got == FULL_ROOT_COUNTS[form]
     # the roots of g^C number dim g - rank g^C
     assert fc.n_roots == S.dim - dim_cartan
+
+
+def _counts_by_torus_split(S, data):
+    """(n_imaginary, n_real, n_complex, dim_cartan) by splitting every
+    restricted piece by ad(t), as a route independent of the centralizer
+    counts: every nonzero piece on d = t + a must be a line."""
+    r = S.rank_a
+    t_basis = rt.maximal_torus(S, [S.unit_coords(i) for i in S.a_indices])
+    spaces = list(data.root_spaces.items())
+    spaces.append(((Fraction(0),) * r, data.centralizer))
+    n_im = n_re = n_cx = zero_dim = 0
+    for label, vecs in rt.torus_split(S, t_basis, spaces):
+        a_zero, t_zero = not any(label[:r]), not any(label[r:])
+        if a_zero and t_zero:
+            zero_dim += len(vecs)
+            continue
+        assert len(vecs) == 1, (S.name, label)
+        if a_zero:
+            n_im += 1
+        elif t_zero:
+            n_re += 1
+        else:
+            n_cx += 1
+    assert zero_dim == len(t_basis) + r, S.name
+    return n_im, n_re, n_cx, zero_dim
+
+
+@pytest.mark.parametrize("form", sorted(FULL_ROOT_COUNTS))
+def test_full_root_counts_match_the_torus_split(form):
+    S = build(parse_form(form))
+    data = rt.restricted_roots(S)
+    fc = rt.full_root_classification(S, data)
+    got = (fc.n_imaginary, fc.n_real, fc.n_complex,
+           len(fc.t_basis) + S.rank_a)
+    assert _counts_by_torus_split(S, data) == got
 
 
 def _square(m):

@@ -6,6 +6,7 @@ checks plus targeted structural assertions.
 """
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,49 @@ def test_split_sub_of_split_form_is_everything():
     S, tds, triple, dec = chain("sl_R", n=3)
     sub = tp.maximal_split_subalgebra(S, tds)
     assert sub.dim == S.dim
+
+
+GHAT_FORMS = sorted(catalog.form_cli_text(f) for f in catalog.standard_forms())
+GHAT_FORMS += ["su:p=4,q=4", "sp_r:n=4", "so_star:n=5"]
+
+
+@pytest.mark.parametrize("form", GHAT_FORMS)
+def test_split_sub_weight_pieces_are_its_meets_with_the_root_spaces(form):
+    # each weight piece of the graded closure is ghat meet g_lambda, with
+    # dim ghat + dim g_lambda - dim(ghat + g_lambda), and the pieces
+    # together have the rows of the split subalgebra's space
+    S = build(catalog.parse_form(form))
+    data = rt.restricted_roots(S)
+    tds = tp.build_tds(S, data)
+    sub = tp.maximal_split_subalgebra(S, tds)
+    zero = (Fraction(0),) * S.rank_a
+    gens = [(zero, S.unit_coords(i)) for i in S.a_indices]
+    gens += list(zip(tds.simples, tds.y))
+    gens += [(tuple(-v for v in lam), z) for lam, z in zip(tds.simples, tds.z)]
+    pieces = S.generate_subalgebra(gens)
+    ghat = sub.space.rows
+    for wt, piece in pieces.items():
+        g_lam = data.centralizer if wt == zero else data.root_spaces[wt]
+        meet = len(ghat) + len(g_lam) - la.rank(ghat + g_lam)
+        assert piece.dim == meet, (form, wt)
+        assert la.rank(g_lam + piece.rows) == len(g_lam), (form, wt)
+    assert la.Subspace([r for p in pieces.values() for r in p.rows]).rows \
+        == ghat
+
+
+def test_split_sub_refuses_a_generator_of_the_wrong_weight():
+    # y_1 plus a vector of another root space is not of weight lambda_1
+    S, tds, _, _ = chain("su_pq", p=2, q=2)
+    other = next(lam for lam in tds.root_data.root_spaces
+                 if lam != tds.simples[0])
+    shift = tds.root_data.root_spaces[other][0]
+    y = [tuple(a + b for a, b in zip(tds.y[0], shift))] + tds.y[1:]
+    bad = dataclasses.replace(tds, y=y)
+    weight = "(%s)" % ", ".join(str(v) for v in tds.simples[0])
+    with pytest.raises(ConstructionFailure,
+                       match=re.escape("generator y_1 is not of weight "
+                                       + weight)):
+        tp.maximal_split_subalgebra(S, bad)
 
 
 def test_center_dims_vanish_on_catalog():

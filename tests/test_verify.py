@@ -74,3 +74,40 @@ def test_sample_counts_below_one_are_rejected(monkeypatch, counts):
     with pytest.raises(InvalidParams):
         vf.verify_all(seed=0, samples=samples, fiber_samples=fiber_samples,
                       conjugators=conjugators)
+
+
+def _sl3r_check_inputs():
+    from hkr import dimensions as dm
+    S = catalog.build(catalog.form_id("sl_R", n=3))
+    an = dm.analyze(S)
+    basis = tp.section_basis(S, an.triple, an.decomposition)
+    return an, lambda: basis
+
+
+def test_injectivity_takes_one_charpoly_per_gamma(monkeypatch):
+    an, section = _sl3r_check_inputs()
+    calls = []
+    original = vf.la.charpoly
+
+    def counting(m, *args):
+        calls.append(1)
+        return original(m, *args)
+
+    monkeypatch.setattr(vf.la, "charpoly", counting)
+    result = vf._run("sl(3,R)", "injectivity",
+                     lambda: vf._check_injectivity(an, section, 0, 10))
+    assert result.ok, result.detail
+    assert result.detail == "11 gammas, pairwise distinct invariants"
+    assert len(calls) == 11
+
+
+def test_injectivity_fails_on_equal_invariants_of_distinct_gammas(
+        monkeypatch):
+    # every gamma gets the same charpoly: the first distinct pair fails
+    an, section = _sl3r_check_inputs()
+    monkeypatch.setattr(vf.la, "charpoly", lambda m, *args: (1,))
+    result = vf._run("sl(3,R)", "injectivity",
+                     lambda: vf._check_injectivity(an, section, 0, 10))
+    assert not result.ok
+    assert result.detail.startswith("gammas 0 and ")
+    assert result.detail.endswith(": distinct gamma, equal invariants")
