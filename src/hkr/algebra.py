@@ -113,7 +113,6 @@ class RealFormStructure:
     dim: int = field(init=False)
     dim_m: int = field(init=False)
     gram: Tuple[Tuple[Fraction, ...], ...] = field(init=False, repr=False)
-    theta_signs: Tuple[int, ...] = field(init=False, repr=False)
     # struct[i] lists (j, k, c) for every nonzero coefficient c of basis[k]
     # in [basis[i], basis[j]], ordered by j then k
     struct: List[List[Tuple[int, int, Fraction]]] = field(init=False, repr=False)
@@ -125,7 +124,6 @@ class RealFormStructure:
         if not (0 < self.rank_a <= self.dim_m):
             raise ConstructionFailure("%s: rank %d incompatible with dim m %d"
                                       % (self.name, self.rank_a, self.dim_m))
-        self._ad_frac_cache: Dict[int, List[List[Fraction]]] = {}
         self._center_dims: Optional[Tuple[int, int, int]] = None
         self._solve = la.coords_solver([la.flatten(m) for m in self.basis],
                                        ZERO, ONE)
@@ -200,20 +198,15 @@ class RealFormStructure:
                 g[i][j] = v
                 g[j][i] = v
         self.gram = tuple(tuple(row) for row in g)
-        self.theta_signs = tuple(1 if i < self.dim_h else -1 for i in range(d))
-        hh = [[g[i][j] for j in self.h_indices] for i in self.h_indices]
+        neg_hh = [[-g[i][j] for j in self.h_indices] for i in self.h_indices]
         mm = [[g[i][j] for j in self.m_indices] for i in self.m_indices]
         hm = [[g[i][j] for j in self.m_indices] for i in self.h_indices]
         if any(any(row) for row in hm):
             raise ConstructionFailure("%s: B does not split h and m" % self.name)
-        if hh:
-            p, _, z = la.symmetric_pivot_signs(hh)
-            if p or z:
-                raise ConstructionFailure("%s: B not negative definite on h" % self.name)
-        if mm:
-            _, nn, z = la.symmetric_pivot_signs(mm)
-            if nn or z:
-                raise ConstructionFailure("%s: B not positive definite on m" % self.name)
+        if not la.is_positive_definite(neg_hh):
+            raise ConstructionFailure("%s: B not negative definite on h" % self.name)
+        if not la.is_positive_definite(mm):
+            raise ConstructionFailure("%s: B not positive definite on m" % self.name)
 
     def _check_a(self):
         for i in self.a_indices:
@@ -277,14 +270,7 @@ class RealFormStructure:
     def ad_frac(self, i: int) -> List[List[Fraction]]:
         """Matrix of ad(basis[i]) on coordinates: row k, column j holds the
         coefficient of basis[k] in [basis[i], basis[j]]."""
-        cached = self._ad_frac_cache.get(i)
-        if cached is None:
-            d = self.dim
-            cached = [[_F0] * d for _ in range(d)]
-            for j, k, c in self.struct[i]:
-                cached[k][j] = c
-            self._ad_frac_cache[i] = cached
-        return cached
+        return self.ad_matrix(self.unit_coords(i))
 
     def ad_matrix(self, u: Sequence) -> List[list]:
         """Matrix of ad(x) for x with coordinates u; entries follow u's field."""
@@ -300,7 +286,9 @@ class RealFormStructure:
         return out
 
     def theta_coords(self, u: Sequence) -> tuple:
-        return tuple(x if s > 0 else -x for x, s in zip(u, self.theta_signs))
+        """theta on coordinates: it fixes the h entries and negates the rest."""
+        h = self.dim_h
+        return tuple(u[:h]) + tuple(-x for x in u[h:])
 
     def form_coords(self, u: Sequence, v: Sequence):
         acc = None

@@ -10,7 +10,7 @@ Fractions and final sums asserted integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -260,6 +260,8 @@ def split_openness_test(analysis: FormAnalysis, ctx: CurveContext
 def component_count(n_cosets: int, genus: int) -> int:
     if n_cosets < 1:
         raise InvalidParams("the coset count must be a positive integer")
+    if genus < 2:
+        raise InvalidParams("genus must be at least 2")
     return n_cosets * 2 ** (2 * genus)
 
 
@@ -300,20 +302,7 @@ class DimensionReport:
     openness_terms: Optional[Dict[str, int]]
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "form": self.form, "genus": self.genus, "d_L": self.d_L,
-            "a": self.a, "b": self.b, "c": self.c,
-            "dim_z_m": self.dim_z_m, "dim_z_h": self.dim_z_h,
-            "dim_g_C": self.dim_g_C, "dim_split_C": self.dim_split_C,
-            "num_roots": self.num_roots,
-            "num_reduced_restricted": self.num_reduced_restricted,
-            "base_dim": self.base_dim,
-            "expected_moduli_dim": self.expected_moduli_dim,
-            "is_split": self.is_split,
-            "is_quasi_split": self.is_quasi_split,
-            "hkr_open": self.hkr_open,
-            "openness_terms": self.openness_terms,
-        }
+        return asdict(self)
 
 
 def dimension_report(analysis: FormAnalysis, ctx: CurveContext

@@ -20,7 +20,9 @@ The shared idioms the other modules build on, each written once here:
 - ``kernel_right`` / ``solve_right``: null space and one solution of M x = b;
 - ``charpoly``: an exact reduction to upper Hessenberg form and the
   Hessenberg recurrence, O(n^3) over either field (``charpoly_frac`` is its
-  Fraction entry point).
+  Fraction entry point);
+- ``is_positive_definite``: Sylvester's criterion by elimination without
+  pivoting.
 """
 
 from __future__ import annotations
@@ -507,57 +509,25 @@ def rational_roots(poly: Sequence[Fraction]) -> Optional[List[Fraction]]:
     return roots
 
 
-# --- symmetric signature ------------------------------------------------------
+# --- definiteness ---------------------------------------------------------------
 
-def symmetric_pivot_signs(gram: Sequence[Sequence[Fraction]]) -> Tuple[int, int, int]:
-    """(n_pos, n_neg, n_zero) of a symmetric rational matrix by congruence pivoting."""
-    n = len(gram)
+def is_positive_definite(gram: Sequence[Sequence[Fraction]]) -> bool:
+    """Whether the symmetric rational matrix is positive definite.
+
+    Elimination without pivoting: while the pivots stay nonzero, the k-th
+    pivot is det A_k / det A_(k-1) for the leading k x k blocks A_k, so
+    every pivot is positive exactly when every leading minor is
+    (Sylvester's criterion).  The empty matrix is positive definite.
+    """
     a = [[Fraction(x) for x in row] for row in gram]
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        pivot = next((i for i in active if a[i][i]), None)
-        if pivot is None:
-            pair = None
-            for i in active:
-                for j in active:
-                    if i != j and a[i][j]:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                return pos, neg, len(active)  # zero block
-            # hyperbolic pair: contributes one positive and one negative
-            i, j = pair
-            c = a[i][j]
-            for k in active:
-                if k in (i, j):
-                    continue
-                # clear row/column k against the pair by congruence
-                fi = a[k][j] / c
-                fj = a[k][i] / c
-                for l in active:
-                    a[k][l] -= fi * a[i][l] + fj * a[j][l]
-                for l in active:
-                    a[l][k] = a[k][l]
-            pos += 1
-            neg += 1
-            active = [k for k in active if k not in (i, j)]
-            continue
-        piv = a[pivot][pivot]
-        if piv > 0:
-            pos += 1
-        else:
-            neg += 1
-        for k in active:
-            if k == pivot or not a[k][pivot]:
-                continue
-            f = a[k][pivot] / piv
-            for l in active:
-                a[k][l] -= f * a[pivot][l]
-        for k in active:
-            a[pivot][k] = Fraction(0)
-            a[k][pivot] = Fraction(0)
-        active = [k for k in active if k != pivot]
-    return pos, neg, 0
+    n = len(a)
+    for k in range(n):
+        piv = a[k][k]
+        if piv <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / piv
+            if f:
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
+    return True

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg as la
 from .algebra import RealFormStructure
@@ -317,7 +317,7 @@ def classify_simples(simples: List[RootLabel], pair) -> str:
            for i in range(r)]
     norms = [pair(s, s) for s in simples]
     labels = [_classify_component(c, cart, norms) for c in _components(adj)]
-    return "x".join(sorted(labels, key=_label_sort_key))
+    return "x".join(sorted(labels, key=split_label))
 
 
 def classify_type(data: RestrictedRootData) -> Tuple[str, str]:
@@ -343,25 +343,22 @@ def classify_type(data: RestrictedRootData) -> Tuple[str, str]:
     return lam_label, reduced_label
 
 
-def _label_sort_key(label: str):
-    letter = "".join(ch for ch in label if ch.isalpha())
-    rank = int("".join(ch for ch in label if ch.isdigit()) or 0)
-    return (letter, rank)
-
-
 def split_label(label: str) -> Tuple[str, int]:
+    """(letter, rank) of an irreducible type label, e.g. ("BC", 2)."""
     letter = "".join(ch for ch in label if ch.isalpha())
     rank = int("".join(ch for ch in label if ch.isdigit()))
     return letter, rank
 
 
+def _atoms(label: str) -> List[str]:
+    """The irreducible factors of a product type label such as ``A1xB2``."""
+    return [part.strip() for part in label.split("x") if part.strip()]
+
+
 def normalize_type(label: str) -> Tuple[str, ...]:
     """Equivalence-class normal form of a product type label."""
     atoms: List[str] = []
-    for part in label.split("x"):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _atoms(label):
         letter, rank = split_label(part)
         if letter in ("B", "C") and rank == 1:
             atoms.append("A1")
@@ -375,7 +372,7 @@ def normalize_type(label: str) -> Tuple[str, ...]:
             atoms.append("A3")
         else:
             atoms.append("%s%d" % (letter, rank))
-    return tuple(sorted(atoms, key=_label_sort_key))
+    return tuple(sorted(atoms, key=split_label))
 
 
 def type_equivalent(t1: str, t2: str) -> bool:
@@ -396,10 +393,7 @@ _EXCEPTIONAL_DEGREES = {
 def invariant_degrees(label: str) -> List[int]:
     """Degrees of the basic Weyl-invariant polynomials for a type label."""
     out: List[int] = []
-    for part in label.split("x"):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _atoms(label):
         if part in _EXCEPTIONAL_DEGREES:
             out.extend(_EXCEPTIONAL_DEGREES[part])
             continue
@@ -417,10 +411,7 @@ def invariant_degrees(label: str) -> List[int]:
 
 def weyl_order_reference(label: str) -> int:
     out = 1
-    for part in label.split("x"):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _atoms(label):
         if part == "G2":
             out *= 12
             continue
@@ -529,11 +520,10 @@ def molien_series(wmats: Sequence[Tuple[Tuple[int, ...], ...]],
     return [Fraction(c, len(wmats)) for c in total]
 
 
-def molien_degrees(wmats: Sequence[Tuple[Tuple[int, ...], ...]], rank: int,
-                   order: Optional[int] = None) -> List[int]:
+def molien_degrees(wmats: Sequence[Tuple[Tuple[int, ...], ...]],
+                   rank: int) -> List[int]:
     """Degrees of basic invariants from the Molien series of the group."""
-    if order is None:
-        order = 4 * rank + 6
+    order = 4 * rank + 6
     degrees = []
     p = molien_series(wmats, order)
     for _ in range(rank):

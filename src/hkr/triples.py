@@ -77,11 +77,9 @@ class TdsConstruction:
 
 
 def build_tds(structure: RealFormStructure,
-              root_data: Optional[rt.RestrictedRootData] = None
-              ) -> TdsConstruction:
+              root_data: rt.RestrictedRootData) -> TdsConstruction:
     S = structure
-    data = root_data if root_data is not None else rt.restricted_roots(S)
-    simples = rt.simple_system(data)
+    simples = rt.simple_system(root_data)
     r = S.rank_a
     if len(simples) != r:
         raise ConstructionFailure("%s: %d simple roots for rank %d"
@@ -132,7 +130,7 @@ def build_tds(structure: RealFormStructure,
     b_list: List[Fraction] = []
     d_list: List[Scalar] = []
     for i, lam in enumerate(simples):
-        y0 = _pinned_root_vector(S, data.root_spaces[lam])
+        y0 = _pinned_root_vector(S, root_data.root_spaces[lam])
         ty0 = S.theta_coords(y0)
         b0 = S.form_coords(y0, ty0)
         if not isinstance(b0, Fraction):
@@ -186,7 +184,7 @@ def build_tds(structure: RealFormStructure,
     if tuple(S.bracket_coords(e_c, f_c)) != w_s:
         raise ConstructionFailure("%s: [e_c, f_c] != w" % S.name)
 
-    return TdsConstruction(S, data, simples, y_list, z_list, b_list,
+    return TdsConstruction(S, root_data, simples, y_list, z_list, b_list,
                            list(c_list), d_list, w, e_c, f_c)
 
 
@@ -302,9 +300,10 @@ class SplitSubalgebra:
 
 def maximal_split_subalgebra(structure: RealFormStructure,
                              tds: TdsConstruction) -> SplitSubalgebra:
-    """The subalgebra generated by a and the y_i, z_i, checked exactly.
+    """The subalgebra generated by each simple root's sl2, checked exactly.
 
-    a sits at weight 0, y_i at lambda_i and z_i at -lambda_i; each weight is
+    The generators are y_i at weight lambda_i and z_i at -lambda_i.  Their
+    coroots [y_i, z_i] span a, so a lies in the subalgebra.  Each weight is
     asserted by one bracket per a-unit, so the graded closure
     (``generate_subalgebra``) is the ad(a)-grading of the subalgebra: its
     nonzero pieces are the root spaces and its zero piece the centralizer
@@ -316,7 +315,7 @@ def maximal_split_subalgebra(structure: RealFormStructure,
     r = S.rank_a
     a_units = [S.unit_coords(i) for i in S.a_indices]
     zero = (_F0,) * r
-    named = [("a_%d" % (j + 1), zero, u) for j, u in enumerate(a_units)]
+    named = []
     for i, lam in enumerate(tds.simples):
         named.append(("y_%d" % (i + 1), lam, tds.y[i]))
         named.append(("z_%d" % (i + 1), tuple(-v for v in lam), tds.z[i]))
@@ -499,9 +498,6 @@ class SectionBasis:
     e_list: List[Tuple[Scalar, ...]]
     degrees: List[int]
     central: List[Tuple[Scalar, ...]]
-    # the m^C columns of ad(f) and of each ad(e_i), for section_point_regular
-    _ad_f: List[list] = field(repr=False, default=None)
-    _ad_e: List[List[list]] = field(repr=False, default=None)
 
     @property
     def rank(self) -> int:
@@ -535,10 +531,7 @@ def section_basis(structure: RealFormStructure, triple: NormalTriple,
         if tuple(S.bracket_coords(triple.x, v)) != _scale(Scalar.of(m_val - 1), v):
             raise ConstructionFailure("%s: section vector has wrong ad(x) "
                                       "weight" % S.name)
-    basis = SectionBasis(S, triple.f, e_list, degrees, central)
-    basis._ad_f = _m_columns(S, S.ad_matrix(triple.f))
-    basis._ad_e = [_m_columns(S, S.ad_matrix(v)) for v in e_list]
-    return basis
+    return SectionBasis(S, triple.f, e_list, degrees, central)
 
 
 def section_point(basis: SectionBasis, gamma: Sequence) -> Tuple[Scalar, ...]:
@@ -554,32 +547,24 @@ def _partial_point(basis: SectionBasis, gamma: Sequence) -> list:
                       [basis.f] + basis.e_list[:len(gamma)], ZERO)
 
 
-def _m_columns(structure: RealFormStructure, ad: List[list]) -> List[list]:
-    """The columns of an ad matrix that act on m^C (the basis is h, then m)."""
-    return [row[structure.dim_h:] for row in ad]
-
-
-def centralizer_dim_in_m(structure: RealFormStructure, ad_m: List[list]) -> int:
-    """dim c_{m^C}(x), from the m^C columns of ad(x) (see ``_m_columns``)."""
-    return len(la.kernel_right(ad_m, structure.dim_m, ZERO, ONE))
-
-
 def is_regular(structure: RealFormStructure, x_coords: Sequence) -> bool:
-    """dim c_{m^C}(x) equals the real rank."""
+    """Whether x in m^C is regular: dim c_{m^C}(x) equals the real rank.
+
+    c_{m^C}(x) is the kernel of ad(x) on m^C, so its dimension is dim m^C
+    less the rank of the m^C columns of ad(x) (the basis is h, then m).
+    Raises InvalidParams if x is not in m^C.
+    """
+    S = structure
     xs = _to_scalar(x_coords)
-    if structure.theta_coords(xs) != _scale(Scalar.of(-1), xs):
-        raise ValueError("element is not in m^C")
-    ad_m = _m_columns(structure, structure.ad_matrix(list(xs)))
-    return centralizer_dim_in_m(structure, ad_m) == structure.rank_a
+    if S.theta_coords(xs) != _scale(Scalar.of(-1), xs):
+        raise InvalidParams("%s: element is not in m^C" % S.name)
+    ad = S.ad_matrix(list(xs))
+    return S.dim_m - la.rank([row[S.dim_h:] for row in ad]) == S.rank_a
 
 
 def section_point_regular(basis: SectionBasis, gamma: Sequence) -> bool:
-    """is_regular(section_point(gamma)) via the precomputed ad matrices."""
-    S = basis.structure
-    coeffs = (ONE,) + _to_scalar(gamma)
-    ad_m = [la.combine(coeffs, [f_row] + [adv[r] for adv in basis._ad_e], ZERO)
-            for r, f_row in enumerate(basis._ad_f)]
-    return centralizer_dim_in_m(S, ad_m) == S.rank_a
+    """Whether the section point f + sum gamma_i e_i is regular."""
+    return is_regular(basis.structure, section_point(basis, gamma))
 
 
 def section_fiber_match(structure: RealFormStructure, basis: SectionBasis,
@@ -846,8 +831,7 @@ def so_star_lemma_report(n: int) -> LemmaReport:
             traces_ok = False
 
     # our construction: y scalar comparison (rank one case) and the triple's x
-    data = rt.restricted_roots(S)
-    tds = build_tds(S, data)
+    tds = build_tds(S, rt.restricted_roots(S))
     y_scalar = None
     if n == 3:
         y_scalar = _proportionality(S.coords_of(y_mats[0]), _to_scalar(tds.y[0]))

@@ -13,9 +13,10 @@ import hkr
 from hkr import catalog
 from hkr import dimensions as dm
 from hkr import linalg as la
+from hkr import roots as rt
 from hkr import triples as tp
 from hkr.cli import main
-from hkr.errors import InvalidParams
+from hkr.errors import InvalidParams, MismatchWithTable
 from hkr.scalars import parse_scalar
 
 
@@ -210,15 +211,33 @@ def test_internal_fault_exits_one_without_traceback(monkeypatch, capsys):
     assert err == "error: internal: ValueError: zero polynomial\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_split_subalgebra_failure_in_hkr_exits_one(monkeypatch, capsys,
+                                                   json_flag):
+    # a closure or table failure is an error, not a table row mismatch
+    def mismatch(S, tds):
+        raise MismatchWithTable("%s: planted mismatch" % S.name)
+
+    monkeypatch.setattr(tp, "maximal_split_subalgebra", mismatch)
+    assert main(["hkr", "sl_r:n=2"] + json_flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: MismatchWithTable: sl(2,R): planted "
+                            "mismatch\n")
+
+
 def test_user_input_guards_raise_invalid_params():
     # typed for the CLI's exit code 2, and still ValueErrors for callers
     S = catalog.build(catalog.form_id("sl_R", n=2))
-    triple = tp.normal_triple(tp.build_tds(S))
+    triple = tp.normal_triple(tp.build_tds(S, rt.restricted_roots(S)))
     basis = tp.section_basis(S, triple, tp.module_decomposition(S, triple))
     guards = [lambda: dm.CurveContext(1, 0),
               lambda: dm.CurveContext(2, 3, L_is_canonical=True),
               lambda: dm.CurveContext(2, 1, L_is_trivial=True),
               lambda: dm.component_count(0, 2),
+              lambda: dm.component_count(1, -1),
+              lambda: dm.component_count(1, 1),
+              lambda: tp.is_regular(S, S.unit_coords(S.h_indices[0])),
               lambda: tp.section_point(basis, [1, 2]),
               lambda: tp.so_star_lemma_report(4)]
     for guard in guards:

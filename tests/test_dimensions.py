@@ -251,6 +251,9 @@ def test_component_count():
     assert dm.component_count(2, 3) == 128
     with pytest.raises(ValueError):
         dm.component_count(0, 2)
+    for genus in (-1, 1):
+        with pytest.raises(InvalidParams, match="genus must be at least 2"):
+            dm.component_count(1, genus)
 
 
 def test_sl2_classify_precedence():

@@ -121,3 +121,96 @@ def test_every_public_name_is_read():
     modules = {p.stem: p.read_text() for p in sorted(_SRC.glob("*.py"))}
     bench = [p.read_text() for p in sorted((_ROOT / "bench").glob("*.py"))]
     assert unread_public_names(modules, bench) == []
+
+
+def _defaults(tree):
+    """(callee, line, parameter, position) of each parameter default.
+
+    The callee is the name a call uses: the function's, or the class's for
+    an ``__init__``.  The position counts the call's positional arguments,
+    so a method's ``self`` or ``cls`` is left out; it is None for a
+    keyword-only parameter.
+    """
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                shift = 1 if cls is not None and not static else 0
+                callee = cls if cls and node.name == "__init__" else node.name
+                for i in range(len(positional) - len(args.defaults),
+                               len(positional)):
+                    yield callee, node.lineno, positional[i].arg, i - shift
+                for a, d in zip(args.kwonlyargs, args.kw_defaults):
+                    if d is not None:
+                        yield callee, node.lineno, a.arg, None
+                yield from visit(node.body, None)
+    return visit(tree.body, None)
+
+
+def _calls(tree):
+    """{callee: [(positional count, keyword names)]} of the calls ``f(...)``
+    and ``x.f(...)``; a ``*`` splat counts as every position, and a ``**``
+    splat adds the keyword name None."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(
+            func, "attr", None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        out.setdefault(callee, []).append(
+            (float("inf") if starred else len(node.args),
+             {k.arg for k in node.keywords}))
+    return out
+
+
+def dead_defaults(modules, readers=()):
+    """The parameter defaults of `modules` that no call passes.
+
+    `modules` maps a module name to its source, and `readers` lists further
+    sources whose calls count.  A call passes a parameter when it has the
+    callee's name (see ``_defaults``) and reaches the parameter's position,
+    names it as a keyword, or splats ``**`` keywords.  Calls are matched by
+    name alone, so a call of another function of that name also counts.
+    """
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    calls = {}
+    for tree in list(trees.values()) + [ast.parse(src) for src in readers]:
+        for callee, found in _calls(tree).items():
+            calls.setdefault(callee, []).extend(found)
+    out = []
+    for mod, tree in trees.items():
+        for callee, line, param, pos in _defaults(tree):
+            if not any((pos is not None and count > pos)
+                       or param in names or None in names
+                       for count, names in calls.get(callee, ())):
+                out.append((mod, line, callee, param))
+    return sorted(out)
+
+
+def test_the_scan_finds_a_dead_default():
+    lib = {"a": ("def f(x, y=1, *, z=2):\n    return x\n"
+                 "def g(x, y=1, z=2):\n    return x\n"
+                 "class C:\n"
+                 "    def __init__(self, v=()):\n        pass\n"
+                 "    def m(self, w=0, u=1):\n        return w\n"
+                 "def h(x, k=3):\n    return x\n"),
+           "b": "f(1)\ng(1, z=5)\nC(())\nC().m(1)\nh(**{})\n"}
+    bench = ["def run(*args):\n    return g(*args)\n"]
+    assert dead_defaults(lib) == [("a", 1, "f", "y"), ("a", 1, "f", "z"),
+                                  ("a", 3, "g", "y"), ("a", 8, "m", "u")]
+    assert dead_defaults(lib, bench) == [("a", 1, "f", "y"),
+                                         ("a", 1, "f", "z"),
+                                         ("a", 8, "m", "u")]
+
+
+def test_every_parameter_default_is_passed():
+    modules = {p.stem: p.read_text() for p in sorted(_SRC.glob("*.py"))}
+    bench = [p.read_text() for p in sorted((_ROOT / "bench").glob("*.py"))]
+    assert dead_defaults(modules, bench) == []

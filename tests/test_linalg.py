@@ -230,11 +230,12 @@ def test_charpoly_when_the_pivot_needs_a_swap():
 
 
 def test_charpoly_of_the_nilpotent_f_of_sl3r():
+    from hkr import roots as rt
     from hkr import triples as tp
     from hkr.catalog import build, form_id
 
     S = build(form_id("sl_R", n=3))
-    f = S.matrix_of(tp.normal_triple(tp.build_tds(S)).f)
+    f = S.matrix_of(tp.normal_triple(tp.build_tds(S, rt.restricted_roots(S))).f)
     # entries in Q(i, sqrt 2); column 0 needs a swap to reach Hessenberg form
     assert not f[1][0] and f[2][0]
     assert la.charpoly(f) == (ZERO, ZERO, ZERO, ONE)  # t^3
@@ -481,12 +482,43 @@ def test_sparse_subspace_matches_dense_rows(rows):
                                one) == want
 
 
-def test_symmetric_pivot_signs():
-    gram = [[Fraction(2), Fraction(0), Fraction(0)],
-            [Fraction(0), Fraction(-3), Fraction(0)],
-            [Fraction(0), Fraction(0), Fraction(0)]]
-    pos, neg, null = la.symmetric_pivot_signs(gram)
-    assert (pos, neg, null) == (1, 1, 1)
+def leading_minors_positive(a):
+    """Sylvester's criterion with det A_k = (-1)^k c_0 of det(tI - A_k)."""
+    return all((-1) ** k * la.charpoly_frac([row[:k] for row in a[:k]])[0] > 0
+               for k in range(1, len(a) + 1))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    # a Gram matrix B^T B is semidefinite, and definite when B is
+    # invertible, so both outcomes come up often
+    n = draw(st.integers(min_value=0, max_value=6))
+    b = draw(st.lists(st.lists(small_fracs, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return [[sum((b[k][i] * b[k][j] for k in range(n)), Fraction(0))
+                 for j in range(n)] for i in range(n)]
+    return [[b[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_is_positive_definite_matches_sylvester(a):
+    assert la.is_positive_definite(a) == leading_minors_positive(a)
+
+
+@pytest.mark.parametrize("rows, definite", [
+    ([], True),
+    ([[2, 0, 0], [0, -3, 0], [0, 0, 0]], False),
+    ([[0, 1], [1, 0]], False),
+    ([[1, 2, 3], [2, 4, 6], [3, 6, 9]], False),
+    ([[2, 1], [1, 2]], True),
+], ids=["empty", "diag_2_-3_0", "zero_first_pivot", "rank_one_semidefinite",
+        "definite"])
+def test_is_positive_definite_cases(rows, definite):
+    a = [[Fraction(x) for x in row] for row in rows]
+    assert la.is_positive_definite(a) is definite
+    assert leading_minors_positive(a) is definite
 
 
 @settings(max_examples=60, deadline=None)

@@ -31,7 +31,7 @@ def chain(family, **kw):
     key = (family, tuple(sorted(kw.items())))
     if key not in _CACHE:
         S = build(form_id(family, **kw))
-        tds = tp.build_tds(S)
+        tds = tp.build_tds(S, rt.restricted_roots(S))
         triple = tp.normal_triple(tds)
         dec = tp.module_decomposition(S, triple)
         _CACHE[key] = (S, tds, triple, dec)
@@ -249,7 +249,7 @@ def test_quasi_split_routes_must_agree(monkeypatch):
     # sl(2,R) is split, so c_g(a) = a is abelian; a center of dim 1 that the
     # TDS centralizer (dim 0) does not match sets the two routes apart
     S = build(form_id("sl_R", n=2))
-    triple = tp.normal_triple(tp.build_tds(S))
+    triple = tp.normal_triple(tp.build_tds(S, rt.restricted_roots(S)))
     monkeypatch.setattr(S, "center_dims", lambda: (1, 0, 1))
     with pytest.raises(RouteDisagreement,
                        match=r"c_g\(a\) abelian = True but dim c\(s\^C\) = 0 "
