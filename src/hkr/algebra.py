@@ -409,9 +409,3 @@ class RealFormStructure:
                         new_vecs.append((wt, w))
             frontier = new_vecs
         return spaces
-
-    # --- block views -----------------------------------------------------
-
-    def h_unit_coords(self) -> List[List[Scalar]]:
-        return [[ONE if j == i else ZERO for j in range(self.dim)]
-                for i in self.h_indices]

@@ -57,10 +57,6 @@ def msub(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mneg(a: Mat) -> Mat:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def mscale(c, a: Mat) -> Mat:
     c = Scalar.of(c) if not isinstance(c, Scalar) else c
     return tuple(tuple(c * x for x in row) for row in a)

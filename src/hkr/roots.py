@@ -7,15 +7,13 @@ from the n x n matrix of H: the differences of its eigenvalues on C^n
 (``ad_spectrum_candidates``), so no dim x dim charpoly is formed.  Each split
 (``linalg.eigen_split``) must fill the piece it splits, which proves that
 the candidates held the whole spectrum, so multiplicities are exact.  The
-same route splits g^C by a compact torus (``torus_split``, for the root
-vectors of h^C), whose labels are the eigenvalues i mu of ad(t), Scalars
-that callers only test for zero, and ker ad(e) by ad(x).  The roots on a
-maximally split Cartan d = t + a are not split out: the ad(a)-grading is
-computed once, and each piece is counted by its centralizer of t
-(``full_root_classification``).  Classification
-goes through the Cartan matrix of a deterministic simple system; type labels
-are canonical strings like ``B2`` or ``A1xA1``, compared through the
-low-rank coincidences (B1 = C1 = A1, B2 = C2, D2 = A1 x A1, D3 = A3).
+same route splits ker ad(e) by ad(x).  The roots on a maximally split
+Cartan d = t + a are not split out: the ad(a)-grading is computed once, and
+each piece is counted by its centralizer of t (``full_root_classification``).
+Classification goes through the Cartan matrix of a deterministic simple
+system; type labels are canonical strings like ``B2`` or ``A1xA1``, compared
+through the low-rank coincidences (B1 = C1 = A1, B2 = C2, D2 = A1 x A1,
+D3 = A3).
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from . import linalg as la
 from .algebra import RealFormStructure
 from .errors import (ConstructionFailure, NonRationalSpectrum,
                      UnrecognizedDiagram)
-from .scalars import Scalar, ZERO, ONE, I
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -38,22 +35,18 @@ _F1 = Fraction(1)
 RootLabel = Tuple[Fraction, ...]
 
 
-def ad_spectrum_candidates(structure: RealFormStructure, coords: Sequence,
-                           compact: bool = False) -> List[Fraction]:
+def ad_spectrum_candidates(structure: RealFormStructure, coords: Sequence
+                           ) -> List[Fraction]:
     """The differences mu_j - mu_k of the eigenvalues of X on C^n, sorted.
 
     X is the element with coordinates `coords`.  ad(X) on gl(n, C) has
     these eigenvalues, so they are the candidates an eigenspace split of g^C
     by ad(X) needs; where g is complex, g^C also holds a conjugate copy of g,
     on which the elements split here have the conjugate or negated
-    differences, again in the set.  A compact torus element has spectrum
-    i mu: with `compact` the differences are read from -iX, and ad(X) has
-    them times i.  Raises NonRationalSpectrum unless the n x n charpoly
-    splits over Q.
+    differences, again in the set.  Raises NonRationalSpectrum unless the
+    n x n charpoly splits over Q.
     """
     m = structure.matrix_of(coords)
-    if compact:
-        m = la.mscale(-I, m)
     try:
         mus = la.rational_roots([c.as_fraction() for c in la.charpoly(m)])
     except ValueError:  # a coefficient outside Q
@@ -63,25 +56,6 @@ def ad_spectrum_candidates(structure: RealFormStructure, coords: Sequence,
                                   % (structure.name, structure.n))
     mus = set(mus)
     return sorted({a - b for a in mus for b in mus})
-
-
-def _split_spaces(structure: RealFormStructure, spaces, op, candidates,
-                  zero, one):
-    """Split each labeled subspace by the operator at the candidates.
-
-    Each label gains the eigenvalue of its piece.  Raises
-    NonRationalSpectrum unless the pieces fill every subspace, so the
-    candidates held the operator's whole spectrum there.
-    """
-    out = []
-    for label, vecs in spaces:
-        pieces = la.eigen_split(op, vecs, candidates, zero, one)
-        if pieces is None:
-            raise NonRationalSpectrum(
-                "%s: ad is not diagonalizable over its candidate eigenvalues"
-                % structure.name)
-        out.extend((label + (ev,), p) for ev, p in pieces)
-    return out
 
 
 @dataclass
@@ -96,14 +70,23 @@ class RestrictedRootData:
 
 
 def restricted_roots(structure: RealFormStructure) -> RestrictedRootData:
-    """Joint ad(a)-eigenvalue decomposition of g."""
+    """Joint ad(a)-eigenvalue decomposition of g.  Raises NonRationalSpectrum
+    unless each split fills its piece: the candidates held the spectrum."""
     d = structure.dim
     start = [[_F1 if j == i else _F0 for j in range(d)] for i in range(d)]
     spaces = [((), start)]
     for ai in structure.a_indices:
         cands = ad_spectrum_candidates(structure, structure.unit_coords(ai))
-        spaces = _split_spaces(structure, spaces, structure.ad_frac(ai), cands,
-                               _F0, _F1)
+        op = structure.ad_frac(ai)
+        split = []
+        for label, vecs in spaces:
+            pieces = la.eigen_split(op, vecs, cands, _F0, _F1)
+            if pieces is None:
+                raise NonRationalSpectrum(
+                    "%s: ad is not diagonalizable over its candidate "
+                    "eigenvalues" % structure.name)
+            split.extend((label + (ev,), p) for ev, p in pieces)
+        spaces = split
     root_spaces: Dict[RootLabel, List[list]] = {}
     central: List[list] = []
     for label, vecs in spaces:
@@ -599,7 +582,7 @@ class FullRootClassification:
 
 
 def maximal_torus(structure: RealFormStructure,
-                  commuting: Sequence[Sequence[Fraction]] = ()
+                  commuting: Sequence[Sequence[Fraction]]
                   ) -> List[Tuple[Fraction, ...]]:
     """A maximal abelian subalgebra t of the centralizer of `commuting` in h.
 
@@ -607,31 +590,15 @@ def maximal_torus(structure: RealFormStructure,
     c_h(t + commuting) outside span(t), which commutes with t, so t stays
     abelian; it stops when every such element already lies in t.
     """
-    fixed = list(commuting)
     t: List[Tuple[Fraction, ...]] = []
     span = la.Subspace()
     while True:
-        z = structure.centralizer_frac(t + fixed, within=structure.h_indices)
+        z = structure.centralizer_frac(t + list(commuting),
+                                       within=structure.h_indices)
         cand = next((v for v in z if span.add(v)), None)
         if cand is None:
             return t
         t.append(cand)
-
-
-def torus_split(structure: RealFormStructure,
-                t_basis: Sequence[Sequence[Fraction]], spaces):
-    """Split labeled subspaces of g^C by ad(t) for each t in t_basis.
-
-    ad of a compact torus element has eigenvalues i mu with mu among the
-    candidates read from -it, so each label gains the eigenvalue i mu of
-    its piece, a Scalar that is zero exactly when mu is.
-    """
-    for tv in t_basis:
-        cands = [I * Scalar.of(mu)
-                 for mu in ad_spectrum_candidates(structure, tv, compact=True)]
-        spaces = _split_spaces(structure, spaces, structure.ad_matrix(tv),
-                               cands, ZERO, ONE)
-    return spaces
 
 
 def full_root_classification(structure: RealFormStructure,

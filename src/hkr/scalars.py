@@ -400,7 +400,10 @@ def parse_scalar(text: str) -> Scalar:
     s = text.replace(" ", "")
     if not s:
         raise ScalarParseError("empty scalar text")
-    val, pos = _parse_sum(s, 0)
+    try:
+        val, pos = _parse_sum(s, 0)
+    except RecursionError:
+        raise ScalarParseError("scalar text nested too deeply") from None
     if pos != len(s):
         raise ScalarParseError("trailing input at %d in %r" % (pos, text))
     return val

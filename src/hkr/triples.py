@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg as la
@@ -196,8 +197,10 @@ class NormalTriple:
     e: Tuple[Scalar, ...]
     f: Tuple[Scalar, ...]
     x: Tuple[Scalar, ...]
-    _e_kernel: Optional[List[tuple]] = field(default=None, repr=False)
-    _centralizer: Optional[List[tuple]] = field(default=None, repr=False)
+    _e_kernel: Optional[List[tuple]] = field(init=False, default=None,
+                                             repr=False)
+    _centralizer: Optional[List[tuple]] = field(init=False, default=None,
+                                                repr=False)
 
     @property
     def structure(self) -> RealFormStructure:
@@ -599,63 +602,48 @@ def section_fiber_match(structure: RealFormStructure, basis: SectionBasis,
 
 # --- exact conjugators for invariance sampling -----------------------------------
 
+def _rotation_generator(S: RealFormStructure, i: int):
+    """(M, M^2, s) if the basis element M at i has M^3 = -sM, s > 0 in Q."""
+    mat = S.matrix_of(S.unit_coords(i))
+    sq = la.mmul(mat, mat)
+    cube = la.mmul(sq, mat)
+    r, k = next((r, k) for r in range(S.n) for k in range(S.n) if mat[r][k])
+    ratio = (ZERO - cube[r][k]) / mat[r][k]
+    if (ratio.is_rational() and ratio.as_fraction() > 0
+            and la.mat_eq(cube, la.mscale(ZERO - ratio, mat))):
+        return mat, sq, ratio.as_fraction()
+    return None
+
+
 def invariance_conjugators(structure: RealFormStructure, count: int
                            ) -> List[Tuple[la.Mat, la.Mat]]:
     """Pairs (g, g^{-1}) of exact elements of H^C in the defining rep.
 
-    Built from exponentials of rep-nilpotent root vectors of h^C; when
-    those are too few (none when h is abelian), from rational points of the
-    rotation group of a basis element M of h with M^3 = -sM.  Raises
+    Rational rotations along the basis elements of h: each basis element M
+    with M^3 = -sM, s > 0 rational, is kept in index order until `count`
+    are kept, and conjugator k is exp(phi M) for the kept M number k mod
+    the number kept, at the parameter t = k // (number kept) + 1.  Raises
     ConstructionFailure if no basis element of h has that form.
     """
     S = structure
+    kept = list(islice(filter(None, (_rotation_generator(S, i)
+                                     for i in S.h_indices)), count))
+    if not kept:
+        raise ConstructionFailure("%s: no exact conjugators available" % S.name)
+    # rational points exp(phi M) = I + dM + ((1 - c)/s) M^2 of the rotation
+    # group of M, where c = cos(phi sqrt(s)) and d = sin(phi sqrt(s))/sqrt(s);
+    # the angle with tan(phi sqrt(s)/2) = t sqrt(s) gives d = 2t/(1 + t^2 s)
+    # and (1 - c)/s = 2t^2/(1 + t^2 s)
     out: List[Tuple[la.Mat, la.Mat]] = []
-    spaces = rt.torus_split(S, rt.maximal_torus(S), [((), S.h_unit_coords())])
-    nilpotent_vecs = [v for label, vecs in spaces if any(label) for v in vecs]
-    for v in nilpotent_vecs:
-        mat = S.matrix_of(v)
-        if not la.is_nilpotent(mat):
-            continue
-        g = _exp_nilpotent(mat, S.n)
-        ginv = _exp_nilpotent(la.mneg(mat), S.n)
-        out.append((g, ginv))
-        if len(out) >= count:
-            return out
-    # then rational points exp(phi M) = I + dM + ((1 - c)/s) M^2 of the
-    # rotation group of an M in h with M^3 = -sM, s > 0 rational, where
-    # c = cos(phi sqrt(s)) and d = sin(phi sqrt(s))/sqrt(s); the angle with
-    # tan(phi sqrt(s)/2) = t sqrt(s) gives d = 2t/(1 + t^2 s) and
-    # (1 - c)/s = 2t^2/(1 + t^2 s)
-    for i in S.h_indices:
-        mat = S.matrix_of(S.unit_coords(i))
-        sq = la.mmul(mat, mat)
-        cube = la.mmul(sq, mat)
-        r, k = next((r, k) for r in range(S.n) for k in range(S.n) if mat[r][k])
-        ratio = (ZERO - cube[r][k]) / mat[r][k]
-        if not (ratio.is_rational() and ratio.as_fraction() > 0
-                and la.mat_eq(cube, la.mscale(ZERO - ratio, mat))):
-            continue
-        s_val = ratio.as_fraction()
-        for t in range(1, count - len(out) + 1):
-            den = 1 + t * t * s_val
-            d = Scalar.of(2 * t / den)
-            even = la.madd(la.eye(S.n), la.mscale(Scalar.of(2 * t * t / den), sq))
-            out.append((la.madd(even, la.mscale(d, mat)),
-                        la.madd(even, la.mscale(ZERO - d, mat))))
-        return out
-    raise ConstructionFailure("%s: no exact conjugators available" % S.name)
-
-
-def _exp_nilpotent(mat: la.Mat, n: int) -> la.Mat:
-    out = la.eye(n)
-    term = la.eye(n)
-    k = 1
-    while True:
-        term = la.mscale(Scalar.of(Fraction(1, k)), la.mmul(term, mat))
-        if la.is_zero_mat(term):
-            return out
-        out = la.madd(out, term)
-        k += 1
+    for k in range(count):
+        mat, sq, s_val = kept[k % len(kept)]
+        t = k // len(kept) + 1
+        den = 1 + t * t * s_val
+        d = Scalar.of(2 * t / den)
+        even = la.madd(la.eye(S.n), la.mscale(Scalar.of(2 * t * t / den), sq))
+        out.append((la.madd(even, la.mscale(d, mat)),
+                    la.madd(even, la.mscale(ZERO - d, mat))))
+    return out
 
 
 def conjugate_coords(structure: RealFormStructure, g: la.Mat, ginv: la.Mat,

@@ -21,7 +21,7 @@ from . import dimensions as dm
 from . import linalg as la
 from . import roots as rt
 from . import triples as tp
-from .errors import HkrError, InvalidParams
+from .errors import HkrError, InvalidParams, SizeBound
 from .scalars import Scalar
 
 NEG_ONE = Scalar.of(-1)
@@ -309,6 +309,8 @@ def verify_form(fid, seed: int = 0, samples: int = 100,
     try:
         S = catalog.build(fid)
         an = dm.analyze(S)
+    except (InvalidParams, SizeBound):
+        raise  # a usage error, not a failed construction
     except HkrError as exc:
         return [CheckResult(name, "construction", False,
                             "%s: %s" % (type(exc).__name__, exc))]

@@ -237,7 +237,7 @@ def _family_identities(fid):
     n = catalog.matrix_size(fid)
     h = n // 2
     one, zero = la.eye(h), _zeros(h)
-    j = _block(zero, la.mneg(one), one, zero)  # [[0,-I],[I,0]]
+    j = _block(zero, la.mscale(-1, one), one, zero)  # [[0,-I],[I,0]]
     rev = la.mat([[1 if r + c == h - 1 else 0 for c in range(h)]
                   for r in range(h)])
 
@@ -264,7 +264,7 @@ def _family_identities(fid):
     if f == "su_pq":
         return [hermitian(k), traceless], n * n - 1
     if f == "sp2n_R":
-        omega = _block(zero, rev, la.mneg(rev), zero)
+        omega = _block(zero, rev, la.mscale(-1, rev), zero)
         return [real, bilinear(omega)], h * (2 * h + 1)
     if f == "so_pq":
         return [real, bilinear(k)], n * (n - 1) // 2
@@ -276,8 +276,8 @@ def _family_identities(fid):
             h * (2 * h + 1)
     if f == "so_star":
         s = _block(zero, one, one, zero)
-        return [bilinear(s), hermitian(_block(one, zero, zero, la.mneg(one)))], \
-            h * (2 * h - 1)
+        signs = _block(one, zero, zero, la.mscale(-1, one))
+        return [bilinear(s), hermitian(signs)], h * (2 * h - 1)
     assert f == "sl_C_as_real"
     return [real, lambda x: _commutator(x, j), traceless,
             lambda x: traceless(la.mmul(j, x))], 2 * (h * h - 1)

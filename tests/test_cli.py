@@ -200,6 +200,14 @@ def test_radicand_below_zero_is_a_usage_error(capsys):
     assert "error: bad --gamma entry" in capsys.readouterr().err
 
 
+def test_deeply_nested_gamma_is_a_usage_error(capsys):
+    gamma = "(" * 3000 + "1" + ")" * 3000
+    assert main(["section", "sl_r:n=2", "--gamma", gamma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad --gamma entry")
+
+
 def test_internal_fault_exits_one_without_traceback(monkeypatch, capsys):
     # a ValueError from inside the library is a fault, not a usage error
     def faulty(fid):
@@ -257,6 +265,20 @@ def test_section_has_no_genus_option(capsys):
 def test_parser_rejects_unknown_verb():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["verify", "sl_r:n=13"], None),
+    (["verify", "--all"], "x"),
+    (["verify", "--all", "--json"], "7")])
+def test_verify_usage_errors_exit_two(monkeypatch, capsys, argv, bound):
+    # a size bound or a bad HKR_MAX_DIM is a usage error, not a failed check
+    if bound is not None:
+        monkeypatch.setenv("HKR_MAX_DIM", bound)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_size_bound_respected(monkeypatch, capsys):

@@ -123,17 +123,49 @@ def test_every_public_name_is_read():
     assert unread_public_names(modules, bench) == []
 
 
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
+def _field_defaults(cls):
+    """(line, field, position) of each field of a dataclass that has a
+    default and that ``__init__`` takes; the position counts the fields
+    ``__init__`` takes, so ``field(init=False)`` ones are left out."""
+    pos = 0
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)):
+            continue
+        value = node.value
+        if (isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "field"):
+            kw = {k.arg: k.value for k in value.keywords}
+            init = kw.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            has_default = "default" in kw or "default_factory" in kw
+        else:
+            has_default = value is not None
+        if has_default:
+            yield node.lineno, node.target.id, pos
+        pos += 1
+
+
 def _defaults(tree):
     """(callee, line, parameter, position) of each parameter default.
 
     The callee is the name a call uses: the function's, or the class's for
-    an ``__init__``.  The position counts the call's positional arguments,
-    so a method's ``self`` or ``cls`` is left out; it is None for a
-    keyword-only parameter.
+    an ``__init__`` or for a field of a dataclass.  The position counts the
+    call's positional arguments, so a method's ``self`` or ``cls`` is left
+    out; it is None for a keyword-only parameter.
     """
     def visit(body, cls):
         for node in body:
             if isinstance(node, ast.ClassDef):
+                if _is_dataclass(node):
+                    for line, name, pos in _field_defaults(node):
+                        yield node.name, line, name, pos
                 yield from visit(node.body, node.name)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
@@ -208,6 +240,19 @@ def test_the_scan_finds_a_dead_default():
     assert dead_defaults(lib, bench) == [("a", 1, "f", "y"),
                                          ("a", 1, "f", "z"),
                                          ("a", 8, "m", "u")]
+
+
+def test_the_scan_finds_a_dead_dataclass_field():
+    lib = {"a": ("@dataclass\nclass P:\n    x: int\n    y: int = 0\n"
+                 "    z: list = field(default_factory=list)\n"
+                 "    w: int = field(init=False, default=0)\n"
+                 "    v: int = field(repr=False)\n"
+                 "@dataclass(frozen=True)\nclass Q:\n    u: int = 1\n"
+                 "class R:\n    t: int = 2\n"),
+           "b": "P(1, 2, 3)\nP(1, v=2)\n"}
+    assert dead_defaults(lib) == [("a", 10, "Q", "u")]
+    lib["b"] = "P(1, v=2)\nQ(**{})\n"
+    assert dead_defaults(lib) == [("a", 4, "P", "y"), ("a", 5, "P", "z")]
 
 
 def test_every_parameter_default_is_passed():

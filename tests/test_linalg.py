@@ -293,7 +293,7 @@ def n_fold_power(a, k):
 def test_n_fold_power():
     j = la.mat([[0, 1], [-1, 0]])
     assert la.mat_eq(n_fold_power(j, 4), la.eye(2))
-    assert la.mat_eq(n_fold_power(j, 2), la.mneg(la.eye(2)))
+    assert la.mat_eq(n_fold_power(j, 2), la.mscale(-1, la.eye(2)))
 
 
 def test_is_nilpotent_small_cases():

@@ -12,6 +12,7 @@ from hkr.catalog import (build, form_id, standard_forms, form_display,
                          algebra_label_dim,
                          reference_restricted_type, reference_reduced_type)
 from hkr.errors import NonRationalSpectrum, UnrecognizedDiagram
+from hkr.scalars import I, ONE, Scalar, ZERO
 from hkr.verify import _ORACLE_LABELS
 from test_linalg import faddeev_leverrier
 
@@ -269,8 +270,8 @@ def _drop_largest_candidate(monkeypatch):
     """Make ad_spectrum_candidates leave out its largest value."""
     candidates = rt.ad_spectrum_candidates
 
-    def fewer(structure, coords, compact=False):
-        return candidates(structure, coords, compact)[:-1]
+    def fewer(structure, coords):
+        return candidates(structure, coords)[:-1]
 
     monkeypatch.setattr(rt, "ad_spectrum_candidates", fewer)
 
@@ -280,19 +281,6 @@ def test_restricted_roots_reject_a_missing_candidate(monkeypatch):
     _drop_largest_candidate(monkeypatch)
     with pytest.raises(NonRationalSpectrum, match="not diagonalizable"):
         rt.restricted_roots(S)
-
-
-def test_torus_split_rejects_a_missing_candidate(monkeypatch):
-    S = build(form_id("su_pq", p=1, q=2))
-    data = rt.restricted_roots(S)
-    a_units = [S.unit_coords(i) for i in S.a_indices]
-    t_basis = rt.maximal_torus(S, a_units)
-    assert t_basis
-    spaces = list(data.root_spaces.items())
-    assert rt.torus_split(S, t_basis, spaces)
-    _drop_largest_candidate(monkeypatch)
-    with pytest.raises(NonRationalSpectrum, match="not diagonalizable"):
-        rt.torus_split(S, t_basis, spaces)
 
 
 # (n_imaginary, n_real, n_complex, dim_cartan) on the maximally split Cartan
@@ -334,6 +322,36 @@ def test_full_root_classification_catalog(form):
     assert fc.n_roots == S.dim - dim_cartan
 
 
+def _compact_candidates(S, t):
+    """The differences mu_j - mu_k of the eigenvalues of -it on C^n, sorted.
+
+    A compact torus element t has spectrum i mu, so ad(t) has its
+    eigenvalues among i times these.
+    """
+    m = la.mscale(-I, S.matrix_of(t))
+    mus = la.rational_roots([c.as_fraction() for c in la.charpoly(m)])
+    assert mus is not None, S.name
+    return sorted({a - b for a in mus for b in mus})
+
+
+def _torus_split(S, t_basis, spaces):
+    """Split labeled subspaces of g^C by ad(t) for each t in t_basis.
+
+    Each label gains the eigenvalue i mu of its piece, a Scalar that is zero
+    exactly when mu is; every split must fill the subspace it splits.
+    """
+    for tv in t_basis:
+        cands = [I * Scalar.of(mu) for mu in _compact_candidates(S, tv)]
+        op = S.ad_matrix(tv)
+        split = []
+        for label, vecs in spaces:
+            pieces = la.eigen_split(op, vecs, cands, ZERO, ONE)
+            assert pieces is not None, (S.name, label)
+            split.extend((label + (ev,), p) for ev, p in pieces)
+        spaces = split
+    return spaces
+
+
 def _counts_by_torus_split(S, data):
     """(n_imaginary, n_real, n_complex, dim_cartan) by splitting every
     restricted piece by ad(t), as a route independent of the centralizer
@@ -343,7 +361,7 @@ def _counts_by_torus_split(S, data):
     spaces = list(data.root_spaces.items())
     spaces.append(((Fraction(0),) * r, data.centralizer))
     n_im = n_re = n_cx = zero_dim = 0
-    for label, vecs in rt.torus_split(S, t_basis, spaces):
+    for label, vecs in _torus_split(S, t_basis, spaces):
         a_zero, t_zero = not any(label[:r]), not any(label[r:])
         if a_zero and t_zero:
             zero_dim += len(vecs)
@@ -390,8 +408,8 @@ def test_candidates_contain_the_ad_spectrum():
             assert set(roots) <= cands, S.name
             checked += 1
         a_units = [S.unit_coords(i) for i in S.a_indices]
-        for t in rt.maximal_torus(S) + rt.maximal_torus(S, a_units):
-            cands = rt.ad_spectrum_candidates(S, t, compact=True)
+        for t in rt.maximal_torus(S, []) + rt.maximal_torus(S, a_units):
+            cands = _compact_candidates(S, t)
             # ad(t) has spectrum i mu, so ad(t)^2 has the rational -mu^2;
             # the candidate set is symmetric, so mu^2 = c^2 puts mu in it
             roots = la.rational_roots(la.charpoly_frac(
@@ -408,9 +426,6 @@ def test_candidates_reject_an_irrational_spectrum():
     x = tuple(c.as_fraction() for c in S.coords_of(la.mat([[1, 1], [1, -1]])))
     with pytest.raises(NonRationalSpectrum):
         rt.ad_spectrum_candidates(S, x)
-    # read as a compact element: -i x has eigenvalues +-i sqrt(2)
-    with pytest.raises(NonRationalSpectrum):
-        rt.ad_spectrum_candidates(S, x, compact=True)
 
 
 # the stretch forms beyond the catalog; counts recorded before the n x n

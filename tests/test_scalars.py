@@ -113,6 +113,12 @@ def test_parse_rejects_garbage():
             parse_scalar(bad)
 
 
+def test_parse_depth():
+    assert parse_scalar("(" * 50 + "1/2" + ")" * 50) == Scalar.of(Fraction(1, 2))
+    with pytest.raises(ScalarParseError, match="nested too deeply"):
+        parse_scalar("(" * 3000 + "1" + ")" * 3000)
+
+
 def test_parse_rejects_zero_denominators():
     for bad in ("1/0", "sqrt(1/0)", "2*(3/0)", "1 + 1/0*i"):
         with pytest.raises(ScalarParseError):

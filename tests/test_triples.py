@@ -360,9 +360,30 @@ def test_conjugation_preserves_charpoly_and_regularity(family, kw):
         assert tp.is_regular(S, moved)
 
 
+@pytest.mark.parametrize("fid", catalog.standard_forms(),
+                         ids=catalog.form_cli_text)
+def test_conjugators_rotate_along_the_basis_of_h(fid):
+    S = build(fid)
+    pairs = tp.invariance_conjugators(S, 20)
+    assert len(pairs) == 20
+    for k, (g, ginv) in enumerate(pairs):
+        assert la.mat_eq(la.mmul(g, ginv), la.eye(S.n))
+        if k >= S.dim_h:
+            continue
+        # g - g^{-1} = 2d M for the k-th basis element M of h
+        ratio = tp._proportionality(la.flatten(S.basis[S.h_indices[k]]),
+                                    la.flatten(la.msub(g, ginv)))
+        assert ratio is not None and ratio != ZERO, (S.name, k)
+        # g lies in H^C, so it maps m^C into m^C
+        for j in S.m_indices:
+            moved = la.mmul(la.mmul(g, S.basis[j]), ginv)
+            coords = S.coords_of(moved)
+            assert not any(coords[i] for i in S.h_indices), (S.name, k, j)
+
+
 def test_conjugators_need_a_rotation_element_of_h():
-    # an abelian real form: h = span(diag(i, i, -2i)) has no root vectors,
-    # and its one element has eigenvalues i, i, -2i, so M^3 != -sM
+    # h = span(diag(i, i, -2i)): its one basis element has eigenvalues
+    # i, i, -2i, so M^3 != -sM
     h = la.mat([[I, 0, 0], [0, I, 0], [0, 0, -2 * I]])
     a = la.mat([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
     S = RealFormStructure(name="u1 + a", family="test", params={}, n=3,
