@@ -13,10 +13,10 @@ Elements live as n x n matrices over Scalar and as coordinate vectors in
 the basis, which one coordinate solver over the flattened basis matrices
 links.  The basis of a real form is independent over C, so elements of the
 complexification g^C (the C-span of the basis) have Scalar coordinates,
-and the rational elements of g are those whose coordinates all come out
-rational; they are kept as Fractions.  Bracket, form, and involution
-computations in coordinates use rational structure data, so they stay
-exact and cheap even when the coordinates themselves carry radicals.
+and the rational elements of g are those whose coordinates are all Scalars
+with ``is_rational()``.  Bracket, form, and involution computations in
+coordinates use rational structure data, so they stay exact and cheap even
+when the coordinates themselves carry radicals.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ from . import linalg as la
 from .errors import ConstructionFailure, NotInAlgebra
 from .linalg import Mat
 from .scalars import Scalar, ZERO, ONE
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 def _sparse_entries(x: Mat) -> Dict[Tuple[int, int], Scalar]:
     return {(i, j): e for i, row in enumerate(x) for j, e in enumerate(row) if e}
@@ -76,15 +72,8 @@ def _sparse_trace_product(x: Dict[Tuple[int, int], Scalar],
     return acc
 
 
-def _field(vectors: Sequence[Sequence]):
-    """(zero, one) of Scalar if any entry is a Scalar, else of Fraction."""
-    if any(isinstance(x, Scalar) for v in vectors for x in v):
-        return ZERO, ONE
-    return _F0, _F1
-
-
 def _span_kernel(space: Sequence[Sequence], images: Sequence[dict],
-                 length: int, zero, one) -> List[tuple]:
+                 length: int) -> List[tuple]:
     """Basis of the vectors sum c_i space[i] with sum c_i images[i] = 0.
 
     Each image is a {index: nonzero} dict over `length` coordinates; the
@@ -94,8 +83,8 @@ def _span_kernel(space: Sequence[Sequence], images: Sequence[dict],
     for c, image in enumerate(images):
         for r, x in image.items():
             rows[r][c] = x
-    combos = la.kernel_right(rows, len(space), zero, one)
-    return [tuple(la.combine(c, space, zero)) for c in combos]
+    combos = la.kernel_right(rows, len(space))
+    return [tuple(la.combine(c, space)) for c in combos]
 
 
 @dataclass
@@ -115,7 +104,7 @@ class RealFormStructure:
     gram: Tuple[Tuple[Fraction, ...], ...] = field(init=False, repr=False)
     # struct[i] lists (j, k, c) for every nonzero coefficient c of basis[k]
     # in [basis[i], basis[j]], ordered by j then k
-    struct: List[List[Tuple[int, int, Fraction]]] = field(init=False, repr=False)
+    struct: List[List[Tuple[int, int, Scalar]]] = field(init=False, repr=False)
 
     def __post_init__(self):
         d = len(self.basis)
@@ -125,8 +114,7 @@ class RealFormStructure:
             raise ConstructionFailure("%s: rank %d incompatible with dim m %d"
                                       % (self.name, self.rank_a, self.dim_m))
         self._center_dims: Optional[Tuple[int, int, int]] = None
-        self._solve = la.coords_solver([la.flatten(m) for m in self.basis],
-                                       ZERO, ONE)
+        self._solve = la.coords_solver([la.flatten(m) for m in self.basis])
         if self._solve is None:
             raise ConstructionFailure("%s: basis is dependent over C" % self.name)
         self._sparse_basis = [_sparse_entries(m) for m in self.basis]
@@ -152,8 +140,8 @@ class RealFormStructure:
     def a_basis(self) -> List[Mat]:
         return [self.basis[i] for i in self.a_indices]
 
-    def unit_coords(self, i: int) -> Tuple[Fraction, ...]:
-        return tuple(_F1 if j == i else _F0 for j in range(self.dim))
+    def unit_coords(self, i: int) -> Tuple[Scalar, ...]:
+        return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
     # --- construction-time validation -------------------------------------
 
@@ -170,7 +158,7 @@ class RealFormStructure:
         solved for its nonzero coefficients, which must all be rational."""
         d, n = self.dim, self.n
         sparse = self._sparse_basis
-        table: List[List[Tuple[int, int, Fraction]]] = [[] for _ in range(d)]
+        table: List[List[Tuple[int, int, Scalar]]] = [[] for _ in range(d)]
         for i in range(d):
             for j in range(i + 1, d):
                 br = _sparse_bracket(sparse[i], sparse[j])
@@ -180,14 +168,14 @@ class RealFormStructure:
                         "%s: bracket of basis %d, %d leaves the algebra" %
                         (self.name, i, j))
                 for k in sorted(cij):
-                    c = cij[k].as_fraction()
+                    c = cij[k]
                     table[i].append((j, k, c))
                     table[j].append((i, k, -c))
         self.struct = table
 
     def _gram_and_signs(self):
         d = self.dim
-        g = [[_F0] * d for _ in range(d)]
+        g = [[Fraction(0)] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
                 t = _sparse_trace_product(self._sparse_basis[i], self._sparse_basis[j])
@@ -245,10 +233,10 @@ class RealFormStructure:
 
     # --- operations in coordinates ------------------------------------------
 
-    def _bracket(self, u: Dict[int, object], v: Dict[int, object]
-                 ) -> Dict[int, object]:
+    def _bracket(self, u: Dict[int, Scalar], v: Dict[int, Scalar]
+                 ) -> Dict[int, Scalar]:
         """[u, v] on {index: nonzero} coordinates, as such a dict."""
-        out: Dict[int, object] = {}
+        out: Dict[int, Scalar] = {}
         for i, ui in u.items():
             for j, k, c in self.struct[i]:
                 vj = v.get(j)
@@ -259,25 +247,22 @@ class RealFormStructure:
         return {k: x for k, x in out.items() if x}
 
     def bracket_coords(self, u: Sequence, v: Sequence) -> tuple:
-        """Coordinates of [u, v]; Scalar entries if u or v has any."""
-        scalar = (any(isinstance(x, Scalar) for x in u)
-                  or any(isinstance(x, Scalar) for x in v))
-        out = [ZERO if scalar else _F0] * self.dim
+        """Coordinates of [u, v]."""
+        out = [ZERO] * self.dim
         for k, x in self._bracket(la.sparse(u), la.sparse(v)).items():
-            out[k] = Scalar.of(x) if scalar else x
+            out[k] = x
         return tuple(out)
 
-    def ad_frac(self, i: int) -> List[List[Fraction]]:
+    def ad_frac(self, i: int) -> List[List[Scalar]]:
         """Matrix of ad(basis[i]) on coordinates: row k, column j holds the
-        coefficient of basis[k] in [basis[i], basis[j]]."""
+        coefficient of basis[k] in [basis[i], basis[j]].  The name predates
+        the one field and stays because bench/tracer.py wraps it."""
         return self.ad_matrix(self.unit_coords(i))
 
     def ad_matrix(self, u: Sequence) -> List[list]:
-        """Matrix of ad(x) for x with coordinates u; entries follow u's field."""
+        """Matrix of ad(x) for x with coordinates u."""
         d = self.dim
-        scalar = any(isinstance(x, Scalar) for x in u)
-        zero = ZERO if scalar else _F0
-        out = [[zero] * d for _ in range(d)]
+        out = [[ZERO] * d for _ in range(d)]
         for i, ui in enumerate(u):
             if ui:
                 for j, k, c in self.struct[i]:
@@ -300,7 +285,7 @@ class RealFormStructure:
                 if vj and row[j]:
                     term = ui * vj * row[j]
                     acc = term if acc is None else acc + term
-        return _F0 if acc is None else acc
+        return ZERO if acc is None else acc
 
     # --- centralizers and generated subalgebras ------------------------------
 
@@ -308,11 +293,9 @@ class RealFormStructure:
                             space: Sequence[Sequence]) -> List[tuple]:
         """Basis of {v in span(space) : [e, v] = 0 for every element e}.
 
-        `space` must be independent.  The field is Scalar if any entry of the
-        elements or of the space is a Scalar, else Fraction.  With no
-        elements the whole span comes back.
+        `space` must be independent.  With no elements the whole span comes
+        back.
         """
-        zero, one = _field(list(elements) + list(space))
         d = self.dim
         sparse_elements = [la.sparse(e) for e in elements]
         images = []
@@ -323,7 +306,7 @@ class RealFormStructure:
                 for k, x in self._bracket(e, sv).items():
                     image[q * d + k] = x
             images.append(image)
-        return _span_kernel(space, images, len(elements) * d, zero, one)
+        return _span_kernel(space, images, len(elements) * d)
 
     def theta_split(self, vectors: Sequence[Sequence]
                     ) -> Tuple[List[tuple], List[tuple]]:
@@ -332,21 +315,22 @@ class RealFormStructure:
         `vectors` must be independent; the two sizes add up to len(vectors)
         exactly when the span is theta-stable, which callers check.
         """
-        zero, one = _field(vectors)
         m_coords = [la.sparse([v[j] for j in self.m_indices]) for v in vectors]
         h_coords = [la.sparse([v[j] for j in self.h_indices]) for v in vectors]
-        h_part = _span_kernel(vectors, m_coords, self.dim_m, zero, one)
-        m_part = _span_kernel(vectors, h_coords, self.dim_h, zero, one)
+        h_part = _span_kernel(vectors, m_coords, self.dim_m)
+        m_part = _span_kernel(vectors, h_coords, self.dim_h)
         return h_part, m_part
 
-    def centralizer_frac(self, elements: Sequence[Sequence[Fraction]],
+    def centralizer_frac(self, elements: Sequence[Sequence],
                          within: Optional[Sequence[int]] = None
-                         ) -> List[Tuple[Fraction, ...]]:
-        """Basis of the rational centralizer of the given elements.
+                         ) -> List[Tuple[Scalar, ...]]:
+        """Basis of the centralizer of the given elements.
 
         The unit-span call of `centralizer_in_span`: `within` restricts to
         the span of those basis indices (a coordinate block such as m or h,
-        all of g by default); full-length coordinate vectors come back.
+        all of g by default); full-length coordinate vectors come back.  The
+        name predates the one field and stays because bench/tracer.py wraps
+        it.
         """
         idxs = within if within is not None else range(self.dim)
         return self.centralizer_in_span(
@@ -369,10 +353,10 @@ class RealFormStructure:
         return self._center_dims
 
     def generate_subalgebra(
-            self, gens: Sequence[Tuple[tuple, Sequence[Fraction]]]
+            self, gens: Sequence[Tuple[tuple, Sequence[Scalar]]]
     ) -> Dict[tuple, la.Subspace]:
-        """Smallest bracket-closed rational subspace containing the generators,
-        graded by weight.
+        """Smallest bracket-closed subspace containing the generators, graded
+        by weight.
 
         Each generator comes as (weight, vector), the weight a tuple of
         Fractions.  The closure is spanned by the iterated brackets
@@ -403,7 +387,7 @@ class RealFormStructure:
                     if space is None:
                         # a dense first row makes every row full length
                         space = spaces[wt] = la.Subspace(
-                            [[w.get(k, _F0) for k in range(self.dim)]])
+                            [[w.get(k, ZERO) for k in range(self.dim)]])
                         new_vecs.append((wt, w))
                     elif space.add(w):
                         new_vecs.append((wt, w))

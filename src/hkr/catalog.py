@@ -26,17 +26,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg as la
 from .algebra import RealFormStructure, theta_entries
 from .errors import InvalidParams, NotInTable, SizeBound, ConstructionFailure
-from .scalars import Scalar, ZERO
+from .scalars import Scalar, ZERO, ONE, I, parse_int
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_HALF = Fraction(1, 2)
+_HALF = ONE / 2
 
 FAMILIES = ("sl_R", "su_pq", "sp2n_R", "so_pq", "su_star", "sp_pq",
             "so_star", "sl_C_as_real")
@@ -103,11 +100,16 @@ class FormId:
 
 
 def form_id(family: str, **kw: int) -> FormId:
+    """The FormId of a family and its parameters, each an int (not a bool)."""
     order = ("n",) if family in _N_FAMILIES else ("p", "q")
     if set(kw) != set(order):
         raise InvalidParams("family %s needs params %s, got %s"
                             % (family, order, tuple(sorted(kw))))
-    return FormId(family, tuple((k, int(kw[k])) for k in order))
+    for k in order:
+        if type(kw[k]) is not int:
+            raise InvalidParams("parameter %s must be an int, got %r"
+                                % (k, kw[k]))
+    return FormId(family, tuple((k, kw[k]) for k in order))
 
 
 def parse_form(text: str) -> FormId:
@@ -127,7 +129,7 @@ def parse_form(text: str) -> FormId:
         if k in kw:
             raise InvalidParams("repeated parameter %r in %r" % (k, text))
         try:
-            kw[k] = int(v)
+            kw[k] = parse_int(v)
         except ValueError as exc:
             raise InvalidParams("bad integer %r in %r" % (v, text)) from exc
     return form_id(family, **kw)
@@ -174,7 +176,7 @@ def size_bound() -> int:
     if raw is None:
         return DEFAULT_MAX_SIZE
     try:
-        bound = int(raw)
+        bound = parse_int(raw)
         if bound >= 1:
             return bound
     except ValueError:
@@ -439,13 +441,13 @@ def _solve(n: int, equations, traces) -> List[Dict[Tuple[int, int], Scalar]]:
     rows = []
     for func in funcs:
         for part, sign in ((0, 1), (1, -1)):
-            row = {2 * (k * n + l) + part: Fraction(a + sign * b)
+            row = {2 * (k * n + l) + part: Scalar.of(a + sign * b)
                    for (k, l), (a, b) in func.items() if a + sign * b}
             if row:
                 rows.append(row)
-    return [{divmod(k, n): Scalar.gaussian(a, b)
+    return [{divmod(k, n): a + b * I
              for k, (a, b) in enumerate(zip(vec[::2], vec[1::2])) if a or b}
-            for vec in la.kernel_right(rows, 2 * n * n, _F0, _F1)]
+            for vec in la.kernel_right(rows, 2 * n * n)]
 
 
 def _theta_halves(x: Dict[Tuple[int, int], Scalar], n: int

@@ -27,7 +27,7 @@ from . import roots as rt
 from . import triples as tp
 from . import verify as vf
 from .errors import HkrError, InvalidParams, SizeBound
-from .scalars import Scalar, parse_scalar, ScalarParseError
+from .scalars import Scalar, parse_int, parse_scalar, ScalarParseError
 
 SCHEMA = 1
 
@@ -54,7 +54,7 @@ def _curve_context(args) -> dm.CurveContext:
         return dm.CurveContext.trivial(genus)
     if spec.startswith("deg:"):
         try:
-            deg = int(spec[4:])
+            deg = parse_int(spec[4:], negative=True)
         except ValueError:
             raise InvalidParams("bad degree in --L %r" % spec)
         return dm.CurveContext.of_degree(genus, deg)
@@ -286,11 +286,16 @@ def cmd_verify(args) -> int:
     return 1 if fails else 0
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
+    """argparse type: a nonnegative int in ASCII digits (``parse_int``)."""
     try:
-        value = int(text)
+        return parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
     return value
@@ -330,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dims", help="dimension report")
     sp.add_argument("form")
-    sp.add_argument("--genus", type=int, default=2)
+    sp.add_argument("--genus", type=_int, default=2)
     sp.add_argument("--L", default="K", help="K, O, or deg:<int>")
     add_json(sp)
     sp.set_defaults(fn=cmd_dims)
@@ -341,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_table1)
 
     sp = sub.add_parser("lemma73", help="explicit so*(6)/so*(10) checks")
-    sp.add_argument("--n", type=int, choices=(3, 5))
+    sp.add_argument("--n", type=_int, choices=(3, 5))
     add_json(sp)
     sp.set_defaults(fn=cmd_lemma73)
 
     sp = sub.add_parser("verify", help="run the verification suites")
     sp.add_argument("form", nargs="?")
     sp.add_argument("--all", action="store_true")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int, default=0)
     sp.add_argument("--samples", type=_positive_int, default=100, metavar="N",
                     help="N regularity samples and injectivity pairs per "
                          "form, and at most N of the %d fiber targets and "

@@ -1,8 +1,6 @@
-"""Exact linear algebra over Fraction or Scalar entries, on sparse rows.
+"""Exact linear algebra over Scalar entries, on sparse rows.
 
-Everything here is field-generic: entries only need +, -, *, /, unary -, and
-truthiness (zero test).  Matrices are tuples of tuples; vectors are tuples
-or lists.  Row reduction keeps full reduced echelon form so membership and
+Matrices are tuples of tuples; vectors are tuples or lists.  Row reduction keeps full reduced echelon form so membership and
 coordinates come out of the same machinery, and it keeps each echelon row as
 a {column: nonzero} dict, so its work grows with the nonzero entries, not
 with the width of the rows; vectors may be passed in that sparse form too.
@@ -19,8 +17,7 @@ The shared idioms the other modules build on, each written once here:
   list of candidate eigenvalues, or None unless they fill the span;
 - ``kernel_right`` / ``solve_right``: null space and one solution of M x = b;
 - ``charpoly``: an exact reduction to upper Hessenberg form and the
-  Hessenberg recurrence, O(n^3) over either field (``charpoly_frac`` is its
-  Fraction entry point);
+  Hessenberg recurrence, O(n^3);
 - ``is_positive_definite``: Sylvester's criterion by elimination without
   pivoting.
 """
@@ -139,13 +136,12 @@ class Subspace:
     ``solve_right`` and ``coords_solver`` all read from it.
     """
 
-    __slots__ = ("pivots", "_at", "_ncols", "_zero")
+    __slots__ = ("pivots", "_at", "_ncols")
 
     def __init__(self, vectors: Sequence = ()):
         self.pivots: List[int] = []
         self._at: dict = {}  # pivot column -> its sparse echelon row
         self._ncols = 0
-        self._zero = None
         for v in vectors:
             self.add(v)
 
@@ -156,11 +152,11 @@ class Subspace:
     @property
     def rows(self) -> List[list]:
         """The echelon rows in pivot order, as fresh dense lists filled with
-        the field's zero, as wide as the widest vector added (a dict counts
+        ZERO, as wide as the widest vector added (a dict counts
         up to its last nonzero column)."""
         out = []
         for p in self.pivots:
-            dense = [self._zero] * self._ncols
+            dense = [ZERO] * self._ncols
             for j, e in self._at[p].items():
                 dense[j] = e
             out.append(dense)
@@ -188,7 +184,7 @@ class Subspace:
         if not v:
             return False
         p = min(v)
-        inv = 1 / v[p]
+        inv = v[p].inv()
         row = {j: e * inv for j, e in v.items()}
         for r in self._at.values():
             f = r.get(p)
@@ -198,21 +194,19 @@ class Subspace:
         self.pivots.insert(bisect(self.pivots, p), p)
         width = max(v) + 1 if isinstance(vec, dict) else len(vec)
         self._ncols = max(self._ncols, width)
-        if self._zero is None:
-            self._zero = row[p] - row[p]
         return True
 
 
 def rref(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
     """Reduced row echelon form of the row list; returns (rows, pivot columns).
 
-    Zero rows are dropped.  Works over any exact field (Fraction or Scalar).
+    Zero rows are dropped.
     """
     space = Subspace(rows)
     return space.rows, space.pivots
 
 
-def coords_solver(vectors: Sequence[Sequence], zero, one):
+def coords_solver(vectors: Sequence[Sequence]):
     """Coordinate map over linearly independent `vectors`, or None if dependent.
 
     The map sends v to the list c with sum_i c[i] * vectors[i] = v, or to None
@@ -225,7 +219,7 @@ def coords_solver(vectors: Sequence[Sequence], zero, one):
     space = Subspace()
     for i, v in enumerate(vectors):
         row = sparse(v)
-        row[n + i] = one
+        row[n + i] = ONE
         space.add(row)
     if vectors and space.pivots[-1] >= n:
         return None  # a pivot in the unit part: some combination vanishes
@@ -236,7 +230,7 @@ def coords_solver(vectors: Sequence[Sequence], zero, one):
             return None
         if isinstance(vec, dict):
             return {j - n: -c for j, c in v.items()}
-        out = [zero] * k
+        out = [ZERO] * k
         for j, c in v.items():
             out[j - n] = -c
         return out
@@ -244,9 +238,9 @@ def coords_solver(vectors: Sequence[Sequence], zero, one):
     return solve
 
 
-def combine(coeffs: Sequence, vecs: Sequence[Sequence], zero) -> list:
+def combine(coeffs: Sequence, vecs: Sequence[Sequence]) -> list:
     """The linear combination sum_i coeffs[i] * vecs[i], as a list."""
-    out = [zero] * len(vecs[0])
+    out = [ZERO] * len(vecs[0])
     for c, v in zip(coeffs, vecs):
         if c:
             for j, e in enumerate(v):
@@ -256,25 +250,26 @@ def combine(coeffs: Sequence, vecs: Sequence[Sequence], zero) -> list:
 
 
 def eigen_split(op: Sequence[Sequence], vecs: Sequence[Sequence],
-                candidates: Sequence, zero, one
+                candidates: Sequence
                 ) -> Optional[List[Tuple[object, List[list]]]]:
     """Eigenspaces of an operator on the op-stable span of independent vecs.
 
     `op` is the operator's matrix on the ambient coordinates; it is
     restricted to span(vecs) here.  Returns (eigenvalue, vectors) for each
-    candidate with a nonzero eigenspace, in candidate order, the vectors
+    candidate with a nonzero eigenspace, in candidate order (a candidate may
+    be a Fraction or an int, and comes back as given), the vectors
     combined from `vecs`, and solves no further once the pieces fill
     span(vecs).  Returns None if they never do: op is then not
     diagonalizable on the span with its eigenvalues among the candidates.
     """
     k = len(vecs)
-    solve = coords_solver(vecs, zero, one)
+    solve = coords_solver(vecs)
     if solve is None:
         raise ConstructionFailure("restriction basis is dependent")
     columns = list(zip(*op))
     images = []  # column b: the coordinates of op(vecs[b])
     for v in vecs:
-        coefs = solve(combine(v, columns, zero))
+        coefs = solve(combine(v, columns))
         if coefs is None:
             raise ConstructionFailure("operator does not preserve the span")
         images.append(coefs)
@@ -284,12 +279,13 @@ def eigen_split(op: Sequence[Sequence], vecs: Sequence[Sequence],
     for ev in candidates:
         if not left:
             break
+        shift = Scalar.of(ev)
         # a diagonal entry that cancels is dropped by the row reduction
-        shifted = [{**row, r: row.get(r, zero) - ev}
+        shifted = [{**row, r: row.get(r, ZERO) - shift}
                    for r, row in enumerate(restricted)]
-        combos = kernel_right(shifted, k, zero, one)
+        combos = kernel_right(shifted, k)
         if combos:
-            out.append((ev, [combine(c, vecs, zero) for c in combos]))
+            out.append((ev, [combine(c, vecs) for c in combos]))
             left -= len(combos)
     return None if left else out
 
@@ -298,7 +294,7 @@ def rank(rows: Sequence[Sequence]) -> int:
     return Subspace(rows).dim
 
 
-def kernel_right(m_rows: Sequence, ncols: int, zero, one) -> List[list]:
+def kernel_right(m_rows: Sequence, ncols: int) -> List[list]:
     """Basis of {x : M x = 0} for M given as rows (map on column vectors).
 
     The rows are dense or {column: nonzero} dicts.  `ncols` is the size of
@@ -316,8 +312,8 @@ def kernel_right(m_rows: Sequence, ncols: int, zero, one) -> List[list]:
     for f in range(ncols):
         if f in space._at:
             continue
-        v = [zero] * ncols
-        v[f] = one
+        v = [ZERO] * ncols
+        v[f] = ONE
         for p, e in at_free.get(f, ()):
             v[p] = -e
         basis.append(v)
@@ -325,13 +321,13 @@ def kernel_right(m_rows: Sequence, ncols: int, zero, one) -> List[list]:
 
 
 def solve_right(m_rows: Sequence[Sequence], b: Sequence) -> Optional[list]:
-    """One solution x of M x = b, or None if inconsistent."""
+    """One solution x of M x = b, or None if inconsistent; int and Fraction
+    entries are read as Scalars."""
     if not m_rows:
         return None
     ncols = len(m_rows[0])
-    aug = [list(r) + [bv] for r, bv in zip(m_rows, b)]
-    red, pivots = rref(aug)
-    x = [b[0] * 0 for _ in range(ncols)]  # field zero of the right type
+    red, pivots = rref(mat([list(r) + [bv] for r, bv in zip(m_rows, b)]))
+    x = [ZERO] * ncols
     for row, p in zip(red, pivots):
         if p == ncols:
             return None  # pivot in the augmented column: inconsistent
@@ -341,7 +337,7 @@ def solve_right(m_rows: Sequence[Sequence], b: Sequence) -> Optional[list]:
 
 # --- characteristic polynomial -------------------------------------------------
 
-def _hessenberg(a: Sequence[Sequence], one) -> List[list]:
+def _hessenberg(a: Sequence[Sequence]) -> List[list]:
     """An upper Hessenberg matrix similar to A, as fresh row lists.
 
     Column k is cleared below the subdiagonal by a similarity E A E^-1: a
@@ -361,7 +357,7 @@ def _hessenberg(a: Sequence[Sequence], one) -> List[list]:
             h[p], h[m] = h[m], h[p]
             for row in h:
                 row[p], row[m] = row[m], row[p]
-        inv = one / h[m][k]
+        inv = h[m][k].inv()
         # row m vanishes left of column k; E leaves it as it is
         pivot = [(j, x) for j, x in enumerate(h[m][k:], k) if x]
         factors = []
@@ -382,27 +378,26 @@ def _hessenberg(a: Sequence[Sequence], one) -> List[list]:
     return h
 
 
-def charpoly(a: Sequence[Sequence], zero=ZERO, one=ONE) -> tuple:
+def charpoly(a: Sequence[Sequence]) -> tuple:
     """Coefficients (c_0, ..., c_n) of det(tI - A) = sum c_k t^k, exact.
 
-    Over the field of `zero`/`one` (Scalar by default): A is brought to
-    upper Hessenberg form H by exact similarity, then the characteristic
-    polynomials p_m of the leading m x m blocks of H follow the recurrence
-    p_m = (t - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1})
-    p_{i-1} (Cohen, *A Course in Computational Algebraic Number Theory*,
+    A is brought to upper Hessenberg form H by exact similarity, then the
+    characteristic polynomials p_m of the leading m x m blocks of H follow
+    the recurrence p_m = (t - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ...
+    h_{m,m-1}) p_{i-1} (Cohen, *A Course in Computational Algebraic Number Theory*,
     Algorithm 2.2.9), O(n^3) field operations in all.
     """
-    h = _hessenberg(a, one)
+    h = _hessenberg(a)
     n = len(h)
-    polys = [[one]]  # polys[k]: ascending coefficients of p_k
+    polys = [[ONE]]  # polys[k]: ascending coefficients of p_k
     for k in range(n):  # p_{k+1} from p_0, ..., p_k
         prev = polys[k]
         diag = -h[k][k]
-        cur = [zero] + prev  # t p_k
+        cur = [ZERO] + prev  # t p_k
         if diag:
             for j, c in enumerate(prev):
                 cur[j] = cur[j] + diag * c
-        sub = one  # h_{i+1,i} ... h_{k,k-1}, 0-based
+        sub = ONE  # h_{i+1,i} ... h_{k,k-1}, 0-based
         for i in range(k - 1, -1, -1):
             sub = sub * h[i + 1][i]
             if not sub:
@@ -416,9 +411,11 @@ def charpoly(a: Sequence[Sequence], zero=ZERO, one=ONE) -> tuple:
     return tuple(polys[n])
 
 
-def charpoly_frac(a: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    """``charpoly`` of a rational matrix, over plain Fractions, as a list."""
-    return list(charpoly(a, Fraction(0), Fraction(1)))
+def charpoly_frac(a: Sequence[Sequence]) -> List[Fraction]:
+    """``charpoly`` of a rational matrix (int, Fraction or Scalar entries),
+    as a list of Fractions, for the Weyl/Molien oracle; kept under this
+    name because bench/tracer.py wraps it."""
+    return [c.as_fraction() for c in charpoly(mat(a))]
 
 
 # --- rational spectra -----------------------------------------------------------

@@ -30,7 +30,6 @@ from .errors import (ConstructionFailure, NonRationalSpectrum,
                      UnrecognizedDiagram)
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 RootLabel = Tuple[Fraction, ...]
 
@@ -62,7 +61,7 @@ def ad_spectrum_candidates(structure: RealFormStructure, coords: Sequence
 class RestrictedRootData:
     structure: RealFormStructure
     root_spaces: Dict[RootLabel, List[list]]
-    centralizer: List[list]  # basis of c_g(a), rational coordinates
+    centralizer: List[list]  # basis of c_g(a), rational Scalar coordinates
 
     @property
     def rank(self) -> int:
@@ -72,15 +71,14 @@ class RestrictedRootData:
 def restricted_roots(structure: RealFormStructure) -> RestrictedRootData:
     """Joint ad(a)-eigenvalue decomposition of g.  Raises NonRationalSpectrum
     unless each split fills its piece: the candidates held the spectrum."""
-    d = structure.dim
-    start = [[_F1 if j == i else _F0 for j in range(d)] for i in range(d)]
+    start = [structure.unit_coords(i) for i in range(structure.dim)]
     spaces = [((), start)]
     for ai in structure.a_indices:
         cands = ad_spectrum_candidates(structure, structure.unit_coords(ai))
         op = structure.ad_frac(ai)
         split = []
         for label, vecs in spaces:
-            pieces = la.eigen_split(op, vecs, cands, _F0, _F1)
+            pieces = la.eigen_split(op, vecs, cands)
             if pieces is None:
                 raise NonRationalSpectrum(
                     "%s: ad is not diagonalizable over its candidate "
@@ -166,7 +164,7 @@ def root_pairing(structure: RealFormStructure):
             got = la.solve_right(gram, list(lam))
             if got is None:
                 raise ConstructionFailure("degenerate form on a")
-            dual_cache[lam] = got
+            got = dual_cache[lam] = [c.as_fraction() for c in got]
         return got
 
     def pair(lam: RootLabel, mu: RootLabel) -> Fraction:
@@ -491,7 +489,7 @@ def molien_series(wmats: Sequence[Tuple[Tuple[int, ...], ...]],
         groups.setdefault(_power_traces(w), []).append(w)
     total = [0] * order
     for members in groups.values():
-        p = la.charpoly_frac([[Fraction(e) for e in row] for row in members[0]])
+        p = la.charpoly_frac(members[0])
         # det(I - tw) = t^r charpoly(1/t) with charpoly = det(tI - w)
         terms = [(j, int(c)) for j, c in enumerate(reversed(p)) if j and c]
         inv = [1]
@@ -571,7 +569,7 @@ def abstract_simple_system(label: str):
 @dataclass
 class FullRootClassification:
     structure: RealFormStructure
-    t_basis: List[Tuple[Fraction, ...]]  # toral completion inside c_h(a)
+    t_basis: List[tuple]  # toral completion inside c_h(a)
     n_imaginary: int
     n_real: int
     n_complex: int
@@ -582,15 +580,14 @@ class FullRootClassification:
 
 
 def maximal_torus(structure: RealFormStructure,
-                  commuting: Sequence[Sequence[Fraction]]
-                  ) -> List[Tuple[Fraction, ...]]:
+                  commuting: Sequence[Sequence]) -> List[tuple]:
     """A maximal abelian subalgebra t of the centralizer of `commuting` in h.
 
     Grown by centralizer passes: each pass adds the first element of
     c_h(t + commuting) outside span(t), which commutes with t, so t stays
     abelian; it stops when every such element already lies in t.
     """
-    t: List[Tuple[Fraction, ...]] = []
+    t: List[tuple] = []
     span = la.Subspace()
     while True:
         z = structure.centralizer_frac(t + list(commuting),

@@ -2,22 +2,34 @@
 
 A value is a finite sum ``sum_r (a_r + b_r*i) * sqrt(r) / d`` over square-free
 positive integers r, with integer numerators a_r, b_r and one positive integer
-denominator d; the term r = 1 is the rational part.  This is the integral
+denominator d; the term r = 1 is the Gaussian part.  This is the integral
 representation of a number-field element over a common denominator (Cohen,
 *A Course in Computational Algebraic Number Theory*, section 4.2).  Values
-are immutable and always kept canonical: radicands square-free, no zero
-pairs, and gcd(d, all a_r, all b_r) = 1, so equal values have equal fields.
-Sums and products therefore need only integer arithmetic and one gcd pass,
-and a rational operand only scales the numerators.
+are never modified after construction and are always kept canonical:
+radicands square-free, no zero pairs, and gcd(d, all a_r, all b_r) = 1, so
+equal values have equal fields.  Sums and products therefore need only
+integer arithmetic and one gcd pass, and a rational operand only scales the
+numerators.
 
-The inverse goes through the conjugates.  Q(i, sqrt(p_1), ..., sqrt(p_k)), for
-the primes p_j dividing the radicands of x, has the automorphisms i -> -i and
-sqrt(p_j) -> -sqrt(p_j).  Taking each sigma in turn, c = sigma(z), P *= c,
-z *= c makes z fixed by sigma and keeps it fixed by the earlier ones (the
-group is abelian), so at the end z = N(x) is rational and x^-1 = P / N(x).
+A value in Q(i) is held in three integer slots, (re + im*i) / d, with no
+radicand table.  Catalog bases, structure constants, rational coordinates and
+ad-matrices all lie in Q(i), so this is the fast path: +, -, *, negation,
+``conj`` and ``inv`` of two such values are a few integer operations and one
+gcd.  Any other value keeps its radicand table {r: (a_r, b_r)}; an operation
+with such an operand works on the tables, and a result that lies in Q(i)
+takes the slot form again, so each value has exactly one form.
+
+The inverse of a value with radicals goes through the conjugates.
+Q(i, sqrt(p_1), ..., sqrt(p_k)), for the primes p_j dividing the radicands of
+x, has the automorphisms i -> -i and sqrt(p_j) -> -sqrt(p_j).  Taking each
+sigma in turn, c = sigma(z), P *= c, z *= c makes z fixed by sigma and keeps
+it fixed by the earlier ones (the group is abelian), so at the end z = N(x)
+is rational and x^-1 = P / N(x).
 
 This field is closed under the four operations and under complex
-conjugation, which is all the rest of the package needs.
+conjugation, which is all the rest of the package needs.  Fractions and ints
+mix with Scalars in every operation and compare and hash equal to the
+rational Scalars of the same value.
 """
 
 from __future__ import annotations
@@ -27,7 +39,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, Optional, Tuple
 
-_R0 = Fraction(0)
 _Z2 = (0, 0)
 
 Coef = Tuple[Fraction, Fraction]  # re, im
@@ -81,30 +92,57 @@ def _reduced(t: Dict[int, Tuple[int, int]], d: int, g: int) -> "Scalar":
     return _make(t, d)
 
 
+def _lowest(re: int, im: int, d: int, g: int) -> "Scalar":
+    """The Gaussian Scalar (re + im*i) / d in lowest terms, where any factor
+    common to d and both numerators divides g."""
+    if g != 1:
+        g = gcd(re, im, g)
+        if g != 1:
+            return _gauss(re // g, im // g, d // g)
+    return _gauss(re, im, d)
+
+
+def _gauss_add(x: "Scalar", re: int, im: int, d: int) -> "Scalar":
+    """x + (re + im*i) / d for a Gaussian x and a canonical right side."""
+    dx = x._d
+    if dx == d:
+        return _lowest(x._re + re, x._im + im, d, d)
+    # a common factor of the sum and its denominator divides gcd(dx, d)
+    g = gcd(dx, d)
+    mx, m = d // g, dx // g
+    return _lowest(x._re * mx + re * m, x._im * mx + im * m, dx * mx, g)
+
+
+def _table(x: "Scalar") -> Dict[int, Tuple[int, int]]:
+    """The radicand table of x, also for a Gaussian x ({} for zero)."""
+    t = x._t
+    if t is None:
+        return {1: (x._re, x._im)} if x._re or x._im else {}
+    return t
+
+
 class Scalar:
     """An element of Q(i, sqrt(r_1), sqrt(r_2), ...), canonical and immutable."""
 
-    __slots__ = ("_t", "_d", "_hash")
+    # _t is None for a value in Q(i), which is then (_re + _im*i) / _d;
+    # otherwise _t is the radicand table over _d, and _re = _im = 0
+    __slots__ = ("_t", "_re", "_im", "_d", "_hash")
 
     def __init__(self, terms: Dict[int, Coef]):
         """The sum of (a + b*i) * sqrt(r) over rational pairs, any radicands."""
         clean: Dict[int, Coef] = {}
         for r, (a, b) in terms.items():
             s, k = _squarefree_split(r)
-            pa, pb = clean.get(s, (_R0, _R0))
+            pa, pb = clean.get(s, _Z2)
             clean[s] = (pa + a * k, pb + b * k)
         d = 1
         for a, b in clean.values():
             for q in (a.denominator, b.denominator):
                 d = d * q // gcd(d, q)
         t = {r: (int(a * d), int(b * d)) for r, (a, b) in clean.items() if a or b}
-        x = _reduced(t, d, d) if t else ZERO
-        _T(self, x._t)
-        _D(self, x._d)
-        _H(self, None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Scalar is immutable")
+        x = _reduced(t, d, d)
+        self._t, self._re, self._im, self._d = x._t, x._re, x._im, x._d
+        self._hash = None
 
     # --- constructors -------------------------------------------------
 
@@ -113,14 +151,18 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, int):
-            return _make({1: (x, 0)}, 1) if x else ZERO
+            return _gauss(x, 0, 1)
         if isinstance(x, Fraction):
-            return _make({1: (x.numerator, 0)}, x.denominator) if x else ZERO
+            return _gauss(x.numerator, 0, x.denominator)
         raise TypeError("cannot coerce %r to Scalar" % (x,))
 
     @staticmethod
     def gaussian(re, im) -> "Scalar":
-        return Scalar({1: (Fraction(re), Fraction(im))})
+        """re + im*i for ints or Fractions re and im."""
+        qr, qi = re.denominator, im.denominator
+        d = qr * qi // gcd(qr, qi)
+        # each part is in lowest terms, so no factor of d divides both
+        return _gauss(re.numerator * (d // qr), im.numerator * (d // qi), d)
 
     @staticmethod
     def sqrt(q) -> "Scalar":
@@ -138,42 +180,38 @@ class Scalar:
     # --- predicates and views -----------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._t
+        return not (self._re or self._im or self._t)
 
     def is_rational(self) -> bool:
-        t = self._t
-        return not t or (len(t) == 1 and 1 in t and not t[1][1])
+        return self._t is None and not self._im
 
     def as_fraction(self) -> Fraction:
-        if not self._t:
-            return _R0
-        if self.is_rational():
-            return Fraction(self._t[1][0], self._d)
+        if self._t is None and not self._im:
+            return Fraction(self._re, self._d)
         raise ValueError("not rational: %s" % (self,))
 
     def gaussian_parts(self) -> Optional[Tuple[Fraction, Fraction]]:
         """(re, im) when the value lies in Q(i), else None."""
-        t = self._t
-        if not t:
-            return _R0, _R0
-        if len(t) != 1 or 1 not in t:
+        if self._t is not None:
             return None
-        a, b = t[1]
-        return Fraction(a, self._d), Fraction(b, self._d)
+        return Fraction(self._re, self._d), Fraction(self._im, self._d)
 
     def radicands(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._t))
+        return tuple(sorted(_table(self)))
 
     def terms(self) -> Dict[int, Coef]:
         d = self._d
-        return {r: (Fraction(a, d), Fraction(b, d)) for r, (a, b) in self._t.items()}
+        return {r: (Fraction(a, d), Fraction(b, d))
+                for r, (a, b) in _table(self).items()}
 
     # --- arithmetic -----------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
         if other.__class__ is not Scalar:
             other = Scalar.of(other)
-        ta, tb = self._t, other._t
+        if self._t is None and other._t is None:
+            return _gauss_add(self, other._re, other._im, other._d)
+        ta, tb = _table(self), _table(other)
         if not ta:
             return other
         if not tb:
@@ -189,21 +227,25 @@ class Scalar:
                 t[r] = (a, b)
             else:
                 del t[r]
-        if not t:
-            return ZERO
-        # a common factor of the sum and its denominator divides gcd(da, db)
         return _reduced(t, da * ma, g)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return _make({r: (-a, -b) for r, (a, b) in self._t.items()}, self._d)
+        t = self._t
+        if t is None:
+            return _gauss(-self._re, -self._im, self._d)
+        return _make({r: (-a, -b) for r, (a, b) in t.items()}, self._d)
 
     def __sub__(self, other) -> "Scalar":
-        return self + (-Scalar.of(other))
+        if other.__class__ is not Scalar:
+            other = Scalar.of(other)
+        if self._t is None and other._t is None:
+            return _gauss_add(self, -other._re, -other._im, other._d)
+        return self + (-other)
 
     def __rsub__(self, other) -> "Scalar":
-        return Scalar.of(other) + (-self)
+        return Scalar.of(other) - self
 
     def __mul__(self, other) -> "Scalar":
         if other.__class__ is not Scalar:
@@ -212,13 +254,15 @@ class Scalar:
             if isinstance(other, Fraction):
                 return self._scaled(other.numerator, other.denominator)
             other = Scalar.of(other)
-        ta, tb = self._t, other._t
-        if not ta or not tb:
-            return ZERO
-        if len(tb) == 1 and 1 in tb and not tb[1][1]:
-            return self._scaled(tb[1][0], other._d)
-        if len(ta) == 1 and 1 in ta and not ta[1][1]:
-            return other._scaled(ta[1][0], self._d)
+        if self._t is None and other._t is None:
+            a, b, c, e = self._re, self._im, other._re, other._im
+            d = self._d * other._d
+            return _lowest(a * c - b * e, a * e + b * c, d, d)
+        if other._t is None and not other._im:
+            return self._scaled(other._re, other._d)
+        if self._t is None and not self._im:
+            return other._scaled(self._re, self._d)
+        ta, tb = _table(self), _table(other)
         if len(tb) > len(ta):
             ta, tb = tb, ta
         acc: Dict[int, Tuple[int, int]] = {}
@@ -232,8 +276,6 @@ class Scalar:
                 acc[t] = (pa + re, pb + im)
         if len(tb) > 1:  # one term of tb maps the radicands one to one
             acc = {r: c for r, c in acc.items() if c[0] or c[1]}
-            if not acc:
-                return ZERO
         d = self._d * other._d
         return _reduced(acc, d, d)
 
@@ -242,7 +284,10 @@ class Scalar:
     def _scaled(self, p: int, q: int) -> "Scalar":
         """self * p/q for p/q in lowest terms with q > 0."""
         t = self._t
-        if not p or not t:
+        if t is None:
+            d = self._d * q
+            return _lowest(self._re * p, self._im * p, d, d)
+        if not p:
             return ZERO
         if q == 1 and p == 1:
             return self
@@ -259,33 +304,39 @@ class Scalar:
                 h = gcd(h, a, b)
                 if h == 1:
                     break
-        if h == 1:
-            return _make({r: (a * p, b * p) for r, (a, b) in t.items()}, d * q)
         return _make({r: (a // h * p, b // h * p) for r, (a, b) in t.items()},
                      d * (q // h))
 
     def conj(self) -> "Scalar":
-        return _make({r: (a, -b) for r, (a, b) in self._t.items()}, self._d)
+        t = self._t
+        if t is None:
+            return _gauss(self._re, -self._im, self._d) if self._im else self
+        return _make({r: (a, -b) for r, (a, b) in t.items()}, self._d)
 
     def inv(self) -> "Scalar":
-        """Multiplicative inverse, as the product of conjugates over the norm."""
+        """Multiplicative inverse: d / (a + b*i) = d (a - b*i) / (a^2 + b^2)
+        in Q(i), else the product of conjugates over the norm."""
         t = self._t
-        if not t:
-            raise ZeroDivisionError("inverse of zero Scalar")
+        if t is None:
+            a, b, d = self._re, self._im, self._d
+            if not (a or b):
+                raise ZeroDivisionError("inverse of zero Scalar")
+            n = a * a + b * b
+            return _lowest(d * a, -d * b, n, n)
         p = ONE
         z = self
         if any(b for _, b in t.values()):
             c = z.conj()
             p, z = c, z * c
         for q in sorted({q for r in t for q in _primes_of(r)}):
-            if any(r % q == 0 for r in z._t):
+            if any(r % q == 0 for r in _table(z)):
                 c = _make({r: (-a, -b) if r % q == 0 else (a, b)
-                           for r, (a, b) in z._t.items()}, z._d)
+                           for r, (a, b) in _table(z).items()}, z._d)
                 p, z = p * c, z * c
         # z = N(self) is rational now: self^-1 = p * z._d / z's numerator
         if not z.is_rational():
             raise ArithmeticError("norm of %s is not rational" % (self,))
-        n = z._t[1][0]
+        n = z._re
         return p._scaled(z._d, n) if n > 0 else p._scaled(-z._d, -n)
 
     def __truediv__(self, other) -> "Scalar":
@@ -308,29 +359,29 @@ class Scalar:
     # --- identity -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            return self._d == other._d and self._t == other._t
+        if other.__class__ is Scalar:
+            return (self._re == other._re and self._im == other._im
+                    and self._d == other._d and self._t == other._t)
         if isinstance(other, (int, Fraction)):
-            t = self._t
-            if not other:
-                return not t
-            return (self._d == other.denominator and len(t) == 1
-                    and t.get(1) == (other.numerator, 0))
+            return (self._t is None and not self._im
+                    and self._re == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            if self.is_rational():
-                # equal to an int or a Fraction, so hash like it
-                h = hash(self.as_fraction())
-            else:
+            if self._t is not None:
                 h = hash((self._d, frozenset(self._t.items())))
-            _H(self, h)
+            elif self._im:
+                h = hash((self._re, self._im, self._d))
+            else:  # equal to an int or a Fraction, so hash like it
+                h = hash(Fraction(self._re, self._d))
+            self._hash = h
         return h
 
     def __bool__(self) -> bool:
-        return bool(self._t)
+        return bool(self._re or self._im or self._t)
 
     # --- text form --------------------------------------------------------
 
@@ -341,18 +392,31 @@ class Scalar:
         return "Scalar(%s)" % format_scalar(self)
 
 
-_T = Scalar._t.__set__
-_D = Scalar._d.__set__
-_H = Scalar._hash.__set__
 _new = object.__new__
+
+
+def _gauss(re: int, im: int, d: int) -> Scalar:
+    """The Scalar (re + im*i) / d, already in lowest terms."""
+    x = _new(Scalar)
+    x._t = None
+    x._re = re
+    x._im = im
+    x._d = d
+    x._hash = None
+    return x
 
 
 def _make(t: Dict[int, Tuple[int, int]], d: int) -> Scalar:
     """A Scalar from canonical integer pairs over the denominator d."""
+    if len(t) == 1 and 1 in t:
+        return _gauss(*t[1], d)
+    if not t:
+        return ZERO
     x = _new(Scalar)
-    _T(x, t)
-    _D(x, d)
-    _H(x, None)
+    x._t = t
+    x._re = x._im = 0
+    x._d = d
+    x._hash = None
     return x
 
 
@@ -393,6 +457,23 @@ def format_scalar(x: Scalar) -> str:
 
 class ScalarParseError(ValueError):
     pass
+
+
+def parse_int(text: str, negative: bool = False) -> int:
+    """The int spelled by ASCII decimal digits, after one leading '-' when
+    `negative` is set.  ValueError for any other text, such as '1_0', '+3'
+    or digits of another script, all of which int() would accept."""
+    digits = text[1:] if negative and text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not a decimal integer: %r" % (text,))
+    return int(text)
+
+
+def _parse_rational(text: str) -> Fraction:
+    """p or p/q in ASCII digits, p with an optional leading '-'."""
+    num, slash, den = text.partition("/")
+    return Fraction(parse_int(num, negative=True),
+                    parse_int(den) if slash else 1)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -447,7 +528,7 @@ def _parse_factor(s: str, pos: int) -> Tuple[Scalar, int]:
             raise ScalarParseError("unterminated sqrt()")
         body = s[pos + 5:end]
         try:
-            return Scalar.sqrt(Fraction(body)), end + 1
+            return Scalar.sqrt(_parse_rational(body)), end + 1
         except (ValueError, ZeroDivisionError) as exc:
             raise ScalarParseError("bad radicand %r: %s" % (body, exc)) from exc
     if s[pos] == "i" and (pos + 1 == len(s) or not s[pos + 1].isalnum()):
@@ -458,12 +539,12 @@ def _parse_factor(s: str, pos: int) -> Tuple[Scalar, int]:
     if j == pos:
         raise ScalarParseError("cannot parse factor at %d in %r" % (pos, s))
     try:
-        q = Fraction(s[pos:j])
+        q = _parse_rational(s[pos:j])
     except (ValueError, ZeroDivisionError) as exc:
         raise ScalarParseError("bad rational %r" % s[pos:j]) from exc
     return Scalar.of(q), j
 
 
-ZERO = _make({}, 1)
-ONE = _make({1: (1, 0)}, 1)
-I = _make({1: (0, 1)}, 1)
+ZERO = _gauss(0, 0, 1)
+ONE = _gauss(1, 0, 1)
+I = _gauss(0, 1, 1)

@@ -24,13 +24,8 @@ from .errors import (ConstructionFailure, GradingFailure, InvalidParams,
                      RouteDisagreement)
 from .scalars import Scalar, ZERO, ONE, I
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-_HALF = Fraction(1, 2)
-
-
 def _scale(c, vec):
-    return tuple(c * v for v in vec)
+    return tuple(v * c for v in vec)
 
 
 def _add(u, v):
@@ -67,12 +62,12 @@ class TdsConstruction:
     structure: RealFormStructure
     root_data: rt.RestrictedRootData
     simples: List[rt.RootLabel]
-    y: List[Tuple[Fraction, ...]]
-    z: List[Tuple[Fraction, ...]]
+    y: List[Tuple[Scalar, ...]]
+    z: List[Tuple[Scalar, ...]]
     b: List[Fraction]
     c: List[Fraction]
     d: List[Scalar]
-    w: Tuple[Fraction, ...]
+    w: Tuple[Scalar, ...]
     e_c: Tuple[Scalar, ...]
     f_c: Tuple[Scalar, ...]
 
@@ -90,29 +85,29 @@ def build_tds(structure: RealFormStructure,
 
     # B-dual h_i of each simple root, as full coordinate vectors
     gram = rt.a_gram(S)
-    h_dual: List[Tuple[Fraction, ...]] = []
-    h_a_coeffs: List[List[Fraction]] = []
+    h_dual: List[Tuple[Scalar, ...]] = []
+    h_a_coeffs: List[List[Scalar]] = []
     for lam in simples:
         sol = la.solve_right(gram, list(lam))
         if sol is None:
             raise ConstructionFailure("%s: degenerate form on a" % S.name)
         h_a_coeffs.append(sol)
-        vec = [_F0] * S.dim
+        vec = [ZERO] * S.dim
         for j, cj in enumerate(sol):
             vec[a_lo + j] = cj
         h_dual.append(tuple(vec))
 
     # w in a with lambda_i(w) = 2 for every simple root
     lam_matrix = [list(lam) for lam in simples]
-    w_a = la.solve_right(lam_matrix, [Fraction(2)] * r)
+    w_a = la.solve_right(lam_matrix, [2] * r)
     if w_a is None:
         raise ConstructionFailure("%s: simple roots do not span a*" % S.name)
-    w = [_F0] * S.dim
+    w = [ZERO] * S.dim
     for j, cj in enumerate(w_a):
         w[a_lo + j] = cj
     w = tuple(w)
     for lam in simples:
-        val = sum((t * v for t, v in zip(w_a, lam)), _F0)
+        val = sum((t * v for t, v in zip(w_a, lam)), ZERO)
         if val != 2:
             raise ConstructionFailure("%s: lambda(w) = %s != 2" % (S.name, val))
 
@@ -121,21 +116,20 @@ def build_tds(structure: RealFormStructure,
     c_list = la.solve_right(hmat, list(w_a))
     if c_list is None:
         raise ConstructionFailure("%s: h_i do not span a" % S.name)
+    c_list = [c.as_fraction() for c in c_list]
     for i, ci in enumerate(c_list):
         if ci <= 0:
             raise ConstructionFailure("%s: c_%d = %s is not positive"
                                       % (S.name, i + 1, ci))
 
-    y_list: List[Tuple[Fraction, ...]] = []
-    z_list: List[Tuple[Fraction, ...]] = []
+    y_list: List[Tuple[Scalar, ...]] = []
+    z_list: List[Tuple[Scalar, ...]] = []
     b_list: List[Fraction] = []
     d_list: List[Scalar] = []
     for i, lam in enumerate(simples):
         y0 = _pinned_root_vector(S, root_data.root_spaces[lam])
         ty0 = S.theta_coords(y0)
-        b0 = S.form_coords(y0, ty0)
-        if not isinstance(b0, Fraction):
-            b0 = b0.as_fraction()
+        b0 = S.form_coords(y0, ty0).as_fraction()
         if b0 >= 0:
             raise ConstructionFailure("%s: B(y_%d, theta y_%d) = %s not negative"
                                       % (S.name, i + 1, i + 1, b0))
@@ -146,7 +140,7 @@ def build_tds(structure: RealFormStructure,
         rho = d0.terms()[rad][0]
         y = _scale(rho, y0) if rho != 1 else y0
         b = rho * rho * b0
-        d = Scalar.sqrt(Fraction(rad))
+        d = Scalar.sqrt(rad)
         if d * d != Scalar.of(-c_list[i] / b):
             raise ConstructionFailure("%s: d_%d^2 != -c_%d/b_%d"
                                       % (S.name, i + 1, i + 1, i + 1))
@@ -157,15 +151,15 @@ def build_tds(structure: RealFormStructure,
             raise ConstructionFailure("%s: [y_%d, theta y_%d] != b_%d h_%d"
                                       % (S.name, i + 1, i + 1, i + 1, i + 1))
         lam_h = pair(lam, lam)
-        z = _scale(Fraction(2) / (lam_h * b), ty)
+        z = _scale(2 / (lam_h * b), ty)
         w_i = tuple(S.bracket_coords(y, z))
-        if w_i != _scale(Fraction(2) / lam_h, h_dual[i]):
+        if w_i != _scale(2 / lam_h, h_dual[i]):
             raise ConstructionFailure("%s: [y_%d, z_%d] is not the coroot"
                                       % (S.name, i + 1, i + 1))
-        if tuple(S.bracket_coords(w_i, y)) != _scale(Fraction(2), y):
+        if tuple(S.bracket_coords(w_i, y)) != _scale(2, y):
             raise ConstructionFailure("%s: [w_%d, y_%d] != 2 y_%d"
                                       % (S.name, i + 1, i + 1, i + 1))
-        if tuple(S.bracket_coords(w_i, z)) != _scale(Fraction(-2), z):
+        if tuple(S.bracket_coords(w_i, z)) != _scale(-2, z):
             raise ConstructionFailure("%s: [w_%d, z_%d] != -2 z_%d"
                                       % (S.name, i + 1, i + 1, i + 1))
         y_list.append(tuple(y))
@@ -174,15 +168,14 @@ def build_tds(structure: RealFormStructure,
         d_list.append(d)
 
     # e_c = i sum d_j y_j and f_c = theta e_c
-    e_c = tuple(la.combine([I * dj for dj in d_list], y_list, ZERO))
+    e_c = tuple(la.combine([I * dj for dj in d_list], y_list))
     f_c = S.theta_coords(e_c)
 
-    w_s = _to_scalar(w)
-    if tuple(S.bracket_coords(w_s, e_c)) != _scale(Scalar.of(2), e_c):
+    if tuple(S.bracket_coords(w, e_c)) != _scale(2, e_c):
         raise ConstructionFailure("%s: [w, e_c] != 2 e_c" % S.name)
-    if tuple(S.bracket_coords(w_s, f_c)) != _scale(Scalar.of(-2), f_c):
+    if tuple(S.bracket_coords(w, f_c)) != _scale(-2, f_c):
         raise ConstructionFailure("%s: [w, f_c] != -2 f_c" % S.name)
-    if tuple(S.bracket_coords(e_c, f_c)) != w_s:
+    if tuple(S.bracket_coords(e_c, f_c)) != w:
         raise ConstructionFailure("%s: [e_c, f_c] != w" % S.name)
 
     return TdsConstruction(S, root_data, simples, y_list, z_list, b_list,
@@ -229,7 +222,7 @@ class NormalTriple:
 def _triple_relations_hold(S, e, f, x) -> bool:
     if tuple(S.bracket_coords(x, e)) != e:
         return False
-    if tuple(S.bracket_coords(x, f)) != _scale(Scalar.of(-1), f):
+    if tuple(S.bracket_coords(x, f)) != _scale(-1, f):
         return False
     return tuple(S.bracket_coords(e, f)) == x
 
@@ -261,11 +254,11 @@ def _assert_semisimple(S, coords, what):
 
 def normal_triple(tds: TdsConstruction) -> NormalTriple:
     S = tds.structure
-    E, F, W = tds.e_c, tds.f_c, _to_scalar(tds.w)
-    scale = ONE / (Scalar.of(2) * Scalar.sqrt(2))
+    E, F, W = tds.e_c, tds.f_c, tds.w
+    scale = (Scalar.sqrt(2) * 2).inv()
     cand_e = _scale(scale, _add(_sub(F, E), W))
     cand_f = _scale(scale, _add(_sub(E, F), W))
-    x = _scale(Scalar.of(_HALF), _add(E, F))
+    x = _scale(Scalar.of(2).inv(), _add(E, F))
     # sign ambiguity: exactly one of the two assignments satisfies [x,e] = e
     ok_first = _triple_relations_hold(S, cand_e, cand_f, x)
     ok_second = _triple_relations_hold(S, cand_f, cand_e, x)
@@ -275,7 +268,7 @@ def normal_triple(tds: TdsConstruction) -> NormalTriple:
     e, f = (cand_e, cand_f) if ok_first else (cand_f, cand_e)
 
     for v, what in ((e, "e"), (f, "f")):
-        if S.theta_coords(v) != _scale(Scalar.of(-1), v):
+        if S.theta_coords(v) != _scale(-1, v):
             raise RelationFailure("%s: %s is not in m^C" % (S.name, what))
         _assert_nilpotent(S, v, what)
     if S.theta_coords(x) != x:
@@ -317,7 +310,7 @@ def maximal_split_subalgebra(structure: RealFormStructure,
     S = structure
     r = S.rank_a
     a_units = [S.unit_coords(i) for i in S.a_indices]
-    zero = (_F0,) * r
+    zero = (0,) * r
     named = []
     for i, lam in enumerate(tds.simples):
         named.append(("y_%d" % (i + 1), lam, tds.y[i]))
@@ -415,15 +408,13 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple
     kernel = triple.e_kernel
     if not kernel:
         raise GradingFailure("%s: ad(e) has trivial kernel" % S.name)
-    candidates = [Scalar.of(c) for c in rt.ad_spectrum_candidates(S, triple.x)]
-    pieces = la.eigen_split(S.ad_matrix(triple.x), kernel, candidates,
-                            ZERO, ONE)
+    pieces = la.eigen_split(S.ad_matrix(triple.x), kernel,
+                            rt.ad_spectrum_candidates(S, triple.x))
     if pieces is None:
         raise GradingFailure("%s: ad(x) is not diagonalizable on ker ad(e)"
                              % S.name)
     blocks: List[ModuleBlock] = []
     for ev, vecs in pieces:
-        ev = ev.as_fraction()
         if ev.denominator not in (1, 2):
             raise GradingFailure("%s: ad(x) eigenvalue %s is not a "
                                  "half-integer" % (S.name, ev))
@@ -531,7 +522,7 @@ def section_basis(structure: RealFormStructure, triple: NormalTriple,
         if any(S.bracket_coords(triple.e, v)):
             raise ConstructionFailure("%s: section vector does not centralize e"
                                       % S.name)
-        if tuple(S.bracket_coords(triple.x, v)) != _scale(Scalar.of(m_val - 1), v):
+        if tuple(S.bracket_coords(triple.x, v)) != _scale(m_val - 1, v):
             raise ConstructionFailure("%s: section vector has wrong ad(x) "
                                       "weight" % S.name)
     return SectionBasis(S, triple.f, e_list, degrees, central)
@@ -547,7 +538,7 @@ def section_point(basis: SectionBasis, gamma: Sequence) -> Tuple[Scalar, ...]:
 def _partial_point(basis: SectionBasis, gamma: Sequence) -> list:
     """f + sum_i gamma_i e_i over the first len(gamma) section vectors."""
     return la.combine((ONE,) + _to_scalar(gamma),
-                      [basis.f] + basis.e_list[:len(gamma)], ZERO)
+                      [basis.f] + basis.e_list[:len(gamma)])
 
 
 def is_regular(structure: RealFormStructure, x_coords: Sequence) -> bool:
@@ -559,7 +550,7 @@ def is_regular(structure: RealFormStructure, x_coords: Sequence) -> bool:
     """
     S = structure
     xs = _to_scalar(x_coords)
-    if S.theta_coords(xs) != _scale(Scalar.of(-1), xs):
+    if S.theta_coords(xs) != _scale(-1, xs):
         raise InvalidParams("%s: element is not in m^C" % S.name)
     ad = S.ad_matrix(list(xs))
     return S.dim_m - la.rank([row[S.dim_h:] for row in ad]) == S.rank_a
@@ -579,7 +570,7 @@ def section_fiber_match(structure: RealFormStructure, basis: SectionBasis,
     if len(set(basis.degrees)) != len(basis.degrees):
         raise NonUnique("%s: repeated invariant degrees %s"
                         % (S.name, basis.degrees))
-    target = la.charpoly(S.matrix_of(_to_scalar(d_coords)))
+    target = la.charpoly(S.matrix_of(d_coords))
     gamma: List[Scalar] = []
     for i, m_val in enumerate(basis.degrees):
         idx = n - m_val
@@ -608,10 +599,10 @@ def _rotation_generator(S: RealFormStructure, i: int):
     sq = la.mmul(mat, mat)
     cube = la.mmul(sq, mat)
     r, k = next((r, k) for r in range(S.n) for k in range(S.n) if mat[r][k])
-    ratio = (ZERO - cube[r][k]) / mat[r][k]
+    ratio = -cube[r][k] / mat[r][k]
     if (ratio.is_rational() and ratio.as_fraction() > 0
-            and la.mat_eq(cube, la.mscale(ZERO - ratio, mat))):
-        return mat, sq, ratio.as_fraction()
+            and la.mat_eq(cube, la.mscale(-ratio, mat))):
+        return mat, sq, ratio
     return None
 
 
@@ -638,17 +629,16 @@ def invariance_conjugators(structure: RealFormStructure, count: int
     for k in range(count):
         mat, sq, s_val = kept[k % len(kept)]
         t = k // len(kept) + 1
-        den = 1 + t * t * s_val
-        d = Scalar.of(2 * t / den)
-        even = la.madd(la.eye(S.n), la.mscale(Scalar.of(2 * t * t / den), sq))
+        d = (s_val * (t * t) + 1).inv() * (2 * t)
+        even = la.madd(la.eye(S.n), la.mscale(d * t, sq))
         out.append((la.madd(even, la.mscale(d, mat)),
-                    la.madd(even, la.mscale(ZERO - d, mat))))
+                    la.madd(even, la.mscale(-d, mat))))
     return out
 
 
 def conjugate_coords(structure: RealFormStructure, g: la.Mat, ginv: la.Mat,
                      coords: Sequence) -> Tuple[Scalar, ...]:
-    m = structure.matrix_of(_to_scalar(coords))
+    m = structure.matrix_of(coords)
     return structure.coords_of(la.mmul(la.mmul(g, m), ginv))
 
 
@@ -711,7 +701,7 @@ def _int_matrix(rows) -> la.Mat:
     return tuple(tuple(Scalar.of(v) for v in row) for row in rows)
 
 
-def _pinned_root_vector(S: RealFormStructure, space) -> Tuple[Fraction, ...]:
+def _pinned_root_vector(S: RealFormStructure, space) -> Tuple[Scalar, ...]:
     """First echelon representative of a restricted root space, except where a
     fixed matrix is pinned to keep downstream reports reproducible.
 
@@ -719,11 +709,9 @@ def _pinned_root_vector(S: RealFormStructure, space) -> Tuple[Fraction, ...]:
     is equally sparse; the pinned representative fixes the choice."""
     if S.family == "so_star" and S.params.get("n") == 3 and len(space) == 4:
         coords = S.try_coords_of(_int_matrix(_DISPLAY_Y6_CORRECTED))
-        if coords is not None:
-            frac = tuple(c.as_fraction() for c in coords)
-            if la.solve_right([list(col) for col in zip(*space)],
-                              list(frac)) is not None:
-                return frac
+        if coords is not None and la.solve_right(
+                [list(col) for col in zip(*space)], coords) is not None:
+            return coords
     return tuple(space[0])
 
 
@@ -757,7 +745,7 @@ class LemmaReport:
         if not (self.w_matches_display and self.y_block_traces_zero
                 and self.x_block_traces_zero):
             return False
-        if any(v != (_F1,) for v in self.eigen_values):
+        if any(v != (1,) for v in self.eigen_values):
             return False
         return self.n != 3 or self.y_scalar is not None
 
@@ -822,7 +810,7 @@ def so_star_lemma_report(n: int) -> LemmaReport:
     tds = build_tds(S, rt.restricted_roots(S))
     y_scalar = None
     if n == 3:
-        y_scalar = _proportionality(S.coords_of(y_mats[0]), _to_scalar(tds.y[0]))
+        y_scalar = _proportionality(S.coords_of(y_mats[0]), tds.y[0])
         if y_scalar is not None:
             notes.append("constructed root vector equals %s times the "
                          "corrected displayed matrix" % y_scalar)

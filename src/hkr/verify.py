@@ -22,7 +22,7 @@ from . import linalg as la
 from . import roots as rt
 from . import triples as tp
 from .errors import HkrError, InvalidParams, SizeBound
-from .scalars import Scalar
+from .scalars import Scalar, ZERO
 
 NEG_ONE = Scalar.of(-1)
 TWO = Scalar.of(2)
@@ -98,18 +98,17 @@ def _check_roots(an: dm.FormAnalysis) -> Optional[str]:
 def _check_tds(an: dm.FormAnalysis) -> Optional[str]:
     S = an.structure
     tds = an.tds
-    w_s = tuple(Scalar.of(v) for v in tds.w)
-    assert tuple(S.bracket_coords(w_s, tds.e_c)) == \
+    assert tuple(S.bracket_coords(tds.w, tds.e_c)) == \
         tuple(TWO * v for v in tds.e_c), "[w, e_c] != 2 e_c"
-    assert tuple(S.bracket_coords(w_s, tds.f_c)) == \
+    assert tuple(S.bracket_coords(tds.w, tds.f_c)) == \
         tuple(NEG_ONE * TWO * v for v in tds.f_c), "[w, f_c] != -2 f_c"
-    assert tuple(S.bracket_coords(tds.e_c, tds.f_c)) == w_s, "[e_c, f_c] != w"
+    assert tuple(S.bracket_coords(tds.e_c, tds.f_c)) == tds.w, \
+        "[e_c, f_c] != w"
     assert all(b < 0 for b in tds.b), "some b_i >= 0"
     assert all(c > 0 for c in tds.c), "some c_i <= 0"
     a_lo = S.dim_h
     for lam in tds.simples:
-        val = sum((lam[j] * tds.w[a_lo + j] for j in range(S.rank_a)),
-                  Fraction(0))
+        val = sum((tds.w[a_lo + j] * lam[j] for j in range(S.rank_a)), ZERO)
         assert val == 2, "lambda(w) = %s" % val
     for i in range(S.rank_a):
         di = tds.d[i]

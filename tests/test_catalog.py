@@ -291,8 +291,9 @@ def test_basis_satisfies_family_identities(fid):
     S = catalog.build(fid)
     assert len(S.basis) == dim
     # rank over R: each entry flattened into its real and imaginary parts
-    assert la.rank([[part for e in la.flatten(x) for part in e.gaussian_parts()]
-                    for x in S.basis]) == dim
+    assert la.rank(la.mat([[part for e in la.flatten(x)
+                            for part in e.gaussian_parts()]
+                           for x in S.basis])) == dim
     for k, x in enumerate(S.basis):
         for i, identity in enumerate(identities):
             assert la.is_zero_mat(identity(x)), (k, i)

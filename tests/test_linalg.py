@@ -269,17 +269,16 @@ def test_solve_right_detects_inconsistency():
 @settings(max_examples=60, deadline=None)
 @given(frac_matrix(4))
 def test_kernel_dimension_theorem(rows):
-    ker = la.kernel_right(rows, 4, Fraction(0), Fraction(1))
-    assert len(ker) == 4 - la.rank(rows)
+    ker = la.kernel_right(la.mat(rows), 4)
+    assert len(ker) == 4 - la.rank(la.mat(rows))
     for v in ker:
         image = [sum(rows[i][j] * v[j] for j in range(4)) for i in range(4)]
         assert all(x == 0 for x in image)
 
 
 def test_kernel_of_an_empty_system_is_the_whole_space():
-    f0, f1 = Fraction(0), Fraction(1)
-    assert la.kernel_right([], 3, f0, f1) == [[f1, f0, f0], [f0, f1, f0],
-                                               [f0, f0, f1]]
+    assert la.kernel_right([], 3) == [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO],
+                                      [ZERO, ZERO, ONE]]
 
 
 def n_fold_power(a, k):
@@ -335,9 +334,7 @@ def test_is_nilpotent_matches_the_n_fold_power(case, strict):
 
 
 def test_rref_pivots_are_unit_columns():
-    rows = [[Fraction(2), Fraction(4), Fraction(1)],
-            [Fraction(1), Fraction(2), Fraction(0)]]
-    red, pivots = la.rref(rows)
+    red, pivots = la.rref(la.mat([[2, 4, 1], [1, 2, 0]]))
     assert pivots == [0, 2]
     for k, p in enumerate(pivots):
         col = [red[i][p] for i in range(len(red))]
@@ -380,24 +377,21 @@ echelon_entries = st.sampled_from(
 @st.composite
 def echelon_inputs(draw):
     """Rows over Q, Q(sqrt 2) or Q(i), with dependent and zero rows mixed in."""
-    field = draw(st.sampled_from(["fraction", "sqrt2", "i"]))
+    field = draw(st.sampled_from(["rational", "sqrt2", "i"]))
     ncols = draw(st.integers(1, 5))
     row = st.lists(echelon_entries, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, max_size=5))
-    conv = Fraction
-    if field != "fraction":
-        unit = Scalar.sqrt(2) if field == "sqrt2" else I
-        parts = draw(st.lists(row, min_size=len(rows), max_size=len(rows)))
-        rows = [[Scalar.of(x) + unit * Scalar.of(y) for x, y in zip(r, q)]
-                for r, q in zip(rows, parts)]
-        conv = Scalar.of
+    unit = {"rational": ZERO, "sqrt2": Scalar.sqrt(2), "i": I}[field]
+    parts = draw(st.lists(row, min_size=len(rows), max_size=len(rows)))
+    rows = [[Scalar.of(x) + unit * Scalar.of(y) for x, y in zip(r, q)]
+            for r, q in zip(rows, parts)]
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         i = draw(st.integers(0, len(rows) - 1))
         j = draw(st.integers(0, len(rows) - 1))
-        c = conv(draw(echelon_entries))
+        c = Scalar.of(draw(echelon_entries))
         rows.append([x + c * y for x, y in zip(rows[i], rows[j])])
     if draw(st.booleans()):
-        rows.insert(draw(st.integers(0, len(rows))), [conv(0)] * ncols)
+        rows.insert(draw(st.integers(0, len(rows))), [ZERO] * ncols)
     return rows
 
 
@@ -448,13 +442,13 @@ class _DenseSubspace:
         self.pivots.insert(k, p)
         return True
 
-    def kernel(self, ncols, zero, one):
+    def kernel(self, ncols):
         basis = []
         for f in range(ncols):
             if f in self.pivots:
                 continue
-            v = [zero] * ncols
-            v[f] = one
+            v = [ZERO] * ncols
+            v[f] = ONE
             for row, p in zip(self.rows, self.pivots):
                 v[p] = -row[f]
             basis.append(v)
@@ -474,12 +468,9 @@ def test_sparse_subspace_matches_dense_rows(rows):
         assert sparse.pivots == dense.pivots
     if rows:
         ncols = len(rows[0])
-        zero, one = (Fraction(0), Fraction(1)) if isinstance(rows[0][0], Fraction) \
-            else (ZERO, ONE)
-        want = dense.kernel(ncols, zero, one)
-        assert la.kernel_right(rows, ncols, zero, one) == want
-        assert la.kernel_right([la.sparse(r) for r in rows], ncols, zero,
-                               one) == want
+        want = dense.kernel(ncols)
+        assert la.kernel_right(rows, ncols) == want
+        assert la.kernel_right([la.sparse(r) for r in rows], ncols) == want
 
 
 def leading_minors_positive(a):
@@ -527,66 +518,61 @@ def test_is_positive_definite_cases(rows, definite):
        st.lists(small_fracs, min_size=3, max_size=3))
 def test_coords_solver_round_trip(vectors, coeffs):
     # the vectors span a subspace of the first three axes of Q^4
-    vecs = [v + [Fraction(0)] for v in vectors]
-    solve = la.coords_solver(vecs, Fraction(0), Fraction(1))
+    vecs = la.mat([v + [0] for v in vectors])
+    solve = la.coords_solver(vecs)
     if la.rank(vecs) < len(vecs):
         assert solve is None
         return
-    c = coeffs[:len(vecs)]
-    assert solve(la.combine(c, vecs, Fraction(0))) == c
-    assert solve([Fraction(0)] * 3 + [Fraction(1)]) is None
+    c = [Scalar.of(x) for x in coeffs[:len(vecs)]]
+    assert solve(la.combine(c, vecs)) == c
+    assert solve([ZERO] * 3 + [ONE]) is None
 
 
 def test_coords_solver_scalar_field():
     vecs = [[ONE, I, ZERO], [ZERO, ONE, Scalar.sqrt(2)]]
-    solve = la.coords_solver(vecs, ZERO, ONE)
+    solve = la.coords_solver(vecs)
     c = [Scalar.sqrt(3), I - ONE]
-    assert solve(la.combine(c, vecs, ZERO)) == c
+    assert solve(la.combine(c, vecs)) == c
     assert solve([ZERO, ZERO, ONE]) is None
 
 
 def test_eigen_split_keeps_nonzero_eigenspaces():
-    f = Fraction
-    vecs = [[f(1), f(1), f(0)], [f(0), f(1), f(1)]]
+    vecs = la.mat([[1, 1, 0], [0, 1, 1]])
     # the ambient operator with eigenvectors vecs[0], vecs[1] and (0, 0, 1)
     # at 2, 3 and 5
-    op = [[f(2), f(0), f(0)], [f(-1), f(3), f(0)], [f(2), f(-2), f(5)]]
-    pieces = la.eigen_split(op, vecs, [f(2), f(3), f(5)], f(0), f(1))
-    assert pieces == [(f(2), [vecs[0]]), (f(3), [vecs[1]])]
+    op = la.mat([[2, 0, 0], [-1, 3, 0], [2, -2, 5]])
+    pieces = la.eigen_split(op, vecs, [Fraction(2), 3, 5])
+    assert pieces == [(Fraction(2), [list(vecs[0])]), (3, [list(vecs[1])])]
 
 
 def test_eigen_split_of_a_jordan_block_is_none():
-    f = Fraction
-    op = [[f(2), f(1)], [f(0), f(2)]]
-    units = [[f(1), f(0)], [f(0), f(1)]]
-    assert la.eigen_split(op, units, [f(1), f(2), f(3)], f(0), f(1)) is None
+    op = la.mat([[2, 1], [0, 2]])
+    units = la.eye(2)
+    assert la.eigen_split(op, units, [1, 2, 3]) is None
     # a missing candidate leaves the span unfilled too
-    diag = [[f(1), f(0)], [f(0), f(2)]]
-    assert la.eigen_split(diag, units, [f(1), f(3)], f(0), f(1)) is None
+    diag = la.mat([[1, 0], [0, 2]])
+    assert la.eigen_split(diag, units, [1, 3]) is None
 
 
 def test_eigen_split_solves_nothing_once_the_span_is_filled(monkeypatch):
-    f = Fraction
     solved = []
     kernel = la.kernel_right
 
-    def counted(rows, ncols, zero, one):
+    def counted(rows, ncols):
         solved.append(ncols)
-        return kernel(rows, ncols, zero, one)
+        return kernel(rows, ncols)
 
     monkeypatch.setattr(la, "kernel_right", counted)
-    op = [[f(1), f(0), f(0)], [f(0), f(2), f(0)], [f(0), f(0), f(4)]]
-    vecs = [[f(1), f(0), f(0)], [f(0), f(1), f(0)]]
-    pieces = la.eigen_split(op, vecs, [f(5), f(2), f(1), f(4), f(7)],
-                            f(0), f(1))
-    assert pieces == [(f(2), [vecs[1]]), (f(1), [vecs[0]])]
+    op = la.mat([[1, 0, 0], [0, 2, 0], [0, 0, 4]])
+    vecs = la.mat([[1, 0, 0], [0, 1, 0]])
+    pieces = la.eigen_split(op, vecs, [5, 2, 1, 4, 7])
+    assert pieces == [(2, [list(vecs[1])]), (1, [list(vecs[0])])]
     assert solved == [2, 2, 2]  # 5, 2 and 1; never 4 or 7
-    assert la.eigen_split(op, [], [f(1)], f(0), f(1)) == []
+    assert la.eigen_split(op, [], [1]) == []
     assert solved == [2, 2, 2]
 
 
 def test_eigen_split_rejects_a_span_the_operator_leaves():
-    f = Fraction
-    op = [[f(0), f(0)], [f(1), f(0)]]
+    op = la.mat([[0, 0], [1, 0]])
     with pytest.raises(ConstructionFailure, match="does not preserve"):
-        la.eigen_split(op, [[f(1), f(0)]], [f(0)], f(0), f(1))
+        la.eigen_split(op, la.mat([[1, 0]]), [0])

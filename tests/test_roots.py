@@ -12,7 +12,7 @@ from hkr.catalog import (build, form_id, standard_forms, form_display,
                          algebra_label_dim,
                          reference_restricted_type, reference_reduced_type)
 from hkr.errors import NonRationalSpectrum, UnrecognizedDiagram
-from hkr.scalars import I, ONE, Scalar, ZERO
+from hkr.scalars import I, Scalar
 from hkr.verify import _ORACLE_LABELS
 from test_linalg import faddeev_leverrier
 
@@ -261,8 +261,7 @@ def test_ad_a_acts_on_its_root_space_by_the_root_value():
     ai = next(iter(S.a_indices))
     value = lam[0]  # lam evaluated on the first a-unit
     # the root value alone fills the root space
-    pieces = la.eigen_split(S.ad_frac(ai), vecs, [value],
-                            Fraction(0), Fraction(1))
+    pieces = la.eigen_split(S.ad_frac(ai), vecs, [value])
     assert pieces == [(value, vecs)]
 
 
@@ -345,7 +344,7 @@ def _torus_split(S, t_basis, spaces):
         op = S.ad_matrix(tv)
         split = []
         for label, vecs in spaces:
-            pieces = la.eigen_split(op, vecs, cands, ZERO, ONE)
+            pieces = la.eigen_split(op, vecs, cands)
             assert pieces is not None, (S.name, label)
             split.extend((label + (ev,), p) for ev, p in pieces)
         spaces = split

@@ -283,6 +283,11 @@ def scalar_pairs(draw):
 
 def _assert_canonical(x):
     d, t = x._d, x._t
+    if t is None:  # the slot form of a value in Q(i)
+        assert isinstance(x._re, int) and isinstance(x._im, int)
+        t = {1: (x._re, x._im)} if x._re or x._im else {}
+    else:
+        assert t and set(t) != {1}, "a value in Q(i) outside the slot form"
     assert isinstance(d, int) and d > 0
     assert all(isinstance(v, int) for pair in t.values() for v in pair)
     assert all(a or b for a, b in t.values()), "zero pair"
