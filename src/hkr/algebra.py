@@ -22,7 +22,6 @@ when the coordinates themselves carry radicals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
@@ -101,7 +100,7 @@ class RealFormStructure:
 
     dim: int = field(init=False)
     dim_m: int = field(init=False)
-    gram: Tuple[Tuple[Fraction, ...], ...] = field(init=False, repr=False)
+    gram: Tuple[Tuple[Scalar, ...], ...] = field(init=False, repr=False)
     # struct[i] lists (j, k, c) for every nonzero coefficient c of basis[k]
     # in [basis[i], basis[j]], ordered by j then k
     struct: List[List[Tuple[int, int, Scalar]]] = field(init=False, repr=False)
@@ -175,16 +174,14 @@ class RealFormStructure:
 
     def _gram_and_signs(self):
         d = self.dim
-        g = [[Fraction(0)] * d for _ in range(d)]
+        g = [[ZERO] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
                 t = _sparse_trace_product(self._sparse_basis[i], self._sparse_basis[j])
                 parts = t.gaussian_parts()
                 if parts is None:
                     raise ConstructionFailure("%s: trace form left Q(i)" % self.name)
-                v = parts[0]
-                g[i][j] = v
-                g[j][i] = v
+                g[i][j] = g[j][i] = Scalar.of(parts[0])
         self.gram = tuple(tuple(row) for row in g)
         neg_hh = [[-g[i][j] for j in self.h_indices] for i in self.h_indices]
         mm = [[g[i][j] for j in self.m_indices] for i in self.m_indices]

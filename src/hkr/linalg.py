@@ -504,7 +504,7 @@ def rational_roots(poly: Sequence[Fraction]) -> Optional[List[Fraction]]:
 
 # --- definiteness ---------------------------------------------------------------
 
-def is_positive_definite(gram: Sequence[Sequence[Fraction]]) -> bool:
+def is_positive_definite(gram: Sequence[Sequence]) -> bool:
     """Whether the symmetric rational matrix is positive definite.
 
     Elimination without pivoting: while the pivots stay nonzero, the k-th
@@ -512,11 +512,11 @@ def is_positive_definite(gram: Sequence[Sequence[Fraction]]) -> bool:
     every pivot is positive exactly when every leading minor is
     (Sylvester's criterion).  The empty matrix is positive definite.
     """
-    a = [[Fraction(x) for x in row] for row in gram]
+    a = [list(row) for row in mat(gram)]
     n = len(a)
     for k in range(n):
         piv = a[k][k]
-        if piv <= 0:
+        if piv.as_fraction() <= 0:
             return False
         for i in range(k + 1, n):
             f = a[i][k] / piv

@@ -147,7 +147,7 @@ def is_nonreduced(data: RestrictedRootData) -> bool:
 
 # --- inner products on root space ----------------------------------------------
 
-def a_gram(structure: RealFormStructure) -> List[List[Fraction]]:
+def a_gram(structure: RealFormStructure) -> List[list]:
     return [[structure.gram[i][j] for j in structure.a_indices]
             for i in structure.a_indices]
 
@@ -526,37 +526,22 @@ def molien_degrees(wmats: Sequence[Tuple[Tuple[int, ...], ...]],
 def abstract_simple_system(label: str):
     """Standard-coordinate simple roots and pairing for one irreducible type."""
     letter, rank = split_label(label)
-    if letter == "A":
-        n = rank + 1
-        simples = [tuple(Fraction(1 if j == i else (-1 if j == i + 1 else 0))
-                         for j in range(n)) for i in range(rank)]
-    elif letter in ("B", "BC"):
-        n = rank
-        simples = [tuple(Fraction(1 if j == i else (-1 if j == i + 1 else 0))
-                         for j in range(n)) for i in range(rank - 1)]
-        simples.append(tuple(Fraction(1 if j == rank - 1 else 0) for j in range(n)))
-    elif letter == "C":
-        n = rank
-        simples = [tuple(Fraction(1 if j == i else (-1 if j == i + 1 else 0))
-                         for j in range(n)) for i in range(rank - 1)]
-        simples.append(tuple(Fraction(2 if j == rank - 1 else 0) for j in range(n)))
-    elif letter == "D":
-        n = rank
-        simples = [tuple(Fraction(1 if j == i else (-1 if j == i + 1 else 0))
-                         for j in range(n)) for i in range(rank - 1)]
-        simples.append(tuple(Fraction(1 if j in (rank - 2, rank - 1) else 0)
-                             for j in range(n)))
+    if letter in ("A", "B", "BC", "C", "D"):
+        # e_i - e_(i+1) on the standard basis, then the last root of B, C, D
+        n = rank + 1 if letter == "A" else rank
+        rows = [[(j == i) - (j == i + 1) for j in range(n)]
+                for i in range(rank if letter == "A" else rank - 1)]
+        last = {"A": {}, "C": {rank - 1: 2},
+                "D": {rank - 2: 1, rank - 1: 1}}.get(letter, {rank - 1: 1})
+        rows += [[last.get(j, 0) for j in range(n)]] if last else []
     elif label == "G2":
-        simples = [(Fraction(1), Fraction(-1), Fraction(0)),
-                   (Fraction(-2), Fraction(1), Fraction(1))]
+        rows = [(1, -1, 0), (-2, 1, 1)]
     elif label == "F4":
-        simples = [(Fraction(0), Fraction(1), Fraction(-1), Fraction(0)),
-                   (Fraction(0), Fraction(0), Fraction(1), Fraction(-1)),
-                   (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-                   (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2),
-                    Fraction(-1, 2))]
+        h = Fraction(1, 2)
+        rows = [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (h, -h, -h, -h)]
     else:
         raise UnrecognizedDiagram("no abstract coordinates for %r" % label)
+    simples = [tuple(Fraction(x) for x in row) for row in rows]
 
     def pair(x, y):
         return sum((a * b for a, b in zip(x, y)), _F0)

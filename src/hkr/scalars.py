@@ -92,25 +92,27 @@ def _reduced(t: Dict[int, Tuple[int, int]], d: int, g: int) -> "Scalar":
     return _make(t, d)
 
 
-def _lowest(re: int, im: int, d: int, g: int) -> "Scalar":
+def _gauss(re: int, im: int, d: int, g: int = 1) -> "Scalar":
     """The Gaussian Scalar (re + im*i) / d in lowest terms, where any factor
-    common to d and both numerators divides g."""
+    common to d and both numerators divides g (g = 1: none does)."""
     if g != 1:
         g = gcd(re, im, g)
         if g != 1:
-            return _gauss(re // g, im // g, d // g)
-    return _gauss(re, im, d)
+            re, im, d = re // g, im // g, d // g
+    x = _new(Scalar)
+    x._t, x._re, x._im, x._d, x._hash = None, re, im, d, None
+    return x
 
 
 def _gauss_add(x: "Scalar", re: int, im: int, d: int) -> "Scalar":
     """x + (re + im*i) / d for a Gaussian x and a canonical right side."""
     dx = x._d
     if dx == d:
-        return _lowest(x._re + re, x._im + im, d, d)
+        return _gauss(x._re + re, x._im + im, d, d)
     # a common factor of the sum and its denominator divides gcd(dx, d)
     g = gcd(dx, d)
     mx, m = d // g, dx // g
-    return _lowest(x._re * mx + re * m, x._im * mx + im * m, dx * mx, g)
+    return _gauss(x._re * mx + re * m, x._im * mx + im * m, dx * mx, g)
 
 
 def _table(x: "Scalar") -> Dict[int, Tuple[int, int]]:
@@ -255,9 +257,11 @@ class Scalar:
                 return self._scaled(other.numerator, other.denominator)
             other = Scalar.of(other)
         if self._t is None and other._t is None:
+            if other is ONE or self is ONE:
+                return self if other is ONE else other
             a, b, c, e = self._re, self._im, other._re, other._im
             d = self._d * other._d
-            return _lowest(a * c - b * e, a * e + b * c, d, d)
+            return _gauss(a * c - b * e, a * e + b * c, d, d)
         if other._t is None and not other._im:
             return self._scaled(other._re, other._d)
         if self._t is None and not self._im:
@@ -286,7 +290,7 @@ class Scalar:
         t = self._t
         if t is None:
             d = self._d * q
-            return _lowest(self._re * p, self._im * p, d, d)
+            return _gauss(self._re * p, self._im * p, d, d)
         if not p:
             return ZERO
         if q == 1 and p == 1:
@@ -322,7 +326,7 @@ class Scalar:
             if not (a or b):
                 raise ZeroDivisionError("inverse of zero Scalar")
             n = a * a + b * b
-            return _lowest(d * a, -d * b, n, n)
+            return _gauss(d * a, -d * b, n, n)
         p = ONE
         z = self
         if any(b for _, b in t.values()):
@@ -393,17 +397,6 @@ class Scalar:
 
 
 _new = object.__new__
-
-
-def _gauss(re: int, im: int, d: int) -> Scalar:
-    """The Scalar (re + im*i) / d, already in lowest terms."""
-    x = _new(Scalar)
-    x._t = None
-    x._re = re
-    x._im = im
-    x._d = d
-    x._hash = None
-    return x
 
 
 def _make(t: Dict[int, Tuple[int, int]], d: int) -> Scalar:

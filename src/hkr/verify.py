@@ -13,7 +13,6 @@ import functools
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from . import catalog
@@ -64,8 +63,9 @@ def _rng(seed: int, form: str, check: str) -> random.Random:
     return random.Random("%d/%s/%s" % (seed, form, check))
 
 
-def _random_gamma(rng: random.Random, k: int) -> List[Fraction]:
-    return [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]
+def _random_gamma(rng: random.Random, k: int) -> List[Scalar]:
+    return [Scalar.of(rng.randint(-9, 9)) / rng.randint(1, 4)
+            for _ in range(k)]
 
 
 def fiber_match_supported(structure) -> bool:
@@ -215,19 +215,17 @@ def _check_injectivity(an: dm.FormAnalysis, section, seed: int, pairs: int
 
 
 def _regular_a_element(an: dm.FormAnalysis, rng: random.Random
-                       ) -> Tuple[Fraction, ...]:
+                       ) -> Tuple[Scalar, ...]:
     """A regular semisimple element of a: all restricted roots nonzero."""
     S = an.structure
     labels = list(an.root_data.root_spaces)
     while True:
-        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        vals = [Scalar.of(rng.randint(-9, 9)) / rng.randint(1, 3)
                 for _ in range(S.rank_a)]
-        if all(sum((l * v for l, v in zip(lab, vals)), Fraction(0))
+        if all(sum((v * l for l, v in zip(lab, vals)), ZERO)
                for lab in labels):
-            coords = [Fraction(0)] * S.dim
-            for j, v in enumerate(vals):
-                coords[S.dim_h + j] = v
-            return tuple(coords)
+            return (ZERO,) * S.dim_h + tuple(vals) + \
+                (ZERO,) * (S.dim_m - S.rank_a)
 
 
 def _check_fiber_match(an: dm.FormAnalysis, section, seed: int, samples: int
@@ -241,7 +239,7 @@ def _check_fiber_match(an: dm.FormAnalysis, section, seed: int, samples: int
         d = _regular_a_element(an, rng)
         gamma = tp.section_fiber_match(S, basis, d)
         pt = tp.section_point(basis, gamma)
-        cp_d = la.charpoly(S.matrix_of(tuple(Scalar.of(v) for v in d)))
+        cp_d = la.charpoly(S.matrix_of(d))
         cp_s = la.charpoly(S.matrix_of(pt))
         assert tuple(cp_d) == tuple(cp_s), "sample %d: charpoly mismatch" % k
         assert tp.is_regular(S, pt), "sample %d: matched point not regular" % k
@@ -365,7 +363,7 @@ def _check_sl2_grid() -> Optional[str]:
         for d in range(-3, 4):
             for d_L in (0, 2, 4):
                 got = dm.sl2_moduli_classify(alpha, d, d_L)
-                empty = d > Fraction(abs(d_L), 2) or d < alpha
+                empty = 2 * d > abs(d_L) or d < alpha
                 if empty:
                     want = "empty"
                 elif alpha == d:
