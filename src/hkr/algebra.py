@@ -29,6 +29,7 @@ from .errors import ConstructionFailure, NotInAlgebra
 from .linalg import Mat
 from .scalars import Scalar, ZERO, ONE
 
+
 def _sparse_entries(x: Mat) -> Dict[Tuple[int, int], Scalar]:
     return {(i, j): e for i, row in enumerate(x) for j, e in enumerate(row) if e}
 
@@ -166,8 +167,7 @@ class RealFormStructure:
                     raise ConstructionFailure(
                         "%s: bracket of basis %d, %d leaves the algebra" %
                         (self.name, i, j))
-                for k in sorted(cij):
-                    c = cij[k]
+                for k, c in sorted(cij.items()):
                     table[i].append((j, k, c))
                     table[j].append((i, k, -c))
         self.struct = table

@@ -1,9 +1,12 @@
 """Exact linear algebra over Scalar entries, on sparse rows.
 
-Matrices are tuples of tuples; vectors are tuples or lists.  Row reduction keeps full reduced echelon form so membership and
-coordinates come out of the same machinery, and it keeps each echelon row as
-a {column: nonzero} dict, so its work grows with the nonzero entries, not
-with the width of the rows; vectors may be passed in that sparse form too.
+Matrices are tuples of tuples; vectors are tuples or lists.  Entries are
+Scalars; ``mat``, ``solve_right``, ``is_positive_definite`` and
+``charpoly_frac`` also read int and Fraction entries.  Row reduction keeps
+full reduced echelon form so membership and coordinates come out of the
+same machinery, and it keeps each echelon row as a {column: nonzero} dict,
+so its work grows with the nonzero entries, not with the width of the rows;
+vectors may be passed in that sparse form too.
 
 The shared idioms the other modules build on, each written once here:
 

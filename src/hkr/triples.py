@@ -24,6 +24,7 @@ from .errors import (ConstructionFailure, GradingFailure, InvalidParams,
                      RouteDisagreement)
 from .scalars import Scalar, ZERO, ONE, I
 
+
 def _scale(c, vec):
     return tuple(v * c for v in vec)
 

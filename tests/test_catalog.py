@@ -60,6 +60,26 @@ def test_parse_form_rejects_bad_input():
             catalog.parse_form(bad)
 
 
+@pytest.mark.parametrize("value", [3.9, 3.0, True, "3"])
+def test_form_id_takes_only_ints(value):
+    with pytest.raises(InvalidParams, match="must be an int"):
+        catalog.form_id("sl_R", n=value)
+
+
+def test_integers_are_ascii_digits(monkeypatch):
+    # int() would read each of these; the form syntax and HKR_MAX_DIM do not
+    for bad in ("sl_r:n=1_0", "sl_r:n=\u0663", "sl_r:n=+3", "sl_r:n=-3"):
+        with pytest.raises(InvalidParams, match="bad integer"):
+            catalog.parse_form(bad)
+    assert catalog.parse_form("sl_r:n=10") == catalog.form_id("sl_R", n=10)
+    for bad in ("1_2", "\u0661\u0662", " 12", "+12"):
+        monkeypatch.setenv("HKR_MAX_DIM", bad)
+        with pytest.raises(InvalidParams, match="HKR_MAX_DIM"):
+            catalog.size_bound()
+    monkeypatch.setenv("HKR_MAX_DIM", "12")
+    assert catalog.size_bound() == 12
+
+
 def test_unknown_or_repeated_params_are_rejected():
     with pytest.raises(InvalidParams, match="needs params"):
         catalog.form_id("sl_R", n=3, p=1)

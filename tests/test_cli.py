@@ -200,6 +200,41 @@ def test_radicand_below_zero_is_a_usage_error(capsys):
     assert "error: bad --gamma entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["describe", "sl_r:n=1_0"],
+    ["describe", "sl_r:n=\u0663"],
+    ["dims", "sl_r:n=2", "--L", "deg:\u0664"],
+    ["dims", "sl_r:n=2", "--L", "deg:1_0"],
+    ["section", "sl_r:n=2", "--gamma", "\u0663"],
+    ["section", "sl_r:n=2", "--gamma", "sqrt(1_0)"]])
+def test_integers_outside_ascii_digits_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "sl_r:n=2", "--genus", "\u0663"],
+    ["verify", "sl_r:n=2", "--seed", "1_0"],
+    ["verify", "sl_r:n=2", "--seed", "-1"],
+    ["verify", "sl_r:n=2", "--samples", "\u0663"],
+    ["lemma73", "--n", "\u0663"]])
+def test_option_integers_are_ascii_digits(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
+def test_canonical_integer_spellings_still_parse(monkeypatch, capsys):
+    monkeypatch.setenv("HKR_MAX_DIM", "12")
+    assert main(["dims", "sl_r:n=3", "--genus", "3", "--L", "deg:4"]) == 0
+    assert main(["section", "sl_r:n=3", "--gamma", "3/4,-2*sqrt(2)"]) == 0
+    assert main(["lemma73", "--n", "3"]) == 0
+    capsys.readouterr()
+
+
 def test_deeply_nested_gamma_is_a_usage_error(capsys):
     gamma = "(" * 3000 + "1" + ")" * 3000
     assert main(["section", "sl_r:n=2", "--gamma", gamma]) == 2
@@ -270,7 +305,8 @@ def test_parser_rejects_unknown_verb():
 @pytest.mark.parametrize("argv,bound", [
     (["verify", "sl_r:n=13"], None),
     (["verify", "--all"], "x"),
-    (["verify", "--all", "--json"], "7")])
+    (["verify", "--all", "--json"], "7"),
+    (["describe", "sl_r:n=2"], "1_2")])
 def test_verify_usage_errors_exit_two(monkeypatch, capsys, argv, bound):
     # a size bound or a bad HKR_MAX_DIM is a usage error, not a failed check
     if bound is not None:

@@ -328,3 +328,87 @@ def test_differential_rational_operands(pa, q):
     _assert_same(a + q, ra + rq)
     if q:
         _assert_same(a / q, ra * rq.inv())
+
+
+# --- the Q(i) slot form and the radicand tables ------------------------------------
+#
+# A value in Q(i) is kept in integer slots and handled by its own arithmetic,
+# every other value by radicand tables.  The oracles here share neither:
+# (re, im) pairs of Fractions for Q(i), and a _RefScalar result rebuilt
+# through the generic Scalar(terms) constructor for values with sqrt 2 or
+# sqrt 3.
+
+gaussian_pairs = st.tuples(fractions, fractions)
+
+
+def _pair_inv(x):
+    norm = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def _assert_scalar_terms(x):
+    assert all(type(v) is Fraction for pair in x.terms().values() for v in pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_pairs, gaussian_pairs)
+def test_gaussian_fast_path_matches_pair_arithmetic(x, y):
+    a, b = Scalar.gaussian(*x), Scalar.gaussian(*y)
+    want = {
+        "a": (a, x),
+        "+": (a + b, (x[0] + y[0], x[1] + y[1])),
+        "-": (a - b, (x[0] - y[0], x[1] - y[1])),
+        "*": (a * b, _ref_cmul(x, y)),
+        "neg": (-a, (-x[0], -x[1])),
+        "conj": (a.conj(), (x[0], -x[1])),
+    }
+    if any(y):
+        want["inv"] = (b.inv(), _pair_inv(y))
+        want["/"] = (a / b, _ref_cmul(x, _pair_inv(y)))
+    for op, (got, pair) in want.items():
+        _assert_canonical(got)
+        _assert_scalar_terms(got)
+        assert got.gaussian_parts() == pair, op
+        assert got == Scalar({1: pair}), op
+
+
+radical_terms = st.dictionaries(st.sampled_from([1, 2, 3]),
+                                gaussian_pairs, min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(radical_terms, radical_terms)
+def test_radical_operations_match_a_rebuild(s, t):
+    a, b = Scalar(s), Scalar(t)
+    ra, rb = _RefScalar(s), _RefScalar(t)
+    got = {"+": (a + b, ra + rb), "-": (a - b, ra - rb),
+           "*": (a * b, ra * rb), "neg": (-a, -ra),
+           "conj": (a.conj(), ra.conj())}
+    if b:
+        got["inv"] = (b.inv(), rb.inv())
+        got["/"] = (a / b, ra * rb.inv())
+    for op, (x, ref) in got.items():
+        _assert_canonical(x)
+        _assert_scalar_terms(x)
+        rebuilt = Scalar(ref.t)
+        assert x == rebuilt, op
+        assert hash(x) == hash(rebuilt), op
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_pairs(), fractions)
+def test_canonical_form_and_rational_hashes(pa, q):
+    a, _ = pa
+    g = Scalar.gaussian(q, 1)
+    for x in (a, a * a.conj(), a - a, g, Scalar.of(q)):
+        again = Scalar(x.terms())
+        assert again == x and hash(again) == hash(x)
+        _assert_scalar_terms(x)
+    # a rational value equals and hashes like its Fraction, however made
+    norm = q * q + 1
+    for x, want in ((Scalar.of(q), q), (Scalar.gaussian(q, 0), q),
+                    (Scalar.sqrt(2) * q * Scalar.sqrt(2) / 2, q),
+                    ((Scalar.of(q) + I) - I, q), (g * g.conj(), norm),
+                    (g.inv() * g.conj().inv(), 1 / norm)):
+        assert x == want and x.is_rational()
+        assert hash(x) == hash(want) and x.as_fraction() == want
