@@ -62,9 +62,10 @@ def _curve_context(args) -> dm.CurveContext:
 
 
 def _parse_gamma(text: Optional[str], rank: int) -> List[Scalar]:
-    if not text:
+    """The --gamma entries; zeros only when --gamma is not given."""
+    if text is None:
         return [Scalar.of(0)] * rank
-    parts = [p for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != rank:
         raise InvalidParams("--gamma needs %d entries, got %d"
                             % (rank, len(parts)))
@@ -126,21 +127,16 @@ def cmd_describe(args) -> int:
 
 
 def cmd_hkr(args) -> int:
-    fid = catalog.parse_form(args.form)
-    S = catalog.build(fid)
-    data = rt.restricted_roots(S)
-    tds = tp.build_tds(S, data)
-    triple = tp.normal_triple(tds)
-    # raises MismatchWithTable unless the split subalgebra matches its row
-    tp.maximal_split_subalgebra(S, tds)
-    dec = tp.module_decomposition(S, triple)
-    basis = tp.section_basis(S, triple, dec)
+    # analyze raises MismatchWithTable unless the split subalgebra matches
+    # its table row
+    an = dm.analyze(catalog.build(catalog.parse_form(args.form)))
+    S, triple, basis = an.structure, an.triple, an.section
     payload = {
         "form": S.name,
         "e": _mat_strings(S.matrix_of(triple.e)),
         "f": _mat_strings(S.matrix_of(triple.f)),
         "x": _mat_strings(S.matrix_of(triple.x)),
-        "w": _mat_strings(S.matrix_of(tds.w)),
+        "w": _mat_strings(S.matrix_of(an.tds.w)),
         "e_basis": [_mat_strings(S.matrix_of(v)) for v in basis.e_list],
         "degrees": basis.degrees,
         "relations_verified": True,
@@ -159,12 +155,8 @@ def cmd_hkr(args) -> int:
 
 
 def cmd_section(args) -> int:
-    fid = catalog.parse_form(args.form)
-    S = catalog.build(fid)
-    tds = tp.build_tds(S, rt.restricted_roots(S))
-    triple = tp.normal_triple(tds)
-    dec = tp.module_decomposition(S, triple)
-    basis = tp.section_basis(S, triple, dec)
+    an = dm.analyze(catalog.build(catalog.parse_form(args.form)))
+    S, basis = an.structure, an.section
     gamma = _parse_gamma(args.gamma, basis.rank)
     point = tp.section_point(basis, gamma)
     regular = tp.is_regular(S, point)
@@ -185,13 +177,11 @@ def cmd_section(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    fid = catalog.parse_form(args.form)
-    S = catalog.build(fid)
-    an = dm.analyze(S)
+    an = dm.analyze(catalog.build(catalog.parse_form(args.form)))
     ctx = _curve_context(args)
     rep = dm.dimension_report(an, ctx)
     payload = rep.to_dict()
-    lines = ["%s, genus %d, deg L = %d:" % (S.name, ctx.genus, ctx.d_L),
+    lines = ["%s, genus %d, deg L = %d:" % (rep.form, ctx.genus, ctx.d_L),
              "  base_dim = %d" % rep.base_dim]
     if rep.expected_moduli_dim is not None:
         lines.append("  expected_moduli_dim = %d" % rep.expected_moduli_dim)
@@ -232,7 +222,8 @@ def cmd_lemma73(args) -> int:
     ok_all = True
     lines = []
     for n in ns:
-        rep = tp.so_star_lemma_report(n)
+        an = dm.analyze(catalog.build(catalog.form_id("so_star", n=n)))
+        rep = tp.so_star_lemma_report(an.triple)
         ok_all = ok_all and rep.ok()
         reports.append({
             "n": n,
@@ -258,6 +249,8 @@ def cmd_verify(args) -> int:
     counts = dict(samples=args.samples,
                   fiber_samples=min(vf.FIBER_SAMPLES, args.samples),
                   conjugators=min(vf.CONJUGATORS, args.samples))
+    if args.all and args.form:
+        raise InvalidParams("verify takes a form or --all, not both")
     if args.all:
         results = vf.verify_all(seed=args.seed, **counts)
     elif args.form:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import roots as rt
@@ -92,7 +93,8 @@ def h0_h1_line_power(m: int, ctx: CurveContext) -> Tuple[int, int]:
 
 @dataclass
 class FormAnalysis:
-    """Everything the dimension formulas need, computed once per form."""
+    """The construction chain of one form, computed once: everything the
+    dimension formulas need, and the section basis on first read."""
     structure: RealFormStructure
     root_data: rt.RestrictedRootData
     tds: tp.TdsConstruction
@@ -107,8 +109,16 @@ class FormAnalysis:
     def is_split(self) -> bool:
         return self.split_sub.dim == self.structure.dim
 
+    @cached_property
+    def section(self) -> tp.SectionBasis:
+        """Built on first read, as so(2,2) analyzes but has none; a build
+        that raises is not cached, so each read raises alike."""
+        return tp.section_basis(self.structure, self.triple,
+                                self.decomposition)
+
 
 def analyze(structure: RealFormStructure) -> FormAnalysis:
+    """The one place that chains the construction stages."""
     S = structure
     data = rt.restricted_roots(S)
     tds = tp.build_tds(S, data)

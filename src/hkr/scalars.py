@@ -159,14 +159,6 @@ class Scalar:
         raise TypeError("cannot coerce %r to Scalar" % (x,))
 
     @staticmethod
-    def gaussian(re, im) -> "Scalar":
-        """re + im*i for ints or Fractions re and im."""
-        qr, qi = re.denominator, im.denominator
-        d = qr * qi // gcd(qr, qi)
-        # each part is in lowest terms, so no factor of d divides both
-        return _gauss(re.numerator * (d // qr), im.numerator * (d // qi), d)
-
-    @staticmethod
     def sqrt(q) -> "Scalar":
         """Exact square root of a nonnegative rational."""
         q = Fraction(q)
@@ -348,17 +340,6 @@ class Scalar:
 
     def __rtruediv__(self, other) -> "Scalar":
         return Scalar.of(other) * self.inv()
-
-    def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            return self.inv() ** (-n)
-        out, base = ONE, self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # --- identity -------------------------------------------------------
 

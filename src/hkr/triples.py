@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
+from . import catalog
 from . import linalg as la
 from . import roots as rt
 from .algebra import RealFormStructure
@@ -245,11 +246,8 @@ def _assert_semisimple(S, coords, what):
     if roots_ is None:
         raise RelationFailure("%s: %s spectrum does not split over Q"
                               % (S.name, what))
-    prod = la.eye(S.n)
-    for c in sorted(set(roots_)):
-        shifted = la.msub(m, la.mscale(Scalar.of(c), la.eye(S.n)))
-        prod = la.mmul(prod, shifted)
-    if not la.is_zero_mat(prod):
+    # semisimple exactly when its eigenspaces fill the whole space
+    if la.eigen_split(m, la.eye(S.n), sorted(set(roots_))) is None:
         raise RelationFailure("%s: %s is not semisimple" % (S.name, what))
 
 
@@ -306,8 +304,6 @@ def maximal_split_subalgebra(structure: RealFormStructure,
     nonzero pieces are the root spaces and its zero piece the centralizer
     of a, with no second eigenspace split.
     """
-    from . import catalog
-
     S = structure
     r = S.rank_a
     a_units = [S.unit_coords(i) for i in S.a_indices]
@@ -751,12 +747,14 @@ class LemmaReport:
         return self.n != 3 or self.y_scalar is not None
 
 
-def so_star_lemma_report(n: int) -> LemmaReport:
-    from . import catalog
-
-    if n not in (3, 5):
-        raise InvalidParams("the explicit matrices exist for n in {3, 5}")
-    S = catalog.build(catalog.form_id("so_star", n=n))
+def so_star_lemma_report(triple: NormalTriple) -> LemmaReport:
+    """The paper's explicit so*(6) and so*(10) matrices, checked against
+    the triple of that form and its TDS."""
+    S = triple.structure
+    if S.family != "so_star" or S.params["n"] not in (3, 5):
+        raise InvalidParams("the explicit matrices exist for so*(6) and "
+                            "so*(10), not %s" % S.name)
+    n = S.params["n"]
     notes: List[str] = []
     a_mats = S.a_basis()
 
@@ -808,14 +806,12 @@ def so_star_lemma_report(n: int) -> LemmaReport:
             traces_ok = False
 
     # our construction: y scalar comparison (rank one case) and the triple's x
-    tds = build_tds(S, rt.restricted_roots(S))
     y_scalar = None
     if n == 3:
-        y_scalar = _proportionality(S.coords_of(y_mats[0]), tds.y[0])
+        y_scalar = _proportionality(S.coords_of(y_mats[0]), triple.tds.y[0])
         if y_scalar is not None:
             notes.append("constructed root vector equals %s times the "
                          "corrected displayed matrix" % y_scalar)
-    triple = normal_triple(tds)
     x_mat = S.matrix_of(triple.x)
     tr_a, tr_d = _block_traces(x_mat, n)
     x_ok = not tr_a and not tr_d

@@ -1,15 +1,15 @@
 """Self-verification suites: every identity the construction promises,
 re-checked from scratch with deterministic sampling.
 
-Each check returns a CheckResult rather than raising, so a run reports the
-first counterexample instead of a bare traceback.  Sampling checks draw from
-a PRNG seeded per (seed, form, check), making runs reproducible and
+The checks of a form all read its one ``dimensions.analyze``.  Each check
+returns a CheckResult rather than raising, so a run reports the first
+counterexample instead of a bare traceback.  Sampling checks draw from a
+PRNG seeded per (seed, form, check), making runs reproducible and
 independent of check ordering.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 import time
 from dataclasses import dataclass
@@ -164,10 +164,10 @@ def _check_modules(an: dm.FormAnalysis) -> Optional[str]:
     return "m-degrees %s" % sorted(bl.m for bl in dec.located("m"))
 
 
-def _check_regularity(an: dm.FormAnalysis, section, seed: int, samples: int
+def _check_regularity(an: dm.FormAnalysis, seed: int, samples: int
                       ) -> Optional[str]:
     S = an.structure
-    basis = section()
+    basis = an.section
     rng = _rng(seed, S.name, "regularity")
     for k in range(samples):
         gamma = _random_gamma(rng, basis.rank)
@@ -176,10 +176,10 @@ def _check_regularity(an: dm.FormAnalysis, section, seed: int, samples: int
     return "%d samples" % samples
 
 
-def _check_invariance(an: dm.FormAnalysis, section, seed: int, samples: int
+def _check_invariance(an: dm.FormAnalysis, seed: int, samples: int
                       ) -> Optional[str]:
     S = an.structure
-    basis = section()
+    basis = an.section
     conjs = tp.invariance_conjugators(S, samples)
     rng = _rng(seed, S.name, "invariance")
     for k, (g, ginv) in enumerate(conjs):
@@ -195,14 +195,14 @@ def _check_invariance(an: dm.FormAnalysis, section, seed: int, samples: int
     return "%d conjugators" % len(conjs)
 
 
-def _check_injectivity(an: dm.FormAnalysis, section, seed: int, pairs: int
+def _check_injectivity(an: dm.FormAnalysis, seed: int, pairs: int
                        ) -> Optional[str]:
     """pairs + 1 seeded gammas, one charpoly each; two distinct gammas with
     equal charpolys fail, so every pair among them is compared."""
     S = an.structure
     if not fiber_match_supported(S):
         return "skipped: charpoly does not separate fibers here"
-    basis = section()
+    basis = an.section
     rng = _rng(seed, S.name, "injectivity")
     seen = {}  # charpoly -> (draw, gamma)
     for k in range(pairs + 1):
@@ -228,12 +228,12 @@ def _regular_a_element(an: dm.FormAnalysis, rng: random.Random
                 (ZERO,) * (S.dim_m - S.rank_a)
 
 
-def _check_fiber_match(an: dm.FormAnalysis, section, seed: int, samples: int
+def _check_fiber_match(an: dm.FormAnalysis, seed: int, samples: int
                        ) -> Optional[str]:
     S = an.structure
     if not fiber_match_supported(S):
         return "skipped: charpoly does not separate fibers here"
-    basis = section()
+    basis = an.section
     rng = _rng(seed, S.name, "fiber_match")
     for k in range(samples):
         d = _regular_a_element(an, rng)
@@ -277,8 +277,7 @@ def _check_openness(an: dm.FormAnalysis) -> Optional[str]:
 
 
 def _check_lemma(an: dm.FormAnalysis) -> Optional[str]:
-    n = an.structure.params["n"]
-    rep = tp.so_star_lemma_report(n)
+    rep = tp.so_star_lemma_report(an.triple)
     assert rep.ok(), "lemma report failed"
     return "scalar %s" % rep.y_scalar if rep.y_scalar is not None else None
 
@@ -301,6 +300,8 @@ def _require_counts(samples: int, fiber_samples: int, conjugators: int
 def verify_form(fid, seed: int = 0, samples: int = 100,
                 fiber_samples: int = FIBER_SAMPLES,
                 conjugators: int = CONJUGATORS) -> List[CheckResult]:
+    """The per-form checks of fid.  The sampling checks read the lazy
+    ``an.section``; a build that raises is not kept, so each fails alike."""
     _require_counts(samples, fiber_samples, conjugators)
     name = catalog.form_display(fid)
     try:
@@ -311,10 +312,6 @@ def verify_form(fid, seed: int = 0, samples: int = 100,
     except HkrError as exc:
         return [CheckResult(name, "construction", False,
                             "%s: %s" % (type(exc).__name__, exc))]
-    # the section basis is built on first use and shared by the sampling
-    # checks; a build that raises is retried, so each of them fails alike
-    section = functools.cache(
-        lambda: tp.section_basis(S, an.triple, an.decomposition))
     out = [
         _run(name, "roots", lambda: _check_roots(an)),
         _run(name, "tds", lambda: _check_tds(an)),
@@ -322,13 +319,13 @@ def verify_form(fid, seed: int = 0, samples: int = 100,
         _run(name, "split_subalgebra", lambda: _check_split_sub(an)),
         _run(name, "modules", lambda: _check_modules(an)),
         _run(name, "regularity",
-             lambda: _check_regularity(an, section, seed, samples)),
+             lambda: _check_regularity(an, seed, samples)),
         _run(name, "invariance",
-             lambda: _check_invariance(an, section, seed, conjugators)),
+             lambda: _check_invariance(an, seed, conjugators)),
         _run(name, "injectivity",
-             lambda: _check_injectivity(an, section, seed, samples)),
+             lambda: _check_injectivity(an, seed, samples)),
         _run(name, "fiber_match",
-             lambda: _check_fiber_match(an, section, seed, fiber_samples)),
+             lambda: _check_fiber_match(an, seed, fiber_samples)),
         _run(name, "dimensions", lambda: _check_dims(an)),
         _run(name, "openness", lambda: _check_openness(an)),
     ]

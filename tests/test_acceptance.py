@@ -193,11 +193,12 @@ def test_criterion_07_split_openness():
 
 @criterion(8)
 def test_criterion_08_explicit_so_star_matrices():
-    rep6 = tp.so_star_lemma_report(3)
+    rep6 = tp.so_star_lemma_report(analyses()["so*(6)"].triple)
     assert rep6.ok()
     assert rep6.y_scalar is not None  # documented scalar, here exactly 1
     assert rep6.y_block_traces_zero and rep6.x_block_traces_zero
-    rep10 = tp.so_star_lemma_report(5)
+    so10 = dm.analyze(catalog.build(catalog.form_id("so_star", n=5)))
+    rep10 = tp.so_star_lemma_report(so10.triple)
     assert rep10.ok()
     assert rep10.x_block_traces_zero
 

@@ -13,7 +13,6 @@ import hkr
 from hkr import catalog
 from hkr import dimensions as dm
 from hkr import linalg as la
-from hkr import roots as rt
 from hkr import triples as tp
 from hkr.cli import main
 from hkr.errors import InvalidParams, MismatchWithTable
@@ -255,14 +254,16 @@ def test_internal_fault_exits_one_without_traceback(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("verb", ["hkr", "section"])
 def test_split_subalgebra_failure_in_hkr_exits_one(monkeypatch, capsys,
-                                                   json_flag):
-    # a closure or table failure is an error, not a table row mismatch
+                                                   verb, json_flag):
+    # a closure or table failure is an error, not a table row mismatch;
+    # hkr and section both read the one analysis, so both assert the row
     def mismatch(S, tds):
         raise MismatchWithTable("%s: planted mismatch" % S.name)
 
     monkeypatch.setattr(tp, "maximal_split_subalgebra", mismatch)
-    assert main(["hkr", "sl_r:n=2"] + json_flag) == 1
+    assert main([verb, "sl_r:n=2"] + json_flag) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: MismatchWithTable: sl(2,R): planted "
@@ -271,9 +272,9 @@ def test_split_subalgebra_failure_in_hkr_exits_one(monkeypatch, capsys,
 
 def test_user_input_guards_raise_invalid_params():
     # typed for the CLI's exit code 2, and still ValueErrors for callers
-    S = catalog.build(catalog.form_id("sl_R", n=2))
-    triple = tp.normal_triple(tp.build_tds(S, rt.restricted_roots(S)))
-    basis = tp.section_basis(S, triple, tp.module_decomposition(S, triple))
+    an = dm.analyze(catalog.build(catalog.form_id("sl_R", n=2)))
+    S, basis = an.structure, an.section
+    so8 = dm.analyze(catalog.build(catalog.form_id("so_star", n=4)))
     guards = [lambda: dm.CurveContext(1, 0),
               lambda: dm.CurveContext(2, 3, L_is_canonical=True),
               lambda: dm.CurveContext(2, 1, L_is_trivial=True),
@@ -282,7 +283,7 @@ def test_user_input_guards_raise_invalid_params():
               lambda: dm.component_count(1, 1),
               lambda: tp.is_regular(S, S.unit_coords(S.h_indices[0])),
               lambda: tp.section_point(basis, [1, 2]),
-              lambda: tp.so_star_lemma_report(4)]
+              lambda: tp.so_star_lemma_report(so8.triple)]
     for guard in guards:
         with pytest.raises(InvalidParams):
             guard()
@@ -306,7 +307,11 @@ def test_parser_rejects_unknown_verb():
     (["verify", "sl_r:n=13"], None),
     (["verify", "--all"], "x"),
     (["verify", "--all", "--json"], "7"),
-    (["describe", "sl_r:n=2"], "1_2")])
+    (["describe", "sl_r:n=2"], "1_2"),
+    # a given argument is never read as absent
+    (["verify", "sl_r:n=99", "--all", "--samples", "1"], None),
+    (["section", "sl_r:n=3", "--gamma", ""], None),
+    (["section", "sl_r:n=2", "--gamma", ""], None)])
 def test_verify_usage_errors_exit_two(monkeypatch, capsys, argv, bound):
     # a size bound or a bad HKR_MAX_DIM is a usage error, not a failed check
     if bound is not None:

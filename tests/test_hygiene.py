@@ -69,7 +69,9 @@ def _reads(node):
 
 
 def _public_definitions(tree):
-    """(name, line, node) of each public top-level def, class or assignment."""
+    """(name, line, node) of each public top-level def, class or assignment,
+    and of each public method or property of a top-level class, named
+    ``Class.method``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -84,14 +86,21 @@ def _public_definitions(tree):
         for name in targets:
             if not name.startswith("_"):
                 yield name, node.lineno, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not sub.name.startswith("_")):
+                    yield "%s.%s" % (node.name, sub.name), sub.lineno, sub
 
 
 def unread_public_names(modules, readers=()):
-    """The public top-level names of `modules` that nothing reads.
+    """The public top-level names and public class members of `modules`
+    that nothing reads.
 
     `modules` maps a module name to its source, and `readers` lists further
     sources that may read them.  A name is read where it occurs in any of
-    these sources (see ``_reads``) outside its own definition.
+    these sources (see ``_reads``) outside its own definition; a member
+    ``Class.method`` is read where ``method`` is, under any class.
     """
     trees = {name: ast.parse(src) for name, src in modules.items()}
     total = Counter()
@@ -100,7 +109,8 @@ def unread_public_names(modules, readers=()):
     out = []
     for mod, tree in trees.items():
         for name, line, node in _public_definitions(tree):
-            if total[name] - _reads(node)[name] <= 0:
+            key = name.rsplit(".", 1)[-1]
+            if total[key] - _reads(node)[key] <= 0:
                 out.append((mod, line, name))
     return sorted(out)
 
@@ -115,6 +125,24 @@ def test_the_scan_finds_an_unread_public_name():
     bench = ['SPANNED = [("a", None, ["traced"])]\n']
     assert unread_public_names(lib, bench) == [("a", 3, "unused"),
                                                ("a", 8, "Spare")]
+
+
+def test_the_scan_finds_an_unread_public_method():
+    lib = {"a": ("class C:\n"
+                 "    def used(self):\n        return self.size\n"
+                 "    def unused(self):\n        return self.unused()\n"
+                 "    @property\n    def size(self):\n        return 0\n"
+                 "    @property\n    def spare(self):\n        return 1\n"
+                 "    @staticmethod\n    def of(x):\n        return x\n"
+                 "    def traced(self):\n        pass\n"
+                 "    def _private(self):\n        return C.of(1)\n"),
+           "b": "from .a import C\nC().used()\n"}
+    bench = ['SPANNED = [("a", "C", ["traced"])]\n']
+    assert unread_public_names(lib, bench) == [("a", 4, "C.unused"),
+                                               ("a", 10, "C.spare")]
+    assert unread_public_names(lib) == [("a", 4, "C.unused"),
+                                        ("a", 10, "C.spare"),
+                                        ("a", 15, "C.traced")]
 
 
 def test_every_public_name_is_read():

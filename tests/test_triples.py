@@ -266,6 +266,31 @@ def test_normal_triple_rejects_a_corrupted_tds():
         tp.normal_triple(bad)
 
 
+def test_semisimplicity_check_rejects_a_nilpotent():
+    S, _, triple, _ = chain("sl_R", n=2)
+    with pytest.raises(RelationFailure,
+                       match=r"sl\(2,R\): e is not semisimple"):
+        tp._assert_semisimple(S, triple.e, "e")
+
+
+def test_semisimplicity_check_rejects_an_irrational_split():
+    # the h basis element of sl(2,R) has charpoly t^2 + 1/4: roots +-i/2
+    S, _, _, _ = chain("sl_R", n=2)
+    with pytest.raises(RelationFailure,
+                       match="h_1 spectrum does not split over Q"):
+        tp._assert_semisimple(S, S.unit_coords(S.h_indices[0]), "h_1")
+
+
+def test_semisimplicity_check_rejects_a_radical_charpoly():
+    # sqrt(2) a_1 + a_2 in sl(3,R) has c_1 = sqrt(2) - 3
+    S, _, _, _ = chain("sl_R", n=3)
+    a1, a2 = (S.unit_coords(i) for i in S.a_indices)
+    v = tuple(Scalar.sqrt(2) * p + q for p, q in zip(a1, a2))
+    assert la.charpoly(S.matrix_of(v))[1] == Scalar.sqrt(2) - 3
+    with pytest.raises(RelationFailure, match="v has non-rational spectrum"):
+        tp._assert_semisimple(S, v, "v")
+
+
 def test_split_subalgebra_checked_against_the_table(monkeypatch):
     S, tds, _, _ = chain("sl_R", n=3)
     monkeypatch.setattr(catalog, "reference_reduced_type", lambda fid: "G2")
@@ -405,7 +430,7 @@ def test_module_decomposition_rejects_a_missing_candidate(monkeypatch):
 # --- explicit low-rank so* matrices ---------------------------------------------
 
 def test_so_star6_lemma_report():
-    rep = tp.so_star_lemma_report(3)
+    rep = tp.so_star_lemma_report(chain("so_star", n=3)[2])
     assert rep.ok()
     assert rep.w_matches_display
     # the displayed eigenvector violates the algebra conditions in its last
@@ -416,7 +441,7 @@ def test_so_star6_lemma_report():
 
 
 def test_so_star10_lemma_report():
-    rep = tp.so_star_lemma_report(5)
+    rep = tp.so_star_lemma_report(chain("so_star", n=5)[2])
     assert rep.ok()
     assert rep.displayed_y_in_algebra
     assert rep.eigen_values == [(Fraction(1),), (Fraction(1),)]
@@ -424,5 +449,6 @@ def test_so_star10_lemma_report():
 
 
 def test_so_star_lemma_rejects_other_ranks():
-    with pytest.raises(ValueError):
-        tp.so_star_lemma_report(4)
+    for family, kw in (("so_star", {"n": 4}), ("sl_R", {"n": 2})):
+        with pytest.raises(ValueError, match=r"so\*\(6\) and so\*\(10\)"):
+            tp.so_star_lemma_report(chain(family, **kw)[2])

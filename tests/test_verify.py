@@ -3,6 +3,7 @@
 import pytest
 
 from hkr import catalog
+from hkr import dimensions as dm
 from hkr import triples as tp
 from hkr import verify as vf
 from hkr.errors import ConstructionFailure, InvalidParams
@@ -76,16 +77,12 @@ def test_sample_counts_below_one_are_rejected(monkeypatch, counts):
                       conjugators=conjugators)
 
 
-def _sl3r_check_inputs():
-    from hkr import dimensions as dm
-    S = catalog.build(catalog.form_id("sl_R", n=3))
-    an = dm.analyze(S)
-    basis = tp.section_basis(S, an.triple, an.decomposition)
-    return an, lambda: basis
+def _sl3r_analysis():
+    return dm.analyze(catalog.build(catalog.form_id("sl_R", n=3)))
 
 
 def test_injectivity_takes_one_charpoly_per_gamma(monkeypatch):
-    an, section = _sl3r_check_inputs()
+    an = _sl3r_analysis()
     calls = []
     original = vf.la.charpoly
 
@@ -95,7 +92,7 @@ def test_injectivity_takes_one_charpoly_per_gamma(monkeypatch):
 
     monkeypatch.setattr(vf.la, "charpoly", counting)
     result = vf._run("sl(3,R)", "injectivity",
-                     lambda: vf._check_injectivity(an, section, 0, 10))
+                     lambda: vf._check_injectivity(an, 0, 10))
     assert result.ok, result.detail
     assert result.detail == "11 gammas, pairwise distinct invariants"
     assert len(calls) == 11
@@ -104,10 +101,10 @@ def test_injectivity_takes_one_charpoly_per_gamma(monkeypatch):
 def test_injectivity_fails_on_equal_invariants_of_distinct_gammas(
         monkeypatch):
     # every gamma gets the same charpoly: the first distinct pair fails
-    an, section = _sl3r_check_inputs()
+    an = _sl3r_analysis()
     monkeypatch.setattr(vf.la, "charpoly", lambda m, *args: (1,))
     result = vf._run("sl(3,R)", "injectivity",
-                     lambda: vf._check_injectivity(an, section, 0, 10))
+                     lambda: vf._check_injectivity(an, 0, 10))
     assert not result.ok
     assert result.detail.startswith("gammas 0 and ")
     assert result.detail.endswith(": distinct gamma, equal invariants")
