@@ -1,13 +1,13 @@
 """Real form structures: Cartan involution, invariant form, exact brackets.
 
 A RealFormStructure holds a real matrix Lie algebra g in gl(n, C) through a
-theta-adapted basis: the compact part h first, then the chosen maximal
-abelian subspace a, then the rest of the -1 eigenspace m.  The Cartan
-involution is always theta(X) = -conjugate_transpose(X), applied to the
-sparse {(r, c): entry} form of a matrix (``theta_entries``), and the
-invariant form is B(X, Y) = Re tr(XY); B must come out negative definite on
-h and positive definite on m, and both facts are checked at construction,
-not assumed.
+theta-adapted basis that it builds itself from the real span of g and a
+chosen a-basis: the compact part h first, then the maximal abelian subspace
+a, then the rest of the -1 eigenspace m.  The Cartan involution is always
+theta(X) = -conjugate_transpose(X), applied to the sparse {(r, c): entry}
+form of a matrix (``Entries``, ``theta_entries``), and the invariant form is
+B(X, Y) = Re tr(XY); B must come out negative definite on h and positive
+definite on m, and both facts are checked at construction, not assumed.
 
 Elements live as n x n matrices over Scalar and as coordinate vectors in
 the basis, which one coordinate solver over the flattened basis matrices
@@ -21,7 +21,8 @@ when the coordinates themselves carry radicals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
@@ -29,20 +30,47 @@ from .errors import ConstructionFailure, NotInAlgebra
 from .linalg import Mat
 from .scalars import Scalar, ZERO, ONE
 
+Entries = Dict[Tuple[int, int], Scalar]  # a matrix as {(r, c): nonzero}
 
-def _sparse_entries(x: Mat) -> Dict[Tuple[int, int], Scalar]:
-    return {(i, j): e for i, row in enumerate(x) for j, e in enumerate(row) if e}
+_HALF = ONE / 2
 
 
-def theta_entries(x: Dict[Tuple[int, int], Scalar]
-                  ) -> Dict[Tuple[int, int], Scalar]:
+def _entries(x: Dict[Tuple[int, int], object]) -> Entries:
+    """Sparse entries given as ints, Fractions or Scalars, as Scalars."""
+    return {k: Scalar.of(e) for k, e in x.items() if e}
+
+
+def _flat(x: Entries, n: int) -> Dict[int, Scalar]:
+    """x with entry (r, c) at r n + c, as ``la.flatten`` lays it out."""
+    return {r * n + c: e for (r, c), e in x.items()}
+
+
+def _dense(x: Entries, n: int) -> Mat:
+    out = [[ZERO] * n for _ in range(n)]
+    for (r, c), e in x.items():
+        out[r][c] = e
+    return tuple(tuple(row) for row in out)
+
+
+def theta_entries(x: Entries) -> Entries:
     """The Cartan involution theta(X) = -X^* on sparse entries."""
     return {(c, r): -e.conj() for (r, c), e in x.items()}
 
 
-def _sparse_bracket(x: Dict[Tuple[int, int], Scalar],
-                    y: Dict[Tuple[int, int], Scalar]) -> Dict[Tuple[int, int], Scalar]:
-    acc: Dict[Tuple[int, int], Scalar] = {}
+def _theta_halves(x: Entries) -> Tuple[Entries, Entries]:
+    """The parts (x + theta x)/2 in h and (x - theta x)/2 in m of x."""
+    h = {k: e * _HALF for k, e in x.items()}
+    m = dict(h)
+    for k, e in theta_entries(x).items():
+        e = e * _HALF
+        h[k] = h[k] + e if k in h else e
+        m[k] = m[k] - e if k in m else -e
+    return ({k: e for k, e in h.items() if e},
+            {k: e for k, e in m.items() if e})
+
+
+def _sparse_bracket(x: Entries, y: Entries) -> Entries:
+    acc: Entries = {}
     yrows: Dict[int, List[Tuple[int, Scalar]]] = {}
     for (r, c), v in y.items():
         yrows.setdefault(r, []).append((c, v))
@@ -62,8 +90,7 @@ def _sparse_bracket(x: Dict[Tuple[int, int], Scalar],
     return {k: v for k, v in acc.items() if v}
 
 
-def _sparse_trace_product(x: Dict[Tuple[int, int], Scalar],
-                          y: Dict[Tuple[int, int], Scalar]) -> Scalar:
+def _sparse_trace_product(x: Entries, y: Entries) -> Scalar:
     acc = ZERO
     for (r, c), v in x.items():
         w = y.get((c, r))
@@ -89,16 +116,29 @@ def _span_kernel(space: Sequence[Sequence], images: Sequence[dict],
 
 @dataclass
 class RealFormStructure:
-    """A classical real form in a theta-adapted exact basis."""
+    """A classical real form in a theta-adapted exact basis.
+
+    `span` is a basis of g over R and `a_mats` one of a, each matrix as its
+    sparse {(r, c): entry} dict.  Each span matrix x splits into its
+    theta-halves (x + theta x)/2 in h and (x - theta x)/2 in m, and the basis
+    is drawn from them: the h-halves, the a-basis, then the m-halves that a
+    does not already span.  All three are drawn into one subspace over the
+    field, so the basis is independent over C by construction.  For a real
+    form h^C and m^C meet only in 0, so this keeps the same vectors as
+    drawing each half on its own; a span that theta does not preserve, or
+    that meets i times itself, loses dimensions in the split and is refused.
+    """
 
     name: str
     family: str
     params: Dict[str, int]
     n: int
-    basis: Tuple[Mat, ...]
-    dim_h: int
-    rank_a: int
+    span: InitVar[Sequence[Dict[Tuple[int, int], object]]]
+    a_mats: InitVar[Sequence[Dict[Tuple[int, int], object]]]
 
+    basis: Tuple[Mat, ...] = field(init=False)
+    dim_h: int = field(init=False)
+    rank_a: int = field(init=False)
     dim: int = field(init=False)
     dim_m: int = field(init=False)
     gram: Tuple[Tuple[Scalar, ...], ...] = field(init=False, repr=False)
@@ -106,19 +146,17 @@ class RealFormStructure:
     # in [basis[i], basis[j]], ordered by j then k
     struct: List[List[Tuple[int, int, Scalar]]] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        d = len(self.basis)
-        self.dim = d
-        self.dim_m = d - self.dim_h
+    def __post_init__(self, span, a_mats):
+        h, a, m_rest = self._theta_adapted(span, a_mats)
+        self.dim_h, self.rank_a = len(h), len(a)
+        self._sparse_basis = h + a + m_rest
+        self.basis = tuple(_dense(x, self.n) for x in self._sparse_basis)
+        self.dim = len(self.basis)
+        self.dim_m = self.dim - self.dim_h
         if not (0 < self.rank_a <= self.dim_m):
             raise ConstructionFailure("%s: rank %d incompatible with dim m %d"
                                       % (self.name, self.rank_a, self.dim_m))
-        self._center_dims: Optional[Tuple[int, int, int]] = None
         self._solve = la.coords_solver([la.flatten(m) for m in self.basis])
-        if self._solve is None:
-            raise ConstructionFailure("%s: basis is dependent over C" % self.name)
-        self._sparse_basis = [_sparse_entries(m) for m in self.basis]
-        self._check_adapted()
         self._build_struct()
         self._gram_and_signs()
         self._check_a()
@@ -140,29 +178,56 @@ class RealFormStructure:
     def a_basis(self) -> List[Mat]:
         return [self.basis[i] for i in self.a_indices]
 
+    def a_vector(self, coeffs: Sequence) -> Tuple[Scalar, ...]:
+        """Coordinates of sum_j coeffs[j] a_j, the a-basis combination."""
+        out = [ZERO] * self.dim
+        for i, c in zip(self.a_indices, coeffs):
+            out[i] = c
+        return tuple(out)
+
     def unit_coords(self, i: int) -> Tuple[Scalar, ...]:
         return tuple(ONE if j == i else ZERO for j in range(self.dim))
 
     # --- construction-time validation -------------------------------------
 
-    def _check_adapted(self):
-        for i, x in enumerate(self._sparse_basis):
-            want = x if i < self.dim_h else {k: -e for k, e in x.items()}
-            if theta_entries(x) != want:
-                raise ConstructionFailure(
-                    "%s: basis vector %d is not a theta eigenvector" % (self.name, i))
+    def _theta_adapted(self, span, a_mats
+                       ) -> Tuple[List[Entries], List[Entries], List[Entries]]:
+        """The sparse bases of h, of a and of the rest of m."""
+        n = self.n
+        a_list = [_entries(a) for a in a_mats]
+        drawn = la.Subspace()  # a first, then h and the rest of m
+        for i, a in enumerate(a_list):
+            if not drawn.add(_flat(a, n)):
+                raise ConstructionFailure("%s: a-basis element %d is dependent"
+                                          % (self.name, i))
+        m_span = la.Subspace()
+        h_list, m_rest = [], []
+        for x in span:
+            xh, xm = _theta_halves(_entries(x))
+            if drawn.add(_flat(xh, n)):
+                h_list.append(xh)
+            xm_flat = _flat(xm, n)
+            if m_span.add(xm_flat) and drawn.add(xm_flat):
+                m_rest.append(xm)
+        for i, a in enumerate(a_list):
+            if not m_span.contains(_flat(a, n)):
+                raise ConstructionFailure("%s: a-basis element %d is not in m"
+                                          % (self.name, i))
+        if len(h_list) + len(a_list) + len(m_rest) != len(span):
+            raise ConstructionFailure("%s: theta split lost dimensions" % self.name)
+        return h_list, a_list, m_rest
 
     def _build_struct(self):
         """Each bracket of two basis matrices, taken from their sparse
-        entries (entry (r, c) at r n + c, as ``la.flatten`` lays it out) and
-        solved for its nonzero coefficients, which must all be rational."""
+        entries and solved for its nonzero coefficients, which must all be
+        rational."""
         d, n = self.dim, self.n
         sparse = self._sparse_basis
         table: List[List[Tuple[int, int, Scalar]]] = [[] for _ in range(d)]
         for i in range(d):
             for j in range(i + 1, d):
                 br = _sparse_bracket(sparse[i], sparse[j])
-                cij = self._solve({r * n + c: e for (r, c), e in br.items()})
+                cij = self._solve(_flat(br, n))
                 if cij is None or not all(c.is_rational() for c in cij.values()):
                     raise ConstructionFailure(
                         "%s: bracket of basis %d, %d leaves the algebra" %
@@ -333,21 +398,19 @@ class RealFormStructure:
         return self.centralizer_in_span(
             elements, [self.unit_coords(i) for i in idxs])
 
+    @cached_property
     def center_dims(self) -> Tuple[int, int, int]:
         """(dim z(g), dim z(g) meet h, dim z(g) meet m), computed once.
 
         z(g) commutes with a, so it is the centralizer of g inside c_g(a).
         """
-        if self._center_dims is None:
-            units = [self.unit_coords(i) for i in range(self.dim)]
-            cga = self.centralizer_frac([units[i] for i in self.a_indices])
-            z = self.centralizer_in_span(units, cga)
-            in_h, in_m = self.theta_split(z)
-            if len(in_h) + len(in_m) != len(z):
-                raise ConstructionFailure("%s: center is not theta-split"
-                                          % self.name)
-            self._center_dims = (len(z), len(in_h), len(in_m))
-        return self._center_dims
+        units = [self.unit_coords(i) for i in range(self.dim)]
+        cga = self.centralizer_frac([units[i] for i in self.a_indices])
+        z = self.centralizer_in_span(units, cga)
+        in_h, in_m = self.theta_split(z)
+        if len(in_h) + len(in_m) != len(z):
+            raise ConstructionFailure("%s: center is not theta-split" % self.name)
+        return (len(z), len(in_h), len(in_m))
 
     def generate_subalgebra(
             self, gens: Sequence[Tuple[tuple, Sequence[Scalar]]]

@@ -3,11 +3,11 @@
 Each family is the real span of the complex square matrices X fixed by its
 defining data: the forms X preserves, the structures it intertwines and the
 traces it kills.  One routine turns these equations in X and conj(X) into
-sparse real-linear conditions on the entries and solves them; the builder
-splits the span into theta eigenspaces and places a hand-picked maximal
-abelian a first in the -1 part.  With K = diag(I_p, -I_q),
-J = [[0,-I],[I,0]], S = [[0,I],[I,0]] and W antidiagonal with
-W[i][2n-1-i] = 1 for i < n and -1 for i >= n:
+sparse real-linear conditions on the entries and solves them.  The catalog
+only declares and solves: ``RealFormStructure`` builds the theta-adapted
+basis from the solved span and a hand-picked maximal abelian a.  With
+K = diag(I_p, -I_q), J = [[0,-I],[I,0]], S = [[0,I],[I,0]] and W
+antidiagonal with W[i][2n-1-i] = 1 for i < n and -1 for i >= n:
 
     sl(n,R)    X = conj(X), tr X = 0
     su(p,q)    X* K + K X = 0, tr X = 0
@@ -29,11 +29,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg as la
-from .algebra import RealFormStructure, theta_entries
+from .algebra import RealFormStructure
 from .errors import InvalidParams, NotInTable, SizeBound, ConstructionFailure
-from .scalars import Scalar, ZERO, ONE, I, parse_int
-
-_HALF = ONE / 2
+from .scalars import Scalar, I, parse_int
 
 FAMILIES = ("sl_R", "su_pq", "sp2n_R", "so_pq", "su_star", "sp_pq",
             "so_star", "sl_C_as_real")
@@ -340,13 +338,6 @@ def standard_forms() -> List[FormId]:
 
 # --- defining data: the forms, structures and traces of each family ----------
 
-def _msum(n: int, entries: Sequence[Tuple[int, int, object]]) -> la.Mat:
-    m = [[ZERO] * n for _ in range(n)]
-    for r, c, v in entries:
-        m[r][c] = m[r][c] + Scalar.of(v)
-    return tuple(tuple(row) for row in m)
-
-
 def _diag(signs: Sequence[int]) -> Dict[Tuple[int, int], int]:
     return {(i, i): s for i, s in enumerate(signs)}
 
@@ -363,7 +354,8 @@ def _intertwines(form, conj: bool):
 
 
 def _declare(fid: FormId, n: int):
-    """(equations, trace forms, a-basis matrices, expected dim) of the family."""
+    """(equations, trace forms, a-basis, expected dim) of the family, each
+    a-basis matrix as its sparse {(r, c): entry} dict."""
     f, h = fid.family, n // 2
     pq = [1] * fid.p + [-1] * fid.q if f in _PQ_FAMILIES else []
     j_form = {**{(i, h + i): -1 for i in range(h)},
@@ -371,28 +363,26 @@ def _declare(fid: FormId, n: int):
     real = _intertwines(_diag([1] * n), True)  # X = conj(X)
     traceless = [_diag([1] * n)]  # tr X = 0
     if f == "sl_R":
-        a_mats = [_msum(n, [(i, i, 1), (i + 1, i + 1, -1)]) for i in range(n - 1)]
+        a_mats = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
         return [real], traceless, a_mats, n * n - 1
     if f == "su_pq":
-        a_mats = [_msum(n, [(i, n - 1 - i, 1), (n - 1 - i, i, 1)])
+        a_mats = [{(i, n - 1 - i): 1, (n - 1 - i, i): 1}
                   for i in range(min(fid.p, fid.q))]
         return [_preserves(_diag(pq), True)], traceless, a_mats, n * n - 1
     if f == "sp2n_R":
         omega = {(i, n - 1 - i): 1 if i < h else -1 for i in range(n)}
-        a_mats = [_msum(n, [(i, i, 1), (n - 1 - i, n - 1 - i, -1)])
-                  for i in range(h)]
+        a_mats = [{(i, i): 1, (n - 1 - i, n - 1 - i): -1} for i in range(h)]
         return [real, _preserves(omega, False)], [], a_mats, h * (n + 1)
     if f == "so_pq":
         p = fid.p
-        a_mats = [_msum(n, [(i, p + i, 1), (p + i, i, 1)])
-                  for i in range(min(p, fid.q))]
+        a_mats = [{(i, p + i): 1, (p + i, i): 1} for i in range(min(p, fid.q))]
         return [real, _preserves(_diag(pq), False)], [], a_mats, n * (n - 1) // 2
     if f == "sp_pq":
         a_mats = []
         for i in range(min(fid.p, fid.q)):
             j = h - 1 - i
-            a_mats.append(_msum(n, [(i, j, 1), (j, i, 1),
-                                    (h + i, h + j, -1), (h + j, h + i, -1)]))
+            a_mats.append({(i, j): 1, (j, i): 1,
+                           (h + i, h + j): -1, (h + j, h + i): -1})
         eqs = [_preserves(j_form, False), _preserves(_diag(pq + pq), True)]
         return eqs, [], a_mats, h * (n + 1)
     if f == "so_star":
@@ -400,13 +390,13 @@ def _declare(fid: FormId, n: int):
         a_mats = []
         for i in range(h // 2):
             j = h - 1 - i
-            a_mats.append(_msum(n, [(i, h + j, 1), (j, h + i, -1),
-                                    (h + i, j, -1), (h + j, i, 1)]))
+            a_mats.append({(i, h + j): 1, (j, h + i): -1,
+                           (h + i, j): -1, (h + j, i): 1})
         eqs = [_preserves(s_form, False),
                _preserves(_diag([1] * h + [-1] * h), True)]
         return eqs, [], a_mats, h * (n - 1)
-    a_mats = [_msum(n, [(i, i, 1), (h + i, h + i, 1), (i + 1, i + 1, -1),
-                        (h + i + 1, h + i + 1, -1)]) for i in range(h - 1)]
+    a_mats = [{(i, i): 1, (h + i, h + i): 1, (i + 1, i + 1): -1,
+               (h + i + 1, h + i + 1): -1} for i in range(h - 1)]
     if f == "su_star":
         return [_intertwines(j_form, True)], traceless, a_mats, n * n - 1
     # sl_C_as_real
@@ -450,22 +440,6 @@ def _solve(n: int, equations, traces) -> List[Dict[Tuple[int, int], Scalar]]:
             for vec in la.kernel_right(rows, 2 * n * n)]
 
 
-def _theta_halves(x: Dict[Tuple[int, int], Scalar], n: int
-                  ) -> Tuple[Dict[int, Scalar], Dict[int, Scalar]]:
-    """The parts (x + theta x)/2 in h and (x - theta x)/2 in m of sparse
-    entries x, each as a {r n + c: nonzero} dict (``la.flatten``'s layout)."""
-    h: Dict[int, Scalar] = {}
-    m: Dict[int, Scalar] = {}
-    for (r, c), e in x.items():
-        h[r * n + c] = m[r * n + c] = e * _HALF
-    for (r, c), e in theta_entries(x).items():
-        k, e = r * n + c, e * _HALF
-        h[k] = h[k] + e if k in h else e
-        m[k] = m[k] - e if k in m else -e
-    return ({k: e for k, e in h.items() if e},
-            {k: e for k, e in m.items() if e})
-
-
 def build(fid: FormId) -> RealFormStructure:
     """Construct the real form as a validated RealFormStructure."""
     n = matrix_size(fid)
@@ -474,38 +448,9 @@ def build(fid: FormId) -> RealFormStructure:
         raise SizeBound("matrix size %d exceeds bound %d (set HKR_MAX_DIM to raise)"
                         % (n, bound))
     equations, traces, a_mats, expect_dim = _declare(fid, n)
-    mats = _solve(n, equations, traces)
-    if len(mats) != expect_dim:
+    span = _solve(n, equations, traces)
+    if len(span) != expect_dim:
         raise ConstructionFailure("%s: condition kernel has dim %d, expected %d"
-                                  % (form_display(fid), len(mats), expect_dim))
-    order_span = la.Subspace()  # a first, then the rest of m
-    for i, am in enumerate(a_mats):
-        if not order_span.add(la.flatten(am)):
-            raise ConstructionFailure("%s: a-basis element %d is dependent"
-                                      % (form_display(fid), i))
-    h_span, m_span = la.Subspace(), la.Subspace()
-    h_mats: List[la.Mat] = []
-    m_rest: List[la.Mat] = []
-    for x in mats:
-        xh, xm = _theta_halves(x, n)
-        if xh and h_span.add(xh):
-            h_mats.append(_msum(n, [divmod(k, n) + (e,) for k, e in xh.items()]))
-        if xm and m_span.add(xm) and order_span.add(xm):
-            m_rest.append(_msum(n, [divmod(k, n) + (e,) for k, e in xm.items()]))
-    for i, am in enumerate(a_mats):
-        if not m_span.contains(la.flatten(am)):
-            raise ConstructionFailure("%s: a-basis element %d is not in m"
-                                      % (form_display(fid), i))
-    dim_h = len(h_mats)
-    if dim_h + len(a_mats) + len(m_rest) != expect_dim:
-        raise ConstructionFailure("%s: theta split lost dimensions" % form_display(fid))
-    basis = tuple(h_mats) + tuple(a_mats) + tuple(m_rest)
-    return RealFormStructure(
-        name=form_display(fid),
-        family=fid.family,
-        params=dict(fid.params),
-        n=n,
-        basis=basis,
-        dim_h=dim_h,
-        rank_a=len(a_mats),
-    )
+                                  % (form_display(fid), len(span), expect_dim))
+    return RealFormStructure(form_display(fid), fid.family, dict(fid.params),
+                             n, span, a_mats)

@@ -196,7 +196,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    if args.form:
+    if args.form is not None:
         try:
             entry = catalog.lookup_table1(args.form)
         except HkrError:
@@ -249,11 +249,11 @@ def cmd_verify(args) -> int:
     counts = dict(samples=args.samples,
                   fiber_samples=min(vf.FIBER_SAMPLES, args.samples),
                   conjugators=min(vf.CONJUGATORS, args.samples))
-    if args.all and args.form:
+    if args.all and args.form is not None:
         raise InvalidParams("verify takes a form or --all, not both")
     if args.all:
         results = vf.verify_all(seed=args.seed, **counts)
-    elif args.form:
+    elif args.form is not None:
         fid = catalog.parse_form(args.form)
         results = vf.verify_form(fid, seed=args.seed, **counts)
         results += vf.verify_global(seed=args.seed)

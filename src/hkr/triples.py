@@ -11,8 +11,9 @@ matching.  Every relation is asserted exactly at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
@@ -83,7 +84,6 @@ def build_tds(structure: RealFormStructure,
         raise ConstructionFailure("%s: %d simple roots for rank %d"
                                   % (S.name, len(simples), r))
     pair = rt.root_pairing(S)
-    a_lo = S.dim_h
 
     # B-dual h_i of each simple root, as full coordinate vectors
     gram = rt.a_gram(S)
@@ -94,20 +94,14 @@ def build_tds(structure: RealFormStructure,
         if sol is None:
             raise ConstructionFailure("%s: degenerate form on a" % S.name)
         h_a_coeffs.append(sol)
-        vec = [ZERO] * S.dim
-        for j, cj in enumerate(sol):
-            vec[a_lo + j] = cj
-        h_dual.append(tuple(vec))
+        h_dual.append(S.a_vector(sol))
 
     # w in a with lambda_i(w) = 2 for every simple root
     lam_matrix = [list(lam) for lam in simples]
     w_a = la.solve_right(lam_matrix, [2] * r)
     if w_a is None:
         raise ConstructionFailure("%s: simple roots do not span a*" % S.name)
-    w = [ZERO] * S.dim
-    for j, cj in enumerate(w_a):
-        w[a_lo + j] = cj
-    w = tuple(w)
+    w = S.a_vector(w_a)
     for lam in simples:
         val = sum((t * v for t, v in zip(w_a, lam)), ZERO)
         if val != 2:
@@ -192,33 +186,24 @@ class NormalTriple:
     e: Tuple[Scalar, ...]
     f: Tuple[Scalar, ...]
     x: Tuple[Scalar, ...]
-    _e_kernel: Optional[List[tuple]] = field(init=False, default=None,
-                                             repr=False)
-    _centralizer: Optional[List[tuple]] = field(init=False, default=None,
-                                                repr=False)
 
     @property
     def structure(self) -> RealFormStructure:
         return self.tds.structure
 
-    @property
+    @cached_property
     def e_kernel(self) -> List[tuple]:
         """Basis of ker ad(e) in g^C, computed once per triple."""
-        if self._e_kernel is None:
-            S = self.structure
-            self._e_kernel = S.centralizer_in_span(
-                [self.e], [S.unit_coords(i) for i in range(S.dim)])
-        return self._e_kernel
+        S = self.structure
+        return S.centralizer_in_span(
+            [self.e], [S.unit_coords(i) for i in range(S.dim)])
 
-    @property
+    @cached_property
     def centralizer(self) -> List[tuple]:
         """Basis of c_{g^C}(s^C), the centralizer of span(e, f, x), computed
         once per triple: the part of ker ad(e) that f centralizes, since
         [x, v] = [e, [f, v]] - [f, [e, v]]."""
-        if self._centralizer is None:
-            self._centralizer = self.structure.centralizer_in_span(
-                [self.f], self.e_kernel)
-        return self._centralizer
+        return self.structure.centralizer_in_span([self.f], self.e_kernel)
 
 
 def _triple_relations_hold(S, e, f, x) -> bool:
@@ -351,7 +336,7 @@ def maximal_split_subalgebra(structure: RealFormStructure,
     # z(ghat) = z(g) meet m; by the Jacobi identity whatever commutes with
     # the generators commutes with the subalgebra they generate, and it
     # commutes with a in ghat, so it lies in the zero weight piece
-    z_g, z_h, z_m = S.center_dims()
+    z_g, z_h, z_m = S.center_dims
     z_sub = len(S.centralizer_in_span([v for _, v in gens], centralizer))
     if z_sub != z_m:
         raise MismatchWithTable("%s: z(split sub) = %d but z(g) meet m = %d"
@@ -427,7 +412,7 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple
         for v in mv:
             blocks.append(ModuleBlock(m_val, v, "m"))
 
-    dim_z, dim_z_h, dim_z_m = S.center_dims()
+    dim_z, dim_z_h, dim_z_m = S.center_dims
     if sum(2 * bl.m - 1 for bl in blocks) != S.dim:
         raise GradingFailure("%s: sum of module dimensions != dim g^C" % S.name)
 
@@ -471,7 +456,7 @@ def is_quasi_split(structure: RealFormStructure, triple: NormalTriple) -> bool:
             break
     # route 2: the centralizer of the principal normal TDS is the center
     dim_c = len(triple.centralizer)
-    dim_z, _, _ = S.center_dims()
+    dim_z, _, _ = S.center_dims
     route2 = dim_c == dim_z
     if route1 != route2:
         raise RouteDisagreement("%s: c_g(a) abelian = %s but dim c(s^C) = %d "
@@ -542,7 +527,7 @@ def is_regular(structure: RealFormStructure, x_coords: Sequence) -> bool:
     """Whether x in m^C is regular: dim c_{m^C}(x) equals the real rank.
 
     c_{m^C}(x) is the kernel of ad(x) on m^C, so its dimension is dim m^C
-    less the rank of the m^C columns of ad(x) (the basis is h, then m).
+    less the rank of the m^C columns of ad(x).
     Raises InvalidParams if x is not in m^C.
     """
     S = structure
@@ -550,7 +535,8 @@ def is_regular(structure: RealFormStructure, x_coords: Sequence) -> bool:
     if S.theta_coords(xs) != _scale(-1, xs):
         raise InvalidParams("%s: element is not in m^C" % S.name)
     ad = S.ad_matrix(list(xs))
-    return S.dim_m - la.rank([row[S.dim_h:] for row in ad]) == S.rank_a
+    m = S.m_indices
+    return S.dim_m - la.rank([[row[j] for j in m] for row in ad]) == S.rank_a
 
 
 def section_point_regular(basis: SectionBasis, gamma: Sequence) -> bool:

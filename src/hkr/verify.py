@@ -106,9 +106,10 @@ def _check_tds(an: dm.FormAnalysis) -> Optional[str]:
         "[e_c, f_c] != w"
     assert all(b < 0 for b in tds.b), "some b_i >= 0"
     assert all(c > 0 for c in tds.c), "some c_i <= 0"
-    a_lo = S.dim_h
+    w_a = [tds.w[i] for i in S.a_indices]
+    assert S.a_vector(w_a) == tds.w, "w is not in a"
     for lam in tds.simples:
-        val = sum((tds.w[a_lo + j] * lam[j] for j in range(S.rank_a)), ZERO)
+        val = sum((t * v for t, v in zip(w_a, lam)), ZERO)
         assert val == 2, "lambda(w) = %s" % val
     for i in range(S.rank_a):
         di = tds.d[i]
@@ -224,8 +225,7 @@ def _regular_a_element(an: dm.FormAnalysis, rng: random.Random
                 for _ in range(S.rank_a)]
         if all(sum((v * l for l, v in zip(lab, vals)), ZERO)
                for lab in labels):
-            return (ZERO,) * S.dim_h + tuple(vals) + \
-                (ZERO,) * (S.dim_m - S.rank_a)
+            return S.a_vector(vals)
 
 
 def _check_fiber_match(an: dm.FormAnalysis, seed: int, samples: int

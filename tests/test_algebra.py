@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkr import linalg as la
+from hkr import roots as rt
 from hkr.algebra import RealFormStructure, theta_entries
 from hkr.catalog import build, form_id, standard_forms
 from hkr.errors import ConstructionFailure, NotInAlgebra
@@ -238,7 +239,7 @@ def test_center_kernel_stays_inside_cga(monkeypatch):
         return original(rows, ncols)
 
     monkeypatch.setattr(la, "kernel_right", recording)
-    assert fresh.center_dims() == (0, 0, 0)
+    assert fresh.center_dims == (0, 0, 0)
     # the kernel over all of g (more rows than the c_g(a) kernel) has at most
     # dim c_g(a) columns, never one per basis vector
     wide = [cols for rows, cols in shapes if rows > fresh.rank_a * fresh.dim]
@@ -295,14 +296,13 @@ def test_bracket_coords_match_the_matrix_commutator(pair):
 # --- guards on the basis and on coordinates -------------------------------------
 
 def test_basis_not_closed_under_bracket_is_rejected():
-    # diag(1, -1) and the symmetric swap span a theta-adapted m of sl(2, R),
-    # but their bracket lies in the missing compact part
-    a = la.mat([[1, 0], [0, -1]])
-    s = la.mat([[0, 1], [1, 0]])
+    # diag(1, -1) and the symmetric swap span the m of sl(2, R), but their
+    # bracket lies in the missing compact part
+    a = {(0, 0): 1, (1, 1): -1}
+    s = {(0, 1): 1, (1, 0): 1}
     with pytest.raises(ConstructionFailure,
                        match="bracket of basis 0, 1 leaves the algebra"):
-        RealFormStructure(name="m only", family="test", params={}, n=2,
-                          basis=(a, s), dim_h=0, rank_a=1)
+        RealFormStructure("m only", "test", {}, 2, [s, a], [a])
 
 
 def test_real_coords_reject_matrices_outside_the_real_span():
@@ -316,11 +316,57 @@ def test_real_coords_reject_matrices_outside_the_real_span():
                                             for c in S.unit_coords(3))
 
 
-def test_basis_of_non_theta_eigenvectors_is_rejected():
-    # E_01 is sent to -E_10 by theta, so it is in neither h nor m
-    a = la.mat([[1, 0], [0, -1]])
-    e01 = la.mat([[0, 1], [0, 0]])
+# --- the theta-adapted basis, built from a span outside the catalog ---------------
+
+_E = {(0, 1): 1}
+_F = {(1, 0): 1}
+_H = {(0, 0): 1, (1, 1): -1}
+
+
+def test_sl2_from_its_span_gets_the_adapted_basis():
+    # sl(2, R) from E, F, H in another order: the rotation E - F spans h,
+    # then a = H, then the symmetric E + F
+    T = RealFormStructure("sl(2,R) by hand", "test", {}, 2, [_F, _H, _E], [_H])
+    assert (T.dim, T.dim_h, T.dim_m, T.rank_a) == (3, 1, 2, 1)
+    assert T.a_basis() == [la.mat([[1, 0], [0, -1]])]
+    assert T.basis[0] == la.mat([[0, Fraction(-1, 2)], [Fraction(1, 2), 0]])
+    assert T.basis[2] == la.mat([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    assert rt.classify_type(rt.restricted_roots(T))[0] == "A1"
+    assert T.a_vector([Scalar.of(3)]) == T.coords_of(la.mat([[3, 0], [0, -3]]))
+
+
+def test_span_theta_does_not_preserve_is_rejected():
+    # span(H, E) is not theta-stable: E has halves in h and in m, so the
+    # split holds 1 + 1 + 1 vectors for a span of dim 2
     with pytest.raises(ConstructionFailure,
-                       match="basis vector 1 is not a theta eigenvector"):
-        RealFormStructure(name="not adapted", family="test", params={}, n=2,
-                          basis=(a, e01), dim_h=0, rank_a=1)
+                       match="not preserved: theta split lost dimensions"):
+        RealFormStructure("not preserved", "test", {}, 2, [_H, _E], [_H])
+
+
+def test_dependent_a_basis_is_rejected():
+    with pytest.raises(ConstructionFailure,
+                       match="a-basis element 1 is dependent"):
+        RealFormStructure("sl(2,R)", "test", {}, 2, [_E, _F, _H],
+                          [_H, {(0, 0): -2, (1, 1): 2}])
+
+
+def test_a_basis_in_h_is_rejected():
+    rotation = {(0, 1): 1, (1, 0): -1}
+    with pytest.raises(ConstructionFailure,
+                       match="a-basis element 0 is not in m"):
+        RealFormStructure("sl(2,R)", "test", {}, 2, [_E, _F, _H], [rotation])
+
+
+def test_empty_a_basis_is_rejected():
+    with pytest.raises(ConstructionFailure,
+                       match="rank 0 incompatible with dim m 2"):
+        RealFormStructure("sl(2,R)", "test", {}, 2, [_E, _F, _H], [])
+
+
+def test_span_meeting_i_times_itself_is_rejected():
+    # span(H, iH) is theta-stable over R (iH lies in h), but H and iH are
+    # dependent over C, so the split keeps only H
+    with pytest.raises(ConstructionFailure,
+                       match="theta split lost dimensions"):
+        RealFormStructure("C H", "test", {}, 2,
+                          [_H, {(0, 0): I, (1, 1): -I}], [_H])

@@ -1,5 +1,7 @@
 """Catalog identifiers, reference table rows, and structure construction."""
 
+import hashlib
+
 import pytest
 
 from hkr import catalog, errors
@@ -319,6 +321,51 @@ def test_basis_satisfies_family_identities(fid):
             assert la.is_zero_mat(identity(x)), (k, i)
 
 
+# sha256 of "dim_h rank_a" and then every basis matrix in order, one line of
+# real and imaginary entry parts each, for the catalog and the stretch forms;
+# a refactor of the construction must leave the basis unchanged
+_PINNED_BASIS = {
+    "sl_r:n=2": "b06fe6df0005b63c8a9c43d9171c744647a544b2e4425edbb60c77727a686f53",
+    "sl_r:n=3": "a933b3fe1e8d73f4b9b55f6c95cf6c4c7e5f056f444141e01ba9b5b2b59b55b8",
+    "sl_r:n=4": "2cb5dbf73ea7df220e6fe95c76c47a6e8e3a0a7045eadd4962cfa3cbbeeb52c5",
+    "su:p=1,q=2": "cc9838bcecbac61c20fd13c8dd536314612cedfa41c368d209da3c2ce7d55bdb",
+    "su:p=1,q=3": "d10b96fdc81ae2d85fdccbf07bafe6f7b6cd772e7e7290d90a7922b71bd529af",
+    "su:p=2,q=3": "43cb6671f5ff759e53b843626d968281273d8b06b2c53f8444a518a83cec26b0",
+    "su:p=2,q=2": "7811f0e98d4bfee5bc2a3c6fc1e2c27dec8bc10ff42657ab191843daeb160c5d",
+    "su:p=3,q=3": "4bac100ba01055128d63c587882789239f0c1487a2359a6fe453e53f684f630f",
+    "sp_r:n=1": "b06fe6df0005b63c8a9c43d9171c744647a544b2e4425edbb60c77727a686f53",
+    "sp_r:n=2": "6ab74ade0acab74f12982306097c7335899cab769674eb4792502f8148e9daf0",
+    "sp_r:n=3": "073d76a8d75aea46dffa0972ee4a501b7b3b971ee4bdf3cdd017f5be2596473b",
+    "so:p=2,q=3": "2eeda7dc4d453b04c641080be1e257c008b8aacbcc2cd26adfbc33a6ab67b59c",
+    "so:p=2,q=4": "2afa53ba46cd1754348a6d8ad4c9cc71760a937ea92ce221ce9904192b4404bd",
+    "so:p=3,q=3": "a6b2bda38992eb0e95b20fe095b5e12fb0a91f95cfb3d684c51623c757c557d9",
+    "su_star:n=2": "48743f33b1c9ac79f589b69b3a2953a8b579a7a89ca0add5abec8ecb5961d36e",
+    "sp:p=1,q=2": "2ea3a2468d5f352f780c44c60211a85f186859fe7927e0f694bb02f113e25629",
+    "so_star:n=3": "ee5a5beb3b84f987832fbbc85fb08dadb098284b1a3db4c9c5d3bb714f6b6040",
+    "so_star:n=4": "7b16efce58b25abe1fce0acf89217e93713d5de762161a8aae43a572fa427f79",
+    "sl_c:n=2": "cbafc7985c137c71bd0c551e691c577b3983940401e36c16820f9eae49f8f4cc",
+    "su:p=4,q=4": "46ba9f7d8e94b94cd075f6c1900a8ee934b22231eb2ed3d3b3f712b4e40826b5",
+    "sp_r:n=4": "53718a55df4c1614c3492dcff4d6ded6cd668e8dcfd7a1067e01104505f77c44",
+    "so_star:n=5": "d831ff20368ea97846be71c310085d61a31fbd236cab55612aace4d4b5711093",
+}
+
+
+def test_pinned_basis_covers_the_catalog():
+    assert list(_PINNED_BASIS)[:19] == [catalog.form_cli_text(f)
+                                        for f in catalog.standard_forms()]
+
+
+@pytest.mark.parametrize("form", list(_PINNED_BASIS))
+def test_basis_matches_its_pinned_digest(form):
+    S = catalog.build(catalog.parse_form(form))
+    digest = hashlib.sha256(("%d %d\n" % (S.dim_h, S.rank_a)).encode())
+    for x in S.basis:
+        digest.update((";".join(",".join("%s %s" % e.gaussian_parts()
+                                         for e in row) for row in x)
+                       + "\n").encode())
+    assert digest.hexdigest() == _PINNED_BASIS[form]
+
+
 # --- the guards of build, provoked through the declared data ---------------------
 
 def _patch_declare(monkeypatch, change):
@@ -339,7 +386,7 @@ def test_build_rejects_a_repeated_a_element(monkeypatch):
 
 def test_build_rejects_an_a_element_in_h(monkeypatch):
     # the rotation generator of sl(2,R) is fixed by theta: it lies in h
-    rotation = la.mat([[0, 1], [-1, 0]])
+    rotation = {(0, 1): 1, (1, 0): -1}
     _patch_declare(monkeypatch, lambda eqs, traces, a_mats, dim:
                    (eqs, traces, [rotation], dim))
     with pytest.raises(ConstructionFailure,

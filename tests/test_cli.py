@@ -311,7 +311,11 @@ def test_parser_rejects_unknown_verb():
     # a given argument is never read as absent
     (["verify", "sl_r:n=99", "--all", "--samples", "1"], None),
     (["section", "sl_r:n=3", "--gamma", ""], None),
-    (["section", "sl_r:n=2", "--gamma", ""], None)])
+    (["section", "sl_r:n=2", "--gamma", ""], None),
+    # an empty form is a given form, not a missing one
+    (["verify", "", "--all"], None),
+    (["verify", ""], None),
+    (["table1", ""], None)])
 def test_verify_usage_errors_exit_two(monkeypatch, capsys, argv, bound):
     # a size bound or a bad HKR_MAX_DIM is a usage error, not a failed check
     if bound is not None:
@@ -320,6 +324,11 @@ def test_verify_usage_errors_exit_two(monkeypatch, capsys, argv, bound):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_empty_form_is_refused_by_the_form_parser(capsys):
+    assert main(["verify", ""]) == 2
+    assert "form must look like" in capsys.readouterr().err
 
 
 def test_size_bound_respected(monkeypatch, capsys):

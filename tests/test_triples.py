@@ -182,7 +182,7 @@ def test_split_sub_refuses_a_generator_of_the_wrong_weight():
 def test_center_dims_vanish_on_catalog():
     for family, kw in RELATION_FORMS:
         S, tds, triple, dec = chain(family, **kw)
-        assert S.center_dims() == (0, 0, 0), S.name
+        assert S.center_dims == (0, 0, 0), S.name
 
 
 # --- module decomposition ---------------------------------------------------------
@@ -250,7 +250,7 @@ def test_quasi_split_routes_must_agree(monkeypatch):
     # TDS centralizer (dim 0) does not match sets the two routes apart
     S = build(form_id("sl_R", n=2))
     triple = tp.normal_triple(tp.build_tds(S, rt.restricted_roots(S)))
-    monkeypatch.setattr(S, "center_dims", lambda: (1, 0, 1))
+    monkeypatch.setattr(S, "center_dims", (1, 0, 1))
     with pytest.raises(RouteDisagreement,
                        match=r"c_g\(a\) abelian = True but dim c\(s\^C\) = 0 "
                              r"vs dim z = 1"):
@@ -409,10 +409,9 @@ def test_conjugators_rotate_along_the_basis_of_h(fid):
 def test_conjugators_need_a_rotation_element_of_h():
     # h = span(diag(i, i, -2i)): its one basis element has eigenvalues
     # i, i, -2i, so M^3 != -sM
-    h = la.mat([[I, 0, 0], [0, I, 0], [0, 0, -2 * I]])
-    a = la.mat([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
-    S = RealFormStructure(name="u1 + a", family="test", params={}, n=3,
-                          basis=(h, a), dim_h=1, rank_a=1)
+    h = {(0, 0): I, (1, 1): I, (2, 2): -2 * I}
+    a = {(0, 0): 1, (1, 1): -1}
+    S = RealFormStructure("u1 + a", "test", {}, 3, [a, h], [a])
     with pytest.raises(ConstructionFailure,
                        match="no exact conjugators available"):
         tp.invariance_conjugators(S, 2)
