@@ -10,13 +10,13 @@ B(X, Y) = Re tr(XY); B must come out negative definite on h and positive
 definite on m, and both facts are checked at construction, not assumed.
 
 Elements live as n x n matrices over Scalar and as coordinate vectors in
-the basis, which one coordinate solver over the flattened basis matrices
-links.  The basis of a real form is independent over C, so elements of the
-complexification g^C (the C-span of the basis) have Scalar coordinates,
-and the rational elements of g are those whose coordinates are all Scalars
-with ``is_rational()``.  Bracket, form, and involution computations in
-coordinates use rational structure data, so they stay exact and cheap even
-when the coordinates themselves carry radicals.
+the basis, which one coordinate solver over the flattened sparse basis
+matrices links.  The basis of a real form is independent over C, so
+elements of the complexification g^C (the C-span of the basis) have Scalar
+coordinates, and the rational elements of g are those whose coordinates are
+all Scalars with ``is_rational()``.  Bracket, form, and involution
+computations in coordinates use rational structure data, so they stay exact
+and cheap even when the coordinates themselves carry radicals.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg as la
 from .errors import ConstructionFailure, NotInAlgebra
 from .linalg import Mat
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, add_product
 
 Entries = Dict[Tuple[int, int], Scalar]  # a matrix as {(r, c): nonzero}
 
@@ -77,17 +77,16 @@ def _sparse_bracket(x: Entries, y: Entries) -> Entries:
     for (r, k), a in x.items():
         for c, b in yrows.get(k, ()):
             key = (r, c)
-            cur = acc.get(key)
-            acc[key] = a * b if cur is None else cur + a * b
+            acc[key] = add_product(acc.get(key), a, b)
     xrows: Dict[int, List[Tuple[int, Scalar]]] = {}
     for (r, c), v in x.items():
         xrows.setdefault(r, []).append((c, v))
     for (r, k), a in y.items():
+        a = -a
         for c, b in xrows.get(k, ()):
             key = (r, c)
-            cur = acc.get(key)
-            acc[key] = -(a * b) if cur is None else cur - a * b
-    return {k: v for k, v in acc.items() if v}
+            acc[key] = add_product(acc.get(key), a, b)
+    return {k: v for k, v in acc.items() if v is not ZERO}
 
 
 def _sparse_trace_product(x: Entries, y: Entries) -> Scalar:
@@ -95,7 +94,7 @@ def _sparse_trace_product(x: Entries, y: Entries) -> Scalar:
     for (r, c), v in x.items():
         w = y.get((c, r))
         if w is not None:
-            acc = acc + v * w
+            acc = add_product(acc, v, w)
     return acc
 
 
@@ -156,7 +155,8 @@ class RealFormStructure:
         if not (0 < self.rank_a <= self.dim_m):
             raise ConstructionFailure("%s: rank %d incompatible with dim m %d"
                                       % (self.name, self.rank_a, self.dim_m))
-        self._solve = la.coords_solver([la.flatten(m) for m in self.basis])
+        self._solve = la.coords_solver([_flat(x, self.n)
+                                        for x in self._sparse_basis])
         self._build_struct()
         self._gram_and_signs()
         self._check_a()
@@ -287,10 +287,12 @@ class RealFormStructure:
     def matrix_of(self, coords: Sequence) -> Mat:
         out = [[ZERO] * self.n for _ in range(self.n)]
         for c, entries in zip(coords, self._sparse_basis):
-            if c:
-                cs = c if isinstance(c, Scalar) else Scalar.of(c)
+            if c.__class__ is not Scalar:
+                c = Scalar.of(c)
+            if c is not ZERO:
                 for (i, j), e in entries.items():
-                    out[i][j] = out[i][j] + cs * e
+                    row = out[i]
+                    row[j] = add_product(row[j], c, e)
         return tuple(tuple(row) for row in out)
 
     # --- operations in coordinates ------------------------------------------
@@ -303,10 +305,8 @@ class RealFormStructure:
             for j, k, c in self.struct[i]:
                 vj = v.get(j)
                 if vj is not None:
-                    t = ui * vj * c
-                    x = out.get(k)
-                    out[k] = t if x is None else x + t
-        return {k: x for k, x in out.items() if x}
+                    out[k] = add_product(out.get(k), ui * vj, c)
+        return {k: x for k, x in out.items() if x is not ZERO}
 
     def bracket_coords(self, u: Sequence, v: Sequence) -> tuple:
         """Coordinates of [u, v]."""
@@ -326,10 +326,10 @@ class RealFormStructure:
         d = self.dim
         out = [[ZERO] * d for _ in range(d)]
         for i, ui in enumerate(u):
-            if ui:
+            if ui is not ZERO:
                 for j, k, c in self.struct[i]:
                     row = out[k]
-                    row[j] = row[j] + ui * c
+                    row[j] = add_product(row[j], ui, c)
         return out
 
     def theta_coords(self, u: Sequence) -> tuple:
@@ -340,13 +340,12 @@ class RealFormStructure:
     def form_coords(self, u: Sequence, v: Sequence):
         acc = None
         for i, ui in enumerate(u):
-            if not ui:
+            if ui is ZERO:
                 continue
             row = self.gram[i]
             for j, vj in enumerate(v):
-                if vj and row[j]:
-                    term = ui * vj * row[j]
-                    acc = term if acc is None else acc + term
+                if vj is not ZERO and row[j] is not ZERO:
+                    acc = add_product(acc, ui * vj, row[j])
         return ZERO if acc is None else acc
 
     # --- centralizers and generated subalgebras ------------------------------

@@ -2,7 +2,9 @@
 
 Matrices are tuples of tuples; vectors are tuples or lists.  Entries are
 Scalars; ``mat``, ``solve_right``, ``is_positive_definite`` and
-``charpoly_frac`` also read int and Fraction entries.  Row reduction keeps
+``charpoly_frac`` also read int and Fraction entries.  ``ZERO`` is the only
+zero Scalar, so an entry is tested for zero by ``is ZERO``, and every
+multiply-accumulate step is one fused ``add_product``.  Row reduction keeps
 full reduced echelon form so membership and coordinates come out of the
 same machinery, and it keeps each echelon row as a {column: nonzero} dict,
 so its work grows with the nonzero entries, not with the width of the rows;
@@ -14,7 +16,8 @@ The shared idioms the other modules build on, each written once here:
   one vector at a time by ``add``, the one row reduction; ``rref`` and
   ``rank`` read it;
 - ``coords_solver``: coefficients of a vector over an independent list, or
-  None outside its span (a ``Subspace`` of the vectors beside unit vectors);
+  None outside its span (a ``Subspace`` of the vectors beside unit vectors
+  placed past the last nonzero index of any of them);
 - ``combine``: the linear combination sum_i c_i v_i;
 - ``eigen_split``: eigenspaces of an operator on a span it preserves, for a
   list of candidate eigenvalues, or None unless they fill the span;
@@ -33,7 +36,7 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConstructionFailure
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, add_product
 
 Mat = Tuple[Tuple[Scalar, ...], ...]
 
@@ -70,15 +73,15 @@ def mmul(a: Mat, b: Mat) -> Mat:
         for col in bt:
             acc = ZERO
             for x, y in zip(row, col):
-                if x and y:
-                    acc = acc + x * y
+                if x is not ZERO and y is not ZERO:
+                    acc = add_product(acc, x, y)
             out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
 
 
 def is_zero_mat(a: Mat) -> bool:
-    return all(not x for row in a for x in row)
+    return all(x is ZERO for row in a for x in row)
 
 
 def mat_eq(a: Mat, b: Mat) -> bool:
@@ -111,22 +114,18 @@ def sparse(vec) -> dict:
     if any, are dropped).
     """
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {j: e for j, e in items if e}
+    return {j: e for j, e in items if e is not ZERO}
 
 
 def _sub_multiple(target: dict, c, row: dict) -> None:
     """target -= c * row on {index: nonzero} dicts, dropping what cancels."""
-    c = -c  # once, so each entry costs one multiply and one add
+    c = -c  # once, so each entry costs one fused multiply-add
     for j, e in row.items():
-        x = target.get(j)
-        if x is None:
-            target[j] = c * e
+        x = add_product(target.get(j), c, e)
+        if x is ZERO:
+            del target[j]
         else:
-            x = x + c * e
-            if x:
-                target[j] = x
-            else:
-                del target[j]
+            target[j] = x
 
 
 class Subspace:
@@ -215,20 +214,25 @@ def coords_solver(vectors: Sequence[Sequence]):
     The map sends v to the list c with sum_i c[i] * vectors[i] = v, or to None
     when v lies outside their span; a v given as a {index: nonzero} dict gets
     its c as such a dict.  It reduces v against the echelon form of the rows
-    [vectors[i] | unit i]: what is left of the unit part is -c.
+    [vectors[i] | unit i]: what is left of the unit part is -c.  The unit
+    part starts past the last nonzero index of all the vectors, dense or
+    sparse, so a v with an entry there is outside the span.
     """
     k = len(vectors)
-    n = len(vectors[0]) if vectors else 0
+    rows = [sparse(v) for v in vectors]
+    n = max((max(row) + 1 for row in rows if row), default=0)
     space = Subspace()
-    for i, v in enumerate(vectors):
-        row = sparse(v)
+    for i, row in enumerate(rows):
         row[n + i] = ONE
         space.add(row)
     if vectors and space.pivots[-1] >= n:
         return None  # a pivot in the unit part: some combination vanishes
 
     def solve(vec):
-        v = space._residual(sparse(vec))
+        v = sparse(vec)
+        if max(v, default=-1) >= n:
+            return None
+        v = space._residual(v)
         if any(j < n for j in v):
             return None
         if isinstance(vec, dict):
@@ -245,10 +249,10 @@ def combine(coeffs: Sequence, vecs: Sequence[Sequence]) -> list:
     """The linear combination sum_i coeffs[i] * vecs[i], as a list."""
     out = [ZERO] * len(vecs[0])
     for c, v in zip(coeffs, vecs):
-        if c:
+        if c is not ZERO:
             for j, e in enumerate(v):
-                if e:
-                    out[j] = out[j] + c * e
+                if e is not ZERO:
+                    out[j] = add_product(out[j], c, e)
     return out
 
 
@@ -353,7 +357,7 @@ def _hessenberg(a: Sequence[Sequence]) -> List[list]:
     n = len(h)
     for k in range(n - 2):
         m = k + 1
-        p = next((i for i in range(m, n) if h[i][k]), None)
+        p = next((i for i in range(m, n) if h[i][k] is not ZERO), None)
         if p is None:
             continue  # the column is already cleared
         if p != m:
@@ -362,21 +366,21 @@ def _hessenberg(a: Sequence[Sequence]) -> List[list]:
                 row[p], row[m] = row[m], row[p]
         inv = h[m][k].inv()
         # row m vanishes left of column k; E leaves it as it is
-        pivot = [(j, x) for j, x in enumerate(h[m][k:], k) if x]
+        pivot = [(j, x) for j, x in enumerate(h[m][k:], k) if x is not ZERO]
         factors = []
         for i in range(m + 1, n):
             row = h[i]
-            if row[k]:
+            if row[k] is not ZERO:
                 u = row[k] * inv
                 factors.append((i, u))
-                u = -u  # once, so each entry costs one multiply and one add
+                u = -u  # once, so each entry costs one fused multiply-add
                 for j, x in pivot:
-                    row[j] = row[j] + u * x
+                    row[j] = add_product(row[j], u, x)
         for row in h:
             acc = row[m]
             for i, u in factors:
-                if row[i]:
-                    acc = acc + u * row[i]
+                if row[i] is not ZERO:
+                    acc = add_product(acc, u, row[i])
             row[m] = acc
     return h
 
@@ -397,19 +401,19 @@ def charpoly(a: Sequence[Sequence]) -> tuple:
         prev = polys[k]
         diag = -h[k][k]
         cur = [ZERO] + prev  # t p_k
-        if diag:
+        if diag is not ZERO:
             for j, c in enumerate(prev):
-                cur[j] = cur[j] + diag * c
+                cur[j] = add_product(cur[j], diag, c)
         sub = ONE  # h_{i+1,i} ... h_{k,k-1}, 0-based
         for i in range(k - 1, -1, -1):
             sub = sub * h[i + 1][i]
-            if not sub:
+            if sub is ZERO:
                 break  # the block is triangular from here on
             f = h[i][k]
-            if f:
+            if f is not ZERO:
                 f = -(f * sub)
                 for j, c in enumerate(polys[i]):
-                    cur[j] = cur[j] + f * c
+                    cur[j] = add_product(cur[j], f, c)
         polys.append(cur)
     return tuple(polys[n])
 

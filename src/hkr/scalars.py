@@ -26,6 +26,15 @@ sigma in turn, c = sigma(z), P *= c, z *= c makes z fixed by sigma and keeps
 it fixed by the earlier ones (the group is abelian), so at the end z = N(x)
 is rational and x^-1 = P / N(x).
 
+``ZERO`` is the only zero Scalar: every operation, ``Scalar.of``,
+``Scalar.sqrt``, ``Scalar(terms)``, copies and pickles return that one
+object for a zero value.  The linear algebra therefore tests a Scalar for
+zero by identity, ``x is ZERO``, without a call.  ``add_product(x, c, e)``
+is the fused multiply-add x + c*e of its row reductions and brackets (x None
+reads as zero): with all three in Q(i) it forms the product and the sum in
+integers over one denominator and allocates only the result; a radical
+operand takes the two operations.  Only this module reads a Scalar's slots.
+
 This field is closed under the four operations and under complex
 conjugation, which is all the rest of the package needs.  Fractions and ints
 mix with Scalars in every operation and compare and hash equal to the
@@ -94,7 +103,10 @@ def _reduced(t: Dict[int, Tuple[int, int]], d: int, g: int) -> "Scalar":
 
 def _gauss(re: int, im: int, d: int, g: int = 1) -> "Scalar":
     """The Gaussian Scalar (re + im*i) / d in lowest terms, where any factor
-    common to d and both numerators divides g (g = 1: none does)."""
+    common to d and both numerators divides g (g = 1: none does); ZERO
+    itself when re = im = 0."""
+    if not (re or im):
+        return ZERO
     if g != 1:
         g = gcd(re, im, g)
         if g != 1:
@@ -130,8 +142,9 @@ class Scalar:
     # otherwise _t is the radicand table over _d, and _re = _im = 0
     __slots__ = ("_t", "_re", "_im", "_d", "_hash")
 
-    def __init__(self, terms: Dict[int, Coef]):
-        """The sum of (a + b*i) * sqrt(r) over rational pairs, any radicands."""
+    def __new__(cls, terms: Dict[int, Coef]) -> "Scalar":
+        """The sum of (a + b*i) * sqrt(r) over rational pairs, any radicands;
+        ZERO itself when the sum vanishes."""
         clean: Dict[int, Coef] = {}
         for r, (a, b) in terms.items():
             s, k = _squarefree_split(r)
@@ -142,9 +155,11 @@ class Scalar:
             for q in (a.denominator, b.denominator):
                 d = d * q // gcd(d, q)
         t = {r: (int(a * d), int(b * d)) for r, (a, b) in clean.items() if a or b}
-        x = _reduced(t, d, d)
-        self._t, self._re, self._im, self._d = x._t, x._re, x._im, x._d
-        self._hash = None
+        return _reduced(t, d, d)
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, which keeps one zero
+        return Scalar, (self.terms(),)
 
     # --- constructors -------------------------------------------------
 
@@ -174,7 +189,7 @@ class Scalar:
     # --- predicates and views -----------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self._re or self._im or self._t)
+        return self is ZERO
 
     def is_rational(self) -> bool:
         return self._t is None and not self._im
@@ -366,7 +381,7 @@ class Scalar:
         return h
 
     def __bool__(self) -> bool:
-        return bool(self._re or self._im or self._t)
+        return self is not ZERO
 
     # --- text form --------------------------------------------------------
 
@@ -392,6 +407,27 @@ def _make(t: Dict[int, Tuple[int, int]], d: int) -> Scalar:
     x._d = d
     x._hash = None
     return x
+
+
+def add_product(x: Optional[Scalar], c: Scalar, e: Scalar) -> Scalar:
+    """x + c * e for Scalars, with x None read as zero: the multiply-add of
+    the row reductions and brackets.  When all three lie in Q(i) the
+    integer arithmetic is done once, over one common denominator, and only
+    the result is allocated; any radical operand takes x + c * e."""
+    if c._t is None and e._t is None and (x is None or x._t is None):
+        a, b, p, q = c._re, c._im, e._re, e._im
+        re, im, d = a * p - b * q, a * q + b * p, c._d * e._d
+        if x is not None:
+            dx = x._d
+            if dx == d:
+                re, im = x._re + re, x._im + im
+            else:
+                g = gcd(dx, d)
+                mx, m = d // g, dx // g
+                re, im, d = x._re * mx + re * m, x._im * mx + im * m, dx * mx
+        # the product's own denominator may share factors with its numerators
+        return _gauss(re, im, d, d)
+    return c * e if x is None else x + c * e
 
 
 # --- parsing and printing ---------------------------------------------------
@@ -519,6 +555,7 @@ def _parse_factor(s: str, pos: int) -> Tuple[Scalar, int]:
     return Scalar.of(q), j
 
 
-ZERO = _gauss(0, 0, 1)
+ZERO = _new(Scalar)
+ZERO._t, ZERO._re, ZERO._im, ZERO._d, ZERO._hash = None, 0, 0, 1, None
 ONE = _gauss(1, 0, 1)
 I = _gauss(0, 1, 1)

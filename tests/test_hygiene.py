@@ -1,5 +1,7 @@
 """Source hygiene of the package: no module imports a name it never reads,
-and no public top-level name goes unread by the library and the benchmark."""
+no public top-level name goes unread by the library and the benchmark, no
+parameter default goes unpassed, and only ``scalars`` reads the slots of a
+Scalar."""
 
 import ast
 from collections import Counter
@@ -287,3 +289,31 @@ def test_every_parameter_default_is_passed():
     modules = {p.stem: p.read_text() for p in sorted(_SRC.glob("*.py"))}
     bench = [p.read_text() for p in sorted((_ROOT / "bench").glob("*.py"))]
     assert dead_defaults(modules, bench) == []
+
+
+# The slots of a Scalar (see hkr.scalars); the Q(i) layout stays behind the
+# one module that defines it.
+SCALAR_SLOTS = {"_t", "_re", "_im", "_d", "_hash"}
+
+
+def slot_reads(source: str):
+    """(line, name) of each attribute access ``x._t``, ``x._re``, ... of a
+    Scalar slot, whatever ``x`` is."""
+    tree = ast.parse(source)
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in SCALAR_SLOTS)
+
+
+def test_the_scan_finds_a_slot_read():
+    source = ("def f(x, y):\n    if x._t is None:\n        return y._d\n"
+              "    x._hash = None\n"
+              "    return x._tail, x.d, getattr(x, '_re')\n")
+    assert slot_reads(source) == [(2, "_t"), (3, "_d"), (4, "_hash")]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in _SRC.glob("*.py")
+                                        if p.stem != "scalars"),
+                         ids=lambda p: p.name)
+def test_only_scalars_reads_scalar_slots(path):
+    assert slot_reads(path.read_text()) == []

@@ -536,6 +536,30 @@ def test_coords_solver_scalar_field():
     assert solve([ZERO, ZERO, ONE]) is None
 
 
+def test_coords_solver_takes_its_width_from_every_vector():
+    # sparse vectors, the first one shorter than the span's width
+    solve = la.coords_solver([{0: ONE}, {1: ONE}])
+    assert solve is not None
+    assert solve({1: I, 0: Scalar.of(2)}) == {0: Scalar.of(2), 1: I}
+    assert solve([ONE, Scalar.of(3)]) == [ONE, Scalar.of(3)]
+    # an entry at or past the width is outside the span
+    assert solve({2: ONE}) is None
+    assert solve([ONE, ONE, ONE]) is None
+    assert solve([ZERO, ZERO, ZERO, ZERO]) == [ZERO, ZERO]
+    dense = la.coords_solver(la.mat([[0, 1, 0], [0, 0, 0, 2]]))
+    assert dense(la.mat([[0, 2, 0, 2]])[0]) == [Scalar.of(2), ONE]
+    assert dense(la.mat([[1, 0, 0, 0]])[0]) is None
+    assert la.coords_solver([{0: ONE}, {0: I}]) is None
+    assert la.coords_solver([{3: ONE}, {}]) is None
+
+
+def test_eigen_split_over_a_dependent_list_raises():
+    vecs = la.mat([[1, 0], [2, 0]])
+    with pytest.raises(ConstructionFailure,
+                       match="restriction basis is dependent"):
+        la.eigen_split(la.eye(2), vecs, [1])
+
+
 def test_eigen_split_keeps_nonzero_eigenspaces():
     vecs = la.mat([[1, 1, 0], [0, 1, 1]])
     # the ambient operator with eigenvectors vecs[0], vecs[1] and (0, 0, 1)

@@ -1,13 +1,15 @@
 """Field axioms and frozen values for the scalar tower Q(i, sqrt(r))."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hkr.scalars import (Scalar, ZERO, ONE, I, parse_scalar, format_scalar,
-                         ScalarParseError)
+from hkr.scalars import (Scalar, ZERO, ONE, I, add_product, parse_scalar,
+                         format_scalar, ScalarParseError)
 
 
 fractions = st.fractions(
@@ -96,6 +98,16 @@ def test_as_fraction_accepts_only_rationals():
         Scalar.sqrt(2).as_fraction()
     with pytest.raises(ValueError):
         I.as_fraction()
+
+
+def test_zero_has_no_inverse():
+    for zero in (ZERO, ONE - ONE, Scalar.sqrt(2) - Scalar.sqrt(2)):
+        with pytest.raises(ZeroDivisionError):
+            zero.inv()
+        with pytest.raises(ZeroDivisionError):
+            ONE / zero
+    with pytest.raises(ZeroDivisionError):
+        Scalar.sqrt(3) / 0
 
 
 def test_independent_radicals_do_not_collapse():
@@ -417,3 +429,83 @@ def test_canonical_form_and_rational_hashes(pa, q):
                     (g.inv() * g.conj().inv(), 1 / norm)):
         assert x == want and x.is_rational()
         assert hash(x) == hash(want) and x.as_fraction() == want
+
+
+# --- one zero and the fused multiply-add -------------------------------------
+#
+# The linear algebra tests entries for zero by identity with ZERO, so every
+# operation must return that one object for a zero value; and add_product
+# must agree with the two operations it fuses, in value and in canonical form.
+
+operands = st.one_of(gaussian_pairs.map(lambda x: _gaussian(*x)), scalars())
+
+
+def _zeros_made_from(v):
+    """Zeros that the operations make from v, on every path of each."""
+    z = v - v
+    made = [z, v + (-v), -v + v, v * ZERO, ZERO * v, v * 0, 0 * v,
+            v * Fraction(0), Fraction(0) * v, -z, z.conj(), z * v,
+            (v + ONE) - (v + ONE), (v - v.conj()) - (v - v.conj()),
+            Scalar(v.terms()) - v, Scalar({r: (-a, -b) for r, (a, b)
+                                         in v.terms().items()}) + v]
+    if v:
+        made += [ZERO / v, z / v, 0 / v, v * v.inv() - ONE]
+    return made
+
+
+def test_the_constructors_make_no_second_zero():
+    made = [Scalar.of(0), Scalar.of(Fraction(0)), Scalar.sqrt(0),
+            Scalar.sqrt(Fraction(0, 5)), Scalar({}),
+            Scalar({1: (Fraction(0), Fraction(0))}),
+            Scalar({2: (Fraction(1), Fraction(0)), 8: (Fraction(-1, 2), 0)}),
+            Scalar({1: (Fraction(1, 3), 0), 9: (Fraction(-1, 9), 0)}),
+            Scalar.sqrt(2) * Scalar.sqrt(3) - Scalar.sqrt(6),
+            (Scalar.sqrt(2) + I) * (Scalar.sqrt(2) - I) - 3,
+            copy.copy(ZERO), copy.deepcopy(ONE - ONE),
+            pickle.loads(pickle.dumps(ZERO)), parse_scalar("1/2 - 1/2")]
+    assert all(z is ZERO for z in made)
+    assert copy.copy(Scalar.sqrt(2) + I) == Scalar.sqrt(2) + I
+
+
+@settings(max_examples=150, deadline=None)
+@given(gaussian_pairs, scalars())
+def test_every_zero_is_the_shared_zero(x, a):
+    for v in (_gaussian(*x), a, a + _gaussian(*x), Scalar.sqrt(2) + I):
+        for k, z in enumerate(_zeros_made_from(v)):
+            assert z is ZERO, (v, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.none(), operands), operands, operands)
+def test_add_product_is_x_plus_c_times_e(x, c, e):
+    want = c * e if x is None else x + c * e
+    got = add_product(x, c, e)
+    _assert_canonical(got)
+    assert got == want and hash(got) == hash(want)
+    assert (got is ZERO) == (want == 0)
+    # results that cancel to zero
+    assert add_product(-(c * e), c, e) is ZERO
+    assert add_product(c * e, -c, e) is ZERO
+    if x is not None:
+        assert add_product(got, -c, e) == x
+
+
+def test_add_product_on_mixed_operands():
+    r2, half = Scalar.sqrt(2), Scalar.of(Fraction(1, 2))
+    g = Scalar.of(Fraction(1, 6)) + Scalar.of(Fraction(5, 4)) * I
+    for x, c, e, want in (
+            (None, half, I, I / 2),
+            (ONE, half, Scalar.of(2), Scalar.of(2)),
+            (g, g, ONE, g * 2),
+            (Scalar.of(Fraction(1, 4)), half, -half, ZERO),
+            (r2, r2, r2, r2 + 2),
+            (ONE, r2, r2, Scalar.of(3)),
+            (r2, I, ONE, r2 + I),
+            (None, r2 + I, r2 - I, Scalar.of(3)),
+            (-r2 * g, g, r2, ZERO),
+            (Scalar.of(-2), r2, r2, ZERO)):
+        got = add_product(x, c, e)
+        _assert_canonical(got)
+        assert got == want, (x, c, e)
+        if want == 0:
+            assert got is ZERO
