@@ -98,7 +98,7 @@ def cmd_list(args) -> int:
 def cmd_describe(args) -> int:
     fid = catalog.parse_form(args.form)
     S = catalog.build(fid)
-    data = rt.restricted_roots(S)
+    data = dm.analyze(S).root_data
     lam_label, reduced_label = rt.classify_type(data)
     entry = catalog.lookup_table1(fid)
     mults = {",".join(str(v) for v in lab): len(vs)
@@ -127,8 +127,8 @@ def cmd_describe(args) -> int:
 
 
 def cmd_hkr(args) -> int:
-    # analyze raises MismatchWithTable unless the split subalgebra matches
-    # its table row
+    # the section lies in the split subalgebra, which raises
+    # MismatchWithTable unless it matches its table row
     an = dm.analyze(catalog.build(catalog.parse_form(args.form)))
     S, triple, basis = an.structure, an.triple, an.section
     payload = {

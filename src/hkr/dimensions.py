@@ -4,23 +4,20 @@ Everything here is bookkeeping over the module decomposition: Riemann-Roch
 values for powers of a line bundle L on a genus-g curve, the Hitchin base
 dimension computed two independent ways, graded bundle power lists, the
 expected moduli dimension, the split-openness test, and the rank-one moduli
-classification.  All arithmetic is exact; d_L/2 terms are carried as
-Fractions and final sums asserted integral.
+classification.  All arithmetic is exact, in ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import roots as rt
 from . import triples as tp
 from .algebra import RealFormStructure
-from .errors import AmbiguousCohomology, InvalidParams, RouteDisagreement
-
-_F0 = Fraction(0)
+from .errors import (AmbiguousCohomology, ConstructionFailure, InvalidParams,
+                     RouteDisagreement)
 
 
 @dataclass(frozen=True)
@@ -93,17 +90,43 @@ def h0_h1_line_power(m: int, ctx: CurveContext) -> Tuple[int, int]:
 
 @dataclass
 class FormAnalysis:
-    """The construction chain of one form, computed once: everything the
-    dimension formulas need, and the section basis on first read."""
+    """The construction chain of one form.  Each stage is a cached property
+    that reads the stages it needs, so no stage runs before it is read or
+    twice; a stage that raises is not kept, so each read raises alike."""
     structure: RealFormStructure
-    root_data: rt.RestrictedRootData
-    tds: tp.TdsConstruction
-    triple: tp.NormalTriple
-    split_sub: tp.SplitSubalgebra
-    decomposition: tp.ModuleDecomposition
-    quasi_split: bool
-    num_roots: int
-    num_reduced: int
+
+    @cached_property
+    def root_data(self) -> rt.RestrictedRootData:
+        return rt.restricted_roots(self.structure)
+
+    @cached_property
+    def tds(self) -> tp.TdsConstruction:
+        return tp.build_tds(self.structure, self.root_data)
+
+    @cached_property
+    def triple(self) -> tp.NormalTriple:
+        return tp.normal_triple(self.tds)
+
+    @cached_property
+    def split_sub(self) -> tp.SplitSubalgebra:
+        return tp.maximal_split_subalgebra(self.structure, self.tds)
+
+    @cached_property
+    def decomposition(self) -> tp.ModuleDecomposition:
+        return tp.module_decomposition(self.structure, self.triple)
+
+    @cached_property
+    def quasi_split(self) -> bool:
+        return tp.is_quasi_split(self.structure, self.triple)
+
+    @cached_property
+    def num_roots(self) -> int:
+        return rt.full_root_classification(self.structure,
+                                           self.root_data).n_roots
+
+    @cached_property
+    def num_reduced(self) -> int:
+        return len(rt.reduced_system(self.root_data))
 
     @property
     def is_split(self) -> bool:
@@ -111,25 +134,23 @@ class FormAnalysis:
 
     @cached_property
     def section(self) -> tp.SectionBasis:
-        """Built on first read, as so(2,2) analyzes but has none; a build
-        that raises is not cached, so each read raises alike."""
-        return tp.section_basis(self.structure, self.triple,
-                                self.decomposition)
+        """The section of the split subalgebra: f and every e_i lie in it."""
+        space = self.split_sub.space
+        basis = tp.section_basis(self.structure, self.triple,
+                                 self.decomposition)
+        if not all(map(space.contains, [basis.f] + basis.e_list)):
+            raise ConstructionFailure("%s: the section leaves the split "
+                                      "subalgebra" % self.structure.name)
+        return basis
 
 
-def analyze(structure: RealFormStructure) -> FormAnalysis:
-    """The one place that chains the construction stages."""
-    S = structure
-    data = rt.restricted_roots(S)
-    tds = tp.build_tds(S, data)
-    triple = tp.normal_triple(tds)
-    sub = tp.maximal_split_subalgebra(S, tds)
-    dec = tp.module_decomposition(S, triple)
-    qs = tp.is_quasi_split(S, triple)
-    full = rt.full_root_classification(S, data)
-    num_reduced = len(rt.reduced_system(data))
-    return FormAnalysis(S, data, tds, triple, sub, dec, qs,
-                        full.n_roots, num_reduced)
+# analyze(S) builds no stage: each runs on first read
+analyze = FormAnalysis
+
+
+def _halved(twice: int) -> str:
+    """twice / 2 in lowest terms: an int, or an odd numerator over 2."""
+    return "%d/2" % twice if twice % 2 else str(twice // 2)
 
 
 def hitchin_base_dim(analysis: FormAnalysis, ctx: CurveContext) -> int:
@@ -143,12 +164,12 @@ def hitchin_base_dim(analysis: FormAnalysis, ctx: CurveContext) -> int:
         return dec.a + dec.dim_z_m if ctx.L_is_trivial else 0
     route1 = sum(h0_h1_line_power(bl.m, ctx)[0] for bl in dec.located("m"))
     h1_L = h0_h1_line_power(1, ctx)[1]
-    half = Fraction(ctx.d_L, 2)
-    route2 = half * analysis.split_sub.dim + \
-        dec.a * (half - ctx.genus + 1) + h1_L * dec.dim_z_m
-    if route2.denominator != 1 or route1 != route2:
+    twice = ctx.d_L * analysis.split_sub.dim + \
+        dec.a * (ctx.d_L - 2 * ctx.genus + 2) + 2 * h1_L * dec.dim_z_m
+    if 2 * route1 != twice:
         raise RouteDisagreement("%s: base dim %s (h0 sum) vs %s (closed form)"
-                                % (analysis.structure.name, route1, route2))
+                                % (analysis.structure.name, route1,
+                                   _halved(twice)))
     return route1
 
 
@@ -218,13 +239,12 @@ def expected_moduli_dim(analysis: FormAnalysis, ctx: CurveContext) -> int:
     dec = analysis.decomposition
     g, dl = ctx.genus, ctx.d_L
     h1_L = h0_h1_line_power(1, ctx)[1]
-    half = Fraction(dl, 2)
-    eq_direct = dec.c + dec.dim_z_m * h1_L + half * analysis.structure.dim \
-        + (dec.a - dec.b) * (half - g + 1)
-    if eq_direct.denominator != 1:
+    twice = 2 * (dec.c + dec.dim_z_m * h1_L) + dl * analysis.structure.dim \
+        + (dec.a - dec.b) * (dl - 2 * g + 2)
+    if twice % 2:
         raise RouteDisagreement("%s: expected dimension %s is not integral"
-                                % (analysis.structure.name, eq_direct))
-    value = int(eq_direct)
+                                % (analysis.structure.name, _halved(twice)))
+    value = twice // 2
     if analysis.quasi_split:
         spec = graded_bundle_spec(analysis)
         chi = euler_characteristic_difference(spec, ctx)
@@ -282,8 +302,7 @@ def sl2_moduli_classify(alpha, d: int, d_L: int) -> str:
     a torsor over the Picard variety at the critical value alpha = d;
     entirely semistable above it.
     """
-    alpha = Fraction(alpha)
-    if Fraction(d) > Fraction(abs(d_L), 2) or Fraction(d) < alpha:
+    if 2 * d > abs(d_L) or d < alpha:
         return "empty"
     if alpha == d:
         return "picard_torsor"
@@ -319,11 +338,8 @@ def dimension_report(analysis: FormAnalysis, ctx: CurveContext
                      ) -> DimensionReport:
     dec = analysis.decomposition
     base = hitchin_base_dim(analysis, ctx)
-    if ctx.d_L == 0:
-        expected = None
-        hkr_open = None
-        terms = None
-    else:
+    expected = hkr_open = terms = None
+    if ctx.d_L != 0:
         expected = expected_moduli_dim(analysis, ctx)
         br = split_openness_test(analysis, ctx)
         hkr_open = br.is_open

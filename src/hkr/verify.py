@@ -1,11 +1,11 @@
 """Self-verification suites: every identity the construction promises,
 re-checked from scratch with deterministic sampling.
 
-The checks of a form all read its one ``dimensions.analyze``.  Each check
-returns a CheckResult rather than raising, so a run reports the first
-counterexample instead of a bare traceback.  Sampling checks draw from a
-PRNG seeded per (seed, form, check), making runs reproducible and
-independent of check ordering.
+The checks of a form read the stages they need of its one
+``dimensions.analyze``.  Each returns a CheckResult rather than raising, so a
+run reports the first counterexample or failing stage instead of a bare
+traceback.  Sampling checks draw from a PRNG seeded per (seed, form, check),
+making runs reproducible and independent of check ordering.
 """
 
 from __future__ import annotations
@@ -167,9 +167,8 @@ def _check_modules(an: dm.FormAnalysis) -> Optional[str]:
 
 def _check_regularity(an: dm.FormAnalysis, seed: int, samples: int
                       ) -> Optional[str]:
-    S = an.structure
     basis = an.section
-    rng = _rng(seed, S.name, "regularity")
+    rng = _rng(seed, an.structure.name, "regularity")
     for k in range(samples):
         gamma = _random_gamma(rng, basis.rank)
         assert tp.section_point_regular(basis, gamma), \
@@ -300,18 +299,18 @@ def _require_counts(samples: int, fiber_samples: int, conjugators: int
 def verify_form(fid, seed: int = 0, samples: int = 100,
                 fiber_samples: int = FIBER_SAMPLES,
                 conjugators: int = CONJUGATORS) -> List[CheckResult]:
-    """The per-form checks of fid.  The sampling checks read the lazy
-    ``an.section``; a build that raises is not kept, so each fails alike."""
+    """The per-form checks of fid.  A stage that raises fails just the checks
+    that read it; a build that raises is one ``construction`` row."""
     _require_counts(samples, fiber_samples, conjugators)
     name = catalog.form_display(fid)
     try:
         S = catalog.build(fid)
-        an = dm.analyze(S)
     except (InvalidParams, SizeBound):
         raise  # a usage error, not a failed construction
     except HkrError as exc:
         return [CheckResult(name, "construction", False,
                             "%s: %s" % (type(exc).__name__, exc))]
+    an = dm.analyze(S)
     out = [
         _run(name, "roots", lambda: _check_roots(an)),
         _run(name, "tds", lambda: _check_tds(an)),

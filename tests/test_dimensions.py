@@ -1,13 +1,20 @@
 """Cohomology tables, base and moduli dimension formulas, openness."""
 
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from hkr import dimensions as dm
+from hkr import roots as rt
+from hkr import triples as tp
+from hkr import verify as vf
 from hkr.algebra import RealFormStructure
 from hkr.catalog import build, form_id
-from hkr.errors import AmbiguousCohomology, InvalidParams
+from hkr.cli import main
+from hkr.errors import (AmbiguousCohomology, ConstructionFailure,
+                        InvalidParams, RouteDisagreement)
 
 
 _CACHE = {}
@@ -31,9 +38,9 @@ def test_center_computed_once_per_structure(monkeypatch):
         return original(self, elements, space)
 
     monkeypatch.setattr(RealFormStructure, "centralizer_in_span", counting)
-    dm.analyze(S)
+    dm.analyze(S).decomposition
     assert len(calls) == 1
-    dm.analyze(S)
+    dm.analyze(S).decomposition
     assert len(calls) == 1
 
 
@@ -48,11 +55,91 @@ def test_triple_centralizer_computed_once_per_analyze(monkeypatch):
 
     monkeypatch.setattr(RealFormStructure, "centralizer_in_span", recording)
     an = dm.analyze(S)
+    an.decomposition, an.quasi_split
     t = an.triple
     # c(s^C) is the part of ker ad(e) that f centralizes; ker ad(e) is
     # shared with the module decomposition
     assert seen.count((t.f,)) == 1
     assert seen.count((t.e,)) == 1
+
+
+# --- the stage graph ------------------------------------------------------------
+
+# the function behind each stage of FormAnalysis that the verbs count, and
+# behind the section; reduced_system is a lookup on the root data
+_STAGE_FUNCTIONS = [(rt, "restricted_roots"), (tp, "build_tds"),
+                    (tp, "normal_triple"), (tp, "maximal_split_subalgebra"),
+                    (tp, "module_decomposition"), (tp, "is_quasi_split"),
+                    (rt, "full_root_classification"), (tp, "section_basis")]
+_ALL = {name for _, name in _STAGE_FUNCTIONS}
+_SECTION = _ALL - {"is_quasi_split", "full_root_classification"}
+_DIMENSIONS = _ALL - {"section_basis"}
+_SU12 = "su:p=1,q=2"
+
+
+def _construct_op():
+    an = dm.analyze(build(form_id("su_pq", p=1, q=2)))
+    dm.dimension_report(an, dm.CurveContext.canonical(2))
+
+
+@pytest.mark.parametrize("run, stages", [
+    (lambda: main(["describe", _SU12]), {"restricted_roots"}),
+    (lambda: main(["lemma73", "--n", "3"]),
+     {"restricted_roots", "build_tds", "normal_triple"}),
+    (lambda: main(["hkr", _SU12]), _SECTION),
+    (lambda: main(["section", _SU12]), _SECTION),
+    (lambda: main(["dims", _SU12]), _DIMENSIONS),
+    (_construct_op, _DIMENSIONS),
+    (lambda: vf.verify_form(form_id("su_pq", p=1, q=2), seed=0, samples=1,
+                            fiber_samples=1, conjugators=1), _ALL),
+], ids=["describe", "lemma73", "hkr", "section", "dims", "construct",
+        "verify_form"])
+def test_each_verb_runs_the_stages_it_reads_once(monkeypatch, capsys, run,
+                                                 stages):
+    calls = Counter()
+    for module, name in _STAGE_FUNCTIONS:
+        def counting(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counting)
+    result = run()
+    assert result in (0, None) or all(r.ok for r in result)
+    assert dict(calls) == dict.fromkeys(stages, 1)
+
+
+def test_a_stage_that_raises_is_not_kept(monkeypatch):
+    an = dm.analyze(build(form_id("sl_R", n=2)))
+    original = tp.normal_triple
+
+    def failing(tds):
+        raise ConstructionFailure("planted triple fault")
+
+    monkeypatch.setattr(tp, "normal_triple", failing)
+    for _ in range(2):
+        with pytest.raises(ConstructionFailure, match="planted triple"):
+            an.decomposition
+    assert "tds" in vars(an) and "triple" not in vars(an)
+    monkeypatch.setattr(tp, "normal_triple", original)
+    assert an.decomposition is an.decomposition
+
+
+def test_section_outside_the_split_subalgebra_is_refused(monkeypatch):
+    # the section is built for the split subalgebra: f and each e_i lie in it
+    an = dm.analyze(build(form_id("su_pq", p=1, q=2)))
+    S, space = an.structure, an.split_sub.space
+    outside = next(v for v in map(S.unit_coords, S.m_indices)
+                   if not space.contains(v))
+    original = tp.section_basis
+
+    def leaving(*args):
+        basis = original(*args)
+        basis.e_list[-1] = outside
+        return basis
+
+    monkeypatch.setattr(tp, "section_basis", leaving)
+    with pytest.raises(ConstructionFailure, match=r"^su\(1,2\): the section "
+                       r"leaves the split subalgebra$"):
+        an.section
 
 
 # --- line bundle cohomology -------------------------------------------------------
@@ -153,6 +240,25 @@ def test_base_dim_non_split_forms():
     assert dm.hitchin_base_dim(analysis("su_pq", p=2, q=2), K2) == 10
     assert dm.hitchin_base_dim(analysis("su_pq", p=3, q=3), K2) == 21
     assert dm.hitchin_base_dim(analysis("sl_C_as_real", n=2), K2) == 3
+
+
+@pytest.mark.parametrize("split_dim, closed", [(4, "13/2"), (5, "8")])
+def test_base_dim_disagreement_names_both_routes(split_dim, closed):
+    # a planted split subalgebra of the wrong size; d_L = 3 is odd, so the
+    # closed form can be a half-integer
+    an = dm.analyze(build(form_id("sl_R", n=2)))
+    an.split_sub = SimpleNamespace(dim=split_dim)
+    with pytest.raises(RouteDisagreement, match=r"^sl\(2,R\): base dim 5 "
+                       r"\(h0 sum\) vs %s \(closed form\)$" % closed):
+        dm.hitchin_base_dim(an, dm.CurveContext.of_degree(2, 3))
+
+
+def test_expected_dim_that_is_not_integral_is_refused():
+    an = dm.analyze(build(form_id("sl_R", n=2)))
+    an.decomposition = SimpleNamespace(a=1, b=1, c=0, dim_z_m=0)
+    with pytest.raises(RouteDisagreement, match=r"^sl\(2,R\): expected "
+                       r"dimension 9/2 is not integral$"):
+        dm.expected_moduli_dim(an, dm.CurveContext.of_degree(2, 3))
 
 
 def test_base_dim_degenerate_L():

@@ -1,7 +1,7 @@
 """Source hygiene of the package: no module imports a name it never reads,
 no public top-level name goes unread by the library and the benchmark, no
-parameter default goes unpassed, and only ``scalars`` reads the slots of a
-Scalar."""
+private top-level name goes unread by its module, no parameter default goes
+unpassed, and only ``scalars`` reads the slots of a Scalar."""
 
 import ast
 from collections import Counter
@@ -70,22 +70,23 @@ def _reads(node):
     return out
 
 
+def _bound_names(node):
+    """The names a top-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _public_definitions(tree):
     """(name, line, node) of each public top-level def, class or assignment,
     and of each public method or property of a top-level class, named
     ``Class.method``."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            targets = [node.name]
-        elif isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
-                                                            ast.Name):
-            targets = [node.target.id]
-        else:
-            continue
-        for name in targets:
+        for name in _bound_names(node):
             if not name.startswith("_"):
                 yield name, node.lineno, node
         if isinstance(node, ast.ClassDef):
@@ -151,6 +152,34 @@ def test_every_public_name_is_read():
     modules = {p.stem: p.read_text() for p in sorted(_SRC.glob("*.py"))}
     bench = [p.read_text() for p in sorted((_ROOT / "bench").glob("*.py"))]
     assert unread_public_names(modules, bench) == []
+
+
+def unread_private_names(source: str):
+    """(line, name) of each private top-level def, class or assignment of a
+    module (one leading ``_``, not a dunder) that the module does not read
+    outside its own definition (see ``_reads``)."""
+    tree = ast.parse(source)
+    total = _reads(tree)
+    return sorted((node.lineno, name) for node in tree.body
+                  for name in _bound_names(node)
+                  if name.startswith("_") and not name.startswith("__")
+                  and total[name] - _reads(node)[name] <= 0)
+
+
+def test_the_scan_finds_an_unread_private_name():
+    source = ("_LIMIT = 3\n_SPARE = 4\n__all__ = ['f']\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "class _Point:\n    pass\n"
+              "def _used():\n    return _LIMIT, _Point\n"
+              "def f():\n    return _used()\n")
+    assert unread_private_names(source) == [(2, "_SPARE"),
+                                            (4, "_recursive")]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    assert unread_private_names(path.read_text()) == []
 
 
 def _is_dataclass(node):

@@ -4,6 +4,7 @@ import pytest
 
 from hkr import catalog
 from hkr import dimensions as dm
+from hkr import roots as rt
 from hkr import triples as tp
 from hkr import verify as vf
 from hkr.errors import ConstructionFailure, InvalidParams
@@ -60,6 +61,33 @@ def test_section_basis_fault_fails_each_sampling_check(monkeypatch):
     assert all(r.ok for r in others), [r.line() for r in others if not r.ok]
 
 
+def test_a_failing_stage_fails_only_the_checks_that_read_it(monkeypatch):
+    # the root count is read by the dimension formulas and openness alone
+    def planted(S, data):
+        raise ConstructionFailure("%s: planted root count fault" % S.name)
+
+    monkeypatch.setattr(rt, "full_root_classification", planted)
+    results = vf.verify_form(catalog.form_id("sl_R", n=2), seed=0,
+                             samples=2, fiber_samples=1, conjugators=1)
+    failed = {r.check: r.detail for r in results if not r.ok}
+    assert failed == dict.fromkeys(
+        ("dimensions", "openness"),
+        "ConstructionFailure: sl(2,R): planted root count fault")
+    assert len(results) == 11
+
+
+def test_a_failing_build_is_one_construction_row(monkeypatch):
+    def planted(fid):
+        raise ConstructionFailure("planted build fault")
+
+    monkeypatch.setattr(catalog, "build", planted)
+    results = vf.verify_form(catalog.form_id("sl_R", n=2), seed=0,
+                             samples=2, fiber_samples=1, conjugators=1)
+    assert [(r.form, r.check, r.ok, r.detail) for r in results] == [
+        ("sl(2,R)", "construction", False,
+         "ConstructionFailure: planted build fault")]
+
+
 @pytest.mark.parametrize("counts", [(-3, 0, 0), (0, 1, 1), (2, 0, 1),
                                     (2, 1, 0)])
 def test_sample_counts_below_one_are_rejected(monkeypatch, counts):
@@ -78,7 +106,9 @@ def test_sample_counts_below_one_are_rejected(monkeypatch, counts):
 
 
 def _sl3r_analysis():
-    return dm.analyze(catalog.build(catalog.form_id("sl_R", n=3)))
+    an = dm.analyze(catalog.build(catalog.form_id("sl_R", n=3)))
+    an.section  # built before any charpoly is counted
+    return an
 
 
 def test_injectivity_takes_one_charpoly_per_gamma(monkeypatch):
