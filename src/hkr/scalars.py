@@ -53,28 +53,38 @@ _Z2 = (0, 0)
 Coef = Tuple[Fraction, Fraction]  # re, im
 
 
+# trial division stops below this prime bound; a radicand with a prime factor
+# at or above it is refused, so splitting and inverting stay bounded
+_PRIME_BOUND = 2 ** 16
+
+
 def _squarefree_split(n: int) -> Tuple[int, int]:
-    """n = s * k^2 with s square-free; returns (s, k).  n must be positive."""
+    """n = s * k^2 with s square-free; returns (s, k).  n must be positive,
+    with every prime factor below 2^16."""
     if n <= 0:
         raise ValueError("radicand must be positive, got %r" % (n,))
-    s, k = 1, 1
+    s, k, m = 1, 1, n
     d = 2
-    while d * d <= n:
-        if n % d == 0:
+    while d * d <= m and d < _PRIME_BOUND:
+        if m % d == 0:
             e = 0
-            while n % d == 0:
-                n //= d
+            while m % d == 0:
+                m //= d
                 e += 1
             k *= d ** (e // 2)
             if e % 2:
                 s *= d
         d += 1 if d == 2 else 2
-    return s * n, k
+    # m is now 1, a prime, or a product of primes of at least d
+    if m >= _PRIME_BOUND:
+        raise ValueError("radicand %d has a prime factor of 2^16 or more" % n)
+    return s * m, k
 
 
 @lru_cache(maxsize=256)
 def _primes_of(r: int) -> Tuple[int, ...]:
-    """The prime factors of a square-free radicand, ascending."""
+    """The prime factors of a square-free radicand, ascending; each is below
+    2^16, so the trial division is short."""
     out = []
     p = 2
     while p * p <= r:

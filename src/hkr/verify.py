@@ -1,11 +1,14 @@
-"""Self-verification suites: every identity the construction promises,
-re-checked from scratch with deterministic sampling.
+"""Self-verification suites, one CheckResult row per check.
 
-The checks of a form read the stages they need of its one
-``dimensions.analyze``.  Each returns a CheckResult rather than raising, so a
-run reports the first counterexample or failing stage instead of a bare
-traceback.  Sampling checks draw from a PRNG seeded per (seed, form, check),
-making runs reproducible and independent of check ordering.
+The construction raises a typed error on each identity it asserts, so a row
+either reports the stage it reads of the form's one ``dimensions.analyze``
+(``tds``, ``normal_triple``, ``split_subalgebra``, ``dimensions``,
+``openness``) or adds a route that the construction does not take: a
+reference-table row (``roots``, ``modules``, ``explicit_matrices``), seeded
+sampling (``regularity``, ``invariance``, ``injectivity``, ``fiber_match``),
+or the Molien oracle among the global rows.  A failing stage or a
+counterexample fails its row, never the run.  Sampling checks draw from a
+PRNG seeded per (seed, form, check), so runs are reproducible in any order.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ from . import roots as rt
 from . import triples as tp
 from .errors import HkrError, InvalidParams, SizeBound
 from .scalars import Scalar, ZERO
-
-NEG_ONE = Scalar.of(-1)
-TWO = Scalar.of(2)
 
 
 @dataclass
@@ -96,68 +96,30 @@ def _check_roots(an: dm.FormAnalysis) -> Optional[str]:
 
 
 def _check_tds(an: dm.FormAnalysis) -> Optional[str]:
-    S = an.structure
-    tds = an.tds
-    assert tuple(S.bracket_coords(tds.w, tds.e_c)) == \
-        tuple(TWO * v for v in tds.e_c), "[w, e_c] != 2 e_c"
-    assert tuple(S.bracket_coords(tds.w, tds.f_c)) == \
-        tuple(NEG_ONE * TWO * v for v in tds.f_c), "[w, f_c] != -2 f_c"
-    assert tuple(S.bracket_coords(tds.e_c, tds.f_c)) == tds.w, \
-        "[e_c, f_c] != w"
-    assert all(b < 0 for b in tds.b), "some b_i >= 0"
-    assert all(c > 0 for c in tds.c), "some c_i <= 0"
-    w_a = [tds.w[i] for i in S.a_indices]
-    assert S.a_vector(w_a) == tds.w, "w is not in a"
-    for lam in tds.simples:
-        val = sum((t * v for t, v in zip(w_a, lam)), ZERO)
-        assert val == 2, "lambda(w) = %s" % val
-    for i in range(S.rank_a):
-        di = tds.d[i]
-        assert di * di == Scalar.of(-tds.c[i] / tds.b[i]), "d_i^2 != -c_i/b_i"
-    return "rank %d" % S.rank_a
+    an.tds  # build_tds raises unless each relation of the TDS holds
+    return "rank %d" % an.structure.rank_a
 
 
 def _check_triple(an: dm.FormAnalysis) -> Optional[str]:
-    S = an.structure
-    t = an.triple
-    assert tuple(S.bracket_coords(t.x, t.e)) == t.e, "[x, e] != e"
-    assert tuple(S.bracket_coords(t.x, t.f)) == \
-        tuple(NEG_ONE * v for v in t.f), "[x, f] != -f"
-    assert tuple(S.bracket_coords(t.e, t.f)) == t.x, "[e, f] != x"
-    assert S.theta_coords(t.e) == tuple(NEG_ONE * v for v in t.e), \
-        "e not in m^C"
-    assert S.theta_coords(t.f) == tuple(NEG_ONE * v for v in t.f), \
-        "f not in m^C"
-    assert S.theta_coords(t.x) == t.x, "x not in h^C"
-    for v, what in ((t.e, "e"), (t.f, "f")):
-        assert la.is_nilpotent(S.matrix_of(v)), "%s not nilpotent" % what
-    return None
+    # normal_triple keeps the one sign choice with [x,e] = e, [x,f] = -f and
+    # [e,f] = x, and raises unless e, f are nilpotent in m^C and x is in h^C
+    an.triple
 
 
 def _check_split_sub(an: dm.FormAnalysis) -> Optional[str]:
-    fid = catalog.form_id(an.structure.family, **an.structure.params)
-    entry = catalog.lookup_table1(fid)
-    want = catalog.algebra_label_dim(entry.split_sub)
-    assert an.split_sub.dim == want, \
-        "dim %d, table %d" % (an.split_sub.dim, want)
-    return "%s (dim %d, %s)" % (entry.split_sub, an.split_sub.dim,
-                                an.split_sub.reduced_type)
+    sub = an.split_sub  # raises unless its dim is the Table 1 row's
+    return "%s (dim %d, %s)" % (sub.table_label, sub.dim, sub.reduced_type)
 
 
 def _check_modules(an: dm.FormAnalysis) -> Optional[str]:
     S = an.structure
     dec = an.decomposition
-    assert sum(2 * bl.m - 1 for bl in dec.blocks) == S.dim, \
-        "sum(2m - 1) != dim g^C"
     trivial = sum(1 for bl in dec.blocks if bl.m == 1)
+    counts = "%d trivial modules, dim z = %d" % (trivial, dec.dim_z)
     if an.quasi_split:
-        assert trivial == dec.dim_z, \
-            "quasi-split but %d trivial modules, dim z = %d" % (trivial,
-                                                                dec.dim_z)
+        assert trivial == dec.dim_z, "quasi-split but " + counts
     else:
-        assert trivial > dec.dim_z, \
-            "not quasi-split but %d trivial modules, dim z = %d" % (
-                trivial, dec.dim_z)
+        assert trivial > dec.dim_z, "not quasi-split but " + counts
     fid = catalog.form_id(S.family, **S.params)
     assert an.quasi_split == catalog.reference_quasi_split(fid), \
         "quasi-split flag %s, reference says %s" % (
@@ -186,8 +148,8 @@ def _check_invariance(an: dm.FormAnalysis, seed: int, samples: int
         gamma = _random_gamma(rng, basis.rank)
         pt = tp.section_point(basis, gamma)
         moved = tp.conjugate_coords(S, g, ginv, pt)
-        assert tuple(S.theta_coords(moved)) == \
-            tuple(NEG_ONE * v for v in moved), "conjugate %d left m^C" % k
+        assert tuple(S.theta_coords(moved)) == tuple(-v for v in moved), \
+            "conjugate %d left m^C" % k
         cp0 = la.charpoly(S.matrix_of(pt))
         cp1 = la.charpoly(S.matrix_of(moved))
         assert tuple(cp0) == tuple(cp1), \
@@ -236,41 +198,30 @@ def _check_fiber_match(an: dm.FormAnalysis, seed: int, samples: int
     rng = _rng(seed, S.name, "fiber_match")
     for k in range(samples):
         d = _regular_a_element(an, rng)
+        # section_fiber_match raises unless the charpolys of d and pt agree
         gamma = tp.section_fiber_match(S, basis, d)
         pt = tp.section_point(basis, gamma)
-        cp_d = la.charpoly(S.matrix_of(d))
-        cp_s = la.charpoly(S.matrix_of(pt))
-        assert tuple(cp_d) == tuple(cp_s), "sample %d: charpoly mismatch" % k
         assert tp.is_regular(S, pt), "sample %d: matched point not regular" % k
     return "%d targets" % samples
 
 
 def _check_dims(an: dm.FormAnalysis) -> Optional[str]:
+    """Each d_L > 0 report raises unless a split form has base dim equal to
+    the expected moduli dim and openness agrees with splitness."""
     outs = []
     for g in (2, 3):
         for ctx in (dm.CurveContext.canonical(g),
                     dm.CurveContext.of_degree(g, 2 * g - 1),
                     dm.CurveContext.of_degree(g, 4 * g)):
-            rep = dm.dimension_report(an, ctx)
-            if an.is_split:
-                assert rep.base_dim == rep.expected_moduli_dim, \
-                    "split but base != expected at g=%d d_L=%d" % (g, ctx.d_L)
-                assert rep.hkr_open, "split but not open at g=%d" % g
-            else:
-                assert not rep.hkr_open, "not split but open at g=%d" % g
-            outs.append(rep.base_dim)
+            outs.append(dm.dimension_report(an, ctx).base_dim)
         dm.dimension_report(an, dm.CurveContext.trivial(g))
         dm.dimension_report(an, dm.CurveContext.of_degree(g, 0))
     return "base dims %s" % outs
 
 
 def _check_openness(an: dm.FormAnalysis) -> Optional[str]:
+    # raises at d_L = 2 unless openness = splitness = every term zero
     br = dm.split_openness_test(an, dm.CurveContext.canonical(2))
-    assert br.is_open == an.is_split, "openness != splitness"
-    if an.is_split:
-        assert br.term_b == 0 and br.term_roots == 0 and br.term_z_h == 0, \
-            "split form with nonzero term"
-        assert an.num_roots == an.num_reduced, "#roots != #reduced for split"
     return "value %d (roots %d, b %d, z_h %d)" % (
         br.value, br.term_roots, br.term_b, br.term_z_h)
 

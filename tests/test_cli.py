@@ -137,8 +137,10 @@ def test_verify_single_form(capsys):
                              "--samples", "5", "--seed", "1")
     assert code == 0
     assert payload["failures"] == 0
-    checks = {r["check"] for r in payload["results"] if r["form"] == "sl(2,R)"}
-    assert "tds_relations" in checks or len(checks) >= 8
+    checks = [r["check"] for r in payload["results"] if r["form"] == "sl(2,R)"]
+    assert checks == ["roots", "tds", "normal_triple", "split_subalgebra",
+                      "modules", "regularity", "invariance", "injectivity",
+                      "fiber_match", "dimensions", "openness"]
 
 
 def test_verify_json_reports_seconds(capsys):
@@ -355,6 +357,20 @@ def test_zero_denominator_gamma_is_a_usage_error():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr
+
+
+@pytest.mark.parametrize("gamma", ["sqrt(100000000000000000039)",
+                                   "sqrt(1000000000039),sqrt(1000000000061)"])
+def test_radicand_with_a_large_prime_factor_is_a_prompt_usage_error(gamma):
+    # a separate process with a timeout, so a slow factorization fails the
+    # test instead of stalling the suite
+    form = "sl_r:n=%d" % (gamma.count(",") + 2)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkr.cli", "section", form, "--gamma", gamma],
+        capture_output=True, text=True, env=_cli_env(), timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: bad --gamma entry: bad radicand ")
+    assert "prime factor of 2^16 or more" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [["table1"],

@@ -142,6 +142,18 @@ def test_parse_rejects_zero_denominators():
             parse_scalar(bad)
 
 
+def test_radicands_with_a_prime_factor_of_2_16_or_more_are_refused():
+    # 65521 is the largest prime below 2^16 and 65537 the least above it
+    assert Scalar.sqrt(65521) * Scalar.sqrt(65521) == 65521
+    v = Scalar.sqrt(65521) + Scalar.sqrt(Fraction(3, 65519))
+    assert v * v.inv() == 1
+    for bad in (65537, 2 * 65537, Fraction(1, 65537), 65537 * 65539):
+        with pytest.raises(ValueError, match="prime factor of 2\\^16"):
+            Scalar.sqrt(bad)
+    with pytest.raises(ScalarParseError, match="bad radicand"):
+        parse_scalar("sqrt(1000000000039)")
+
+
 # --- hash contract -------------------------------------------------------------
 
 def test_rational_scalars_hash_like_their_value():

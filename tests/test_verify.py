@@ -1,5 +1,8 @@
 """The verification runner: a fault in one check never hides the others."""
 
+import hashlib
+import json
+
 import pytest
 
 from hkr import catalog
@@ -61,19 +64,60 @@ def test_section_basis_fault_fails_each_sampling_check(monkeypatch):
     assert all(r.ok for r in others), [r.line() for r in others if not r.ok]
 
 
-def test_a_failing_stage_fails_only_the_checks_that_read_it(monkeypatch):
-    # the root count is read by the dimension formulas and openness alone
-    def planted(S, data):
-        raise ConstructionFailure("%s: planted root count fault" % S.name)
+# the checks that read the section or the dimension formulas, which need both
+# the split subalgebra and the module decomposition
+_LATE_CHECKS = ("regularity", "invariance", "injectivity", "fiber_match",
+                "dimensions", "openness")
 
-    monkeypatch.setattr(rt, "full_root_classification", planted)
+
+# each stage raises on the identities it asserts, and verify reports that
+# raise on every check that reads the stage; the root count is read by the
+# dimension formulas and openness alone
+_STAGE_FAULTS = [
+    (tp, "build_tds",
+     ("tds", "normal_triple", "split_subalgebra", "modules")
+     + _LATE_CHECKS),
+    (tp, "normal_triple", ("normal_triple", "modules") + _LATE_CHECKS),
+    (tp, "maximal_split_subalgebra", ("split_subalgebra",) + _LATE_CHECKS),
+    (tp, "module_decomposition", ("modules",) + _LATE_CHECKS),
+    (rt, "full_root_classification", ("dimensions", "openness")),
+]
+
+
+@pytest.mark.parametrize("module, stage, failing", _STAGE_FAULTS,
+                         ids=[stage for _, stage, _ in _STAGE_FAULTS])
+def test_a_failing_stage_fails_only_the_checks_that_read_it(
+        monkeypatch, module, stage, failing):
+    def planted(*args):
+        raise ConstructionFailure("planted %s fault" % stage)
+
+    monkeypatch.setattr(module, stage, planted)
     results = vf.verify_form(catalog.form_id("sl_R", n=2), seed=0,
                              samples=2, fiber_samples=1, conjugators=1)
     failed = {r.check: r.detail for r in results if not r.ok}
     assert failed == dict.fromkeys(
-        ("dimensions", "openness"),
-        "ConstructionFailure: sl(2,R): planted root count fault")
+        failing, "ConstructionFailure: planted %s fault" % stage)
     assert len(results) == 11
+
+
+# sha256 of the (form, check, ok, detail) rows of verify_form at samples=2,
+# fiber_samples=1, conjugators=1: so(3,3) skips two checks, so*(6) adds
+# explicit_matrices and so(2,2) fails regularity and invariance
+_PINNED_ROW_FORMS = (("sl_R", {"n": 2}), ("su_pq", {"p": 1, "q": 2}),
+                     ("so_pq", {"p": 3, "q": 3}), ("so_star", {"n": 3}),
+                     ("so_pq", {"p": 2, "q": 2}))
+_PINNED_ROWS = \
+    "f9d6d3fd3472af856f7e2ab277c35dcb3cae9c0d62faa6c691446cbd5e36330c"
+
+
+def test_verify_rows_match_their_pinned_digest():
+    rows = []
+    for family, params in _PINNED_ROW_FORMS:
+        rows.extend((r.form, r.check, r.ok, r.detail) for r in vf.verify_form(
+            catalog.form_id(family, **params), seed=0, samples=2,
+            fiber_samples=1, conjugators=1))
+    assert len(rows) == 56
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _PINNED_ROWS
 
 
 def test_a_failing_build_is_one_construction_row(monkeypatch):
