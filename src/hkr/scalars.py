@@ -11,13 +11,19 @@ equal values have equal fields.  Sums and products therefore need only
 integer arithmetic and one gcd pass, and a rational operand only scales the
 numerators.
 
-A value in Q(i) is held in three integer slots, (re + im*i) / d, with no
-radicand table.  Catalog bases, structure constants, rational coordinates and
-ad-matrices all lie in Q(i), so this is the fast path: +, -, *, negation,
-``conj`` and ``inv`` of two such values are a few integer operations and one
-gcd.  Any other value keeps its radicand table {r: (a_r, b_r)}; an operation
-with such an operand works on the tables, and a result that lies in Q(i)
-takes the slot form again, so each value has exactly one form.
+A value with one radicand is held in four integer slots,
+(re + im*i) * sqrt(r) / d, with no radicand table; r = 1 is Q(i).  Catalog
+bases, structure constants, rational coordinates and ad-matrices lie in
+Q(i), and every coordinate of the normal triple and the section has one
+radicand, so this is the fast path: + and - of equal radicands, *
+(sqrt(r) * sqrt(s) = k * sqrt(r*s / k^2) with k = gcd(r, s)), negation,
+``conj`` and ``inv`` (d (a - b*i) sqrt(r) / ((a^2 + b^2) r)) are a few
+integer operations and one gcd.  A value with two or more radicands keeps
+its radicand table {r: (a_r, b_r)}; an operation with such an operand, or a
+sum of two radicands, works on the tables, and a result with one radicand
+takes the slot form again, so each value has exactly one form.  A value
+with a radical hashes as its table, hash((d, frozenset(table.items()))),
+in either form.
 
 The inverse of a value with radicals goes through the conjugates.
 Q(i, sqrt(p_1), ..., sqrt(p_k)), for the primes p_j dividing the radicands of
@@ -31,9 +37,10 @@ is rational and x^-1 = P / N(x).
 object for a zero value.  The linear algebra therefore tests a Scalar for
 zero by identity, ``x is ZERO``, without a call.  ``add_product(x, c, e)``
 is the fused multiply-add x + c*e of its row reductions and brackets (x None
-reads as zero): with all three in Q(i) it forms the product and the sum in
-integers over one denominator and allocates only the result; a radical
-operand takes the two operations.  Only this module reads a Scalar's slots.
+reads as zero): with c and e in the slot form and x of their product's
+radicand, it forms the product and the sum in integers over one denominator
+and allocates only the result; other operands take the two operations.
+Only this module reads a Scalar's slots.
 
 This field is closed under the four operations and under complex
 conjugation, which is all the rest of the package needs.  Fractions and ints
@@ -111,46 +118,52 @@ def _reduced(t: Dict[int, Tuple[int, int]], d: int, g: int) -> "Scalar":
     return _make(t, d)
 
 
-def _gauss(re: int, im: int, d: int, g: int = 1) -> "Scalar":
-    """The Gaussian Scalar (re + im*i) / d in lowest terms, where any factor
-    common to d and both numerators divides g (g = 1: none does); ZERO
-    itself when re = im = 0."""
+def _slot(re: int, im: int, r: int, d: int, g: int = 1) -> "Scalar":
+    """The Scalar (re + im*i) * sqrt(r) / d in lowest terms, r square-free,
+    where any factor common to d and both numerators divides g (g = 1: none
+    does); ZERO itself when re = im = 0."""
     if not (re or im):
         return ZERO
     if g != 1:
         g = gcd(re, im, g)
         if g != 1:
             re, im, d = re // g, im // g, d // g
-    x = _new(Scalar)
-    x._t, x._re, x._im, x._d, x._hash = None, re, im, d, None
+    x = _new(Scalar)  # one store per slot: quicker than a tuple unpack
+    x._t = x._hash = None
+    x._re = re
+    x._im = im
+    x._r = r
+    x._d = d
     return x
 
 
-def _gauss_add(x: "Scalar", re: int, im: int, d: int) -> "Scalar":
-    """x + (re + im*i) / d for a Gaussian x and a canonical right side."""
+def _slot_add(x: "Scalar", re: int, im: int, d: int) -> "Scalar":
+    """x + (re + im*i) * sqrt(r) / d for a slot-form x of radicand r and a
+    canonical right side."""
     dx = x._d
     if dx == d:
-        return _gauss(x._re + re, x._im + im, d, d)
+        return _slot(x._re + re, x._im + im, x._r, d, d)
     # a common factor of the sum and its denominator divides gcd(dx, d)
     g = gcd(dx, d)
     mx, m = d // g, dx // g
-    return _gauss(x._re * mx + re * m, x._im * mx + im * m, dx * mx, g)
+    return _slot(x._re * mx + re * m, x._im * mx + im * m, x._r, dx * mx, g)
 
 
 def _table(x: "Scalar") -> Dict[int, Tuple[int, int]]:
-    """The radicand table of x, also for a Gaussian x ({} for zero)."""
+    """The radicand table of x, also for a slot-form x ({} for zero)."""
     t = x._t
     if t is None:
-        return {1: (x._re, x._im)} if x._re or x._im else {}
+        return {x._r: (x._re, x._im)} if x._re or x._im else {}
     return t
 
 
 class Scalar:
     """An element of Q(i, sqrt(r_1), sqrt(r_2), ...), canonical and immutable."""
 
-    # _t is None for a value in Q(i), which is then (_re + _im*i) / _d;
-    # otherwise _t is the radicand table over _d, and _re = _im = 0
-    __slots__ = ("_t", "_re", "_im", "_d", "_hash")
+    # _t is None for a value with one radicand, (_re + _im*i) * sqrt(_r) / _d
+    # (_r = 1 in Q(i)); otherwise _t is the radicand table over _d, and
+    # _re = _im = _r = 0, so _r is nonzero exactly in the slot form
+    __slots__ = ("_t", "_re", "_im", "_r", "_d", "_hash")
 
     def __new__(cls, terms: Dict[int, Coef]) -> "Scalar":
         """The sum of (a + b*i) * sqrt(r) over rational pairs, any radicands;
@@ -178,9 +191,9 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, int):
-            return _gauss(x, 0, 1)
+            return _slot(x, 0, 1, 1)
         if isinstance(x, Fraction):
-            return _gauss(x.numerator, 0, x.denominator)
+            return _slot(x.numerator, 0, 1, x.denominator)
         raise TypeError("cannot coerce %r to Scalar" % (x,))
 
     @staticmethod
@@ -194,7 +207,7 @@ class Scalar:
         # sqrt(p/q) = sqrt(p*q)/q, then pull out the square part.
         s, k = _squarefree_split(q.numerator * q.denominator)
         c = Fraction(k, q.denominator)
-        return _make({s: (c.numerator, 0)}, c.denominator)
+        return _slot(c.numerator, 0, s, c.denominator)
 
     # --- predicates and views -----------------------------------------
 
@@ -202,16 +215,16 @@ class Scalar:
         return self is ZERO
 
     def is_rational(self) -> bool:
-        return self._t is None and not self._im
+        return self._r == 1 and not self._im
 
     def as_fraction(self) -> Fraction:
-        if self._t is None and not self._im:
+        if self._r == 1 and not self._im:
             return Fraction(self._re, self._d)
         raise ValueError("not rational: %s" % (self,))
 
     def gaussian_parts(self) -> Optional[Tuple[Fraction, Fraction]]:
         """(re, im) when the value lies in Q(i), else None."""
-        if self._t is not None:
+        if self._r != 1:
             return None
         return Fraction(self._re, self._d), Fraction(self._im, self._d)
 
@@ -228,8 +241,9 @@ class Scalar:
     def __add__(self, other) -> "Scalar":
         if other.__class__ is not Scalar:
             other = Scalar.of(other)
-        if self._t is None and other._t is None:
-            return _gauss_add(self, other._re, other._im, other._d)
+        r = self._r
+        if r and r == other._r:
+            return _slot_add(self, other._re, other._im, other._d)
         ta, tb = _table(self), _table(other)
         if not ta:
             return other
@@ -253,14 +267,15 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         t = self._t
         if t is None:
-            return _gauss(-self._re, -self._im, self._d)
+            return _slot(-self._re, -self._im, self._r, self._d)
         return _make({r: (-a, -b) for r, (a, b) in t.items()}, self._d)
 
     def __sub__(self, other) -> "Scalar":
         if other.__class__ is not Scalar:
             other = Scalar.of(other)
-        if self._t is None and other._t is None:
-            return _gauss_add(self, -other._re, -other._im, other._d)
+        r = self._r
+        if r and r == other._r:
+            return _slot_add(self, -other._re, -other._im, other._d)
         return self + (-other)
 
     def __rsub__(self, other) -> "Scalar":
@@ -273,15 +288,20 @@ class Scalar:
             if isinstance(other, Fraction):
                 return self._scaled(other.numerator, other.denominator)
             other = Scalar.of(other)
-        if self._t is None and other._t is None:
+        r, s = self._r, other._r
+        if r and s:
             if other is ONE or self is ONE:
                 return self if other is ONE else other
             a, b, c, e = self._re, self._im, other._re, other._im
-            d = self._d * other._d
-            return _gauss(a * c - b * e, a * e + b * c, d, d)
-        if other._t is None and not other._im:
+            re, im, d = a * c - b * e, a * e + b * c, self._d * other._d
+            if r != 1 or s != 1:  # as in add_product
+                k = gcd(r, s)
+                r = (r // k) * (s // k)
+                re, im = re * k, im * k
+            return _slot(re, im, r, d, d)
+        if s == 1 and not other._im:
             return self._scaled(other._re, other._d)
-        if self._t is None and not self._im:
+        if r == 1 and not self._im:
             return other._scaled(self._re, self._d)
         ta, tb = _table(self), _table(other)
         if len(tb) > len(ta):
@@ -304,46 +324,31 @@ class Scalar:
 
     def _scaled(self, p: int, q: int) -> "Scalar":
         """self * p/q for p/q in lowest terms with q > 0."""
+        d = self._d * q
         t = self._t
         if t is None:
-            d = self._d * q
-            return _gauss(self._re * p, self._im * p, d, d)
+            return _slot(self._re * p, self._im * p, self._r, d, d)
         if not p:
             return ZERO
-        if q == 1 and p == 1:
-            return self
-        d = self._d
-        g = gcd(p, d)
-        if g != 1:
-            p //= g
-            d //= g
-        h = 1
-        if q != 1:
-            # the numerators' common factor with q cancels against q
-            h = q
-            for a, b in t.values():
-                h = gcd(h, a, b)
-                if h == 1:
-                    break
-        return _make({r: (a // h * p, b // h * p) for r, (a, b) in t.items()},
-                     d * (q // h))
+        return _reduced({r: (a * p, b * p) for r, (a, b) in t.items()}, d, d)
 
     def conj(self) -> "Scalar":
         t = self._t
         if t is None:
-            return _gauss(self._re, -self._im, self._d) if self._im else self
+            return _slot(self._re, -self._im, self._r, self._d) if self._im else self
         return _make({r: (a, -b) for r, (a, b) in t.items()}, self._d)
 
     def inv(self) -> "Scalar":
-        """Multiplicative inverse: d / (a + b*i) = d (a - b*i) / (a^2 + b^2)
-        in Q(i), else the product of conjugates over the norm."""
+        """Multiplicative inverse: d / ((a + b*i) sqrt(r)) =
+        d (a - b*i) sqrt(r) / ((a^2 + b^2) r) in the slot form, else the
+        product of conjugates over the norm."""
         t = self._t
         if t is None:
-            a, b, d = self._re, self._im, self._d
+            a, b, r, d = self._re, self._im, self._r, self._d
             if not (a or b):
                 raise ZeroDivisionError("inverse of zero Scalar")
-            n = a * a + b * b
-            return _gauss(d * a, -d * b, n, n)
+            n = (a * a + b * b) * r
+            return _slot(d * a, -d * b, r, n, n)
         p = ONE
         z = self
         if any(b for _, b in t.values()):
@@ -371,9 +376,10 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if other.__class__ is Scalar:
             return (self._re == other._re and self._im == other._im
-                    and self._d == other._d and self._t == other._t)
+                    and self._r == other._r and self._d == other._d
+                    and self._t == other._t)
         if isinstance(other, (int, Fraction)):
-            return (self._t is None and not self._im
+            return (self._r == 1 and not self._im
                     and self._re == other.numerator
                     and self._d == other.denominator)
         return NotImplemented
@@ -381,8 +387,8 @@ class Scalar:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            if self._t is not None:
-                h = hash((self._d, frozenset(self._t.items())))
+            if self._r != 1:  # one formula for every value with radicals
+                h = hash((self._d, frozenset(_table(self).items())))
             elif self._im:
                 h = hash((self._re, self._im, self._d))
             else:  # equal to an int or a Fraction, so hash like it
@@ -407,13 +413,14 @@ _new = object.__new__
 
 def _make(t: Dict[int, Tuple[int, int]], d: int) -> Scalar:
     """A Scalar from canonical integer pairs over the denominator d."""
-    if len(t) == 1 and 1 in t:
-        return _gauss(*t[1], d)
+    if len(t) == 1:
+        (r, (a, b)), = t.items()
+        return _slot(a, b, r, d)
     if not t:
         return ZERO
     x = _new(Scalar)
     x._t = t
-    x._re = x._im = 0
+    x._re = x._im = x._r = 0
     x._d = d
     x._hash = None
     return x
@@ -421,30 +428,35 @@ def _make(t: Dict[int, Tuple[int, int]], d: int) -> Scalar:
 
 def add_product(x: Optional[Scalar], c: Scalar, e: Scalar) -> Scalar:
     """x + c * e for Scalars, with x None read as zero: the multiply-add of
-    the row reductions and brackets.  When all three lie in Q(i) the
-    integer arithmetic is done once, over one common denominator, and only
-    the result is allocated; any radical operand takes x + c * e."""
-    if c._t is None and e._t is None and (x is None or x._t is None):
-        a, b, p, q = c._re, c._im, e._re, e._im
-        re, im, d = a * p - b * q, a * q + b * p, c._d * e._d
-        if x is not None:
-            dx = x._d
-            if dx == d:
-                re, im = x._re + re, x._im + im
-            else:
-                g = gcd(dx, d)
-                mx, m = d // g, dx // g
-                re, im, d = x._re * mx + re * m, x._im * mx + im * m, dx * mx
-        # the product's own denominator may share factors with its numerators
-        return _gauss(re, im, d, d)
-    return c * e if x is None else x + c * e
+    the row reductions and brackets.  When c and e are in the slot form and
+    x is zero or has the radicand of their product, the integer arithmetic
+    is done once, over one common denominator, and only the result is
+    allocated; other operands take x + c * e."""
+    r, s = c._r, e._r
+    if not (r and s):
+        return c * e if x is None else x + c * e
+    a, b, p, q = c._re, c._im, e._re, e._im
+    re, im, d = a * p - b * q, a * q + b * p, c._d * e._d
+    if r != 1 or s != 1:
+        # sqrt(r) * sqrt(s) = k * sqrt(r*s / k^2) with k = gcd(r, s)
+        k = gcd(r, s)
+        r = (r // k) * (s // k)
+        re, im = re * k, im * k
+    if x is not None:
+        if x._r != r:
+            return x + _slot(re, im, r, d, d)
+        dx = x._d
+        if dx == d:
+            re, im = x._re + re, x._im + im
+        else:
+            g = gcd(dx, d)
+            mx, m = d // g, dx // g
+            re, im, d = x._re * mx + re * m, x._im * mx + im * m, dx * mx
+    # the product's own denominator may share factors with its numerators
+    return _slot(re, im, r, d, d)
 
 
 # --- parsing and printing ---------------------------------------------------
-
-def _fmt_rat(q: Fraction) -> str:
-    return str(q)
-
 
 def format_scalar(x: Scalar) -> str:
     """Canonical text form, e.g. ``1/2 + 3/4*i*sqrt(2)``."""
@@ -460,13 +472,13 @@ def format_scalar(x: Scalar) -> str:
             if tail and mag == 1:
                 body = tail
             elif tail:
-                body = "%s*%s" % (_fmt_rat(mag), tail)
+                body = "%s*%s" % (mag, tail)
             else:
-                body = _fmt_rat(mag)
+                body = str(mag)
             pieces.append((a < 0, body))
         if b:
             mag = abs(b)
-            head = "i" if mag == 1 else "%s*i" % _fmt_rat(mag)
+            head = "i" if mag == 1 else "%s*i" % mag
             body = head + ("*" + tail if tail else "")
             pieces.append((b < 0, body))
     out = ("-" if pieces[0][0] else "") + pieces[0][1]
@@ -490,10 +502,12 @@ def parse_int(text: str, negative: bool = False) -> int:
 
 
 def _parse_rational(text: str) -> Fraction:
-    """p or p/q in ASCII digits, p with an optional leading '-'."""
+    """p or p/q in ASCII digits, p with an optional leading '-', q not 0."""
     num, slash, den = text.partition("/")
-    return Fraction(parse_int(num, negative=True),
-                    parse_int(den) if slash else 1)
+    q = parse_int(den) if slash else 1
+    if not q:
+        raise ValueError("zero denominator")
+    return Fraction(parse_int(num, negative=True), q)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -549,23 +563,26 @@ def _parse_factor(s: str, pos: int) -> Tuple[Scalar, int]:
         body = s[pos + 5:end]
         try:
             return Scalar.sqrt(_parse_rational(body)), end + 1
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ScalarParseError("bad radicand %r: %s" % (body, exc)) from exc
     if s[pos] == "i" and (pos + 1 == len(s) or not s[pos + 1].isalnum()):
         return I, pos + 1
     j = pos
-    while j < len(s) and (s[j].isdigit() or s[j] == "/"):
+    # the token runs on through a sign after '/', so '1/-2' is reported whole
+    while j < len(s) and (s[j].isdigit() or s[j] == "/"
+                          or s[j] == "-" and s[j - 1] == "/"):
         j += 1
     if j == pos:
         raise ScalarParseError("cannot parse factor at %d in %r" % (pos, s))
     try:
         q = _parse_rational(s[pos:j])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScalarParseError("bad rational %r" % s[pos:j]) from exc
+    except ValueError as exc:
+        raise ScalarParseError("bad rational %r: %s" % (s[pos:j], exc)) from exc
     return Scalar.of(q), j
 
 
 ZERO = _new(Scalar)
-ZERO._t, ZERO._re, ZERO._im, ZERO._d, ZERO._hash = None, 0, 0, 1, None
-ONE = _gauss(1, 0, 1)
-I = _gauss(0, 1, 1)
+ZERO._t = ZERO._hash = None
+ZERO._re, ZERO._im, ZERO._r, ZERO._d = 0, 0, 1, 1
+ONE = _slot(1, 0, 1, 1)
+I = _slot(0, 1, 1, 1)

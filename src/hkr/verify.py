@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import catalog
 from . import dimensions as dm
@@ -291,14 +291,18 @@ _ORACLE_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
 
 
 def _check_exponent_oracle() -> Optional[str]:
+    # BC_n has the simple roots of B_n: its group and degrees are computed once
+    seen: Dict[tuple, Tuple[int, List[int]]] = {}
     for label in _ORACLE_LABELS:
         simples, pair = rt.abstract_simple_system(label)
-        wg = rt.weyl_group(simples, pair)
+        key = tuple(simples)
+        if key not in seen:
+            wg = rt.weyl_group(simples, pair)
+            seen[key] = len(wg), rt.molien_degrees(wg, len(simples))
+        order, degs = seen[key]
         want_order = rt.weyl_order_reference(label)
-        assert len(wg) == want_order, \
-            "%s: |W| = %d, reference %d" % (label, len(wg), want_order)
-        rank = len(simples)
-        degs = rt.molien_degrees(wg, rank)
+        assert order == want_order, \
+            "%s: |W| = %d, reference %d" % (label, order, want_order)
         want = rt.invariant_degrees(label)
         assert degs == want, "%s: Molien %s, table %s" % (label, degs, want)
     return "%d types" % len(_ORACLE_LABELS)

@@ -236,6 +236,17 @@ def test_canonical_integer_spellings_still_parse(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("gamma, message", [
+    ("1/-2", "bad rational '1/-2': not a decimal integer: '-2'"),
+    ("1/0", "bad rational '1/0': zero denominator"),
+    ("sqrt(1/0)", "bad radicand '1/0': zero denominator")])
+def test_gamma_parse_errors_name_the_whole_token(capsys, gamma, message):
+    assert main(["section", "sl_r:n=2", "--gamma", gamma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad --gamma entry: %s\n" % message
+
+
 def test_deeply_nested_gamma_is_a_usage_error(capsys):
     gamma = "(" * 3000 + "1" + ")" * 3000
     assert main(["section", "sl_r:n=2", "--gamma", gamma]) == 2

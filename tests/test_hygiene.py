@@ -320,9 +320,9 @@ def test_every_parameter_default_is_passed():
     assert dead_defaults(modules, bench) == []
 
 
-# The slots of a Scalar (see hkr.scalars); the Q(i) layout stays behind the
+# The slots of a Scalar (see hkr.scalars); the slot layout stays behind the
 # one module that defines it.
-SCALAR_SLOTS = {"_t", "_re", "_im", "_d", "_hash"}
+SCALAR_SLOTS = {"_t", "_re", "_im", "_r", "_d", "_hash"}
 
 
 def slot_reads(source: str):
@@ -337,8 +337,9 @@ def slot_reads(source: str):
 def test_the_scan_finds_a_slot_read():
     source = ("def f(x, y):\n    if x._t is None:\n        return y._d\n"
               "    x._hash = None\n"
-              "    return x._tail, x.d, getattr(x, '_re')\n")
-    assert slot_reads(source) == [(2, "_t"), (3, "_d"), (4, "_hash")]
+              "    return x._tail, x.d, getattr(x, '_re'), x._rr, y._r\n")
+    assert slot_reads(source) == [(2, "_t"), (3, "_d"), (4, "_hash"),
+                                  (5, "_r")]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in _SRC.glob("*.py")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hkr import catalog, dimensions as dm
 from hkr.scalars import (Scalar, ZERO, ONE, I, add_product, parse_scalar,
                          format_scalar, ScalarParseError)
 
@@ -312,11 +313,14 @@ def scalar_pairs(draw):
 
 def _assert_canonical(x):
     d, t = x._d, x._t
-    if t is None:  # the slot form of a value in Q(i)
-        assert isinstance(x._re, int) and isinstance(x._im, int)
-        t = {1: (x._re, x._im)} if x._re or x._im else {}
+    if t is None:  # the slot form of a value with one radicand
+        assert all(isinstance(v, int) for v in (x._re, x._im, x._r))
+        assert x._r >= 1
+        t = {x._r: (x._re, x._im)} if x._re or x._im else {}
+        assert t or x is ZERO
     else:
-        assert t and set(t) != {1}, "a value in Q(i) outside the slot form"
+        assert len(t) > 1, "a value with one radicand outside the slot form"
+        assert x._re == x._im == x._r == 0
     assert isinstance(d, int) and d > 0
     assert all(isinstance(v, int) for pair in t.values() for v in pair)
     assert all(a or b for a, b in t.values()), "zero pair"
@@ -359,10 +363,10 @@ def test_differential_rational_operands(pa, q):
         _assert_same(a / q, ra * rq.inv())
 
 
-# --- the Q(i) slot form and the radicand tables ------------------------------------
+# --- the Q(i) arithmetic and the radicand tables ----------------------------------
 #
-# A value in Q(i) is kept in integer slots and handled by its own arithmetic,
-# every other value by radicand tables.  The oracles here share neither:
+# A value in Q(i) is kept in integer slots with radicand 1, a value with two
+# or more radicands in a radicand table.  The oracles here share neither:
 # (re, im) pairs of Fractions for Q(i), and a _RefScalar result rebuilt
 # through the generic Scalar(terms) constructor for values with sqrt 2 or
 # sqrt 3.
@@ -521,3 +525,146 @@ def test_add_product_on_mixed_operands():
         assert got == want, (x, c, e)
         if want == 0:
             assert got is ZERO
+
+
+# --- the slot form of one radicand -------------------------------------------
+#
+# A value (a + b*i) * sqrt(r) is kept in the integer slots whatever r is; the
+# routes below reach the same value through the slot arithmetic, the radicand
+# tables and the mixed operations, and must all give one object state: equal,
+# hashing by the table formula, with the same terms and text.
+
+slot_radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 30])
+nonzero_fractions = fractions.filter(bool)
+
+
+def _table_hash(x):
+    """hash((d, frozenset({r: (a, b)}.items()))) over x's integer numerators
+    and common denominator: the hash of every value with a radical."""
+    terms = x.terms()
+    d = math.lcm(*(v.denominator for pair in terms.values() for v in pair))
+    return hash((d, frozenset({r: (int(a * d), int(b * d))
+                               for r, (a, b) in terms.items()}.items())))
+
+
+def _sqrt_by_primes(r):
+    """sqrt(r) as the product of the square roots of its primes."""
+    out = ONE
+    for p in (2, 3, 5, 7):
+        if r % p == 0:
+            out = out * Scalar.sqrt(p)
+    return out
+
+
+def _routes(r, a, b, s):
+    """The value (a + b*i) * sqrt(r) by many routes; s is a second radicand
+    other than r."""
+    g = _gaussian(a, b)
+    want = Scalar({r: (a, b)})
+    other = Scalar.sqrt(s) * (1 + I)  # a term on a radicand other than r
+    mixed = Scalar.sqrt(s) * I + 2  # two radicands, so a radicand table
+    routes = {
+        "terms": want,
+        "sqrt": Scalar.sqrt(r) * g,
+        "sqrt*g": g * Scalar.sqrt(r),
+        "square part": Scalar.sqrt(r * 9) * g / 3,
+        "primes": _sqrt_by_primes(r) * g,
+        "sqrt(6r)*sqrt(6)": Scalar.sqrt(6 * r) * Scalar.sqrt(6) * g / 6,
+        "cancel": (want + other) - other,
+        "cancel neg": (want + other) + (-other),
+        "cancel table": (want + mixed) - mixed,
+        "inv inv": want.inv().inv(),
+        "conj conj": want.conj().conj(),
+        "neg neg": -(-want),
+        "int": want * 3 / 3,
+        "rint": 2 * want / 2,
+        "fraction": want * Fraction(5, 7) * Fraction(7, 5),
+        "rfraction": Fraction(-3, 4) * (Fraction(-4, 3) * want),
+        "div": want / (want + want) * (want + want),
+        "ap match": add_product(want - Scalar.sqrt(r) * 2, Scalar.sqrt(r),
+                                Scalar.of(2)),
+        "ap mismatch": add_product(want - other * I, other, I),
+        "ap none": add_product(None, Scalar.sqrt(r), g),
+        "copy": copy.copy(want),
+        "deepcopy": copy.deepcopy(want),
+        "pickle": pickle.loads(pickle.dumps(want)),
+        "parse": parse_scalar(format_scalar(want)),
+    }
+    if r == 6:
+        routes["sqrt2*sqrt3"] = Scalar.sqrt(2) * Scalar.sqrt(3) * g
+    return want, routes
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot_radicands, nonzero_fractions, fractions, slot_radicands)
+def test_every_route_to_a_one_radicand_value_agrees(r, a, b, s):
+    if s == r:
+        s = 11
+    want, routes = _routes(r, a, b, s)
+    terms = {r: (a, b)}
+    for name, x in routes.items():
+        _assert_canonical(x)
+        assert x == want, name
+        assert x.terms() == terms, name
+        assert str(x) == str(want), name
+        assert x.radicands() == (r,), name
+        assert hash(x) == hash(want), name
+        if r != 1:
+            assert hash(x) == _table_hash(x), name
+    if r != 1:
+        assert not want.is_rational() and want.gaussian_parts() is None
+        with pytest.raises(ValueError):
+            want.as_fraction()
+    # the slot operations against the closed forms, and one zero
+    n = (a * a + b * b) * r
+    assert want.inv() == Scalar({r: (a / n, -b / n)})
+    assert want.conj() == Scalar({r: (a, -b)})
+    assert -want == Scalar({r: (-a, -b)})
+    assert want * Fraction(2, 3) == Scalar({r: (a * 2 / 3, b * 2 / 3)})
+    for z in (want - want, want + (-want), -want + want,
+              add_product(-want, Scalar.sqrt(r), _gaussian(a, b)),
+              add_product(want, -want.inv(), want * want)):
+        assert z is ZERO
+
+
+@pytest.mark.parametrize("r, s, want", [
+    (2, 3, Scalar({6: (Fraction(1), Fraction(0))})),
+    (6, 6, Scalar.of(6)),
+    (6, 10, Scalar({15: (Fraction(2), Fraction(0))})),
+    (2, 8, Scalar.of(4)),
+    (15, 35, Scalar({21: (Fraction(5), Fraction(0))}))])
+def test_products_of_square_roots_take_out_the_common_factor(r, s, want):
+    x, y = Scalar.sqrt(r), Scalar.sqrt(s)
+    for got in (x * y, y * x, add_product(None, x, y),
+                add_product(ZERO, x, y), add_product(want, x, y) - want):
+        _assert_canonical(got)
+        assert got == want and hash(got) == hash(want)
+        assert got.terms() == want.terms() and str(got) == str(want)
+
+
+def test_radical_hashes_keep_the_table_formula():
+    # pinned values, so set and dict orders of radical Scalars do not move
+    half = Scalar.sqrt(Fraction(1, 2))
+    for x, (d, r, a, b) in ((Scalar.sqrt(2), (1, 2, 1, 0)),
+                            (Scalar.sqrt(3) * I / 2, (2, 3, 0, 1)),
+                            (half * (1 - I), (2, 2, 1, -1))):
+        assert hash(x) == hash((d, frozenset({r: (a, b)}.items())))
+
+
+# The construction's normalisations d_i = sqrt(-c_i/b_i) and the Cayley factor
+# 1/(2 sqrt 2) give each coordinate of the triple and the section one radicand
+# at most, so the construction and the sampling stay on the slot arithmetic.
+ONE_RADICAND_FORMS = sorted(catalog.form_cli_text(f)
+                            for f in catalog.standard_forms())
+ONE_RADICAND_FORMS += ["su:p=4,q=4", "sp_r:n=4", "so_star:n=5"]
+
+
+@pytest.mark.parametrize("form", ONE_RADICAND_FORMS)
+def test_triple_and_section_coordinates_have_one_radicand(form):
+    an = dm.analyze(catalog.build(catalog.parse_form(form)))
+    triple = an.triple
+    for name, vec in ([("e", triple.e), ("f", triple.f), ("x", triple.x)]
+                      + [("section %d" % k, v)
+                         for k, v in enumerate(an.section.e_list)]):
+        many = [str(c) for c in vec if len(c.radicands()) > 1]
+        assert not many, (form, name, many)
