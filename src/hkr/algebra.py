@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg as la
 from .errors import ConstructionFailure, NotInAlgebra
 from .linalg import Mat
-from .scalars import Scalar, ZERO, ONE, add_product
+from .scalars import Reduction, Scalar, ZERO, ONE, add_product
 
 Entries = Dict[Tuple[int, int], Scalar]  # a matrix as {(r, c): nonzero}
 
@@ -144,6 +144,9 @@ class RealFormStructure:
     # struct[i] lists (j, k, c) for every nonzero coefficient c of basis[k]
     # in [basis[i], basis[j]], ordered by j then k
     struct: List[List[Tuple[int, int, Scalar]]] = field(init=False, repr=False)
+    # the constants of [m, m] reduced mod p, per prime p (see ``ad_mod``)
+    _struct_mod: Dict[int, dict] = field(init=False, repr=False, compare=False,
+                                         default_factory=dict)
 
     def __post_init__(self, span, a_mats):
         h, a, m_rest = self._theta_adapted(span, a_mats)
@@ -331,6 +334,22 @@ class RealFormStructure:
                     row = out[k]
                     row[j] = add_product(row[j], ui, c)
         return out
+
+    def ad_mod(self, xp: Sequence[int], red: Reduction) -> List[List[int]]:
+        """The m^C columns of ad(x) mod red.p, for x in m^C with coordinates
+        reduced to xp.  The constants of [m, m] are reduced once per prime;
+        NotReducible when red.p divides one's denominator."""
+        h = self.dim_h
+        table = self._struct_mod.get(red.p)
+        if table is None:
+            table = {i: [(j - h, k, red(c)) for j, k, c in self.struct[i]
+                         if j >= h] for i in self.m_indices}
+            self._struct_mod[red.p] = table
+        rows = [[0] * self.dim_m for _ in range(self.dim)]
+        for i, consts in table.items():
+            for j, k, c in consts if xp[i] else ():
+                rows[k][j] += xp[i] * c
+        return rows
 
     def theta_coords(self, u: Sequence) -> tuple:
         """theta on coordinates: it fixes the h entries and negates the rest."""

@@ -2,13 +2,14 @@
 
 Matrices are tuples of tuples; vectors are tuples or lists.  Entries are
 Scalars; ``mat``, ``solve_right``, ``is_positive_definite`` and
-``charpoly_frac`` also read int and Fraction entries.  ``ZERO`` is the only
-zero Scalar, so an entry is tested for zero by ``is ZERO``, and every
-multiply-accumulate step is one fused ``add_product``.  Row reduction keeps
-full reduced echelon form so membership and coordinates come out of the
-same machinery, and it keeps each echelon row as a {column: nonzero} dict,
-so its work grows with the nonzero entries, not with the width of the rows;
-vectors may be passed in that sparse form too.
+``charpoly_frac`` also read int and Fraction entries, and ``rank_det_mod``
+reads ints mod a prime.  ``ZERO`` is the only zero Scalar, so an entry is
+tested for zero by ``is ZERO``, and every multiply-accumulate step is one
+fused ``add_product``.  Row reduction keeps full reduced echelon form so
+membership and coordinates come out of the same machinery, and it keeps
+each echelon row as a {column: nonzero} dict, so its work grows with the
+nonzero entries, not with the width of the rows; vectors may be passed in
+that sparse form too.
 
 The shared idioms the other modules build on, each written once here:
 
@@ -22,6 +23,8 @@ The shared idioms the other modules build on, each written once here:
 - ``eigen_split``: eigenspaces of an operator on a span it preserves, for a
   list of candidate eigenvalues, or None unless they fill the span;
 - ``kernel_right`` / ``solve_right``: null space and one solution of M x = b;
+- ``rank_det_mod``: rank and determinant mod a prime p, the one elimination
+  of the modular certificates (a rank mod p is at most the exact rank);
 - ``charpoly``: an exact reduction to upper Hessenberg form and the
   Hessenberg recurrence, O(n^3);
 - ``is_positive_definite``: Sylvester's criterion by elimination without
@@ -299,6 +302,34 @@ def eigen_split(op: Sequence[Sequence], vecs: Sequence[Sequence],
 
 def rank(rows: Sequence[Sequence]) -> int:
     return Subspace(rows).dim
+
+
+def rank_det_mod(rows: Sequence[Sequence[int]], p: int) -> Tuple[int, int]:
+    """(rank, det) of an int matrix mod the prime p, by one elimination;
+    det is 0 unless the matrix is square and invertible mod p.
+
+    Reduction mod p is a ring map, so a minor that vanishes exactly vanishes
+    mod p: the rank mod p is at most the rank of any matrix it reduces.
+    """
+    a = [[x % p for x in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    rank, det = 0, 1
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[piv], a[rank] = a[rank], a[piv]
+            det = -det
+        row = a[rank]
+        det = det * row[c] % p
+        inv = pow(row[c], -1, p)
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], row)]
+        rank += 1
+    return rank, det % p if rank == ncols == len(a) else 0
 
 
 def kernel_right(m_rows: Sequence, ncols: int) -> List[list]:

@@ -40,7 +40,11 @@ is the fused multiply-add x + c*e of its row reductions and brackets (x None
 reads as zero): with c and e in the slot form and x of their product's
 radicand, it forms the product and the sum in integers over one denominator
 and allocates only the result; other operands take the two operations.
-Only this module reads a Scalar's slots.
+Only this module reads a Scalar's slots, so the ring map to F_p is here
+too: ``reduction(values)`` maps i and the square root of each radicand
+prime of the values to roots mod p, the smallest prime above 2^30 with
+p = 1 mod 8 prod q over the odd radicand primes q; it declines
+(``NotReducible``) a value whose denominator p divides.
 
 This field is closed under the four operations and under complex
 conjugation, which is all the rest of the package needs.  Fractions and ints
@@ -454,6 +458,107 @@ def add_product(x: Optional[Scalar], c: Scalar, e: Scalar) -> Scalar:
             re, im, d = x._re * mx + re * m, x._im * mx + im * m, dx * mx
     # the product's own denominator may share factors with its numerators
     return _slot(re, im, r, d, d)
+
+
+# --- reduction mod p --------------------------------------------------------
+
+# Miller-Rabin on these bases is deterministic below the bound (Sorenson and
+# Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n below _MR_BOUND."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
+            return False
+    return True
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A root of the square a mod the odd prime p (Tonelli-Shanks)."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^s, q odd
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # r^2 = a t, and the order of t halves each round
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+class NotReducible(ArithmeticError):
+    """The reduction declines a value: p divides its denominator, or a
+    prime of one of its radicands has no root in the map."""
+
+
+class Reduction:
+    """The ring map Z[1/D][i, sqrt(2), sqrt(q_1), ...] -> F_p, p prime to D.
+
+    i and sqrt(q) of each prime q go to fixed roots of -1 and q mod p, and
+    sqrt(r) of a square-free r to the product of the roots of its prime
+    factors, as sqrt(r) is that product in the field: so the map is a ring
+    homomorphism.  Calling it on a value gives its image in [0, p) or
+    raises NotReducible.
+    """
+
+    __slots__ = ("p", "_roots")
+
+    def __init__(self, p: int, roots: Dict[int, int]):
+        # -1 and each prime to its root; _root adds each radicand it meets
+        self.p, self._roots = p, dict(roots)
+
+    def _root(self, r: int) -> int:
+        if r not in self._roots:
+            missing = [q for q in _primes_of(r) if q not in self._roots]
+            if missing:
+                raise NotReducible("sqrt(%d) is not mapped" % missing[0])
+            root = 1
+            for q in _primes_of(r):
+                root = root * self._roots[q] % self.p
+            self._roots[r] = root
+        return self._roots[r]
+
+    def __call__(self, x) -> int:
+        x, p = Scalar.of(x), self.p
+        d, i = x._d, self._roots[-1]
+        if not d % p:
+            raise NotReducible("%d divides the denominator %d" % (p, d))
+        if x._t is None:
+            acc = (x._re + x._im * i) * self._root(x._r)
+        else:
+            acc = sum((a + b * i) * self._root(r) for r, (a, b) in x._t.items())
+        return acc % p if d == 1 else acc * pow(d, -1, p) % p
+
+
+def reduction(values) -> Reduction:
+    """The Reduction for the radicands of `values` (Scalars, ints or
+    Fractions), at the smallest prime p above 2^30 with p = 1 mod 8 prod q
+    over the odd primes q of the radicands: -1, 2 and each q are then squares
+    mod p by quadratic reciprocity.  NotReducible when no such p lies in
+    the proven range of the primality test."""
+    odd = {q for x in values if x.__class__ is Scalar and x._r != 1
+           for r in _table(x) for q in _primes_of(r) if q != 2}
+    return _reduction(tuple(sorted(odd)))
+
+
+@lru_cache(maxsize=64)
+def _reduction(odd: Tuple[int, ...]) -> Reduction:
+    m = 8
+    for q in odd:
+        m *= q
+    p = 2 ** 30 + 1 + (-2 ** 30) % m
+    while p < _MR_BOUND:
+        if _is_prime(p):
+            return Reduction(p, {q: _sqrt_mod(q % p, p) for q in (-1, 2) + odd})
+        p += m
+    raise NotReducible("no proven prime = 1 mod %d" % m)
 
 
 # --- parsing and printing ---------------------------------------------------

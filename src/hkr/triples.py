@@ -11,11 +11,11 @@ matching.  Every relation is asserted exactly at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
 from . import linalg as la
@@ -24,7 +24,8 @@ from .algebra import RealFormStructure
 from .errors import (ConstructionFailure, GradingFailure, InvalidParams,
                      MismatchWithTable, NoSolution, NonUnique, RelationFailure,
                      RouteDisagreement)
-from .scalars import Scalar, ZERO, ONE, I
+from .scalars import (I, NotReducible, ONE, Reduction, Scalar, ZERO,
+                      reduction)
 
 
 def _scale(c, vec):
@@ -474,6 +475,9 @@ class SectionBasis:
     e_list: List[Tuple[Scalar, ...]]
     degrees: List[int]
     central: List[Tuple[Scalar, ...]]
+    # f and each e_i reduced mod p, per prime p (see section_point_mod)
+    _mod: Dict[int, List[List[int]]] = field(init=False, repr=False,
+                                             compare=False, default_factory=dict)
 
     @property
     def rank(self) -> int:
@@ -507,7 +511,11 @@ def section_basis(structure: RealFormStructure, triple: NormalTriple,
         if tuple(S.bracket_coords(triple.x, v)) != _scale(m_val - 1, v):
             raise ConstructionFailure("%s: section vector has wrong ad(x) "
                                       "weight" % S.name)
-    return SectionBasis(S, triple.f, e_list, degrees, central)
+    basis = SectionBasis(S, triple.f, e_list, degrees, central)
+    # f is the point at gamma = 0; its reduction serves every later point
+    if not section_point_regular(basis, [ZERO] * basis.rank):
+        raise ConstructionFailure("%s: f is not regular in m^C" % S.name)
+    return basis
 
 
 def section_point(basis: SectionBasis, gamma: Sequence) -> Tuple[Scalar, ...]:
@@ -523,24 +531,66 @@ def _partial_point(basis: SectionBasis, gamma: Sequence) -> list:
                       [basis.f] + basis.e_list[:len(gamma)])
 
 
+def section_point_mod(basis: SectionBasis, gamma: Sequence
+                      ) -> Tuple[Reduction, List[int]]:
+    """The reduction of f, the e_i and gamma, and the section point's
+    coordinates under it, from f and the e_i reduced once per prime.
+    Raises NotReducible when the reduction declines."""
+    if len(gamma) != len(basis.e_list):
+        section_point(basis, gamma)  # raises InvalidParams
+    red = reduction(chain(basis.f, _to_scalar(gamma), *basis.e_list))
+    if red.p not in basis._mod:
+        basis._mod[red.p] = [[red(v) for v in w]
+                             for w in [basis.f] + basis.e_list]
+    point, *vecs = basis._mod[red.p]
+    for g, vec in zip(gamma, vecs):
+        g = red(g)
+        point = [(a + g * b) % red.p for a, b in zip(point, vec)]
+    return red, point
+
+
+def _regular_mod(S: RealFormStructure, red: Reduction, xp: Sequence[int]
+                 ) -> bool:
+    """Whether ad(x) on m^C reaches rank dim m - rank_a mod p."""
+    return la.rank_det_mod(S.ad_mod(xp, red), red.p)[0] == S.dim_m - S.rank_a
+
+
 def is_regular(structure: RealFormStructure, x_coords: Sequence) -> bool:
     """Whether x in m^C is regular: dim c_{m^C}(x) equals the real rank.
 
     c_{m^C}(x) is the kernel of ad(x) on m^C, so its dimension is dim m^C
-    less the rank of the m^C columns of ad(x).
+    less the rank of the m^C columns of ad(x).  By Kostant and Rallis
+    (1971), dim c_{m^C}(x) >= dim a for every x in m^C, so that rank is at
+    most dim m - rank_a; reduction mod p (``scalars.reduction``) can only
+    lower it, so a rank mod p that reaches this bound proves x regular.
+    Otherwise, or when the reduction declines, the exact rank decides.
     Raises InvalidParams if x is not in m^C.
     """
     S = structure
     xs = _to_scalar(x_coords)
     if S.theta_coords(xs) != _scale(-1, xs):
         raise InvalidParams("%s: element is not in m^C" % S.name)
+    try:
+        red = reduction(xs)
+        if _regular_mod(S, red, [red(v) for v in xs]):
+            return True
+    except NotReducible:
+        pass
     ad = S.ad_matrix(list(xs))
     m = S.m_indices
     return S.dim_m - la.rank([[row[j] for j in m] for row in ad]) == S.rank_a
 
 
 def section_point_regular(basis: SectionBasis, gamma: Sequence) -> bool:
-    """Whether the section point f + sum gamma_i e_i is regular."""
+    """Whether the section point f + sum gamma_i e_i is regular.  f and the
+    e_i lie in m^C, so a rank mod p from ``section_point_mod`` that reaches
+    the bound of ``is_regular`` proves it; only when it does not is the
+    exact point built and given to ``is_regular``."""
+    try:
+        if _regular_mod(basis.structure, *section_point_mod(basis, gamma)):
+            return True
+    except NotReducible:
+        pass
     return is_regular(basis.structure, section_point(basis, gamma))
 
 

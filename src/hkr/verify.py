@@ -24,7 +24,7 @@ from . import linalg as la
 from . import roots as rt
 from . import triples as tp
 from .errors import HkrError, InvalidParams, SizeBound
-from .scalars import Scalar, ZERO
+from .scalars import NotReducible, Scalar, ZERO
 
 
 @dataclass
@@ -157,22 +157,52 @@ def _check_invariance(an: dm.FormAnalysis, seed: int, samples: int
     return "%d conjugators" % len(conjs)
 
 
+# the point t0 of the charpoly keys: any t0 != 0 keeps the constant term,
+# which vanishes on many section points, from deciding alone
+_KEY_POINT = 65537
+
+
+def _charpoly_key(an: dm.FormAnalysis, gamma: List[Scalar]) -> int:
+    """det(t0 I - A) mod p for the matrix A of the section point at gamma.
+    The reduced coordinates are ints, so ``matrix_of`` stays in Q(i), and
+    reducing its entries again gives A mod p."""
+    red, point = tp.section_point_mod(an.section, gamma)
+    a = an.structure.matrix_of(point)
+    return la.rank_det_mod([[(_KEY_POINT if r == c else 0) - red(x)
+                             for c, x in enumerate(row)]
+                            for r, row in enumerate(a)], red.p)[1]
+
+
 def _check_injectivity(an: dm.FormAnalysis, seed: int, pairs: int
                        ) -> Optional[str]:
-    """pairs + 1 seeded gammas, one charpoly each; two distinct gammas with
-    equal charpolys fail, so every pair among them is compared."""
+    """pairs + 1 seeded gammas, every pair compared.  Charpolys that differ
+    at t0 mod p differ, so only gammas with equal keys (``_charpoly_key``)
+    compare their exact charpolys; two distinct gammas with equal
+    charpolys fail."""
     S = an.structure
     if not fiber_match_supported(S):
         return "skipped: charpoly does not separate fibers here"
     basis = an.section
     rng = _rng(seed, S.name, "injectivity")
-    seen = {}  # charpoly -> (draw, gamma)
-    for k in range(pairs + 1):
-        gamma = _random_gamma(rng, basis.rank)
-        cp = tuple(la.charpoly(S.matrix_of(tp.section_point(basis, gamma))))
-        j, first = seen.setdefault(cp, (k, gamma))
-        assert first == gamma, \
-            "gammas %d and %d: distinct gamma, equal invariants" % (j, k)
+    gammas = [_random_gamma(rng, basis.rank) for _ in range(pairs + 1)]
+    exact: Dict[int, tuple] = {}
+
+    def charpoly(k: int) -> tuple:
+        if k not in exact:
+            pt = tp.section_point(basis, gammas[k])
+            exact[k] = tuple(la.charpoly(S.matrix_of(pt)))
+        return exact[k]
+
+    try:  # gamma is rational, so every key is mod the prime of f and the e_i
+        keys = [_charpoly_key(an, gamma) for gamma in gammas]
+    except NotReducible:
+        keys = [charpoly(k) for k in range(len(gammas))]
+    seen: Dict[object, List[int]] = {}  # key -> the draws with that key
+    for k, key in enumerate(keys):
+        for j in seen.setdefault(key, []):
+            assert gammas[j] == gammas[k] or charpoly(j) != charpoly(k), \
+                "gammas %d and %d: distinct gamma, equal invariants" % (j, k)
+        seen[key].append(k)
     return "%d gammas, pairwise distinct invariants" % (pairs + 1)
 
 

@@ -1,5 +1,6 @@
 """Exact linear algebra: characteristic polynomials, kernels, solves."""
 
+import random
 from bisect import bisect
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hkr import linalg as la
 from hkr.errors import ConstructionFailure
-from hkr.scalars import Scalar, ZERO, ONE, I
+from hkr.scalars import Scalar, ZERO, ONE, I, reduction
 
 
 small_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -600,3 +601,45 @@ def test_eigen_split_rejects_a_span_the_operator_leaves():
     op = la.mat([[0, 0], [1, 0]])
     with pytest.raises(ConstructionFailure, match="does not preserve"):
         la.eigen_split(op, la.mat([[1, 0]]), [0])
+
+
+# --- rank and determinant mod p ---------------------------------------------------
+
+def _random_entry(rng, radical):
+    x = Scalar.of(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    if radical and rng.random() < 0.5:
+        x = x + Scalar.sqrt(2) * rng.randint(-3, 3) + I * rng.randint(-3, 3)
+    return x
+
+
+def _random_matrix(rng, rows, cols, rank, radical):
+    """A rows x cols product of random rows x rank and rank x cols factors."""
+    left = [[_random_entry(rng, radical) for _ in range(rank)]
+            for _ in range(rows)]
+    right = [[_random_entry(rng, radical) for _ in range(cols)]
+             for _ in range(rank)]
+    return la.mmul(left, right) if rank else la.mat([[0] * cols] * rows)
+
+
+@pytest.mark.parametrize("radical", [False, True], ids=["Q", "Q(i,sqrt2)"])
+def test_rank_and_det_mod_p_agree_with_the_exact_ones(radical):
+    rng = random.Random(5)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = _random_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)),
+                           radical)
+        red = reduction(x for row in a for x in row)
+        rank, det = la.rank_det_mod([[red(x) for x in row] for row in a], red.p)
+        assert rank == la.rank(a)
+        if rows == cols:
+            # det(tI - A) has constant term det(-A) = (-1)^n det A
+            assert det == red(la.charpoly(a)[0] * (-1) ** rows)
+        else:
+            assert det == 0
+
+
+def test_rank_det_mod_of_the_empty_and_a_singular_matrix():
+    assert la.rank_det_mod([], 7) == (0, 1)
+    assert la.rank_det_mod([[2, 4], [1, 2]], 7) == (1, 0)
+    assert la.rank_det_mod([[0, 1], [1, 0]], 7) == (2, 6)  # det -1
+    assert la.rank_det_mod([[7, 14], [0, 0]], 7) == (0, 0)

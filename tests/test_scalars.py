@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hkr import catalog, dimensions as dm
-from hkr.scalars import (Scalar, ZERO, ONE, I, add_product, parse_scalar,
-                         format_scalar, ScalarParseError)
+from hkr.scalars import (NotReducible, Reduction, Scalar, ZERO, ONE, I,
+                         add_product, parse_scalar, format_scalar,
+                         reduction, ScalarParseError, _is_prime)
 
 
 fractions = st.fractions(
@@ -668,3 +669,91 @@ def test_triple_and_section_coordinates_have_one_radicand(form):
                          for k, v in enumerate(an.section.e_list)]):
         many = [str(c) for c in vec if len(c.radicands()) > 1]
         assert not many, (form, name, many)
+
+
+# --- reduction mod p ------------------------------------------------------------
+
+def _keeps_the_operations(red, a, b):
+    """Whether red keeps a + b, a * b and the inverses of a and b."""
+    p = red.p
+    if red(a + b) != (red(a) + red(b)) % p or red(a * b) != red(a) * red(b) % p:
+        return False
+    return all(red(x.inv()) * red(x) % p == 1 for x in (a, b) if x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalars(), scalars())
+def test_reduction_keeps_sum_product_and_inverse(a, b):
+    # values of up to three radicand terms, radicands 2, 3, 5, 6, 7, 10
+    assert _keeps_the_operations(reduction([a, b]), a, b)
+
+
+def _prime_by_trial_division(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("radicands, modulus", [
+    ((), 8), ((2,), 8), ((3,), 24), ((6, 10), 120), ((105, 14), 840),
+    ((11, 13, 17), 8 * 11 * 13 * 17)])
+def test_the_prime_is_prime_and_one_mod_8_times_the_odd_radicand_primes(
+        radicands, modulus):
+    p = reduction([Scalar.sqrt(r) for r in radicands]).p
+    assert p > 2 ** 30 and p % modulus == 1
+    assert _prime_by_trial_division(p)
+    # the smallest such prime: no smaller candidate above 2^30 is prime
+    assert not any(_prime_by_trial_division(q)
+                   for q in range(p - modulus, 2 ** 30, -modulus))
+
+
+# strong pseudoprimes to the first 1, 2, ..., 9 prime bases, as products of
+# their prime factors: Miller-Rabin needs more bases than each to see them
+_STRONG_PSEUDOPRIMES = [
+    (23, 89), (829, 1657), (2251, 11251), (151, 751, 28351),
+    (6763, 10627, 29947), (1303, 16927, 157543), (10670053, 32010157),
+    (149491, 747451, 34233211)]
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [n for n in range(3000) if _is_prime(n)] == \
+        [n for n in range(3000) if _prime_by_trial_division(n)]
+    for n in range(2 ** 30, 2 ** 30 + 400):
+        assert _is_prime(n) == _prime_by_trial_division(n), n
+    for factors in _STRONG_PSEUDOPRIMES:
+        assert not _is_prime(math.prod(factors)), factors
+
+
+def _true_roots(red, radicands):
+    return {-1: red(I), **{r: red(Scalar.sqrt(r)) for r in radicands}}
+
+
+def test_a_root_of_6_chosen_apart_from_those_of_2_and_3_is_caught():
+    s2, s3 = Scalar.sqrt(2), Scalar.sqrt(3)
+    red = reduction([s2, s3])
+    roots = _true_roots(red, (2, 3))
+    assert red(Scalar.sqrt(6)) == roots[2] * roots[3] % red.p
+    # -sqrt(2)*sqrt(3) is a root of 6 as well, but the map is then no
+    # homomorphism
+    bad = Reduction(red.p, {**roots, 6: -roots[2] * roots[3] % red.p})
+    assert _keeps_the_operations(Reduction(red.p, roots), s2, s3)
+    assert not _keeps_the_operations(bad, s2, s3)
+
+
+def test_an_i_that_is_no_root_of_minus_one_is_caught():
+    red = reduction([Scalar.sqrt(2)])
+    bad = Reduction(red.p, {**_true_roots(red, (2,)), -1: 2})
+    assert not _keeps_the_operations(bad, I, I)
+
+
+def test_the_reduction_declines_what_it_cannot_map():
+    red = reduction([Scalar.sqrt(2)])
+    p = red.p
+    for x in (Fraction(1, p), Scalar.sqrt(2) / (3 * p), I / p + Scalar.sqrt(2)):
+        with pytest.raises(NotReducible, match="divides the denominator"):
+            red(x)
+    with pytest.raises(NotReducible, match=r"sqrt\(3\) is not mapped"):
+        red(Scalar.sqrt(6))
+    assert red(Fraction(1, p + 1)) * (p + 1) % p == 1
+    # 8 times the odd primes up to 67 leaves no p in the proven range
+    primes = [q for q in range(3, 68) if _prime_by_trial_division(q)]
+    with pytest.raises(NotReducible, match="no proven prime"):
+        reduction([Scalar.sqrt(q) for q in primes])

@@ -6,12 +6,14 @@ checks plus targeted structural assertions.
 """
 
 import dataclasses
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
 from hkr import catalog
+from hkr import dimensions as dm
 from hkr import roots as rt
 from hkr import triples as tp
 from hkr import linalg as la
@@ -21,6 +23,7 @@ from hkr.errors import (ConstructionFailure, GradingFailure, MismatchWithTable,
                         NoSolution, NonUnique, RelationFailure,
                         RouteDisagreement)
 from hkr.scalars import Scalar, ZERO, ONE, I
+from test_catalog import _forms_up_to
 
 
 _CACHE = {}
@@ -323,6 +326,67 @@ def test_section_points_regular_on_samples():
     basis = tp.section_basis(S, triple, dec)
     for gamma in ([1, 0], [0, 1], [Fraction(1, 2), -3], [-2, Fraction(5, 4)]):
         assert tp.section_point_regular(basis, gamma)
+
+
+def test_section_basis_refuses_a_non_principal_f():
+    # [[1, i, 0], [i, -1, 0], [0, 0, 0]] is a nilpotent of rank one in m^C,
+    # the Cayley image of one root vector, so its centralizer in m^C has
+    # dim 4 > rank 2; the rest of the triple and the section data stay
+    S, tds, triple, dec = chain("sl_R", n=3)
+    f = S.coords_of(la.mat([[1, I, 0], [I, -1, 0], [0, 0, 0]]))
+    assert la.is_nilpotent(S.matrix_of(f)) and not tp.is_regular(S, f)
+    with pytest.raises(ConstructionFailure,
+                       match=r"^sl\(3,R\): f is not regular in m\^C$"):
+        tp.section_basis(S, dataclasses.replace(triple, f=f), dec)
+
+
+def _regular_by_exact_rank(S, x):
+    """The oracle: dim m^C less the exact rank of ad(x) on m^C is rank_a."""
+    ad = S.ad_matrix(list(x))
+    cols = [[row[j] for j in S.m_indices] for row in ad]
+    return S.dim_m - la.rank(cols) == S.rank_a
+
+
+# the 29 FormIds of matrix size <= 5 and three stretch forms of dim 35-63
+_REGULARITY_FORMS = _forms_up_to(5) + [
+    form_id("su_pq", p=4, q=4), form_id("sp2n_R", n=4),
+    form_id("so_star", n=5)]
+
+
+@pytest.mark.parametrize("fid", _REGULARITY_FORMS, ids=catalog.form_cli_text)
+def test_is_regular_matches_the_exact_rank(monkeypatch, fid):
+    an = dm.analyze(build(fid))
+    S, triple = an.structure, an.triple
+    label = sorted(an.root_data.root_spaces)[0]
+    y = an.root_data.root_spaces[label][0]
+    root_vector = tuple(a - b for a, b in zip(y, S.theta_coords(y)))
+    points = [triple.e, triple.f, (ZERO,) * S.dim, root_vector]
+    gammas = []
+    try:
+        basis = an.section
+    except ConstructionFailure:
+        basis = None  # so(2,2): the degrees do not grade its section
+    if basis is not None:
+        rng = random.Random("is_regular/%s" % S.name)
+        gammas = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                   for _ in range(basis.rank)] for _ in range(2)]
+        points += [tp.section_point(basis, g) for g in gammas]
+    want = [_regular_by_exact_rank(S, x) for x in points]
+    assert want[:3] == [True, True, False]
+    exact = []
+    rank = la.rank
+    monkeypatch.setattr(la, "rank", lambda rows: exact.append(1) or rank(rows))
+    for forced in (False, True):
+        if forced:  # rank 0 mod p never reaches the bound: the exact rank runs
+            monkeypatch.setattr(la, "rank_det_mod", lambda rows, p: (0, 0))
+        del exact[:]
+        assert [tp.is_regular(S, x) for x in points] == want, forced
+        assert [tp.section_point_regular(basis, g)
+                for g in gammas] == want[4:], forced
+        # unforced, only the points that are not regular take the exact rank
+        fallbacks = len(points + gammas) if forced else \
+            want.count(False) + want[4:].count(False)
+        assert len(exact) == fallbacks, forced
 
 
 def test_fiber_match_round_trip():

@@ -11,6 +11,7 @@ from hkr import roots as rt
 from hkr import triples as tp
 from hkr import verify as vf
 from hkr.errors import ConstructionFailure, InvalidParams
+from hkr.scalars import NotReducible
 
 
 def test_unexpected_exception_fails_only_its_check(monkeypatch):
@@ -155,30 +156,68 @@ def _sl3r_analysis():
     return an
 
 
-def test_injectivity_takes_one_charpoly_per_gamma(monkeypatch):
-    an = _sl3r_analysis()
+def _count_calls(monkeypatch, module, name, replacement=None):
     calls = []
-    original = vf.la.charpoly
+    original = getattr(module, name)
+    target = replacement or original
 
-    def counting(m, *args):
+    def counting(*args):
         calls.append(1)
-        return original(m, *args)
+        return target(*args)
 
-    monkeypatch.setattr(vf.la, "charpoly", counting)
-    result = vf._run("sl(3,R)", "injectivity",
-                     lambda: vf._check_injectivity(an, 0, 10))
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _run_injectivity(an):
+    return vf._run("sl(3,R)", "injectivity",
+                   lambda: vf._check_injectivity(an, 0, 10))
+
+
+def test_injectivity_takes_one_charpoly_per_gamma(monkeypatch):
+    # the charpoly of each gamma is one key, its value at t0 mod p; distinct
+    # keys need no exact charpoly
+    an = _sl3r_analysis()
+    keys = _count_calls(monkeypatch, vf.la, "rank_det_mod")
+    charpolys = _count_calls(monkeypatch, vf.la, "charpoly")
+    result = _run_injectivity(an)
     assert result.ok, result.detail
     assert result.detail == "11 gammas, pairwise distinct invariants"
-    assert len(calls) == 11
+    assert (len(keys), len(charpolys)) == (11, 0)
 
 
 def test_injectivity_fails_on_equal_invariants_of_distinct_gammas(
         monkeypatch):
-    # every gamma gets the same charpoly: the first distinct pair fails
+    # every gamma gets the same key and the same exact charpoly: the first
+    # distinct pair fails
     an = _sl3r_analysis()
+    monkeypatch.setattr(vf.la, "rank_det_mod", lambda rows, p: (3, 1))
     monkeypatch.setattr(vf.la, "charpoly", lambda m, *args: (1,))
-    result = vf._run("sl(3,R)", "injectivity",
-                     lambda: vf._check_injectivity(an, 0, 10))
+    result = _run_injectivity(an)
     assert not result.ok
     assert result.detail.startswith("gammas 0 and ")
     assert result.detail.endswith(": distinct gamma, equal invariants")
+
+
+def test_injectivity_settles_equal_keys_by_the_exact_charpoly(monkeypatch):
+    # equal keys with distinct charpolys pass, one exact charpoly per gamma
+    an = _sl3r_analysis()
+    _count_calls(monkeypatch, vf.la, "rank_det_mod", lambda rows, p: (3, 1))
+    charpolys = _count_calls(monkeypatch, vf.la, "charpoly")
+    result = _run_injectivity(an)
+    assert result.ok, result.detail
+    assert result.detail == "11 gammas, pairwise distinct invariants"
+    assert len(charpolys) == 11
+
+
+def test_injectivity_compares_exact_charpolys_when_the_reduction_declines(
+        monkeypatch):
+    def declined(values):
+        raise NotReducible("planted")
+
+    an = _sl3r_analysis()
+    monkeypatch.setattr(tp, "reduction", declined)
+    charpolys = _count_calls(monkeypatch, vf.la, "charpoly")
+    result = _run_injectivity(an)
+    assert result.ok, result.detail
+    assert len(charpolys) == 11
