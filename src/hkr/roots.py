@@ -13,7 +13,8 @@ each piece is counted by its centralizer of t (``full_root_classification``).
 Classification goes through the Cartan matrix of a deterministic simple
 system; type labels are canonical strings like ``B2`` or ``A1xA1``, compared
 through the low-rank coincidences (B1 = C1 = A1, B2 = C2, D2 = A1 x A1,
-D3 = A3).
+D3 = A3).  ``weyl_group`` enumerates W as permutations of its roots, layer by
+length, classed by characteristic polynomial for the Molien series.
 """
 
 from __future__ import annotations
@@ -413,100 +414,125 @@ def weyl_order_reference(label: str) -> int:
 
 # --- Weyl group generation ----------------------------------------------------------
 
-def weyl_group(simples: List[RootLabel], pair) -> List[Tuple[Tuple[int, ...], ...]]:
-    """All Weyl elements as integer matrices in the simple-root basis.
+@dataclass
+class WeylGroup:
+    """A Weyl group enumerated as permutations of its roots, by length.
 
-    Row r, column j: coefficient of simple root r in the image of simple
-    root j.  Generated by breadth-first closure over the simple reflections.
-    s_i differs from the identity only in row i, so s_i w is w with row i
-    replaced by sum_k (s_i)_{ik} w_k over the nonzero entries of that row.
+    `roots` holds every root in simple-root coordinates, simples first.  An
+    element w is keyed by the bytes of the indices of w(a_1), ..., w(a_r);
+    `keys` lists them in the order found, so element i has length l with
+    sum(layers[:l]) <= i < sum(layers[:l + 1]).  `classes` holds one
+    (representative matrix, count) per characteristic polynomial.
+    """
+    roots: List[Tuple[int, ...]]
+    keys: List[bytes]
+    layers: List[int]
+    classes: List[Tuple[Tuple[Tuple[int, ...], ...], int]]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def matrix(self, key: bytes) -> Tuple[Tuple[int, ...], ...]:
+        """Row x, column j: the coefficient of a_x in w(a_j)."""
+        return tuple(zip(*(self.roots[i] for i in key)))
+
+
+def weyl_group(simples: List[RootLabel], pair) -> WeylGroup:
+    """The Weyl group of a simple system, by breadth-first search on length.
+
+    The simples are closed under s_i(b) = b - <b, a_i^v> a_i (integer Cartan
+    entries), and each s_i becomes a permutation of root indices.
+    l(w s_i) = l(w) + 1 exactly when w(a_i) > 0 (Humphreys 1.6-1.7), so layer
+    l + 1 holds the new such products over layer l: an element's layer is its
+    length.  Only a layer's full permutations are kept, as bytes (256 roots
+    or more mean over 10^12 elements, refused), and a product is first keyed
+    by its r simple images.
+
+    Each element is classed by its characteristic polynomial.  w is
+    orthogonal, so det(tI - w) has e_(r-k) = det(w) e_k, and det(w) =
+    (-1)^l(w) with tr w^k for k <= r/2 fixes it (Newton).  With u = w(a_i),
+    w s_i = w - u <., a_i^v>, so tr(w s_i) = tr w - <u, a_i^v> and
+    tr (w s_i)^2 = tr w^2 - 2 <w(u), a_i^v> + <u, a_i^v>^2; from rank 6 on,
+    tr w^k sums the a_j-coordinates of w^k(a_j) along the permutation.
     """
     r = len(simples)
     cart = cartan_matrix(simples, pair)
-    # row i of s_i: s_i(a_j) = a_j - n(j, i) a_i with
-    # n(j, i) = 2(a_j, a_i)/(a_i, a_i)
-    gens = []
-    for i in range(r):
-        row = [(1 if j == i else 0) - int(cart[j][i]) for j in range(r)]
-        gens.append((i, [(k, c) for k, c in enumerate(row) if c]))
-    ident = tuple(tuple(1 if x == y else 0 for y in range(r)) for x in range(r))
-    seen = {ident}
-    frontier = [ident]
+    coroots = [[int(cart[j][i]) for j in range(r)] for i in range(r)]
+    roots = [tuple(int(x == j) for x in range(r)) for j in range(r)]
+    index = {b: k for k, b in enumerate(roots)}
+    perms: List[List[int]] = [[] for _ in range(r)]
+    pairings: List[List[int]] = [[] for _ in range(r)]  # <root, a_i^v>
+    for b in roots:  # grows while new images turn up
+        for i, row in enumerate(coroots):
+            c = sum(map(mul, b, row))
+            img = b[:i] + (b[i] - c,) + b[i + 1:]
+            if img not in index:
+                index[img] = len(roots)
+                roots.append(img)
+            perms[i].append(index[img])
+            pairings[i].append(c)
+    gens = [(tuple(p), tuple(p[:r]), c) for p, c in zip(perms, pairings)]
+    positive = [is_positive(b) for b in roots]
+    if len(roots) > 255:
+        raise ConstructionFailure("%d roots: W is too large to enumerate"
+                                  % len(roots))
+    ident = bytes(range(len(roots)))
+    frontier = [(ident, r, r)]  # (w, tr w, tr w^2)
+    seen = {ident[:r]: None}  # keys in the order found
+    layers: List[int] = []
+    classes: Dict[tuple, list] = {}
     while frontier:
-        new = []
-        for w in frontier:
-            for i, terms in gens:
-                row = [0] * r
-                for k, c in terms:
-                    for y, e in enumerate(w[k]):
-                        row[y] += c * e
-                prod = w[:i] + (tuple(row),) + w[i + 1:]
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
+        new, det = [], len(layers) % 2
+        for w, tr1, tr2 in frontier:
+            head, at = w[:r], w.__getitem__
+            poly = (det, tr1, tr2)
+            if r > 5:
+                images = tuple(map(at, head))  # w^2(a_j)
+                for _ in range(3, r // 2 + 1):
+                    images = tuple(map(at, images))
+                    poly += (sum(roots[i][j] for j, i in enumerate(images)),)
+            classes.setdefault(poly, [head, 0])[1] += 1
+            for u, (s, s_head, c) in zip(head, gens):
+                if positive[u]:
+                    key = bytes(map(at, s_head))
+                    if key not in seen:
+                        seen[key] = None
+                        new.append((bytes(map(at, s)), tr1 - c[u],
+                                    tr2 - 2 * c[at(u)] + c[u] ** 2))
+        layers.append(len(frontier))
         frontier = new
-    return sorted(seen)
+    group = WeylGroup(roots, list(seen), layers, [])
+    group.classes = [(group.matrix(k), n) for k, n in classes.values()]
+    return group
 
 
-def _power_traces(w: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
-    """(tr w, tr w^2, ..., tr w^r) of an r x r integer matrix.
-
-    tr w^(a+b) = sum_ij (w^a)_ij (w^b)_ji, so the powers up to w^ceil(r/2)
-    give every trace.  Each power is a flat row-major list of ints, and
-    every entry and trace is one dot product of two flat slices.
-    """
-    r = len(w)
-    flat = [e for row in w for e in row]
-    cols = [flat[j::r] for j in range(r)]
-    powers = [flat]  # powers[a - 1] = w^a
-    while 2 * len(powers) < r:
-        p = powers[-1]
-        powers.append([sum(map(mul, p[i:i + r], col))
-                       for i in range(0, r * r, r) for col in cols])
-    # the column-major lists of the powers: their transposes, flat
-    transposed = [[x for j in range(r) for x in p[j::r]] for p in powers]
-    out = [sum(flat[::r + 1])]
-    for k in range(2, r + 1):
-        out.append(sum(map(mul, powers[(k + 1) // 2 - 1],
-                           transposed[k // 2 - 1])))
-    return tuple(out)
-
-
-def molien_series(wmats: Sequence[Tuple[Tuple[int, ...], ...]],
-                  order: int) -> List[Fraction]:
+def molien_series(group: WeylGroup, order: int) -> List[Fraction]:
     """(1/|W|) sum_w 1/det(I - tw), truncated to `order` terms.
 
-    1/det(I - tw) depends on w only through det(tI - w).  Over Q, Newton's
-    identities make the power sums tr w^k, k = 1..r, determine det(tI - w).
-    So the elements are grouped by those integer traces, and one charpoly
-    per group, times the group's size, gives the same rational series term
-    by term as the sum over every element.  det(I - tw) has integer
-    coefficients and constant term 1, so its inverse series is integral:
-    the sum stays in ints, divided by |W| once at the end.
+    1/det(I - tw) depends on w only through det(tI - w), so one charpoly
+    per class of `weyl_group`, times the class size, gives the same
+    rational series term by term as the sum over every element.
+    det(I - tw) has integer coefficients and constant term 1, so its inverse
+    series is integral: the sum stays in ints, divided by |W| once.
     """
-    groups: Dict[Tuple[int, ...], list] = {}
-    for w in wmats:
-        groups.setdefault(_power_traces(w), []).append(w)
     total = [0] * order
-    for members in groups.values():
-        p = la.charpoly_frac(members[0])
+    for rep, size in group.classes:
+        p = la.charpoly_frac(rep)
         # det(I - tw) = t^r charpoly(1/t) with charpoly = det(tI - w)
         terms = [(j, int(c)) for j, c in enumerate(reversed(p)) if j and c]
         inv = [1]
         for k in range(1, order):
             inv.append(-sum(c * inv[k - j] for j, c in terms if j <= k))
-        size = len(members)
         for k in range(order):
             total[k] += size * inv[k]
-    return [Fraction(c, len(wmats)) for c in total]
+    return [Fraction(c, len(group)) for c in total]
 
 
-def molien_degrees(wmats: Sequence[Tuple[Tuple[int, ...], ...]],
-                   rank: int) -> List[int]:
+def molien_degrees(group: WeylGroup, rank: int) -> List[int]:
     """Degrees of basic invariants from the Molien series of the group."""
     order = 4 * rank + 6
     degrees = []
-    p = molien_series(wmats, order)
+    p = molien_series(group, order)
     for _ in range(rank):
         d = next((k for k in range(1, order) if p[k]), None)
         if d is None:

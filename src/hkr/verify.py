@@ -13,6 +13,7 @@ PRNG seeded per (seed, form, check), so runs are reproducible in any order.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -321,20 +322,33 @@ _ORACLE_LABELS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
 
 
 def _check_exponent_oracle() -> Optional[str]:
-    # BC_n has the simple roots of B_n: its group and degrees are computed once
-    seen: Dict[tuple, Tuple[int, List[int]]] = {}
+    # BC_n shares B_n's simple roots: each system's counts are computed once
+    seen: Dict[tuple, Tuple[int, int, List[int], List[int]]] = {}
     for label in _ORACLE_LABELS:
         simples, pair = rt.abstract_simple_system(label)
         key = tuple(simples)
         if key not in seen:
             wg = rt.weyl_group(simples, pair)
-            seen[key] = len(wg), rt.molien_degrees(wg, len(simples))
-        order, degs = seen[key]
+            seen[key] = (len(wg), len(wg.roots) // 2, wg.layers,
+                         rt.molien_degrees(wg, len(simples)))
+        order, positive, layers, degs = seen[key]
         want_order = rt.weyl_order_reference(label)
         assert order == want_order, \
             "%s: |W| = %d, reference %d" % (label, order, want_order)
         want = rt.invariant_degrees(label)
         assert degs == want, "%s: Molien %s, table %s" % (label, degs, want)
+        # |W| = prod d_i and |Phi+| = sum (d_i - 1) (Humphreys 3.9)
+        assert order == math.prod(degs), \
+            "%s: |W| = %d, degrees %s" % (label, order, degs)
+        assert positive == sum(d - 1 for d in degs), \
+            "%s: %d positive roots, degrees %s" % (label, positive, degs)
+        # Solomon: sum_w t^l(w) = prod_i (1 + t + ... + t^(d_i - 1))
+        solomon = [1]
+        for d in degs:
+            solomon = [sum(solomon[max(0, k - d + 1):k + 1])
+                       for k in range(len(solomon) + d - 1)]
+        assert layers == solomon, \
+            "%s: lengths %s, Solomon %s" % (label, layers, solomon)
     return "%d types" % len(_ORACLE_LABELS)
 
 

@@ -1,5 +1,7 @@
 """Restricted root systems, diagram classification, Weyl-group oracles."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from hkr.catalog import (build, form_id, standard_forms, form_display,
                          form_cli_text, parse_form, lookup_table1,
                          algebra_label_dim,
                          reference_restricted_type, reference_reduced_type)
-from hkr.errors import NonRationalSpectrum, UnrecognizedDiagram
+from hkr.errors import (ConstructionFailure, NonRationalSpectrum,
+                        UnrecognizedDiagram)
 from hkr.scalars import I, Scalar
 from hkr.verify import _ORACLE_LABELS
 from test_linalg import faddeev_leverrier
@@ -158,6 +161,11 @@ def _full_product_weyl_group(simples, pair):
     return sorted(seen)
 
 
+def _matrices(group):
+    """Every element of a WeylGroup as its integer matrix, in BFS order."""
+    return [group.matrix(key) for key in group.keys]
+
+
 def _poly_inv_trunc(a, order):
     """Power series inverse of a with a[0] != 0, to the given order."""
     inv0 = 1 / a[0]
@@ -189,8 +197,9 @@ def _per_element_molien_series(wmats, order):
 @pytest.mark.parametrize("label", _ORACLE_LABELS)
 def test_weyl_group_matches_full_product_closure(label):
     simples, pair = rt.abstract_simple_system(label)
-    assert rt.weyl_group(simples, pair) == \
-        _full_product_weyl_group(simples, pair)
+    w = rt.weyl_group(simples, pair)
+    assert len(set(w.keys)) == len(w)
+    assert sorted(_matrices(w)) == _full_product_weyl_group(simples, pair)
 
 
 @pytest.mark.parametrize("label", _ORACLE_LABELS)
@@ -198,14 +207,15 @@ def test_molien_series_matches_per_element_sum(label):
     simples, pair = rt.abstract_simple_system(label)
     w = rt.weyl_group(simples, pair)
     order = 4 * len(simples) + 6
-    assert rt.molien_series(w, order) == _per_element_molien_series(w, order)
+    assert rt.molien_series(w, order) == \
+        _per_element_molien_series(_matrices(w), order)
 
 
 def test_molien_series_takes_one_charpoly_per_polynomial(monkeypatch):
     simples, pair = rt.abstract_simple_system("F4")
     w = rt.weyl_group(simples, pair)
     distinct = {tuple(la.charpoly_frac([[Fraction(e) for e in row]
-                                        for row in x])) for x in w}
+                                        for row in x])) for x in _matrices(w)}
     calls = []
     real = la.charpoly_frac
     monkeypatch.setattr(la, "charpoly_frac",
@@ -213,6 +223,111 @@ def test_molien_series_takes_one_charpoly_per_polynomial(monkeypatch):
     rt.molien_series(w, 22)
     assert len(w) == 1152
     assert len(calls) == len(distinct) == 17
+
+
+@pytest.mark.parametrize("label", [x for x in _ORACLE_LABELS
+                                   if not x.startswith("BC")])
+def test_each_class_is_one_characteristic_polynomial(label):
+    simples, pair = rt.abstract_simple_system(label)
+    w = rt.weyl_group(simples, pair)
+    per_element = Counter(tuple(la.charpoly_frac(m)) for m in _matrices(w))
+    per_class = {tuple(la.charpoly_frac(rep)): n for rep, n in w.classes}
+    assert per_class == per_element
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def test_a6_classes_are_the_cycle_types():
+    # W(A6) = S7 on the sum-zero hyperplane: cycle type lam has 7!/z_lam
+    # elements and charpoly prod_l (t^l - 1) / (t - 1)
+    simples, pair = rt.abstract_simple_system("A6")
+    w = rt.weyl_group(simples, pair)
+    want = {}
+    for lam in _partitions(7):
+        poly = [1]  # highest degree first
+        for part in lam:
+            factor = [1] + [0] * (part - 1) + [-1]
+            poly = [sum(poly[i] * factor[k - i] for i in range(len(poly))
+                        if 0 <= k - i < len(factor))
+                    for k in range(len(poly) + part)]
+        quotient = [poly[0]]  # divided by t - 1
+        for c in poly[1:-1]:
+            quotient.append(c + quotient[-1])
+        z = math.prod(lam) * math.prod(math.factorial(lam.count(part))
+                                       for part in set(lam))
+        # charpoly_frac lists the constant term first
+        want[tuple(reversed(quotient))] = math.factorial(7) // z
+    got = {tuple(la.charpoly_frac(rep)): n for rep, n in w.classes}
+    assert len(w) == 5040 and len(want) == 15
+    assert got == want
+    assert rt.molien_degrees(w, 6) == rt.invariant_degrees("A6")
+
+
+def test_d6_classes_read_tr_w_cubed():
+    # at rank 6, det w and tr w, tr w^2 leave classes of D6 merged
+    simples, pair = rt.abstract_simple_system("D6")
+    w = rt.weyl_group(simples, pair)
+    assert len(w) == rt.weyl_order_reference("D6") == 23040
+    assert rt.molien_degrees(w, 6) == rt.invariant_degrees("D6")
+
+
+_ROOT_COUNTS = {"A1": 2, "A2": 6, "A3": 12, "A4": 20, "B2": 8, "B3": 18,
+                "B4": 32, "C3": 18, "C4": 32, "D4": 24, "G2": 12, "F4": 48}
+
+
+@pytest.mark.parametrize("label", sorted(_ROOT_COUNTS))
+def test_weyl_group_closes_the_root_system(label):
+    simples, pair = rt.abstract_simple_system(label)
+    w = rt.weyl_group(simples, pair)
+    r = len(simples)
+    assert len(set(w.roots)) == len(w.roots) == _ROOT_COUNTS[label]
+    assert w.roots[:r] == [tuple(int(x == j) for x in range(r))
+                           for j in range(r)]
+    assert {tuple(-c for c in b) for b in w.roots} == set(w.roots)
+
+
+def test_weyl_group_refuses_256_roots_or_more():
+    # A16 has 272 roots and 17! elements
+    simples, pair = rt.abstract_simple_system("A16")
+    with pytest.raises(ConstructionFailure,
+                       match="^272 roots: W is too large to enumerate$"):
+        rt.weyl_group(simples, pair)
+
+
+def test_a3_layers_count_the_elements_by_length():
+    simples, pair = rt.abstract_simple_system("A3")
+    assert rt.weyl_group(simples, pair).layers == [1, 3, 5, 6, 5, 3, 1]
+
+
+def _permutation(group, key):
+    """w as a list of root indices: w(b) = sum_j b_j w(a_j)."""
+    m = group.matrix(key)
+    index = {b: k for k, b in enumerate(group.roots)}
+    return [index[tuple(sum(row[j] * b[j] for j in range(len(b)))
+                        for row in m)] for b in group.roots]
+
+
+@pytest.mark.parametrize("label", ["B3", "F4"])
+def test_layer_is_the_inversion_count(label):
+    # l(w) = #{b > 0 : w(b) < 0} (Humphreys 1.7)
+    simples, pair = rt.abstract_simple_system(label)
+    w = rt.weyl_group(simples, pair)
+    positive = [min(b) >= 0 for b in w.roots]
+    lengths = [length for length, size in enumerate(w.layers)
+               for _ in range(size)]
+    assert len(lengths) == len(w.keys)
+    for key, length in zip(w.keys, lengths):
+        perm = _permutation(w, key)
+        assert perm[:len(simples)] == list(key)
+        assert sum(1 for b, image in enumerate(perm)
+                   if positive[b] and not positive[image]) == length
 
 
 def test_cartan_matrix_b2():

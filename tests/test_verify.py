@@ -1,7 +1,9 @@
 """The verification runner: a fault in one check never hides the others."""
 
 import hashlib
+import inspect
 import json
+import textwrap
 
 import pytest
 
@@ -119,6 +121,73 @@ def test_verify_rows_match_their_pinned_digest():
             fiber_samples=1, conjugators=1))
     assert len(rows) == 56
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == _PINNED_ROWS
+
+
+def test_exponent_oracle_holds_on_every_type():
+    assert vf._check_exponent_oracle() == "16 types"
+
+
+def _patch_groups(monkeypatch, change):
+    real = rt.weyl_group
+
+    def changed(simples, pair):
+        group = real(simples, pair)
+        change(group)
+        return group
+
+    monkeypatch.setattr(rt, "weyl_group", changed)
+
+
+def test_exponent_oracle_catches_an_element_in_the_next_layer(monkeypatch):
+    def move(group):  # one element of length 1 moved to length 2
+        group.layers[1] -= 1
+        if len(group.layers) == 2:
+            group.layers.append(0)
+        group.layers[2] += 1
+
+    _patch_groups(monkeypatch, move)
+    with pytest.raises(AssertionError,
+                       match=r"^A1: lengths \[1, 0, 1\], Solomon \[1, 1\]$"):
+        vf._check_exponent_oracle()
+
+
+def test_exponent_oracle_catches_a_missing_root_pair(monkeypatch):
+    def drop(group):
+        del group.roots[-2:]
+
+    _patch_groups(monkeypatch, drop)
+    with pytest.raises(AssertionError,
+                       match=r"^A1: 0 positive roots, degrees \[2\]$"):
+        vf._check_exponent_oracle()
+
+
+def test_exponent_oracle_catches_a_changed_degree(monkeypatch):
+    # the table agrees with the changed degree, so only the identities see it
+    def plus_one(degrees):
+        return degrees[:-1] + [degrees[-1] + 1]
+
+    real_molien, real_table = rt.molien_degrees, rt.invariant_degrees
+    monkeypatch.setattr(rt, "molien_degrees",
+                        lambda group, rank: plus_one(real_molien(group, rank)))
+    monkeypatch.setattr(rt, "invariant_degrees",
+                        lambda label: plus_one(real_table(label)))
+    with pytest.raises(AssertionError,
+                       match=r"^A1: \|W\| = 2, degrees \[3\]$"):
+        vf._check_exponent_oracle()
+
+
+def test_exponent_oracle_catches_keys_of_r_minus_one_simple_images(
+        monkeypatch):
+    # a mutant weyl_group that keys an element by w(a_1), ..., w(a_(r-1))
+    source = textwrap.dedent(inspect.getsource(rt.weyl_group))
+    for full in ("tuple(p[:r])", "ident[:r]"):
+        assert source.count(full) == 1, full
+        source = source.replace(full, full.replace("[:r]", "[:r - 1]"))
+    namespace = dict(vars(rt))
+    exec(source, namespace)
+    monkeypatch.setattr(rt, "weyl_group", namespace["weyl_group"])
+    with pytest.raises(AssertionError, match=r"^A1: \|W\| = 1, reference 2$"):
+        vf._check_exponent_oracle()
 
 
 def test_a_failing_build_is_one_construction_row(monkeypatch):
