@@ -176,15 +176,19 @@ def root_pairing(structure: RealFormStructure):
 
 
 def cartan_matrix(simples: List[RootLabel], pair) -> List[List[Fraction]]:
-    """Entries n_ij = 2 (a_i, a_j) / (a_j, a_j); must be integral."""
+    """Entries n_ij = 2 (a_i, a_j) / (a_j, a_j); must be integral.  The
+    form is symmetric, so each unordered pair is evaluated once."""
     r = len(simples)
+    gram = [[_F0] * r for _ in range(r)]
     out = [[_F0] * r for _ in range(r)]
     for j in range(r):
-        dj = pair(simples[j], simples[j])
+        for i in range(j, r):
+            gram[i][j] = gram[j][i] = pair(simples[i], simples[j])
+        dj = gram[j][j]
         if dj <= 0:
             raise ConstructionFailure("simple root with nonpositive norm")
         for i in range(r):
-            v = 2 * pair(simples[i], simples[j]) / dj
+            v = 2 * gram[i][j] / dj
             if v.denominator != 1:
                 raise UnrecognizedDiagram("non-integral Cartan matrix entry %s" % v)
             out[i][j] = v

@@ -46,16 +46,9 @@ def _to_scalar(vec) -> Tuple[Scalar, ...]:
 
 def _proportionality(u: Sequence, v: Sequence):
     """Scalar k with v = k u, or None.  u must be nonzero."""
-    k = None
-    for a, b in zip(u, v):
-        if a:
-            k = b / a
-            break
-    if k is None:
+    k = next((b / a for a, b in zip(u, v) if a), None)
+    if k is None or any(b != k * a for a, b in zip(u, v)):
         return None
-    for a, b in zip(u, v):
-        if b != k * a:
-            return None
     return k
 
 
@@ -238,19 +231,20 @@ def _assert_semisimple(S, coords, what):
 
 
 def normal_triple(tds: TdsConstruction) -> NormalTriple:
+    """The Cayley transform of the TDS (E, F, W) = (e_c, f_c, w); from the
+    [W, E] = 2E, [W, F] = -2F and [E, F] = W that ``build_tds`` asserts,
+        [x, e] = e   for e = (F - E + W)/(2 sqrt 2),
+        [x, f] = -f  for f = (E - F + W)/(2 sqrt 2),
+        [e, f] = x   for x = (E + F)/2."""
     S = tds.structure
     E, F, W = tds.e_c, tds.f_c, tds.w
     scale = (Scalar.sqrt(2) * 2).inv()
-    cand_e = _scale(scale, _add(_sub(F, E), W))
-    cand_f = _scale(scale, _add(_sub(E, F), W))
+    e = _scale(scale, _add(_sub(F, E), W))
+    f = _scale(scale, _add(_sub(E, F), W))
     x = _scale(Scalar.of(2).inv(), _add(E, F))
-    # sign ambiguity: exactly one of the two assignments satisfies [x,e] = e
-    ok_first = _triple_relations_hold(S, cand_e, cand_f, x)
-    ok_second = _triple_relations_hold(S, cand_f, cand_e, x)
-    if ok_first == ok_second:
-        raise RelationFailure("%s: %s sign assignments satisfy the triple "
-                              "relations" % (S.name, "both" if ok_first else "no"))
-    e, f = (cand_e, cand_f) if ok_first else (cand_f, cand_e)
+    if not _triple_relations_hold(S, e, f, x):
+        raise RelationFailure("%s: [x,e] = e, [x,f] = -f and [e,f] = x do "
+                              "not all hold" % S.name)
 
     for v, what in ((e, "e"), (f, "f")):
         if S.theta_coords(v) != _scale(-1, v):
@@ -447,14 +441,8 @@ def is_quasi_split(structure: RealFormStructure, triple: NormalTriple) -> bool:
     S = structure
     # route 1: c_g(a) abelian
     cga = triple.tds.root_data.centralizer
-    route1 = True
-    for i in range(len(cga)):
-        for j in range(i + 1, len(cga)):
-            if any(S.bracket_coords(cga[i], cga[j])):
-                route1 = False
-                break
-        if not route1:
-            break
+    route1 = not any(any(S.bracket_coords(u, v))
+                     for i, u in enumerate(cga) for v in cga[i + 1:])
     # route 2: the centralizer of the principal normal TDS is the center
     dim_c = len(triple.centralizer)
     dim_z, _, _ = S.center_dims
@@ -714,6 +702,7 @@ _DISPLAY_Y10_1 = (
     (0, 1, 1, 1, 0, 0, -1, -1, -1, 0),
 )
 
+# the (0 1)(3 4)(5 6)(8 9) row/column exchange of _DISPLAY_Y10_1
 _DISPLAY_Y10_2 = (
     (0, -1, 0, 1, 0, 0, 1, 0, 1, 0),
     (1, 0, 1, 0, 1, -1, 0, -1, 0, -1),
@@ -726,9 +715,6 @@ _DISPLAY_Y10_2 = (
     (1, 0, 1, 0, 1, -1, 0, -1, 0, -1),
     (0, -1, 0, -1, 0, 0, -1, 0, 1, 0),
 )
-
-_Y10_SWAPS = ((0, 1), (3, 4), (5, 6), (8, 9))
-
 
 def _int_matrix(rows) -> la.Mat:
     return tuple(tuple(Scalar.of(v) for v in row) for row in rows)
@@ -746,15 +732,6 @@ def _pinned_root_vector(S: RealFormStructure, space) -> Tuple[Scalar, ...]:
                 [list(col) for col in zip(*space)], coords) is not None:
             return coords
     return tuple(space[0])
-
-
-def _permute_matrix(rows, swaps):
-    n = len(rows)
-    perm = list(range(n))
-    for i, j in swaps:
-        perm[i], perm[j] = perm[j], perm[i]
-    return tuple(tuple(rows[perm[r]][perm[c]] for c in range(n))
-                 for r in range(n))
 
 
 def _block_traces(mat: la.Mat, n: int) -> Tuple[Scalar, Scalar]:
@@ -811,16 +788,7 @@ def so_star_lemma_report(triple: NormalTriple) -> LemmaReport:
         notes.append("displayed 10x10 two-parameter element has a spurious "
                      "column; coefficient patterns equal the canonical "
                      "a-basis")
-        y1 = _int_matrix(_DISPLAY_Y10_1)
-        y2 = _permute_matrix(_DISPLAY_Y10_1, _Y10_SWAPS)
-        y2s = _int_matrix(y2)
-        if not la.mat_eq(y2s, _int_matrix(_DISPLAY_Y10_2)):
-            diffs = sum(1 for r in range(10) for c in range(10)
-                        if y2s[r][c] != Scalar.of(_DISPLAY_Y10_2[r][c]))
-            notes.append("displayed second eigenvector differs from the "
-                         "row/column exchange of the first in %d entries"
-                         % diffs)
-        y_mats = [y1, y2s]
+        y_mats = [_int_matrix(_DISPLAY_Y10_1), _int_matrix(_DISPLAY_Y10_2)]
         displayed_in = all(S.try_coords_of(y) is not None for y in y_mats)
 
     # each displayed eigenvector pairs with its own a-basis element: the k-th

@@ -337,6 +337,37 @@ def test_cartan_matrix_b2():
     assert {cart[0][1], cart[1][0]} == {Fraction(-1), Fraction(-2)}
 
 
+def test_cartan_matrix_pairs_each_unordered_pair_once():
+    simples, pair = rt.abstract_simple_system("F4")
+    calls = []
+
+    def counting(lam, mu):
+        calls.append(frozenset((lam, mu)))
+        return pair(lam, mu)
+
+    rt.cartan_matrix(simples, counting)
+    assert len(calls) == 4 * 5 // 2
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("label", _ORACLE_LABELS)
+def test_cartan_matrix_is_2_a_i_a_j_over_a_j_a_j(label):
+    simples, pair = rt.abstract_simple_system(label)
+    assert rt.cartan_matrix(simples, pair) == [
+        [2 * pair(a, b) / pair(b, b) for b in simples] for a in simples]
+
+
+@pytest.mark.parametrize("gram, error", [
+    # column 0 holds 2/3 before column 1 reaches its zero norm
+    ([[3, 1], [1, 0]], UnrecognizedDiagram),
+    # column 0 is integral, so column 1's norm -1 raises
+    ([[2, 1], [1, -1]], ConstructionFailure),
+])
+def test_cartan_matrix_raises_column_by_column(gram, error):
+    with pytest.raises(error):
+        rt.cartan_matrix([0, 1], lambda a, b: Fraction(gram[a][b]))
+
+
 def test_unrecognized_diagrams_are_typed():
     with pytest.raises(UnrecognizedDiagram, match="no degree table for 'X2'"):
         rt.invariant_degrees("X2")

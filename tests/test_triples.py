@@ -261,12 +261,22 @@ def test_quasi_split_routes_must_agree(monkeypatch):
 
 
 def test_normal_triple_rejects_a_corrupted_tds():
-    # with e_c doubled, neither sign assignment closes [x, e] = e
+    # with e_c doubled, [E, F] = 2W and the triple relations fail
     S, tds, _, _ = chain("sl_R", n=3)
     bad = dataclasses.replace(tds, e_c=tuple(2 * v for v in tds.e_c))
     with pytest.raises(RelationFailure,
-                       match="no sign assignments satisfy the triple relations"):
+                       match=r"sl\(3,R\): \[x,e\] = e, \[x,f\] = -f and "
+                             r"\[e,f\] = x do not all hold"):
         tp.normal_triple(bad)
+
+
+@pytest.mark.parametrize("fid", _forms_up_to(4), ids=catalog.form_cli_text)
+def test_swapped_cayley_signs_break_the_triple_relations(fid):
+    # normal_triple tries one sign assignment: the swap of e and f never holds
+    S = build(fid)
+    triple = tp.normal_triple(tp.build_tds(S, rt.restricted_roots(S)))
+    assert tp._triple_relations_hold(S, triple.e, triple.f, triple.x)
+    assert not tp._triple_relations_hold(S, triple.f, triple.e, triple.x)
 
 
 def test_semisimplicity_check_rejects_a_nilpotent():
@@ -509,6 +519,17 @@ def test_so_star10_lemma_report():
     assert rep.displayed_y_in_algebra
     assert rep.eigen_values == [(Fraction(1),), (Fraction(1),)]
     assert rep.y_block_traces_zero and rep.x_block_traces_zero
+
+
+def test_second_so_star10_display_is_the_exchange_of_the_first():
+    # the (0 1)(3 4)(5 6)(8 9) row/column exchange of the first display
+    perm = list(range(10))
+    for i, j in ((0, 1), (3, 4), (5, 6), (8, 9)):
+        perm[i], perm[j] = perm[j], perm[i]
+    y1 = tp._DISPLAY_Y10_1
+    assert tp._DISPLAY_Y10_2 == tuple(
+        tuple(y1[perm[r]][perm[c]] for c in range(10)) for r in range(10))
+    assert tp._DISPLAY_Y10_2 != y1
 
 
 def test_so_star_lemma_rejects_other_ranks():

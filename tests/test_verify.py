@@ -9,11 +9,12 @@ import pytest
 
 from hkr import catalog
 from hkr import dimensions as dm
+from hkr import linalg as la
 from hkr import roots as rt
 from hkr import triples as tp
 from hkr import verify as vf
 from hkr.errors import ConstructionFailure, InvalidParams
-from hkr.scalars import NotReducible
+from hkr.scalars import NotReducible, Scalar
 
 
 def test_unexpected_exception_fails_only_its_check(monkeypatch):
@@ -236,6 +237,63 @@ def _count_calls(monkeypatch, module, name, replacement=None):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _run_invariance(monkeypatch, an, pairs):
+    monkeypatch.setattr(tp, "invariance_conjugators", lambda S, count: pairs)
+    return vf._run("sl(3,R)", "invariance",
+                   lambda: vf._check_invariance(an, 0, len(pairs)))
+
+
+def test_invariance_fails_a_conjugator_of_determinant_other_than_one(
+        monkeypatch):
+    # 2I and I/2 are inverse, but det 2I = 8
+    pair = (la.mscale(2, la.eye(3)), la.mscale(Scalar.of(1) / 2, la.eye(3)))
+    result = _run_invariance(monkeypatch, _sl3r_analysis(), [pair])
+    assert not result.ok
+    assert result.detail == "conjugate 0: det g != 1"
+
+
+def test_invariance_fails_a_pair_that_is_not_inverse(monkeypatch):
+    # a rational rotation g of SO(3) has det 1, but g g != I
+    an = _sl3r_analysis()
+    g, _ = tp.invariance_conjugators(an.structure, 1)[0]
+    result = _run_invariance(monkeypatch, an, [(g, g)])
+    assert not result.ok
+    assert result.detail == "conjugate 0: g g^-1 != I"
+
+
+def test_invariance_takes_one_charpoly_per_conjugator_on_g(monkeypatch):
+    an = _sl3r_analysis()
+    pairs = tp.invariance_conjugators(an.structure, 3)
+    seen = []
+    original = vf.la.charpoly
+
+    def recording(m):
+        seen.append(m)
+        return original(m)
+
+    monkeypatch.setattr(vf.la, "charpoly", recording)
+    result = _run_invariance(monkeypatch, an, pairs[:1])
+    assert result.ok, result.detail
+    assert result.detail == "1 conjugators"
+    result = _run_invariance(monkeypatch, an, pairs)
+    assert result.ok, result.detail
+    assert seen == [pairs[0][0]] + [g for g, _ in pairs]
+
+
+def test_fiber_match_does_not_test_regularity(monkeypatch):
+    # the matched points are regular because f is (the C* contraction)
+    def unreachable(*args):
+        raise AssertionError("is_regular called")
+
+    an = _sl3r_analysis()
+    monkeypatch.setattr(tp, "is_regular", unreachable)
+    monkeypatch.setattr(tp, "section_point_regular", unreachable)
+    result = vf._run("sl(3,R)", "fiber_match",
+                     lambda: vf._check_fiber_match(an, 0, 2))
+    assert result.ok, result.detail
+    assert result.detail == "2 targets"
 
 
 def _run_injectivity(an):
