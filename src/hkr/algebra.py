@@ -16,13 +16,18 @@ elements of the complexification g^C (the C-span of the basis) have Scalar
 coordinates, and the rational elements of g are those whose coordinates are
 all Scalars with ``is_rational()``.  Bracket, form, and involution
 computations in coordinates use rational structure data, so they stay exact
-and cheap even when the coordinates themselves carry radicals.
+and cheap even when the coordinates themselves carry radicals.  The
+structure constants come from indexes of the basis entries by row and by
+column, which form only the products that meet, and only nonzero brackets
+are solved; they are kept per element i as a {j: ((k, c), ...)} index, so
+a bracket walks the sparser of its operands.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
@@ -69,35 +74,6 @@ def _theta_halves(x: Entries) -> Tuple[Entries, Entries]:
             {k: e for k, e in m.items() if e})
 
 
-def _sparse_bracket(x: Entries, y: Entries) -> Entries:
-    acc: Entries = {}
-    yrows: Dict[int, List[Tuple[int, Scalar]]] = {}
-    for (r, c), v in y.items():
-        yrows.setdefault(r, []).append((c, v))
-    for (r, k), a in x.items():
-        for c, b in yrows.get(k, ()):
-            key = (r, c)
-            acc[key] = add_product(acc.get(key), a, b)
-    xrows: Dict[int, List[Tuple[int, Scalar]]] = {}
-    for (r, c), v in x.items():
-        xrows.setdefault(r, []).append((c, v))
-    for (r, k), a in y.items():
-        a = -a
-        for c, b in xrows.get(k, ()):
-            key = (r, c)
-            acc[key] = add_product(acc.get(key), a, b)
-    return {k: v for k, v in acc.items() if v is not ZERO}
-
-
-def _sparse_trace_product(x: Entries, y: Entries) -> Scalar:
-    acc = ZERO
-    for (r, c), v in x.items():
-        w = y.get((c, r))
-        if w is not None:
-            acc = add_product(acc, v, w)
-    return acc
-
-
 def _span_kernel(space: Sequence[Sequence], images: Sequence[dict],
                  length: int) -> List[tuple]:
     """Basis of the vectors sum c_i space[i] with sum c_i images[i] = 0.
@@ -141,9 +117,11 @@ class RealFormStructure:
     dim: int = field(init=False)
     dim_m: int = field(init=False)
     gram: Tuple[Tuple[Scalar, ...], ...] = field(init=False, repr=False)
-    # struct[i] lists (j, k, c) for every nonzero coefficient c of basis[k]
-    # in [basis[i], basis[j]], ordered by j then k
-    struct: List[List[Tuple[int, int, Scalar]]] = field(init=False, repr=False)
+    # struct[i] is an index {j: ((k, c), ...)} of every nonzero coefficient c
+    # of basis[k] in [basis[i], basis[j]], j and k increasing: one lookup
+    # per j
+    struct: List[Dict[int, Tuple[Tuple[int, Scalar], ...]]] = field(
+        init=False, repr=False)
     # the constants of [m, m] reduced mod p, per prime p (see ``ad_mod``)
     _struct_mod: Dict[int, dict] = field(init=False, repr=False, compare=False,
                                          default_factory=dict)
@@ -221,31 +199,66 @@ class RealFormStructure:
         return h_list, a_list, m_rest
 
     def _build_struct(self):
-        """Each bracket of two basis matrices, taken from their sparse
-        entries and solved for its nonzero coefficients, which must all be
-        rational."""
+        """Each nonzero bracket of two basis matrices, solved for its
+        coefficients, which must all be rational.
+
+        Two indexes of the basis entries, by row and by column, give the
+        products X_i X_j and X_j X_i of one X_i with every later X_j, formed
+        only where an entry of the left factor meets a row of the right one.
+        A pair whose products never form or cancel has bracket zero and
+        needs no solve.
+        """
         d, n = self.dim, self.n
-        sparse = self._sparse_basis
-        table: List[List[Tuple[int, int, Scalar]]] = [[] for _ in range(d)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                br = _sparse_bracket(sparse[i], sparse[j])
-                cij = self._solve(_flat(br, n))
+        # an entry (p, q) of X_i meets row q of X_j in X_i X_j, at (p, c), and
+        # column p of X_j in -X_j X_i, at (r, q): each flat index is a part
+        # from X_i (p n or q) plus the part held in the index (c or r n)
+        by_row: Dict[int, List[Tuple[int, int, Scalar]]] = {}
+        by_col: Dict[int, List[Tuple[int, int, Scalar]]] = {}
+        for j, x in enumerate(self._sparse_basis):
+            for (r, c), e in x.items():
+                by_row.setdefault(r, []).append((j, c, e))
+                by_col.setdefault(c, []).append((j, r * n, -e))
+        table: List[dict] = [{} for _ in range(d)]
+        for i, x in enumerate(self._sparse_basis):
+            brackets: Dict[int, Dict[int, Scalar]] = {}  # j: [X_i, X_j]
+            for (p, q), a in x.items():
+                for base, hits in ((p * n, by_row.get(q, ())),
+                                   (q, by_col.get(p, ()))):
+                    for j, part, b in hits:
+                        if j > i:
+                            br = brackets.setdefault(j, {})
+                            br[base + part] = add_product(
+                                br.get(base + part), a, b)
+            for j in sorted(brackets):
+                br = {key: e for key, e in brackets[j].items() if e is not ZERO}
+                if not br:
+                    continue
+                cij = self._solve(br)
                 if cij is None or not all(c.is_rational() for c in cij.values()):
                     raise ConstructionFailure(
                         "%s: bracket of basis %d, %d leaves the algebra" %
                         (self.name, i, j))
-                for k, c in sorted(cij.items()):
-                    table[i].append((j, k, c))
-                    table[j].append((i, k, -c))
+                kc = tuple(sorted(cij.items()))
+                table[i][j] = kc
+                table[j][i] = tuple((k, -c) for k, c in kc)
         self.struct = table
 
     def _gram_and_signs(self):
+        """B(X_i, X_j) = Re tr(X_i X_j), formed only where an entry (r, c)
+        of X_i meets the entry (c, r) of X_j; each trace must lie in Q(i)."""
         d = self.dim
+        at: Dict[Tuple[int, int], List[Tuple[int, Scalar]]] = {}
+        for j, x in enumerate(self._sparse_basis):
+            for key, e in x.items():
+                at.setdefault(key, []).append((j, e))
         g = [[ZERO] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                t = _sparse_trace_product(self._sparse_basis[i], self._sparse_basis[j])
+        for i, x in enumerate(self._sparse_basis):
+            traces: Dict[int, Scalar] = {}
+            for (r, c), e in x.items():
+                for j, f in at.get((c, r), ()):
+                    if j >= i:
+                        traces[j] = add_product(traces.get(j), e, f)
+            for j, t in traces.items():
                 parts = t.gaussian_parts()
                 if parts is None:
                     raise ConstructionFailure("%s: trace form left Q(i)" % self.name)
@@ -263,7 +276,7 @@ class RealFormStructure:
 
     def _check_a(self):
         for i in self.a_indices:
-            if any(j in self.a_indices for j, _, _ in self.struct[i]):
+            if any(j in self.a_indices for j in self.struct[i]):
                 raise ConstructionFailure("%s: a is not abelian" % self.name)
         cm = self.centralizer_frac([self.unit_coords(i) for i in self.a_indices],
                                    within=self.m_indices)
@@ -302,13 +315,16 @@ class RealFormStructure:
 
     def _bracket(self, u: Dict[int, Scalar], v: Dict[int, Scalar]
                  ) -> Dict[int, Scalar]:
-        """[u, v] on {index: nonzero} coordinates, as such a dict."""
+        """[u, v] on {index: nonzero} coordinates, as such a dict.  For each
+        u_i it meets v with the index of [basis[i], .], a key intersection
+        that walks the smaller side, so a unit v costs one lookup."""
         out: Dict[int, Scalar] = {}
         for i, ui in u.items():
-            for j, k, c in self.struct[i]:
-                vj = v.get(j)
-                if vj is not None:
-                    out[k] = add_product(out.get(k), ui * vj, c)
+            row = self.struct[i]
+            for j in v.keys() & row.keys():
+                uv = ui * v[j]
+                for k, c in row[j]:
+                    out[k] = add_product(out.get(k), uv, c)
         return {k: x for k, x in out.items() if x is not ZERO}
 
     def bracket_coords(self, u: Sequence, v: Sequence) -> tuple:
@@ -329,8 +345,8 @@ class RealFormStructure:
         d = self.dim
         out = [[ZERO] * d for _ in range(d)]
         for i, ui in enumerate(u):
-            if ui is not ZERO:
-                for j, k, c in self.struct[i]:
+            for j, kc in self.struct[i].items() if ui is not ZERO else ():
+                for k, c in kc:
                     row = out[k]
                     row[j] = add_product(row[j], ui, c)
         return out
@@ -342,8 +358,8 @@ class RealFormStructure:
         h = self.dim_h
         table = self._struct_mod.get(red.p)
         if table is None:
-            table = {i: [(j - h, k, red(c)) for j, k, c in self.struct[i]
-                         if j >= h] for i in self.m_indices}
+            table = {i: [(j - h, k, red(c)) for j, kc in self.struct[i].items()
+                         if j >= h for k, c in kc] for i in self.m_indices}
             self._struct_mod[red.p] = table
         rows = [[0] * self.dim_m for _ in range(self.dim)]
         for i, consts in table.items():
@@ -420,11 +436,15 @@ class RealFormStructure:
     def center_dims(self) -> Tuple[int, int, int]:
         """(dim z(g), dim z(g) meet h, dim z(g) meet m), computed once.
 
-        z(g) commutes with a, so it is the centralizer of g inside c_g(a).
+        z(g) is the part of c_g(a) that every basis element centralizes.
+        The a-units centralize all of c_g(a); the others are taken one at a
+        time, m before h, each inside what the last one left, so the walk
+        does nothing more once that is 0, as it soon is on a semisimple g.
         """
-        units = [self.unit_coords(i) for i in range(self.dim)]
-        cga = self.centralizer_frac([units[i] for i in self.a_indices])
-        z = self.centralizer_in_span(units, cga)
+        z = self.centralizer_frac([self.unit_coords(i) for i in self.a_indices])
+        for i in chain(range(self.dim_h + self.rank_a, self.dim), self.h_indices):
+            if z:
+                z = self.centralizer_in_span([self.unit_coords(i)], z)
         in_h, in_m = self.theta_split(z)
         if len(in_h) + len(in_m) != len(z):
             raise ConstructionFailure("%s: center is not theta-split" % self.name)

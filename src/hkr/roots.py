@@ -8,8 +8,10 @@ from the n x n matrix of H: the differences of its eigenvalues on C^n
 (``linalg.eigen_split``) must fill the piece it splits, which proves that
 the candidates held the whole spectrum, so multiplicities are exact.  The
 same route splits ker ad(e) by ad(x).  The roots on a maximally split
-Cartan d = t + a are not split out: the ad(a)-grading is computed once, and
-each piece is counted by its centralizer of t (``full_root_classification``).
+Cartan d = t + a are not split out: once d is checked to be a Cartan
+subalgebra, they number num_roots = dim g - rank g^C = dim g - |t| - r, and
+the real ones are counted, on demand, by the centralizer of t in each piece
+of the ad(a)-grading (``full_root_classification``).
 Classification goes through the Cartan matrix of a deterministic simple
 system; type labels are canonical strings like ``B2`` or ``A1xA1``, compared
 through the low-rank coincidences (B1 = C1 = A1, B2 = C2, D2 = A1 x A1,
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
@@ -54,12 +57,20 @@ def ad_spectrum_candidates(structure: RealFormStructure, coords: Sequence
     if mus is None:
         raise NonRationalSpectrum("%s: spectrum on C^%d does not split over Q"
                                   % (structure.name, structure.n))
+    return eigenvalue_differences(mus)
+
+
+def eigenvalue_differences(mus: Sequence[Fraction]) -> List[Fraction]:
+    """The differences mu_j - mu_k of the eigenvalues mus, sorted."""
     mus = set(mus)
     return sorted({a - b for a in mus for b in mus})
 
 
 @dataclass
 class RestrictedRootData:
+    """The root spaces and c_g(a) of a structure; what is derived from them
+    (the simple system, the pairing, the type labels, c_h(a)) is computed
+    on first read and kept."""
     structure: RealFormStructure
     root_spaces: Dict[RootLabel, List[list]]
     centralizer: List[list]  # basis of c_g(a), rational Scalar coordinates
@@ -67,6 +78,40 @@ class RestrictedRootData:
     @property
     def rank(self) -> int:
         return self.structure.rank_a
+
+    @cached_property
+    def simples(self) -> List[RootLabel]:
+        """Indecomposable positive roots, in lexicographic order."""
+        pos = positive_roots(self)
+        pos_set = set(pos)
+        return [lam for lam in pos
+                if not any(tuple(a - b for a, b in zip(lam, mu)) in pos_set
+                           for mu in pos if mu != lam)]
+
+    @cached_property
+    def pairing(self) -> "RootPairing":
+        S = self.structure
+        return RootPairing([[S.gram[i][j] for j in S.a_indices]
+                            for i in S.a_indices])
+
+    @cached_property
+    def types(self) -> Tuple[str, str]:
+        """(type of the full system Lambda, type of the reduced system)."""
+        reduced_label = classify_simples(self.simples, self.pairing)
+        if not is_nonreduced(self):
+            return reduced_label, reduced_label
+        # the simple system of BC_r has the B_r Cartan matrix (A1 when r = 1)
+        if reduced_label == "A1":
+            return "BC1", reduced_label
+        if "x" not in reduced_label and reduced_label.startswith("B"):
+            return "BC" + reduced_label[1:], reduced_label
+        raise UnrecognizedDiagram(
+            "non-reduced system with reduced type %s" % reduced_label)
+
+    @cached_property
+    def h_centralizer(self) -> List[tuple]:
+        """Basis of c_h(a), the h^C part of the theta-stable c_g(a)."""
+        return self.structure.theta_split(self.centralizer)[0]
 
 
 def restricted_roots(structure: RealFormStructure) -> RestrictedRootData:
@@ -112,22 +157,8 @@ def positive_roots(data: RestrictedRootData) -> List[RootLabel]:
 
 
 def simple_system(data: RestrictedRootData) -> List[RootLabel]:
-    """Indecomposable positive roots, in lexicographic order."""
-    pos = positive_roots(data)
-    pos_set = set(pos)
-    simples = []
-    for lam in pos:
-        decomposable = False
-        for mu in pos:
-            if mu == lam:
-                continue
-            rest = tuple(a - b for a, b in zip(lam, mu))
-            if rest in pos_set:
-                decomposable = True
-                break
-        if not decomposable:
-            simples.append(lam)
-    return simples
+    """Indecomposable positive roots, in lexicographic order; kept per datum."""
+    return data.simples
 
 
 def reduced_system(data: RestrictedRootData) -> List[RootLabel]:
@@ -148,31 +179,26 @@ def is_nonreduced(data: RestrictedRootData) -> bool:
 
 # --- inner products on root space ----------------------------------------------
 
-def a_gram(structure: RealFormStructure) -> List[list]:
-    return [[structure.gram[i][j] for j in structure.a_indices]
-            for i in structure.a_indices]
+class RootPairing:
+    """pair(lam, mu) = B(t_lam, t_mu) on a*, where t_lam in a is the B-dual
+    of lam; each dual is solved once, from the Gram matrix of B on a."""
 
+    def __init__(self, gram: List[list]):
+        self._gram = gram
+        self._duals: Dict[RootLabel, List[Fraction]] = {}
 
-def root_pairing(structure: RealFormStructure):
-    """Returns pair(lam, mu) = B(t_lam, t_mu) via B-duality on a."""
-    gram = a_gram(structure)
-    r = len(gram)
-    dual_cache: Dict[RootLabel, List[Fraction]] = {}
-
-    def dual(lam: RootLabel) -> List[Fraction]:
-        got = dual_cache.get(lam)
+    def dual(self, lam: RootLabel) -> List[Fraction]:
+        """The a-basis coordinates of t_lam."""
+        got = self._duals.get(lam)
         if got is None:
-            got = la.solve_right(gram, list(lam))
+            got = la.solve_right(self._gram, list(lam))
             if got is None:
                 raise ConstructionFailure("degenerate form on a")
-            got = dual_cache[lam] = [c.as_fraction() for c in got]
+            got = self._duals[lam] = [c.as_fraction() for c in got]
         return got
 
-    def pair(lam: RootLabel, mu: RootLabel) -> Fraction:
-        dm = dual(mu)
-        return sum((lv * dv for lv, dv in zip(lam, dm)), _F0)
-
-    return pair
+    def __call__(self, lam: RootLabel, mu: RootLabel) -> Fraction:
+        return sum((lv * dv for lv, dv in zip(lam, self.dual(mu))), _F0)
 
 
 def cartan_matrix(simples: List[RootLabel], pair) -> List[List[Fraction]]:
@@ -307,26 +333,13 @@ def classify_simples(simples: List[RootLabel], pair) -> str:
 
 
 def classify_type(data: RestrictedRootData) -> Tuple[str, str]:
-    """(type of the full restricted system Lambda, type of the reduced system).
+    """(type of the full restricted system Lambda, type of the reduced system),
+    computed once per root datum.
 
     A non-reduced irreducible system is labeled BC_r; its reduced companion
     keeps the Cartan-matrix label of the simple system.
     """
-    pair = root_pairing(data.structure)
-    simples = simple_system(data)
-    reduced_label = classify_simples(simples, pair)
-    if is_nonreduced(data):
-        # the simple system of BC_r has the B_r Cartan matrix (A1 when r = 1)
-        if reduced_label == "A1":
-            lam_label = "BC1"
-        elif "x" not in reduced_label and reduced_label.startswith("B"):
-            lam_label = "BC" + reduced_label[1:]
-        else:
-            raise UnrecognizedDiagram(
-                "non-reduced system with reduced type %s" % reduced_label)
-    else:
-        lam_label = reduced_label
-    return lam_label, reduced_label
+    return data.types
 
 
 def split_label(label: str) -> Tuple[str, int]:
@@ -583,34 +596,53 @@ def abstract_simple_system(label: str):
 
 @dataclass
 class FullRootClassification:
-    structure: RealFormStructure
-    t_basis: List[tuple]  # toral completion inside c_h(a)
+    """The roots of g^C on the maximally split Cartan d = t + a.  The real
+    and complex counts cost one centralizer per restricted root space, so
+    they are computed on first read."""
+    root_data: RestrictedRootData
+    t_basis: List[tuple]  # a maximal torus of c_h(a)
     n_imaginary: int
-    n_real: int
-    n_complex: int
 
     @property
     def n_roots(self) -> int:
-        return self.n_imaginary + self.n_real + self.n_complex
+        return self.n_imaginary + sum(map(len, self.root_data.root_spaces.values()))
+
+    @cached_property
+    def n_real(self) -> int:
+        """sum over the restricted roots lambda of dim c_{g_lambda}(t)."""
+        S = self.root_data.structure
+        return sum(len(S.centralizer_in_span(self.t_basis, vecs))
+                   for vecs in self.root_data.root_spaces.values())
+
+    @property
+    def n_complex(self) -> int:
+        return self.n_roots - self.n_imaginary - self.n_real
+
+    def __repr__(self) -> str:
+        return ("FullRootClassification(%s: %d imaginary, %d real, %d complex "
+                "roots, dim t = %d)" % (self.root_data.structure.name,
+                                        self.n_imaginary, self.n_real,
+                                        self.n_complex, len(self.t_basis)))
 
 
 def maximal_torus(structure: RealFormStructure,
-                  commuting: Sequence[Sequence]) -> List[tuple]:
-    """A maximal abelian subalgebra t of the centralizer of `commuting` in h.
+                  span: Sequence[Sequence]) -> List[tuple]:
+    """A maximal abelian subalgebra t of the subalgebra with basis `span`.
 
-    Grown by centralizer passes: each pass adds the first element of
-    c_h(t + commuting) outside span(t), which commutes with t, so t stays
-    abelian; it stops when every such element already lies in t.
+    Grown one element at a time: each step adds the first vector of
+    c_span(t) outside span(t), which commutes with t, so t stays abelian,
+    and the next centralizer is taken inside the last one; it stops when
+    c_span(t) lies in t.
     """
     t: List[tuple] = []
-    span = la.Subspace()
+    t_span = la.Subspace()
+    z = list(span)
     while True:
-        z = structure.centralizer_frac(t + list(commuting),
-                                       within=structure.h_indices)
-        cand = next((v for v in z if span.add(v)), None)
+        cand = next((v for v in z if t_span.add(v)), None)
         if cand is None:
             return t
         t.append(cand)
+        z = structure.centralizer_in_span([cand], z)
 
 
 def full_root_classification(structure: RealFormStructure,
@@ -621,27 +653,20 @@ def full_root_classification(structure: RealFormStructure,
     `root_data` is the restricted root decomposition of `structure`, and t
     is a maximal torus of c_h(a).  Everything that commutes with d lies in
     c_g(a), so d is a Cartan subalgebra exactly when c_{c_g(a)}(t) has
-    dim |t| + r; then each root space of d^C is a line, and the roots are
-    counted by dimension.  A root is real (zero on t), complex (nonzero on
-    both t and a) or imaginary (zero on a), so n_re = sum over the restricted
-    roots lambda of dim c_{g_lambda}(t), n_cx = sum of dim g_lambda - n_re,
-    and n_im = dim c_g(a) - |t| - r: one rational centralizer per piece,
-    with no eigenvalue of ad(t) formed.
+    dim |t| + r; then each root space of d^C is a line, and the roots
+    number dim g - rank g^C = dim g - |t| - r (Knapp, Lie Groups Beyond an
+    Introduction, 2002, ch. VI).  A root is real (zero on t), complex
+    (nonzero on both t and a) or imaginary (zero on a): n_im = dim c_g(a) -
+    |t| - r, and the restricted root spaces hold the n_re + n_cx others,
+    n_re = sum over the restricted roots lambda of dim c_{g_lambda}(t).
     """
-    r = structure.rank_a
-    a_units = [structure.unit_coords(i) for i in structure.a_indices]
-    t_basis = maximal_torus(structure, a_units)
-    cartan = len(t_basis) + r
+    t_basis = maximal_torus(structure, root_data.h_centralizer)
+    cartan = len(t_basis) + structure.rank_a
     zero_dim = len(structure.centralizer_in_span(t_basis,
                                                  root_data.centralizer))
     if zero_dim != cartan:
         raise ConstructionFailure(
             "%s: d is not a Cartan subalgebra (centralizer dim %d)"
             % (structure.name, zero_dim))
-    n_re = n_all = 0
-    for vecs in root_data.root_spaces.values():
-        n_re += len(structure.centralizer_in_span(t_basis, vecs))
-        n_all += len(vecs)
-    n_im = len(root_data.centralizer) - cartan
-    return FullRootClassification(structure, t_basis, n_im, n_re,
-                                  n_all - n_re)
+    return FullRootClassification(root_data, t_basis,
+                                  len(root_data.centralizer) - cartan)

@@ -77,18 +77,11 @@ def build_tds(structure: RealFormStructure,
     if len(simples) != r:
         raise ConstructionFailure("%s: %d simple roots for rank %d"
                                   % (S.name, len(simples), r))
-    pair = rt.root_pairing(S)
+    pair = root_data.pairing
 
     # B-dual h_i of each simple root, as full coordinate vectors
-    gram = rt.a_gram(S)
-    h_dual: List[Tuple[Scalar, ...]] = []
-    h_a_coeffs: List[List[Scalar]] = []
-    for lam in simples:
-        sol = la.solve_right(gram, list(lam))
-        if sol is None:
-            raise ConstructionFailure("%s: degenerate form on a" % S.name)
-        h_a_coeffs.append(sol)
-        h_dual.append(S.a_vector(sol))
+    h_a_coeffs = [[Scalar.of(c) for c in pair.dual(lam)] for lam in simples]
+    h_dual = [S.a_vector(sol) for sol in h_a_coeffs]
 
     # w in a with lambda_i(w) = 2 for every simple root
     lam_matrix = [list(lam) for lam in simples]
@@ -180,6 +173,7 @@ class NormalTriple:
     e: Tuple[Scalar, ...]
     f: Tuple[Scalar, ...]
     x: Tuple[Scalar, ...]
+    x_spectrum: List[Fraction]  # the eigenvalues of x on C^n, sorted
 
     @property
     def structure(self) -> RealFormStructure:
@@ -214,7 +208,9 @@ def _assert_nilpotent(S, coords, what):
                               % (S.name, what))
 
 
-def _assert_semisimple(S, coords, what):
+def _assert_semisimple(S, coords, what) -> List[Fraction]:
+    """The distinct eigenvalues of the element on C^n, sorted, once its
+    spectrum is rational and its eigenspaces fill C^n."""
     m = S.matrix_of(coords)
     p = la.charpoly(m)
     try:
@@ -226,8 +222,10 @@ def _assert_semisimple(S, coords, what):
         raise RelationFailure("%s: %s spectrum does not split over Q"
                               % (S.name, what))
     # semisimple exactly when its eigenspaces fill the whole space
-    if la.eigen_split(m, la.eye(S.n), sorted(set(roots_))) is None:
+    spectrum = sorted(set(roots_))
+    if la.eigen_split(m, la.eye(S.n), spectrum) is None:
         raise RelationFailure("%s: %s is not semisimple" % (S.name, what))
+    return spectrum
 
 
 def normal_triple(tds: TdsConstruction) -> NormalTriple:
@@ -235,7 +233,9 @@ def normal_triple(tds: TdsConstruction) -> NormalTriple:
     [W, E] = 2E, [W, F] = -2F and [E, F] = W that ``build_tds`` asserts,
         [x, e] = e   for e = (F - E + W)/(2 sqrt 2),
         [x, f] = -f  for f = (E - F + W)/(2 sqrt 2),
-        [e, f] = x   for x = (E + F)/2."""
+        [e, f] = x   for x = (E + F)/2.
+    These definitions give e + f = W/sqrt 2 by linearity, so e + f spans
+    the line of w with nothing to check."""
     S = tds.structure
     E, F, W = tds.e_c, tds.f_c, tds.w
     scale = (Scalar.sqrt(2) * 2).inv()
@@ -252,11 +252,7 @@ def normal_triple(tds: TdsConstruction) -> NormalTriple:
         _assert_nilpotent(S, v, what)
     if S.theta_coords(x) != x:
         raise RelationFailure("%s: x is not in h^C" % S.name)
-    _assert_semisimple(S, x, "x")
-    # e + f spans the same line as w: sqrt(2) (e + f) = w
-    if _scale(Scalar.sqrt(2), _add(e, f)) != W:
-        raise RelationFailure("%s: sqrt(2)(e + f) != w" % S.name)
-    return NormalTriple(tds, e, f, x)
+    return NormalTriple(tds, e, f, x, _assert_semisimple(S, x, "x"))
 
 
 # --- maximal split subalgebra ---------------------------------------------------
@@ -337,9 +333,8 @@ def maximal_split_subalgebra(structure: RealFormStructure,
         raise MismatchWithTable("%s: z(split sub) = %d but z(g) meet m = %d"
                                 % (S.name, z_sub, z_m))
 
-    pair = rt.root_pairing(S)
     sub_simples = rt.simple_system(sub_data)
-    sub_type = rt.classify_simples(sub_simples, pair)
+    sub_type = rt.classify_simples(sub_simples, tds.root_data.pairing)
 
     fid = catalog.form_id(S.family, **S.params)
     entry = catalog.lookup_table1(fid)
@@ -386,7 +381,7 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple
     if not kernel:
         raise GradingFailure("%s: ad(e) has trivial kernel" % S.name)
     pieces = la.eigen_split(S.ad_matrix(triple.x), kernel,
-                            rt.ad_spectrum_candidates(S, triple.x))
+                            rt.eigenvalue_differences(triple.x_spectrum))
     if pieces is None:
         raise GradingFailure("%s: ad(x) is not diagonalizable on ker ad(e)"
                              % S.name)
@@ -413,7 +408,7 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple
 
     a = S.rank_a
     data = triple.tds.root_data
-    b = len(S.theta_split(data.centralizer)[0])
+    b = len(data.h_centralizer)
     c_direct = len(S.theta_split(triple.centralizer)[0])
     c_blocks = sum(1 for bl in blocks if bl.m == 1 and bl.location == "h")
     if c_direct != c_blocks:

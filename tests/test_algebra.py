@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hkr import linalg as la
 from hkr import roots as rt
 from hkr.algebra import RealFormStructure, theta_entries
-from hkr.catalog import build, form_id, standard_forms
+from hkr.catalog import build, form_cli_text, form_id, standard_forms
 from hkr.errors import ConstructionFailure, NotInAlgebra
 from hkr.linalg import Subspace
 from hkr.scalars import I, Scalar
@@ -228,9 +228,8 @@ def test_theta_split_parts():
     assert len(h_part) + len(m_part) != len(mixed)
 
 
-def test_center_kernel_stays_inside_cga(monkeypatch):
-    fresh = build(form_id("su_pq", p=1, q=2))
-    cga = fresh.centralizer_frac([fresh.unit_coords(i) for i in fresh.a_indices])
+def _record_kernel_shapes(monkeypatch):
+    """(rows, columns) of every kernel_right system, in call order."""
     shapes = []
     original = la.kernel_right
 
@@ -239,32 +238,159 @@ def test_center_kernel_stays_inside_cga(monkeypatch):
         return original(rows, ncols)
 
     monkeypatch.setattr(la, "kernel_right", recording)
+    return shapes
+
+
+def test_center_kernel_stays_inside_cga(monkeypatch):
+    # the basis elements outside a are taken one at a time inside c_g(a):
+    # no kernel over all d of them (d^2 rows) is formed, and on su(1,2) the
+    # walk is done before it reaches every one
+    fresh = build(form_id("su_pq", p=1, q=2))
+    cga = fresh.centralizer_frac([fresh.unit_coords(i) for i in fresh.a_indices])
+    shapes = _record_kernel_shapes(monkeypatch)
     assert fresh.center_dims == (0, 0, 0)
-    # the kernel over all of g (more rows than the c_g(a) kernel) has at most
-    # dim c_g(a) columns, never one per basis vector
-    wide = [cols for rows, cols in shapes if rows > fresh.rank_a * fresh.dim]
-    assert wide and max(wide) <= len(cga)
+    # the first kernel is c_g(a) itself, then one of d rows per element
+    walk = [cols for rows, cols in shapes[1:] if rows == fresh.dim]
+    assert all(rows < fresh.dim ** 2 for rows, _ in shapes)
+    assert walk[0] == len(cga) and 0 < len(walk) < fresh.dim - fresh.rank_a
+
+
+@pytest.mark.parametrize("name, span, a_mats, dims", [
+    # gl(2,R): the identity is central and lies in a
+    ("gl(2,R)", [{(0, 0): 1}, {(0, 1): 1}, {(1, 0): 1}, {(1, 1): 1}],
+     [{(0, 0): 1}, {(1, 1): 1}], (1, 0, 1)),
+    # u(1,1): i times the identity is central and compact
+    ("u(1,1)", [{(0, 0): I}, {(1, 1): I}, {(0, 1): 1, (1, 0): 1},
+                {(0, 1): I, (1, 0): -I}],
+     [{(0, 1): 1, (1, 0): 1}], (1, 1, 0)),
+])
+def test_center_walks_every_basis_element_when_it_is_not_zero(
+        monkeypatch, name, span, a_mats, dims):
+    T = RealFormStructure(name, "test", {}, 2, span, a_mats)
+    shapes = _record_kernel_shapes(monkeypatch)
+    assert T.center_dims == dims
+    # one kernel per basis element outside a, each left with the center
+    walk = [cols for rows, cols in shapes[1:] if rows == T.dim]
+    assert len(walk) == T.dim - T.rank_a and walk[-1] >= dims[0]
+    z = T.centralizer_in_span([T.unit_coords(i) for i in range(T.dim)],
+                              [T.unit_coords(i) for i in range(T.dim)])
+    assert len(z) == dims[0]
 
 
 # --- the sparse structure constants against matrix commutators -----------------
 
+def _rebuild_mismatches(T):
+    """The pairs i < j whose constants do not rebuild the commutator: sum_k
+    c^k_ij basis_k against the commutator of the basis matrices themselves,
+    with [basis_j, basis_i] read as the negation."""
+    bad = []
+    for i in range(T.dim):
+        for j in range(i + 1, T.dim):
+            coeffs = T.bracket_coords(T.unit_coords(i), T.unit_coords(j))
+            total = _zeros(T.n)
+            for c, m in zip(coeffs, T.basis):
+                if c:
+                    total = la.madd(total, la.mscale(c, m))
+            if (T.bracket_coords(T.unit_coords(j), T.unit_coords(i))
+                    != tuple(-c for c in coeffs)
+                    or not la.mat_eq(total, _commutator(T.basis[i],
+                                                        T.basis[j]))):
+                bad.append((i, j))
+    return bad
+
+
 def test_structure_constants_rebuild_every_commutator():
-    # sum_k c^k_ij basis_k against the commutator of the basis matrices
-    # themselves, pair by pair, on the 19 catalog forms and sp(8,R); the
-    # table holds both orders of each pair, so both are read
+    # pair by pair, on the 19 catalog forms and sp(8,R); the table holds
+    # both orders of each pair, so both are read
     for fid in standard_forms() + [form_id("sp2n_R", n=4)]:
         T = build(fid)
-        for i in range(T.dim):
-            for j in range(i + 1, T.dim):
-                coeffs = T.bracket_coords(T.unit_coords(i), T.unit_coords(j))
-                assert T.bracket_coords(T.unit_coords(j), T.unit_coords(i)) \
-                    == tuple(-c for c in coeffs), (T.name, i, j)
-                total = _zeros(T.n)
-                for c, m in zip(coeffs, T.basis):
-                    if c:
-                        total = la.madd(total, la.mscale(c, m))
-                assert la.mat_eq(total, _commutator(T.basis[i], T.basis[j])), \
-                    (T.name, i, j)
+        assert _rebuild_mismatches(T) == [], T.name
+
+
+def test_a_planted_structure_constant_fails_the_rebuild():
+    T = build(form_id("su_pq", p=1, q=2))
+    i = T.dim_h  # an a-unit: [a, basis_j] is a multiple of one basis_k
+    j, kc = next(iter(T.struct[i].items()))
+    (k, c), rest = kc[0], kc[1:]
+    T.struct[i][j] = ((k, c + 1),) + rest
+    assert _rebuild_mismatches(T) == [tuple(sorted((i, j)))]
+
+
+# --- the indexed table against the per-pair route it replaced ------------------
+
+def _pair_bracket(x, y):
+    """[x, y] of two sparse {(r, c): entry} matrices, with each product
+    formed from the rows of its right factor."""
+    acc = {}
+    for a, b, sign in ((x, y, 1), (y, x, -1)):
+        rows = {}
+        for (r, c), v in b.items():
+            rows.setdefault(r, []).append((c, v))
+        for (r, k), u in a.items():
+            for c, v in rows.get(k, ()):
+                acc[(r, c)] = acc.get((r, c), Scalar.of(0)) + sign * u * v
+    return {key: v for key, v in acc.items() if v}
+
+
+def _per_pair_tables(T):
+    """struct and gram of T, one bracket solve and one trace per pair."""
+    d, n, sparse = T.dim, T.n, T._sparse_basis
+    table = [[] for _ in range(d)]
+    gram = [[Scalar.of(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            t = sum((v * sparse[j].get((c, r), Scalar.of(0))
+                     for (r, c), v in sparse[i].items()), Scalar.of(0))
+            gram[i][j] = gram[j][i] = Scalar.of(t.gaussian_parts()[0])
+            if j == i:
+                continue
+            br = _pair_bracket(sparse[i], sparse[j])
+            cij = T._solve({r * n + c: e for (r, c), e in br.items()})
+            assert all(c.is_rational() for c in cij.values())
+            for k, c in sorted(cij.items()):
+                table[i].append((j, k, c))
+                table[j].append((i, k, -c))
+    return table, gram
+
+
+@pytest.mark.parametrize("fid", standard_forms() + [
+    form_id("su_pq", p=4, q=4), form_id("sp2n_R", n=4),
+    form_id("so_star", n=5)], ids=form_cli_text)
+def test_indexed_tables_match_the_per_pair_route(fid):
+    T = build(fid)
+    table, gram = _per_pair_tables(T)
+    # the index in order: each j with its (k, c), j and k increasing
+    assert [[(j, k, c) for j, kc in at.items() for k, c in kc]
+            for at in T.struct] == table
+    assert [list(row) for row in T.gram] == gram
+
+
+@st.composite
+def shaped_vectors(draw):
+    """A coordinate vector of su(1,2): a unit, a sparse one, a dense one, or
+    one over Q(i, sqrt 2)."""
+    shape = draw(st.sampled_from(["unit", "sparse", "dense", "radical"]))
+    if shape == "unit":
+        return S.unit_coords(draw(st.integers(0, S.dim - 1)))
+    v = draw(coord_vectors)
+    if shape == "sparse":
+        keep = draw(st.sets(st.integers(0, S.dim - 1), max_size=3))
+        return [x if i in keep else Scalar.of(0) for i, x in enumerate(v)]
+    if shape == "radical":
+        w = draw(coord_vectors)
+        return [x + (I + _ROOT2) * y for x, y in zip(v, w)]
+    return v
+
+
+@settings(max_examples=80, deadline=None)
+@given(shaped_vectors(), shaped_vectors())
+def test_bracket_walks_either_side_as_ad_matrix_applies(u, v):
+    ad = S.ad_matrix(u)
+    applied = tuple(sum((row[j] * v[j] for j in range(S.dim)), Scalar.of(0))
+                    for row in ad)
+    got = S._bracket(la.sparse(u), la.sparse(v))
+    assert tuple(got.get(k, Scalar.of(0)) for k in range(S.dim)) == applied
+    assert all(got.values())
 
 
 _ROOT2 = Scalar.sqrt(2)

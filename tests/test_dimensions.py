@@ -28,20 +28,29 @@ def analysis(family, **kw):
 
 
 def test_center_computed_once_per_structure(monkeypatch):
+    # the center starts from c_g(a), the one centralizer of the a-units in
+    # all of g, and on su(1,2) no centralizer of all basis elements is taken
     S = build(form_id("su_pq", p=1, q=2))
-    calls = []
+    starts, wide = [], []
+    original_frac = RealFormStructure.centralizer_frac
     original = RealFormStructure.centralizer_in_span
+
+    def starting(self, elements, within=None):
+        if within is None:
+            starts.append(self.name)
+        return original_frac(self, elements, within)
 
     def counting(self, elements, space):
         if len(elements) == self.dim:
-            calls.append(self.name)
+            wide.append(self.name)
         return original(self, elements, space)
 
+    monkeypatch.setattr(RealFormStructure, "centralizer_frac", starting)
     monkeypatch.setattr(RealFormStructure, "centralizer_in_span", counting)
     dm.analyze(S).decomposition
-    assert len(calls) == 1
+    assert len(starts) == 1
     dm.analyze(S).decomposition
-    assert len(calls) == 1
+    assert len(starts) == 1 and wide == []
 
 
 def test_triple_centralizer_computed_once_per_analyze(monkeypatch):

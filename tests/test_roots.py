@@ -399,6 +399,72 @@ def test_full_root_classification_counts():
     assert fc.n_imaginary == fc.n_complex == 0
 
 
+def test_real_and_complex_counts_wait_until_read(monkeypatch):
+    # num_roots is dim g - |t| - r once d is a Cartan subalgebra; the real
+    # count costs one centralizer per restricted root space, on first read
+    S = build(form_id("su_pq", p=1, q=2))
+    data = rt.restricted_roots(S)
+    calls = []
+    original = type(S).centralizer_in_span
+
+    def counting(self, elements, space):
+        calls.append(len(space))
+        return original(self, elements, space)
+
+    monkeypatch.setattr(type(S), "centralizer_in_span", counting)
+    fc = rt.full_root_classification(S, data)
+    built = len(calls)
+    assert fc.n_roots == S.dim - len(fc.t_basis) - S.rank_a == 6
+    assert len(calls) == built
+    assert (fc.n_real, fc.n_complex) == (2, 4)
+    assert len(calls) == built + len(data.root_spaces)
+    assert (fc.n_real, fc.n_complex) == (2, 4)
+    assert len(calls) == built + len(data.root_spaces)
+    assert repr(fc) == ("FullRootClassification(su(1,2): 0 imaginary, 2 real, "
+                        "4 complex roots, dim t = 1)")
+
+
+def test_root_datum_derives_each_fact_once(monkeypatch):
+    S = build(form_id("so_star", n=4))
+    data = rt.restricted_roots(S)
+    solves = []
+    original = la.solve_right
+
+    def counting(rows, b):
+        solves.append(tuple(b))
+        return original(rows, b)
+
+    monkeypatch.setattr(la, "solve_right", counting)
+    assert rt.simple_system(data) is rt.simple_system(data)
+    assert rt.classify_type(data) is rt.classify_type(data)
+    pair = data.pairing
+    for lam in rt.simple_system(data):
+        assert pair.dual(lam) is pair.dual(lam)
+    # one solve per simple root, shared by the type and the duals
+    assert sorted(solves) == sorted(rt.simple_system(data))
+    assert data.h_centralizer is data.h_centralizer
+    assert len(data.h_centralizer) == len(
+        S.centralizer_frac([S.unit_coords(i) for i in S.a_indices],
+                           within=S.h_indices))
+
+
+def test_maximal_torus_grows_inside_the_given_span():
+    # a maximal torus of h for sl(3,R) is one-dimensional (so(3) has rank
+    # one); inside c_h(a) = 0 it is empty
+    S = build(form_id("sl_R", n=3))
+    h_units = [S.unit_coords(i) for i in S.h_indices]
+    t = rt.maximal_torus(S, h_units)
+    assert len(t) == 1
+    assert len(S.centralizer_in_span(t, h_units)) == 1
+    assert rt.maximal_torus(S, []) == []
+    S = build(form_id("su_pq", p=1, q=3))
+    span = S.centralizer_frac([S.unit_coords(i) for i in S.a_indices],
+                              within=S.h_indices)
+    t = rt.maximal_torus(S, span)
+    assert all(not any(S.bracket_coords(x, y)) for x in t for y in t)
+    assert len(S.centralizer_in_span(t, span)) == len(t) == 2
+
+
 def test_ad_a_acts_on_its_root_space_by_the_root_value():
     S = build(form_id("sl_R", n=2))
     data = rt.restricted_roots(S)
@@ -502,7 +568,9 @@ def _counts_by_torus_split(S, data):
     restricted piece by ad(t), as a route independent of the centralizer
     counts: every nonzero piece on d = t + a must be a line."""
     r = S.rank_a
-    t_basis = rt.maximal_torus(S, [S.unit_coords(i) for i in S.a_indices])
+    a_units = [S.unit_coords(i) for i in S.a_indices]
+    t_basis = rt.maximal_torus(S, S.centralizer_frac(a_units,
+                                                     within=S.h_indices))
     spaces = list(data.root_spaces.items())
     spaces.append(((Fraction(0),) * r, data.centralizer))
     n_im = n_re = n_cx = zero_dim = 0
@@ -553,7 +621,9 @@ def test_candidates_contain_the_ad_spectrum():
             assert set(roots) <= cands, S.name
             checked += 1
         a_units = [S.unit_coords(i) for i in S.a_indices]
-        for t in rt.maximal_torus(S, []) + rt.maximal_torus(S, a_units):
+        h_units = [S.unit_coords(i) for i in S.h_indices]
+        c_h_a = S.centralizer_frac(a_units, within=S.h_indices)
+        for t in rt.maximal_torus(S, h_units) + rt.maximal_torus(S, c_h_a):
             cands = _compact_candidates(S, t)
             # ad(t) has spectrum i mu, so ad(t)^2 has the rational -mu^2;
             # the candidate set is symmetric, so mu^2 = c^2 puts mu in it

@@ -279,6 +279,26 @@ def test_swapped_cayley_signs_break_the_triple_relations(fid):
     assert not tp._triple_relations_hold(S, triple.f, triple.e, triple.x)
 
 
+def test_x_spectrum_is_taken_once_per_triple(monkeypatch):
+    # the semisimplicity check of x and the ad(x) candidates of the module
+    # decomposition read one n x n charpoly
+    S = build(form_id("su_pq", p=1, q=3))
+    tds = tp.build_tds(S, rt.restricted_roots(S))
+    polys = []
+    original = la.charpoly
+
+    def counting(m):
+        polys.append(m)
+        return original(m)
+
+    monkeypatch.setattr(la, "charpoly", counting)
+    triple = tp.normal_triple(tds)
+    tp.module_decomposition(S, triple)
+    assert polys == [S.matrix_of(triple.x)]
+    roots_ = la.rational_roots([c.as_fraction() for c in original(polys[0])])
+    assert triple.x_spectrum == sorted(set(roots_))
+
+
 def test_semisimplicity_check_rejects_a_nilpotent():
     S, _, triple, _ = chain("sl_R", n=2)
     with pytest.raises(RelationFailure,
@@ -493,8 +513,8 @@ def test_conjugators_need_a_rotation_element_of_h():
 
 def test_module_decomposition_rejects_a_missing_candidate(monkeypatch):
     S, tds, triple, _ = chain("su_pq", p=1, q=2)
-    candidates = rt.ad_spectrum_candidates
-    monkeypatch.setattr(rt, "ad_spectrum_candidates",
+    candidates = rt.eigenvalue_differences
+    monkeypatch.setattr(rt, "eigenvalue_differences",
                         lambda *args, **kw: candidates(*args, **kw)[:-1])
     with pytest.raises(GradingFailure, match="not diagonalizable on ker ad"):
         tp.module_decomposition(S, triple)
