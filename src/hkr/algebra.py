@@ -26,8 +26,6 @@ a bracket walks the sparser of its operands.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
@@ -409,7 +407,7 @@ class RealFormStructure:
         """Bases of span(vectors) meet h^C and span(vectors) meet m^C.
 
         `vectors` must be independent; the two sizes add up to len(vectors)
-        exactly when the span is theta-stable, which callers check.
+        exactly when the span is theta-stable, which callers check or prove.
         """
         m_coords = [la.sparse([v[j] for j in self.m_indices]) for v in vectors]
         h_coords = [la.sparse([v[j] for j in self.h_indices]) for v in vectors]
@@ -431,24 +429,6 @@ class RealFormStructure:
         idxs = within if within is not None else range(self.dim)
         return self.centralizer_in_span(
             elements, [self.unit_coords(i) for i in idxs])
-
-    @cached_property
-    def center_dims(self) -> Tuple[int, int, int]:
-        """(dim z(g), dim z(g) meet h, dim z(g) meet m), computed once.
-
-        z(g) is the part of c_g(a) that every basis element centralizes.
-        The a-units centralize all of c_g(a); the others are taken one at a
-        time, m before h, each inside what the last one left, so the walk
-        does nothing more once that is 0, as it soon is on a semisimple g.
-        """
-        z = self.centralizer_frac([self.unit_coords(i) for i in self.a_indices])
-        for i in chain(range(self.dim_h + self.rank_a, self.dim), self.h_indices):
-            if z:
-                z = self.centralizer_in_span([self.unit_coords(i)], z)
-        in_h, in_m = self.theta_split(z)
-        if len(in_h) + len(in_m) != len(z):
-            raise ConstructionFailure("%s: center is not theta-split" % self.name)
-        return (len(z), len(in_h), len(in_m))
 
     def generate_subalgebra(
             self, gens: Sequence[Tuple[tuple, Sequence[Scalar]]]

@@ -526,16 +526,13 @@ def rational_roots(poly: Sequence[Fraction]) -> Optional[List[Fraction]]:
             return None
         p, q = found
         roots.append(Fraction(p, q))
-        # synthetic division by (q t - p), from the leading coefficient down
+        # synthetic division by (q t - p), from the leading coefficient down;
+        # p/q is an exact root, so by Gauss's lemma it leaves no remainder
         quot = [0] * (len(ints) - 1)
         carry = ints[-1]
         for k in range(len(ints) - 2, -1, -1):
-            quot[k], rem = divmod(carry, q)
-            if rem:
-                raise ArithmeticError("root division failed")
+            quot[k] = carry // q
             carry = ints[k] + quot[k] * p
-        if carry:
-            raise ArithmeticError("root division failed")
         ints = quot
     return roots
 

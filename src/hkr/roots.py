@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
@@ -69,8 +70,8 @@ def eigenvalue_differences(mus: Sequence[Fraction]) -> List[Fraction]:
 @dataclass
 class RestrictedRootData:
     """The root spaces and c_g(a) of a structure; what is derived from them
-    (the simple system, the pairing, the type labels, c_h(a)) is computed
-    on first read and kept."""
+    (the simple system, the pairing, the type labels, c_h(a), the center)
+    is computed on first read and kept."""
     structure: RealFormStructure
     root_spaces: Dict[RootLabel, List[list]]
     centralizer: List[list]  # basis of c_g(a), rational Scalar coordinates
@@ -113,6 +114,24 @@ class RestrictedRootData:
         """Basis of c_h(a), the h^C part of the theta-stable c_g(a)."""
         return self.structure.theta_split(self.centralizer)[0]
 
+    @cached_property
+    def center_dims(self) -> Tuple[int, int, int]:
+        """(dim z(g), dim z(g) meet h, dim z(g) meet m).
+
+        z(g) is the part of c_g(a) that every basis element centralizes.
+        The a-units centralize all of c_g(a); the others are taken one at a
+        time, m before h, each inside what the last one left, so the walk
+        does nothing more once that is 0, as it soon is on a semisimple g.
+        theta is an automorphism, so z(g) is theta-stable and splits.
+        """
+        S = self.structure
+        z = self.centralizer
+        for i in chain(range(S.dim_h + S.rank_a, S.dim), S.h_indices):
+            if z:
+                z = S.centralizer_in_span([S.unit_coords(i)], z)
+        in_h, in_m = S.theta_split(z)
+        return (len(z), len(in_h), len(in_m))
+
 
 def restricted_roots(structure: RealFormStructure) -> RestrictedRootData:
     """Joint ad(a)-eigenvalue decomposition of g.  Raises NonRationalSpectrum
@@ -154,11 +173,6 @@ def is_positive(lam: RootLabel) -> bool:
 
 def positive_roots(data: RestrictedRootData) -> List[RootLabel]:
     return sorted(lam for lam in data.root_spaces if is_positive(lam))
-
-
-def simple_system(data: RestrictedRootData) -> List[RootLabel]:
-    """Indecomposable positive roots, in lexicographic order; kept per datum."""
-    return data.simples
 
 
 def reduced_system(data: RestrictedRootData) -> List[RootLabel]:

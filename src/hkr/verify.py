@@ -81,8 +81,7 @@ def fiber_match_supported(structure) -> bool:
 def _check_roots(an: dm.FormAnalysis) -> Optional[str]:
     S = an.structure
     data = an.root_data  # raises unless the root spaces and c_g(a) fill g
-    simples = rt.simple_system(data)
-    assert len(simples) == S.rank_a, "simple system size != rank"
+    assert len(data.simples) == S.rank_a, "simple system size != rank"
     lam_label, reduced_label = rt.classify_type(data)
     fid = catalog.form_id(S.family, **S.params)
     want_lam = catalog.reference_restricted_type(fid)

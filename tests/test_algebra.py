@@ -246,13 +246,14 @@ def test_center_kernel_stays_inside_cga(monkeypatch):
     # no kernel over all d of them (d^2 rows) is formed, and on su(1,2) the
     # walk is done before it reaches every one
     fresh = build(form_id("su_pq", p=1, q=2))
-    cga = fresh.centralizer_frac([fresh.unit_coords(i) for i in fresh.a_indices])
+    data = rt.restricted_roots(fresh)
     shapes = _record_kernel_shapes(monkeypatch)
-    assert fresh.center_dims == (0, 0, 0)
-    # the first kernel is c_g(a) itself, then one of d rows per element
-    walk = [cols for rows, cols in shapes[1:] if rows == fresh.dim]
+    assert data.center_dims == (0, 0, 0)
+    # c_g(a) comes from the root data; each kernel has d rows, one element
+    walk = [cols for rows, cols in shapes if rows == fresh.dim]
     assert all(rows < fresh.dim ** 2 for rows, _ in shapes)
-    assert walk[0] == len(cga) and 0 < len(walk) < fresh.dim - fresh.rank_a
+    assert walk[0] == len(data.centralizer)
+    assert 0 < len(walk) < fresh.dim - fresh.rank_a
 
 
 @pytest.mark.parametrize("name, span, a_mats, dims", [
@@ -267,10 +268,11 @@ def test_center_kernel_stays_inside_cga(monkeypatch):
 def test_center_walks_every_basis_element_when_it_is_not_zero(
         monkeypatch, name, span, a_mats, dims):
     T = RealFormStructure(name, "test", {}, 2, span, a_mats)
+    data = rt.restricted_roots(T)
     shapes = _record_kernel_shapes(monkeypatch)
-    assert T.center_dims == dims
+    assert data.center_dims == dims
     # one kernel per basis element outside a, each left with the center
-    walk = [cols for rows, cols in shapes[1:] if rows == T.dim]
+    walk = [cols for rows, cols in shapes if rows == T.dim]
     assert len(walk) == T.dim - T.rank_a and walk[-1] >= dims[0]
     z = T.centralizer_in_span([T.unit_coords(i) for i in range(T.dim)],
                               [T.unit_coords(i) for i in range(T.dim)])

@@ -28,10 +28,13 @@ def analysis(family, **kw):
 
 
 def test_center_computed_once_per_structure(monkeypatch):
-    # the center starts from c_g(a), the one centralizer of the a-units in
-    # all of g, and on su(1,2) no centralizer of all basis elements is taken
-    S = build(form_id("su_pq", p=1, q=2))
-    starts, wide = [], []
+    # the center walk starts from the root data's c_g(a), so no centralizer
+    # is taken over all of g, on su(1,2) none of all basis elements either,
+    # and the split subalgebra, the decomposition and the quasi-split test
+    # share one walk
+    an = dm.analyze(build(form_id("su_pq", p=1, q=2)))
+    cga = an.root_data.centralizer
+    starts, wide, walks = [], [], []
     original_frac = RealFormStructure.centralizer_frac
     original = RealFormStructure.centralizer_in_span
 
@@ -43,14 +46,14 @@ def test_center_computed_once_per_structure(monkeypatch):
     def counting(self, elements, space):
         if len(elements) == self.dim:
             wide.append(self.name)
+        if space is cga:
+            walks.append(self.name)
         return original(self, elements, space)
 
     monkeypatch.setattr(RealFormStructure, "centralizer_frac", starting)
     monkeypatch.setattr(RealFormStructure, "centralizer_in_span", counting)
-    dm.analyze(S).decomposition
-    assert len(starts) == 1
-    dm.analyze(S).decomposition
-    assert len(starts) == 1 and wide == []
+    an.split_sub, an.decomposition, an.quasi_split
+    assert starts == [] and wide == [] and len(walks) == 1
 
 
 def test_triple_centralizer_computed_once_per_analyze(monkeypatch):

@@ -73,7 +73,7 @@ def test_classification_matches_reference_for_all_forms():
 def test_simple_system_size_equals_rank():
     for family, kw in ((("sl_R"), dict(n=4)), (("su_pq"), dict(p=2, q=3))):
         data = data_for(family, **kw)
-        simples = rt.simple_system(data)
+        simples = data.simples
         assert len(simples) == data.rank
         # every positive root is a nonnegative integer combination check is
         # heavy; sanity: simples are positive and pairwise non-proportional
@@ -435,13 +435,13 @@ def test_root_datum_derives_each_fact_once(monkeypatch):
         return original(rows, b)
 
     monkeypatch.setattr(la, "solve_right", counting)
-    assert rt.simple_system(data) is rt.simple_system(data)
+    assert data.simples is data.simples
     assert rt.classify_type(data) is rt.classify_type(data)
     pair = data.pairing
-    for lam in rt.simple_system(data):
+    for lam in data.simples:
         assert pair.dual(lam) is pair.dual(lam)
     # one solve per simple root, shared by the type and the duals
-    assert sorted(solves) == sorted(rt.simple_system(data))
+    assert sorted(solves) == sorted(data.simples)
     assert data.h_centralizer is data.h_centralizer
     assert len(data.h_centralizer) == len(
         S.centralizer_frac([S.unit_coords(i) for i in S.a_indices],

@@ -115,6 +115,36 @@ def test_tds_w_positive_coefficients():
             assert di * di == Scalar.of(Fraction(-ci, 1) / bi)
 
 
+def test_tds_rejects_a_root_vector_of_the_wrong_root():
+    # y_1 taken from the root space of lambda_1 + lambda_2 brackets with
+    # theta y_1 to a multiple of that root's dual, not lambda_1's
+    S = build(form_id("sl_R", n=3))
+    data = rt.restricted_roots(S)
+    top = tuple(a + b for a, b in zip(*data.simples))
+    data.root_spaces[data.simples[0]] = data.root_spaces[top]
+    with pytest.raises(ConstructionFailure,
+                       match=re.escape("[y_1, theta y_1] != b_1 h_1")):
+        tp.build_tds(S, data)
+
+
+@pytest.mark.parametrize("family, n, message", [
+    # A2: lambda_1 and lambda_1 + lambda_2 give positive c_i, but their
+    # difference is a root, so the cross brackets spoil [e_c, f_c]
+    ("sl_R", 3, "[e_c, f_c] != w"),
+    # C2: lambda_1 is long and lambda_1 + lambda_2 short, with
+    # pair(lambda_1, lambda_1 + lambda_2) = |lambda_1 + lambda_2|^2, so
+    # w = 2 h_2 takes the value 2 on both and c_1 = 0
+    ("sp2n_R", 2, "c_1 = 0 is not positive"),
+])
+def test_tds_rejects_a_non_simple_base(family, n, message):
+    S = build(form_id(family, n=n))
+    data = rt.restricted_roots(S)
+    data.simples = [data.simples[0],
+                    tuple(a + b for a, b in zip(*data.simples))]
+    with pytest.raises(ConstructionFailure, match=re.escape(message)):
+        tp.build_tds(S, data)
+
+
 # --- split subalgebra gates -------------------------------------------------------
 
 def test_split_sub_su12_is_so12():
@@ -185,7 +215,7 @@ def test_split_sub_refuses_a_generator_of_the_wrong_weight():
 def test_center_dims_vanish_on_catalog():
     for family, kw in RELATION_FORMS:
         S, tds, triple, dec = chain(family, **kw)
-        assert S.center_dims == (0, 0, 0), S.name
+        assert tds.root_data.center_dims == (0, 0, 0), S.name
 
 
 # --- module decomposition ---------------------------------------------------------
@@ -253,7 +283,7 @@ def test_quasi_split_routes_must_agree(monkeypatch):
     # TDS centralizer (dim 0) does not match sets the two routes apart
     S = build(form_id("sl_R", n=2))
     triple = tp.normal_triple(tp.build_tds(S, rt.restricted_roots(S)))
-    monkeypatch.setattr(S, "center_dims", (1, 0, 1))
+    monkeypatch.setattr(triple.tds.root_data, "center_dims", (1, 0, 1))
     with pytest.raises(RouteDisagreement,
                        match=r"c_g\(a\) abelian = True but dim c\(s\^C\) = 0 "
                              r"vs dim z = 1"):
