@@ -444,7 +444,9 @@ class RealFormStructure:
         weight alpha + beta, so the closure is the direct sum of one
         reduced-echelon ``Subspace`` per weight, returned as a
         {weight: Subspace} dict.  One weight for every generator, such as
-        (), gives the ungraded closure.
+        (), gives the ungraded closure.  Raises ConstructionFailure once the
+        pieces add up to more than dim g^C, which a generator given the
+        wrong weight brings about: the closure would never end.
         """
         spaces: Dict[tuple, la.Subspace] = {}
         frontier = []
@@ -454,6 +456,10 @@ class RealFormStructure:
                 frontier.append((wt, la.sparse(g)))
         sources = list(frontier)
         while frontier:
+            if sum(space.dim for space in spaces.values()) > self.dim:
+                raise ConstructionFailure("%s: graded closure exceeds dim %d; "
+                                          "a generator weight is wrong"
+                                          % (self.name, self.dim))
             new_vecs = []
             for wg, g in sources:
                 for wu, u in frontier:

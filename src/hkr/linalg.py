@@ -95,19 +95,6 @@ def flatten(a: Mat) -> Tuple[Scalar, ...]:
     return tuple(x for row in a for x in row)
 
 
-def is_nilpotent(a: Mat) -> bool:
-    """Whether the n x n matrix A has A^n = 0.
-
-    With 2^k >= n, A^(2^k) = 0 exactly when A^n = 0 (a nilpotent A has
-    A^n = 0), so k squarings decide it; a zero power stops them early.
-    """
-    power, exponent = a, 1
-    while exponent < len(a) and not is_zero_mat(power):
-        power = mmul(power, power)
-        exponent *= 2
-    return is_zero_mat(power)
-
-
 # --- row reduction -------------------------------------------------------------
 
 def sparse(vec) -> dict:

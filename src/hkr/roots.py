@@ -202,12 +202,12 @@ class RootPairing:
         self._duals: Dict[RootLabel, List[Fraction]] = {}
 
     def dual(self, lam: RootLabel) -> List[Fraction]:
-        """The a-basis coordinates of t_lam."""
+        """The a-basis coordinates of t_lam.  The Gram matrix is invertible:
+        B is positive definite on m (the structure is built only then) and
+        a lies in m."""
         got = self._duals.get(lam)
         if got is None:
             got = la.solve_right(self._gram, list(lam))
-            if got is None:
-                raise ConstructionFailure("degenerate form on a")
             got = self._duals[lam] = [c.as_fraction() for c in got]
         return got
 

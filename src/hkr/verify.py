@@ -99,8 +99,8 @@ def _check_tds(an: dm.FormAnalysis) -> Optional[str]:
 
 
 def _check_triple(an: dm.FormAnalysis) -> Optional[str]:
-    # normal_triple raises unless [x,e] = e, [x,f] = -f and [e,f] = x hold,
-    # e, f are nilpotent in m^C and x is in h^C
+    # normal_triple raises unless [x,e] = e, [x,f] = -f and [e,f] = x hold;
+    # sl2 theory then makes e, f nilpotent and x semisimple on C^n
     an.triple
 
 

@@ -88,6 +88,21 @@ def test_criterion_01_split_subalgebra_table():
         assert an.split_sub.dim == catalog.algebra_label_dim(row.split_sub)
         assert rt.type_equivalent(an.split_sub.reduced_type,
                                   catalog.reference_reduced_type(fid))
+        # proved, not checked, by maximal_split_subalgebra: the subalgebra
+        # is theta-stable, and the simple roots of its own restricted root
+        # system give the reduced type of g
+        S, tds, space = an.structure, an.tds, an.split_sub.space
+        assert all(space.contains(S.theta_coords(v)) for v in space.rows), \
+            S.name
+        gens = list(zip(tds.simples, tds.y))
+        gens += [(tuple(-v for v in lam), z)
+                 for lam, z in zip(tds.simples, tds.z)]
+        sub_roots = {wt: piece.rows
+                     for wt, piece in S.generate_subalgebra(gens).items()
+                     if any(wt)}
+        sub_data = rt.RestrictedRootData(S, sub_roots, [])
+        assert rt.classify_simples(sub_data.simples, an.root_data.pairing) \
+            == an.root_data.types[1], S.name
     assert _TIMES["analyze_all"] < 120, \
         "table pass took %.1fs" % _TIMES["analyze_all"]
 
@@ -115,6 +130,11 @@ def test_criterion_02_tds_relations():
             assert tuple(S.theta_coords(v)) == tuple(-u for u in v), S.name
             assert la.is_zero_mat(n_fold_power(S.matrix_of(v), S.n)), S.name
         assert tuple(S.theta_coords(x)) == x, S.name
+        # x is diagonalizable on C^n with half-integer eigenvalues
+        assert la.eigen_split(S.matrix_of(x), la.eye(S.n),
+                              triple.x_spectrum) is not None, S.name
+        assert all(v.denominator in (1, 2) for v in triple.x_spectrum), \
+            S.name
 
 
 @criterion(3)
@@ -123,6 +143,8 @@ def test_criterion_03_section_regularity():
     for an in analyses().values():
         S = an.structure
         basis = tp.section_basis(S, an.triple, an.decomposition)
+        assert basis.e_list[0] == an.triple.e, S.name
+        assert len(basis.e_list) == S.rank_a, S.name
         rng = _rng(S.name, "regularity")
         for k in range(100):
             gamma = _random_gamma(rng, basis.rank)
@@ -135,8 +157,16 @@ def test_criterion_04_module_identities():
     quasi_true = {"su(1,2)", "su(2,3)", "su(2,2)", "su(3,3)", "so(2,4)"}
     quasi_false = {"su(1,3)", "sp(1,2)", "so*(6)", "su*(4)"}
     for an in analyses().values():
-        S, dec = an.structure, an.decomposition
+        S, dec, triple = an.structure, an.decomposition, an.triple
         assert sum(2 * bl.m - 1 for bl in dec.blocks) == S.dim, S.name
+        # each ad(x)-eigenspace of ker ad(e) splits by theta, and c counts
+        # the h-part of the centralizer of the triple
+        for ev, vecs in la.eigen_split(
+                S.ad_matrix(triple.x), triple.e_kernel,
+                rt.eigenvalue_differences(triple.x_spectrum)):
+            assert sum(map(len, S.theta_split(vecs))) == len(vecs), \
+                (S.name, ev)
+        assert len(S.theta_split(triple.centralizer)[0]) == dec.c, S.name
         trivial = sum(1 for bl in dec.blocks if bl.m == 1)
         if an.quasi_split:
             assert trivial == dec.dim_z, S.name

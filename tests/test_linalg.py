@@ -283,7 +283,7 @@ def test_kernel_of_an_empty_system_is_the_whole_space():
 
 
 def n_fold_power(a, k):
-    """A^k as k products, the reference for ``la.is_nilpotent``."""
+    """A^k as k products."""
     out = la.eye(len(a))
     for _ in range(k):
         out = la.mmul(out, a)
@@ -294,44 +294,6 @@ def test_n_fold_power():
     j = la.mat([[0, 1], [-1, 0]])
     assert la.mat_eq(n_fold_power(j, 4), la.eye(2))
     assert la.mat_eq(n_fold_power(j, 2), la.mscale(-1, la.eye(2)))
-
-
-def test_is_nilpotent_small_cases():
-    assert la.is_nilpotent(())  # the 0 x 0 matrix
-    assert la.is_nilpotent(la.mat([[0]]))
-    assert not la.is_nilpotent(la.mat([[1]]))
-    # a single Jordan block of size n needs exactly the n-th power
-    for n in range(1, 10):
-        jordan = la.mat([[1 if c == r + 1 else 0 for c in range(n)]
-                         for r in range(n)])
-        assert la.is_nilpotent(jordan)
-        assert not la.is_zero_mat(n_fold_power(jordan, n - 1))
-        assert not la.is_nilpotent(la.madd(jordan, la.mat(
-            [[1 if (r, c) == (n - 1, 0) else 0 for c in range(n)]
-             for r in range(n)])))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=1, max_value=7).flatmap(
-           lambda n: st.tuples(st.just(n), st.lists(
-               st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-               min_size=n, max_size=n))),
-       st.booleans())
-def test_is_nilpotent_matches_the_n_fold_power(case, strict):
-    # strictly upper triangular matrices are nilpotent; conjugating by a
-    # unipotent keeps that, and a general integer matrix rarely is
-    n, rows = case
-    if strict:
-        rows = [[x if c > r else 0 for c, x in enumerate(row)]
-                for r, row in enumerate(rows)]
-        u = la.mat([[1 if c == r else (1 if c == r + 1 else 0)
-                     for c in range(n)] for r in range(n)])
-        uinv = la.mat([[(-1) ** (c - r) if c >= r else 0 for c in range(n)]
-                       for r in range(n)])
-        a = la.mmul(la.mmul(u, la.mat(rows)), uinv)
-    else:
-        a = la.mat(rows)
-    assert la.is_nilpotent(a) == la.is_zero_mat(n_fold_power(a, n))
 
 
 def test_rref_pivots_are_unit_columns():

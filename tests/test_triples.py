@@ -8,6 +8,7 @@ checks plus targeted structural assertions.
 import dataclasses
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -197,19 +198,39 @@ def test_split_sub_weight_pieces_are_its_meets_with_the_root_spaces(form):
         == ghat
 
 
-def test_split_sub_refuses_a_generator_of_the_wrong_weight():
-    # y_1 plus a vector of another root space is not of weight lambda_1
+def _tds_with_a_shifted_y_1():
+    """su(2,2) with y_1 plus a vector of another root space, which is not of
+    weight lambda_1."""
     S, tds, _, _ = chain("su_pq", p=2, q=2)
     other = next(lam for lam in tds.root_data.root_spaces
                  if lam != tds.simples[0])
     shift = tds.root_data.root_spaces[other][0]
     y = [tuple(a + b for a, b in zip(tds.y[0], shift))] + tds.y[1:]
-    bad = dataclasses.replace(tds, y=y)
+    return S, tds, dataclasses.replace(tds, y=y)
+
+
+def test_split_sub_refuses_a_generator_of_the_wrong_weight():
+    S, tds, bad = _tds_with_a_shifted_y_1()
     weight = "(%s)" % ", ".join(str(v) for v in tds.simples[0])
     with pytest.raises(ConstructionFailure,
                        match=re.escape("generator y_1 is not of weight "
                                        + weight)):
         tp.maximal_split_subalgebra(S, bad)
+
+
+def test_graded_closure_stops_on_a_generator_of_the_wrong_weight():
+    # labeled lambda_1, the shifted y_1 puts brackets at ever new weights;
+    # the closure raises once its pieces outgrow g^C instead of running on
+    _, _, bad = _tds_with_a_shifted_y_1()
+    S = bad.structure
+    gens = list(zip(bad.simples, bad.y))
+    gens += [(tuple(-v for v in lam), z) for lam, z in zip(bad.simples, bad.z)]
+    t0 = time.process_time()
+    with pytest.raises(ConstructionFailure,
+                       match=r"^su\(2,2\): graded closure exceeds dim 15; a "
+                             r"generator weight is wrong$"):
+        S.generate_subalgebra(gens)
+    assert time.process_time() - t0 < 1
 
 
 def test_center_dims_vanish_on_catalog():
@@ -310,7 +331,7 @@ def test_swapped_cayley_signs_break_the_triple_relations(fid):
 
 
 def test_x_spectrum_is_taken_once_per_triple(monkeypatch):
-    # the semisimplicity check of x and the ad(x) candidates of the module
+    # the spectrum of x and the ad(x) candidates of the module
     # decomposition read one n x n charpoly
     S = build(form_id("su_pq", p=1, q=3))
     tds = tp.build_tds(S, rt.restricted_roots(S))
@@ -327,31 +348,6 @@ def test_x_spectrum_is_taken_once_per_triple(monkeypatch):
     assert polys == [S.matrix_of(triple.x)]
     roots_ = la.rational_roots([c.as_fraction() for c in original(polys[0])])
     assert triple.x_spectrum == sorted(set(roots_))
-
-
-def test_semisimplicity_check_rejects_a_nilpotent():
-    S, _, triple, _ = chain("sl_R", n=2)
-    with pytest.raises(RelationFailure,
-                       match=r"sl\(2,R\): e is not semisimple"):
-        tp._assert_semisimple(S, triple.e, "e")
-
-
-def test_semisimplicity_check_rejects_an_irrational_split():
-    # the h basis element of sl(2,R) has charpoly t^2 + 1/4: roots +-i/2
-    S, _, _, _ = chain("sl_R", n=2)
-    with pytest.raises(RelationFailure,
-                       match="h_1 spectrum does not split over Q"):
-        tp._assert_semisimple(S, S.unit_coords(S.h_indices[0]), "h_1")
-
-
-def test_semisimplicity_check_rejects_a_radical_charpoly():
-    # sqrt(2) a_1 + a_2 in sl(3,R) has c_1 = sqrt(2) - 3
-    S, _, _, _ = chain("sl_R", n=3)
-    a1, a2 = (S.unit_coords(i) for i in S.a_indices)
-    v = tuple(Scalar.sqrt(2) * p + q for p, q in zip(a1, a2))
-    assert la.charpoly(S.matrix_of(v))[1] == Scalar.sqrt(2) - 3
-    with pytest.raises(RelationFailure, match="v has non-rational spectrum"):
-        tp._assert_semisimple(S, v, "v")
 
 
 def test_split_subalgebra_checked_against_the_table(monkeypatch):
@@ -394,7 +390,8 @@ def test_section_basis_refuses_a_non_principal_f():
     # dim 4 > rank 2; the rest of the triple and the section data stay
     S, tds, triple, dec = chain("sl_R", n=3)
     f = S.coords_of(la.mat([[1, I, 0], [I, -1, 0], [0, 0, 0]]))
-    assert la.is_nilpotent(S.matrix_of(f)) and not tp.is_regular(S, f)
+    assert la.charpoly(S.matrix_of(f)) == (ZERO,) * S.n + (ONE,)
+    assert not tp.is_regular(S, f)
     with pytest.raises(ConstructionFailure,
                        match=r"^sl\(3,R\): f is not regular in m\^C$"):
         tp.section_basis(S, dataclasses.replace(triple, f=f), dec)
