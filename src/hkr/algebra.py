@@ -48,13 +48,6 @@ def _flat(x: Entries, n: int) -> Dict[int, Scalar]:
     return {r * n + c: e for (r, c), e in x.items()}
 
 
-def _dense(x: Entries, n: int) -> Mat:
-    out = [[ZERO] * n for _ in range(n)]
-    for (r, c), e in x.items():
-        out[r][c] = e
-    return tuple(tuple(row) for row in out)
-
-
 def theta_entries(x: Entries) -> Entries:
     """The Cartan involution theta(X) = -X^* on sparse entries."""
     return {(c, r): -e.conj() for (r, c), e in x.items()}
@@ -109,7 +102,6 @@ class RealFormStructure:
     span: InitVar[Sequence[Dict[Tuple[int, int], object]]]
     a_mats: InitVar[Sequence[Dict[Tuple[int, int], object]]]
 
-    basis: Tuple[Mat, ...] = field(init=False)
     dim_h: int = field(init=False)
     rank_a: int = field(init=False)
     dim: int = field(init=False)
@@ -128,8 +120,7 @@ class RealFormStructure:
         h, a, m_rest = self._theta_adapted(span, a_mats)
         self.dim_h, self.rank_a = len(h), len(a)
         self._sparse_basis = h + a + m_rest
-        self.basis = tuple(_dense(x, self.n) for x in self._sparse_basis)
-        self.dim = len(self.basis)
+        self.dim = len(self._sparse_basis)
         self.dim_m = self.dim - self.dim_h
         if not (0 < self.rank_a <= self.dim_m):
             raise ConstructionFailure("%s: rank %d incompatible with dim m %d"
@@ -155,7 +146,7 @@ class RealFormStructure:
         return range(self.dim_h, self.dim)
 
     def a_basis(self) -> List[Mat]:
-        return [self.basis[i] for i in self.a_indices]
+        return [self.matrix_of(self.unit_coords(i)) for i in self.a_indices]
 
     def a_vector(self, coeffs: Sequence) -> Tuple[Scalar, ...]:
         """Coordinates of sum_j coeffs[j] a_j, the a-basis combination."""
@@ -273,15 +264,10 @@ class RealFormStructure:
             raise ConstructionFailure("%s: B not positive definite on m" % self.name)
 
     def _check_a(self):
+        """a is abelian; ``roots.restricted_roots`` checks it is maximal."""
         for i in self.a_indices:
             if any(j in self.a_indices for j in self.struct[i]):
                 raise ConstructionFailure("%s: a is not abelian" % self.name)
-        cm = self.centralizer_frac([self.unit_coords(i) for i in self.a_indices],
-                                   within=self.m_indices)
-        if len(cm) != self.rank_a:
-            raise ConstructionFailure(
-                "%s: a is not maximal abelian in m (centralizer of a in m has dim %d)"
-                % (self.name, len(cm)))
 
     # --- coordinates ------------------------------------------------------
 
@@ -415,20 +401,13 @@ class RealFormStructure:
         m_part = _span_kernel(vectors, h_coords, self.dim_h)
         return h_part, m_part
 
-    def centralizer_frac(self, elements: Sequence[Sequence],
-                         within: Optional[Sequence[int]] = None
+    def centralizer_frac(self, elements: Sequence[Sequence]
                          ) -> List[Tuple[Scalar, ...]]:
-        """Basis of the centralizer of the given elements.
-
-        The unit-span call of `centralizer_in_span`: `within` restricts to
-        the span of those basis indices (a coordinate block such as m or h,
-        all of g by default); full-length coordinate vectors come back.  The
-        name predates the one field and stays because bench/tracer.py wraps
-        it.
-        """
-        idxs = within if within is not None else range(self.dim)
+        """Basis of the centralizer of the given elements in g^C: the
+        unit-span call of `centralizer_in_span`.  The name predates the one
+        field and stays because bench/tracer.py wraps it."""
         return self.centralizer_in_span(
-            elements, [self.unit_coords(i) for i in idxs])
+            elements, [self.unit_coords(i) for i in range(self.dim)])
 
     def generate_subalgebra(
             self, gens: Sequence[Tuple[tuple, Sequence[Scalar]]]

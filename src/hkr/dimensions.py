@@ -101,7 +101,7 @@ class FormAnalysis:
 
     @cached_property
     def tds(self) -> tp.TdsConstruction:
-        return tp.build_tds(self.structure, self.root_data)
+        return tp.build_tds(self.root_data)
 
     @cached_property
     def triple(self) -> tp.NormalTriple:
@@ -109,20 +109,19 @@ class FormAnalysis:
 
     @cached_property
     def split_sub(self) -> tp.SplitSubalgebra:
-        return tp.maximal_split_subalgebra(self.structure, self.tds)
+        return tp.maximal_split_subalgebra(self.tds)
 
     @cached_property
     def decomposition(self) -> tp.ModuleDecomposition:
-        return tp.module_decomposition(self.structure, self.triple)
+        return tp.module_decomposition(self.triple)
 
     @cached_property
     def quasi_split(self) -> bool:
-        return tp.is_quasi_split(self.structure, self.triple)
+        return tp.is_quasi_split(self.triple)
 
     @cached_property
     def num_roots(self) -> int:
-        return rt.full_root_classification(self.structure,
-                                           self.root_data).n_roots
+        return rt.full_root_classification(self.root_data).n_roots
 
     @cached_property
     def num_reduced(self) -> int:
@@ -136,8 +135,7 @@ class FormAnalysis:
     def section(self) -> tp.SectionBasis:
         """The section of the split subalgebra: f and every e_i lie in it."""
         space = self.split_sub.space
-        basis = tp.section_basis(self.structure, self.triple,
-                                 self.decomposition)
+        basis = tp.section_basis(self.triple, self.decomposition)
         if not all(map(space.contains, [basis.f] + basis.e_list)):
             raise ConstructionFailure("%s: the section leaves the split "
                                       "subalgebra" % self.structure.name)

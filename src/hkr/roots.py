@@ -39,6 +39,22 @@ _F0 = Fraction(0)
 RootLabel = Tuple[Fraction, ...]
 
 
+def rational_spectrum(structure: RealFormStructure, coords: Sequence
+                      ) -> List[Fraction]:
+    """The distinct eigenvalues on C^n of the element with coordinates
+    `coords`, sorted.  Raises NonRationalSpectrum unless the n x n charpoly
+    splits over Q."""
+    m = structure.matrix_of(coords)
+    try:
+        mus = la.rational_roots([c.as_fraction() for c in la.charpoly(m)])
+    except ValueError:  # a coefficient outside Q
+        mus = None
+    if mus is None:
+        raise NonRationalSpectrum("%s: spectrum on C^%d does not split over Q"
+                                  % (structure.name, structure.n))
+    return sorted(set(mus))
+
+
 def ad_spectrum_candidates(structure: RealFormStructure, coords: Sequence
                            ) -> List[Fraction]:
     """The differences mu_j - mu_k of the eigenvalues of X on C^n, sorted.
@@ -50,35 +66,23 @@ def ad_spectrum_candidates(structure: RealFormStructure, coords: Sequence
     differences, again in the set.  Raises NonRationalSpectrum unless the
     n x n charpoly splits over Q.
     """
-    m = structure.matrix_of(coords)
-    try:
-        mus = la.rational_roots([c.as_fraction() for c in la.charpoly(m)])
-    except ValueError:  # a coefficient outside Q
-        mus = None
-    if mus is None:
-        raise NonRationalSpectrum("%s: spectrum on C^%d does not split over Q"
-                                  % (structure.name, structure.n))
-    return eigenvalue_differences(mus)
+    return eigenvalue_differences(rational_spectrum(structure, coords))
 
 
 def eigenvalue_differences(mus: Sequence[Fraction]) -> List[Fraction]:
     """The differences mu_j - mu_k of the eigenvalues mus, sorted."""
-    mus = set(mus)
     return sorted({a - b for a in mus for b in mus})
 
 
 @dataclass
 class RestrictedRootData:
-    """The root spaces and c_g(a) of a structure; what is derived from them
-    (the simple system, the pairing, the type labels, c_h(a), the center)
+    """The root spaces, c_g(a) and c_h(a) of a structure; what is derived
+    from them (the simple system, the pairing, the type labels, the center)
     is computed on first read and kept."""
     structure: RealFormStructure
     root_spaces: Dict[RootLabel, List[list]]
     centralizer: List[list]  # basis of c_g(a), rational Scalar coordinates
-
-    @property
-    def rank(self) -> int:
-        return self.structure.rank_a
+    h_centralizer: List[tuple]  # basis of c_h(a), the h^C part of c_g(a)
 
     @cached_property
     def simples(self) -> List[RootLabel]:
@@ -110,11 +114,6 @@ class RestrictedRootData:
             "non-reduced system with reduced type %s" % reduced_label)
 
     @cached_property
-    def h_centralizer(self) -> List[tuple]:
-        """Basis of c_h(a), the h^C part of the theta-stable c_g(a)."""
-        return self.structure.theta_split(self.centralizer)[0]
-
-    @cached_property
     def center_dims(self) -> Tuple[int, int, int]:
         """(dim z(g), dim z(g) meet h, dim z(g) meet m).
 
@@ -135,7 +134,9 @@ class RestrictedRootData:
 
 def restricted_roots(structure: RealFormStructure) -> RestrictedRootData:
     """Joint ad(a)-eigenvalue decomposition of g.  Raises NonRationalSpectrum
-    unless each split fills its piece: the candidates held the spectrum."""
+    unless each split fills its piece: the candidates held the spectrum.
+    The zero piece c_g(a) is theta-stable and splits into c_h(a) and c_m(a);
+    a is maximal abelian in m exactly when c_m(a) = a."""
     start = [structure.unit_coords(i) for i in range(structure.dim)]
     spaces = [((), start)]
     for ai in structure.a_indices:
@@ -157,9 +158,14 @@ def restricted_roots(structure: RealFormStructure) -> RestrictedRootData:
             root_spaces[label] = vecs
         else:
             central = vecs
+    c_h, c_m = structure.theta_split(central)
+    if len(c_m) != structure.rank_a:
+        raise ConstructionFailure(
+            "%s: a is not maximal abelian in m (centralizer of a in m has dim %d)"
+            % (structure.name, len(c_m)))
     if not root_spaces:
         raise ConstructionFailure("%s: no restricted roots" % structure.name)
-    return RestrictedRootData(structure, root_spaces, central)
+    return RestrictedRootData(structure, root_spaces, central, c_h)
 
 
 # --- positivity, simple systems, reduced system -------------------------------
@@ -659,13 +665,11 @@ def maximal_torus(structure: RealFormStructure,
         z = structure.centralizer_in_span([cand], z)
 
 
-def full_root_classification(structure: RealFormStructure,
-                             root_data: RestrictedRootData
+def full_root_classification(root_data: RestrictedRootData
                              ) -> FullRootClassification:
     """Counts the roots of g^C on the maximally split Cartan d = t + a.
 
-    `root_data` is the restricted root decomposition of `structure`, and t
-    is a maximal torus of c_h(a).  Everything that commutes with d lies in
+    t is a maximal torus of c_h(a).  Everything that commutes with d lies in
     c_g(a), so d is a Cartan subalgebra exactly when c_{c_g(a)}(t) has
     dim |t| + r; then each root space of d^C is a line, and the roots
     number dim g - rank g^C = dim g - |t| - r (Knapp, Lie Groups Beyond an
@@ -674,6 +678,7 @@ def full_root_classification(structure: RealFormStructure,
     |t| - r, and the restricted root spaces hold the n_re + n_cx others,
     n_re = sum over the restricted roots lambda of dim c_{g_lambda}(t).
     """
+    structure = root_data.structure
     t_basis = maximal_torus(structure, root_data.h_centralizer)
     cartan = len(t_basis) + structure.rank_a
     zero_dim = len(structure.centralizer_in_span(t_basis,

@@ -60,9 +60,7 @@ def _proportionality(u: Sequence, v: Sequence):
 
 @dataclass
 class TdsConstruction:
-    structure: RealFormStructure
     root_data: rt.RestrictedRootData
-    simples: List[rt.RootLabel]
     y: List[Tuple[Scalar, ...]]
     z: List[Tuple[Scalar, ...]]
     b: List[Fraction]
@@ -72,9 +70,12 @@ class TdsConstruction:
     e_c: Tuple[Scalar, ...]
     f_c: Tuple[Scalar, ...]
 
+    @property
+    def structure(self) -> RealFormStructure:
+        return self.root_data.structure
 
-def build_tds(structure: RealFormStructure,
-              root_data: rt.RestrictedRootData) -> TdsConstruction:
+
+def build_tds(root_data: rt.RestrictedRootData) -> TdsConstruction:
     """The TDS (E, F, W) = (e_c, f_c, w) on the simple restricted roots
     (Kostant and Rallis 1971; Knapp 2002, ch. VI).  Proved, so not checked
     (lambda = lambda_i):
@@ -83,7 +84,7 @@ def build_tds(structure: RealFormStructure,
     - [y_i, z_i] = (2/|lambda|^2) h_i: z_i = 2 theta y_i/(|lambda|^2 b_i);
     - that coroot is 2 on y_i, -2 on z_i: y_i in g_lambda, z_i in g_-lambda;
     - [w, e_c] = 2 e_c, [w, f_c] = -2 f_c: lambda_j(w) = 2, f_c = theta e_c."""
-    S = structure
+    S = root_data.structure
     simples = root_data.simples
     r = S.rank_a
     if len(simples) != r:
@@ -150,8 +151,8 @@ def build_tds(structure: RealFormStructure,
     if tuple(S.bracket_coords(e_c, f_c)) != w:
         raise ConstructionFailure("%s: [e_c, f_c] != w" % S.name)
 
-    return TdsConstruction(S, root_data, simples, y_list, z_list, b_list,
-                           list(c_list), d_list, w, e_c, f_c)
+    return TdsConstruction(root_data, y_list, z_list, b_list, list(c_list),
+                           d_list, w, e_c, f_c)
 
 
 # --- the normal triple ----------------------------------------------------------
@@ -201,7 +202,8 @@ def normal_triple(tds: TdsConstruction) -> NormalTriple:
     the line of w with nothing to check, and theta e = -e, theta f = -f and
     theta x = x too: f_c = theta e_c, w lies in a, in m, and theta is linear.
     On C^n, e and f are nilpotent and 2x is diagonalizable with integer
-    eigenvalues (sl2 theory), so x's spectrum is read, not checked."""
+    eigenvalues (sl2 theory), so x's spectrum is read, not checked: it
+    splits over Q."""
     S = tds.structure
     E, F, W = tds.e_c, tds.f_c, tds.w
     scale = (Scalar.sqrt(2) * 2).inv()
@@ -211,18 +213,14 @@ def normal_triple(tds: TdsConstruction) -> NormalTriple:
     if not _triple_relations_hold(S, e, f, x):
         raise RelationFailure("%s: [x,e] = e, [x,f] = -f and [e,f] = x do "
                               "not all hold" % S.name)
-    p = la.charpoly(S.matrix_of(x))
-    spectrum = sorted(set(la.rational_roots([c.as_fraction() for c in p])))
-    return NormalTriple(tds, e, f, x, spectrum)
+    return NormalTriple(tds, e, f, x, rt.rational_spectrum(S, x))
 
 
 # --- maximal split subalgebra ---------------------------------------------------
 
 @dataclass
 class SplitSubalgebra:
-    structure: RealFormStructure
     space: la.Subspace
-    reduced_type: str
     table_label: str
 
     @property
@@ -230,8 +228,7 @@ class SplitSubalgebra:
         return self.space.dim
 
 
-def maximal_split_subalgebra(structure: RealFormStructure,
-                             tds: TdsConstruction) -> SplitSubalgebra:
+def maximal_split_subalgebra(tds: TdsConstruction) -> SplitSubalgebra:
     """The subalgebra generated by each simple root's sl2, checked exactly.
 
     The generators are y_i at weight lambda_i and z_i at -lambda_i.  Their
@@ -245,12 +242,12 @@ def maximal_split_subalgebra(structure: RealFormStructure,
     - its reduced type is ``root_data.types[1]``: once its roots are the
       reduced system, its simple roots are those of the full system.
     """
-    S = structure
+    S = tds.structure
     r = S.rank_a
     a_units = [S.unit_coords(i) for i in S.a_indices]
     zero = (0,) * r
     named = []
-    for i, lam in enumerate(tds.simples):
+    for i, lam in enumerate(tds.root_data.simples):
         named.append(("y_%d" % (i + 1), lam, tds.y[i]))
         named.append(("z_%d" % (i + 1), tuple(-v for v in lam), tds.z[i]))
     # each generator has its weight: [a_j, v] = weight_j v
@@ -301,7 +298,7 @@ def maximal_split_subalgebra(structure: RealFormStructure,
     if not rt.type_equivalent(sub_type, expected_type):
         raise MismatchWithTable("%s: split subalgebra type %s, table row "
                                 "needs %s" % (S.name, sub_type, expected_type))
-    return SplitSubalgebra(S, space, sub_type, entry.split_sub)
+    return SplitSubalgebra(space, entry.split_sub)
 
 
 # --- sl2-module decomposition ---------------------------------------------------
@@ -315,7 +312,6 @@ class ModuleBlock:
 
 @dataclass
 class ModuleDecomposition:
-    structure: RealFormStructure
     blocks: List[ModuleBlock]
     a: int
     b: int
@@ -328,8 +324,7 @@ class ModuleDecomposition:
         return [bl for bl in self.blocks if bl.location == where]
 
 
-def module_decomposition(structure: RealFormStructure, triple: NormalTriple
-                         ) -> ModuleDecomposition:
+def module_decomposition(triple: NormalTriple) -> ModuleDecomposition:
     """ker ad(e) split by ad(x) into highest weight vectors.  Proved, so not
     checked (each irreducible summand of g^C under (e, 2f, 2x) meets ker
     ad(e) in its highest weight line):
@@ -340,7 +335,7 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple
     - the summands fill g^C, and one of highest weight m - 1 has dim 2m - 1;
     - c = dim c_{h^C}(s^C) counts the h-located blocks with m = 1, since
       c_{g^C}(s^C) is the weight-0 part of ker ad(e)."""
-    S = structure
+    S = triple.structure
     pieces = la.eigen_split(S.ad_matrix(triple.x), triple.e_kernel,
                             rt.eigenvalue_differences(triple.x_spectrum))
     if pieces is None:
@@ -377,13 +372,13 @@ def module_decomposition(structure: RealFormStructure, triple: NormalTriple
                              % (S.name, sorted(m_located), want))
 
     blocks.sort(key=lambda bl: (bl.m, bl.location))
-    return ModuleDecomposition(S, blocks, a, b, c, dim_z, dim_z_h, dim_z_m)
+    return ModuleDecomposition(blocks, a, b, c, dim_z, dim_z_h, dim_z_m)
 
 
 # --- quasi-split test (two routes) ----------------------------------------------
 
-def is_quasi_split(structure: RealFormStructure, triple: NormalTriple) -> bool:
-    S = structure
+def is_quasi_split(triple: NormalTriple) -> bool:
+    S = triple.structure
     # route 1: c_g(a) abelian
     cga = triple.tds.root_data.centralizer
     route1 = not any(any(S.bracket_coords(u, v))
@@ -417,8 +412,8 @@ class SectionBasis:
         return len(self.e_list)
 
 
-def section_basis(structure: RealFormStructure, triple: NormalTriple,
-                  decomposition: ModuleDecomposition) -> SectionBasis:
+def section_basis(triple: NormalTriple, decomposition: ModuleDecomposition
+                  ) -> SectionBasis:
     """e and the m-located highest weight vectors of degree > 2, by degree.
     Proved, so not checked:
     - each centralizes e and has ad(x) weight m - 1: it is e, or a
@@ -427,7 +422,7 @@ def section_basis(structure: RealFormStructure, triple: NormalTriple,
       degrees to the invariant degrees (each >= 2) and dim z_m ones;
     - the one of degree 2 spans the line of e: that block's line is the
       m^C part of the weight-1 space of ker ad(e), which holds e."""
-    S = structure
+    S = triple.structure
     graded = [bl for bl in decomposition.located("m") if bl.m >= 2]
     central = [bl.vector for bl in decomposition.located("m") if bl.m == 1]
     graded.sort(key=lambda bl: bl.m)
@@ -520,11 +515,11 @@ def section_point_regular(basis: SectionBasis, gamma: Sequence) -> bool:
     return is_regular(basis.structure, section_point(basis, gamma))
 
 
-def section_fiber_match(structure: RealFormStructure, basis: SectionBasis,
-                        d_coords: Sequence) -> List[Scalar]:
+def section_fiber_match(basis: SectionBasis, d_coords: Sequence
+                        ) -> List[Scalar]:
     """The unique gamma whose section point matches d's characteristic
     polynomial, solved triangularly along increasing invariant degrees."""
-    S = structure
+    S = basis.structure
     n = S.n
     if len(set(basis.degrees)) != len(basis.degrees):
         raise NonUnique("%s: repeated invariant degrees %s"

@@ -105,8 +105,9 @@ def _check_triple(an: dm.FormAnalysis) -> Optional[str]:
 
 
 def _check_split_sub(an: dm.FormAnalysis) -> Optional[str]:
-    sub = an.split_sub  # raises unless its dim is the Table 1 row's
-    return "%s (dim %d, %s)" % (sub.table_label, sub.dim, sub.reduced_type)
+    sub = an.split_sub  # raises unless its dim and type are the Table 1 row's
+    return "%s (dim %d, %s)" % (sub.table_label, sub.dim,
+                                an.root_data.types[1])
 
 
 def _check_modules(an: dm.FormAnalysis) -> Optional[str]:
@@ -233,7 +234,7 @@ def _check_fiber_match(an: dm.FormAnalysis, seed: int, samples: int
     for _ in range(samples):
         d = _regular_a_element(an, rng)
         # raises unless d and the matched section point share a charpoly
-        tp.section_fiber_match(S, basis, d)
+        tp.section_fiber_match(basis, d)
     return "%d targets" % samples
 
 

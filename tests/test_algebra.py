@@ -28,6 +28,12 @@ def _commutator(x, y):
 def _zeros(n):
     return la.mat([[0] * n] * n)
 
+
+def dense_basis(T):
+    """The basis matrices of T, dense, as ``matrix_of`` gives them."""
+    return [T.matrix_of(T.unit_coords(i)) for i in range(T.dim)]
+
+
 coord_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 coord_vectors = st.lists(coord_fracs.map(Scalar.of), min_size=S.dim,
                          max_size=S.dim)
@@ -38,7 +44,7 @@ def test_su12_dimensions():
     assert S.dim_h == 4
     assert S.dim_m == 4
     assert S.rank_a == 1
-    assert len(S.basis) == 8
+    assert len(dense_basis(S)) == 8
 
 
 def test_basis_ordering_is_adapted():
@@ -61,8 +67,7 @@ def test_matrix_coords_round_trip():
 
 
 def test_try_coords_rejects_outsiders():
-    n = len(S.basis[0])
-    not_in = la.eye(n)  # identity is not traceless-compatible with su(1,2)
+    not_in = la.eye(S.n)  # identity is not traceless-compatible with su(1,2)
     assert S.try_coords_of(not_in) is None
 
 
@@ -124,8 +129,9 @@ def test_ad_matrix_matches_bracket(u):
 def test_invariant_form_on_matrices():
     # B(X, Y) = Re tr(XY), taken from the matrices here, against the Gram
     # matrix the structure keeps
+    basis = dense_basis(S)
     for i, j in ((4, 4), (0, 0), (4, 5), (0, 4)):
-        xy = la.mmul(S.basis[i], S.basis[j])
+        xy = la.mmul(basis[i], basis[j])
         trace = sum((xy[r][r] for r in range(S.n)), Scalar.of(0))
         real, _ = trace.gaussian_parts()
         assert isinstance(real, Fraction)
@@ -133,7 +139,7 @@ def test_invariant_form_on_matrices():
 
 
 def test_theta_entries_is_an_involution_fixing_h_and_negating_m():
-    for i, x in enumerate(S.basis):
+    for i, x in enumerate(dense_basis(S)):
         entries = {(r, c): e for r, row in enumerate(x)
                    for c, e in enumerate(row) if e}
         theta = theta_entries(entries)
@@ -286,17 +292,18 @@ def _rebuild_mismatches(T):
     c^k_ij basis_k against the commutator of the basis matrices themselves,
     with [basis_j, basis_i] read as the negation."""
     bad = []
+    basis = dense_basis(T)
     for i in range(T.dim):
         for j in range(i + 1, T.dim):
             coeffs = T.bracket_coords(T.unit_coords(i), T.unit_coords(j))
             total = _zeros(T.n)
-            for c, m in zip(coeffs, T.basis):
+            for c, m in zip(coeffs, basis):
                 if c:
                     total = la.madd(total, la.mscale(c, m))
             if (T.bracket_coords(T.unit_coords(j), T.unit_coords(i))
                     != tuple(-c for c in coeffs)
-                    or not la.mat_eq(total, _commutator(T.basis[i],
-                                                        T.basis[j]))):
+                    or not la.mat_eq(total, _commutator(basis[i],
+                                                        basis[j]))):
                 bad.append((i, j))
     return bad
 
@@ -437,11 +444,12 @@ def test_real_coords_reject_matrices_outside_the_real_span():
     with pytest.raises(NotInAlgebra, match="not in g"):
         S.coords_of(la.eye(S.n))  # not traceless
     # sqrt(2) basis[0] lies in g^C, but its coordinate is not rational
-    coords = S.coords_of(la.mscale(_ROOT2, S.basis[0]))
+    basis = dense_basis(S)
+    coords = S.coords_of(la.mscale(_ROOT2, basis[0]))
     assert coords[0] == _ROOT2 and not coords[0].is_rational()
     assert not any(coords[1:])
-    assert S.coords_of(S.basis[3]) == tuple(Scalar.of(c)
-                                            for c in S.unit_coords(3))
+    assert S.coords_of(basis[3]) == tuple(Scalar.of(c)
+                                          for c in S.unit_coords(3))
 
 
 # --- the theta-adapted basis, built from a span outside the catalog ---------------
@@ -457,8 +465,9 @@ def test_sl2_from_its_span_gets_the_adapted_basis():
     T = RealFormStructure("sl(2,R) by hand", "test", {}, 2, [_F, _H, _E], [_H])
     assert (T.dim, T.dim_h, T.dim_m, T.rank_a) == (3, 1, 2, 1)
     assert T.a_basis() == [la.mat([[1, 0], [0, -1]])]
-    assert T.basis[0] == la.mat([[0, Fraction(-1, 2)], [Fraction(1, 2), 0]])
-    assert T.basis[2] == la.mat([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    basis = dense_basis(T)
+    assert basis[0] == la.mat([[0, Fraction(-1, 2)], [Fraction(1, 2), 0]])
+    assert basis[2] == la.mat([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
     assert rt.classify_type(rt.restricted_roots(T))[0] == "A1"
     assert T.a_vector([Scalar.of(3)]) == T.coords_of(la.mat([[3, 0], [0, -3]]))
 
@@ -498,3 +507,29 @@ def test_span_meeting_i_times_itself_is_rejected():
                        match="theta split lost dimensions"):
         RealFormStructure("C H", "test", {}, 2,
                           [_H, {(0, 0): I, (1, 1): -I}], [_H])
+
+
+# the span of sl(3, R): every E_ij with i != j, then the traceless diagonal
+_SL3 = [{(i, j): 1} for i in range(3) for j in range(3) if i != j]
+_SL3 += [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
+
+
+def test_a_basis_that_does_not_commute_is_rejected():
+    # diag(1, -1, 0) and E_12 + E_21 are both symmetric, so both lie in m,
+    # but their bracket is 2 (E_12 - E_21), not 0
+    a_mats = [{(0, 0): 1, (1, 1): -1}, {(0, 1): 1, (1, 0): 1}]
+    with pytest.raises(ConstructionFailure,
+                       match=r"^sl\(3,R\): a is not abelian$"):
+        RealFormStructure("sl(3,R)", "test", {}, 3, _SL3, a_mats)
+
+
+def test_a_that_is_not_maximal_abelian_is_rejected_by_the_roots():
+    # diag(1, -1, 0) spans an abelian a, so the structure is built, but the
+    # traceless diagonal, of dim 2, centralizes it in m
+    T = RealFormStructure("sl(3,R)", "test", {}, 3, _SL3,
+                          [{(0, 0): 1, (1, 1): -1}])
+    assert (T.dim, T.rank_a) == (8, 1)
+    with pytest.raises(ConstructionFailure,
+                       match=r"^sl\(3,R\): a is not maximal abelian in m "
+                             r"\(centralizer of a in m has dim 2\)$"):
+        rt.restricted_roots(T)

@@ -7,9 +7,11 @@ import pytest
 from hkr import catalog, errors
 from hkr import linalg as la
 from hkr import verify as vf
+from hkr.algebra import RealFormStructure
 from hkr.errors import (ConstructionFailure, HkrError, InvalidParams,
                         NotInTable, SizeBound)
 from hkr.scalars import ZERO
+from test_algebra import dense_basis
 
 
 def _forms_up_to(size):
@@ -311,12 +313,13 @@ def test_basis_satisfies_family_identities(fid):
     # it spans the algebra
     identities, dim = _family_identities(fid)
     S = catalog.build(fid)
-    assert len(S.basis) == dim
+    basis = dense_basis(S)
+    assert len(basis) == dim
     # rank over R: each entry flattened into its real and imaginary parts
     assert la.rank(la.mat([[part for e in la.flatten(x)
                             for part in e.gaussian_parts()]
-                           for x in S.basis])) == dim
-    for k, x in enumerate(S.basis):
+                           for x in basis])) == dim
+    for k, x in enumerate(basis):
         for i, identity in enumerate(identities):
             assert la.is_zero_mat(identity(x)), (k, i)
 
@@ -359,11 +362,27 @@ def test_pinned_basis_covers_the_catalog():
 def test_basis_matches_its_pinned_digest(form):
     S = catalog.build(catalog.parse_form(form))
     digest = hashlib.sha256(("%d %d\n" % (S.dim_h, S.rank_a)).encode())
-    for x in S.basis:
+    for x in dense_basis(S):
         digest.update((";".join(",".join("%s %s" % e.gaussian_parts()
                                          for e in row) for row in x)
                        + "\n").encode())
     assert digest.hexdigest() == _PINNED_BASIS[form]
+
+
+def test_build_takes_no_centralizer(monkeypatch):
+    # build checks only that a is abelian; the root data finds c_g(a) and
+    # checks there that a is maximal abelian in m
+    calls = []
+    original = RealFormStructure.centralizer_in_span
+
+    def counting(self, *args):
+        calls.append(self.name)
+        return original(self, *args)
+
+    monkeypatch.setattr(RealFormStructure, "centralizer_in_span", counting)
+    for fid in catalog.standard_forms():
+        catalog.build(fid)
+    assert calls == []
 
 
 # --- the guards of build, provoked through the declared data ---------------------

@@ -272,8 +272,8 @@ def test_split_subalgebra_failure_in_hkr_exits_one(monkeypatch, capsys,
                                                    verb, json_flag):
     # a closure or table failure is an error, not a table row mismatch;
     # hkr and section both read the one analysis, so both assert the row
-    def mismatch(S, tds):
-        raise MismatchWithTable("%s: planted mismatch" % S.name)
+    def mismatch(tds):
+        raise MismatchWithTable("%s: planted mismatch" % tds.structure.name)
 
     monkeypatch.setattr(tp, "maximal_split_subalgebra", mismatch)
     assert main([verb, "sl_r:n=2"] + json_flag) == 1

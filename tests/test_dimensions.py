@@ -38,10 +38,9 @@ def test_center_computed_once_per_structure(monkeypatch):
     original_frac = RealFormStructure.centralizer_frac
     original = RealFormStructure.centralizer_in_span
 
-    def starting(self, elements, within=None):
-        if within is None:
-            starts.append(self.name)
-        return original_frac(self, elements, within)
+    def starting(self, elements):
+        starts.append(self.name)
+        return original_frac(self, elements)
 
     def counting(self, elements, space):
         if len(elements) == self.dim:

@@ -236,7 +236,7 @@ def test_charpoly_of_the_nilpotent_f_of_sl3r():
     from hkr.catalog import build, form_id
 
     S = build(form_id("sl_R", n=3))
-    f = S.matrix_of(tp.normal_triple(tp.build_tds(S, rt.restricted_roots(S))).f)
+    f = S.matrix_of(tp.normal_triple(tp.build_tds(rt.restricted_roots(S))).f)
     # entries in Q(i, sqrt 2); column 0 needs a swap to reach Hessenberg form
     assert not f[1][0] and f[2][0]
     assert la.charpoly(f) == (ZERO, ZERO, ZERO, ONE)  # t^3

@@ -24,9 +24,16 @@ def data_for(family, **kw):
     return rt.restricted_roots(build(form_id(family, **kw)))
 
 
+def c_h_of_a(S):
+    """c_h(a), taken inside the span of the h units, apart from the root
+    data's route through c_g(a)."""
+    return S.centralizer_in_span([S.unit_coords(i) for i in S.a_indices],
+                                 [S.unit_coords(i) for i in S.h_indices])
+
+
 def test_su12_is_bc1_with_multiplicities():
     data = data_for("su_pq", p=1, q=2)
-    assert data.rank == 1
+    assert data.structure.rank_a == 1
     roots = data.root_spaces
     assert len(roots) == 4  # +-lam, +-2lam
     lam = min(r for r in roots if rt.is_positive(r))
@@ -67,14 +74,15 @@ def test_classification_matches_reference_for_all_forms():
         assert rt.type_equivalent(red, reference_reduced_type(fid)), \
             form_display(fid)
         # the rank is the one the table's type carries
-        assert data.rank == int(reference_restricted_type(fid).lstrip("ABCD"))
+        want = int(reference_restricted_type(fid).lstrip("ABCD"))
+        assert data.structure.rank_a == want
 
 
 def test_simple_system_size_equals_rank():
     for family, kw in ((("sl_R"), dict(n=4)), (("su_pq"), dict(p=2, q=3))):
         data = data_for(family, **kw)
         simples = data.simples
-        assert len(simples) == data.rank
+        assert len(simples) == data.structure.rank_a
         # every positive root is a nonnegative integer combination check is
         # heavy; sanity: simples are positive and pairwise non-proportional
         assert all(rt.is_positive(s) for s in simples)
@@ -386,14 +394,14 @@ def test_full_root_classification_counts():
     # sl(2,C): complexification is two sl2 factors swapped by conjugation,
     # so all four roots are complex
     S = build(form_id("sl_C_as_real", n=2))
-    fc = rt.full_root_classification(S, rt.restricted_roots(S))
+    fc = rt.full_root_classification(rt.restricted_roots(S))
     assert len(fc.t_basis) + S.rank_a == 2  # dim of the Cartan d = t + a
     assert fc.n_roots == 4
     assert fc.n_complex == 4
     assert fc.n_real == fc.n_imaginary == 0
     # split form: every root is real, t = 0
     S = build(form_id("sl_R", n=3))
-    fc = rt.full_root_classification(S, rt.restricted_roots(S))
+    fc = rt.full_root_classification(rt.restricted_roots(S))
     assert fc.t_basis == []
     assert fc.n_real == fc.n_roots == 6
     assert fc.n_imaginary == fc.n_complex == 0
@@ -412,7 +420,7 @@ def test_real_and_complex_counts_wait_until_read(monkeypatch):
         return original(self, elements, space)
 
     monkeypatch.setattr(type(S), "centralizer_in_span", counting)
-    fc = rt.full_root_classification(S, data)
+    fc = rt.full_root_classification(data)
     built = len(calls)
     assert fc.n_roots == S.dim - len(fc.t_basis) - S.rank_a == 6
     assert len(calls) == built
@@ -443,9 +451,7 @@ def test_root_datum_derives_each_fact_once(monkeypatch):
     # one solve per simple root, shared by the type and the duals
     assert sorted(solves) == sorted(data.simples)
     assert data.h_centralizer is data.h_centralizer
-    assert len(data.h_centralizer) == len(
-        S.centralizer_frac([S.unit_coords(i) for i in S.a_indices],
-                           within=S.h_indices))
+    assert len(data.h_centralizer) == len(c_h_of_a(S))
 
 
 def test_maximal_torus_grows_inside_the_given_span():
@@ -458,8 +464,7 @@ def test_maximal_torus_grows_inside_the_given_span():
     assert len(S.centralizer_in_span(t, h_units)) == 1
     assert rt.maximal_torus(S, []) == []
     S = build(form_id("su_pq", p=1, q=3))
-    span = S.centralizer_frac([S.unit_coords(i) for i in S.a_indices],
-                              within=S.h_indices)
+    span = c_h_of_a(S)
     t = rt.maximal_torus(S, span)
     assert all(not any(S.bracket_coords(x, y)) for x in t for y in t)
     assert len(S.centralizer_in_span(t, span)) == len(t) == 2
@@ -525,7 +530,7 @@ def test_full_root_counts_cover_the_catalog():
 @pytest.mark.parametrize("form", sorted(FULL_ROOT_COUNTS))
 def test_full_root_classification_catalog(form):
     S = build(parse_form(form))
-    fc = rt.full_root_classification(S, rt.restricted_roots(S))
+    fc = rt.full_root_classification(rt.restricted_roots(S))
     dim_cartan = len(fc.t_basis) + S.rank_a
     got = (fc.n_imaginary, fc.n_real, fc.n_complex, dim_cartan)
     assert got == FULL_ROOT_COUNTS[form]
@@ -568,9 +573,7 @@ def _counts_by_torus_split(S, data):
     restricted piece by ad(t), as a route independent of the centralizer
     counts: every nonzero piece on d = t + a must be a line."""
     r = S.rank_a
-    a_units = [S.unit_coords(i) for i in S.a_indices]
-    t_basis = rt.maximal_torus(S, S.centralizer_frac(a_units,
-                                                     within=S.h_indices))
+    t_basis = rt.maximal_torus(S, c_h_of_a(S))
     spaces = list(data.root_spaces.items())
     spaces.append(((Fraction(0),) * r, data.centralizer))
     n_im = n_re = n_cx = zero_dim = 0
@@ -594,7 +597,7 @@ def _counts_by_torus_split(S, data):
 def test_full_root_counts_match_the_torus_split(form):
     S = build(parse_form(form))
     data = rt.restricted_roots(S)
-    fc = rt.full_root_classification(S, data)
+    fc = rt.full_root_classification(data)
     got = (fc.n_imaginary, fc.n_real, fc.n_complex,
            len(fc.t_basis) + S.rank_a)
     assert _counts_by_torus_split(S, data) == got
@@ -620,10 +623,9 @@ def test_candidates_contain_the_ad_spectrum():
             assert roots is not None and len(roots) == S.dim, S.name
             assert set(roots) <= cands, S.name
             checked += 1
-        a_units = [S.unit_coords(i) for i in S.a_indices]
         h_units = [S.unit_coords(i) for i in S.h_indices]
-        c_h_a = S.centralizer_frac(a_units, within=S.h_indices)
-        for t in rt.maximal_torus(S, h_units) + rt.maximal_torus(S, c_h_a):
+        for t in (rt.maximal_torus(S, h_units)
+                  + rt.maximal_torus(S, c_h_of_a(S))):
             cands = _compact_candidates(S, t)
             # ad(t) has spectrum i mu, so ad(t)^2 has the rational -mu^2;
             # the candidate set is symmetric, so mu^2 = c^2 puts mu in it
@@ -662,7 +664,7 @@ def test_stretch_form_matches_table(form):
     assert an.split_sub.table_label == row.split_sub
     assert an.split_sub.dim == algebra_label_dim(row.split_sub)
     assert an.quasi_split == row.quasi_split
-    fc = rt.full_root_classification(S, an.root_data)
+    fc = rt.full_root_classification(an.root_data)
     dim_cartan = len(fc.t_basis) + S.rank_a
     got = (fc.n_imaginary, fc.n_real, fc.n_complex, dim_cartan)
     assert got == STRETCH_ROOT_COUNTS[form]

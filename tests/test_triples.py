@@ -35,9 +35,9 @@ def chain(family, **kw):
     key = (family, tuple(sorted(kw.items())))
     if key not in _CACHE:
         S = build(form_id(family, **kw))
-        tds = tp.build_tds(S, rt.restricted_roots(S))
+        tds = tp.build_tds(rt.restricted_roots(S))
         triple = tp.normal_triple(tds)
-        dec = tp.module_decomposition(S, triple)
+        dec = tp.module_decomposition(triple)
         _CACHE[key] = (S, tds, triple, dec)
     return _CACHE[key]
 
@@ -125,7 +125,7 @@ def test_tds_rejects_a_root_vector_of_the_wrong_root():
     data.root_spaces[data.simples[0]] = data.root_spaces[top]
     with pytest.raises(ConstructionFailure,
                        match=re.escape("[y_1, theta y_1] != b_1 h_1")):
-        tp.build_tds(S, data)
+        tp.build_tds(data)
 
 
 @pytest.mark.parametrize("family, n, message", [
@@ -143,30 +143,30 @@ def test_tds_rejects_a_non_simple_base(family, n, message):
     data.simples = [data.simples[0],
                     tuple(a + b for a, b in zip(*data.simples))]
     with pytest.raises(ConstructionFailure, match=re.escape(message)):
-        tp.build_tds(S, data)
+        tp.build_tds(data)
 
 
 # --- split subalgebra gates -------------------------------------------------------
 
 def test_split_sub_su12_is_so12():
     S, tds, triple, dec = chain("su_pq", p=1, q=2)
-    sub = tp.maximal_split_subalgebra(S, tds)
+    sub = tp.maximal_split_subalgebra(tds)
     assert sub.dim == 3
     assert sub.table_label == "so(1,2)"
-    assert rt.type_equivalent(sub.reduced_type, "A1")
+    assert rt.type_equivalent(tds.root_data.types[1], "A1")
 
 
 def test_split_sub_su22_is_sp4r():
     S, tds, triple, dec = chain("su_pq", p=2, q=2)
-    sub = tp.maximal_split_subalgebra(S, tds)
+    sub = tp.maximal_split_subalgebra(tds)
     assert sub.dim == 10
     assert sub.table_label == "sp(4,R)"
-    assert rt.type_equivalent(sub.reduced_type, "C2")
+    assert rt.type_equivalent(tds.root_data.types[1], "C2")
 
 
 def test_split_sub_of_split_form_is_everything():
     S, tds, triple, dec = chain("sl_R", n=3)
-    sub = tp.maximal_split_subalgebra(S, tds)
+    sub = tp.maximal_split_subalgebra(tds)
     assert sub.dim == S.dim
 
 
@@ -181,12 +181,13 @@ def test_split_sub_weight_pieces_are_its_meets_with_the_root_spaces(form):
     # together have the rows of the split subalgebra's space
     S = build(catalog.parse_form(form))
     data = rt.restricted_roots(S)
-    tds = tp.build_tds(S, data)
-    sub = tp.maximal_split_subalgebra(S, tds)
+    tds = tp.build_tds(data)
+    sub = tp.maximal_split_subalgebra(tds)
     zero = (Fraction(0),) * S.rank_a
     gens = [(zero, S.unit_coords(i)) for i in S.a_indices]
-    gens += list(zip(tds.simples, tds.y))
-    gens += [(tuple(-v for v in lam), z) for lam, z in zip(tds.simples, tds.z)]
+    simples = tds.root_data.simples
+    gens += list(zip(simples, tds.y))
+    gens += [(tuple(-v for v in lam), z) for lam, z in zip(simples, tds.z)]
     pieces = S.generate_subalgebra(gens)
     ghat = sub.space.rows
     for wt, piece in pieces.items():
@@ -203,7 +204,7 @@ def _tds_with_a_shifted_y_1():
     weight lambda_1."""
     S, tds, _, _ = chain("su_pq", p=2, q=2)
     other = next(lam for lam in tds.root_data.root_spaces
-                 if lam != tds.simples[0])
+                 if lam != tds.root_data.simples[0])
     shift = tds.root_data.root_spaces[other][0]
     y = [tuple(a + b for a, b in zip(tds.y[0], shift))] + tds.y[1:]
     return S, tds, dataclasses.replace(tds, y=y)
@@ -211,11 +212,11 @@ def _tds_with_a_shifted_y_1():
 
 def test_split_sub_refuses_a_generator_of_the_wrong_weight():
     S, tds, bad = _tds_with_a_shifted_y_1()
-    weight = "(%s)" % ", ".join(str(v) for v in tds.simples[0])
+    weight = "(%s)" % ", ".join(str(v) for v in tds.root_data.simples[0])
     with pytest.raises(ConstructionFailure,
                        match=re.escape("generator y_1 is not of weight "
                                        + weight)):
-        tp.maximal_split_subalgebra(S, bad)
+        tp.maximal_split_subalgebra(bad)
 
 
 def test_graded_closure_stops_on_a_generator_of_the_wrong_weight():
@@ -223,8 +224,9 @@ def test_graded_closure_stops_on_a_generator_of_the_wrong_weight():
     # the closure raises once its pieces outgrow g^C instead of running on
     _, _, bad = _tds_with_a_shifted_y_1()
     S = bad.structure
-    gens = list(zip(bad.simples, bad.y))
-    gens += [(tuple(-v for v in lam), z) for lam, z in zip(bad.simples, bad.z)]
+    simples = bad.root_data.simples
+    gens = list(zip(simples, bad.y))
+    gens += [(tuple(-v for v in lam), z) for lam, z in zip(simples, bad.z)]
     t0 = time.process_time()
     with pytest.raises(ConstructionFailure,
                        match=r"^su\(2,2\): graded closure exceeds dim 15; a "
@@ -296,19 +298,19 @@ def test_quasi_split_flags():
     for (family, params), want in cases.items():
         kw = dict(params)
         S, tds, triple, dec = chain(family, **kw)
-        assert tp.is_quasi_split(S, triple) is want, S.name
+        assert tp.is_quasi_split(triple) is want, S.name
 
 
 def test_quasi_split_routes_must_agree(monkeypatch):
     # sl(2,R) is split, so c_g(a) = a is abelian; a center of dim 1 that the
     # TDS centralizer (dim 0) does not match sets the two routes apart
     S = build(form_id("sl_R", n=2))
-    triple = tp.normal_triple(tp.build_tds(S, rt.restricted_roots(S)))
+    triple = tp.normal_triple(tp.build_tds(rt.restricted_roots(S)))
     monkeypatch.setattr(triple.tds.root_data, "center_dims", (1, 0, 1))
     with pytest.raises(RouteDisagreement,
                        match=r"c_g\(a\) abelian = True but dim c\(s\^C\) = 0 "
                              r"vs dim z = 1"):
-        tp.is_quasi_split(S, triple)
+        tp.is_quasi_split(triple)
 
 
 def test_normal_triple_rejects_a_corrupted_tds():
@@ -325,7 +327,7 @@ def test_normal_triple_rejects_a_corrupted_tds():
 def test_swapped_cayley_signs_break_the_triple_relations(fid):
     # normal_triple tries one sign assignment: the swap of e and f never holds
     S = build(fid)
-    triple = tp.normal_triple(tp.build_tds(S, rt.restricted_roots(S)))
+    triple = tp.normal_triple(tp.build_tds(rt.restricted_roots(S)))
     assert tp._triple_relations_hold(S, triple.e, triple.f, triple.x)
     assert not tp._triple_relations_hold(S, triple.f, triple.e, triple.x)
 
@@ -334,7 +336,7 @@ def test_x_spectrum_is_taken_once_per_triple(monkeypatch):
     # the spectrum of x and the ad(x) candidates of the module
     # decomposition read one n x n charpoly
     S = build(form_id("su_pq", p=1, q=3))
-    tds = tp.build_tds(S, rt.restricted_roots(S))
+    tds = tp.build_tds(rt.restricted_roots(S))
     polys = []
     original = la.charpoly
 
@@ -344,7 +346,7 @@ def test_x_spectrum_is_taken_once_per_triple(monkeypatch):
 
     monkeypatch.setattr(la, "charpoly", counting)
     triple = tp.normal_triple(tds)
-    tp.module_decomposition(S, triple)
+    tp.module_decomposition(triple)
     assert polys == [S.matrix_of(triple.x)]
     roots_ = la.rational_roots([c.as_fraction() for c in original(polys[0])])
     assert triple.x_spectrum == sorted(set(roots_))
@@ -355,14 +357,14 @@ def test_split_subalgebra_checked_against_the_table(monkeypatch):
     monkeypatch.setattr(catalog, "reference_reduced_type", lambda fid: "G2")
     with pytest.raises(MismatchWithTable,
                        match=r"split subalgebra type A2, table row needs G2"):
-        tp.maximal_split_subalgebra(S, tds)
+        tp.maximal_split_subalgebra(tds)
 
 
 # --- section ----------------------------------------------------------------------
 
 def test_section_basis_degrees():
     S, tds, triple, dec = chain("su_pq", p=2, q=2)
-    basis = tp.section_basis(S, triple, dec)
+    basis = tp.section_basis(triple, dec)
     assert basis.degrees == [2, 4]
     assert basis.e_list[0] == triple.e
     assert basis.central == []
@@ -370,7 +372,7 @@ def test_section_basis_degrees():
 
 def test_section_point_at_zero_is_f():
     S, tds, triple, dec = chain("sl_R", n=3)
-    basis = tp.section_basis(S, triple, dec)
+    basis = tp.section_basis(triple, dec)
     pt = tp.section_point(basis, [0] * basis.rank)
     assert pt == triple.f
     assert tp.is_regular(S, pt)
@@ -379,7 +381,7 @@ def test_section_point_at_zero_is_f():
 
 def test_section_points_regular_on_samples():
     S, tds, triple, dec = chain("so_pq", p=2, q=3)
-    basis = tp.section_basis(S, triple, dec)
+    basis = tp.section_basis(triple, dec)
     for gamma in ([1, 0], [0, 1], [Fraction(1, 2), -3], [-2, Fraction(5, 4)]):
         assert tp.section_point_regular(basis, gamma)
 
@@ -394,7 +396,7 @@ def test_section_basis_refuses_a_non_principal_f():
     assert not tp.is_regular(S, f)
     with pytest.raises(ConstructionFailure,
                        match=r"^sl\(3,R\): f is not regular in m\^C$"):
-        tp.section_basis(S, dataclasses.replace(triple, f=f), dec)
+        tp.section_basis(dataclasses.replace(triple, f=f), dec)
 
 
 def _regular_by_exact_rank(S, x):
@@ -448,16 +450,16 @@ def test_is_regular_matches_the_exact_rank(monkeypatch, fid):
 
 def test_fiber_match_round_trip():
     S, tds, triple, dec = chain("sl_R", n=3)
-    basis = tp.section_basis(S, triple, dec)
+    basis = tp.section_basis(triple, dec)
     gamma = [Scalar.of(Fraction(3, 2)), Scalar.of(-2)]
     pt = tp.section_point(basis, gamma)
-    recovered = tp.section_fiber_match(S, basis, pt)
+    recovered = tp.section_fiber_match(basis, pt)
     assert recovered == gamma
 
 
 def test_fiber_match_distinguishes_points():
     S, tds, triple, dec = chain("sp2n_R", n=2)
-    basis = tp.section_basis(S, triple, dec)
+    basis = tp.section_basis(triple, dec)
     g1 = [Scalar.of(1), Scalar.of(2)]
     g2 = [Scalar.of(1), Scalar.of(-2)]
     p1 = la.charpoly(S.matrix_of(tp.section_point(basis, g1)))
@@ -469,22 +471,22 @@ def test_fiber_match_so33_unsupported():
     # the degree-3 invariant of so(3,3) is not a characteristic polynomial
     # coefficient, so the triangular solve has no slope there
     S, tds, triple, dec = chain("so_pq", p=3, q=3)
-    basis = tp.section_basis(S, triple, dec)
+    basis = tp.section_basis(triple, dec)
     pt = tp.section_point(basis, [1, 1, 1])
     with pytest.raises(NoSolution):
-        tp.section_fiber_match(S, basis, pt)
+        tp.section_fiber_match(basis, pt)
 
 
 def test_fiber_match_so44_repeated_degree_is_not_unique():
     # so(4,4) has the invariant degree 4 twice (a charpoly coefficient and
     # the Pfaffian), so the degrees do not order a triangular solve
     S, tds, triple, dec = chain("so_pq", p=4, q=4)
-    basis = tp.section_basis(S, triple, dec)
+    basis = tp.section_basis(triple, dec)
     assert basis.degrees == [2, 4, 4, 6]
     pt = tp.section_point(basis, [1] * basis.rank)
     with pytest.raises(NonUnique, match=r"so\(4,4\): repeated invariant "
                                         r"degrees \[2, 4, 4, 6\]"):
-        tp.section_fiber_match(S, basis, pt)
+        tp.section_fiber_match(basis, pt)
 
 
 # --- invariance under exact conjugation ---------------------------------------------
@@ -495,7 +497,7 @@ def test_fiber_match_so44_repeated_degree_is_not_unique():
     ids=lambda v: str(v))
 def test_conjugation_preserves_charpoly_and_regularity(family, kw):
     S, tds, triple, dec = chain(family, **kw)
-    basis = tp.section_basis(S, triple, dec)
+    basis = tp.section_basis(triple, dec)
     pt = tp.section_point(basis, [Fraction(1, 2)] * basis.rank)
     mat = S.matrix_of(pt)
     cp = la.charpoly(mat)
@@ -517,12 +519,13 @@ def test_conjugators_rotate_along_the_basis_of_h(fid):
         if k >= S.dim_h:
             continue
         # g - g^{-1} = 2d M for the k-th basis element M of h
-        ratio = tp._proportionality(la.flatten(S.basis[S.h_indices[k]]),
+        m_k = S.matrix_of(S.unit_coords(S.h_indices[k]))
+        ratio = tp._proportionality(la.flatten(m_k),
                                     la.flatten(la.msub(g, ginv)))
         assert ratio is not None and ratio != ZERO, (S.name, k)
         # g lies in H^C, so it maps m^C into m^C
         for j in S.m_indices:
-            moved = la.mmul(la.mmul(g, S.basis[j]), ginv)
+            moved = la.mmul(la.mmul(g, S.matrix_of(S.unit_coords(j))), ginv)
             coords = S.coords_of(moved)
             assert not any(coords[i] for i in S.h_indices), (S.name, k, j)
 
@@ -544,7 +547,7 @@ def test_module_decomposition_rejects_a_missing_candidate(monkeypatch):
     monkeypatch.setattr(rt, "eigenvalue_differences",
                         lambda *args, **kw: candidates(*args, **kw)[:-1])
     with pytest.raises(GradingFailure, match="not diagonalizable on ker ad"):
-        tp.module_decomposition(S, triple)
+        tp.module_decomposition(triple)
 
 
 # --- explicit low-rank so* matrices ---------------------------------------------

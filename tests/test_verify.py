@@ -41,7 +41,7 @@ def test_section_basis_built_once_per_form(monkeypatch):
     original = tp.section_basis
 
     def counting(*args, **kwargs):
-        calls.append(args[0].name)
+        calls.append(args[0].structure.name)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(tp, "section_basis", counting)
