@@ -93,14 +93,14 @@ class RealFormStructure:
     form h^C and m^C meet only in 0, so this keeps the same vectors as
     drawing each half on its own; a span that theta does not preserve, or
     that meets i times itself, loses dimensions in the split and is refused.
+    `table_row` is the ``catalog.TableOneEntry`` the analysis compares with.
     """
 
     name: str
-    family: str
-    params: Dict[str, int]
     n: int
     span: InitVar[Sequence[Dict[Tuple[int, int], object]]]
     a_mats: InitVar[Sequence[Dict[Tuple[int, int], object]]]
+    table_row: Optional[object] = None
 
     dim_h: int = field(init=False)
     rank_a: int = field(init=False)

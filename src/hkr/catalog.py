@@ -5,7 +5,8 @@ defining data: the forms X preserves, the structures it intertwines and the
 traces it kills.  One routine turns these equations in X and conj(X) into
 sparse real-linear conditions on the entries and solves them.  The catalog
 only declares and solves: ``RealFormStructure`` builds the theta-adapted
-basis from the solved span and a hand-picked maximal abelian a.  With
+basis from the solved span and a hand-picked maximal abelian a, and carries
+the form's Table 1 row, the one the analysis chain compares with.  With
 K = diag(I_p, -I_q), J = [[0,-I],[I,0]], S = [[0,I],[I,0]] and W
 antidiagonal with W[i][2n-1-i] = 1 for i < n and -1 for i >= n:
 
@@ -202,12 +203,6 @@ def reference_restricted_type(fid: FormId) -> str:
     return "BC%d" % (fid.n // 2)
 
 
-def reference_reduced_type(fid: FormId) -> str:
-    """Type of the reduced system, the root system of the split subalgebra."""
-    t = reference_restricted_type(fid)
-    return ("B" + t[2:]) if t.startswith("BC") else t
-
-
 def reference_split_sub(fid: FormId) -> str:
     f = fid.family
     if f in ("sl_R", "sp2n_R"):
@@ -283,6 +278,16 @@ class TableOneEntry:
     split_sub: str
     restricted_type: str
     quasi_split: bool
+
+    @property
+    def reduced_type(self) -> str:
+        """Type of the reduced system, that of the split subalgebra."""
+        t = self.restricted_type
+        return ("B" + t[2:]) if t.startswith("BC") else t
+
+    @property
+    def split_dim(self) -> int:
+        return algebra_label_dim(self.split_sub)
 
 
 _EXCEPTIONAL_TABLE1 = {
@@ -452,5 +457,5 @@ def build(fid: FormId) -> RealFormStructure:
     if len(span) != expect_dim:
         raise ConstructionFailure("%s: condition kernel has dim %d, expected %d"
                                   % (form_display(fid), len(span), expect_dim))
-    return RealFormStructure(form_display(fid), fid.family, dict(fid.params),
-                             n, span, a_mats)
+    return RealFormStructure(form_display(fid), n, span, a_mats,
+                             lookup_table1(fid))

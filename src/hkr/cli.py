@@ -96,11 +96,10 @@ def cmd_list(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    fid = catalog.parse_form(args.form)
-    S = catalog.build(fid)
+    S = catalog.build(catalog.parse_form(args.form))
     data = dm.analyze(S).root_data
     lam_label, reduced_label = rt.classify_type(data)
-    entry = catalog.lookup_table1(fid)
+    entry = S.table_row
     mults = {",".join(str(v) for v in lab): len(vs)
              for lab, vs in sorted(data.root_spaces.items())}
     payload = {

@@ -21,13 +21,12 @@ from functools import cached_property
 from itertools import chain, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import catalog
 from . import linalg as la
 from . import roots as rt
 from .algebra import RealFormStructure
 from .errors import (ConstructionFailure, GradingFailure, InvalidParams,
-                     MismatchWithTable, NoSolution, NonUnique, RelationFailure,
-                     RouteDisagreement)
+                     MismatchWithTable, NoSolution, NonUnique, NotInTable,
+                     RelationFailure, RouteDisagreement)
 from .scalars import (I, NotReducible, ONE, Reduction, Scalar, ZERO,
                       reduction)
 
@@ -287,18 +286,18 @@ def maximal_split_subalgebra(tds: TdsConstruction) -> SplitSubalgebra:
                                 % (S.name, z_sub, z_m))
     sub_type = tds.root_data.types[1]
 
-    fid = catalog.form_id(S.family, **S.params)
-    entry = catalog.lookup_table1(fid)
-    expected_dim = catalog.algebra_label_dim(entry.split_sub)
-    if space.dim != expected_dim:
+    row = S.table_row
+    if row is None:
+        raise NotInTable("%s: no Table 1 row to match" % S.name)
+    if space.dim != row.split_dim:
         raise MismatchWithTable("%s: split subalgebra dim %d, table row %s "
                                 "needs %d" % (S.name, space.dim,
-                                              entry.split_sub, expected_dim))
-    expected_type = catalog.reference_reduced_type(fid)
-    if not rt.type_equivalent(sub_type, expected_type):
+                                              row.split_sub, row.split_dim))
+    if not rt.type_equivalent(sub_type, row.reduced_type):
         raise MismatchWithTable("%s: split subalgebra type %s, table row "
-                                "needs %s" % (S.name, sub_type, expected_type))
-    return SplitSubalgebra(space, entry.split_sub)
+                                "needs %s" % (S.name, sub_type,
+                                              row.reduced_type))
+    return SplitSubalgebra(space, row.split_sub)
 
 
 # --- sl2-module decomposition ---------------------------------------------------
@@ -659,7 +658,7 @@ def _pinned_root_vector(S: RealFormStructure, space) -> Tuple[Scalar, ...]:
 
     The so*(6) simple root space is four-dimensional and every echelon vector
     is equally sparse; the pinned representative fixes the choice."""
-    if S.family == "so_star" and S.params.get("n") == 3 and len(space) == 4:
+    if S.name == "so*(6)" and len(space) == 4:
         coords = S.try_coords_of(_int_matrix(_DISPLAY_Y6_CORRECTED))
         if coords is not None and la.solve_right(
                 [list(col) for col in zip(*space)], coords) is not None:
@@ -697,10 +696,10 @@ def so_star_lemma_report(triple: NormalTriple) -> LemmaReport:
     """The paper's explicit so*(6) and so*(10) matrices, checked against
     the triple of that form and its TDS."""
     S = triple.structure
-    if S.family != "so_star" or S.params["n"] not in (3, 5):
+    if S.name not in ("so*(6)", "so*(10)"):
         raise InvalidParams("the explicit matrices exist for so*(6) and "
                             "so*(10), not %s" % S.name)
-    n = S.params["n"]
+    n = S.n // 2
     notes: List[str] = []
     a_mats = S.a_basis()
 

@@ -71,25 +71,19 @@ def _random_gamma(rng: random.Random, k: int) -> List[Scalar]:
 
 def fiber_match_supported(structure) -> bool:
     """Characteristic-polynomial fiber matching needs every invariant degree
-    to appear as a coefficient; the so(p,p) middle invariant does not."""
-    return not (structure.family == "so_pq"
-                and structure.params["p"] == structure.params["q"])
+    to appear as a coefficient; the Pfaffian invariant of D type does not."""
+    return not structure.table_row.restricted_type.startswith("D")
 
 
 # --- per-form checks --------------------------------------------------------------
 
 def _check_roots(an: dm.FormAnalysis) -> Optional[str]:
-    S = an.structure
+    # the split stage owns the reduced type, and build_tds the simple count
     data = an.root_data  # raises unless the root spaces and c_g(a) fill g
-    assert len(data.simples) == S.rank_a, "simple system size != rank"
-    lam_label, reduced_label = rt.classify_type(data)
-    fid = catalog.form_id(S.family, **S.params)
-    want_lam = catalog.reference_restricted_type(fid)
-    want_red = catalog.reference_reduced_type(fid)
-    assert rt.type_equivalent(lam_label, want_lam), \
-        "restricted type %s, reference %s" % (lam_label, want_lam)
-    assert rt.type_equivalent(reduced_label, want_red), \
-        "reduced type %s, reference %s" % (reduced_label, want_red)
+    lam_label = data.types[0]
+    want = an.structure.table_row.restricted_type
+    assert rt.type_equivalent(lam_label, want), \
+        "restricted type %s, reference %s" % (lam_label, want)
     return "%s (%d roots)" % (lam_label, len(data.root_spaces))
 
 
@@ -111,7 +105,6 @@ def _check_split_sub(an: dm.FormAnalysis) -> Optional[str]:
 
 
 def _check_modules(an: dm.FormAnalysis) -> Optional[str]:
-    S = an.structure
     dec = an.decomposition
     trivial = sum(1 for bl in dec.blocks if bl.m == 1)
     counts = "%d trivial modules, dim z = %d" % (trivial, dec.dim_z)
@@ -119,10 +112,9 @@ def _check_modules(an: dm.FormAnalysis) -> Optional[str]:
         assert trivial == dec.dim_z, "quasi-split but " + counts
     else:
         assert trivial > dec.dim_z, "not quasi-split but " + counts
-    fid = catalog.form_id(S.family, **S.params)
-    assert an.quasi_split == catalog.reference_quasi_split(fid), \
-        "quasi-split flag %s, reference says %s" % (
-            an.quasi_split, catalog.reference_quasi_split(fid))
+    want = an.structure.table_row.quasi_split
+    assert an.quasi_split == want, \
+        "quasi-split flag %s, reference says %s" % (an.quasi_split, want)
     return "m-degrees %s" % sorted(bl.m for bl in dec.located("m"))
 
 
@@ -312,7 +304,7 @@ def verify_form(fid, seed: int = 0, samples: int = 100,
         _run(name, "dimensions", lambda: _check_dims(an)),
         _run(name, "openness", lambda: _check_openness(an)),
     ]
-    if S.family == "so_star" and S.params["n"] in (3, 5):
+    if S.name in ("so*(6)", "so*(10)"):
         out.append(_run(name, "explicit_matrices", lambda: _check_lemma(an)))
     return out
 

@@ -125,7 +125,7 @@ def test_criterion_01_split_subalgebra_table():
         assert an.split_sub.table_label == row.split_sub
         assert an.split_sub.dim == catalog.algebra_label_dim(row.split_sub)
         assert rt.type_equivalent(an.root_data.types[1],
-                                  catalog.reference_reduced_type(fid))
+                                  row.reduced_type)
         # proved, not checked, by maximal_split_subalgebra: the subalgebra
         # is theta-stable, and the simple roots of its own restricted root
         # system give the reduced type of g
@@ -194,6 +194,7 @@ def test_criterion_03_section_regularity():
 def test_criterion_04_module_identities():
     quasi_true = {"su(1,2)", "su(2,3)", "su(2,2)", "su(3,3)", "so(2,4)"}
     quasi_false = {"su(1,3)", "sp(1,2)", "so*(6)", "su*(4)"}
+    fids = {catalog.form_display(fid): fid for fid in catalog.standard_forms()}
     for an in analyses().values():
         S, dec, triple = an.structure, an.decomposition, an.triple
         assert sum(2 * bl.m - 1 for bl in dec.blocks) == S.dim, S.name
@@ -214,8 +215,8 @@ def test_criterion_04_module_identities():
             assert an.quasi_split, S.name
         if S.name in quasi_false:
             assert not an.quasi_split, S.name
-        fid = catalog.form_id(S.family, **S.params)
-        assert an.quasi_split == catalog.reference_quasi_split(fid), S.name
+        assert an.quasi_split == catalog.reference_quasi_split(
+            fids[S.name]), S.name
 
 
 @criterion(5)
@@ -279,13 +280,13 @@ def test_criterion_08_explicit_so_star_matrices():
 @criterion(9)
 def test_criterion_09_fiber_match_and_injectivity():
     supported = 0
+    fids = {catalog.form_display(fid): fid for fid in catalog.standard_forms()}
     for an in analyses().values():
         S = an.structure
         # the type letter comes from the reference table; the computed
         # diagram for the one D-type entry collapses to A3, but its cubic
         # invariant is a Pfaffian rather than a charpoly coefficient
-        fid = catalog.form_id(S.family, **S.params)
-        label = catalog.reference_restricted_type(fid)
+        label = catalog.reference_restricted_type(fids[S.name])
         letter = "".join(ch for ch in label if ch.isalpha())
         if letter not in ("A", "B", "C", "BC"):
             assert not vf.fiber_match_supported(S), S.name

@@ -4,16 +4,19 @@ su(1,2) doubles as a hand-checked oracle: dimension 8 splitting 4 + 4,
 restricted rank 1.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hkr import dimensions as dm
 from hkr import linalg as la
 from hkr import roots as rt
 from hkr.algebra import RealFormStructure, theta_entries
-from hkr.catalog import build, form_cli_text, form_id, standard_forms
-from hkr.errors import ConstructionFailure, NotInAlgebra
+from hkr.catalog import (TableOneEntry, build, form_cli_text, form_id,
+                         lookup_table1, standard_forms)
+from hkr.errors import ConstructionFailure, NotInAlgebra, NotInTable
 from hkr.linalg import Subspace
 from hkr.scalars import I, Scalar
 
@@ -273,7 +276,7 @@ def test_center_kernel_stays_inside_cga(monkeypatch):
 ])
 def test_center_walks_every_basis_element_when_it_is_not_zero(
         monkeypatch, name, span, a_mats, dims):
-    T = RealFormStructure(name, "test", {}, 2, span, a_mats)
+    T = RealFormStructure(name, 2, span, a_mats)
     data = rt.restricted_roots(T)
     shapes = _record_kernel_shapes(monkeypatch)
     assert data.center_dims == dims
@@ -437,7 +440,7 @@ def test_basis_not_closed_under_bracket_is_rejected():
     s = {(0, 1): 1, (1, 0): 1}
     with pytest.raises(ConstructionFailure,
                        match="bracket of basis 0, 1 leaves the algebra"):
-        RealFormStructure("m only", "test", {}, 2, [s, a], [a])
+        RealFormStructure("m only", 2, [s, a], [a])
 
 
 def test_real_coords_reject_matrices_outside_the_real_span():
@@ -462,7 +465,7 @@ _H = {(0, 0): 1, (1, 1): -1}
 def test_sl2_from_its_span_gets_the_adapted_basis():
     # sl(2, R) from E, F, H in another order: the rotation E - F spans h,
     # then a = H, then the symmetric E + F
-    T = RealFormStructure("sl(2,R) by hand", "test", {}, 2, [_F, _H, _E], [_H])
+    T = RealFormStructure("sl(2,R) by hand", 2, [_F, _H, _E], [_H])
     assert (T.dim, T.dim_h, T.dim_m, T.rank_a) == (3, 1, 2, 1)
     assert T.a_basis() == [la.mat([[1, 0], [0, -1]])]
     basis = dense_basis(T)
@@ -477,13 +480,13 @@ def test_span_theta_does_not_preserve_is_rejected():
     # split holds 1 + 1 + 1 vectors for a span of dim 2
     with pytest.raises(ConstructionFailure,
                        match="not preserved: theta split lost dimensions"):
-        RealFormStructure("not preserved", "test", {}, 2, [_H, _E], [_H])
+        RealFormStructure("not preserved", 2, [_H, _E], [_H])
 
 
 def test_dependent_a_basis_is_rejected():
     with pytest.raises(ConstructionFailure,
                        match="a-basis element 1 is dependent"):
-        RealFormStructure("sl(2,R)", "test", {}, 2, [_E, _F, _H],
+        RealFormStructure("sl(2,R)", 2, [_E, _F, _H],
                           [_H, {(0, 0): -2, (1, 1): 2}])
 
 
@@ -491,13 +494,13 @@ def test_a_basis_in_h_is_rejected():
     rotation = {(0, 1): 1, (1, 0): -1}
     with pytest.raises(ConstructionFailure,
                        match="a-basis element 0 is not in m"):
-        RealFormStructure("sl(2,R)", "test", {}, 2, [_E, _F, _H], [rotation])
+        RealFormStructure("sl(2,R)", 2, [_E, _F, _H], [rotation])
 
 
 def test_empty_a_basis_is_rejected():
     with pytest.raises(ConstructionFailure,
                        match="rank 0 incompatible with dim m 2"):
-        RealFormStructure("sl(2,R)", "test", {}, 2, [_E, _F, _H], [])
+        RealFormStructure("sl(2,R)", 2, [_E, _F, _H], [])
 
 
 def test_span_meeting_i_times_itself_is_rejected():
@@ -505,7 +508,7 @@ def test_span_meeting_i_times_itself_is_rejected():
     # dependent over C, so the split keeps only H
     with pytest.raises(ConstructionFailure,
                        match="theta split lost dimensions"):
-        RealFormStructure("C H", "test", {}, 2,
+        RealFormStructure("C H", 2,
                           [_H, {(0, 0): I, (1, 1): -I}], [_H])
 
 
@@ -520,16 +523,52 @@ def test_a_basis_that_does_not_commute_is_rejected():
     a_mats = [{(0, 0): 1, (1, 1): -1}, {(0, 1): 1, (1, 0): 1}]
     with pytest.raises(ConstructionFailure,
                        match=r"^sl\(3,R\): a is not abelian$"):
-        RealFormStructure("sl(3,R)", "test", {}, 3, _SL3, a_mats)
+        RealFormStructure("sl(3,R)", 3, _SL3, a_mats)
 
 
 def test_a_that_is_not_maximal_abelian_is_rejected_by_the_roots():
     # diag(1, -1, 0) spans an abelian a, so the structure is built, but the
     # traceless diagonal, of dim 2, centralizes it in m
-    T = RealFormStructure("sl(3,R)", "test", {}, 3, _SL3,
+    T = RealFormStructure("sl(3,R)", 3, _SL3,
                           [{(0, 0): 1, (1, 1): -1}])
     assert (T.dim, T.rank_a) == (8, 1)
     with pytest.raises(ConstructionFailure,
                        match=r"^sl\(3,R\): a is not maximal abelian in m "
                              r"\(centralizer of a in m has dim 2\)$"):
         rt.restricted_roots(T)
+
+
+# --- a structure outside the catalog runs the whole chain -----------------------
+
+_SL3_DIAGONAL_A = [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
+
+
+def _chain_outputs(an):
+    """The split subalgebra's dim, the section's degrees and the genus-2
+    canonical dimension report of an analysis, less the form's name."""
+    report = dataclasses.asdict(
+        dm.dimension_report(an, dm.CurveContext.canonical(2)))
+    del report["form"]
+    return an.split_sub.dim, an.section.degrees, report
+
+
+def test_a_hand_built_form_with_its_row_runs_the_whole_chain():
+    row = TableOneEntry("sl(3,R)", "sl(3,R)", "A2", True)
+    T = RealFormStructure("sl(3,R) by hand", 3, _SL3, _SL3_DIAGONAL_A, row)
+    catalog_sl3 = build(form_id("sl_R", n=3))
+    assert catalog_sl3.table_row == lookup_table1(form_id("sl_R", n=3))
+    ours = _chain_outputs(dm.analyze(T))
+    assert ours == _chain_outputs(dm.analyze(catalog_sl3))
+    assert ours[:2] == (8, [2, 3])
+
+
+def test_a_hand_built_form_without_a_row_stops_at_the_table():
+    T = RealFormStructure("sl(3,R) by hand", 3, _SL3, _SL3_DIAGONAL_A)
+    an = dm.analyze(T)
+    assert an.tds.root_data.types == ("A2", "A2")  # the chain runs up to it
+    for read in (lambda: an.split_sub, lambda: an.section,
+                 lambda: dm.dimension_report(an, dm.CurveContext.canonical(2))):
+        with pytest.raises(NotInTable,
+                           match=r"^sl\(3,R\) by hand: no Table 1 row to "
+                                 r"match$"):
+            read()

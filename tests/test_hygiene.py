@@ -1,13 +1,16 @@
 """Source hygiene of the package: no module imports a name it never reads,
 no public top-level name goes unread by the library and the benchmark, no
 private top-level name goes unread by its module, no parameter default goes
-unpassed, and only ``scalars`` reads the slots of a Scalar."""
+unpassed, only ``scalars`` reads the slots of a Scalar, and only ``catalog``
+and ``cli`` read the family and parameters of a form."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from hkr.catalog import FAMILIES
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SRC = _ROOT / "src" / "hkr"
@@ -347,3 +350,38 @@ def test_the_scan_finds_a_slot_read():
                          ids=lambda p: p.name)
 def test_only_scalars_reads_scalar_slots(path):
     assert slot_reads(path.read_text()) == []
+
+
+# The fields of a FormId; past ``catalog``, which builds a structure with its
+# Table 1 row, and the CLI, which parses and lists forms, the analysis chain
+# reads that row and never a family or its parameters.
+FORM_ID_FIELDS = {"family", "params"}
+
+
+def form_id_reads(source: str, families):
+    """(line, name) of each attribute access ``x.family`` or ``x.params``,
+    whatever ``x`` is, and of each string constant among `families`."""
+    tree = ast.parse(source)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in FORM_ID_FIELDS:
+            out.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value in families):
+            out.append((node.lineno, node.value))
+    return sorted(out)
+
+
+def test_the_scan_finds_a_form_id_read():
+    source = ("def f(S, fid):\n    if S.family == 'so_star':\n"
+              "        return fid.params['n'], S.name, S.table_row\n"
+              "    return 'so_star_lemma', S.families, {'family': 'sl_R'}\n")
+    assert form_id_reads(source, ("so_star", "sl_R")) == [
+        (2, "family"), (2, "so_star"), (3, "params"), (4, "sl_R")]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in _SRC.glob("*.py")
+                                        if p.stem not in ("catalog", "cli")),
+                         ids=lambda p: p.name)
+def test_only_catalog_and_cli_read_a_form_id(path):
+    assert form_id_reads(path.read_text(), FAMILIES) == []

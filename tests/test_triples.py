@@ -354,10 +354,19 @@ def test_x_spectrum_is_taken_once_per_triple(monkeypatch):
 
 def test_split_subalgebra_checked_against_the_table(monkeypatch):
     S, tds, _, _ = chain("sl_R", n=3)
-    monkeypatch.setattr(catalog, "reference_reduced_type", lambda fid: "G2")
+    monkeypatch.setattr(S, "table_row",
+                        catalog.TableOneEntry("sl(3,R)", "sl(3,R)", "G2", True))
     with pytest.raises(MismatchWithTable,
                        match=r"split subalgebra type A2, table row needs G2"):
         tp.maximal_split_subalgebra(tds)
+
+
+def test_build_tds_needs_one_simple_root_per_rank():
+    data = rt.restricted_roots(build(form_id("sl_R", n=3)))
+    data.simples = data.simples[1:]
+    with pytest.raises(ConstructionFailure,
+                       match=r"^sl\(3,R\): 1 simple roots for rank 2$"):
+        tp.build_tds(data)
 
 
 # --- section ----------------------------------------------------------------------
@@ -535,7 +544,7 @@ def test_conjugators_need_a_rotation_element_of_h():
     # i, i, -2i, so M^3 != -sM
     h = {(0, 0): I, (1, 1): I, (2, 2): -2 * I}
     a = {(0, 0): 1, (1, 1): -1}
-    S = RealFormStructure("u1 + a", "test", {}, 3, [a, h], [a])
+    S = RealFormStructure("u1 + a", 3, [a, h], [a])
     with pytest.raises(ConstructionFailure,
                        match="no exact conjugators available"):
         tp.invariance_conjugators(S, 2)

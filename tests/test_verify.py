@@ -1,5 +1,6 @@
 """The verification runner: a fault in one check never hides the others."""
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -102,6 +103,45 @@ def test_a_failing_stage_fails_only_the_checks_that_read_it(
     assert failed == dict.fromkeys(
         failing, "ConstructionFailure: planted %s fault" % stage)
     assert len(results) == 11
+
+
+# a doctored Table 1 row on the built structure fails the check that
+# compares with it; a split subalgebra that mismatches its row also fails
+# every check that reads that stage
+_SPLIT_MISMATCH = ("MismatchWithTable: sl(3,R): split subalgebra %s, "
+                   "table row %s")
+_DOCTORED_ROWS = [
+    # BC2 reduces to B2, so only the restricted type is wrong
+    (("so_pq", {"p": 2, "q": 3}), {"restricted_type": "BC2"},
+     {"roots": "restricted type B2, reference BC2"}),
+    (("sl_R", {"n": 3}), {"split_sub": "sp(4,R)"},
+     dict.fromkeys(("split_subalgebra",) + _LATE_CHECKS, _SPLIT_MISMATCH
+                   % ("dim 8", "sp(4,R) needs 10"))),
+    (("sl_R", {"n": 3}), {"restricted_type": "G2"},
+     {"roots": "restricted type A2, reference G2",
+      **dict.fromkeys(("split_subalgebra",) + _LATE_CHECKS, _SPLIT_MISMATCH
+                      % ("type A2", "needs G2"))}),
+    (("sl_R", {"n": 2}), {"quasi_split": False},
+     {"modules": "quasi-split flag True, reference says False"}),
+]
+
+
+@pytest.mark.parametrize("form, change, failing", _DOCTORED_ROWS,
+                         ids=["restricted_type", "split_sub", "reduced_type",
+                              "quasi_split"])
+def test_a_doctored_table_row_fails_its_check(monkeypatch, form, change,
+                                              failing):
+    build = catalog.build
+
+    def doctored(fid):
+        S = build(fid)
+        S.table_row = dataclasses.replace(S.table_row, **change)
+        return S
+
+    monkeypatch.setattr(catalog, "build", doctored)
+    results = vf.verify_form(catalog.form_id(form[0], **form[1]), seed=0,
+                             samples=2, fiber_samples=1, conjugators=1)
+    assert {r.check: r.detail for r in results if not r.ok} == failing
 
 
 # sha256 of the (form, check, ok, detail) rows of verify_form at samples=2,
