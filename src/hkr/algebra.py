@@ -29,7 +29,7 @@ from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
-from .errors import ConstructionFailure, NotInAlgebra
+from .errors import ConstructionFailure, NotInAlgebra, NotInTable
 from .linalg import Mat
 from .scalars import Reduction, Scalar, ZERO, ONE, add_product
 
@@ -130,6 +130,13 @@ class RealFormStructure:
         self._build_struct()
         self._gram_and_signs()
         self._check_a()
+
+    def reference_row(self):
+        """The Table 1 row the analysis compares with.  Raises NotInTable
+        when the structure was built without one."""
+        if self.table_row is None:
+            raise NotInTable("%s: no Table 1 row to match" % self.name)
+        return self.table_row
 
     # --- basis bookkeeping ----------------------------------------------
 

@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence
 
 from . import catalog
 from . import dimensions as dm
-from . import roots as rt
 from . import triples as tp
 from . import verify as vf
 from .errors import HkrError, InvalidParams, SizeBound
@@ -98,8 +97,8 @@ def cmd_list(args) -> int:
 def cmd_describe(args) -> int:
     S = catalog.build(catalog.parse_form(args.form))
     data = dm.analyze(S).root_data
-    lam_label, reduced_label = rt.classify_type(data)
-    entry = S.table_row
+    lam_label, reduced_label = data.types
+    entry = S.reference_row()
     mults = {",".join(str(v) for v in lab): len(vs)
              for lab, vs in sorted(data.root_spaces.items())}
     payload = {

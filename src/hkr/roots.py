@@ -12,16 +12,19 @@ Cartan d = t + a are not split out: once d is checked to be a Cartan
 subalgebra, they number num_roots = dim g - rank g^C = dim g - |t| - r, and
 the real ones are counted, on demand, by the centralizer of t in each piece
 of the ad(a)-grading (``full_root_classification``).
-Classification goes through the Cartan matrix of a deterministic simple
-system; type labels are canonical strings like ``B2`` or ``A1xA1``, compared
-through the low-rank coincidences (B1 = C1 = A1, B2 = C2, D2 = A1 x A1,
-D3 = A3).  ``weyl_group`` enumerates W as permutations of its roots, layer by
-length, classed by characteristic polynomial for the Molien series.
+Classification closes a deterministic simple system under its reflections,
+once, and reads each component's type off its rank, its root count and its
+number of short simple roots; type labels are canonical strings like ``B2``
+or ``A1xA1``, compared through the low-rank coincidences (B1 = C1 = A1,
+B2 = C2, D2 = A1 x A1, D3 = A3).  ``weyl_group`` enumerates W as
+permutations of the same closure's roots, layer by length, classed by
+characteristic polynomial for the Molien series.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -241,124 +244,95 @@ def cartan_matrix(simples: List[RootLabel], pair) -> List[List[Fraction]]:
     return out
 
 
-# --- Dynkin classification ------------------------------------------------------
+# --- classification by root count --------------------------------------------
 
-def _components(adj: List[List[int]]) -> List[List[int]]:
-    n = len(adj)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in range(n):
-                if adj[v][w] and not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+def _reflection_closure(cart: List[List[Fraction]]):
+    """(roots, perms, pairings) of a Cartan matrix: every image of the
+    simples under the reflections s_i(b) = b - <b, a_i^v> a_i, in simple-root
+    coordinates, simples first; perms[i][k] is the index of s_i(roots[k])
+    and pairings[i][k] = <roots[k], a_i^v>.
+
+    Raises UnrecognizedDiagram past 2r^2 + 240 roots.  A positive-definite
+    pairing with integral Cartan entries never gets there: each s_i is an
+    orthogonal reflection, so every root lies in Z^r at the norm of a simple
+    root, and a lattice meets a sphere of a definite form in finitely many
+    points.  A finite system of rank r has fewer roots: an irreducible one
+    of rank s has at most 2s^2, save G2, F4, E7 and E8 with 4, 16, 28 and
+    112 more (Humphreys, Introduction to Lie Algebras, 11.4 and 12.2), and
+    the cross terms of 2r^2 = 2(s_1 + s_2 + ...)^2 cover what several such
+    components add.  An affine or hyperbolic Cartan matrix grows roots
+    without end, and is refused here.
+    """
+    r = len(cart)
+    coroots = [[int(cart[j][i]) for j in range(r)] for i in range(r)]
+    roots = [tuple(int(x == j) for x in range(r)) for j in range(r)]
+    index = {b: k for k, b in enumerate(roots)}
+    perms: List[List[int]] = [[] for _ in range(r)]
+    pairings: List[List[int]] = [[] for _ in range(r)]  # <root, a_i^v>
+    bound = 2 * r * r + 240
+    for b in roots:  # grows while new images turn up
+        for i, row in enumerate(coroots):
+            c = sum(map(mul, b, row))
+            img = b[:i] + (b[i] - c,) + b[i + 1:]
+            if img not in index:
+                if len(roots) == bound:
+                    raise UnrecognizedDiagram(
+                        "more than %d roots: the Cartan matrix is not of "
+                        "finite type" % bound)
+                index[img] = len(roots)
+                roots.append(img)
+            perms[i].append(index[img])
+            pairings[i].append(c)
+    return roots, perms, pairings
 
 
-def _classify_component(idxs: List[int], cart: List[List[Fraction]],
-                        norms: List[Fraction]) -> str:
-    r = len(idxs)
-    if r == 1:
-        return "A1"
-    bond = {}
-    triple = double = 0
-    for x in range(r):
-        for y in range(x + 1, r):
-            i, j = idxs[x], idxs[y]
-            b = int(cart[i][j] * cart[j][i])
-            bond[(x, y)] = b
-            if b == 3:
-                triple += 1
-            elif b == 2:
-                double += 1
-            elif b not in (0, 1):
-                raise UnrecognizedDiagram("bond multiplicity %d" % b)
-    if triple:
-        if r == 2 and triple == 1 and double == 0:
-            return "G2"
-        raise UnrecognizedDiagram("triple bond in rank %d diagram" % r)
-    deg = [0] * r
-    for (x, y), b in bond.items():
-        if b:
-            deg[x] += 1
-            deg[y] += 1
-    if double:
-        if double > 1 or any(d > 2 for d in deg):
-            raise UnrecognizedDiagram("bad doubly-laced diagram")
-        if r == 2:
-            return "B2"
-        ns = [norms[i] for i in idxs]
-        top = max(ns)
-        nshort = sum(1 for v in ns if v < top)
-        nlong = r - nshort
-        if nshort == nlong == 2 and r == 4:
-            return "F4"
-        if nshort == 1:
-            return "B%d" % r
-        if nlong == 1:
-            return "C%d" % r
-        raise UnrecognizedDiagram("doubly-laced diagram with %d short roots" % nshort)
-    branch = [x for x in range(r) if deg[x] == 3]
-    if any(d > 3 for d in deg):
-        raise UnrecognizedDiagram("vertex of degree > 3")
-    if not branch:
-        return "A%d" % r
-    if len(branch) > 1:
-        raise UnrecognizedDiagram("more than one branch vertex")
-    b = branch[0]
-    # arm lengths from the branch vertex
-    arms = []
-    for start in (x for x in range(r) if bond.get((min(b, x), max(b, x)), 0)):
-        length = 1
-        prev, cur = b, start
-        while True:
-            nxt = [y for y in range(r)
-                   if y != prev and bond.get((min(cur, y), max(cur, y)), 0)]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return "D%d" % r
-    if arms == [1, 2, 2]:
-        return "E6"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
-    raise UnrecognizedDiagram("branched diagram with arms %s" % arms)
+# (rank, root count) of the exceptional types; (6, 72) is also B6's and C6's
+_EXCEPTIONAL_ROOTS = {(2, 12): "G2", (4, 48): "F4", (6, 72): "E6",
+                      (7, 126): "E7", (8, 240): "E8"}
+
+
+def _component_label(rank: int, n_roots: int, n_short: int) -> str:
+    """The type of a connected finite root system from its rank, its root
+    count and its number of short simple roots.  A_r has r(r+1) roots, B_r
+    and C_r 2r^2, D_r 2r(r-1), and G2, F4, E6, E7, E8 have 12, 48, 72, 126,
+    240 (Humphreys, Introduction to Lie Algebras, 12.2).  C_r has r - 1
+    short simple roots, B_r one, so B2 = C2 reads B2; A3 = D3 reads A3."""
+    label = _EXCEPTIONAL_ROOTS.get((rank, n_roots))
+    if label and not (label[0] == "E" and n_short):
+        return label
+    if n_roots == rank * (rank + 1):
+        return "A%d" % rank
+    if n_roots == 2 * rank * (rank - 1):
+        return "D%d" % rank
+    return "%s%d" % ("C" if n_short > 1 else "B", rank)
 
 
 def classify_simples(simples: List[RootLabel], pair) -> str:
-    """Canonical type label of the (reduced) system generated by the simples."""
+    """Canonical type label of the (reduced) system generated by the simples.
+
+    Each root's support in the simples is connected, and the highest root
+    of a component is supported on all of it, so the maximal supports are
+    the components and each root lies under exactly one of them."""
     if not simples:
         return ""
-    cart = cartan_matrix(simples, pair)
-    r = len(simples)
-    adj = [[1 if (i != j and cart[i][j]) else 0 for j in range(r)]
-           for i in range(r)]
+    roots = _reflection_closure(cartan_matrix(simples, pair))[0]
+    supports = Counter(frozenset(j for j, x in enumerate(b) if x)
+                       for b in roots)
     norms = [pair(s, s) for s in simples]
-    labels = [_classify_component(c, cart, norms) for c in _components(adj)]
+    labels = []
+    for comp in supports:
+        if any(comp < other for other in supports):
+            continue
+        top = max(norms[j] for j in comp)
+        labels.append(_component_label(
+            len(comp), sum(n for s, n in supports.items() if s <= comp),
+            sum(1 for j in comp if norms[j] < top)))
     return "x".join(sorted(labels, key=split_label))
 
 
 def classify_type(data: RestrictedRootData) -> Tuple[str, str]:
-    """(type of the full restricted system Lambda, type of the reduced system),
-    computed once per root datum.
-
-    A non-reduced irreducible system is labeled BC_r; its reduced companion
-    keeps the Cartan-matrix label of the simple system.
-    """
+    """``data.types``, under the name the benchmark's worker
+    (bench/worker.py) calls; the library reads ``data.types``."""
     return data.types
 
 
@@ -477,13 +451,12 @@ class WeylGroup:
 def weyl_group(simples: List[RootLabel], pair) -> WeylGroup:
     """The Weyl group of a simple system, by breadth-first search on length.
 
-    The simples are closed under s_i(b) = b - <b, a_i^v> a_i (integer Cartan
-    entries), and each s_i becomes a permutation of root indices.
-    l(w s_i) = l(w) + 1 exactly when w(a_i) > 0 (Humphreys 1.6-1.7), so layer
-    l + 1 holds the new such products over layer l: an element's layer is its
-    length.  Only a layer's full permutations are kept, as bytes (256 roots
-    or more mean over 10^12 elements, refused), and a product is first keyed
-    by its r simple images.
+    The roots, and each s_i as a permutation of root indices, come from
+    ``_reflection_closure``.  l(w s_i) = l(w) + 1 exactly when w(a_i) > 0
+    (Humphreys 1.6-1.7), so layer l + 1 holds the new such products over
+    layer l: an element's layer is its length.  Only a layer's full
+    permutations are kept, as bytes (256 roots or more mean over 10^12
+    elements, refused), and a product is first keyed by its r simple images.
 
     Each element is classed by its characteristic polynomial.  w is
     orthogonal, so det(tI - w) has e_(r-k) = det(w) e_k, and det(w) =
@@ -493,21 +466,7 @@ def weyl_group(simples: List[RootLabel], pair) -> WeylGroup:
     tr w^k sums the a_j-coordinates of w^k(a_j) along the permutation.
     """
     r = len(simples)
-    cart = cartan_matrix(simples, pair)
-    coroots = [[int(cart[j][i]) for j in range(r)] for i in range(r)]
-    roots = [tuple(int(x == j) for x in range(r)) for j in range(r)]
-    index = {b: k for k, b in enumerate(roots)}
-    perms: List[List[int]] = [[] for _ in range(r)]
-    pairings: List[List[int]] = [[] for _ in range(r)]  # <root, a_i^v>
-    for b in roots:  # grows while new images turn up
-        for i, row in enumerate(coroots):
-            c = sum(map(mul, b, row))
-            img = b[:i] + (b[i] - c,) + b[i + 1:]
-            if img not in index:
-                index[img] = len(roots)
-                roots.append(img)
-            perms[i].append(index[img])
-            pairings[i].append(c)
+    roots, perms, pairings = _reflection_closure(cartan_matrix(simples, pair))
     gens = [(tuple(p), tuple(p[:r]), c) for p, c in zip(perms, pairings)]
     positive = [is_positive(b) for b in roots]
     if len(roots) > 255:

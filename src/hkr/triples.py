@@ -25,8 +25,8 @@ from . import linalg as la
 from . import roots as rt
 from .algebra import RealFormStructure
 from .errors import (ConstructionFailure, GradingFailure, InvalidParams,
-                     MismatchWithTable, NoSolution, NonUnique, NotInTable,
-                     RelationFailure, RouteDisagreement)
+                     MismatchWithTable, NoSolution, NonUnique, RelationFailure,
+                     RouteDisagreement)
 from .scalars import (I, NotReducible, ONE, Reduction, Scalar, ZERO,
                       reduction)
 
@@ -286,9 +286,7 @@ def maximal_split_subalgebra(tds: TdsConstruction) -> SplitSubalgebra:
                                 % (S.name, z_sub, z_m))
     sub_type = tds.root_data.types[1]
 
-    row = S.table_row
-    if row is None:
-        raise NotInTable("%s: no Table 1 row to match" % S.name)
+    row = S.reference_row()
     if space.dim != row.split_dim:
         raise MismatchWithTable("%s: split subalgebra dim %d, table row %s "
                                 "needs %d" % (S.name, space.dim,
@@ -364,7 +362,7 @@ def module_decomposition(triple: NormalTriple) -> ModuleDecomposition:
     if len(m_located) != a + dim_z_m:
         raise GradingFailure("%s: %d m-located blocks, expected a + dim z_m "
                              "= %d" % (S.name, len(m_located), a + dim_z_m))
-    lam_type, _ = rt.classify_type(data)
+    lam_type = data.types[0]
     want = sorted(rt.invariant_degrees(lam_type) + [1] * dim_z_m)
     if sorted(m_located) != want:
         raise GradingFailure("%s: m-located degrees %s, exponent table %s"

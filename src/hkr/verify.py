@@ -72,7 +72,7 @@ def _random_gamma(rng: random.Random, k: int) -> List[Scalar]:
 def fiber_match_supported(structure) -> bool:
     """Characteristic-polynomial fiber matching needs every invariant degree
     to appear as a coefficient; the Pfaffian invariant of D type does not."""
-    return not structure.table_row.restricted_type.startswith("D")
+    return not structure.reference_row().restricted_type.startswith("D")
 
 
 # --- per-form checks --------------------------------------------------------------
@@ -81,7 +81,7 @@ def _check_roots(an: dm.FormAnalysis) -> Optional[str]:
     # the split stage owns the reduced type, and build_tds the simple count
     data = an.root_data  # raises unless the root spaces and c_g(a) fill g
     lam_label = data.types[0]
-    want = an.structure.table_row.restricted_type
+    want = an.structure.reference_row().restricted_type
     assert rt.type_equivalent(lam_label, want), \
         "restricted type %s, reference %s" % (lam_label, want)
     return "%s (%d roots)" % (lam_label, len(data.root_spaces))
@@ -112,7 +112,7 @@ def _check_modules(an: dm.FormAnalysis) -> Optional[str]:
         assert trivial == dec.dim_z, "quasi-split but " + counts
     else:
         assert trivial > dec.dim_z, "not quasi-split but " + counts
-    want = an.structure.table_row.quasi_split
+    want = an.structure.reference_row().quasi_split
     assert an.quasi_split == want, \
         "quasi-split flag %s, reference says %s" % (an.quasi_split, want)
     return "m-degrees %s" % sorted(bl.m for bl in dec.located("m"))

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hkr import dimensions as dm
 from hkr import linalg as la
 from hkr import roots as rt
+from hkr import verify as vf
 from hkr.algebra import RealFormStructure, theta_entries
 from hkr.catalog import (TableOneEntry, build, form_cli_text, form_id,
                          lookup_table1, standard_forms)
@@ -572,3 +573,18 @@ def test_a_hand_built_form_without_a_row_stops_at_the_table():
                            match=r"^sl\(3,R\) by hand: no Table 1 row to "
                                  r"match$"):
             read()
+
+
+@pytest.mark.parametrize("check, run", [
+    ("roots", lambda an: vf._check_roots(an)),
+    ("split_subalgebra", lambda an: vf._check_split_sub(an)),
+    ("modules", lambda an: vf._check_modules(an)),
+    ("injectivity", lambda an: vf._check_injectivity(an, 0, 1)),
+    ("fiber_match", lambda an: vf._check_fiber_match(an, 0, 1)),
+])
+def test_each_row_reading_check_fails_typed_without_a_row(check, run):
+    T = RealFormStructure("sl(3,R) by hand", 3, _SL3, _SL3_DIAGONAL_A)
+    result = vf._run(T.name, check, lambda: run(dm.analyze(T)))
+    assert not result.ok
+    assert result.detail == ("NotInTable: sl(3,R) by hand: no Table 1 row "
+                             "to match")

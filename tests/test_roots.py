@@ -1,6 +1,7 @@
 """Restricted root systems, diagram classification, Weyl-group oracles."""
 
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -379,6 +380,11 @@ def test_cartan_matrix_raises_column_by_column(gram, error):
 def test_unrecognized_diagrams_are_typed():
     with pytest.raises(UnrecognizedDiagram, match="no degree table for 'X2'"):
         rt.invariant_degrees("X2")
+    with pytest.raises(UnrecognizedDiagram, match="^no Weyl order for 'E6'$"):
+        rt.weyl_order_reference("E6")
+    with pytest.raises(UnrecognizedDiagram,
+                       match="^no abstract coordinates for 'E6'$"):
+        rt.abstract_simple_system("E6")
 
     def dot(x, y):
         return sum((a * b for a, b in zip(x, y)), Fraction(0))
@@ -388,6 +394,102 @@ def test_unrecognized_diagrams_are_typed():
     with pytest.raises(UnrecognizedDiagram,
                        match="non-integral Cartan matrix entry 2/3"):
         rt.classify_simples(simples, dot)
+
+
+# --- classification by root count, on inputs built by hand -------------------
+
+def _gram_system(gram):
+    """Simples 0, ..., r - 1 paired by the Gram matrix `gram`."""
+    return list(range(len(gram))), lambda a, b: Fraction(gram[a][b])
+
+
+def _path(r):
+    """The Cartan matrix of A_r: a path of r nodes."""
+    return [[2 if i == j else -int(abs(i - j) == 1) for j in range(r)]
+            for i in range(r)]
+
+
+def _branched(*arms):
+    """The symmetric Cartan matrix of a tree: node 0, and from it one path
+    per arm length."""
+    r = 1 + sum(arms)
+    gram = [[2 * int(i == j) for j in range(r)] for i in range(r)]
+    node = 1
+    for length in arms:
+        for k in range(length):
+            prev = 0 if k == 0 else node - 1
+            gram[prev][node] = gram[node][prev] = -1
+            node += 1
+    return gram
+
+
+def _blocks(*grams):
+    """The block-diagonal matrix of `grams`: the product of their types."""
+    r = sum(map(len, grams))
+    out: list = []
+    for g in grams:
+        k = len(out)
+        out += [[0] * k + row + [0] * (r - k - len(row)) for row in g]
+    return out
+
+
+_BY_COORDINATES = dict(
+    {label: label for label in (
+        "A1 A2 A3 A4 A5 A6 A7 A8 B2 B3 B4 B5 B6 B7 B8 C3 C4 C5 C6 C7 C8 "
+        "G2 F4").split()},
+    C2="B2", D3="A3")
+
+_BY_GRAM = {
+    "D4": _branched(1, 1, 1), "D5": _branched(1, 1, 2),
+    "D6": _branched(1, 1, 3), "D7": _branched(1, 1, 4),
+    "D8": _branched(1, 1, 5),
+    "E6": _branched(1, 2, 2), "E7": _branched(1, 2, 3),
+    "E8": _branched(1, 2, 4),
+    "A1xE8": _blocks(_path(1), _branched(1, 2, 4)),
+    "A1xA2xE6": _blocks(_path(1), _path(2), _branched(1, 2, 2)),
+    "D4xD4": _blocks(_branched(1, 1, 1), _branched(1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_BY_COORDINATES))
+def test_classify_simples_on_standard_coordinates(label):
+    simples, pair = rt.abstract_simple_system(label)
+    assert rt.classify_simples(simples, pair) == _BY_COORDINATES[label]
+
+
+@pytest.mark.parametrize("want", sorted(_BY_GRAM))
+def test_classify_simples_on_a_symmetric_cartan_matrix(want):
+    assert rt.classify_simples(*_gram_system(_BY_GRAM[want])) == want
+
+
+@pytest.mark.parametrize("label", sorted(set(_BY_COORDINATES) - {"C2"}
+                                         | {"E6", "E7", "E8"}
+                                         | {"D%d" % r for r in range(4, 9)}))
+def test_component_label_counts_agree_with_the_degree_table(label):
+    # |Phi| = 2 sum(d_i - 1) over the degrees (Humphreys, Reflection Groups
+    # and Coxeter Groups, 3.9); the short simples are read off the diagrams
+    letter, rank = rt.split_label(label)
+    n_short = {"B": 1, "C": rank - 1, "F": 2, "G": 1}.get(letter, 0)
+    n_roots = 2 * sum(d - 1 for d in rt.invariant_degrees(label))
+    want = "A3" if label == "D3" else label
+    assert rt._component_label(rank, n_roots, n_short) == want
+
+
+@pytest.mark.parametrize("gram, bound", [
+    ([[2, -2], [-2, 2]], 248),  # affine A1
+    ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 258),  # affine A2
+])
+@pytest.mark.parametrize("reader", [rt.classify_simples, rt.weyl_group],
+                         ids=["classify_simples", "weyl_group"])
+def test_an_affine_cartan_matrix_is_refused(reader, gram, bound):
+    # its closure has no end; 2r^2 + 240 roots are more than any finite
+    # system of rank r holds
+    t0 = time.perf_counter()
+    with pytest.raises(UnrecognizedDiagram,
+                       match=r"^more than %d roots: the Cartan matrix is not "
+                             r"of finite type$" % bound):
+        reader(*_gram_system(gram))
+    assert time.perf_counter() - t0 < 1
 
 
 def test_full_root_classification_counts():
