@@ -25,7 +25,6 @@ a bracket walks the sparser of its operands.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
@@ -80,43 +79,29 @@ def _span_kernel(space: Sequence[Sequence], images: Sequence[dict],
     return [tuple(la.combine(c, space)) for c in combos]
 
 
-@dataclass
 class RealFormStructure:
     """A classical real form in a theta-adapted exact basis.
 
     `span` is a basis of g over R and `a_mats` one of a, each matrix as its
-    sparse {(r, c): entry} dict.  Each span matrix x splits into its
-    theta-halves (x + theta x)/2 in h and (x - theta x)/2 in m, and the basis
-    is drawn from them: the h-halves, the a-basis, then the m-halves that a
-    does not already span.  All three are drawn into one subspace over the
-    field, so the basis is independent over C by construction.  For a real
-    form h^C and m^C meet only in 0, so this keeps the same vectors as
-    drawing each half on its own; a span that theta does not preserve, or
-    that meets i times itself, loses dimensions in the split and is refused.
-    `table_row` is the ``catalog.TableOneEntry`` the analysis compares with.
+    sparse {(r, c): entry} dict; neither is kept.  Each span matrix x splits
+    into its theta-halves (x + theta x)/2 in h and (x - theta x)/2 in m, and
+    the basis is drawn from them: the h-halves, the a-basis, then the
+    m-halves that a does not already span.  All three are drawn into one
+    subspace over the field, so the basis is independent over C by
+    construction.  For a real form h^C and m^C meet only in 0, so this keeps
+    the same vectors as drawing each half on its own; a span that theta does
+    not preserve, or that meets i times itself, loses dimensions in the
+    split and is refused.  `table_row` is the ``catalog.TableOneEntry`` the
+    analysis compares with.
     """
 
-    name: str
-    n: int
-    span: InitVar[Sequence[Dict[Tuple[int, int], object]]]
-    a_mats: InitVar[Sequence[Dict[Tuple[int, int], object]]]
-    table_row: Optional[object] = None
-
-    dim_h: int = field(init=False)
-    rank_a: int = field(init=False)
-    dim: int = field(init=False)
-    dim_m: int = field(init=False)
-    gram: Tuple[Tuple[Scalar, ...], ...] = field(init=False, repr=False)
-    # struct[i] is an index {j: ((k, c), ...)} of every nonzero coefficient c
-    # of basis[k] in [basis[i], basis[j]], j and k increasing: one lookup
-    # per j
-    struct: List[Dict[int, Tuple[Tuple[int, Scalar], ...]]] = field(
-        init=False, repr=False)
-    # the constants of [m, m] reduced mod p, per prime p (see ``ad_mod``)
-    _struct_mod: Dict[int, dict] = field(init=False, repr=False, compare=False,
-                                         default_factory=dict)
-
-    def __post_init__(self, span, a_mats):
+    def __init__(self, name: str, n: int,
+                 span: Sequence[Dict[Tuple[int, int], object]],
+                 a_mats: Sequence[Dict[Tuple[int, int], object]],
+                 table_row: Optional[object] = None):
+        self.name, self.n, self.table_row = name, n, table_row
+        # the constants of [m, m] reduced mod p, per prime p (see ``ad_mod``)
+        self._struct_mod: Dict[int, dict] = {}
         h, a, m_rest = self._theta_adapted(span, a_mats)
         self.dim_h, self.rank_a = len(h), len(a)
         self._sparse_basis = h + a + m_rest
@@ -196,7 +181,9 @@ class RealFormStructure:
 
     def _build_struct(self):
         """Each nonzero bracket of two basis matrices, solved for its
-        coefficients, which must all be rational.
+        coefficients, which must all be rational.  ``struct[i]`` is an index
+        {j: ((k, c), ...)} of every nonzero coefficient c of basis[k] in
+        [basis[i], basis[j]], j and k increasing: one lookup per j.
 
         Two indexes of the basis entries, by row and by column, give the
         products X_i X_j and X_j X_i of one X_i with every later X_j, formed

@@ -26,7 +26,6 @@ whole algebra.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg as la
@@ -55,12 +54,12 @@ _PQ_FAMILIES = {"su_pq", "so_pq", "sp_pq"}
 DEFAULT_MAX_SIZE = 12
 
 
-@dataclass(frozen=True)
 class FormId:
-    family: str
-    params: Tuple[Tuple[str, int], ...]
+    """A family and its ((name, value), ...) parameters, checked on
+    construction; immutable by use, equal and hashed by value."""
 
-    def __post_init__(self):
+    def __init__(self, family: str, params: Tuple[Tuple[str, int], ...]):
+        self.family, self.params = family, params
         if self.family not in FAMILIES:
             raise InvalidParams("unknown family %r" % (self.family,))
         keys = tuple(k for k, _ in self.params)
@@ -84,6 +83,17 @@ class FormId:
                 raise InvalidParams("%s needs p, q >= 1" % self.family)
             if self.family == "so_pq" and vals["p"] + vals["q"] < 3:
                 raise InvalidParams("so(p,q) needs p + q >= 3")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FormId:
+            return NotImplemented
+        return self.family == other.family and self.params == other.params
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.params))
+
+    def __repr__(self) -> str:
+        return "FormId(%r, %r)" % (self.family, self.params)
 
     @property
     def n(self) -> int:
@@ -272,12 +282,28 @@ def algebra_label_dim(label: str) -> int:
     raise NotInTable("no dimension rule for label %r" % label)
 
 
-@dataclass(frozen=True)
 class TableOneEntry:
-    form: str
-    split_sub: str
-    restricted_type: str
-    quasi_split: bool
+    """One row of Table 1; immutable by use, equal and hashed by value."""
+
+    def __init__(self, form: str, split_sub: str, restricted_type: str,
+                 quasi_split: bool):
+        self.form, self.split_sub = form, split_sub
+        self.restricted_type, self.quasi_split = restricted_type, quasi_split
+
+    def _key(self) -> Tuple[str, str, str, bool]:
+        return (self.form, self.split_sub, self.restricted_type,
+                self.quasi_split)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not TableOneEntry:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "TableOneEntry%r" % (self._key(),)
 
     @property
     def reduced_type(self) -> str:

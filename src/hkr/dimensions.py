@@ -9,7 +9,6 @@ classification.  All arithmetic is exact, in ints.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
@@ -20,14 +19,14 @@ from .errors import (AmbiguousCohomology, ConstructionFailure, InvalidParams,
                      RouteDisagreement)
 
 
-@dataclass(frozen=True)
 class CurveContext:
-    genus: int
-    d_L: int
-    L_is_canonical: bool = False
-    L_is_trivial: bool = False
+    """A genus-g curve and the degree of L, canonical, trivial or generic of
+    its degree; immutable by use, equal and hashed by value."""
 
-    def __post_init__(self):
+    def __init__(self, genus: int, d_L: int, L_is_canonical: bool = False,
+                 L_is_trivial: bool = False):
+        self.genus, self.d_L = genus, d_L
+        self.L_is_canonical, self.L_is_trivial = L_is_canonical, L_is_trivial
         if self.genus < 2:
             raise InvalidParams("genus must be at least 2")
         if self.d_L < 0:
@@ -38,6 +37,17 @@ class CurveContext:
             raise InvalidParams("canonical L must have degree 2g - 2")
         if self.L_is_trivial and self.d_L != 0:
             raise InvalidParams("trivial L must have degree 0")
+
+    def _key(self) -> Tuple[int, int, bool, bool]:
+        return (self.genus, self.d_L, self.L_is_canonical, self.L_is_trivial)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CurveContext:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def canonical(genus: int) -> "CurveContext":
@@ -88,12 +98,13 @@ def h0_h1_line_power(m: int, ctx: CurveContext) -> Tuple[int, int]:
                               % (m, deg, 2 * g - 2))
 
 
-@dataclass
 class FormAnalysis:
     """The construction chain of one form.  Each stage is a cached property
     that reads the stages it needs, so no stage runs before it is read or
     twice; a stage that raises is not kept, so each read raises alike."""
-    structure: RealFormStructure
+
+    def __init__(self, structure: RealFormStructure):
+        self.structure = structure
 
     @cached_property
     def root_data(self) -> rt.RestrictedRootData:
@@ -171,12 +182,13 @@ def hitchin_base_dim(analysis: FormAnalysis, ctx: CurveContext) -> int:
     return route1
 
 
-@dataclass
 class GradedBundleSpec:
-    structure: RealFormStructure
-    h_powers: List[List[int]]
-    m_powers: List[List[int]]
-    degrees: List[int]
+    def __init__(self, structure: RealFormStructure,
+                 h_powers: List[List[int]], m_powers: List[List[int]],
+                 degrees: List[int]):
+        self.structure = structure
+        self.h_powers, self.m_powers = h_powers, m_powers
+        self.degrees = degrees
 
 
 def graded_bundle_spec(analysis: FormAnalysis) -> GradedBundleSpec:
@@ -254,13 +266,12 @@ def expected_moduli_dim(analysis: FormAnalysis, ctx: CurveContext) -> int:
     return value
 
 
-@dataclass
 class OpennessBreakdown:
-    value: int
-    term_roots: int
-    term_b: int
-    term_z_h: int
-    is_open: bool
+    def __init__(self, value: int, term_roots: int, term_b: int,
+                 term_z_h: int, is_open: bool):
+        self.value, self.is_open = value, is_open
+        self.term_roots, self.term_b, self.term_z_h = (term_roots, term_b,
+                                                       term_z_h)
 
 
 def split_openness_test(analysis: FormAnalysis, ctx: CurveContext
@@ -307,29 +318,37 @@ def sl2_moduli_classify(alpha, d: int, d_L: int) -> str:
     return "all_semistable"
 
 
-@dataclass
 class DimensionReport:
-    form: str
-    genus: int
-    d_L: int
-    a: int
-    b: int
-    c: int
-    dim_z_m: int
-    dim_z_h: int
-    dim_g_C: int
-    dim_split_C: int
-    num_roots: int
-    num_reduced_restricted: int
-    base_dim: int
-    expected_moduli_dim: Optional[int]
-    is_split: bool
-    is_quasi_split: bool
-    hkr_open: Optional[bool]
-    openness_terms: Optional[Dict[str, int]]
+    """The dimension figures of one form on one curve; ``to_dict`` gives
+    them in the order of ``FIELDS``, which the CLI's JSON keeps."""
+
+    FIELDS = ("form", "genus", "d_L", "a", "b", "c", "dim_z_m", "dim_z_h",
+              "dim_g_C", "dim_split_C", "num_roots", "num_reduced_restricted",
+              "base_dim", "expected_moduli_dim", "is_split", "is_quasi_split",
+              "hkr_open", "openness_terms")
+
+    def __init__(self, form: str, genus: int, d_L: int, a: int, b: int,
+                 c: int, dim_z_m: int, dim_z_h: int, dim_g_C: int,
+                 dim_split_C: int, num_roots: int,
+                 num_reduced_restricted: int, base_dim: int,
+                 expected_moduli_dim: Optional[int], is_split: bool,
+                 is_quasi_split: bool, hkr_open: Optional[bool],
+                 openness_terms: Optional[Dict[str, int]]):
+        self.form, self.genus, self.d_L = form, genus, d_L
+        self.a, self.b, self.c = a, b, c
+        self.dim_z_m, self.dim_z_h = dim_z_m, dim_z_h
+        self.dim_g_C, self.dim_split_C = dim_g_C, dim_split_C
+        self.num_roots = num_roots
+        self.num_reduced_restricted = num_reduced_restricted
+        self.base_dim, self.expected_moduli_dim = base_dim, expected_moduli_dim
+        self.is_split, self.is_quasi_split = is_split, is_quasi_split
+        self.hkr_open, self.openness_terms = hkr_open, openness_terms
 
     def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        out = {k: getattr(self, k) for k in self.FIELDS}
+        if self.openness_terms is not None:
+            out["openness_terms"] = dict(self.openness_terms)
+        return out
 
 
 def dimension_report(analysis: FormAnalysis, ctx: CurveContext

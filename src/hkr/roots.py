@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -77,15 +76,18 @@ def eigenvalue_differences(mus: Sequence[Fraction]) -> List[Fraction]:
     return sorted({a - b for a in mus for b in mus})
 
 
-@dataclass
 class RestrictedRootData:
     """The root spaces, c_g(a) and c_h(a) of a structure; what is derived
     from them (the simple system, the pairing, the type labels, the center)
-    is computed on first read and kept."""
-    structure: RealFormStructure
-    root_spaces: Dict[RootLabel, List[list]]
-    centralizer: List[list]  # basis of c_g(a), rational Scalar coordinates
-    h_centralizer: List[tuple]  # basis of c_h(a), the h^C part of c_g(a)
+    is computed on first read and kept.  `centralizer` is a basis of c_g(a)
+    in rational Scalar coordinates, `h_centralizer` one of c_h(a), the h^C
+    part of c_g(a)."""
+
+    def __init__(self, structure: RealFormStructure,
+                 root_spaces: Dict[RootLabel, List[list]],
+                 centralizer: List[list], h_centralizer: List[tuple]):
+        self.structure, self.root_spaces = structure, root_spaces
+        self.centralizer, self.h_centralizer = centralizer, h_centralizer
 
     @cached_property
     def simples(self) -> List[RootLabel]:
@@ -425,7 +427,6 @@ def weyl_order_reference(label: str) -> int:
 
 # --- Weyl group generation ----------------------------------------------------------
 
-@dataclass
 class WeylGroup:
     """A Weyl group enumerated as permutations of its roots, by length.
 
@@ -435,10 +436,12 @@ class WeylGroup:
     sum(layers[:l]) <= i < sum(layers[:l + 1]).  `classes` holds one
     (representative matrix, count) per characteristic polynomial.
     """
-    roots: List[Tuple[int, ...]]
-    keys: List[bytes]
-    layers: List[int]
-    classes: List[Tuple[Tuple[Tuple[int, ...], ...], int]]
+
+    def __init__(self, roots: List[Tuple[int, ...]], keys: List[bytes],
+                 layers: List[int],
+                 classes: List[Tuple[Tuple[Tuple[int, ...], ...], int]]):
+        self.roots, self.keys = roots, keys
+        self.layers, self.classes = layers, classes
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -573,14 +576,16 @@ def abstract_simple_system(label: str):
 
 # --- full root classification on a maximally split Cartan ----------------------------
 
-@dataclass
 class FullRootClassification:
     """The roots of g^C on the maximally split Cartan d = t + a.  The real
     and complex counts cost one centralizer per restricted root space, so
-    they are computed on first read."""
-    root_data: RestrictedRootData
-    t_basis: List[tuple]  # a maximal torus of c_h(a)
-    n_imaginary: int
+    they are computed on first read.  `t_basis` is a maximal torus of
+    c_h(a)."""
+
+    def __init__(self, root_data: RestrictedRootData, t_basis: List[tuple],
+                 n_imaginary: int):
+        self.root_data, self.t_basis = root_data, t_basis
+        self.n_imaginary = n_imaginary
 
     @property
     def n_roots(self) -> int:

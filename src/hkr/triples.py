@@ -15,7 +15,6 @@ the Jordan types of e, f and x and the block structure of ker ad(e).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
@@ -57,17 +56,15 @@ def _proportionality(u: Sequence, v: Sequence):
 
 # --- the TDS construction -------------------------------------------------------
 
-@dataclass
 class TdsConstruction:
-    root_data: rt.RestrictedRootData
-    y: List[Tuple[Scalar, ...]]
-    z: List[Tuple[Scalar, ...]]
-    b: List[Fraction]
-    c: List[Fraction]
-    d: List[Scalar]
-    w: Tuple[Scalar, ...]
-    e_c: Tuple[Scalar, ...]
-    f_c: Tuple[Scalar, ...]
+    def __init__(self, root_data: rt.RestrictedRootData,
+                 y: List[Tuple[Scalar, ...]], z: List[Tuple[Scalar, ...]],
+                 b: List[Fraction], c: List[Fraction], d: List[Scalar],
+                 w: Tuple[Scalar, ...], e_c: Tuple[Scalar, ...],
+                 f_c: Tuple[Scalar, ...]):
+        self.root_data = root_data
+        self.y, self.z, self.b, self.c, self.d = y, z, b, c, d
+        self.w, self.e_c, self.f_c = w, e_c, f_c
 
     @property
     def structure(self) -> RealFormStructure:
@@ -156,13 +153,15 @@ def build_tds(root_data: rt.RestrictedRootData) -> TdsConstruction:
 
 # --- the normal triple ----------------------------------------------------------
 
-@dataclass
 class NormalTriple:
-    tds: TdsConstruction
-    e: Tuple[Scalar, ...]
-    f: Tuple[Scalar, ...]
-    x: Tuple[Scalar, ...]
-    x_spectrum: List[Fraction]  # the eigenvalues of x on C^n, sorted
+    """The triple (e, f, x) of a TDS; `x_spectrum` lists the eigenvalues of
+    x on C^n, sorted."""
+
+    def __init__(self, tds: TdsConstruction, e: Tuple[Scalar, ...],
+                 f: Tuple[Scalar, ...], x: Tuple[Scalar, ...],
+                 x_spectrum: List[Fraction]):
+        self.tds, self.e, self.f, self.x = tds, e, f, x
+        self.x_spectrum = x_spectrum
 
     @property
     def structure(self) -> RealFormStructure:
@@ -217,10 +216,9 @@ def normal_triple(tds: TdsConstruction) -> NormalTriple:
 
 # --- maximal split subalgebra ---------------------------------------------------
 
-@dataclass
 class SplitSubalgebra:
-    space: la.Subspace
-    table_label: str
+    def __init__(self, space: la.Subspace, table_label: str):
+        self.space, self.table_label = space, table_label
 
     @property
     def dim(self) -> int:
@@ -300,22 +298,18 @@ def maximal_split_subalgebra(tds: TdsConstruction) -> SplitSubalgebra:
 
 # --- sl2-module decomposition ---------------------------------------------------
 
-@dataclass
 class ModuleBlock:
-    m: int
-    vector: Tuple[Scalar, ...]
-    location: str  # "h" or "m"
+    """A highest weight vector of degree m, located in "h" or "m"."""
+
+    def __init__(self, m: int, vector: Tuple[Scalar, ...], location: str):
+        self.m, self.vector, self.location = m, vector, location
 
 
-@dataclass
 class ModuleDecomposition:
-    blocks: List[ModuleBlock]
-    a: int
-    b: int
-    c: int
-    dim_z: int
-    dim_z_h: int
-    dim_z_m: int
+    def __init__(self, blocks: List[ModuleBlock], a: int, b: int, c: int,
+                 dim_z: int, dim_z_h: int, dim_z_m: int):
+        self.blocks, self.a, self.b, self.c = blocks, a, b, c
+        self.dim_z, self.dim_z_h, self.dim_z_m = dim_z, dim_z_h, dim_z_m
 
     def located(self, where: str) -> List[ModuleBlock]:
         return [bl for bl in self.blocks if bl.location == where]
@@ -393,16 +387,14 @@ def is_quasi_split(triple: NormalTriple) -> bool:
 
 # --- the section ----------------------------------------------------------------
 
-@dataclass
 class SectionBasis:
-    structure: RealFormStructure
-    f: Tuple[Scalar, ...]
-    e_list: List[Tuple[Scalar, ...]]
-    degrees: List[int]
-    central: List[Tuple[Scalar, ...]]
-    # f and each e_i reduced mod p, per prime p (see section_point_mod)
-    _mod: Dict[int, List[List[int]]] = field(init=False, repr=False,
-                                             compare=False, default_factory=dict)
+    def __init__(self, structure: RealFormStructure, f: Tuple[Scalar, ...],
+                 e_list: List[Tuple[Scalar, ...]], degrees: List[int],
+                 central: List[Tuple[Scalar, ...]]):
+        self.structure, self.f, self.e_list = structure, f, e_list
+        self.degrees, self.central = degrees, central
+        # f and each e_i reduced mod p, per prime p (see section_point_mod)
+        self._mod: Dict[int, List[List[int]]] = {}
 
     @property
     def rank(self) -> int:
@@ -670,16 +662,18 @@ def _block_traces(mat: la.Mat, n: int) -> Tuple[Scalar, Scalar]:
     return tr_a, tr_d
 
 
-@dataclass
 class LemmaReport:
-    n: int
-    w_matches_display: bool
-    displayed_y_in_algebra: bool
-    eigen_values: List[Tuple[Fraction, ...]]
-    y_block_traces_zero: bool
-    x_block_traces_zero: bool
-    y_scalar: Optional[Scalar]
-    notes: List[str]
+    def __init__(self, n: int, w_matches_display: bool,
+                 displayed_y_in_algebra: bool,
+                 eigen_values: List[Tuple[Fraction, ...]],
+                 y_block_traces_zero: bool, x_block_traces_zero: bool,
+                 y_scalar: Optional[Scalar], notes: List[str]):
+        self.n, self.w_matches_display = n, w_matches_display
+        self.displayed_y_in_algebra = displayed_y_in_algebra
+        self.eigen_values = eigen_values
+        self.y_block_traces_zero = y_block_traces_zero
+        self.x_block_traces_zero = x_block_traces_zero
+        self.y_scalar, self.notes = y_scalar, notes
 
     def ok(self) -> bool:
         if not (self.w_matches_display and self.y_block_traces_zero

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import catalog
@@ -28,13 +27,14 @@ from .errors import HkrError, InvalidParams, SizeBound
 from .scalars import NotReducible, Scalar, ZERO
 
 
-@dataclass
 class CheckResult:
-    form: str
-    check: str
-    ok: bool
-    detail: str = ""
-    seconds: float = 0.0
+    """One row of a verify run: the check's outcome on a form, with its
+    detail and wall seconds."""
+
+    def __init__(self, form: str, check: str, ok: bool, detail: str = "",
+                 seconds: float = 0.0):
+        self.form, self.check, self.ok = form, check, ok
+        self.detail, self.seconds = detail, seconds
 
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"

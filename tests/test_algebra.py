@@ -4,7 +4,6 @@ su(1,2) doubles as a hand-checked oracle: dimension 8 splitting 4 + 4,
 restricted rank 1.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -547,8 +546,7 @@ _SL3_DIAGONAL_A = [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
 def _chain_outputs(an):
     """The split subalgebra's dim, the section's degrees and the genus-2
     canonical dimension report of an analysis, less the form's name."""
-    report = dataclasses.asdict(
-        dm.dimension_report(an, dm.CurveContext.canonical(2)))
+    report = dm.dimension_report(an, dm.CurveContext.canonical(2)).to_dict()
     del report["form"]
     return an.split_sub.dim, an.section.degrees, report
 

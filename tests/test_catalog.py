@@ -58,6 +58,20 @@ def test_parse_form_examples():
         "sl_C_as_real", n=2)
 
 
+def test_a_form_id_and_its_table_row_are_values():
+    fid = catalog.parse_form("sl_r:n=3")
+    same = catalog.form_id("sl_R", n=3)
+    assert fid == same and fid is not same and hash(fid) == hash(same)
+    assert {fid: "sl(3,R)"}[same] == "sl(3,R)"
+    assert fid != catalog.form_id("sl_R", n=4)
+    assert fid != ("sl_R", (("n", 3),))  # a record, not a tuple
+    row = catalog.lookup_table1("sl_r:n=3")
+    again = catalog.lookup_table1(same)
+    assert row == again and row is not again and hash(row) == hash(again)
+    assert row != catalog.TableOneEntry("sl(3,R)", "sl(3,R)", "A2", False)
+    assert row != ("sl(3,R)", "sl(3,R)", "A2", True)
+
+
 def test_parse_form_rejects_bad_input():
     for bad in ("nope:n=2", "su:p=1", "sl_r:n=1", "su:p=0,q=2", "sl_r"):
         with pytest.raises(InvalidParams):

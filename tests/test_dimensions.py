@@ -166,6 +166,14 @@ def test_curve_context_validation():
     assert dm.CurveContext.trivial(3).d_L == 0
 
 
+def test_a_curve_context_is_a_value():
+    ctx = dm.CurveContext.canonical(2)
+    same = dm.CurveContext(2, 2, L_is_canonical=True)
+    assert ctx == same and hash(ctx) == hash(same)
+    assert {ctx: 1}[same] == 1
+    assert ctx != dm.CurveContext.of_degree(2, 2)
+
+
 def test_negative_degree_of_L_is_rejected():
     # the closed form of the base dimension does not hold for deg L < 0
     with pytest.raises(InvalidParams, match="got -3"):

@@ -1,10 +1,14 @@
 """Source hygiene of the package: no module imports a name it never reads,
 no public top-level name goes unread by the library and the benchmark, no
 private top-level name goes unread by its module, no parameter default goes
-unpassed, only ``scalars`` reads the slots of a Scalar, and only ``catalog``
-and ``cli`` read the family and parameters of a form."""
+unpassed, only ``scalars`` reads the slots of a Scalar, only ``catalog``
+and ``cli`` read the family and parameters of a form, and importing the
+package generates no code."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -385,3 +389,61 @@ def test_the_scan_finds_a_form_id_read():
                          ids=lambda p: p.name)
 def test_only_catalog_and_cli_read_a_form_id(path):
     assert form_id_reads(path.read_text(), FAMILIES) == []
+
+
+# The record classes are written out: importing the package runs no
+# generated code and loads no code generator.
+CODE_GENERATORS = ("dataclasses",)
+
+
+def code_generation(source: str):
+    """(line, name) of each import of a module of ``CODE_GENERATORS``, by
+    ``import`` or ``from ... import``, and of each call of ``exec``."""
+    tree = ast.parse(source)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, a.name) for a in node.names
+                    if a.name.split(".")[0] in CODE_GENERATORS]
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] in CODE_GENERATORS):
+            out.append((node.lineno, node.module))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "exec"):
+            out.append((node.lineno, "exec"))
+    return sorted(out)
+
+
+def test_the_scan_finds_code_generation():
+    source = ("import os, dataclasses\nfrom dataclasses import field\n"
+              "def f(src):\n    import dataclasses as dc\n"
+              "    exec(src)\n    return dc, os.exec, field\n"
+              "from . import records\n")
+    assert code_generation(source) == [(1, "dataclasses"), (2, "dataclasses"),
+                                       (4, "dataclasses"), (5, "exec")]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_generates_code(path):
+    assert code_generation(path.read_text()) == []
+
+
+def _loaded_modules(code: str):
+    """The names in sys.modules after `code` runs in a fresh interpreter
+    with the package's sources on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_SRC.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    return set(proc.stdout.split())
+
+
+def test_importing_the_package_loads_no_code_generator():
+    bare = _loaded_modules("")
+    loaded = _loaded_modules("import hkr.catalog, hkr.dimensions, hkr.roots, "
+                             "hkr.verify, hkr.cli")
+    assert "hkr.cli" in loaded
+    assert {"dataclasses", "inspect"} & (loaded - bare) == set()

@@ -5,7 +5,6 @@ of the forms are exercised through the construction's own exact relation
 checks plus targeted structural assertions.
 """
 
-import dataclasses
 import random
 import re
 import time
@@ -207,7 +206,8 @@ def _tds_with_a_shifted_y_1():
                  if lam != tds.root_data.simples[0])
     shift = tds.root_data.root_spaces[other][0]
     y = [tuple(a + b for a, b in zip(tds.y[0], shift))] + tds.y[1:]
-    return S, tds, dataclasses.replace(tds, y=y)
+    return S, tds, tp.TdsConstruction(tds.root_data, y, tds.z, tds.b, tds.c,
+                                      tds.d, tds.w, tds.e_c, tds.f_c)
 
 
 def test_split_sub_refuses_a_generator_of_the_wrong_weight():
@@ -316,7 +316,8 @@ def test_quasi_split_routes_must_agree(monkeypatch):
 def test_normal_triple_rejects_a_corrupted_tds():
     # with e_c doubled, [E, F] = 2W and the triple relations fail
     S, tds, _, _ = chain("sl_R", n=3)
-    bad = dataclasses.replace(tds, e_c=tuple(2 * v for v in tds.e_c))
+    bad = tp.TdsConstruction(tds.root_data, tds.y, tds.z, tds.b, tds.c, tds.d,
+                             tds.w, tuple(2 * v for v in tds.e_c), tds.f_c)
     with pytest.raises(RelationFailure,
                        match=r"sl\(3,R\): \[x,e\] = e, \[x,f\] = -f and "
                              r"\[e,f\] = x do not all hold"):
@@ -405,7 +406,8 @@ def test_section_basis_refuses_a_non_principal_f():
     assert not tp.is_regular(S, f)
     with pytest.raises(ConstructionFailure,
                        match=r"^sl\(3,R\): f is not regular in m\^C$"):
-        tp.section_basis(dataclasses.replace(triple, f=f), dec)
+        tp.section_basis(tp.NormalTriple(triple.tds, triple.e, f, triple.x,
+                                         triple.x_spectrum), dec)
 
 
 def _regular_by_exact_rank(S, x):

@@ -1,6 +1,5 @@
 """The verification runner: a fault in one check never hides the others."""
 
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -135,7 +134,7 @@ def test_a_doctored_table_row_fails_its_check(monkeypatch, form, change,
 
     def doctored(fid):
         S = build(fid)
-        S.table_row = dataclasses.replace(S.table_row, **change)
+        S.table_row = catalog.TableOneEntry(**{**vars(S.table_row), **change})
         return S
 
     monkeypatch.setattr(catalog, "build", doctored)
