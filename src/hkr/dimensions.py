@@ -320,12 +320,7 @@ def sl2_moduli_classify(alpha, d: int, d_L: int) -> str:
 
 class DimensionReport:
     """The dimension figures of one form on one curve; ``to_dict`` gives
-    them in the order of ``FIELDS``, which the CLI's JSON keeps."""
-
-    FIELDS = ("form", "genus", "d_L", "a", "b", "c", "dim_z_m", "dim_z_h",
-              "dim_g_C", "dim_split_C", "num_roots", "num_reduced_restricted",
-              "base_dim", "expected_moduli_dim", "is_split", "is_quasi_split",
-              "hkr_open", "openness_terms")
+    them in the order ``__init__`` sets them, which the CLI's JSON keeps."""
 
     def __init__(self, form: str, genus: int, d_L: int, a: int, b: int,
                  c: int, dim_z_m: int, dim_z_h: int, dim_g_C: int,
@@ -345,7 +340,7 @@ class DimensionReport:
         self.hkr_open, self.openness_terms = hkr_open, openness_terms
 
     def to_dict(self) -> Dict[str, object]:
-        out = {k: getattr(self, k) for k in self.FIELDS}
+        out = dict(vars(self))
         if self.openness_terms is not None:
             out["openness_terms"] = dict(self.openness_terms)
         return out

@@ -258,27 +258,19 @@ def eigen_split(op: Sequence[Sequence], vecs: Sequence[Sequence],
     combined from `vecs`, and solves no further once the pieces fill
     span(vecs).  Returns None if they never do: op is then not
     diagonalizable on the span with its eigenvalues among the candidates.
-    On the unit vectors, in order, op is its own restriction and each
-    kernel vector its own combination, so neither is formed.
     """
     k = len(vecs)
-    units = k == len(op) and all(sparse(v) == {b: ONE}
-                                 for b, v in enumerate(vecs))
-    if units:
-        restricted = [sparse(row) for row in op]
-    else:
-        solve = coords_solver(vecs)
-        if solve is None:
-            raise ConstructionFailure("restriction basis is dependent")
-        columns = list(zip(*op))
-        images = []  # column b: the coordinates of op(vecs[b])
-        for v in vecs:
-            coefs = solve(combine(v, columns))
-            if coefs is None:
-                raise ConstructionFailure("operator does not preserve the "
-                                          "span")
-            images.append(coefs)
-        restricted = [sparse(row) for row in zip(*images)]
+    solve = coords_solver(vecs)
+    if solve is None:
+        raise ConstructionFailure("restriction basis is dependent")
+    columns = list(zip(*op))
+    images = []  # column b: the coordinates of op(vecs[b])
+    for v in vecs:
+        coefs = solve(combine(v, columns))
+        if coefs is None:
+            raise ConstructionFailure("operator does not preserve the span")
+        images.append(coefs)
+    restricted = [sparse(row) for row in zip(*images)]
     out = []
     left = k
     for ev in candidates:
@@ -290,8 +282,7 @@ def eigen_split(op: Sequence[Sequence], vecs: Sequence[Sequence],
                    for r, row in enumerate(restricted)]
         combos = kernel_right(shifted, k)
         if combos:
-            out.append((ev, combos if units else
-                        [combine(c, vecs) for c in combos]))
+            out.append((ev, [combine(c, vecs) for c in combos]))
             left -= len(combos)
     return None if left else out
 
