@@ -197,6 +197,36 @@ def test_build_dimension_table():
         assert (S.dim, S.dim_h, S.dim_m) == expect[S.name], S.name
 
 
+# sha256 of one line per FormId of matrix size <= 12, in _forms_up_to order:
+# its CLI text, display, matrix size and the four fields of its Table 1 row;
+# a refactor of the family facts must leave every one unchanged
+_PINNED_FORM_FACTS = \
+    "b742c2ab2850cf43d62e1dfcd11d6a477900a2f9a009c1fd538efed6b5216c09"
+
+
+def test_form_facts_match_their_pinned_digest():
+    fids = _forms_up_to(12)
+    assert len(fids) == 178
+    digest = hashlib.sha256()
+    for fid in fids:
+        row = catalog.lookup_table1(fid)
+        digest.update(("%s %s %d %s %s %s %s\n" % (
+            catalog.form_cli_text(fid), catalog.form_display(fid),
+            catalog.matrix_size(fid), row.form, row.split_sub,
+            row.restricted_type, row.quasi_split)).encode())
+    assert digest.hexdigest() == _PINNED_FORM_FACTS
+
+
+def test_each_family_has_its_own_display():
+    # a family that the catalog's facts do not branch on would take the
+    # last family's display, and its smallest form would collide with one
+    smallest = {}
+    for fid in _forms_up_to(4):
+        smallest.setdefault(fid.family, catalog.form_display(fid))
+    assert list(smallest) == list(catalog.FAMILIES)
+    assert len(set(smallest.values())) == len(smallest), smallest
+
+
 def test_reference_split_flags():
     split = {"sl(2,R)", "sl(3,R)", "sl(4,R)", "sp(2,R)", "sp(4,R)",
              "sp(6,R)", "so(2,3)", "so(3,3)", "so(2,1)", "so(3,2)"}
