@@ -6,7 +6,10 @@ traces it kills.  One routine turns these equations in X and conj(X) into
 sparse real-linear conditions on the entries and solves them.  The catalog
 only declares and solves: ``RealFormStructure`` builds the theta-adapted
 basis from the solved span and a hand-picked maximal abelian a, and carries
-the form's Table 1 row, the one the analysis chain compares with.  With
+the form's Table 1 row, the one the analysis chain compares with.  A family
+is stated in four places: its CLI prefix, the checks of ``FormId``, one
+branch of ``_family_facts`` (matrix size and Table 1 row, display name
+included) and one of ``_declare`` (the defining data below).  With
 K = diag(I_p, -I_q), J = [[0,-I],[I,0]], S = [[0,I],[I,0]] and W
 antidiagonal with W[i][2n-1-i] = 1 for i < n and -1 for i >= n:
 
@@ -33,9 +36,6 @@ from .algebra import RealFormStructure
 from .errors import InvalidParams, NotInTable, SizeBound, ConstructionFailure
 from .scalars import Scalar, I, parse_int
 
-FAMILIES = ("sl_R", "su_pq", "sp2n_R", "so_pq", "su_star", "sp_pq",
-            "so_star", "sl_C_as_real")
-
 _CLI_PREFIX = {
     "sl_r": "sl_R",
     "su": "su_pq",
@@ -47,42 +47,47 @@ _CLI_PREFIX = {
     "sl_c": "sl_C_as_real",
 }
 _PREFIX_OF = {v: k for k, v in _CLI_PREFIX.items()}
+FAMILIES = tuple(_CLI_PREFIX.values())
 
-_N_FAMILIES = {"sl_R", "sp2n_R", "su_star", "so_star", "sl_C_as_real"}
+# the label and least n of each family with the one parameter n
+_LEAST_N = {"sl_R": ("sl(n,R)", 2), "sp2n_R": ("sp(2n,R)", 1),
+            "su_star": ("su*(2n)", 2), "so_star": ("so*(2n)", 2),
+            "sl_C_as_real": ("sl(n,C)", 2)}
 _PQ_FAMILIES = {"su_pq", "so_pq", "sp_pq"}
 
 DEFAULT_MAX_SIZE = 12
 
 
 class FormId:
-    """A family and its ((name, value), ...) parameters, checked on
+    """A family and its ((name, int), ...) parameters, checked on
     construction; immutable by use, equal and hashed by value."""
 
     def __init__(self, family: str, params: Tuple[Tuple[str, int], ...]):
         self.family, self.params = family, params
-        if self.family not in FAMILIES:
-            raise InvalidParams("unknown family %r" % (self.family,))
-        keys = tuple(k for k, _ in self.params)
-        want = ("n",) if self.family in _N_FAMILIES else ("p", "q")
+        if family not in FAMILIES:
+            raise InvalidParams("unknown family %r" % (family,))
+        if type(params) is not tuple or any(
+                type(kv) is not tuple or len(kv) != 2 for kv in params):
+            raise InvalidParams("family %s needs params ((name, value), ...),"
+                                " got %r" % (family, params))
+        keys = tuple(k for k, _ in params)
+        want = ("n",) if family in _LEAST_N else ("p", "q")
         if keys != want:
             raise InvalidParams("family %s needs params %s, got %s"
-                                % (self.family, want, keys))
-        vals = dict(self.params)
-        if self.family == "sl_R" and vals["n"] < 2:
-            raise InvalidParams("sl(n,R) needs n >= 2")
-        if self.family == "sp2n_R" and vals["n"] < 1:
-            raise InvalidParams("sp(2n,R) needs n >= 1")
-        if self.family == "su_star" and vals["n"] < 2:
-            raise InvalidParams("su*(2n) needs n >= 2")
-        if self.family == "so_star" and vals["n"] < 2:
-            raise InvalidParams("so*(2n) needs n >= 2")
-        if self.family == "sl_C_as_real" and vals["n"] < 2:
-            raise InvalidParams("sl(n,C) needs n >= 2")
-        if self.family in _PQ_FAMILIES:
-            if vals["p"] < 1 or vals["q"] < 1:
-                raise InvalidParams("%s needs p, q >= 1" % self.family)
-            if self.family == "so_pq" and vals["p"] + vals["q"] < 3:
-                raise InvalidParams("so(p,q) needs p + q >= 3")
+                                % (family, want, keys))
+        for k, v in params:
+            if type(v) is not int:
+                raise InvalidParams("parameter %s must be an int, got %r"
+                                    % (k, v))
+        vals = dict(params)
+        if family in _LEAST_N:
+            label, least = _LEAST_N[family]
+            if vals["n"] < least:
+                raise InvalidParams("%s needs n >= %d" % (label, least))
+        elif vals["p"] < 1 or vals["q"] < 1:
+            raise InvalidParams("%s needs p, q >= 1" % family)
+        elif family == "so_pq" and vals["p"] + vals["q"] < 3:
+            raise InvalidParams("so(p,q) needs p + q >= 3")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not FormId:
@@ -110,15 +115,7 @@ class FormId:
 
 def form_id(family: str, **kw: int) -> FormId:
     """The FormId of a family and its parameters, each an int (not a bool)."""
-    order = ("n",) if family in _N_FAMILIES else ("p", "q")
-    if set(kw) != set(order):
-        raise InvalidParams("family %s needs params %s, got %s"
-                            % (family, order, tuple(sorted(kw))))
-    for k in order:
-        if type(kw[k]) is not int:
-            raise InvalidParams("parameter %s must be an int, got %r"
-                                % (k, kw[k]))
-    return FormId(family, tuple((k, kw[k]) for k in order))
+    return FormId(family, tuple(sorted(kw.items())))
 
 
 def parse_form(text: str) -> FormId:
@@ -150,33 +147,11 @@ def form_cli_text(fid: FormId) -> str:
 
 
 def form_display(fid: FormId) -> str:
-    f = fid.family
-    if f == "sl_R":
-        return "sl(%d,R)" % fid.n
-    if f == "su_pq":
-        return "su(%d,%d)" % (fid.p, fid.q)
-    if f == "sp2n_R":
-        return "sp(%d,R)" % (2 * fid.n)
-    if f == "so_pq":
-        return "so(%d,%d)" % (fid.p, fid.q)
-    if f == "su_star":
-        return "su*(%d)" % (2 * fid.n)
-    if f == "sp_pq":
-        return "sp(%d,%d)" % (fid.p, fid.q)
-    if f == "so_star":
-        return "so*(%d)" % (2 * fid.n)
-    return "sl(%d,C)" % fid.n
+    return _family_facts(fid)[1].form
 
 
 def matrix_size(fid: FormId) -> int:
-    f = fid.family
-    if f in ("sl_R",):
-        return fid.n
-    if f in ("su_pq", "so_pq"):
-        return fid.p + fid.q
-    if f in ("sp2n_R", "su_star", "so_star", "sl_C_as_real"):
-        return 2 * fid.n
-    return 2 * (fid.p + fid.q)  # sp_pq
+    return _family_facts(fid)[0]
 
 
 def size_bound() -> int:
@@ -191,68 +166,6 @@ def size_bound() -> int:
     except ValueError:
         pass
     raise InvalidParams("HKR_MAX_DIM must be an integer >= 1, got %r" % raw)
-
-
-# --- reference data (restricted types, split subalgebras, flags) -------------
-
-def reference_restricted_type(fid: FormId) -> str:
-    f = fid.family
-    if f in ("sl_R", "su_star", "sl_C_as_real"):
-        return "A%d" % (fid.n - 1)
-    if f == "sp2n_R":
-        return "C%d" % fid.n
-    if f in ("su_pq", "sp_pq"):
-        r = min(fid.p, fid.q)
-        return "C%d" % r if fid.p == fid.q else "BC%d" % r
-    if f == "so_pq":
-        r = min(fid.p, fid.q)
-        return "D%d" % r if fid.p == fid.q else "B%d" % r
-    # so_star
-    if fid.n % 2 == 0:
-        return "C%d" % (fid.n // 2)
-    return "BC%d" % (fid.n // 2)
-
-
-def reference_split_sub(fid: FormId) -> str:
-    f = fid.family
-    if f in ("sl_R", "sp2n_R"):
-        return form_display(fid)
-    if f in ("su_star", "sl_C_as_real"):
-        return "sl(%d,R)" % fid.n
-    if f in ("su_pq", "sp_pq"):
-        r = min(fid.p, fid.q)
-        if fid.p == fid.q:
-            return "sp(%d,R)" % (2 * r)
-        return "so(%d,%d)" % (r, r + 1)
-    if f == "so_pq":
-        r = min(fid.p, fid.q)
-        if fid.p == fid.q:
-            return "so(%d,%d)" % (r, r)
-        return "so(%d,%d)" % (r, r + 1)
-    # so_star
-    if fid.n % 2 == 0:
-        return "sp(%d,R)" % fid.n
-    r = fid.n // 2
-    return "so(%d,%d)" % (r, r + 1)
-
-
-def reference_is_split(fid: FormId) -> bool:
-    if fid.family == "so_pq":  # the table writes so(r+1,r) as so(r,r+1)
-        return abs(fid.p - fid.q) <= 1
-    return reference_split_sub(fid) == form_display(fid)
-
-
-def reference_quasi_split(fid: FormId) -> bool:
-    if reference_is_split(fid):
-        return True
-    f = fid.family
-    if f == "su_pq":
-        return abs(fid.p - fid.q) <= 1
-    if f == "so_pq":
-        return abs(fid.p - fid.q) == 2
-    if f == "sl_C_as_real":
-        return True
-    return False
 
 
 def algebra_label_dim(label: str) -> int:
@@ -337,16 +250,51 @@ def lookup_table1(form) -> TableOneEntry:
     if isinstance(form, str):
         key = form.replace(" ", "")
         row = _EXCEPTIONAL_TABLE1.get(key)
-        if row is None:
-            try:
-                form = parse_form(form)
-            except InvalidParams:
-                raise NotInTable("no table row for %r" % (key,))
-        else:
+        if row is not None:
             return TableOneEntry(key, *row)
-    return TableOneEntry(form_display(form), reference_split_sub(form),
-                         reference_restricted_type(form),
-                         reference_quasi_split(form))
+        try:
+            form = parse_form(form)
+        except InvalidParams:
+            raise NotInTable("no table row for %r" % (key,))
+    return _family_facts(form)[1]
+
+
+def _family_facts(fid: FormId) -> Tuple[int, TableOneEntry]:
+    """The matrix size of a classical form and its Table 1 row: display
+    name, maximal split subalgebra, restricted type and quasi-splitness."""
+    f = fid.family
+    if f in _PQ_FAMILIES:
+        p, q = fid.p, fid.q
+        r = min(p, q)
+        if f == "so_pq":
+            return p + q, TableOneEntry(
+                "so(%d,%d)" % (p, q), "so(%d,%d)" % (r, r + (p != q)),
+                ("D%d" if p == q else "B%d") % r, abs(p - q) <= 2)
+        # su(p,q) and sp(p,q) share their split subalgebra and type
+        split, restricted = (("sp(%d,R)" % (2 * r), "C%d" % r) if p == q else
+                             ("so(%d,%d)" % (r, r + 1), "BC%d" % r))
+        if f == "su_pq":
+            return p + q, TableOneEntry("su(%d,%d)" % (p, q), split,
+                                        restricted, abs(p - q) <= 1)
+        return 2 * (p + q), TableOneEntry("sp(%d,%d)" % (p, q), split,
+                                          restricted, False)
+    n, h = fid.n, fid.n // 2
+    if f == "sl_R":
+        form = "sl(%d,R)" % n
+        return n, TableOneEntry(form, form, "A%d" % (n - 1), True)
+    if f == "sp2n_R":
+        form = "sp(%d,R)" % (2 * n)
+        return 2 * n, TableOneEntry(form, form, "C%d" % n, True)
+    if f == "su_star":
+        return 2 * n, TableOneEntry("su*(%d)" % (2 * n), "sl(%d,R)" % n,
+                                    "A%d" % (n - 1), False)
+    if f == "so_star":
+        split, restricted = (("so(%d,%d)" % (h, h + 1), "BC%d" % h) if n % 2
+                             else ("sp(%d,R)" % n, "C%d" % h))
+        return 2 * n, TableOneEntry("so*(%d)" % (2 * n), split, restricted,
+                                    False)
+    return 2 * n, TableOneEntry("sl(%d,C)" % n, "sl(%d,R)" % n,
+                                "A%d" % (n - 1), True)
 
 
 def exceptional_labels() -> List[str]:
@@ -473,7 +421,7 @@ def _solve(n: int, equations, traces) -> List[Dict[Tuple[int, int], Scalar]]:
 
 def build(fid: FormId) -> RealFormStructure:
     """Construct the real form as a validated RealFormStructure."""
-    n = matrix_size(fid)
+    n, row = _family_facts(fid)
     bound = size_bound()
     if n > bound:
         raise SizeBound("matrix size %d exceeds bound %d (set HKR_MAX_DIM to raise)"
@@ -482,6 +430,5 @@ def build(fid: FormId) -> RealFormStructure:
     span = _solve(n, equations, traces)
     if len(span) != expect_dim:
         raise ConstructionFailure("%s: condition kernel has dim %d, expected %d"
-                                  % (form_display(fid), len(span), expect_dim))
-    return RealFormStructure(form_display(fid), n, span, a_mats,
-                             lookup_table1(fid))
+                                  % (row.form, len(span), expect_dim))
+    return RealFormStructure(row.form, n, span, a_mats, row)

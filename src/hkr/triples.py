@@ -625,18 +625,10 @@ _DISPLAY_Y10_1 = (
 )
 
 # the (0 1)(3 4)(5 6)(8 9) row/column exchange of _DISPLAY_Y10_1
-_DISPLAY_Y10_2 = (
-    (0, -1, 0, 1, 0, 0, 1, 0, 1, 0),
-    (1, 0, 1, 0, 1, -1, 0, -1, 0, -1),
-    (0, -1, 0, 1, 0, 0, 1, 0, 1, 0),
-    (-1, 0, -1, 0, -1, -1, 0, -1, 0, -1),
-    (0, -1, 0, 1, 0, 0, 1, 0, 1, 0),
-    (0, -1, 0, -1, 0, 0, -1, 0, 1, 0),
-    (1, 0, 1, 0, 1, 1, 0, 1, 0, 1),
-    (0, -1, 0, -1, 0, 0, -1, 0, 1, 0),
-    (1, 0, 1, 0, 1, -1, 0, -1, 0, -1),
-    (0, -1, 0, -1, 0, 0, -1, 0, 1, 0),
-)
+_SWAP10 = (1, 0, 2, 4, 3, 6, 5, 7, 9, 8)
+_DISPLAY_Y10_2 = tuple(tuple(_DISPLAY_Y10_1[r][c] for c in _SWAP10)
+                       for r in _SWAP10)
+
 
 def _int_matrix(rows) -> la.Mat:
     return tuple(tuple(Scalar.of(v) for v in row) for row in rows)

@@ -215,8 +215,8 @@ def test_criterion_04_module_identities():
             assert an.quasi_split, S.name
         if S.name in quasi_false:
             assert not an.quasi_split, S.name
-        assert an.quasi_split == catalog.reference_quasi_split(
-            fids[S.name]), S.name
+        assert an.quasi_split == catalog.lookup_table1(
+            fids[S.name]).quasi_split, S.name
 
 
 @criterion(5)
@@ -286,7 +286,7 @@ def test_criterion_09_fiber_match_and_injectivity():
         # the type letter comes from the reference table; the computed
         # diagram for the one D-type entry collapses to A3, but its cubic
         # invariant is a Pfaffian rather than a charpoly coefficient
-        label = catalog.reference_restricted_type(fids[S.name])
+        label = catalog.lookup_table1(fids[S.name]).restricted_type
         letter = "".join(ch for ch in label if ch.isalpha())
         if letter not in ("A", "B", "C", "BC"):
             assert not vf.fiber_match_supported(S), S.name

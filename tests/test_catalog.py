@@ -84,6 +84,15 @@ def test_form_id_takes_only_ints(value):
         catalog.form_id("sl_R", n=value)
 
 
+@pytest.mark.parametrize("family, params", [
+    ("sl_R", (("n", "3"),)), ("sl_R", "n=3"), ("sl_R", (("n", 3.0),)),
+    ("su_pq", (("p", 1.5), ("q", 2))), ("sl_R", [("n", 3)])])
+def test_form_id_rejects_malformed_params(family, params):
+    # each would have built a FormId that fails later, or no typed error
+    with pytest.raises(InvalidParams):
+        catalog.FormId(family, params)
+
+
 def test_integers_are_ascii_digits(monkeypatch):
     # int() would read each of these; the form syntax and HKR_MAX_DIM do not
     for bad in ("sl_r:n=1_0", "sl_r:n=\u0663", "sl_r:n=+3", "sl_r:n=-3"):
@@ -233,9 +242,11 @@ def test_reference_split_flags():
     extra = [catalog.form_id("so_pq", p=p, q=q) for p, q in ((2, 1), (3, 2))]
     for fid in catalog.standard_forms() + extra:
         name = catalog.form_display(fid)
-        assert catalog.reference_is_split(fid) == (name in split), name
-        if catalog.reference_is_split(fid):
-            assert catalog.reference_quasi_split(fid)
+        row = catalog.lookup_table1(fid)
+        is_split = catalog.build(fid).dim == row.split_dim
+        assert is_split == (name in split), name
+        if is_split:
+            assert row.quasi_split
 
 
 def test_reference_restricted_types():
@@ -250,15 +261,15 @@ def test_reference_restricted_types():
         "sl(2,C)": "A1",
     }
     for fid in catalog.standard_forms():
-        assert catalog.reference_restricted_type(fid) == \
+        assert catalog.lookup_table1(fid).restricted_type == \
             cases[catalog.form_display(fid)]
 
 
 def test_reference_reduced_types():
     # BC_r reduces to B_r; reduced systems elsewhere match the full ones
     for fid in catalog.standard_forms():
-        full = catalog.reference_restricted_type(fid)
-        reduced = catalog.lookup_table1(fid).reduced_type
+        row = catalog.lookup_table1(fid)
+        full, reduced = row.restricted_type, row.reduced_type
         if full.startswith("BC"):
             assert reduced == "B" + full[2:]
         else:

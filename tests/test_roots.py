@@ -12,8 +12,7 @@ from hkr import linalg as la
 from hkr import roots as rt
 from hkr.catalog import (build, form_id, standard_forms, form_display,
                          form_cli_text, parse_form, lookup_table1,
-                         algebra_label_dim,
-                         reference_restricted_type)
+                         algebra_label_dim)
 from hkr.errors import (ConstructionFailure, NonRationalSpectrum,
                         UnrecognizedDiagram)
 from hkr.scalars import I, Scalar
@@ -70,12 +69,12 @@ def test_classification_matches_reference_for_all_forms():
     for fid in standard_forms():
         data = rt.restricted_roots(build(fid))
         lam, red = rt.classify_type(data)
-        assert rt.type_equivalent(lam, reference_restricted_type(fid)), \
+        assert rt.type_equivalent(lam, lookup_table1(fid).restricted_type), \
             form_display(fid)
         assert rt.type_equivalent(red, lookup_table1(fid).reduced_type), \
             form_display(fid)
         # the rank is the one the table's type carries
-        want = int(reference_restricted_type(fid).lstrip("ABCD"))
+        want = int(lookup_table1(fid).restricted_type.lstrip("ABCD"))
         assert data.structure.rank_a == want
 
 
@@ -762,7 +761,7 @@ def test_stretch_form_matches_table(form):
     an = dm.analyze(S)
     row = lookup_table1(fid)
     lam_label, _ = rt.classify_type(an.root_data)
-    assert rt.type_equivalent(lam_label, reference_restricted_type(fid))
+    assert rt.type_equivalent(lam_label, row.restricted_type)
     assert an.split_sub.table_label == row.split_sub
     assert an.split_sub.dim == algebra_label_dim(row.split_sub)
     assert an.quasi_split == row.quasi_split
