@@ -404,22 +404,32 @@ class RealFormStructure:
             elements, [self.unit_coords(i) for i in range(self.dim)])
 
     def generate_subalgebra(
-            self, gens: Sequence[Tuple[tuple, Sequence[Scalar]]]
+            self, gens: Sequence[Tuple[tuple, Sequence[Scalar]]],
+            bounds: Optional[Dict[tuple, int]] = None
     ) -> Dict[tuple, la.Subspace]:
         """Smallest bracket-closed subspace containing the generators, graded
         by weight.
 
-        Each generator comes as (weight, vector), the weight a tuple of
-        Fractions.  The closure is spanned by the iterated brackets
-        [g_1, [g_2, ..., g_k]] of generators: their span is stable under
-        each ad(g_i), so by the Jacobi identity under ad of its own
-        elements.  The bracket of vectors of weights alpha and beta has
-        weight alpha + beta, so the closure is the direct sum of one
-        reduced-echelon ``Subspace`` per weight, returned as a
-        {weight: Subspace} dict.  One weight for every generator, such as
-        (), gives the ungraded closure.  Raises ConstructionFailure once the
-        pieces add up to more than dim g^C, which a generator given the
-        wrong weight brings about: the closure would never end.
+        Each generator comes as (weight, vector), the weight a tuple of exact
+        rationals (ints when integral, else Fractions).  The closure is
+        spanned by the iterated brackets [g_1, [g_2, ..., g_k]] of
+        generators: their span is stable under each ad(g_i), so by the
+        Jacobi identity under ad of its own elements.  The bracket of
+        vectors of weights alpha and beta has weight alpha + beta, so the
+        closure is the direct sum of one reduced-echelon ``Subspace`` per
+        weight, returned as a {weight: Subspace} dict.  One weight for every
+        generator, such as (), gives the ungraded closure.  Raises
+        ConstructionFailure once the pieces add up to more than dim g^C,
+        which a generator given the wrong weight brings about: the closure
+        would never end.
+
+        `bounds`, when given, maps each weight of g^C to its dimension
+        there, and a bracket is skipped before it is formed when its weight
+        is not a key or its piece has reached the bound.  Nothing is lost:
+        a bracket of weight vectors lies in g^C at the sum of their weights,
+        which is 0 off the keys, and a piece at its bound is all of g^C at
+        its weight.  ``restricted_roots`` returns only once its pieces fill
+        g, so its labels, and 0 for c_g(a), give such bounds.
         """
         spaces: Dict[tuple, la.Subspace] = {}
         frontier = []
@@ -436,11 +446,14 @@ class RealFormStructure:
             new_vecs = []
             for wg, g in sources:
                 for wu, u in frontier:
+                    wt = tuple(a + b for a, b in zip(wg, wu))
+                    space = spaces.get(wt)
+                    if bounds is not None and bounds.get(wt, 0) <= (
+                            0 if space is None else space.dim):
+                        continue
                     w = self._bracket(g, u)
                     if not w:
                         continue
-                    wt = tuple(a + b for a, b in zip(wg, wu))
-                    space = spaces.get(wt)
                     if space is None:
                         # a dense first row makes every row full length
                         space = spaces[wt] = la.Subspace(

@@ -481,23 +481,25 @@ def _integer_root(ints: List[int]) -> Optional[Tuple[int, int]]:
     return None
 
 
-def rational_roots(poly: Sequence[Fraction]) -> Optional[List[Fraction]]:
+def rational_roots(poly: Sequence) -> Optional[list]:
     """All roots with multiplicity if the polynomial splits over Q, else None.
 
-    `poly` lists coefficients c_0..c_n of sum c_k t^k.  The zero roots come
-    first; the rest are found on the primitive integer multiple of the
-    polynomial, which is deflated by (q t - p) for each root p/q in lowest
-    terms: by Gauss's lemma the quotient is again a primitive integer
-    polynomial.
+    `poly` lists coefficients c_0..c_n of sum c_k t^k, as ints or
+    Fractions.  Each root is an exact rational: an int when it is integral,
+    else a Fraction, so the root labels and spectra built from them stay on
+    ints.  The zero roots come first; the rest are found on the primitive
+    integer multiple of the polynomial, which is deflated by (q t - p) for
+    each root p/q in lowest terms: by Gauss's lemma the quotient is again a
+    primitive integer polynomial.
     """
-    coeffs = [Fraction(c) for c in poly]
+    coeffs = list(poly)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if not coeffs:
         raise ValueError("zero polynomial")
-    roots: List[Fraction] = []
+    roots: list = []
     while len(coeffs) > 1 and not coeffs[0]:
-        roots.append(Fraction(0))
+        roots.append(0)
         coeffs.pop(0)
     den = 1
     for c in coeffs:
@@ -512,7 +514,7 @@ def rational_roots(poly: Sequence[Fraction]) -> Optional[List[Fraction]]:
         if found is None:
             return None
         p, q = found
-        roots.append(Fraction(p, q))
+        roots.append(p if q == 1 else Fraction(p, q))
         # synthetic division by (q t - p), from the leading coefficient down;
         # p/q is an exact root, so by Gauss's lemma it leaves no remainder
         quot = [0] * (len(ints) - 1)

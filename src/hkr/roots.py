@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from . import linalg as la
 from .algebra import RealFormStructure
@@ -38,14 +38,17 @@ from .errors import (ConstructionFailure, NonRationalSpectrum,
 
 _F0 = Fraction(0)
 
-RootLabel = Tuple[Fraction, ...]
+# exact rationals: int when integral, else Fraction (as la.rational_roots
+# returns them), so the labels of every catalog form are tuples of ints
+Rational = Union[int, Fraction]
+RootLabel = Tuple[Rational, ...]
 
 
 def rational_spectrum(structure: RealFormStructure, coords: Sequence
-                      ) -> List[Fraction]:
+                      ) -> List[Rational]:
     """The distinct eigenvalues on C^n of the element with coordinates
-    `coords`, sorted.  Raises NonRationalSpectrum unless the n x n charpoly
-    splits over Q."""
+    `coords`, sorted, each an int when integral, else a Fraction.  Raises
+    NonRationalSpectrum unless the n x n charpoly splits over Q."""
     m = structure.matrix_of(coords)
     try:
         mus = la.rational_roots([c.as_fraction() for c in la.charpoly(m)])
@@ -58,7 +61,7 @@ def rational_spectrum(structure: RealFormStructure, coords: Sequence
 
 
 def ad_spectrum_candidates(structure: RealFormStructure, coords: Sequence
-                           ) -> List[Fraction]:
+                           ) -> List[Rational]:
     """The differences mu_j - mu_k of the eigenvalues of X on C^n, sorted.
 
     X is the element with coordinates `coords`.  ad(X) on gl(n, C) has
@@ -71,8 +74,10 @@ def ad_spectrum_candidates(structure: RealFormStructure, coords: Sequence
     return eigenvalue_differences(rational_spectrum(structure, coords))
 
 
-def eigenvalue_differences(mus: Sequence[Fraction]) -> List[Fraction]:
-    """The differences mu_j - mu_k of the eigenvalues mus, sorted."""
+def eigenvalue_differences(mus: Sequence[Rational]) -> List[Rational]:
+    """The distinct differences mu_j - mu_k of the eigenvalues mus, sorted.
+    They are ints wherever the mus are, as ``rational_spectrum`` gives them
+    on every catalog form."""
     return sorted({a - b for a in mus for b in mus})
 
 
@@ -187,14 +192,10 @@ def positive_roots(data: RestrictedRootData) -> List[RootLabel]:
 
 
 def reduced_system(data: RestrictedRootData) -> List[RootLabel]:
-    """Roots lam with lam/2 not a root (the system of the split subalgebra)."""
-    all_roots = set(data.root_spaces)
-    out = []
-    for lam in all_roots:
-        half = tuple(v / 2 for v in lam)
-        if half not in all_roots:
-            out.append(lam)
-    return sorted(out)
+    """Roots lam with lam/2 not a root (the system of the split subalgebra):
+    those outside {2 mu : mu a root}, so no label is halved."""
+    doubled = {tuple(2 * v for v in mu) for mu in data.root_spaces}
+    return sorted(lam for lam in data.root_spaces if lam not in doubled)
 
 
 def is_nonreduced(data: RestrictedRootData) -> bool:
@@ -226,12 +227,14 @@ class RootPairing:
         return sum((lv * dv for lv, dv in zip(lam, self.dual(mu))), _F0)
 
 
-def cartan_matrix(simples: List[RootLabel], pair) -> List[List[Fraction]]:
-    """Entries n_ij = 2 (a_i, a_j) / (a_j, a_j); must be integral.  The
-    form is symmetric, so each unordered pair is evaluated once."""
+def cartan_matrix(simples: List[RootLabel], pair) -> List[List[int]]:
+    """Entries n_ij = 2 (a_i, a_j) / (a_j, a_j); must be integral, and each
+    is kept as an int.  The form is symmetric, so each unordered pair is
+    evaluated once; the quotient is taken in Fractions, whatever exact
+    rationals `pair` returns."""
     r = len(simples)
     gram = [[_F0] * r for _ in range(r)]
-    out = [[_F0] * r for _ in range(r)]
+    out = [[0] * r for _ in range(r)]
     for j in range(r):
         for i in range(j, r):
             gram[i][j] = gram[j][i] = pair(simples[i], simples[j])
@@ -239,16 +242,16 @@ def cartan_matrix(simples: List[RootLabel], pair) -> List[List[Fraction]]:
         if dj <= 0:
             raise ConstructionFailure("simple root with nonpositive norm")
         for i in range(r):
-            v = 2 * gram[i][j] / dj
+            v = Fraction(2 * gram[i][j]) / dj
             if v.denominator != 1:
                 raise UnrecognizedDiagram("non-integral Cartan matrix entry %s" % v)
-            out[i][j] = v
+            out[i][j] = v.numerator
     return out
 
 
 # --- classification by root count --------------------------------------------
 
-def _reflection_closure(cart: List[List[Fraction]]):
+def _reflection_closure(cart: List[List[int]]):
     """(roots, perms, pairings) of a Cartan matrix: every image of the
     simples under the reflections s_i(b) = b - <b, a_i^v> a_i, in simple-root
     coordinates, simples first; perms[i][k] is the index of s_i(roots[k])
@@ -266,7 +269,7 @@ def _reflection_closure(cart: List[List[Fraction]]):
     without end, and is refused here.
     """
     r = len(cart)
-    coroots = [[int(cart[j][i]) for j in range(r)] for i in range(r)]
+    coroots = [[cart[j][i] for j in range(r)] for i in range(r)]
     roots = [tuple(int(x == j) for x in range(r)) for j in range(r)]
     index = {b: k for k, b in enumerate(roots)}
     perms: List[List[int]] = [[] for _ in range(r)]

@@ -31,7 +31,8 @@ from .scalars import (I, NotReducible, ONE, Reduction, Scalar, ZERO,
 
 
 def _scale(c, vec):
-    return tuple(v * c for v in vec)
+    """c vec; a ZERO entry stays ZERO without a multiplication."""
+    return tuple(v if v is ZERO else v * c for v in vec)
 
 
 def _add(u, v):
@@ -155,11 +156,11 @@ def build_tds(root_data: rt.RestrictedRootData) -> TdsConstruction:
 
 class NormalTriple:
     """The triple (e, f, x) of a TDS; `x_spectrum` lists the eigenvalues of
-    x on C^n, sorted."""
+    x on C^n, sorted, each an int when integral, else a Fraction."""
 
     def __init__(self, tds: TdsConstruction, e: Tuple[Scalar, ...],
                  f: Tuple[Scalar, ...], x: Tuple[Scalar, ...],
-                 x_spectrum: List[Fraction]):
+                 x_spectrum: List[rt.Rational]):
         self.tds, self.e, self.f, self.x = tds, e, f, x
         self.x_spectrum = x_spectrum
 
@@ -233,18 +234,21 @@ def maximal_split_subalgebra(tds: TdsConstruction) -> SplitSubalgebra:
     asserted by one bracket per a-unit, so the graded closure
     (``generate_subalgebra``) is the ad(a)-grading of the subalgebra: its
     nonzero pieces are the root spaces and its zero piece the centralizer
-    of a, with no second eigenspace split.  Proved, so not checked:
+    of a, with no second eigenspace split.  The closure is bounded by g's
+    own grading, the size of each root space and of c_g(a), so it forms no
+    bracket whose weight is not one of g or whose piece is already full.
+    Proved, so not checked:
     - theta-stability: z_i = 2 theta y_i/(|lambda_i|^2 b_i), so theta swaps
       the lines of y_i and z_i, and as an automorphism keeps their closure;
     - its reduced type is ``root_data.types[1]``: once its roots are the
       reduced system, its simple roots are those of the full system.
     """
-    S = tds.structure
+    S, rd = tds.structure, tds.root_data
     r = S.rank_a
     a_units = [S.unit_coords(i) for i in S.a_indices]
     zero = (0,) * r
     named = []
-    for i, lam in enumerate(tds.root_data.simples):
+    for i, lam in enumerate(rd.simples):
         named.append(("y_%d" % (i + 1), lam, tds.y[i]))
         named.append(("z_%d" % (i + 1), tuple(-v for v in lam), tds.z[i]))
     # each generator has its weight: [a_j, v] = weight_j v
@@ -255,7 +259,9 @@ def maximal_split_subalgebra(tds: TdsConstruction) -> SplitSubalgebra:
                     "%s: split subalgebra generator %s is not of weight (%s)"
                     % (S.name, name, ", ".join(str(x) for x in wt)))
     gens = [(wt, v) for _, wt, v in named]
-    pieces = S.generate_subalgebra(gens)
+    bounds = {lam: len(vecs) for lam, vecs in rd.root_spaces.items()}
+    bounds[zero] = len(rd.centralizer)
+    pieces = S.generate_subalgebra(gens, bounds)
     space = la.Subspace([row for piece in pieces.values()
                          for row in piece.rows])
 
@@ -264,7 +270,7 @@ def maximal_split_subalgebra(tds: TdsConstruction) -> SplitSubalgebra:
     # piece is its centralizer of a
     centralizer = pieces[zero].rows
     roots = {wt: piece for wt, piece in pieces.items() if wt != zero}
-    if set(roots) != set(rt.reduced_system(tds.root_data)):
+    if set(roots) != set(rt.reduced_system(rd)):
         raise ConstructionFailure("%s: split subalgebra roots differ from the "
                                   "reduced system" % S.name)
     if any(piece.dim != 1 for piece in roots.values()):
@@ -277,12 +283,12 @@ def maximal_split_subalgebra(tds: TdsConstruction) -> SplitSubalgebra:
     # z(ghat) = z(g) meet m; by the Jacobi identity whatever commutes with
     # the generators commutes with the subalgebra they generate, and it
     # commutes with a in ghat, so it lies in the zero weight piece
-    z_g, z_h, z_m = tds.root_data.center_dims
+    z_g, z_h, z_m = rd.center_dims
     z_sub = len(S.centralizer_in_span([v for _, v in gens], centralizer))
     if z_sub != z_m:
         raise MismatchWithTable("%s: z(split sub) = %d but z(g) meet m = %d"
                                 % (S.name, z_sub, z_m))
-    sub_type = tds.root_data.types[1]
+    sub_type = rd.types[1]
 
     row = S.reference_row()
     if space.dim != row.split_dim:

@@ -85,11 +85,11 @@ def _text(v):
     return str(v)
 
 
-def stage_outputs(an):
-    """What each stage of one analysis outputs, as canonical text."""
+def stage_values(an):
+    """What each stage of one analysis outputs."""
     rd, tds, triple, dec, sec = (an.root_data, an.tds, an.triple,
                                  an.decomposition, an.section)
-    return _text([
+    return [
         sorted(rd.root_spaces.items()), rd.centralizer, rd.h_centralizer,
         [tds.y, tds.z, tds.b, tds.c, tds.d, tds.w],
         [triple.e, triple.f, triple.x, triple.x_spectrum],
@@ -97,7 +97,12 @@ def stage_outputs(an):
         [[bl.m, bl.vector, bl.location] for bl in dec.blocks],
         [dec.a, dec.b, dec.c, dec.dim_z, dec.dim_z_h, dec.dim_z_m],
         [sec.f, sec.e_list, sec.degrees, sec.central],
-    ])
+    ]
+
+
+def stage_outputs(an):
+    """What each stage of one analysis outputs, as canonical text."""
+    return _text(stage_values(an))
 
 
 # sha256 of the stage outputs of the 19 catalog forms, in catalog order; a
@@ -111,6 +116,50 @@ def test_stage_outputs_match_their_pinned_digest():
             for name in map(catalog.form_display, catalog.standard_forms())]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == _PINNED_STAGES
+
+
+# the leaf types of an exact output; a float is none of them
+EXACT_LEAVES = (int, Fraction, Scalar, str, type(None))
+
+
+def inexact_leaves(v, path="out"):
+    """(path, value) of each leaf of the nested lists, tuples and dicts v
+    whose type is not exact, such as a float."""
+    if isinstance(v, dict):
+        v = list(v.items())
+    if isinstance(v, (list, tuple)):
+        return [bad for k, x in enumerate(v)
+                for bad in inexact_leaves(x, "%s[%d]" % (path, k))]
+    return [] if isinstance(v, EXACT_LEAVES) else [(path, v)]
+
+
+def test_no_output_holds_a_float():
+    # exact arithmetic throughout: no stage output, root-layer value, lemma
+    # report or Molien oracle value is a float; and root labels, spectra
+    # and Cartan integers are ints when integral, so a slide back to
+    # integral Fractions (the slow path) shows here
+    assert inexact_leaves([1, (Fraction(1, 2), {"k": 0.5})]) == [
+        ("out[1][1][0][1]", 0.5)]
+    for name, an in analyses().items():
+        rd, pair = an.root_data, an.root_data.pairing
+        labels = list(rd.root_spaces) + rt.reduced_system(rd) + rd.simples
+        cart = rt.cartan_matrix(rd.simples, pair)
+        values = [stage_values(an), labels, an.triple.x_spectrum, cart,
+                  [[pair(a, b) for b in rd.simples] for a in rd.simples],
+                  an.tds.b, an.tds.c]
+        assert inexact_leaves(values) == [], name
+        assert all(type(v) is int for lam in labels + [an.triple.x_spectrum]
+                   for v in lam if v.denominator == 1), name
+        assert all(type(v) is int for row in cart for v in row), name
+    so10 = dm.analyze(catalog.build(catalog.form_id("so_star", n=5)))
+    assert inexact_leaves(vars(tp.so_star_lemma_report(so10.triple))) == []
+    for label in vf._ORACLE_LABELS:
+        simples, pair = rt.abstract_simple_system(label)
+        wg = rt.weyl_group(simples, pair)
+        values = [rt.cartan_matrix(simples, pair), wg.classes,
+                  rt.molien_series(wg, 4 * len(simples) + 6),
+                  rt.molien_degrees(wg, len(simples))]
+        assert inexact_leaves(values) == [], label
 
 
 @criterion(1)

@@ -402,3 +402,43 @@ def test_importing_the_package_loads_no_code_generator():
                              "hkr.verify, hkr.cli")
     assert "hkr.cli" in loaded
     assert {"dataclasses", "inspect"} & (loaded - bare) == set()
+
+
+# The library computes in exact arithmetic only.  The one place a float may
+# appear is the wall-clock timing of a verify row: its ``CheckResult`` and
+# ``_run``, which reads ``time.perf_counter``.
+FLOAT_ALLOWED = {("verify", "CheckResult"), ("verify", "_run")}
+
+
+def float_uses(source: str):
+    """(line, top-level definition, text) of each float or complex literal
+    and each call of ``float``; module-level statements have the name ''."""
+    tree = ast.parse(source)
+    out = []
+    for top in tree.body:
+        owner = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Constant)
+                    and isinstance(node.value, (float, complex))):
+                out.append((node.lineno, owner, repr(node.value)))
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                out.append((node.lineno, owner, "float()"))
+    return sorted(out)
+
+
+def test_the_scan_finds_a_float_literal():
+    source = ("HALF = 0.5\n"
+              "def f(x: float = 1, y='2.5'):\n    return float(x) / 2\n"
+              "class C:\n    def g(self):\n"
+              "        return 1e3, 2j, math.floor(3)\n")
+    assert float_uses(source) == [(1, "", "0.5"), (3, "f", "float()"),
+                                  (6, "C", "1000.0"), (6, "C", "2j")]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_computes_with_floats(path):
+    assert [use for use in float_uses(path.read_text())
+            if (path.stem, use[1]) not in FLOAT_ALLOWED] == []

@@ -198,6 +198,37 @@ def test_split_sub_weight_pieces_are_its_meets_with_the_root_spaces(form):
         == ghat
 
 
+def test_bounded_closure_skips_only_brackets_it_can_do_without():
+    # bounded by g's grading, the closure forms no more brackets on any
+    # catalog form, fewer over the catalog, and gives the same pieces, row
+    # for row, as the unbounded one
+    counts = []
+    for fid in catalog.standard_forms():
+        S = build(fid)
+        tds = tp.build_tds(rt.restricted_roots(S))
+        rd = tds.root_data
+        gens = list(zip(rd.simples, tds.y))
+        gens += [(tuple(-v for v in lam), z)
+                 for lam, z in zip(rd.simples, tds.z)]
+        bounds = {lam: len(vecs) for lam, vecs in rd.root_spaces.items()}
+        bounds[(0,) * S.rank_a] = len(rd.centralizer)
+        formed = []
+        bracket = S._bracket
+        S._bracket = lambda u, v: formed.append(1) or bracket(u, v)
+        try:
+            free = S.generate_subalgebra(gens)
+            n_free = len(formed)
+            bounded = S.generate_subalgebra(gens, bounds)
+        finally:
+            del S._bracket
+        counts.append((n_free, len(formed) - n_free))
+        assert counts[-1][1] <= n_free, S.name
+        assert {wt: p.rows for wt, p in bounded.items()} \
+            == {wt: p.rows for wt, p in free.items()}, S.name
+    assert counts[0] == (6, 1)  # sl(2,R): [y, z] alone
+    assert sum(b for _, b in counts) < sum(f for f, _ in counts)
+
+
 def _tds_with_a_shifted_y_1():
     """su(2,2) with y_1 plus a vector of another root space, which is not of
     weight lambda_1."""
@@ -583,14 +614,21 @@ def test_so_star10_lemma_report():
 
 
 def test_second_so_star10_display_is_the_exchange_of_the_first():
-    # the (0 1)(3 4)(5 6)(8 9) row/column exchange of the first display
-    perm = list(range(10))
-    for i, j in ((0, 1), (3, 4), (5, 6), (8, 9)):
-        perm[i], perm[j] = perm[j], perm[i]
-    y1 = tp._DISPLAY_Y10_1
-    assert tp._DISPLAY_Y10_2 == tuple(
-        tuple(y1[perm[r]][perm[c]] for c in range(10)) for r in range(10))
-    assert tp._DISPLAY_Y10_2 != y1
+    # the second displayed 10x10 eigenvector, typed from the paper: the
+    # exchange that builds it from the first display must give this matrix
+    assert tp._DISPLAY_Y10_2 == (
+        (0, -1, 0, 1, 0, 0, 1, 0, 1, 0),
+        (1, 0, 1, 0, 1, -1, 0, -1, 0, -1),
+        (0, -1, 0, 1, 0, 0, 1, 0, 1, 0),
+        (-1, 0, -1, 0, -1, -1, 0, -1, 0, -1),
+        (0, -1, 0, 1, 0, 0, 1, 0, 1, 0),
+        (0, -1, 0, -1, 0, 0, -1, 0, 1, 0),
+        (1, 0, 1, 0, 1, 1, 0, 1, 0, 1),
+        (0, -1, 0, -1, 0, 0, -1, 0, 1, 0),
+        (1, 0, 1, 0, 1, -1, 0, -1, 0, -1),
+        (0, -1, 0, -1, 0, 0, -1, 0, 1, 0),
+    )
+    assert tp._DISPLAY_Y10_2 != tp._DISPLAY_Y10_1
 
 
 def test_so_star_lemma_rejects_other_ranks():
