@@ -91,8 +91,8 @@ class RealFormStructure:
     construction.  For a real form h^C and m^C meet only in 0, so this keeps
     the same vectors as drawing each half on its own; a span that theta does
     not preserve, or that meets i times itself, loses dimensions in the
-    split and is refused.  `table_row` is the ``catalog.TableOneEntry`` the
-    analysis compares with.
+    split, and an a outside g^C adds one, so both are refused.  `table_row`
+    is the ``catalog.TableOneEntry`` the analysis compares with.
     """
 
     def __init__(self, name: str, n: int,
@@ -162,19 +162,16 @@ class RealFormStructure:
             if not drawn.add(_flat(a, n)):
                 raise ConstructionFailure("%s: a-basis element %d is dependent"
                                           % (self.name, i))
-        m_span = la.Subspace()
+            if theta_entries(a) != {k: -e for k, e in a.items()}:
+                raise ConstructionFailure("%s: a-basis element %d is not in m"
+                                          % (self.name, i))
         h_list, m_rest = [], []
         for x in span:
             xh, xm = _theta_halves(_entries(x))
             if drawn.add(_flat(xh, n)):
                 h_list.append(xh)
-            xm_flat = _flat(xm, n)
-            if m_span.add(xm_flat) and drawn.add(xm_flat):
+            if drawn.add(_flat(xm, n)):
                 m_rest.append(xm)
-        for i, a in enumerate(a_list):
-            if not m_span.contains(_flat(a, n)):
-                raise ConstructionFailure("%s: a-basis element %d is not in m"
-                                          % (self.name, i))
         if len(h_list) + len(a_list) + len(m_rest) != len(span):
             raise ConstructionFailure("%s: theta split lost dimensions" % self.name)
         return h_list, a_list, m_rest
@@ -314,8 +311,8 @@ class RealFormStructure:
 
     def ad_frac(self, i: int) -> List[List[Scalar]]:
         """Matrix of ad(basis[i]) on coordinates: row k, column j holds the
-        coefficient of basis[k] in [basis[i], basis[j]].  The name predates
-        the one field and stays because bench/tracer.py wraps it."""
+        coefficient of basis[k] in [basis[i], basis[j]].  It has no caller
+        in src; the name stays only because bench/tracer.py wraps it."""
         return self.ad_matrix(self.unit_coords(i))
 
     def ad_matrix(self, u: Sequence) -> List[list]:
@@ -429,7 +426,9 @@ class RealFormStructure:
         a bracket of weight vectors lies in g^C at the sum of their weights,
         which is 0 off the keys, and a piece at its bound is all of g^C at
         its weight.  ``restricted_roots`` returns only once its pieces fill
-        g, so its labels, and 0 for c_g(a), give such bounds.
+        g, so its labels, and 0 for c_g(a), give such bounds.  Without
+        `bounds`, a path no library caller takes, every bracket is formed:
+        it stays as the reference the tests compare the bounded closure with.
         """
         spaces: Dict[tuple, la.Subspace] = {}
         frontier = []

@@ -20,8 +20,8 @@ The shared idioms the other modules build on, each written once here:
   None outside its span (a ``Subspace`` of the vectors beside unit vectors
   placed past the last nonzero index of any of them);
 - ``combine``: the linear combination sum_i c_i v_i;
-- ``eigen_split``: eigenspaces of an operator on a span it preserves, for a
-  list of candidate eigenvalues, or None unless they fill the span;
+- ``eigen_split``: eigenspaces of an operator, given by its images of a
+  span it preserves, for candidate eigenvalues, or None unless they fill it;
 - ``kernel_right`` / ``solve_right``: null space and one solution of M x = b;
 - ``rank_det_mod``: rank and determinant mod a prime p, the one elimination
   of the modular certificates (a rank mod p is at most the exact rank);
@@ -246,31 +246,32 @@ def combine(coeffs: Sequence, vecs: Sequence[Sequence]) -> list:
     return out
 
 
-def eigen_split(op: Sequence[Sequence], vecs: Sequence[Sequence],
+def eigen_split(vecs: Sequence[Sequence], images: Sequence[Sequence],
                 candidates: Sequence
                 ) -> Optional[List[Tuple[object, List[list]]]]:
-    """Eigenspaces of an operator on the op-stable span of independent vecs.
+    """Eigenspaces of an operator on the span of independent vecs.
 
-    `op` is the operator's matrix on the ambient coordinates; it is
-    restricted to span(vecs) here.  Returns (eigenvalue, vectors) for each
-    candidate with a nonzero eigenspace, in candidate order (a candidate may
-    be a Fraction or an int, and comes back as given), the vectors
-    combined from `vecs`, and solves no further once the pieces fill
-    span(vecs).  Returns None if they never do: op is then not
-    diagonalizable on the span with its eigenvalues among the candidates.
+    The operator is given by images[b] = op(vecs[b]) in the ambient
+    coordinates, dense or as {index: nonzero} dicts; each must lie in the
+    span, and its coordinates over `vecs` are column b of the restricted
+    matrix.  Returns (eigenvalue, vectors) for each candidate with a nonzero
+    eigenspace, in candidate order (a candidate may be a Fraction or an int,
+    and comes back as given), the vectors combined from `vecs`, and solves
+    no further once the pieces fill span(vecs).  Returns None if they never
+    do: op is then not diagonalizable on the span with its eigenvalues
+    among the candidates.
     """
     k = len(vecs)
     solve = coords_solver(vecs)
     if solve is None:
         raise ConstructionFailure("restriction basis is dependent")
-    columns = list(zip(*op))
-    images = []  # column b: the coordinates of op(vecs[b])
-    for v in vecs:
-        coefs = solve(combine(v, columns))
+    restricted: List[dict] = [{} for _ in range(k)]  # row r, column b
+    for b, image in enumerate(images):
+        coefs = solve(sparse(image))
         if coefs is None:
             raise ConstructionFailure("operator does not preserve the span")
-        images.append(coefs)
-    restricted = [sparse(row) for row in zip(*images)]
+        for r, c in coefs.items():
+            restricted[r][b] = c
     out = []
     left = k
     for ev in candidates:

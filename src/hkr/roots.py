@@ -4,14 +4,15 @@ The restricted roots of (g, a) are the nonzero joint rational eigenvalue
 functionals of ad on the chosen a-basis.  The joint eigenspaces come from
 successive exact splitting by each a-unit H, at candidate eigenvalues read
 from the n x n matrix of H: the differences of its eigenvalues on C^n
-(``ad_spectrum_candidates``), so no dim x dim charpoly is formed.  Each split
-(``linalg.eigen_split``) must fill the piece it splits, which proves that
-the candidates held the whole spectrum, so multiplicities are exact.  The
-same route splits ker ad(e) by ad(x).  The roots on a maximally split
-Cartan d = t + a are not split out: once d is checked to be a Cartan
-subalgebra, they number num_roots = dim g - rank g^C = dim g - |t| - r, and
-the real ones are counted, on demand, by the centralizer of t in each piece
-of the ad(a)-grading (``full_root_classification``).
+(``ad_spectrum_candidates``), so no dim x dim charpoly or ad matrix is
+formed: each split (``linalg.eigen_split``) takes the brackets [H, v] of the
+piece's vectors, and must fill the piece, which proves that the candidates
+held the whole spectrum, so multiplicities are exact.  The same route
+splits ker ad(e) by ad(x).  The roots on a maximally split Cartan d = t + a
+are not split out: once d is checked to be a Cartan subalgebra, they number
+num_roots = dim g - rank g^C = dim g - |t| - r, and the real ones are
+counted, on demand, by the centralizer of t in each piece of the
+ad(a)-grading (``full_root_classification``).
 Classification closes a deterministic simple system under its reflections,
 once, and reads each component's type off its rank, its root count and its
 number of short simple roots; type labels are canonical strings like ``B2``
@@ -150,11 +151,12 @@ def restricted_roots(structure: RealFormStructure) -> RestrictedRootData:
     start = [structure.unit_coords(i) for i in range(structure.dim)]
     spaces = [((), start)]
     for ai in structure.a_indices:
-        cands = ad_spectrum_candidates(structure, structure.unit_coords(ai))
-        op = structure.ad_frac(ai)
+        unit = structure.unit_coords(ai)
+        cands = ad_spectrum_candidates(structure, unit)
         split = []
         for label, vecs in spaces:
-            pieces = la.eigen_split(op, vecs, cands)
+            images = [structure.bracket_coords(unit, v) for v in vecs]
+            pieces = la.eigen_split(vecs, images, cands)
             if pieces is None:
                 raise NonRationalSpectrum(
                     "%s: ad is not diagonalizable over its candidate "

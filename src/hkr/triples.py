@@ -76,7 +76,8 @@ def build_tds(root_data: rt.RestrictedRootData) -> TdsConstruction:
     """The TDS (E, F, W) = (e_c, f_c, w) on the simple restricted roots
     (Kostant and Rallis 1971; Knapp 2002, ch. VI).  Proved, so not checked
     (lambda = lambda_i):
-    - lambda_i(w) = 2: ``solve_right`` solves that system exactly;
+    - lambda_i(w) = 2: ``solve_right`` solves G c = 2 exactly, for the
+      Gram matrix G of the simple roots and w = sum c_i h_i;
     - d_i^2 = -c_i/b_i: d0 = rho sqrt(rad) gives -c_i/b_i = q0/rho^2 = rad;
     - [y_i, z_i] = (2/|lambda|^2) h_i: z_i = 2 theta y_i/(|lambda|^2 b_i);
     - that coroot is 2 on y_i, -2 on z_i: y_i in g_lambda, z_i in g_-lambda;
@@ -93,18 +94,13 @@ def build_tds(root_data: rt.RestrictedRootData) -> TdsConstruction:
     h_a_coeffs = [[Scalar.of(c) for c in pair.dual(lam)] for lam in simples]
     h_dual = [S.a_vector(sol) for sol in h_a_coeffs]
 
-    # w in a with lambda_i(w) = 2 for every simple root
-    lam_matrix = [list(lam) for lam in simples]
-    w_a = la.solve_right(lam_matrix, [2] * r)
-    if w_a is None:
-        raise ConstructionFailure("%s: simple roots do not span a*" % S.name)
-    w = S.a_vector(w_a)
-
-    # expansion w = sum c_i h_i, all c_i > 0
-    hmat = [[h_a_coeffs[i][k] for i in range(r)] for k in range(r)]
-    c_list = la.solve_right(hmat, list(w_a))
+    # lambda_j(w) = sum_i c_i lambda_j(h_i) = 2 for w = sum c_i h_i, all
+    # c_i > 0; lambda_j(h_i) = (lambda_j, lambda_i) is the simples' Gram matrix
+    gram = la.mmul(la.mat(simples), tuple(zip(*h_a_coeffs)))
+    c_list = la.solve_right(gram, [2] * r)
     if c_list is None:
-        raise ConstructionFailure("%s: h_i do not span a" % S.name)
+        raise ConstructionFailure("%s: simple roots do not span a*" % S.name)
+    w = S.a_vector(la.combine(c_list, h_a_coeffs))
     c_list = [c.as_fraction() for c in c_list]
     for i, ci in enumerate(c_list):
         if ci <= 0:
@@ -333,7 +329,8 @@ def module_decomposition(triple: NormalTriple) -> ModuleDecomposition:
     - c = dim c_{h^C}(s^C) counts the h-located blocks with m = 1, since
       c_{g^C}(s^C) is the weight-0 part of ker ad(e)."""
     S = triple.structure
-    pieces = la.eigen_split(S.ad_matrix(triple.x), triple.e_kernel,
+    kernel, x = triple.e_kernel, triple.x
+    pieces = la.eigen_split(kernel, [S.bracket_coords(x, v) for v in kernel],
                             rt.eigenvalue_differences(triple.x_spectrum))
     if pieces is None:
         raise GradingFailure("%s: ad(x) is not diagonalizable on ker ad(e)"

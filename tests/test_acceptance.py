@@ -18,7 +18,9 @@ from hkr import linalg as la
 from hkr import roots as rt
 from hkr import triples as tp
 from hkr import verify as vf
+from hkr.errors import ConstructionFailure
 from hkr.scalars import Scalar
+from test_catalog import _forms_up_to
 from test_linalg import n_fold_power
 
 
@@ -85,10 +87,10 @@ def _text(v):
     return str(v)
 
 
-def stage_values(an):
-    """What each stage of one analysis outputs."""
-    rd, tds, triple, dec, sec = (an.root_data, an.tds, an.triple,
-                                 an.decomposition, an.section)
+def stage_values_before_section(an):
+    """What each stage of one analysis before the section outputs."""
+    rd, tds, triple, dec = (an.root_data, an.tds, an.triple,
+                            an.decomposition)
     return [
         sorted(rd.root_spaces.items()), rd.centralizer, rd.h_centralizer,
         [tds.y, tds.z, tds.b, tds.c, tds.d, tds.w],
@@ -96,8 +98,14 @@ def stage_values(an):
         an.split_sub.space.rows,
         [[bl.m, bl.vector, bl.location] for bl in dec.blocks],
         [dec.a, dec.b, dec.c, dec.dim_z, dec.dim_z_h, dec.dim_z_m],
-        [sec.f, sec.e_list, sec.degrees, sec.central],
     ]
+
+
+def stage_values(an):
+    """What each stage of one analysis outputs."""
+    sec = an.section
+    return stage_values_before_section(an) + [
+        [sec.f, sec.e_list, sec.degrees, sec.central]]
 
 
 def stage_outputs(an):
@@ -116,6 +124,27 @@ def test_stage_outputs_match_their_pinned_digest():
             for name in map(catalog.form_display, catalog.standard_forms())]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == _PINNED_STAGES
+
+
+# sha256 of the stage outputs of every FormId of matrix size <= 6, in
+# _forms_up_to order; so(2,2) has no section (ROADMAP item 5), so its row
+# holds the stages before it and the section's error
+_PINNED_STAGES_UP_TO_6 = \
+    "f08598abb01a4e29d9ffd0179d9d9e648e6428a076deb308824e620ffe47b94a"
+
+
+def test_stage_outputs_up_to_size_6_match_their_pinned_digest():
+    rows = []
+    for fid in _forms_up_to(6):
+        an = dm.analyze(catalog.build(fid))
+        try:
+            out = stage_outputs(an)
+        except ConstructionFailure as exc:
+            out = [_text(stage_values_before_section(an)), str(exc)]
+        rows.append([catalog.form_cli_text(fid), out])
+    assert len(rows) == 46
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _PINNED_STAGES_UP_TO_6
 
 
 # the leaf types of an exact output; a float is none of them
@@ -218,7 +247,7 @@ def test_criterion_02_tds_relations():
             assert la.is_zero_mat(n_fold_power(S.matrix_of(v), S.n)), S.name
         assert tuple(S.theta_coords(x)) == x, S.name
         # x is diagonalizable on C^n with half-integer eigenvalues
-        assert la.eigen_split(S.matrix_of(x), la.eye(S.n),
+        assert la.eigen_split(la.eye(S.n), list(zip(*S.matrix_of(x))),
                               triple.x_spectrum) is not None, S.name
         assert all(v.denominator in (1, 2) for v in triple.x_spectrum), \
             S.name
@@ -249,8 +278,9 @@ def test_criterion_04_module_identities():
         assert sum(2 * bl.m - 1 for bl in dec.blocks) == S.dim, S.name
         # each ad(x)-eigenspace of ker ad(e) splits by theta, and c counts
         # the h-part of the centralizer of the triple
+        kernel = triple.e_kernel
         for ev, vecs in la.eigen_split(
-                S.ad_matrix(triple.x), triple.e_kernel,
+                kernel, [S.bracket_coords(triple.x, v) for v in kernel],
                 rt.eigenvalue_differences(triple.x_spectrum)):
             assert sum(map(len, S.theta_split(vecs))) == len(vecs), \
                 (S.name, ev)

@@ -497,6 +497,14 @@ def test_a_basis_in_h_is_rejected():
         RealFormStructure("sl(2,R)", 2, [_E, _F, _H], [rotation])
 
 
+def test_a_basis_outside_g_is_rejected():
+    # diag(1, 0) is fixed by -theta, so it passes the test for m, but it is
+    # not traceless: drawn beside the halves of sl(2,R) it adds a dimension
+    with pytest.raises(ConstructionFailure,
+                       match="theta split lost dimensions"):
+        RealFormStructure("sl(2,R)", 2, [_E, _F, _H], [{(0, 0): 1}])
+
+
 def test_empty_a_basis_is_rejected():
     with pytest.raises(ConstructionFailure,
                        match="rank 0 incompatible with dim m 2"):

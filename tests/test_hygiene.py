@@ -1,9 +1,10 @@
 """Source hygiene of the package: no module imports a name it never reads,
 no public top-level name goes unread by the library and the benchmark, no
 private top-level name goes unread by its module, no parameter default goes
-unpassed, only ``scalars`` reads the slots of a Scalar, only ``catalog``
-and ``cli`` read the family and parameters of a form, and importing the
-package generates no code."""
+unpassed, no module calls a name kept only for the benchmark, only
+``scalars`` reads the slots of a Scalar, only ``catalog`` and ``cli`` read
+the family and parameters of a form, and importing the package generates
+no code."""
 
 import ast
 import os
@@ -280,6 +281,30 @@ def test_every_parameter_default_is_passed():
     modules = {p.stem: p.read_text() for p in sorted(_SRC.glob("*.py"))}
     bench = [p.read_text() for p in sorted((_ROOT / "bench").glob("*.py"))]
     assert dead_defaults(modules, bench) == []
+
+
+# Names the library keeps only because bench/ wraps or calls them; ROADMAP
+# item 2 deletes them with the benchmark change, so no module may call one.
+BENCH_ONLY = {"ad_frac", "centralizer_frac", "classify_type"}
+
+
+def bench_only_calls(source: str):
+    """The names in BENCH_ONLY that the module calls, as ``f(...)`` or
+    ``x.f(...)``; defining one is not a call."""
+    return sorted(BENCH_ONLY & set(_calls(ast.parse(source))))
+
+
+def test_the_scan_finds_a_bench_only_call():
+    source = ("def ad_frac(i):\n    return i\n"
+              "def f(S, data):\n"
+              "    return S.ad_frac(0), classify_type(data), S.ad_matrix(0)\n")
+    assert bench_only_calls(source) == ["ad_frac", "classify_type"]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_calls_a_bench_only_name(path):
+    assert bench_only_calls(path.read_text()) == []
 
 
 # The slots of a Scalar (see hkr.scalars); the slot layout stays behind the

@@ -516,11 +516,16 @@ def test_coords_solver_takes_its_width_from_every_vector():
     assert la.coords_solver([{3: ONE}, {}]) is None
 
 
+def _images(op, vecs):
+    """op(v) for each v in vecs: the images eigen_split takes."""
+    return la.mmul(vecs, tuple(zip(*op)))
+
+
 def test_eigen_split_over_a_dependent_list_raises():
     vecs = la.mat([[1, 0], [2, 0]])
     with pytest.raises(ConstructionFailure,
                        match="restriction basis is dependent"):
-        la.eigen_split(la.eye(2), vecs, [1])
+        la.eigen_split(vecs, _images(la.eye(2), vecs), [1])
 
 
 def test_eigen_split_keeps_nonzero_eigenspaces():
@@ -528,17 +533,21 @@ def test_eigen_split_keeps_nonzero_eigenspaces():
     # the ambient operator with eigenvectors vecs[0], vecs[1] and (0, 0, 1)
     # at 2, 3 and 5
     op = la.mat([[2, 0, 0], [-1, 3, 0], [2, -2, 5]])
-    pieces = la.eigen_split(op, vecs, [Fraction(2), 3, 5])
+    images = _images(op, vecs)
+    pieces = la.eigen_split(vecs, images, [Fraction(2), 3, 5])
     assert pieces == [(Fraction(2), [list(vecs[0])]), (3, [list(vecs[1])])]
+    # images given as {index: nonzero} dicts split alike
+    assert la.eigen_split(vecs, [la.sparse(v) for v in images],
+                          [Fraction(2), 3, 5]) == pieces
 
 
 def test_eigen_split_of_a_jordan_block_is_none():
     op = la.mat([[2, 1], [0, 2]])
     units = la.eye(2)
-    assert la.eigen_split(op, units, [1, 2, 3]) is None
+    assert la.eigen_split(units, _images(op, units), [1, 2, 3]) is None
     # a missing candidate leaves the span unfilled too
     diag = la.mat([[1, 0], [0, 2]])
-    assert la.eigen_split(diag, units, [1, 3]) is None
+    assert la.eigen_split(units, _images(diag, units), [1, 3]) is None
 
 
 def test_eigen_split_solves_nothing_once_the_span_is_filled(monkeypatch):
@@ -552,17 +561,18 @@ def test_eigen_split_solves_nothing_once_the_span_is_filled(monkeypatch):
     monkeypatch.setattr(la, "kernel_right", counted)
     op = la.mat([[1, 0, 0], [0, 2, 0], [0, 0, 4]])
     vecs = la.mat([[1, 0, 0], [0, 1, 0]])
-    pieces = la.eigen_split(op, vecs, [5, 2, 1, 4, 7])
+    pieces = la.eigen_split(vecs, _images(op, vecs), [5, 2, 1, 4, 7])
     assert pieces == [(2, [list(vecs[1])]), (1, [list(vecs[0])])]
     assert solved == [2, 2, 2]  # 5, 2 and 1; never 4 or 7
-    assert la.eigen_split(op, [], [1]) == []
+    assert la.eigen_split([], [], [1]) == []
     assert solved == [2, 2, 2]
 
 
 def test_eigen_split_rejects_a_span_the_operator_leaves():
     op = la.mat([[0, 0], [1, 0]])
+    vecs = la.mat([[1, 0]])
     with pytest.raises(ConstructionFailure, match="does not preserve"):
-        la.eigen_split(op, la.mat([[1, 0]]), [0])
+        la.eigen_split(vecs, _images(op, vecs), [0])
 
 
 # --- rank and determinant mod p ---------------------------------------------------

@@ -579,7 +579,9 @@ def test_ad_a_acts_on_its_root_space_by_the_root_value():
     ai = next(iter(S.a_indices))
     value = lam[0]  # lam evaluated on the first a-unit
     # the root value alone fills the root space
-    pieces = la.eigen_split(S.ad_frac(ai), vecs, [value])
+    unit = S.unit_coords(ai)
+    pieces = la.eigen_split(vecs, [S.bracket_coords(unit, v) for v in vecs],
+                            [value])
     assert pieces == [(value, vecs)]
 
 
@@ -659,10 +661,10 @@ def _torus_split(S, t_basis, spaces):
     """
     for tv in t_basis:
         cands = [I * Scalar.of(mu) for mu in _compact_candidates(S, tv)]
-        op = S.ad_matrix(tv)
         split = []
         for label, vecs in spaces:
-            pieces = la.eigen_split(op, vecs, cands)
+            images = [S.bracket_coords(tv, v) for v in vecs]
+            pieces = la.eigen_split(vecs, images, cands)
             assert pieces is not None, (S.name, label)
             split.extend((label + (ev,), p) for ev, p in pieces)
         spaces = split

@@ -23,6 +23,7 @@ from hkr.errors import (ConstructionFailure, GradingFailure, MismatchWithTable,
                         NoSolution, NonUnique, RelationFailure,
                         RouteDisagreement)
 from hkr.scalars import Scalar, ZERO, ONE, I
+from test_acceptance import STAGES
 from test_catalog import _forms_up_to
 
 
@@ -581,6 +582,21 @@ def test_conjugators_need_a_rotation_element_of_h():
     with pytest.raises(ConstructionFailure,
                        match="no exact conjugators available"):
         tp.invariance_conjugators(S, 2)
+
+
+def test_no_construction_stage_builds_a_dense_ad_matrix(monkeypatch):
+    # the root and module splits read ad through the structure table, as
+    # the images of the span they split; a dim x dim ad matrix is left to
+    # the exact-rank fallback of is_regular
+    def refuse(self, *args):
+        raise AssertionError("dense ad matrix built")
+
+    monkeypatch.setattr(RealFormStructure, "ad_matrix", refuse)
+    monkeypatch.setattr(RealFormStructure, "ad_frac", refuse)
+    for fid in catalog.standard_forms():
+        an = dm.analyze(build(fid))
+        for stage in STAGES + ("section",):
+            getattr(an, stage)
 
 
 def test_module_decomposition_rejects_a_missing_candidate(monkeypatch):
